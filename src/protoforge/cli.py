@@ -14,16 +14,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .encoder import ConstraintSystem, encode
-from .model import (
-    NetworkSpec,
-    RequirementLabel,
-    SpecError,
-    parse_spec,
-    taxonomy_index,
-)
+from .encoder import encode
+from .model import NetworkSpec, RequirementLabel, parse_spec, taxonomy_index
 from .sim import (
     PowerModel,
     SimulationGuardError,
@@ -33,13 +26,7 @@ from .sim import (
     run_baseline,
     simulate_trace,
 )
-from .smt import (
-    ExternalSolverError,
-    SmtResponseError,
-    emit_smtlib,
-    parse_value_response,
-    run_external,
-)
+from .smt import ExternalSolverError, emit_smtlib, parse_value_response, run_external
 from .solver import (
     HorizonUndecided,
     SearchBudgetExceeded,
@@ -49,7 +36,7 @@ from .solver import (
     solve,
     unsat_core_minimize,
 )
-from .trace import ProtocolTrace, TraceFormatError, read_trace, write_trace
+from .trace import ProtocolTrace, read_trace, validate, write_trace
 
 SOLVER_ENV = "PROTOFORGE_SOLVER"
 
@@ -162,23 +149,27 @@ def _render_actions(trace: ProtocolTrace) -> str:
     return "\n".join(lines)
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+def _synthesize(args: argparse.Namespace, spec: NetworkSpec) -> ProtocolTrace | int:
+    """The first schedule for the spec, or the exit code once an exhausted
+    budget or an Unsat verdict with its core has been reported."""
     result = solve(encode(spec), _config(args))
     if result.status is SolveStatus.BUDGET_EXHAUSTED:
         print("budget exhausted", file=sys.stderr)
         return 5
     if result.status is SolveStatus.UNSAT:
+        core = _core_line(result.core.labels)
         print("unsat")
-        assert result.core is not None
-        print(f"core: {_core_line(result.core.labels)}")
+        print(f"core: {core}")
         if args.json:
-            _print_json(
-                {"status": "unsat", "core": _core_line(result.core.labels).split()}
-            )
+            _print_json({"status": "unsat", "core": core.split()})
         return 1
-    trace = result.trace
-    assert trace is not None
+    return result.trace
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    trace = _synthesize(args, _load_spec(args.spec))
+    if isinstance(trace, int):
+        return trace
     print("sat")
     if args.out:
         _write(args.out, write_trace(trace))
@@ -213,8 +204,6 @@ def _cmd_min_horizon(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .trace import validate
-
     trace = _load_trace(args.trace)
     violations = validate(trace)
     for v in violations:
@@ -321,17 +310,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     power = PowerModel(active_cost=args.pw)
-    result = solve(encode(spec), _config(args))
-    if result.status is SolveStatus.BUDGET_EXHAUSTED:
-        print("budget exhausted", file=sys.stderr)
-        return 5
-    if result.status is SolveStatus.UNSAT:
-        print("unsat")
-        assert result.core is not None
-        print(f"core: {_core_line(result.core.labels)}")
-        return 1
-    assert result.trace is not None
-    synth_report = simulate_trace(result.trace, power)
+    trace = _synthesize(args, spec)
+    if isinstance(trace, int):
+        return trace
+    synth_report = simulate_trace(trace, power)
     _, base_report = run_baseline(spec, power)
     report = compare_reports(synth_report, base_report)
     sys.stdout.write(report.text())
@@ -371,10 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 5
-    except (SpecError, TraceFormatError, SmtResponseError, ExternalSolverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except (ValueError, ExternalSolverError, OSError) as exc:
+        # SpecError, TraceFormatError and SmtResponseError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

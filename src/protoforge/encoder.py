@@ -4,8 +4,10 @@ variable per (slot, process) cell.
 Each cell's domain is sleep, listen, garbage, plus one value per packet
 (M+3 values), so exactly-one-action and the content bounds hold by
 construction; those two families are structural and can never be disabled.
-The remaining families are recorded as ground atoms tagged with their
-label:
+A constraint system is the problem plus the set of enabled families, and
+the search reads only that set. The ground atoms, each tagged with its
+label, are produced on demand by ground(), in listing order: one R1 and
+one R2 atom per cell, then
 
     R3    one atom per (process, action kind), liveness mode only
     R4    one atom per (process, packet): initial knowledge
@@ -22,8 +24,8 @@ actions), never a decision variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
-from .actions import Action, action_domain
 from .model import (
     GoalKind,
     LivenessMode,
@@ -31,7 +33,6 @@ from .model import (
     RequirementLabel,
     STRUCTURAL_LABELS,
     SpecValidationError,
-    taxonomy_index,
     validate_spec,
 )
 
@@ -47,18 +48,10 @@ class GroundConstraint:
     k: int | None = None
     speaker: int | None = None
 
-    @property
-    def sort_key(self) -> tuple[int, int, int, int, int]:
-        def idx(v: int | None) -> int:
-            return -1 if v is None else v
-
-        return (taxonomy_index(self.label), idx(self.t), idx(self.p), idx(self.k), idx(self.speaker))
-
 
 @dataclass(frozen=True)
 class ConstraintSystem:
     spec: NetworkSpec
-    constraints: tuple[GroundConstraint, ...]
     enabled: frozenset[RequirementLabel]
 
     @property
@@ -66,93 +59,16 @@ class ConstraintSystem:
         return self.spec.horizon * self.spec.processes
 
     @property
-    def domain(self) -> tuple[Action, ...]:
-        return action_domain(self.spec.packets)
-
-    @property
     def domain_size(self) -> int:
         return self.spec.packets + 3
 
 
 def encode(spec: NetworkSpec) -> ConstraintSystem:
-    """Grounds every requirement family that applies to the instance."""
+    """Checks the instance and fixes which requirement families apply to it."""
     errors = validate_spec(spec)
     if errors:
         raise SpecValidationError(errors)
-    P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
-    atoms: list[GroundConstraint] = []
-
-    for t in range(T):
-        for p in range(P):
-            atoms.append(GroundConstraint(
-                L.R1_EXACTLY_ONE_ACTION,
-                f"cell (t={t}, p={p}) holds exactly one of sleep | listen | transmit",
-                t=t, p=p,
-            ))
-    for t in range(T):
-        for p in range(P):
-            atoms.append(GroundConstraint(
-                L.R2_CONTENT_DOMAIN,
-                f"content code at (t={t}, p={p}) lies in -1..{M}",
-                t=t, p=p,
-            ))
-    if spec.liveness is LivenessMode.EACH_ACTION_ONCE:
-        for p in range(P):
-            for kind in ("sleep", "listen", "transmit"):
-                atoms.append(GroundConstraint(
-                    L.R3_LIVENESS,
-                    f"process {p} performs {kind} in some slot t < {T}",
-                    p=p,
-                ))
-    for p in range(P):
-        for k in range(1, M + 1):
-            if p == spec.source:
-                text = f"source process {p} knows packet {k} at t=0"
-            else:
-                text = f"process {p} does not know packet {k} at t=0"
-            atoms.append(GroundConstraint(L.R4_INITIAL_KNOWLEDGE, text, p=p, k=k))
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                atoms.append(GroundConstraint(
-                    L.R5_TRANSMIT_ONLY_KNOWN,
-                    f"process {p} may transmit packet {k} at t={t} only if it knows it",
-                    t=t, p=p, k=k,
-                ))
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                atoms.append(GroundConstraint(
-                    L.R6_NEVER_FORGETS,
-                    f"process {p} keeps packet {k} from t={t} to t={t + 1}",
-                    t=t, p=p, k=k,
-                ))
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                atoms.append(GroundConstraint(
-                    L.R7_COLLISION_FREE_LEARNING,
-                    f"process {p} gains packet {k} at t={t + 1} only by listening to a "
-                    f"lone audible transmitter at t={t}",
-                    t=t, p=p, k=k,
-                ))
-    if spec.goal is GoalKind.ALL_KNOW_ALL:
-        for p in range(P):
-            for k in range(1, M + 1):
-                atoms.append(GroundConstraint(
-                    L.GOAL_DEADLINE,
-                    f"process {p} knows packet {k} at the deadline t={T}",
-                    p=p, k=k,
-                ))
-    for t in range(T):
-        for listener, speaker in sorted(spec.topology.hears):
-            atoms.append(GroundConstraint(
-                L.TOPO_HEARS_RELATION,
-                f"process {listener} may learn from process {speaker} at t={t}",
-                t=t, p=listener, speaker=speaker,
-            ))
-
     # Active families are fixed by the problem, not by whether grounding
     # happened to produce atoms: an empty hears relation or a zero horizon
     # still means the family binds (vacuously or by forbidding everything).
@@ -169,9 +85,84 @@ def encode(spec: NetworkSpec) -> ConstraintSystem:
         enabled.add(L.R3_LIVENESS)
     if spec.goal is GoalKind.ALL_KNOW_ALL:
         enabled.add(L.GOAL_DEADLINE)
-    return ConstraintSystem(
-        spec=spec, constraints=tuple(atoms), enabled=frozenset(enabled)
-    )
+    return ConstraintSystem(spec=spec, enabled=frozenset(enabled))
+
+
+def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
+    """Every ground atom of the instance, in listing order: taxonomy, then
+    slot, process, packet and speaker. The spec must be valid, as encode
+    checks."""
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    L = RequirementLabel
+    for t in range(T):
+        for p in range(P):
+            yield GroundConstraint(
+                L.R1_EXACTLY_ONE_ACTION,
+                f"cell (t={t}, p={p}) holds exactly one of sleep | listen | transmit",
+                t=t, p=p,
+            )
+    for t in range(T):
+        for p in range(P):
+            yield GroundConstraint(
+                L.R2_CONTENT_DOMAIN,
+                f"content code at (t={t}, p={p}) lies in -1..{M}",
+                t=t, p=p,
+            )
+    if spec.liveness is LivenessMode.EACH_ACTION_ONCE:
+        for p in range(P):
+            for kind in ("sleep", "listen", "transmit"):
+                yield GroundConstraint(
+                    L.R3_LIVENESS,
+                    f"process {p} performs {kind} in some slot t < {T}",
+                    p=p,
+                )
+    for p in range(P):
+        for k in range(1, M + 1):
+            if p == spec.source:
+                text = f"source process {p} knows packet {k} at t=0"
+            else:
+                text = f"process {p} does not know packet {k} at t=0"
+            yield GroundConstraint(L.R4_INITIAL_KNOWLEDGE, text, p=p, k=k)
+    for t in range(T):
+        for p in range(P):
+            for k in range(1, M + 1):
+                yield GroundConstraint(
+                    L.R5_TRANSMIT_ONLY_KNOWN,
+                    f"process {p} may transmit packet {k} at t={t} only if it knows it",
+                    t=t, p=p, k=k,
+                )
+    for t in range(T):
+        for p in range(P):
+            for k in range(1, M + 1):
+                yield GroundConstraint(
+                    L.R6_NEVER_FORGETS,
+                    f"process {p} keeps packet {k} from t={t} to t={t + 1}",
+                    t=t, p=p, k=k,
+                )
+    for t in range(T):
+        for p in range(P):
+            for k in range(1, M + 1):
+                yield GroundConstraint(
+                    L.R7_COLLISION_FREE_LEARNING,
+                    f"process {p} gains packet {k} at t={t + 1} only by listening to a "
+                    f"lone audible transmitter at t={t}",
+                    t=t, p=p, k=k,
+                )
+    if spec.goal is GoalKind.ALL_KNOW_ALL:
+        for p in range(P):
+            for k in range(1, M + 1):
+                yield GroundConstraint(
+                    L.GOAL_DEADLINE,
+                    f"process {p} knows packet {k} at the deadline t={T}",
+                    p=p, k=k,
+                )
+    for t in range(T):
+        for listener, speaker in sorted(spec.topology.hears):
+            yield GroundConstraint(
+                L.TOPO_HEARS_RELATION,
+                f"process {listener} may learn from process {speaker} at t={t}",
+                t=t, p=listener, speaker=speaker,
+            )
 
 
 @dataclass(frozen=True)
@@ -192,11 +183,11 @@ class SystemDescription:
 def describe(cs: ConstraintSystem) -> SystemDescription:
     """Per-label atom counts plus a deterministic listing of every atom."""
     counts = {label: 0 for label in RequirementLabel}
-    for atom in cs.constraints:
+    lines = []
+    for atom in ground(cs.spec):
         counts[atom.label] += 1
-    ordered = sorted(cs.constraints, key=lambda a: a.sort_key)
-    lines = tuple(f"{atom.label.value}: {atom.text}" for atom in ordered)
-    return SystemDescription(counts=counts, lines=lines)
+        lines.append(f"{atom.label.value}: {atom.text}")
+    return SystemDescription(counts=counts, lines=tuple(lines))
 
 
 def disable(cs: ConstraintSystem, label: RequirementLabel) -> ConstraintSystem:

@@ -141,72 +141,102 @@ _ENUM_KEYS = {
 _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
 
 
-def parse_spec(text: str) -> NetworkSpec:
-    """Parses the file format above; raises SpecParseError/SpecValidationError."""
-    seen: dict[str, str] = {}
-    hears_pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.replace("=", " ").split()
-        if tokens and tokens[0] == "hears":
-            if len(tokens) != 3:
-                raise SpecParseError(line_no, "hears takes exactly two process ids")
-            try:
-                pair = (int(tokens[1]), int(tokens[2]))
-            except ValueError:
-                raise SpecParseError(line_no, f"hears ids must be integers: {line!r}") from None
-            if pair in hears_pairs:
-                raise SpecParseError(line_no, f"duplicate hears pair {pair}")
-            hears_pairs.append(pair)
-            continue
-        if "=" not in line:
-            raise SpecParseError(line_no, f"expected key = value, got {line!r}")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _ALL_KEYS:
-            raise SpecParseError(line_no, f"unknown key {key!r}")
-        if key in seen:
-            raise SpecParseError(line_no, f"duplicate key {key!r}")
-        if not value:
-            raise SpecParseError(line_no, f"missing value for {key!r}")
-        if key in _INT_KEYS:
-            try:
-                int(value)
-            except ValueError:
-                raise SpecParseError(line_no, f"{key} must be an integer, got {value!r}") from None
-        elif value not in _ENUM_KEYS[key]:
-            allowed = " | ".join(_ENUM_KEYS[key])
-            raise SpecParseError(line_no, f"{key} must be one of {allowed}, got {value!r}")
-        seen[key] = value
+def _check_field(key: str, value: object) -> object:
+    """Checks one field's value, integers already decoded; returns it."""
+    if key in _INT_KEYS:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecError(f"{key} must be an integer, got {value!r}")
+    elif value not in _ENUM_KEYS[key]:
+        allowed = " | ".join(_ENUM_KEYS[key])
+        raise SpecError(f"{key} must be one of {allowed}, got {value!r}")
+    return value
 
-    missing = [key for key in _ALL_KEYS if key not in seen]
-    if missing:
-        raise SpecParseError(len(text.splitlines()) + 1, f"missing keys: {', '.join(missing)}")
 
-    processes = int(seen["processes"])
-    if seen["topology"] == "all":
+def _check_pair(
+    ids: list, seen: list[tuple[int, int]], source: object
+) -> tuple[int, int]:
+    """Checks one hears entry against the pairs before it; `source` is the
+    entry as its document gives it, for the error message."""
+    if len(ids) != 2:
+        raise SpecError("hears takes exactly two process ids")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in ids):
+        raise SpecError(f"hears ids must be integers: {source!r}")
+    pair = (ids[0], ids[1])
+    if pair in seen:
+        raise SpecError(f"duplicate hears pair {pair}")
+    return pair
+
+
+def _assemble(
+    fields: dict[str, object], hears: list[tuple[int, int]] | None
+) -> NetworkSpec:
+    """Builds and validates the spec from checked fields; `hears` is None
+    when the source gives no hears entries."""
+    processes = fields["processes"]
+    if fields["topology"] == "all":
         topology = topology_all(processes)
-    elif seen["topology"] == "line":
+    elif fields["topology"] == "line":
         topology = topology_line(processes)
     else:
-        topology = Topology(frozenset(hears_pairs))
-    if hears_pairs and seen["topology"] != "explicit":
+        topology = Topology(frozenset(hears or ()))
+    if hears is not None and fields["topology"] != "explicit":
         raise SpecValidationError(["hears lines require topology = explicit"])
-
     spec = NetworkSpec(
         processes=processes,
-        packets=int(seen["packets"]),
-        horizon=int(seen["horizon"]),
-        source=int(seen["source"]),
+        packets=fields["packets"],
+        horizon=fields["horizon"],
+        source=fields["source"],
         topology=topology,
-        liveness=LivenessMode(seen["liveness"]),
-        goal=GoalKind(seen["goal"]),
+        liveness=LivenessMode(fields["liveness"]),
+        goal=GoalKind(fields["goal"]),
     )
     errors = validate_spec(spec)
     if errors:
         raise SpecValidationError(errors)
     return spec
+
+
+def _decode_int(token: str) -> int | str:
+    """The integer a token spells, or the token itself."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_spec(text: str) -> NetworkSpec:
+    """Parses the file format above; raises SpecParseError/SpecValidationError."""
+    fields: dict[str, object] = {}
+    hears: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.replace("=", " ").split()
+        try:
+            if tokens and tokens[0] == "hears":
+                ids = [_decode_int(token) for token in tokens[1:]]
+                hears.append(_check_pair(ids, hears, line))
+                continue
+            if "=" not in line:
+                raise SpecError(f"expected key = value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in _ALL_KEYS:
+                raise SpecError(f"unknown key {key!r}")
+            if key in fields:
+                raise SpecError(f"duplicate key {key!r}")
+            if not value:
+                raise SpecError(f"missing value for {key!r}")
+            if key in _INT_KEYS:
+                value = _decode_int(value)
+            fields[key] = _check_field(key, value)
+        except SpecError as exc:
+            raise SpecParseError(line_no, str(exc)) from None
+
+    missing = [key for key in _ALL_KEYS if key not in fields]
+    if missing:
+        raise SpecParseError(len(text.splitlines()) + 1, f"missing keys: {', '.join(missing)}")
+    return _assemble(fields, hears or None)
 
 
 def topology_name(topology: Topology, processes: int) -> str:
@@ -220,18 +250,12 @@ def topology_name(topology: Topology, processes: int) -> str:
 
 def render_spec(spec: NetworkSpec) -> str:
     """Writes the file format above. parse_spec(render_spec(s)) == s for valid s."""
-    name = topology_name(spec.topology, spec.processes)
-    lines = [
-        f"processes = {spec.processes}",
-        f"packets = {spec.packets}",
-        f"horizon = {spec.horizon}",
-        f"source = {spec.source}",
-        f"topology = {name}",
-    ]
-    if name == "explicit":
-        lines.extend(f"hears {l} {s}" for l, s in sorted(spec.topology.hears))
-    lines.append(f"liveness = {spec.liveness.value}")
-    lines.append(f"goal = {spec.goal.value}")
+    lines = []
+    for key, value in spec_as_dict(spec).items():
+        if key == "hears":
+            lines.extend(f"hears {l} {s}" for l, s in value)
+        else:
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -263,42 +287,13 @@ def spec_from_dict(obj: dict) -> NetworkSpec:
     missing = [key for key in _ALL_KEYS if key not in obj]
     if missing:
         raise SpecError(f"missing spec fields: {', '.join(missing)}")
-    for key in _INT_KEYS:
-        if not isinstance(obj[key], int) or isinstance(obj[key], bool):
-            raise SpecError(f"{key} must be an integer")
-    processes = obj["processes"]
-    kind = obj["topology"]
-    if kind == "all":
-        topology = topology_all(processes)
-    elif kind == "line":
-        topology = topology_line(processes)
-    elif kind == "explicit":
-        pairs = obj.get("hears", [])
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)
-            for p in pairs
-        ):
+    fields = {key: _check_field(key, obj[key]) for key in _ALL_KEYS}
+    hears = None
+    if "hears" in obj:
+        entries = obj["hears"]
+        if not isinstance(entries, list) or not all(isinstance(e, list) for e in entries):
             raise SpecError("hears must be a list of [listener, speaker] pairs")
-        topology = Topology(frozenset((l, s) for l, s in pairs))
-    else:
-        raise SpecError(f"topology must be all | line | explicit, got {kind!r}")
-    if kind != "explicit" and "hears" in obj:
-        raise SpecError("hears is only allowed with explicit topology")
-    try:
-        liveness = LivenessMode(obj["liveness"])
-        goal = GoalKind(obj["goal"])
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-    spec = NetworkSpec(
-        processes=processes,
-        packets=obj["packets"],
-        horizon=obj["horizon"],
-        source=obj["source"],
-        topology=topology,
-        liveness=liveness,
-        goal=goal,
-    )
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
-    return spec
+        hears = []
+        for entry in entries:
+            hears.append(_check_pair(entry, hears, entry))
+    return _assemble(fields, hears)

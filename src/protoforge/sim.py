@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .actions import Action, ActionKind, LISTEN, transmit
+from .actions import Action, LISTEN, transmit
 from .model import (
     NetworkSpec,
     RequirementLabel,
@@ -34,6 +34,7 @@ from .trace import (
     all_known,
     derive_knowledge,
     initial_knowledge,
+    step_knowledge,
     validate,
 )
 
@@ -84,10 +85,6 @@ class SimReport:
     concurrent_tx_slots: int
     completed: bool
     completion_slot: int | None
-
-
-class BaselinePolicy:
-    """Marker for the eager always-on policy run_baseline implements."""
 
 
 def _report(
@@ -153,7 +150,6 @@ def run_baseline(
     if max_slots < 0:
         raise ValueError("max_slots must be >= 0")
     P, M = spec.processes, spec.packets
-    hears = spec.topology.hears
     know: list[KnowledgeRow] = [initial_knowledge(spec)]
     rows: list[tuple[Action, ...]] = []
     tx_count = [0] * P
@@ -165,18 +161,7 @@ def run_baseline(
                 tx_count[p] += 1
             else:
                 acts.append(LISTEN)
-        transmitting = [s for s, act in enumerate(acts) if act.is_transmit]
-        nxt = []
-        for p in range(P):
-            row = know[-1][p]
-            if acts[p].kind is ActionKind.LISTEN:
-                audible = [s for s in transmitting if (p, s) in hears]
-                if len(audible) == 1:
-                    k = acts[audible[0]].packet
-                    if k is not None:
-                        row = row[: k - 1] + (True,) + row[k:]
-            nxt.append(row)
-        know.append(tuple(nxt))
+        know.append(step_knowledge(know[-1], acts, spec.topology, carrier_sense=True))
         rows.append(tuple(acts))
     trace = ProtocolTrace(
         replace(spec, horizon=len(rows)), tuple(rows), tuple(know)

@@ -406,25 +406,6 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
     return ProtocolTrace(spec, actions, grid)
 
 
-def external_core_labels(output: str) -> frozenset[RequirementLabel]:
-    """Collects the requirement families named in an unsat-core response."""
-    labels = set()
-    start = 0
-    while True:
-        open_bar = output.find("|", start)
-        if open_bar < 0:
-            break
-        close_bar = output.find("|", open_bar + 1)
-        if close_bar < 0:
-            break
-        try:
-            labels.add(label_of_assertion_name(output[open_bar : close_bar + 1]))
-        except SmtResponseError:
-            pass
-        start = close_bar + 1
-    return frozenset(labels)
-
-
 @dataclass(frozen=True)
 class ExternalResult:
     status: str

@@ -2,16 +2,16 @@
 minimum-horizon search, and unsat-core minimization.
 
 The engine is a depth-first backtracker. Variables are cells in (slot,
-process) order; values follow a configurable kind order with packets tried
-ascending, defaulting to sleep, listen, packets, garbage (quiet schedules
-first). Knowledge is recomputed once per completed slot and never searched
-over. Two admissible bounds prune: a branch dies when some process still
-misses more packets than there are slots left (a listener gains at most
-one packet per slot), or when a process cannot fit its outstanding
-liveness obligations into its remaining cells. Bounds never cut a
-satisfiable branch, so the first model found is the lexicographically
-least under the configured orders, exhaustion proves unsatisfiability, and
-reruns are byte-for-byte reproducible.
+process) order; values follow a fixed order, not a configurable one:
+sleep, listen, packets ascending, garbage (quiet schedules first).
+Knowledge is recomputed once per completed slot, by the learning rule the
+enabled families imply, and never searched over. Two admissible bounds
+prune: a branch dies when some process still misses more packets than
+there are slots left (a listener gains at most one packet per slot), or
+when a process cannot fit its outstanding liveness obligations into its
+remaining cells. Bounds never cut a satisfiable branch, so the first model
+found is the lexicographically least under these orders, exhaustion proves
+unsatisfiability, and reruns are byte-for-byte reproducible.
 
 enumerate_all is the independent oracle: it tries every one of the
 (M+3)^(T*P) assignments and keeps those the trace validator accepts, with
@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
 
 from .actions import Action, ActionKind, GARBAGE, LISTEN, SLEEP, transmit
 from .encoder import ConstraintSystem, encode
@@ -35,52 +34,24 @@ from .model import (
     STRUCTURAL_LABELS,
     SpecValidationError,
     TAXONOMY,
-    topology_all,
     validate_spec,
 )
-from .trace import ProtocolTrace, initial_knowledge, satisfies, step_knowledge
+from .trace import ProtocolTrace, initial_knowledge, learning_rule, satisfies
 
 
-class ValueGroup(Enum):
-    """One rung of the value order; PACKETS expands to packet ids ascending."""
-
-    SLEEP = "sleep"
-    LISTEN = "listen"
-    PACKETS = "packets"
-    GARBAGE = "garbage"
-
-
-DEFAULT_VALUE_ORDER = (
-    ValueGroup.SLEEP,
-    ValueGroup.LISTEN,
-    ValueGroup.PACKETS,
-    ValueGroup.GARBAGE,
-)
+def search_domain(packets: int) -> tuple[Action, ...]:
+    """Cell values in the fixed search order: quiet schedules come first."""
+    ascending = tuple(transmit(k) for k in range(1, packets + 1))
+    return (SLEEP, LISTEN) + ascending + (transmit(GARBAGE),)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    value_order: tuple[ValueGroup, ...] = DEFAULT_VALUE_ORDER
     node_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if sorted(g.value for g in self.value_order) != sorted(g.value for g in ValueGroup):
-            raise ValueError("value_order must be a permutation of the four action groups")
         if self.node_limit is not None and self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-
-    def ordered_domain(self, packets: int) -> tuple[Action, ...]:
-        out: list[Action] = []
-        for group in self.value_order:
-            if group is ValueGroup.SLEEP:
-                out.append(SLEEP)
-            elif group is ValueGroup.LISTEN:
-                out.append(LISTEN)
-            elif group is ValueGroup.GARBAGE:
-                out.append(transmit(GARBAGE))
-            else:
-                out.extend(transmit(k) for k in range(1, packets + 1))
-        return tuple(out)
 
 
 class SolveStatus(Enum):
@@ -127,9 +98,8 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     check_goal = L.GOAL_DEADLINE in enabled and spec.goal is GoalKind.ALL_KNOW_ALL
     check_live = L.R3_LIVENESS in enabled and spec.liveness is LivenessMode.EACH_ACTION_ONCE
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
-    topo = spec.topology if L.TOPO_HEARS_RELATION in enabled else topology_all(P)
-    values = config.ordered_domain(M)
-    all_true = tuple(tuple(True for _ in range(M)) for _ in range(P))
+    learn = learning_rule(spec, enabled)
+    values = search_domain(M)
     unsat = SolveResult(SolveStatus.UNSAT, core=UnsatCore(frozenset(enabled)))
 
     def need(row) -> int:
@@ -181,7 +151,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                     kind_missing[p] -= 1
             try:
                 if last_in_slot:
-                    nxt = all_true if free_learning else step_knowledge(know[t], acts[t], topo)
+                    nxt = learn(know[t], acts[t])
                     if not check_goal or goal_feasible(nxt, T - (t + 1)):
                         know.append(nxt)
                         if search(i + 1):
@@ -206,49 +176,24 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     return SolveResult(SolveStatus.SAT, trace=trace)
 
 
-def effective_trace(
-    spec: NetworkSpec,
-    actions: Sequence[Sequence[Action]],
-    enabled: frozenset[RequirementLabel],
-) -> ProtocolTrace:
-    """Trace whose knowledge grid follows the enabled-label semantics:
-    dropping R7 lets knowledge grow freely, dropping TOPO lifts audibility."""
-    L = RequirementLabel
-    rows = [initial_knowledge(spec)]
-    if L.R7_COLLISION_FREE_LEARNING not in enabled:
-        all_true = tuple(
-            tuple(True for _ in range(spec.packets)) for _ in range(spec.processes)
-        )
-        rows.extend(all_true for _ in actions)
-    else:
-        topo = spec.topology
-        if L.TOPO_HEARS_RELATION not in enabled:
-            topo = topology_all(spec.processes)
-        for row in actions:
-            rows.append(step_knowledge(rows[-1], row, topo))
-    return ProtocolTrace(spec, tuple(tuple(row) for row in actions), tuple(rows))
-
-
 def enumerate_all(
     cs: ConstraintSystem,
     limit: int | None = None,
     ceiling: int = 10_000_000,
-    config: SearchConfig | None = None,
 ) -> list[ProtocolTrace]:
     """Every satisfying trace, found by checking all (M+3)^(T*P) assignments
     with the independent validator, in lexicographic cell order."""
-    config = config or SearchConfig()
     spec = cs.spec
     P, T = spec.processes, spec.horizon
     cells = T * P
     size = cs.domain_size ** cells
     if size > ceiling:
         raise ValueError(f"enumeration space {size} exceeds ceiling {ceiling}")
-    domain = config.ordered_domain(spec.packets)
+    domain = search_domain(spec.packets)
     out: list[ProtocolTrace] = []
     for combo in itertools.product(domain, repeat=cells):
         actions = tuple(combo[t * P:(t + 1) * P] for t in range(T))
-        trace = effective_trace(spec, actions, cs.enabled)
+        trace = ProtocolTrace.from_actions(spec, actions, cs.enabled)
         if satisfies(trace, cs.enabled):
             out.append(trace)
             if limit is not None and len(out) >= limit:

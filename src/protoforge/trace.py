@@ -7,7 +7,9 @@ the shared-channel rule: a listener gains packet k in a slot exactly when
 the whole network has a single transmitter, that transmitter is audible to
 the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
-nothing, and nothing once learned is ever lost.
+nothing, and nothing once learned is ever lost. step_knowledge is the one
+place this rule is written; learning_rule decides, for the search, the
+oracle and the validator alike, what dropping R7 or TOPO does to it.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
 from .model import (
@@ -56,39 +59,67 @@ def initial_knowledge(spec: NetworkSpec) -> KnowledgeRow:
 
 
 def step_knowledge(
-    now: KnowledgeRow, acts: Sequence[Action], topology: Topology
+    now: KnowledgeRow,
+    acts: Sequence[Action],
+    topology: Topology,
+    carrier_sense: bool = False,
 ) -> KnowledgeRow:
-    """One slot of the learning rule.
+    """One slot of the learning rule; the only place a listener gains a packet.
 
-    With exactly one transmitter s on the channel sending packet k, every
-    audible listener gains k; any other transmitter count, or a garbage
-    content, delivers nothing. Knowledge never shrinks.
+    A listener gains packet k when exactly one transmitter contends for its
+    ear, that transmitter is audible to it, and it is sending packet k. On
+    the shared channel every transmitter in the network contends; with
+    carrier_sense only the ones the listener can hear do, so traffic it
+    cannot hear does not jam it. Garbage occupies the channel but delivers
+    nothing. Knowledge never shrinks.
     """
     transmitters = [p for p, act in enumerate(acts) if act.is_transmit]
-    speaker = packet = None
-    if len(transmitters) == 1:
-        speaker = transmitters[0]
-        packet = acts[speaker].packet
+    if not transmitters or (len(transmitters) > 1 and not carrier_sense):
+        return now  # silence, or a collision on the shared channel
     nxt = []
     for p, row in enumerate(now):
-        if (
-            packet is not None
-            and acts[p].kind is ActionKind.LISTEN
-            and (p, speaker) in topology.hears
-            and packet <= len(row)
-        ):
-            row = row[: packet - 1] + (True,) + row[packet:]
+        if acts[p].kind is ActionKind.LISTEN:
+            heard = [s for s in transmitters if (p, s) in topology.hears]
+            if len(heard) == 1:
+                packet = acts[heard[0]].packet
+                if packet is not None and packet <= len(row):
+                    row = row[: packet - 1] + (True,) + row[packet:]
         nxt.append(row)
     return tuple(nxt)
 
 
+def learning_rule(
+    spec: NetworkSpec, enabled: Iterable[RequirementLabel] | None = None
+) -> Callable[[KnowledgeRow, Sequence[Action]], KnowledgeRow]:
+    """The slot transition that the enabled requirement families imply.
+
+    With R7 enabled, listeners learn by step_knowledge over the spec's hears
+    relation, or over the complete graph when TOPO is dropped. With R7
+    dropped nothing limits learning, so every process holds every packet
+    after any slot.
+    """
+    enabled = _enabled_set(enabled)
+    if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
+        everything = tuple(
+            tuple(True for _ in range(spec.packets)) for _ in range(spec.processes)
+        )
+        return lambda now, acts: everything
+    topology = spec.topology
+    if RequirementLabel.TOPO_HEARS_RELATION not in enabled:
+        topology = topology_all(spec.processes)
+    return partial(step_knowledge, topology=topology)
+
+
 def derive_knowledge(
-    spec: NetworkSpec, actions: Sequence[Sequence[Action]]
+    spec: NetworkSpec,
+    actions: Sequence[Sequence[Action]],
+    enabled: Iterable[RequirementLabel] | None = None,
 ) -> KnowledgeGrid:
-    """Folds step_knowledge over the whole schedule, giving T+1 rows."""
+    """Folds the learning rule over the whole schedule, giving T+1 rows."""
+    learn = learning_rule(spec, enabled)
     rows = [initial_knowledge(spec)]
     for acts in actions:
-        rows.append(step_knowledge(rows[-1], acts, spec.topology))
+        rows.append(learn(rows[-1], acts))
     return tuple(rows)
 
 
@@ -108,11 +139,7 @@ class ProtocolTrace:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.actions)} action rows for horizon {spec.horizon}"
             )
-        for t, row in enumerate(self.actions):
-            if len(row) != spec.processes:
-                raise TraceFormatError(
-                    f"dimension mismatch: {len(row)} actions at t={t} for {spec.processes} processes"
-                )
+        _check_row_widths(spec, self.actions)
         if len(self.knowledge) != spec.horizon + 1:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
@@ -125,10 +152,22 @@ class ProtocolTrace:
 
     @classmethod
     def from_actions(
-        cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]
+        cls,
+        spec: NetworkSpec,
+        actions: Sequence[Sequence[Action]],
+        enabled: Iterable[RequirementLabel] | None = None,
     ) -> "ProtocolTrace":
         frozen = tuple(tuple(row) for row in actions)
-        return cls(spec, frozen, derive_knowledge(spec, frozen))
+        _check_row_widths(spec, frozen)  # before the learning rule indexes them
+        return cls(spec, frozen, derive_knowledge(spec, frozen, enabled))
+
+
+def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
+    for t, row in enumerate(actions):
+        if len(row) != spec.processes:
+            raise TraceFormatError(
+                f"dimension mismatch: {len(row)} actions at t={t} for {spec.processes} processes"
+            )
 
 
 @dataclass(frozen=True)
@@ -239,11 +278,9 @@ def _violations(
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
         # Audibility folds into the learning test; dropping TOPO lifts it.
-        topo = spec.topology
-        if L.TOPO_HEARS_RELATION not in enabled:
-            topo = topology_all(spec.processes)
+        learn = learning_rule(spec, enabled)
         for t in range(spec.horizon):
-            expected = step_knowledge(grid[t], acts[t], topo)
+            expected = learn(grid[t], acts[t])
             for p in range(spec.processes):
                 illegal = [
                     k for k in range(1, packets + 1)

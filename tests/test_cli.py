@@ -289,6 +289,25 @@ def test_compare_unsat_exit(capsys, tight):
     assert out.splitlines()[0] == "unsat"
 
 
+def test_compare_json_unsat_block(capsys, tight):
+    code, out, _ = run_cli(capsys, "compare", tight, "--json")
+    assert code == 1
+    assert out.rstrip().endswith("}")
+    assert machine_block(out) == {
+        "status": "unsat",
+        "core": [
+            "R1_ExactlyOneAction",
+            "R2_ContentDomain",
+            "R4_InitialKnowledge",
+            "R5_TransmitOnlyKnown",
+            "R6_NeverForgets",
+            "R7_CollisionFreeLearning",
+            "GOAL_Deadline",
+            "TOPO_HearsRelation",
+        ],
+    }
+
+
 def test_module_entry_point(line3):
     proc = subprocess.run(
         [sys.executable, "-m", "protoforge", "synth", line3],

@@ -5,11 +5,12 @@ import itertools
 import pytest
 
 from protoforge.actions import action_domain
-from protoforge.encoder import describe, disable, encode
+from protoforge.encoder import describe, disable, encode, ground
 from protoforge.model import (
     GoalKind,
     LivenessMode,
     RequirementLabel,
+    TAXONOMY,
     Topology,
     topology_line,
 )
@@ -54,7 +55,7 @@ def test_goal_count_is_processes_times_packets():
 
 def test_topo_atoms_reference_only_line_pairs():
     cs = encode(make_spec(processes=3, packets=1, horizon=2, topology="line"))
-    topo_atoms = [c for c in cs.constraints if c.label is L.TOPO_HEARS_RELATION]
+    topo_atoms = [c for c in ground(cs.spec) if c.label is L.TOPO_HEARS_RELATION]
     assert {(c.p, c.speaker) for c in topo_atoms} == {(1, 0), (2, 1)}
 
 
@@ -70,7 +71,25 @@ def test_counts_partition_constraints():
     )
     counts = describe(cs).counts
     assert set(counts) == set(L)
-    assert sum(counts.values()) == len(cs.constraints)
+    assert sum(counts.values()) == len(list(ground(cs.spec)))
+
+
+def test_ground_yields_atoms_in_listing_order():
+    # taxonomy index, then t, p, k, speaker, with absent indices first
+    def listing_key(atom):
+        coords = (atom.t, atom.p, atom.k, atom.speaker)
+        return (TAXONOMY.index(atom.label),) + tuple(-1 if v is None else v for v in coords)
+
+    for spec in (
+        make_spec(processes=3, packets=2, horizon=3, topology="all",
+                  liveness=LivenessMode.EACH_ACTION_ONCE),
+        make_spec(processes=4, packets=1, horizon=2, source=2,
+                  topology=Topology(frozenset({(3, 0), (0, 3), (1, 2), (0, 1)}))),
+    ):
+        atoms = list(ground(spec))
+        keys = [listing_key(atom) for atom in atoms]
+        assert keys == sorted(keys)
+        assert {atom.label for atom in atoms} >= set(L) - {L.R3_LIVENESS}
 
 
 def test_describe_is_deterministic():
@@ -92,7 +111,7 @@ def test_disable_goal_then_structural_then_missing():
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
     weaker = disable(cs, L.GOAL_DEADLINE)
     assert L.GOAL_DEADLINE not in weaker.enabled
-    assert weaker.constraints == cs.constraints
+    assert list(ground(weaker.spec)) == list(ground(cs.spec))
     assert weaker.cell_count == cs.cell_count
     with pytest.raises(ValueError, match="structural"):
         disable(cs, L.R1_EXACTLY_ONE_ACTION)

@@ -13,7 +13,6 @@ from protoforge.smt import (
     SmtResponseError,
     SolverTimeout,
     emit_smtlib,
-    external_core_labels,
     label_of_assertion_name,
     parse_sexprs,
     parse_value_response,
@@ -197,18 +196,6 @@ def test_value_response_skips_error_forms_and_status_atoms():
     assert trace.actions == ()
 
 
-def test_external_core_labels_from_canned_output():
-    text = (
-        "unsat\n"
-        '(error "model is not available")\n'
-        "(|GOAL_Deadline@t=1,p=1,k=1| |R7_CollisionFreeLearning@t=0,p=1,k=1|\n"
-        " |R4_InitialKnowledge@t=0,p=1,k=1|)\n"
-    )
-    assert external_core_labels(text) == frozenset(
-        {L.GOAL_DEADLINE, L.R7_COLLISION_FREE_LEARNING, L.R4_INITIAL_KNOWLEDGE}
-    )
-
-
 def _script(tmp_path, body):
     path = tmp_path / "solver.sh"
     path.write_text("#!/bin/sh\ncat > /dev/null\n" + body)
@@ -222,7 +209,6 @@ def test_run_external_classifies_status(tmp_path):
     assert sat.status == "sat"
     unsat = run_external(_script(tmp_path, 'echo unsat\necho "(|GOAL_Deadline@t=1,p=1,k=1|)"\n'), doc)
     assert unsat.status == "unsat"
-    assert external_core_labels(unsat.output) == frozenset({L.GOAL_DEADLINE})
     unknown = run_external(_script(tmp_path, "echo unknown\n"), doc)
     assert unknown.status == "unknown"
 

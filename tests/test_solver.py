@@ -21,7 +21,6 @@ from protoforge.solver import (
     SearchBudgetExceeded,
     SearchConfig,
     SolveStatus,
-    ValueGroup,
     enumerate_all,
     min_horizon,
     solve,
@@ -146,18 +145,7 @@ def test_unsat_core_on_sat_instance_errors():
         unsat_core_minimize(encode(make_spec()))
 
 
-def test_value_order_changes_first_solution():
-    cs = encode(make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE))
-    eager = SearchConfig(
-        value_order=(ValueGroup.GARBAGE, ValueGroup.PACKETS, ValueGroup.LISTEN, ValueGroup.SLEEP)
-    )
-    assert solve(cs).trace.actions[0][0] == SLEEP
-    assert solve(cs, eager).trace.actions[0][0] == transmit(0)
-
-
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(value_order=(ValueGroup.SLEEP,))
     with pytest.raises(ValueError):
         SearchConfig(node_limit=0)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, transmit
-from protoforge.model import RequirementLabel, topology_all
+from protoforge.model import RequirementLabel, Topology, topology_all
 from protoforge.trace import (
     ProtocolTrace,
     TraceFormatError,
@@ -57,6 +57,17 @@ def test_step_transmitter_learns_nothing_from_itself():
     now = initial_knowledge(spec)
     nxt = step_knowledge(now, (transmit(1), transmit(1)), spec.topology)
     assert nxt == now
+
+
+def test_step_carrier_sense_ignores_inaudible_transmitters():
+    # p0 and p3 both send packet 1; p1 hears only p0, p2 hears both
+    hears = Topology(frozenset({(1, 0), (2, 0), (2, 3)}))
+    now = ((True,), (False,), (False,), (True,))
+    acts = (transmit(1), LISTEN, LISTEN, transmit(1))
+    assert step_knowledge(now, acts, hears, carrier_sense=True) == (
+        (True,), (True,), (False,), (True,)
+    )
+    assert step_knowledge(now, acts, hears) == now
 
 
 LINE3_ACTIONS = (
@@ -190,6 +201,27 @@ def test_read_rejects_unknown_field():
     doc = json.loads(write_trace(trace))
     doc["mood"] = "optimistic"
     with pytest.raises(TraceFormatError):
+        read_trace(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "hears, message",
+    [([[True, False]], "must be integers"), ([[1, 0], [1, 0]], "duplicate hears pair")],
+)
+def test_read_rejects_malformed_hears(hears, message):
+    spec = make_spec(topology=Topology(frozenset({(1, 0), (2, 1), (0, 1)})))
+    doc = json.loads(write_trace(ProtocolTrace.from_actions(spec, LINE3_ACTIONS)))
+    assert doc["spec"]["topology"] == "explicit"
+    doc["spec"]["hears"] = hears
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace(json.dumps(doc))
+
+
+def test_read_rejects_short_row_with_a_lone_transmitter():
+    doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
+    doc["actions"][0] = ["tx:1"]
+    del doc["knowledge"]
+    with pytest.raises(TraceFormatError, match="dimension mismatch"):
         read_trace(json.dumps(doc))
 
 
