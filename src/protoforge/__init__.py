@@ -65,12 +65,10 @@ from .smt import (
     run_external,
 )
 from .solver import (
-    HorizonUndecided,
     SearchBudgetExceeded,
     SearchConfig,
     SolveResult,
     SolveStatus,
-    UnsatCore,
     enumerate_all,
     min_horizon,
     solve,
@@ -101,7 +99,6 @@ __all__ = [
     "GARBAGE",
     "GoalKind",
     "GroundConstraint",
-    "HorizonUndecided",
     "LISTEN",
     "LivenessMode",
     "NetworkSpec",
@@ -125,7 +122,6 @@ __all__ = [
     "TAXONOMY",
     "Topology",
     "TraceFormatError",
-    "UnsatCore",
     "Violation",
     "action_domain",
     "compare",

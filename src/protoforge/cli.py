@@ -2,10 +2,12 @@
 
 Exit codes: 0 success or Sat, 1 Unsat or horizon not found, 2 validation
 violations, 3 usage error, 4 I/O, format, or external-solver failure,
-5 search budget exhausted.
+5 search budget exhausted, 6 internal error (an unexpected exception).
 
 Human-readable output comes first; with --json the last thing printed is
-a machine block starting at the first "{" on its own line.
+a machine block starting at the first "{" on its own line, exit 5 included
+({"status": "budget-exhausted"}, plus the undecided "horizon" on
+min-horizon). Errors reported only on stderr print none.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 
 from .encoder import encode
 from .model import NetworkSpec, RequirementLabel, parse_spec, taxonomy_index
 from .sim import (
+    ComparisonReport,
     PowerModel,
+    SimReport,
     SimulationGuardError,
     compare as compare_reports,
     render_report,
@@ -28,15 +33,15 @@ from .sim import (
 )
 from .smt import ExternalSolverError, emit_smtlib, parse_value_response, run_external
 from .solver import (
-    HorizonUndecided,
     SearchBudgetExceeded,
     SearchConfig,
+    SolveResult,
     SolveStatus,
     min_horizon,
     solve,
     unsat_core_minimize,
 )
-from .trace import ProtocolTrace, read_trace, validate, write_trace
+from .trace import ProtocolTrace, Violation, read_trace, validate, write_trace
 
 SOLVER_ENV = "PROTOFORGE_SOLVER"
 
@@ -50,56 +55,78 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(base: type, low: int, strict: bool = False) -> Callable[[str], object]:
+    """An argparse type: base(text), >= low (> low when strict). It carries
+    base's name, so a non-number keeps argparse's "invalid int value" wording."""
+
+    def check(text: str):
+        value = base(text)
+        if not (value > low if strict else value >= low):
+            bound = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+        return value
+
+    check.__name__ = base.__name__
+    return check
+
+
+_NODE_LIMIT = _at_least(int, 1)
+_COUNT = _at_least(int, 0)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="protoforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def cmd(name: str, help_: str) -> argparse.ArgumentParser:
+    def cmd(name: str, help_: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="append a machine block")
         return p
 
-    p = cmd("synth", "synthesize a schedule for a problem file")
+    p = cmd("synth", "synthesize a schedule for a problem file", _cmd_synth)
     p.add_argument("spec", help="problem file")
     p.add_argument("--out", help="trace file to write on Sat")
-    p.add_argument("--node-limit", type=int, help="search budget in visited nodes")
+    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget in visited nodes")
 
-    p = cmd("min-horizon", "find the smallest feasible horizon")
+    p = cmd("min-horizon", "find the smallest feasible horizon", _cmd_min_horizon)
     p.add_argument("spec", help="problem file")
-    p.add_argument("--max", type=int, required=True, help="largest horizon to try")
+    p.add_argument("--max", type=_COUNT, required=True, help="largest horizon to try")
     p.add_argument("--out", help="trace file to write when found")
-    p.add_argument("--node-limit", type=int, help="search budget per horizon")
+    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget per horizon")
 
-    p = cmd("validate", "check a trace file against every requirement")
+    p = cmd("validate", "check a trace file against every requirement", _cmd_validate)
     p.add_argument("trace", help="trace file")
 
-    p = cmd("unsat-core", "minimize the conflicting requirement set")
+    p = cmd("unsat-core", "minimize the conflicting requirement set", _cmd_unsat_core)
     p.add_argument("spec", help="problem file")
-    p.add_argument("--node-limit", type=int, help="search budget per solve")
+    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget per solve")
 
-    p = cmd("emit-smt", "write the SMT-LIB 2 form, optionally run a solver")
+    p = cmd("emit-smt", "write the SMT-LIB 2 form, optionally run a solver", _cmd_emit_smt)
     p.add_argument("spec", help="problem file")
     p.add_argument("--out", help="file for the document (default stdout)")
     p.add_argument(
         "--solver",
         help=f"external solver command reading SMT-LIB 2 on stdin (default ${SOLVER_ENV})",
     )
-    p.add_argument("--timeout", type=float, help="seconds to allow the solver")
+    p.add_argument(
+        "--timeout", type=_at_least(float, 0, strict=True), help="seconds to allow the solver"
+    )
     p.add_argument("--trace-out", help="trace file to write when the solver says sat")
 
-    p = cmd("simulate", "replay a trace and report power and delivery")
+    p = cmd("simulate", "replay a trace and report power and delivery", _cmd_simulate)
     p.add_argument("trace", help="trace file")
-    p.add_argument("--pw", type=int, default=1, help="power units per active slot")
+    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
 
-    p = cmd("baseline", "run the always-on policy on a problem file")
+    p = cmd("baseline", "run the always-on policy on a problem file", _cmd_baseline)
     p.add_argument("spec", help="problem file")
-    p.add_argument("--pw", type=int, default=1, help="power units per active slot")
-    p.add_argument("--max-slots", type=int, help="slot allowance before giving up")
+    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
+    p.add_argument("--max-slots", type=_COUNT, help="slot allowance before giving up")
 
-    p = cmd("compare", "synthesized schedule vs the always-on policy")
+    p = cmd("compare", "synthesized schedule vs the always-on policy", _cmd_compare)
     p.add_argument("spec", help="problem file")
-    p.add_argument("--pw", type=int, default=1, help="power units per active slot")
-    p.add_argument("--node-limit", type=int, help="search budget in visited nodes")
+    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
+    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget in visited nodes")
 
     return parser
 
@@ -122,90 +149,62 @@ def _load_trace(path: str) -> ProtocolTrace:
     return read_trace(_read(path))
 
 
-def _config(args: argparse.Namespace) -> SearchConfig | None:
-    limit = getattr(args, "node_limit", None)
-    if limit is None:
-        return None
-    return SearchConfig(node_limit=limit)
-
-
-def _core_line(labels: frozenset[RequirementLabel]) -> str:
-    ordered = sorted(labels, key=taxonomy_index)
-    return " ".join(label.value for label in ordered)
-
-
-def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _trace_obj(trace: ProtocolTrace) -> dict:
-    return json.loads(write_trace(trace))
-
-
-def _render_actions(trace: ProtocolTrace) -> str:
-    lines = []
-    for t, row in enumerate(trace.actions):
-        lines.append(f"t={t}: " + " ".join(act.label for act in row))
-    return "\n".join(lines)
-
-
-def _synthesize(args: argparse.Namespace, spec: NetworkSpec) -> ProtocolTrace | int:
-    """The first schedule for the spec, or the exit code once an exhausted
-    budget or an Unsat verdict with its core has been reported."""
-    result = solve(encode(spec), _config(args))
+def _solve(args: argparse.Namespace, spec: NetworkSpec) -> SolveResult:
+    """Decides the spec within --node-limit; a Sat or Unsat result, or
+    SearchBudgetExceeded when the budget runs out first."""
+    result = solve(encode(spec), SearchConfig(node_limit=args.node_limit))
     if result.status is SolveStatus.BUDGET_EXHAUSTED:
-        print("budget exhausted", file=sys.stderr)
-        return 5
-    if result.status is SolveStatus.UNSAT:
-        core = _core_line(result.core.labels)
-        print("unsat")
-        print(f"core: {core}")
-        if args.json:
-            _print_json({"status": "unsat", "core": core.split()})
-        return 1
-    return result.trace
+        raise SearchBudgetExceeded()
+    return result
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    trace = _synthesize(args, _load_spec(args.spec))
-    if isinstance(trace, int):
-        return trace
-    print("sat")
-    if args.out:
-        _write(args.out, write_trace(trace))
-        print(f"wrote {args.out}")
+def _ordered(core: frozenset[RequirementLabel]) -> list[str]:
+    return [label.value for label in sorted(core, key=taxonomy_index)]
+
+
+def _unsat(core: frozenset[RequirementLabel]) -> tuple[int, dict]:
+    """Reports an Unsat verdict with its unminimized core."""
+    labels = _ordered(core)
+    print("unsat")
+    print("core: " + " ".join(labels))
+    return 1, {"status": "unsat", "core": labels}
+
+
+def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
+    """Writes the trace file when a path is given, else prints the schedule."""
+    if path:
+        _write(path, write_trace(trace))
+        print(f"wrote {path}")
     else:
-        print(_render_actions(trace))
-    if args.json:
-        _print_json({"status": "sat", "trace": _trace_obj(trace)})
-    return 0
+        print("\n".join(
+            f"t={t}: " + " ".join(act.label for act in row)
+            for t, row in enumerate(trace.actions)
+        ))
 
 
-def _cmd_min_horizon(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> tuple[int, object]:
+    result = _solve(args, _load_spec(args.spec))
+    if result.status is SolveStatus.UNSAT:
+        return _unsat(result.core)
+    print("sat")
+    _emit_trace(result.trace, args.out)
+    return 0, {"status": "sat", "trace": result.trace}
+
+
+def _cmd_min_horizon(args: argparse.Namespace) -> tuple[int, object]:
     spec = _load_spec(args.spec)
-    if args.max < 0:
-        raise UsageError("--max must be >= 0")
-    found = min_horizon(spec, args.max, _config(args))
+    found = min_horizon(spec, args.max, SearchConfig(node_limit=args.node_limit))
     if found is None:
         print(f"no feasible horizon up to {args.max}")
-        if args.json:
-            _print_json({"found": False, "t_min": None})
-        return 1
+        return 1, {"found": False, "t_min": None}
     t_min, trace = found
     print(f"t_min: {t_min}")
-    if args.out:
-        _write(args.out, write_trace(trace))
-        print(f"wrote {args.out}")
-    else:
-        print(_render_actions(trace))
-    if args.json:
-        _print_json({"found": True, "t_min": t_min, "trace": _trace_obj(trace)})
-    return 0
+    _emit_trace(trace, args.out)
+    return 0, {"found": True, "t_min": t_min, "trace": trace}
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    violations = validate(trace)
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, object]:
+    violations = validate(_load_trace(args.trace))
     for v in violations:
         where = []
         if v.time is not None:
@@ -214,45 +213,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             where.append(f"p={v.process}")
         place = " " + ",".join(where) if where else ""
         print(f"{v.label.value}{place}: {v.detail}")
-    if args.json:
-        _print_json(
-            {
-                "ok": not violations,
-                "violations": [
-                    {
-                        "label": v.label.value,
-                        "time": v.time,
-                        "process": v.process,
-                        "detail": v.detail,
-                    }
-                    for v in violations
-                ],
-            }
-        )
-    return 2 if violations else 0
+    return (2 if violations else 0), {"ok": not violations, "violations": violations}
 
 
-def _cmd_unsat_core(args: argparse.Namespace) -> int:
+def _cmd_unsat_core(args: argparse.Namespace) -> tuple[int, object]:
     spec = _load_spec(args.spec)
-    cs = encode(spec)
-    result = solve(cs, _config(args))
-    if result.status is SolveStatus.BUDGET_EXHAUSTED:
-        print("budget exhausted", file=sys.stderr)
-        return 5
-    if result.status is SolveStatus.SAT:
+    if _solve(args, spec).status is SolveStatus.SAT:
         print("sat (no unsat core)")
-        if args.json:
-            _print_json({"status": "sat", "core": None})
-        return 0
-    core = unsat_core_minimize(cs, _config(args))
-    for label in sorted(core.labels, key=taxonomy_index):
-        print(label.value)
-    if args.json:
-        _print_json({"status": "unsat", "core": _core_line(core.labels).split()})
-    return 1
+        return 0, {"status": "sat", "core": None}
+    core = unsat_core_minimize(encode(spec), SearchConfig(node_limit=args.node_limit))
+    labels = _ordered(core)
+    for label in labels:
+        print(label)
+    return 1, {"status": "unsat", "core": labels}
 
 
-def _cmd_emit_smt(args: argparse.Namespace) -> int:
+def _cmd_emit_smt(args: argparse.Namespace) -> tuple[int, object]:
     spec = _load_spec(args.spec)
     document = emit_smtlib(spec)
     if args.out:
@@ -262,101 +238,91 @@ def _cmd_emit_smt(args: argparse.Namespace) -> int:
     if solver is None:
         if not args.out:
             sys.stdout.write(document.text)
-        if args.json:
-            _print_json({"out": args.out, "status": None})
-        return 0
+        return 0, {"out": args.out, "status": None}
     result = run_external(solver, document, timeout=args.timeout)
     print(result.status)
-    payload: dict = {"out": args.out, "status": result.status, "trace": None}
-    code = 0
+    block = {"out": args.out, "status": result.status, "trace": None}
     if result.status == "sat":
-        trace = parse_value_response(result.output, spec)
-        if args.trace_out:
-            _write(args.trace_out, write_trace(trace))
-            print(f"wrote {args.trace_out}")
-        else:
-            print(_render_actions(trace))
-        payload["trace"] = _trace_obj(trace)
-    elif result.status == "unsat":
-        code = 1
-    else:
-        print("external solver returned unknown", file=sys.stderr)
-        code = 4
-    if args.json:
-        _print_json(payload)
-    return code
+        block["trace"] = trace = parse_value_response(result.output, spec)
+        _emit_trace(trace, args.trace_out)
+        return 0, block
+    if result.status == "unsat":
+        return 1, block
+    print("external solver returned unknown", file=sys.stderr)
+    return 4, block
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    report = simulate_trace(trace, PowerModel(active_cost=args.pw))
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, object]:
+    report = simulate_trace(_load_trace(args.trace), PowerModel(active_cost=args.pw))
     sys.stdout.write(render_report(report))
-    if args.json:
-        _print_json(report_as_dict(report))
-    return 0
+    return 0, report
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_baseline(args: argparse.Namespace) -> tuple[int, object]:
     _, report = run_baseline(
-        spec, PowerModel(active_cost=args.pw), max_slots=args.max_slots
+        _load_spec(args.spec), PowerModel(active_cost=args.pw), max_slots=args.max_slots
     )
     sys.stdout.write(render_report(report))
-    if args.json:
-        _print_json(report_as_dict(report))
-    return 0
+    return 0, report
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> tuple[int, object]:
     spec = _load_spec(args.spec)
+    result = _solve(args, spec)
+    if result.status is SolveStatus.UNSAT:
+        return _unsat(result.core)
     power = PowerModel(active_cost=args.pw)
-    trace = _synthesize(args, spec)
-    if isinstance(trace, int):
-        return trace
-    synth_report = simulate_trace(trace, power)
+    synth_report = simulate_trace(result.trace, power)
     _, base_report = run_baseline(spec, power)
     report = compare_reports(synth_report, base_report)
     sys.stdout.write(report.text())
-    if args.json:
-        _print_json(report.as_dict())
-    return 0
+    return 0, report
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "min-horizon": _cmd_min_horizon,
-    "validate": _cmd_validate,
-    "unsat-core": _cmd_unsat_core,
-    "emit-smt": _cmd_emit_smt,
-    "simulate": _cmd_simulate,
-    "baseline": _cmd_baseline,
-    "compare": _cmd_compare,
-}
+def _as_json(obj: object) -> object:
+    """The `default` hook of main's encoder: blocks hold result objects,
+    which are turned into JSON only under --json."""
+    if isinstance(obj, ProtocolTrace):
+        return json.loads(write_trace(obj))
+    if isinstance(obj, Violation):
+        return {"label": obj.label.value, "time": obj.time, "process": obj.process,
+                "detail": obj.detail}
+    if isinstance(obj, SimReport):
+        return report_as_dict(obj)
+    if isinstance(obj, ComparisonReport):
+        return obj.as_dict()
+    raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
-        return _HANDLERS[args.command](args)
+        try:
+            code, block = args.handler(args)
+        except SearchBudgetExceeded as exc:
+            # an exhausted budget is a verdict too, so it ends in a block
+            print(exc, file=sys.stderr)
+            code, block = 5, {"status": "budget-exhausted"}
+            if exc.horizon is not None:
+                block["horizon"] = exc.horizon
+        if args.json:
+            print(json.dumps(block, indent=2, default=_as_json))
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except SimulationGuardError as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 2
-    except HorizonUndecided as exc:
-        print(f"budget exhausted at horizon {exc.horizon}", file=sys.stderr)
-        return 5
-    except SearchBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, ExternalSolverError, OSError) as exc:
         # SpecError, TraceFormatError and SmtResponseError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def _check_field(key: str, value: object) -> object:
 
 
 def _check_pair(
-    ids: list, seen: list[tuple[int, int]], source: object
+    ids: list, seen: set[tuple[int, int]], source: object
 ) -> tuple[int, int]:
     """Checks one hears entry against the pairs before it; `source` is the
     entry as its document gives it, for the error message."""
@@ -168,7 +168,7 @@ def _check_pair(
 
 
 def _assemble(
-    fields: dict[str, object], hears: list[tuple[int, int]] | None
+    fields: dict[str, object], hears: set[tuple[int, int]] | None
 ) -> NetworkSpec:
     """Builds and validates the spec from checked fields; `hears` is None
     when the source gives no hears entries."""
@@ -207,7 +207,7 @@ def _decode_int(token: str) -> int | str:
 def parse_spec(text: str) -> NetworkSpec:
     """Parses the file format above; raises SpecParseError/SpecValidationError."""
     fields: dict[str, object] = {}
-    hears: list[tuple[int, int]] = []
+    hears: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,7 +216,7 @@ def parse_spec(text: str) -> NetworkSpec:
         try:
             if tokens and tokens[0] == "hears":
                 ids = [_decode_int(token) for token in tokens[1:]]
-                hears.append(_check_pair(ids, hears, line))
+                hears.add(_check_pair(ids, hears, line))
                 continue
             if "=" not in line:
                 raise SpecError(f"expected key = value, got {line!r}")
@@ -293,7 +293,7 @@ def spec_from_dict(obj: dict) -> NetworkSpec:
         entries = obj["hears"]
         if not isinstance(entries, list) or not all(isinstance(e, list) for e in entries):
             raise SpecError("hears must be a list of [listener, speaker] pairs")
-        hears = []
+        hears = set()
         for entry in entries:
-            hears.append(_check_pair(entry, hears, entry))
+            hears.add(_check_pair(entry, hears, entry))
     return _assemble(fields, hears)

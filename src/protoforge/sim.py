@@ -32,7 +32,6 @@ from .trace import (
     ProtocolTrace,
     Violation,
     all_known,
-    derive_knowledge,
     initial_knowledge,
     step_knowledge,
     validate,
@@ -115,13 +114,13 @@ def _report(
 
 
 def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> SimReport:
-    """Replays a schedule slot by slot under the whole-channel learning rule."""
+    """Replays a schedule slot by slot under the whole-channel learning rule;
+    a clean guard check proves the trace's knowledge grid is that rule's."""
     power = power or PowerModel()
     bad = validate(trace, GUARD_LABELS)
     if bad:
         raise SimulationGuardError(bad)
-    grid = derive_knowledge(trace.spec, trace.actions)
-    return _report(trace.spec, power, trace.actions, grid)
+    return _report(trace.spec, power, trace.actions, trace.knowledge)
 
 
 def default_max_slots(spec: NetworkSpec) -> int:

@@ -273,38 +273,29 @@ def tokenize(text: str) -> list[str]:
 
 
 def parse_sexprs(text: str) -> list:
-    """Reads every s-expression in text; atoms stay strings."""
-    tokens = tokenize(text)
-    pos = 0
-
-    def read():
-        nonlocal pos
-        token = tokens[pos]
-        pos += 1
+    """Reads every s-expression in text; atoms stay strings. Iterative, so
+    nesting depth is bounded by memory, not by the recursion limit."""
+    out: list = []
+    open_lists: list[list] = []
+    current = out
+    for token in tokenize(text):
         if token == "(":
-            items = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                items.append(read())
-            if pos >= len(tokens):
+            open_lists.append(current)
+            current = []
+        elif token == ")":
+            if not open_lists:
                 raise SmtResponseError("unbalanced parenthesis in solver output")
-            pos += 1
-            return items
-        if token == ")":
-            raise SmtResponseError("unbalanced parenthesis in solver output")
-        return token
-
-    out = []
-    while pos < len(tokens):
-        out.append(read())
+            done, current = current, open_lists.pop()
+            current.append(done)
+        else:
+            current.append(token)
+    if open_lists:
+        raise SmtResponseError("unbalanced parenthesis in solver output")
     return out
 
 
 def _as_int(value) -> int | None:
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            return None
+    sign = 1
     if (
         isinstance(value, list)
         and len(value) == 2
@@ -312,8 +303,21 @@ def _as_int(value) -> int | None:
         and isinstance(value[1], str)
         and value[1].isdigit()
     ):
-        return -int(value[1])
+        sign, value = -1, value[1]
+    if isinstance(value, str):
+        try:
+            return sign * int(value)
+        except ValueError:  # also digits int() refuses, such as "²"
+            return None
     return None
+
+
+def _indices(app: list[str]) -> tuple[int, ...]:
+    """The integer arguments of a function application such as (sleep 0 1)."""
+    try:
+        return tuple(int(arg) for arg in app[1:])
+    except ValueError:
+        raise SmtResponseError(f"non-integer index in ({' '.join(app)})") from None
 
 
 def _as_bool(value) -> bool | None:
@@ -352,15 +356,15 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
             if fn in ("sleep", "listen") and len(args) == 2:
                 flag = _as_bool(value)
                 if flag is not None:
-                    bools[(fn, int(args[0]), int(args[1]))] = flag
+                    bools[(fn, *_indices(app))] = flag
             elif fn == "transmit" and len(args) == 2:
                 code = _as_int(value)
                 if code is not None:
-                    ints[(int(args[0]), int(args[1]))] = code
+                    ints[_indices(app)] = code
             elif fn == "knows" and len(args) == 3:
                 flag = _as_bool(value)
                 if flag is not None:
-                    knows[(int(args[0]), int(args[1]), int(args[2]))] = flag
+                    knows[_indices(app)] = flag
     rows: list[tuple[Action, ...]] = []
     for t in range(T):
         row: list[Action] = []

@@ -61,24 +61,21 @@ class SolveStatus(Enum):
 
 
 @dataclass(frozen=True)
-class UnsatCore:
-    labels: frozenset[RequirementLabel]
-
-
-@dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
     trace: ProtocolTrace | None = None
-    core: UnsatCore | None = None
+    core: frozenset[RequirementLabel] | None = None
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A node-limited search ran out of budget before deciding the system."""
+    """A node-limited search ran out of budget before deciding the system.
 
+    The message is the whole line the CLI reports; `horizon` is the first
+    horizon min_horizon could not decide, None for any other search.
+    """
 
-class HorizonUndecided(SearchBudgetExceeded):
-    def __init__(self, horizon: int) -> None:
-        super().__init__(f"search budget exhausted at horizon {horizon}")
+    def __init__(self, message: str = "budget exhausted", horizon: int | None = None) -> None:
+        super().__init__(message)
         self.horizon = horizon
 
 
@@ -100,7 +97,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
     learn = learning_rule(spec, enabled)
     values = search_domain(M)
-    unsat = SolveResult(SolveStatus.UNSAT, core=UnsatCore(frozenset(enabled)))
+    unsat = SolveResult(SolveStatus.UNSAT, core=frozenset(enabled))
 
     def need(row) -> int:
         # packets the neediest process still misses
@@ -216,7 +213,7 @@ def min_horizon(
     for horizon in range(t_max + 1):
         result = solve(encode(replace(spec, horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
-            raise HorizonUndecided(horizon)
+            raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)
         if result.status is SolveStatus.SAT:
             return horizon, result.trace
     return None
@@ -224,7 +221,7 @@ def min_horizon(
 
 def unsat_core_minimize(
     cs: ConstraintSystem, config: SearchConfig | None = None
-) -> UnsatCore:
+) -> frozenset[RequirementLabel]:
     """Deletion-based 1-minimal unsat core at requirement-family granularity.
 
     Tries dropping each non-structural enabled label in taxonomy order and
@@ -248,4 +245,4 @@ def unsat_core_minimize(
             )
         if trial.status is SolveStatus.UNSAT:
             core.remove(label)
-    return UnsatCore(frozenset(core))
+    return frozenset(core)

@@ -153,10 +153,10 @@ def test_criterion_5_tight_core_is_exact_unsat_and_one_minimal():
     expected = frozenset(
         {RequirementLabel.GOAL_DEADLINE, RequirementLabel.R7_COLLISION_FREE_LEARNING}
     )
-    assert core.labels == expected
-    assert solve(replace(cs, enabled=frozenset(core.labels))).status is SolveStatus.UNSAT
-    for label in core.labels:
-        weaker = replace(cs, enabled=frozenset(core.labels - {label}))
+    assert core == expected
+    assert solve(replace(cs, enabled=frozenset(core))).status is SolveStatus.UNSAT
+    for label in core:
+        weaker = replace(cs, enabled=frozenset(core - {label}))
         assert solve(weaker).status is SolveStatus.SAT, label
     _verdict(
         "criterion 5: PASS - core is exactly {GOAL_Deadline, R7_CollisionFreeLearning}, "

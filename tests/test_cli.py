@@ -155,6 +155,26 @@ def test_usage_errors(capsys, line3):
     assert run_cli(capsys, "min-horizon", line3, "--max", "-1")[0] == 3
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["synth", "--node-limit", "0"], "must be >= 1"),
+        (["compare", "--node-limit", "-2"], "must be >= 1"),
+        (["unsat-core", "--node-limit", "x"], "invalid int value: 'x'"),
+        (["min-horizon", "--max", "-1"], "must be >= 0"),
+        (["baseline", "--pw", "-1"], "must be >= 0"),
+        (["baseline", "--max-slots", "-1"], "must be >= 0"),
+        (["emit-smt", "--timeout", "0"], "must be > 0"),
+        (["emit-smt", "--timeout", "soon"], "invalid float value: 'soon'"),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, line3, flags, message):
+    command, *rest = flags
+    code, _, err = run_cli(capsys, command, line3, *rest)
+    assert code == 3
+    assert err.startswith("usage error: ") and message in err
+
+
 def test_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "synth", str(tmp_path / "absent.net"))
     assert code == 4
@@ -306,6 +326,53 @@ def test_compare_json_unsat_block(capsys, tight):
             "TOPO_HearsRelation",
         ],
     }
+
+
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        (["synth", "--node-limit", "2"], {"status": "budget-exhausted"}),
+        (["compare", "--node-limit", "2"], {"status": "budget-exhausted"}),
+        (["unsat-core", "--node-limit", "2"], {"status": "budget-exhausted"}),
+        (
+            ["min-horizon", "--max", "4", "--node-limit", "1"],
+            {"status": "budget-exhausted", "horizon": 1},
+        ),
+    ],
+)
+def test_budget_exhaustion_ends_in_a_json_block(capsys, line3, argv, block):
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, line3, *rest, "--json")
+    assert code == 5
+    assert err.startswith("budget exhausted")
+    assert machine_block(out) == block
+
+
+def test_unexpected_exception_is_internal_error(capsys, line3, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("protoforge.cli.solve", broken)
+    code, _, err = run_cli(capsys, "synth", line3)
+    assert code == 6
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("out, calls", [(False, 0), (True, 1)])
+def test_synth_writes_the_trace_only_for_out(capsys, line3, tmp_path, monkeypatch, out, calls):
+    import protoforge.cli
+
+    seen = []
+    real = protoforge.cli.write_trace
+
+    def counting(trace):
+        seen.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(protoforge.cli, "write_trace", counting)
+    extra = ["--out", str(tmp_path / "t.json")] if out else []
+    assert run_cli(capsys, "synth", line3, *extra)[0] == 0
+    assert len(seen) == calls
 
 
 def test_module_entry_point(line3):

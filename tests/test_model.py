@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -198,3 +200,17 @@ def test_line_subset_of_all(p):
 @given(specs())
 def test_valid_specs_pass_validation(spec):
     assert validate_spec(spec) == []
+
+
+def test_parse_is_linear_in_hears_lines():
+    # every ordered pair of 200 processes: 39,800 hears lines
+    pairs = [(l, s) for l in range(200) for s in range(200) if l != s]
+    text = (
+        "processes = 200\npackets = 1\nhorizon = 1\nsource = 0\n"
+        "topology = explicit\nliveness = off\ngoal = none\n"
+        + "".join(f"hears {l} {s}\n" for l, s in pairs)
+    )
+    start = time.perf_counter()
+    spec = parse_spec(text)
+    assert time.perf_counter() - start < 5.0
+    assert spec.topology.hears == frozenset(pairs)

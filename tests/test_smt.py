@@ -244,3 +244,18 @@ def test_run_external_full_pipeline_with_scripted_solver(tmp_path):
     result = run_external(script, emit_smtlib(spec))
     assert result.status == "sat"
     assert parse_value_response(result.output, spec) == trace
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(((sleep x 0) true))",  # int() on an index
+        "sat\n" + "(" * 5000 + ")" * 5000 + "\n",  # deeper than the recursion limit
+        "(((transmit 0 0) (- ²)))",  # a digit int() refuses
+    ],
+    ids=["non-integer-index", "deep-nesting", "unicode-digit"],
+)
+def test_value_response_raises_only_response_errors(text):
+    spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
+    with pytest.raises(SmtResponseError):
+        parse_value_response(text, spec)

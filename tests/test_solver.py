@@ -17,7 +17,6 @@ from protoforge.model import (
     topology_line,
 )
 from protoforge.solver import (
-    HorizonUndecided,
     SearchBudgetExceeded,
     SearchConfig,
     SolveStatus,
@@ -54,7 +53,7 @@ def test_tight_instance_unsat_with_full_enabled_core():
     result = solve(cs)
     assert result.status is SolveStatus.UNSAT
     assert result.trace is None
-    assert result.core.labels == cs.enabled
+    assert result.core == cs.enabled
 
 
 def test_empty_problem_sat_with_empty_trace():
@@ -104,7 +103,7 @@ def test_min_horizon_rejects_goalless_spec():
 
 
 def test_min_horizon_budget_raises_with_first_undecided_horizon():
-    with pytest.raises(HorizonUndecided) as err:
+    with pytest.raises(SearchBudgetExceeded) as err:
         min_horizon(
             make_spec(processes=3, packets=1, horizon=0, topology="line"),
             4,
@@ -123,7 +122,7 @@ def test_solve_budget_exhausted_status():
 def test_unsat_core_tight_instance_exact():
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
     core = unsat_core_minimize(cs)
-    assert core.labels == frozenset({L.GOAL_DEADLINE, L.R7_COLLISION_FREE_LEARNING})
+    assert core == frozenset({L.GOAL_DEADLINE, L.R7_COLLISION_FREE_LEARNING})
 
 
 def test_unsat_core_empty_hears_is_unsat_and_minimal():
@@ -132,11 +131,11 @@ def test_unsat_core_empty_hears_is_unsat_and_minimal():
     )
     assert solve(cs).status is SolveStatus.UNSAT
     core = unsat_core_minimize(cs)
-    assert core.labels & {L.TOPO_HEARS_RELATION, L.GOAL_DEADLINE}
-    assert not (core.labels & STRUCTURAL_LABELS)
-    assert solve(replace(cs, enabled=frozenset(core.labels))).status is SolveStatus.UNSAT
-    for label in core.labels:
-        weaker = replace(cs, enabled=frozenset(core.labels - {label}))
+    assert core & {L.TOPO_HEARS_RELATION, L.GOAL_DEADLINE}
+    assert not (core & STRUCTURAL_LABELS)
+    assert solve(replace(cs, enabled=frozenset(core))).status is SolveStatus.UNSAT
+    for label in core:
+        weaker = replace(cs, enabled=frozenset(core - {label}))
         assert solve(weaker).status is SolveStatus.SAT
 
 
