@@ -43,7 +43,6 @@ from .model import (
     render_spec,
     topology_all,
     topology_line,
-    validate_spec,
 )
 from .sim import (
     ComparisonReport,
@@ -148,7 +147,6 @@ __all__ = [
     "topology_line",
     "transmit",
     "unsat_core_minimize",
-    "validate_spec",
     "validate_trace",
     "write_trace",
 ]

@@ -88,5 +88,7 @@ def parse_action(text: str, packets: int) -> Action:
 
 
 def action_domain(packets: int) -> tuple[Action, ...]:
-    """Everything a cell can hold: sleep, listen, garbage, packets 1..M."""
-    return (SLEEP, LISTEN, transmit(GARBAGE)) + tuple(transmit(k) for k in range(1, packets + 1))
+    """Everything a cell can hold, in the search's value order: sleep,
+    listen, packets 1..M ascending, garbage (quiet schedules first)."""
+    ascending = tuple(transmit(k) for k in range(1, packets + 1))
+    return (SLEEP, LISTEN) + ascending + (transmit(GARBAGE),)

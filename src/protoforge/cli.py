@@ -19,7 +19,7 @@ import sys
 from collections.abc import Callable
 
 from .encoder import encode
-from .model import NetworkSpec, RequirementLabel, parse_spec, taxonomy_index
+from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec
 from .sim import (
     ComparisonReport,
     PowerModel,
@@ -31,7 +31,7 @@ from .sim import (
     run_baseline,
     simulate_trace,
 )
-from .smt import ExternalSolverError, emit_smtlib, parse_value_response, run_external
+from .smt import MAX_TIMEOUT_S, ExternalSolverError, emit_smtlib, parse_value_response, run_external
 from .solver import (
     SearchBudgetExceeded,
     SearchConfig,
@@ -55,15 +55,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _at_least(base: type, low: int, strict: bool = False) -> Callable[[str], object]:
-    """An argparse type: base(text), >= low (> low when strict). It carries
-    base's name, so a non-number keeps argparse's "invalid int value" wording."""
+def _at_least(
+    base: type, low: int, strict: bool = False, high: int | None = None
+) -> Callable[[str], object]:
+    """An argparse type: base(text), >= low (> low when strict), <= high if
+    given. It carries base's name, so a non-number keeps argparse's
+    "invalid int value" wording."""
 
     def check(text: str):
         value = base(text)
         if not (value > low if strict else value >= low):
             bound = ">" if strict else ">="
             raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+        if high is not None and not value <= high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text}")
         return value
 
     check.__name__ = base.__name__
@@ -72,6 +77,7 @@ def _at_least(base: type, low: int, strict: bool = False) -> Callable[[str], obj
 
 _NODE_LIMIT = _at_least(int, 1)
 _COUNT = _at_least(int, 0)
+_TIMEOUT = _at_least(float, 0, strict=True, high=MAX_TIMEOUT_S)
 
 
 def _build_parser() -> _Parser:
@@ -109,9 +115,7 @@ def _build_parser() -> _Parser:
         "--solver",
         help=f"external solver command reading SMT-LIB 2 on stdin (default ${SOLVER_ENV})",
     )
-    p.add_argument(
-        "--timeout", type=_at_least(float, 0, strict=True), help="seconds to allow the solver"
-    )
+    p.add_argument("--timeout", type=_TIMEOUT, help="seconds to allow the solver")
     p.add_argument("--trace-out", help="trace file to write when the solver says sat")
 
     p = cmd("simulate", "replay a trace and report power and delivery", _cmd_simulate)
@@ -159,7 +163,7 @@ def _solve(args: argparse.Namespace, spec: NetworkSpec) -> SolveResult:
 
 
 def _ordered(core: frozenset[RequirementLabel]) -> list[str]:
-    return [label.value for label in sorted(core, key=taxonomy_index)]
+    return [label.value for label in TAXONOMY if label in core]
 
 
 def _unsat(core: frozenset[RequirementLabel]) -> tuple[int, dict]:
@@ -217,11 +221,11 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, object]:
 
 
 def _cmd_unsat_core(args: argparse.Namespace) -> tuple[int, object]:
-    spec = _load_spec(args.spec)
-    if _solve(args, spec).status is SolveStatus.SAT:
+    cs = encode(_load_spec(args.spec))
+    core = unsat_core_minimize(cs, SearchConfig(node_limit=args.node_limit))
+    if core is None:
         print("sat (no unsat core)")
         return 0, {"status": "sat", "core": None}
-    core = unsat_core_minimize(encode(spec), SearchConfig(node_limit=args.node_limit))
     labels = _ordered(core)
     for label in labels:
         print(label)

@@ -1,20 +1,21 @@
 """Grounds a problem into labeled finite-domain constraints over one action
 variable per (slot, process) cell.
 
-Each cell's domain is sleep, listen, garbage, plus one value per packet
-(M+3 values), so exactly-one-action and the content bounds hold by
-construction; those two families are structural and can never be disabled.
-A constraint system is the problem plus the set of enabled families, and
-the search reads only that set. The ground atoms, each tagged with its
-label, are produced on demand by ground(), in listing order: one R1 and
-one R2 atom per cell, then
+Each cell's domain is actions.action_domain (M+3 values), so
+exactly-one-action and the content bounds hold by construction; those two
+families are structural and can never be disabled. A constraint system is
+the problem plus the set of enabled families, at first the ones
+model.requirement_families says the problem states, and the search reads
+only that set. The ground atoms, each tagged with its label, are produced
+on demand by ground(), in listing order: one R1 and one R2 atom per cell,
+then
 
     R3    one atom per (process, action kind), liveness mode only
     R4    one atom per (process, packet): initial knowledge
     R5    one atom per (slot, process, packet): transmit only known
     R6    one atom per (slot, process, packet): no forgetting
     R7    one atom per (slot, process, packet): collision-free learning
-    GOAL  one atom per (process, packet): delivery by the deadline
+    GOAL  one atom per (process, packet): delivery by the deadline, if asked
     TOPO  one atom per (slot, audible pair): who may hear whom
 
 Knowledge is a derived quantity (the learning rule is a function of the
@@ -26,14 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
+from .actions import action_domain
 from .model import (
-    GoalKind,
-    LivenessMode,
     NetworkSpec,
     RequirementLabel,
     STRUCTURAL_LABELS,
-    SpecValidationError,
-    validate_spec,
+    requirement_families,
 )
 
 
@@ -60,40 +59,20 @@ class ConstraintSystem:
 
     @property
     def domain_size(self) -> int:
-        return self.spec.packets + 3
+        return len(action_domain(self.spec.packets))
 
 
 def encode(spec: NetworkSpec) -> ConstraintSystem:
-    """Checks the instance and fixes which requirement families apply to it."""
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
-    L = RequirementLabel
-    # Active families are fixed by the problem, not by whether grounding
-    # happened to produce atoms: an empty hears relation or a zero horizon
-    # still means the family binds (vacuously or by forbidding everything).
-    enabled = {
-        L.R1_EXACTLY_ONE_ACTION,
-        L.R2_CONTENT_DOMAIN,
-        L.R4_INITIAL_KNOWLEDGE,
-        L.R5_TRANSMIT_ONLY_KNOWN,
-        L.R6_NEVER_FORGETS,
-        L.R7_COLLISION_FREE_LEARNING,
-        L.TOPO_HEARS_RELATION,
-    }
-    if spec.liveness is not LivenessMode.OFF:
-        enabled.add(L.R3_LIVENESS)
-    if spec.goal is GoalKind.ALL_KNOW_ALL:
-        enabled.add(L.GOAL_DEADLINE)
-    return ConstraintSystem(spec=spec, enabled=frozenset(enabled))
+    """The system with every requirement family the problem states enabled."""
+    return ConstraintSystem(spec, requirement_families(spec))
 
 
 def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
     """Every ground atom of the instance, in listing order: taxonomy, then
-    slot, process, packet and speaker. The spec must be valid, as encode
-    checks."""
+    slot, process, packet and speaker."""
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
+    families = requirement_families(spec)
     for t in range(T):
         for p in range(P):
             yield GroundConstraint(
@@ -108,7 +87,7 @@ def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
                 f"content code at (t={t}, p={p}) lies in -1..{M}",
                 t=t, p=p,
             )
-    if spec.liveness is LivenessMode.EACH_ACTION_ONCE:
+    if L.R3_LIVENESS in families:
         for p in range(P):
             for kind in ("sleep", "listen", "transmit"):
                 yield GroundConstraint(
@@ -148,7 +127,7 @@ def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
                     f"lone audible transmitter at t={t}",
                     t=t, p=p, k=k,
                 )
-    if spec.goal is GoalKind.ALL_KNOW_ALL:
+    if L.GOAL_DEADLINE in families:
         for p in range(P):
             for k in range(1, M + 1):
                 yield GroundConstraint(
@@ -167,27 +146,35 @@ def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
 
 @dataclass(frozen=True)
 class SystemDescription:
+    spec: NetworkSpec
     counts: dict[RequirementLabel, int]
-    lines: tuple[str, ...]
 
     def render(self) -> str:
         header = [
             f"{label.value}: {self.counts[label]}" for label in RequirementLabel
         ]
-        return "\n".join(header + list(self.lines)) + "\n"
-
-    def __str__(self) -> str:
-        return self.render()
+        atoms = [f"{atom.label.value}: {atom.text}" for atom in ground(self.spec)]
+        return "\n".join(header + atoms) + "\n"
 
 
 def describe(cs: ConstraintSystem) -> SystemDescription:
-    """Per-label atom counts plus a deterministic listing of every atom."""
-    counts = {label: 0 for label in RequirementLabel}
-    lines = []
-    for atom in ground(cs.spec):
-        counts[atom.label] += 1
-        lines.append(f"{atom.label.value}: {atom.text}")
-    return SystemDescription(counts=counts, lines=tuple(lines))
+    """Per-label atom counts, in closed form; render() lists every atom."""
+    spec = cs.spec
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    L = RequirementLabel
+    families = requirement_families(spec)
+    counts = {
+        L.R1_EXACTLY_ONE_ACTION: T * P,
+        L.R2_CONTENT_DOMAIN: T * P,
+        L.R3_LIVENESS: 3 * P if L.R3_LIVENESS in families else 0,
+        L.R4_INITIAL_KNOWLEDGE: P * M,
+        L.R5_TRANSMIT_ONLY_KNOWN: T * P * M,
+        L.R6_NEVER_FORGETS: T * P * M,
+        L.R7_COLLISION_FREE_LEARNING: T * P * M,
+        L.GOAL_DEADLINE: P * M if L.GOAL_DEADLINE in families else 0,
+        L.TOPO_HEARS_RELATION: T * len(spec.topology.hears),
+    }
+    return SystemDescription(spec, counts)
 
 
 def disable(cs: ConstraintSystem, label: RequirementLabel) -> ConstraintSystem:

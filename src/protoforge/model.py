@@ -52,16 +52,11 @@ class RequirementLabel(Enum):
 
 
 TAXONOMY: tuple[RequirementLabel, ...] = tuple(RequirementLabel)
-_TAXONOMY_INDEX = {label: i for i, label in enumerate(TAXONOMY)}
 
 # Hold by construction of the cell domain; they can never be disabled.
 STRUCTURAL_LABELS = frozenset(
     {RequirementLabel.R1_EXACTLY_ONE_ACTION, RequirementLabel.R2_CONTENT_DOMAIN}
 )
-
-
-def taxonomy_index(label: RequirementLabel) -> int:
-    return _TAXONOMY_INDEX[label]
 
 
 @dataclass(frozen=True)
@@ -84,17 +79,6 @@ def topology_line(processes: int) -> Topology:
     return Topology(frozenset((p, p - 1) for p in range(1, processes)))
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    processes: int
-    packets: int
-    horizon: int
-    source: int
-    topology: Topology
-    liveness: LivenessMode = LivenessMode.OFF
-    goal: GoalKind = GoalKind.ALL_KNOW_ALL
-
-
 class SpecError(ValueError):
     """Anything wrong with a problem description."""
 
@@ -111,25 +95,50 @@ class SpecValidationError(SpecError):
         self.errors = tuple(errors)
 
 
-def validate_spec(spec: NetworkSpec) -> list[str]:
-    """Returns the list of semantic violations; empty means the instance is usable."""
-    errors: list[str] = []
-    if spec.processes < 1:
-        errors.append("processes must be >= 1")
-    if spec.packets < 0:
-        errors.append("packets must be >= 0")
-    if spec.horizon < 0:
-        errors.append("horizon must be >= 0")
-    if spec.processes >= 1 and not 0 <= spec.source < spec.processes:
-        errors.append(f"source out of range: {spec.source}")
-    for listener, speaker in sorted(spec.topology.hears):
-        if listener == speaker:
-            errors.append(f"reflexive hears pair ({listener}, {speaker})")
-        elif spec.processes >= 1 and not (
-            0 <= listener < spec.processes and 0 <= speaker < spec.processes
-        ):
-            errors.append(f"process id out of range in hears pair ({listener}, {speaker})")
-    return errors
+@dataclass(frozen=True)
+class NetworkSpec:
+    """A usable problem instance: construction (dataclasses.replace too)
+    raises SpecValidationError listing every semantic violation."""
+
+    processes: int
+    packets: int
+    horizon: int
+    source: int
+    topology: Topology
+    liveness: LivenessMode = LivenessMode.OFF
+    goal: GoalKind = GoalKind.ALL_KNOW_ALL
+
+    def __post_init__(self) -> None:
+        P = self.processes
+        errors: list[str] = []
+        if P < 1:
+            errors.append("processes must be >= 1")
+        if self.packets < 0:
+            errors.append("packets must be >= 0")
+        if self.horizon < 0:
+            errors.append("horizon must be >= 0")
+        if P >= 1 and not 0 <= self.source < P:
+            errors.append(f"source out of range: {self.source}")
+        for listener, speaker in sorted(self.topology.hears):
+            if listener == speaker:
+                errors.append(f"reflexive hears pair ({listener}, {speaker})")
+            elif P >= 1 and not (0 <= listener < P and 0 <= speaker < P):
+                errors.append(f"process id out of range in hears pair ({listener}, {speaker})")
+        if errors:
+            raise SpecValidationError(errors)
+
+
+def requirement_families(spec: NetworkSpec) -> frozenset[RequirementLabel]:
+    """The families the problem states; the one rule that reads liveness and
+    goal. R3 needs each-action-once liveness and GOAL the all-know-all goal;
+    the rest bind every problem, even with no atoms (no hears pairs, T = 0).
+    """
+    families = set(TAXONOMY)
+    if spec.liveness is not LivenessMode.EACH_ACTION_ONCE:
+        families.discard(RequirementLabel.R3_LIVENESS)
+    if spec.goal is not GoalKind.ALL_KNOW_ALL:
+        families.discard(RequirementLabel.GOAL_DEADLINE)
+    return frozenset(families)
 
 
 _INT_KEYS = ("processes", "packets", "horizon", "source")
@@ -170,8 +179,8 @@ def _check_pair(
 def _assemble(
     fields: dict[str, object], hears: set[tuple[int, int]] | None
 ) -> NetworkSpec:
-    """Builds and validates the spec from checked fields; `hears` is None
-    when the source gives no hears entries."""
+    """Builds the spec, which checks itself, from checked fields; `hears`
+    is None when the source gives no hears entries."""
     processes = fields["processes"]
     if fields["topology"] == "all":
         topology = topology_all(processes)
@@ -181,7 +190,7 @@ def _assemble(
         topology = Topology(frozenset(hears or ()))
     if hears is not None and fields["topology"] != "explicit":
         raise SpecValidationError(["hears lines require topology = explicit"])
-    spec = NetworkSpec(
+    return NetworkSpec(
         processes=processes,
         packets=fields["packets"],
         horizon=fields["horizon"],
@@ -190,10 +199,6 @@ def _assemble(
         liveness=LivenessMode(fields["liveness"]),
         goal=GoalKind(fields["goal"]),
     )
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
-    return spec
 
 
 def _decode_int(token: str) -> int | str:

@@ -20,13 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .actions import Action, LISTEN, transmit
-from .model import (
-    NetworkSpec,
-    RequirementLabel,
-    SpecValidationError,
-    spec_as_dict,
-    validate_spec,
-)
+from .model import NetworkSpec, RequirementLabel, spec_as_dict
 from .trace import (
     KnowledgeRow,
     ProtocolTrace,
@@ -141,9 +135,6 @@ def run_baseline(
     the caller's spec so it can be compared against a synthesized run.
     """
     power = power or PowerModel()
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
     if max_slots is None:
         max_slots = default_max_slots(spec)
     if max_slots < 0:

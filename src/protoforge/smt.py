@@ -23,14 +23,7 @@ import subprocess
 from dataclasses import dataclass
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import (
-    GoalKind,
-    LivenessMode,
-    NetworkSpec,
-    RequirementLabel,
-    SpecValidationError,
-    validate_spec,
-)
+from .model import NetworkSpec, RequirementLabel, requirement_families
 from .trace import ProtocolTrace, derive_knowledge
 
 
@@ -44,6 +37,11 @@ class ExternalSolverError(RuntimeError):
 
 class SolverTimeout(ExternalSolverError):
     pass
+
+
+# Longest solver timeout accepted, in seconds: it stays well under the
+# 2**31 ms that subprocess's poll-based wait can represent.
+MAX_TIMEOUT_S = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,8 @@ _SILENT = "(- 1)"
 
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
     P, M, T = spec.processes, spec.packets, spec.horizon
+    families = requirement_families(spec)
     header = (
         "(set-option :produce-models true)",
         "(set-option :produce-unsat-cores true)",
@@ -132,7 +128,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
             lines.append(
                 _assert_named(bound, _name(RequirementLabel.R2_CONTENT_DOMAIN, t=t, p=p))
             )
-    if spec.liveness is LivenessMode.EACH_ACTION_ONCE:
+    if RequirementLabel.R3_LIVENESS in families:
         lines.append("; every action kind must occur inside the finite window")
         for p in range(P):
             for variant, terms in (
@@ -199,7 +195,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
                         _name(RequirementLabel.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k),
                     )
                 )
-    if spec.goal is GoalKind.ALL_KNOW_ALL:
+    if RequirementLabel.GOAL_DEADLINE in families:
         for p in range(P):
             for k in range(1, M + 1):
                 lines.append(
@@ -429,8 +425,8 @@ def run_external(
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     if not argv:
         raise ExternalSolverError("empty solver command")
-    if timeout is not None and timeout <= 0:
-        raise SolverTimeout(f"timeout of {timeout} s gives the solver no time")
+    if timeout is not None and not 0 < timeout <= MAX_TIMEOUT_S:
+        raise SolverTimeout(f"timeout must lie in (0, {MAX_TIMEOUT_S}] s, got {timeout}")
     text = document.text if isinstance(document, SmtDocument) else document
     try:
         proc = subprocess.run(

@@ -2,7 +2,7 @@
 minimum-horizon search, and unsat-core minimization.
 
 The engine is a depth-first backtracker. Variables are cells in (slot,
-process) order; values follow a fixed order, not a configurable one:
+process) order; values follow the fixed order of actions.action_domain:
 sleep, listen, packets ascending, garbage (quiet schedules first).
 Knowledge is recomputed once per completed slot, by the learning rule the
 enabled families imply, and never searched over. Two admissible bounds
@@ -24,25 +24,16 @@ import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .actions import Action, ActionKind, GARBAGE, LISTEN, SLEEP, transmit
+from .actions import Action, ActionKind, SLEEP, action_domain
 from .encoder import ConstraintSystem, encode
 from .model import (
-    GoalKind,
-    LivenessMode,
     NetworkSpec,
     RequirementLabel,
     STRUCTURAL_LABELS,
-    SpecValidationError,
     TAXONOMY,
-    validate_spec,
+    requirement_families,
 )
 from .trace import ProtocolTrace, initial_knowledge, learning_rule, satisfies
-
-
-def search_domain(packets: int) -> tuple[Action, ...]:
-    """Cell values in the fixed search order: quiet schedules come first."""
-    ascending = tuple(transmit(k) for k in range(1, packets + 1))
-    return (SLEEP, LISTEN) + ascending + (transmit(GARBAGE),)
 
 
 @dataclass(frozen=True)
@@ -90,13 +81,13 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     spec = cs.spec
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
-    enabled = cs.enabled
+    enabled = cs.enabled & requirement_families(spec)
     check_r5 = L.R5_TRANSMIT_ONLY_KNOWN in enabled
-    check_goal = L.GOAL_DEADLINE in enabled and spec.goal is GoalKind.ALL_KNOW_ALL
-    check_live = L.R3_LIVENESS in enabled and spec.liveness is LivenessMode.EACH_ACTION_ONCE
+    check_goal = L.GOAL_DEADLINE in enabled
+    check_live = L.R3_LIVENESS in enabled
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
     learn = learning_rule(spec, enabled)
-    values = search_domain(M)
+    values = action_domain(M)
     unsat = SolveResult(SolveStatus.UNSAT, core=frozenset(enabled))
 
     def need(row) -> int:
@@ -186,7 +177,7 @@ def enumerate_all(
     size = cs.domain_size ** cells
     if size > ceiling:
         raise ValueError(f"enumeration space {size} exceeds ceiling {ceiling}")
-    domain = search_domain(spec.packets)
+    domain = action_domain(spec.packets)
     out: list[ProtocolTrace] = []
     for combo in itertools.product(domain, repeat=cells):
         actions = tuple(combo[t * P:(t + 1) * P] for t in range(T))
@@ -203,13 +194,10 @@ def min_horizon(
 ) -> tuple[int, ProtocolTrace] | None:
     """Least horizon in 0..t_max whose encoding is satisfiable, with its
     trace; None when every horizon in range is unsatisfiable."""
-    if spec.goal is not GoalKind.ALL_KNOW_ALL:
+    if RequirementLabel.GOAL_DEADLINE not in requirement_families(spec):
         raise ValueError("min_horizon needs goal = all-know-all")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    errors = validate_spec(spec)
-    if errors:
-        raise SpecValidationError(errors)
     for horizon in range(t_max + 1):
         result = solve(encode(replace(spec, horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
@@ -221,8 +209,9 @@ def min_horizon(
 
 def unsat_core_minimize(
     cs: ConstraintSystem, config: SearchConfig | None = None
-) -> frozenset[RequirementLabel]:
-    """Deletion-based 1-minimal unsat core at requirement-family granularity.
+) -> frozenset[RequirementLabel] | None:
+    """Deletion-based 1-minimal unsat core at requirement-family granularity;
+    None when the system is satisfiable.
 
     Tries dropping each non-structural enabled label in taxonomy order and
     keeps it out whenever the rest stays unsatisfiable. Structural families
@@ -230,9 +219,9 @@ def unsat_core_minimize(
     """
     base = solve(cs, config)
     if base.status is SolveStatus.SAT:
-        raise ValueError("system is satisfiable; there is no unsat core")
+        return None
     if base.status is SolveStatus.BUDGET_EXHAUSTED:
-        raise SearchBudgetExceeded("budget exhausted before the system was decided")
+        raise SearchBudgetExceeded()
     core = [
         label for label in TAXONOMY
         if label in cs.enabled and label not in STRUCTURAL_LABELS

@@ -31,12 +31,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
 from .model import (
-    GoalKind,
-    LivenessMode,
     NetworkSpec,
     RequirementLabel,
     SpecError,
     Topology,
+    requirement_families,
     spec_as_dict,
     spec_from_dict,
     topology_all,
@@ -208,6 +207,7 @@ def _violations(
     acts = trace.actions
     grid = trace.knowledge
     L = RequirementLabel
+    enabled &= requirement_families(spec)
 
     if L.R1_EXACTLY_ONE_ACTION in enabled:
         for t, row in enumerate(acts):
@@ -232,7 +232,7 @@ def _violations(
                         f"content code {act.content} outside 0..{packets}",
                     )
 
-    if L.R3_LIVENESS in enabled and spec.liveness is LivenessMode.EACH_ACTION_ONCE:
+    if L.R3_LIVENESS in enabled:
         for p in range(spec.processes):
             done = {row[p].kind for row in acts}
             for kind in ActionKind:
@@ -306,7 +306,7 @@ def _violations(
                         f"process {p} fails to record packet(s) {missed} it legally hears at t={t}",
                     )
 
-    if L.GOAL_DEADLINE in enabled and spec.goal is GoalKind.ALL_KNOW_ALL:
+    if L.GOAL_DEADLINE in enabled:
         final = grid[spec.horizon]
         for p in range(spec.processes):
             missing = [k for k in range(1, packets + 1) if not final[p][k - 1]]

@@ -17,7 +17,7 @@ from protoforge.actions import (
 
 def test_domain_size_and_order():
     dom = action_domain(2)
-    assert dom == (SLEEP, LISTEN, transmit(GARBAGE), transmit(1), transmit(2))
+    assert dom == (SLEEP, LISTEN, transmit(1), transmit(2), transmit(GARBAGE))
     assert len(action_domain(0)) == 3
 
 

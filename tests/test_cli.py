@@ -147,6 +147,25 @@ def test_unsat_core_on_sat_instance(capsys, line3):
     assert "sat (no unsat core)" in out
 
 
+def test_unsat_core_decides_the_base_system_once(capsys, tight, monkeypatch):
+    from protoforge import cli, solver
+    from protoforge.encoder import encode
+    from protoforge.model import STRUCTURAL_LABELS, parse_spec
+
+    calls = []
+    real_solve = solver.solve
+
+    def counting_solve(cs, config=None):
+        calls.append(cs.enabled)
+        return real_solve(cs, config)
+
+    monkeypatch.setattr(solver, "solve", counting_solve)
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    assert run_cli(capsys, "unsat-core", tight)[0] == 1
+    trials = encode(parse_spec(TIGHT)).enabled - STRUCTURAL_LABELS
+    assert len(calls) == 1 + len(trials)
+
+
 def test_usage_errors(capsys, line3):
     assert run_cli(capsys)[0] == 3
     assert run_cli(capsys, "frobnicate", line3)[0] == 3
@@ -166,6 +185,10 @@ def test_usage_errors(capsys, line3):
         (["baseline", "--max-slots", "-1"], "must be >= 0"),
         (["emit-smt", "--timeout", "0"], "must be > 0"),
         (["emit-smt", "--timeout", "soon"], "invalid float value: 'soon'"),
+        (["emit-smt", "--solver", "/bin/cat", "--timeout", "inf"], "must be <= 1000000"),
+        (["emit-smt", "--solver", "/bin/cat", "--timeout", "1e308"], "must be <= 1000000"),
+        (["emit-smt", "--solver", "/bin/cat", "--timeout", "3e6"], "must be <= 1000000"),
+        (["emit-smt", "--solver", "/bin/cat", "--timeout", "1e10"], "must be <= 1000000"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, line3, flags, message):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -72,6 +73,20 @@ def test_counts_partition_constraints():
     counts = describe(cs).counts
     assert set(counts) == set(L)
     assert sum(counts.values()) == len(list(ground(cs.spec)))
+
+
+def test_closed_form_counts_match_the_listing():
+    explicit = Topology(frozenset({(1, 0), (2, 0), (0, 2)}))
+    for topology, (T, M), liveness, goal in itertools.product(
+        ["all", "line", explicit, Topology(frozenset())],
+        [(0, 2), (2, 0), (3, 2)],
+        LivenessMode,
+        GoalKind,
+    ):
+        spec = make_spec(processes=3, packets=M, horizon=T, topology=topology,
+                         liveness=liveness, goal=goal)
+        listed = Counter(atom.label for atom in ground(spec))
+        assert describe(encode(spec)).counts == {label: listed[label] for label in L}
 
 
 def test_ground_yields_atoms_in_listing_order():

@@ -38,3 +38,22 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in SOURCES if path.name not in ("model.py", "__init__.py")],
+    ids=lambda path: path.name,
+)
+def test_only_the_model_reads_liveness_and_goal(path):
+    # model.requirement_families decides which families a problem has;
+    # every other module asks it instead of testing the modes itself
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & {"GoalKind", "LivenessMode"} == set()
+    assert attributes & {"liveness", "goal"} == set()

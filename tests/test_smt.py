@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import stat
+import subprocess
 
 import pytest
 
@@ -227,6 +228,16 @@ def test_run_external_spawn_failure():
 def test_run_external_zero_timeout():
     with pytest.raises(SolverTimeout):
         run_external("/bin/cat", emit_smtlib(make_spec()), timeout=0)
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), 1e308, 3e6, 1e10])
+def test_run_external_rejects_huge_timeout_before_spawning(monkeypatch, timeout):
+    def no_spawn(*args, **kwargs):
+        raise AssertionError("a solver process was started")
+
+    monkeypatch.setattr(subprocess, "run", no_spawn)
+    with pytest.raises(SolverTimeout, match="timeout must lie in"):
+        run_external("/bin/cat", emit_smtlib(make_spec()), timeout=timeout)
 
 
 def test_run_external_kills_hung_solver(tmp_path):

@@ -140,8 +140,7 @@ def test_unsat_core_empty_hears_is_unsat_and_minimal():
 
 
 def test_unsat_core_on_sat_instance_errors():
-    with pytest.raises(ValueError, match="satisfiable"):
-        unsat_core_minimize(encode(make_spec()))
+    assert unsat_core_minimize(encode(make_spec())) is None
 
 
 def test_search_config_validation():
