@@ -67,6 +67,7 @@ from .solver import (
     SearchBudgetExceeded,
     SearchConfig,
     SolveResult,
+    SolveStats,
     SolveStatus,
     enumerate_all,
     min_horizon,
@@ -113,6 +114,7 @@ __all__ = [
     "SmtDocument",
     "SmtResponseError",
     "SolveResult",
+    "SolveStats",
     "SolveStatus",
     "SolverTimeout",
     "SpecError",

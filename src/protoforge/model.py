@@ -119,11 +119,13 @@ class NetworkSpec:
             errors.append("horizon must be >= 0")
         if P >= 1 and not 0 <= self.source < P:
             errors.append(f"source out of range: {self.source}")
-        for listener, speaker in sorted(self.topology.hears):
+        bad_pairs = []  # (pair, problem), reported in pair order
+        for listener, speaker in self.topology.hears:
             if listener == speaker:
-                errors.append(f"reflexive hears pair ({listener}, {speaker})")
+                bad_pairs.append(((listener, speaker), "reflexive hears pair"))
             elif P >= 1 and not (0 <= listener < P and 0 <= speaker < P):
-                errors.append(f"process id out of range in hears pair ({listener}, {speaker})")
+                bad_pairs.append(((listener, speaker), "process id out of range in hears pair"))
+        errors.extend(f"{problem} ({l}, {s})" for (l, s), problem in sorted(bad_pairs))
         if errors:
             raise SpecValidationError(errors)
 
@@ -245,10 +247,13 @@ def parse_spec(text: str) -> NetworkSpec:
 
 
 def topology_name(topology: Topology, processes: int) -> str:
-    """Canonical file-format name for a hears relation."""
-    if topology.hears == topology_all(processes).hears:
+    """Canonical file-format name for a spec's hears relation. The spec has
+    checked every pair (two distinct ids in range), so the complete graph
+    is the only relation with P*(P-1) pairs; nothing is materialised."""
+    hears = topology.hears
+    if len(hears) == processes * (processes - 1):
         return "all"
-    if topology.hears == topology_line(processes).hears:
+    if len(hears) == processes - 1 and all((p, p - 1) in hears for p in range(1, processes)):
         return "line"
     return "explicit"
 

@@ -5,13 +5,37 @@ The engine is a depth-first backtracker. Variables are cells in (slot,
 process) order; values follow the fixed order of actions.action_domain:
 sleep, listen, packets ascending, garbage (quiet schedules first).
 Knowledge is recomputed once per completed slot, by the learning rule the
-enabled families imply, and never searched over. Two admissible bounds
-prune: a branch dies when some process still misses more packets than
-there are slots left (a listener gains at most one packet per slot), or
-when a process cannot fit its outstanding liveness obligations into its
-remaining cells. Bounds never cut a satisfiable branch, so the first model
-found is the lexicographically least under these orders, exhaustion proves
-unsatisfiability, and reruns are byte-for-byte reproducible.
+enabled families imply, and never searched over.
+
+Bounds prune branches that cannot lead to a model. Each is a necessary
+condition of some enabled family, so none cuts a satisfiable branch: the
+first model found is the lexicographically least under these orders,
+exhaustion proves unsatisfiability, and reruns are byte-for-byte
+reproducible. SolveStats counts the branches each one cuts.
+
+- R5: a cell may send only a packet its process holds.
+- Liveness (R3): a process must fit the action kinds it has not yet
+  performed into its remaining cells.
+- Goal, at the root and at every slot end: a process missing n packets
+  needs n more slots, because a listener gains at most one packet per
+  slot. With R7 dropped learning is free and one slot is enough.
+
+With GOAL and R7 both enabled, only a lone transmitter delivers, and
+then only to its audible listeners, one packet each. So a slot delivers
+at most `deg` packets, the largest audience of any speaker in the
+learning rule's topology (learning_topology), and two more bounds apply:
+
+- Fan-out, at the root and at every slot end: the missing (process,
+  packet) pairs must not outnumber `slots_left * deg`.
+- Intra-slot forward checking, while a slot is being filled: with r slots
+  after this one, each process missing r + 1 packets must learn in this
+  slot, so its cell must listen, and the slot must deliver at least
+  `missing - r * deg` packets. A collision or garbage delivers nothing; a
+  lone sender of packet k delivers only to its audience that lacks k and
+  listens or is still unassigned; with no sender yet the slot can deliver
+  at most `min(deg, needy processes that listen or are unassigned)`.
+  These are bounds on what step_knowledge can do, checked against the
+  slot's partial row; learning itself still happens only at slot end.
 
 enumerate_all is the independent oracle: it tries every one of the
 (M+3)^(T*P) assignments and keeps those the trace validator accepts, with
@@ -23,6 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .actions import Action, ActionKind, SLEEP, action_domain
 from .encoder import ConstraintSystem, encode
@@ -33,7 +58,13 @@ from .model import (
     TAXONOMY,
     requirement_families,
 )
-from .trace import ProtocolTrace, initial_knowledge, learning_rule, satisfies
+from .trace import (
+    ProtocolTrace,
+    initial_knowledge,
+    learning_rule,
+    learning_topology,
+    satisfies,
+)
 
 
 @dataclass(frozen=True)
@@ -51,11 +82,24 @@ class SolveStatus(Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
+class SolveStats(NamedTuple):
+    """What one search did: cell values tried (nodes, the unit node_limit
+    counts) and the branches each bound cut. Cuts at the root count too."""
+
+    nodes: int = 0
+    r5: int = 0
+    liveness: int = 0
+    goal: int = 0
+    fan_out: int = 0
+    intra_slot: int = 0
+
+
 @dataclass(frozen=True)
 class SolveResult:
     status: SolveStatus
     trace: ProtocolTrace | None = None
     core: frozenset[RequirementLabel] | None = None
+    stats: SolveStats = SolveStats()
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -74,6 +118,16 @@ class _Budget(Exception):
     pass
 
 
+class _SlotDemand(NamedTuple):
+    """What the goal asks of one slot: each tight process (one that lacks as
+    many packets as slots remain, this one included) must learn in it, and
+    at least `short` packets must arrive in total."""
+
+    miss: list[int]  # packets each process lacks when the slot starts
+    tight: list[bool]
+    short: int
+
+
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
     """Decides the system. Sat results carry the first trace in search order;
     Unsat results carry the full enabled set as their (unminimized) core."""
@@ -88,31 +142,89 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
     learn = learning_rule(spec, enabled)
     values = action_domain(M)
-    unsat = SolveResult(SolveStatus.UNSAT, core=frozenset(enabled))
+    cuts = dict.fromkeys(("r5", "liveness", "goal", "fan_out", "intra_slot"), 0)
+    nodes = 0
 
-    def need(row) -> int:
-        # packets the neediest process still misses
-        return max((M - sum(packets) for packets in row), default=0)
+    def result(status: SolveStatus, **fields) -> SolveResult:
+        return SolveResult(status, stats=SolveStats(nodes, **cuts), **fields)
 
-    def goal_feasible(row, slots_left: int) -> bool:
-        n = need(row)
-        if n == 0:
-            return True
+    # audience[s]: who hears s under the learning rule (fan-out bounds only)
+    audience: list[list[int]] = [[] for _ in range(P)]
+    if check_goal and not free_learning:
+        for listener, speaker in learning_topology(spec, enabled).hears:
+            audience[speaker].append(listener)
+    deg = max(map(len, audience))
+
+    def missing(row) -> list[int]:
+        return [M - sum(packets) for packets in row]
+
+    def goal_cut(miss: list[int], slots_left: int) -> str | None:
+        """The bound that puts the goal out of reach, or None."""
+        if not any(miss):
+            return None
         if free_learning:
-            return slots_left >= 1
-        return n <= slots_left
+            return None if slots_left >= 1 else "goal"
+        if max(miss) > slots_left:
+            return "goal"
+        if sum(miss) > slots_left * deg:
+            return "fan_out"
+        return None
+
+    def slot_demand(miss: list[int], slots_left: int) -> _SlotDemand | None:
+        """What the slot starting now must deliver; None when the goal asks
+        nothing of it in particular (or learning is free)."""
+        if free_learning or not slots_left:
+            return None
+        tight = [m == slots_left for m in miss]
+        short = sum(miss) - (slots_left - 1) * deg
+        if short <= 0 and not any(tight):
+            return None
+        return _SlotDemand(miss, tight, short)
+
+    def slot_can_deliver(t: int, p: int, demand: _SlotDemand) -> bool:
+        """Whether slot t, its cells 0..p assigned and later ones open, can
+        still deliver what it must. It must deliver something, so a
+        collision or garbage is fatal."""
+        miss, tight, short = demand
+        row = acts[t]
+        senders = [s for s in range(p + 1) if row[s].is_transmit]
+        if len(senders) > 1:
+            return False
+        if senders:
+            k = row[senders[0]].packet
+            if k is None:
+                return False
+            now = know[t]
+            reach = {
+                q for q in audience[senders[0]]
+                if (q > p or row[q].kind is ActionKind.LISTEN) and not now[q][k - 1]
+            }
+            return len(reach) >= short and all(
+                q in reach for q in range(P) if tight[q]
+            )
+        open_needy = sum(
+            1 for q in range(P)
+            if miss[q] and (q > p or row[q].kind is ActionKind.LISTEN)
+        )
+        return min(deg, open_needy) >= short
 
     know: list = [initial_knowledge(spec)]
-    if check_goal and not goal_feasible(know[0], T):
-        return unsat
+    demands: list[_SlotDemand | None] = [None] * (T + 1)  # by slot
+    if check_goal:
+        miss = missing(know[0])
+        cut = goal_cut(miss, T)
+        if cut:
+            cuts[cut] += 1
+            return result(SolveStatus.UNSAT, core=frozenset(enabled))
+        demands[0] = slot_demand(miss, T)
     if check_live and T < len(ActionKind):
-        return unsat
+        cuts["liveness"] += 1
+        return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
     cells = T * P
     acts: list[list[Action]] = [[SLEEP] * P for _ in range(T)]
     kind_counts = [{kind: 0 for kind in ActionKind} for _ in range(P)]
     kind_missing = [len(ActionKind)] * P
-    nodes = 0
     limit = config.node_limit
 
     def search(i: int) -> bool:
@@ -121,18 +233,27 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             return True
         t, p = divmod(i, P)
         last_in_slot = p == P - 1
+        demand = demands[t]
         for act in values:
-            nodes += 1
-            if limit is not None and nodes > limit:
+            if nodes == limit:
                 raise _Budget
+            nodes += 1
             if check_r5:
                 k = act.packet
                 if k is not None and not know[t][p][k - 1]:
+                    cuts["r5"] += 1
                     continue
             newly = check_live and kind_counts[p][act.kind] == 0
             if check_live and kind_missing[p] - (1 if newly else 0) > T - 1 - t:
+                cuts["liveness"] += 1
                 continue
             acts[t][p] = act
+            if demand is not None and (
+                (demand.tight[p] and act.kind is not ActionKind.LISTEN)
+                or (not last_in_slot and not slot_can_deliver(t, p, demand))
+            ):
+                cuts["intra_slot"] += 1
+                continue
             if check_live:
                 kind_counts[p][act.kind] += 1
                 if newly:
@@ -140,11 +261,17 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             try:
                 if last_in_slot:
                     nxt = learn(know[t], acts[t])
-                    if not check_goal or goal_feasible(nxt, T - (t + 1)):
-                        know.append(nxt)
-                        if search(i + 1):
-                            return True
-                        know.pop()
+                    if check_goal:
+                        miss = missing(nxt)
+                        cut = goal_cut(miss, T - t - 1)
+                        if cut:
+                            cuts[cut] += 1
+                            continue
+                        demands[t + 1] = slot_demand(miss, T - t - 1)
+                    know.append(nxt)
+                    if search(i + 1):
+                        return True
+                    know.pop()
                 elif search(i + 1):
                     return True
             finally:
@@ -157,11 +284,11 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     try:
         sat = True if cells == 0 else search(0)
     except _Budget:
-        return SolveResult(SolveStatus.BUDGET_EXHAUSTED)
+        return result(SolveStatus.BUDGET_EXHAUSTED)
     if not sat:
-        return unsat
+        return result(SolveStatus.UNSAT, core=frozenset(enabled))
     trace = ProtocolTrace(spec, tuple(tuple(row) for row in acts), tuple(know))
-    return SolveResult(SolveStatus.SAT, trace=trace)
+    return result(SolveStatus.SAT, trace=trace)
 
 
 def enumerate_all(

@@ -103,10 +103,17 @@ def learning_rule(
             tuple(True for _ in range(spec.packets)) for _ in range(spec.processes)
         )
         return lambda now, acts: everything
-    topology = spec.topology
+    return partial(step_knowledge, topology=learning_topology(spec, enabled))
+
+
+def learning_topology(
+    spec: NetworkSpec, enabled: frozenset[RequirementLabel]
+) -> Topology:
+    """Who can hear whom under the learning rule: the spec's hears relation,
+    or the complete graph when TOPO is dropped."""
     if RequirementLabel.TOPO_HEARS_RELATION not in enabled:
-        topology = topology_all(spec.processes)
-    return partial(step_knowledge, topology=topology)
+        return topology_all(spec.processes)
+    return spec.topology
 
 
 def derive_knowledge(
@@ -318,15 +325,22 @@ def _violations(
 
 
 def write_trace(trace: ProtocolTrace) -> str:
-    """Deterministic JSON form; field order spec, actions, knowledge."""
-    doc = {
-        "spec": spec_as_dict(trace.spec),
-        "actions": [[act.label for act in row] for row in trace.actions],
-        "knowledge": [
-            [list(packets) for packets in row] for row in trace.knowledge
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Deterministic JSON form; field order spec, actions, knowledge. The
+    spec takes one line, each slot's actions and each time index's
+    knowledge one line apiece."""
+
+    def rows(values: list) -> str:
+        if not values:
+            return "[]"
+        return "[\n" + ",\n".join(f"    {json.dumps(v)}" for v in values) + "\n  ]"
+
+    actions = [[act.label for act in row] for row in trace.actions]
+    knowledge = [[list(packets) for packets in row] for row in trace.knowledge]
+    return (
+        f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
+        f'  "actions": {rows(actions)},\n'
+        f'  "knowledge": {rows(knowledge)}\n}}\n'
+    )
 
 
 def read_trace(text: str) -> ProtocolTrace:

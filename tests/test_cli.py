@@ -40,6 +40,26 @@ def line3(tmp_path):
     return str(path)
 
 
+# The fan-out bound decides line3 at horizons 0 and 1 without visiting a
+# node; here horizon 0 is cut at the root and horizon 1 needs a search.
+ALL3 = """\
+processes = 3
+packets = 1
+horizon = 2
+source = 0
+topology = all
+liveness = off
+goal = all-know-all
+"""
+
+
+@pytest.fixture()
+def all3(tmp_path):
+    path = tmp_path / "all3.net"
+    path.write_text(ALL3)
+    return str(path)
+
+
 @pytest.fixture()
 def tight(tmp_path):
     path = tmp_path / "tight.net"
@@ -113,8 +133,8 @@ def test_min_horizon_not_found(capsys, line3):
     assert "no feasible horizon" in out
 
 
-def test_min_horizon_budget(capsys, line3):
-    code, _, err = run_cli(capsys, "min-horizon", line3, "--max", "4", "--node-limit", "1")
+def test_min_horizon_budget(capsys, all3):
+    code, _, err = run_cli(capsys, "min-horizon", all3, "--max", "4", "--node-limit", "1")
     assert code == 5
     assert "horizon 1" in err
 
@@ -363,9 +383,10 @@ def test_compare_json_unsat_block(capsys, tight):
         ),
     ],
 )
-def test_budget_exhaustion_ends_in_a_json_block(capsys, line3, argv, block):
+def test_budget_exhaustion_ends_in_a_json_block(capsys, line3, all3, argv, block):
     command, *rest = argv
-    code, out, err = run_cli(capsys, command, line3, *rest, "--json")
+    spec = all3 if command == "min-horizon" else line3
+    code, out, err = run_cli(capsys, command, spec, *rest, "--json")
     assert code == 5
     assert err.startswith("budget exhausted")
     assert machine_block(out) == block
@@ -406,3 +427,9 @@ def test_module_entry_point(line3):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sat")
+
+
+def test_bounds_decide_line3_short_horizons_without_a_node(capsys, line3):
+    code, out, _ = run_cli(capsys, "min-horizon", line3, "--max", "1", "--node-limit", "1")
+    assert code == 1
+    assert "no feasible horizon up to 1" in out

@@ -135,6 +135,38 @@ def test_validate_out_of_range_pair():
         make_spec(processes=3, topology=Topology(frozenset({(9, 0)})))
 
 
+def test_bad_pairs_are_reported_in_pair_order():
+    with pytest.raises(SpecValidationError) as err:
+        make_spec(processes=3, topology=Topology(frozenset({(9, 0), (2, 2), (1, 7), (0, 0), (1, 0)})))
+    assert err.value.errors == (
+        "reflexive hears pair (0, 0)",
+        "process id out of range in hears pair (1, 7)",
+        "reflexive hears pair (2, 2)",
+        "process id out of range in hears pair (9, 0)",
+    )
+
+
+def test_topology_name_never_builds_the_complete_graph(monkeypatch):
+    cases = {
+        "all": [make_spec(processes=p, topology="all") for p in (1, 2, 5)],
+        "line": [make_spec(processes=p, topology="line") for p in (2, 5)],
+        "explicit": [
+            make_spec(processes=1000, topology=Topology(frozenset({(1, 0), (2, 1)}))),
+            make_spec(processes=3, topology=Topology(frozenset({(1, 0), (0, 1)}))),
+            make_spec(processes=3, topology=Topology(frozenset({(1, 0), (2, 0)}))),
+            make_spec(processes=3, topology=Topology(topology_all(3).hears - {(0, 1)})),
+        ],
+    }
+
+    def unexpected(processes):
+        raise AssertionError("topology_all called")
+
+    monkeypatch.setattr("protoforge.model.topology_all", unexpected)
+    for name, specs_named in cases.items():
+        for spec in specs_named:
+            assert spec_as_dict(spec)["topology"] == name
+
+
 def test_validate_bad_source():
     with pytest.raises(SpecValidationError, match="source out of range"):
         make_spec(source=7)
@@ -187,6 +219,17 @@ def test_render_parse_identity(spec):
 @given(specs())
 def test_dict_round_trip(spec):
     assert spec_from_dict(spec_as_dict(spec)) == spec
+
+
+@given(specs())
+def test_topology_name_matches_the_named_relations(spec):
+    hears, P = spec.topology.hears, spec.processes
+    expected = (
+        "all" if hears == topology_all(P).hears
+        else "line" if hears == topology_line(P).hears
+        else "explicit"
+    )
+    assert spec_as_dict(spec)["topology"] == expected
 
 
 @given(st.integers(1, 8))

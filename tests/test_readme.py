@@ -30,3 +30,12 @@ def test_readme_example_output(capsys, tmp_path, spec_marker, command, output_ma
     spec.write_text(_block_after(spec_marker), encoding="utf-8")
     assert main([command, str(spec)]) == 0
     assert capsys.readouterr().out == _block_after(output_marker)
+
+
+def test_readme_trace_file_is_what_synth_writes(capsys, tmp_path):
+    spec = tmp_path / "line3.spec"
+    spec.write_text(_block_after("Put a problem in `line3.spec`"), encoding="utf-8")
+    out = tmp_path / "line3.trace"
+    assert main(["synth", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == _block_after("## Trace files")

@@ -12,6 +12,7 @@ from protoforge.model import (
     LivenessMode,
     RequirementLabel,
     STRUCTURAL_LABELS,
+    TAXONOMY,
     Topology,
     topology_all,
     topology_line,
@@ -19,6 +20,7 @@ from protoforge.model import (
 from protoforge.solver import (
     SearchBudgetExceeded,
     SearchConfig,
+    SolveStats,
     SolveStatus,
     enumerate_all,
     min_horizon,
@@ -103,9 +105,10 @@ def test_min_horizon_rejects_goalless_spec():
 
 
 def test_min_horizon_budget_raises_with_first_undecided_horizon():
+    # all, not line: the fan-out bound decides line's horizon 1 at the root
     with pytest.raises(SearchBudgetExceeded) as err:
         min_horizon(
-            make_spec(processes=3, packets=1, horizon=0, topology="line"),
+            make_spec(processes=3, packets=1, horizon=0, topology="all"),
             4,
             SearchConfig(node_limit=1),
         )
@@ -212,3 +215,82 @@ def test_feasibility_is_monotone_in_horizon():
     ]
     first_sat = statuses.index(True)
     assert all(statuses[first_sat:])
+
+
+# (topology, P, M, T, verdict): rungs that take from 28,560 to over
+# 2,000,000 nodes when only the per-process goal bound prunes.
+LADDER = [
+    ("all", 6, 3, 3, SolveStatus.SAT),
+    ("all", 8, 4, 4, SolveStatus.SAT),
+    ("line", 4, 1, 3, SolveStatus.SAT),
+    ("line", 5, 1, 4, SolveStatus.SAT),
+    ("line", 6, 2, 9, SolveStatus.UNSAT),
+    ("line", 6, 2, 10, SolveStatus.SAT),
+]
+
+
+@pytest.mark.parametrize("topology, P, M, T, verdict", LADDER)
+def test_ladder_rung_decided_within_ten_thousand_nodes(topology, P, M, T, verdict):
+    cs = encode(make_spec(processes=P, packets=M, horizon=T, topology=topology))
+    first = solve(cs, SearchConfig(node_limit=10_000))
+    assert first.status is verdict
+    assert first.stats.nodes <= 10_000
+    if verdict is SolveStatus.SAT:
+        assert validate(first.trace) == []
+    assert solve(cs, SearchConfig(node_limit=10_000)).stats == first.stats
+
+
+def test_stats_count_nodes_and_the_bound_that_cut():
+    # line P=6 M=2 misses 10 packets; one listener per slot cannot fill 9 slots
+    cut_at_root = solve(
+        encode(make_spec(processes=6, packets=2, horizon=9)), SearchConfig(node_limit=10_000)
+    )
+    assert cut_at_root.stats == SolveStats(fan_out=1)
+    exhausted = solve(encode(make_spec()), SearchConfig(node_limit=2))
+    assert exhausted.status is SolveStatus.BUDGET_EXHAUSTED
+    assert exhausted.stats.nodes == 2
+    stats = solve(encode(make_spec(processes=3, packets=2, horizon=2, topology="all"))).stats
+    assert stats.r5 > 0 and stats.intra_slot > 0
+    assert stats.liveness == 0
+    # with R7 dropped learning is free: no fan-out or intra-slot bound applies
+    cs = encode(make_spec(processes=4, packets=2, horizon=1, topology="all"))
+    free = solve(replace(cs, enabled=cs.enabled - {L.R7_COLLISION_FREE_LEARNING}))
+    assert free.status is SolveStatus.SAT
+    assert free.stats.fan_out == free.stats.intra_slot == 0
+
+
+def _trial_systems(spec):
+    """The full system and every one unsat_core_minimize's deletion tries."""
+    cs = encode(spec)
+    yield cs
+    for label in sorted(cs.enabled - STRUCTURAL_LABELS, key=TAXONOMY.index):
+        yield replace(cs, enabled=cs.enabled - {label})
+
+
+# name: (processes, hears pairs, packets, horizons, liveness). With no pairs
+# every horizon is unsat unless a trial drops GOAL, R7 or TOPO, and each
+# unsat trial makes the oracle try the whole grid, so one horizon is enough.
+ORACLE_CASES = {
+    "one-way ring": (3, {(1, 0), (2, 1), (0, 2)}, 1, (1, 2), LivenessMode.OFF),
+    "sparse star": (3, {(1, 0), (2, 0)}, 1, (1, 2), LivenessMode.OFF),
+    "empty": (3, set(), 1, (1,), LivenessMode.OFF),
+    "one-way pair, two packets": (2, {(1, 0)}, 2, (2,), LivenessMode.OFF),
+    "one-way pair, liveness": (2, {(1, 0)}, 1, (3,), LivenessMode.EACH_ACTION_ONCE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_first_trace_matches_oracle_on_explicit_relations(case):
+    processes, pairs, packets, horizons, liveness = ORACLE_CASES[case]
+    for horizon in horizons:
+        for source in range(processes):
+            spec = make_spec(processes=processes, packets=packets, horizon=horizon,
+                             source=source, topology=Topology(frozenset(pairs)),
+                             liveness=liveness)
+            for cs in _trial_systems(spec):
+                assert cs.domain_size ** cs.cell_count <= 10**5
+                oracle = enumerate_all(cs, limit=1)
+                result = solve(cs)
+                assert (result.status is SolveStatus.SAT) == bool(oracle), (spec, cs.enabled)
+                if oracle:
+                    assert result.trace == oracle[0], (spec, cs.enabled)
