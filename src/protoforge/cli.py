@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from functools import cache
 
 from .encoder import encode
 from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec
@@ -80,7 +81,11 @@ _COUNT = _at_least(int, 0)
 _TIMEOUT = _at_least(float, 0, strict=True, high=MAX_TIMEOUT_S)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first main() call and shared by
+    the rest. Handlers read solve, write_trace and the other module names at
+    call time, so patching those still takes effect."""
     parser = _Parser(prog="protoforge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 

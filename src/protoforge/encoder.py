@@ -25,6 +25,7 @@ actions), never a decision variable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Iterator
 
 from .actions import action_domain
@@ -73,75 +74,60 @@ def ground(spec: NetworkSpec) -> Iterator[GroundConstraint]:
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
     families = requirement_families(spec)
-    for t in range(T):
-        for p in range(P):
-            yield GroundConstraint(
-                L.R1_EXACTLY_ONE_ACTION,
-                f"cell (t={t}, p={p}) holds exactly one of sleep | listen | transmit",
-                t=t, p=p,
-            )
-    for t in range(T):
-        for p in range(P):
-            yield GroundConstraint(
-                L.R2_CONTENT_DOMAIN,
-                f"content code at (t={t}, p={p}) lies in -1..{M}",
-                t=t, p=p,
-            )
+    cells = list(product(range(T), range(P)))
+    facts = list(product(range(T), range(P), range(1, M + 1)))
+    holdings = list(product(range(P), range(1, M + 1)))
+    for t, p in cells:
+        yield GroundConstraint(
+            L.R1_EXACTLY_ONE_ACTION,
+            f"cell (t={t}, p={p}) holds exactly one of sleep | listen | transmit",
+            t=t, p=p,
+        )
+    for t, p in cells:
+        yield GroundConstraint(
+            L.R2_CONTENT_DOMAIN, f"content code at (t={t}, p={p}) lies in -1..{M}", t=t, p=p
+        )
     if L.R3_LIVENESS in families:
-        for p in range(P):
-            for kind in ("sleep", "listen", "transmit"):
-                yield GroundConstraint(
-                    L.R3_LIVENESS,
-                    f"process {p} performs {kind} in some slot t < {T}",
-                    p=p,
-                )
-    for p in range(P):
-        for k in range(1, M + 1):
-            if p == spec.source:
-                text = f"source process {p} knows packet {k} at t=0"
-            else:
-                text = f"process {p} does not know packet {k} at t=0"
-            yield GroundConstraint(L.R4_INITIAL_KNOWLEDGE, text, p=p, k=k)
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                yield GroundConstraint(
-                    L.R5_TRANSMIT_ONLY_KNOWN,
-                    f"process {p} may transmit packet {k} at t={t} only if it knows it",
-                    t=t, p=p, k=k,
-                )
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                yield GroundConstraint(
-                    L.R6_NEVER_FORGETS,
-                    f"process {p} keeps packet {k} from t={t} to t={t + 1}",
-                    t=t, p=p, k=k,
-                )
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                yield GroundConstraint(
-                    L.R7_COLLISION_FREE_LEARNING,
-                    f"process {p} gains packet {k} at t={t + 1} only by listening to a "
-                    f"lone audible transmitter at t={t}",
-                    t=t, p=p, k=k,
-                )
-    if L.GOAL_DEADLINE in families:
-        for p in range(P):
-            for k in range(1, M + 1):
-                yield GroundConstraint(
-                    L.GOAL_DEADLINE,
-                    f"process {p} knows packet {k} at the deadline t={T}",
-                    p=p, k=k,
-                )
-    for t in range(T):
-        for listener, speaker in sorted(spec.topology.hears):
+        for p, kind in product(range(P), ("sleep", "listen", "transmit")):
             yield GroundConstraint(
-                L.TOPO_HEARS_RELATION,
-                f"process {listener} may learn from process {speaker} at t={t}",
-                t=t, p=listener, speaker=speaker,
+                L.R3_LIVENESS, f"process {p} performs {kind} in some slot t < {T}", p=p
             )
+    for p, k in holdings:
+        if p == spec.source:
+            text = f"source process {p} knows packet {k} at t=0"
+        else:
+            text = f"process {p} does not know packet {k} at t=0"
+        yield GroundConstraint(L.R4_INITIAL_KNOWLEDGE, text, p=p, k=k)
+    for t, p, k in facts:
+        yield GroundConstraint(
+            L.R5_TRANSMIT_ONLY_KNOWN,
+            f"process {p} may transmit packet {k} at t={t} only if it knows it",
+            t=t, p=p, k=k,
+        )
+    for t, p, k in facts:
+        yield GroundConstraint(
+            L.R6_NEVER_FORGETS,
+            f"process {p} keeps packet {k} from t={t} to t={t + 1}",
+            t=t, p=p, k=k,
+        )
+    for t, p, k in facts:
+        yield GroundConstraint(
+            L.R7_COLLISION_FREE_LEARNING,
+            f"process {p} gains packet {k} at t={t + 1} only by listening to a "
+            f"lone audible transmitter at t={t}",
+            t=t, p=p, k=k,
+        )
+    if L.GOAL_DEADLINE in families:
+        for p, k in holdings:
+            yield GroundConstraint(
+                L.GOAL_DEADLINE, f"process {p} knows packet {k} at the deadline t={T}", p=p, k=k
+            )
+    for t, (listener, speaker) in product(range(T), sorted(spec.topology.hears)):
+        yield GroundConstraint(
+            L.TOPO_HEARS_RELATION,
+            f"process {listener} may learn from process {speaker} at t={t}",
+            t=t, p=listener, speaker=speaker,
+        )
 
 
 @dataclass(frozen=True)

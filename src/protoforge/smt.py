@@ -21,6 +21,8 @@ from __future__ import annotations
 import shlex
 import subprocess
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families
@@ -61,16 +63,6 @@ class SmtDocument:
         return self.text
 
 
-def _name(label: RequirementLabel, variant: str | None = None, **coords: int) -> str:
-    tag = label.value if variant is None else f"{label.value}.{variant}"
-    where = ",".join(f"{key}={value}" for key, value in coords.items())
-    return f"|{tag}@{where}|"
-
-
-def _assert_named(expr: str, name: str) -> str:
-    return f"(assert (! {expr} :named {name}))"
-
-
 def _sleep(t: int, p: int) -> str:
     return f"(sleep {t} {p})"
 
@@ -83,8 +75,18 @@ def _tx(t: int, p: int) -> str:
     return f"(transmit {t} {p})"
 
 
+def _sends(t: int, p: int) -> str:
+    return f"(>= {_tx(t, p)} 0)"
+
+
 def _knows(t: int, p: int, k: int) -> str:
     return f"(knows {t} {p} {k})"
+
+
+def _any(terms: list[str]) -> str:
+    if len(terms) == 1:
+        return terms[0]
+    return f"(or {' '.join(terms)})" if terms else "false"
 
 
 _SILENT = "(- 1)"
@@ -92,7 +94,11 @@ _SILENT = "(- 1)"
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     P, M, T = spec.processes, spec.packets, spec.horizon
+    L = RequirementLabel
     families = requirement_families(spec)
+    cells = list(product(range(T), range(P)))
+    facts = list(product(range(T), range(P), range(1, M + 1)))
+    holdings = list(product(range(P), range(1, M + 1)))
     header = (
         "(set-option :produce-models true)",
         "(set-option :produce-unsat-cores true)",
@@ -106,115 +112,61 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         "(declare-fun knows (Int Int Int) Bool)",
     )
     lines: list[str] = []
-    for t in range(T):
-        for p in range(P):
-            excl = (
-                f"(and (not (and {_sleep(t, p)} {_listen(t, p)}))"
-                f" (=> {_sleep(t, p)} (= {_tx(t, p)} {_SILENT}))"
-                f" (=> {_listen(t, p)} (= {_tx(t, p)} {_SILENT})))"
-            )
-            lines.append(
-                _assert_named(excl, _name(RequirementLabel.R1_EXACTLY_ONE_ACTION, t=t, p=p))
-            )
-            any_ = f"(or {_sleep(t, p)} {_listen(t, p)} (>= {_tx(t, p)} 0))"
-            lines.append(
-                _assert_named(
-                    any_, _name(RequirementLabel.R1_EXACTLY_ONE_ACTION, "any", t=t, p=p)
-                )
-            )
-    for t in range(T):
-        for p in range(P):
-            bound = f"(and (>= {_tx(t, p)} {_SILENT}) (<= {_tx(t, p)} {M}))"
-            lines.append(
-                _assert_named(bound, _name(RequirementLabel.R2_CONTENT_DOMAIN, t=t, p=p))
-            )
-    if RequirementLabel.R3_LIVENESS in families:
+
+    def add(expr: str, label: RequirementLabel, variant: str | None = None, **where: int) -> None:
+        tag = label.value if variant is None else f"{label.value}.{variant}"
+        at = ",".join(f"{key}={value}" for key, value in where.items())
+        lines.append(f"(assert (! {expr} :named |{tag}@{at}|))")
+
+    for t, p in cells:
+        sleep, listen, tx = _sleep(t, p), _listen(t, p), _tx(t, p)
+        add(
+            f"(and (not (and {sleep} {listen})) (=> {sleep} (= {tx} {_SILENT}))"
+            f" (=> {listen} (= {tx} {_SILENT})))",
+            L.R1_EXACTLY_ONE_ACTION, t=t, p=p,
+        )
+        add(f"(or {sleep} {listen} {_sends(t, p)})", L.R1_EXACTLY_ONE_ACTION, "any", t=t, p=p)
+    for t, p in cells:
+        add(f"(and (>= {_tx(t, p)} {_SILENT}) (<= {_tx(t, p)} {M}))", L.R2_CONTENT_DOMAIN, t=t, p=p)
+    if L.R3_LIVENESS in families:
         lines.append("; every action kind must occur inside the finite window")
         for p in range(P):
-            for variant, terms in (
-                ("sleep", [_sleep(t, p) for t in range(T)]),
-                ("listen", [_listen(t, p) for t in range(T)]),
-                ("transmit", [f"(>= {_tx(t, p)} 0)" for t in range(T)]),
-            ):
-                expr = "false" if not terms else f"(or {' '.join(terms)})"
-                if len(terms) == 1:
-                    expr = terms[0]
-                lines.append(
-                    _assert_named(expr, _name(RequirementLabel.R3_LIVENESS, variant, p=p))
-                )
-    for p in range(P):
-        for k in range(1, M + 1):
-            atom = _knows(0, p, k)
-            expr = atom if p == spec.source else f"(not {atom})"
-            lines.append(
-                _assert_named(
-                    expr, _name(RequirementLabel.R4_INITIAL_KNOWLEDGE, t=0, p=p, k=k)
-                )
-            )
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                expr = f"(=> (= {_tx(t, p)} {k}) {_knows(t, p, k)})"
-                lines.append(
-                    _assert_named(
-                        expr, _name(RequirementLabel.R5_TRANSMIT_ONLY_KNOWN, t=t, p=p, k=k)
-                    )
-                )
-    for t in range(T):
-        for p in range(P):
-            for k in range(1, M + 1):
-                expr = f"(=> {_knows(t, p, k)} {_knows(t + 1, p, k)})"
-                lines.append(
-                    _assert_named(
-                        expr, _name(RequirementLabel.R6_NEVER_FORGETS, t=t, p=p, k=k)
-                    )
-                )
+            for variant, atom in (("sleep", _sleep), ("listen", _listen), ("transmit", _sends)):
+                add(_any([atom(t, p) for t in range(T)]), L.R3_LIVENESS, variant, p=p)
+    for p, k in holdings:
+        atom = _knows(0, p, k)
+        add(atom if p == spec.source else f"(not {atom})", L.R4_INITIAL_KNOWLEDGE, t=0, p=p, k=k)
+    for t, p, k in facts:
+        add(f"(=> (= {_tx(t, p)} {k}) {_knows(t, p, k)})", L.R5_TRANSMIT_ONLY_KNOWN, t=t, p=p, k=k)
+    for t, p, k in facts:
+        add(f"(=> {_knows(t, p, k)} {_knows(t + 1, p, k)})", L.R6_NEVER_FORGETS, t=t, p=p, k=k)
     # Audibility is folded into the learning equalities, so the hears
-    # relation needs no assertions of its own.
-    for t in range(T):
-        for p in range(P):
-            audible = sorted(s for (l, s) in spec.topology.hears if l == p)
-            for k in range(1, M + 1):
-                cases = []
-                for s in audible:
-                    silent = [f"(= {_tx(t, q)} {_SILENT})" for q in range(P) if q != s]
-                    cases.append(
-                        f"(and (= {_tx(t, s)} {k}) {' '.join(silent)})"
-                        if silent
-                        else f"(= {_tx(t, s)} {k})"
-                    )
-                if cases:
-                    learn = cases[0] if len(cases) == 1 else f"(or {' '.join(cases)})"
-                    rhs = f"(or {_knows(t, p, k)} (and {_listen(t, p)} {learn}))"
-                else:
-                    rhs = _knows(t, p, k)
-                expr = f"(= {_knows(t + 1, p, k)} {rhs})"
-                lines.append(
-                    _assert_named(
-                        expr,
-                        _name(RequirementLabel.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k),
-                    )
-                )
-    if RequirementLabel.GOAL_DEADLINE in families:
-        for p in range(P):
-            for k in range(1, M + 1):
-                lines.append(
-                    _assert_named(
-                        _knows(T, p, k),
-                        _name(RequirementLabel.GOAL_DEADLINE, t=T, p=p, k=k),
-                    )
-                )
-    footer: list[str] = ["(check-sat)"]
-    for t in range(T):
-        for p in range(P):
-            footer.append(f"(get-value ({_sleep(t, p)} {_listen(t, p)} {_tx(t, p)}))")
+    # relation needs no assertions of its own. A listener learns k from an
+    # audible speaker s that sends k while every other process is silent.
+    speakers: list[list[int]] = [[] for _ in range(P)]
+    for listener, speaker in sorted(spec.topology.hears):
+        speakers[listener].append(speaker)
+
+    @cache
+    def alone(t: int, s: int) -> str:
+        return " ".join(f"(= {_tx(t, q)} {_SILENT})" for q in range(P) if q != s)
+
+    for t, p, k in facts:
+        rhs = _knows(t, p, k)
+        if speakers[p]:
+            learn = _any([f"(and (= {_tx(t, s)} {k}) {alone(t, s)})" for s in speakers[p]])
+            rhs = f"(or {rhs} (and {_listen(t, p)} {learn}))"
+        add(f"(= {_knows(t + 1, p, k)} {rhs})", L.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k)
+    if L.GOAL_DEADLINE in families:
+        for p, k in holdings:
+            add(_knows(T, p, k), L.GOAL_DEADLINE, t=T, p=p, k=k)
+    footer = ["(check-sat)"]
+    footer += [f"(get-value ({_sleep(t, p)} {_listen(t, p)} {_tx(t, p)}))" for t, p in cells]
     if M > 0:
-        for t in range(T + 1):
-            for p in range(P):
-                atoms = " ".join(_knows(t, p, k) for k in range(1, M + 1))
-                footer.append(f"(get-value ({atoms}))")
-    footer.append("(get-unsat-core)")
-    footer.append("(exit)")
+        for t, p in product(range(T + 1), range(P)):
+            atoms = " ".join(_knows(t, p, k) for k in range(1, M + 1))
+            footer.append(f"(get-value ({atoms}))")
+    footer += ["(get-unsat-core)", "(exit)"]
     return SmtDocument(
         spec=spec,
         header=header,

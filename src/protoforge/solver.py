@@ -23,8 +23,13 @@ reproducible. SolveStats counts the branches each one cuts.
 With GOAL and R7 both enabled, only a lone transmitter delivers, and
 then only to its audible listeners, one packet each. So a slot delivers
 at most `deg` packets, the largest audience of any speaker in the
-learning rule's topology (learning_topology), and two more bounds apply:
+learning rule's topology (learning_topology), and three more bounds apply:
 
+- Reachability, at the root, when there is a packet to deliver: every
+  process must be able to come to hold one. With R5 a packet reaches only
+  processes reachable from the source over the audiences; with R5 dropped
+  anyone may send any packet, so every process but the source needs some
+  speaker. SolveStats counts this cut under `goal`.
 - Fan-out, at the root and at every slot end: the missing (process,
   packet) pairs must not outnumber `slots_left * deg`.
 - Intra-slot forward checking, while a slot is being filled: with r slots
@@ -220,6 +225,18 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     if check_live and T < len(ActionKind):
         cuts["liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
+    if check_goal and not free_learning and M:
+        if check_r5:  # only holders send packets, so learning spreads by audience
+            reached, frontier = {spec.source}, [spec.source]
+            while frontier:
+                heard = set(audience[frontier.pop()]) - reached
+                reached |= heard
+                frontier += heard
+        else:  # anyone may send any packet: a process with a speaker can learn
+            reached = {spec.source}.union(*audience)
+        if len(reached) < P:
+            cuts["goal"] += 1
+            return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
     cells = T * P
     acts: list[list[Action]] = [[SLEEP] * P for _ in range(T)]

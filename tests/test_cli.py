@@ -4,9 +4,11 @@ import json
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import protoforge
 from protoforge.cli import main
 from protoforge.trace import read_trace, validate
 from conftest import make_spec
@@ -419,11 +421,32 @@ def test_synth_writes_the_trace_only_for_out(capsys, line3, tmp_path, monkeypatc
     assert len(seen) == calls
 
 
+def test_main_builds_the_parser_once(capsys, line3, monkeypatch):
+    import protoforge.cli as cli
+
+    built = []
+    real_init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    assert run_cli(capsys, "synth", line3)[0] == 0
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (["synth", line3], ["emit-smt", line3], ["bogus"]):
+        run_cli(capsys, *argv)
+    assert built == []
+
+
 def test_module_entry_point(line3):
+    # run from the directory the package under test was imported from, so
+    # `-m` finds it whether it came from PYTHONPATH, pytest's pythonpath or
+    # an install
     proc = subprocess.run(
         [sys.executable, "-m", "protoforge", "synth", line3],
         capture_output=True,
         text=True,
+        cwd=Path(protoforge.__file__).parent.parent,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("sat")

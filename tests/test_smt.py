@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import stat
 import subprocess
@@ -7,8 +8,8 @@ import subprocess
 import pytest
 
 from protoforge.actions import LISTEN, SLEEP, transmit
-from protoforge.encoder import encode
-from protoforge.model import LivenessMode, RequirementLabel, GoalKind
+from protoforge.encoder import describe, encode
+from protoforge.model import LivenessMode, RequirementLabel, GoalKind, Topology
 from protoforge.smt import (
     ExternalSolverError,
     SmtResponseError,
@@ -75,6 +76,50 @@ def test_liveness_assertions_per_kind_and_false_at_horizon_zero():
 def test_emit_is_deterministic():
     spec = make_spec(processes=3, packets=2, horizon=2, topology="line")
     assert emit_smtlib(spec).text == emit_smtlib(spec).text
+
+
+EACH = LivenessMode.EACH_ACTION_ONCE
+# name: (spec, sha256 of the SMT-LIB text, sha256 of describe(encode(spec)).render())
+GOLDEN = {
+    "line3": (
+        make_spec(),
+        "4b6881a74582d3cf0b563b87812da107747f66870eceb22ce695f1761ae19f23",
+        "f61cd13855480cd1ef9a30f2231d9772a1ffeb94a05e0bb5eb6afc9b6ca578f3",
+    ),
+    "all P=4 M=2 T=2, liveness": (
+        make_spec(processes=4, packets=2, horizon=2, topology="all", liveness=EACH),
+        "a84ebd63c69527304c9fa8dc8990ded9f4426e5a466c16e20a61fd2f0f697783",
+        "f7b227264757dcf26756e54416c1b5f166b39989c9b0b6c9ac2a54bf7568f766",
+    ),
+    "explicit, process 3 isolated": (
+        make_spec(processes=4, packets=2, horizon=3, source=1,
+                  topology=Topology(frozenset({(1, 0), (0, 1), (2, 1)}))),
+        "38491bf129ccb419af064d5e03c8c86ffd47ffec3141a4509c58293efd7c0d95",
+        "c12bc101e990aa2a5f421a3ece45855b06121a9c706a653385d78ce027bc4835",
+    ),
+    "T=0, liveness": (
+        make_spec(horizon=0, liveness=EACH),
+        "b7d9e87d4b85ae52ea486aae6f79122f68a8acb014fcc727458920d979a52249",
+        "a85e0c31ac1aa84d7a5e2a59445a319788fb3774b204d43e1533922a495a5301",
+    ),
+    "M=0": (
+        make_spec(packets=0, horizon=2, topology="all"),
+        "b8b6cec2d3d09c9142bb04d425f0ba35fe0d672946e8dc9ee315a3f49564e957",
+        "cd95ecd05d036ad7da4f5df2add06eca0e29a4b8b00c2518728d354fa6226c17",
+    ),
+    "P=1 T=1, liveness": (
+        make_spec(processes=1, packets=2, horizon=1, liveness=EACH),
+        "d78ede46c757a8caa6e17ff163077610b624d496172eeed91b0197b6c384c250",
+        "8c0f5e89c6f7bb973ba8059aa15b12753479396ea9dfbe46097c088eb3c227f8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_and_listing_bytes_are_pinned(name):
+    spec, smt_sha, listing_sha = GOLDEN[name]
+    assert hashlib.sha256(emit_smtlib(spec).text.encode()).hexdigest() == smt_sha
+    assert hashlib.sha256(describe(encode(spec)).render().encode()).hexdigest() == listing_sha
 
 
 def test_tokenizer_preserves_document_tokens():

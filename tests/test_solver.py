@@ -259,6 +259,42 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     assert free.stats.fan_out == free.stats.intra_slot == 0
 
 
+@pytest.mark.parametrize("P, M, T, source, pairs", [
+    # on a line p hears only p - 1: no process below the source hears a holder
+    (2, 2, 6, 1, None),
+    (3, 1, 6, 2, None),
+    (4, 1, 8, 3, None),
+    # every process has a speaker, but nobody hears the source
+    (3, 1, 4, 2, {(0, 1), (1, 0), (2, 1)}),
+])
+def test_unreachable_process_is_unsat_at_the_root(P, M, T, source, pairs):
+    topology = "line" if pairs is None else Topology(frozenset(pairs))
+    cs = encode(make_spec(processes=P, packets=M, horizon=T, source=source, topology=topology))
+    result = solve(cs, SearchConfig(node_limit=100_000))
+    assert result.status is SolveStatus.UNSAT
+    assert result.stats == SolveStats(goal=1)
+
+
+def test_reachability_without_r5_asks_only_for_a_speaker():
+    # with R5 dropped anyone may send any packet, but process 0 of a line
+    # has no speaker at all; with no packet to deliver nothing is missing
+    line = encode(make_spec(processes=3, packets=1, horizon=6, source=2))
+    no_r5 = replace(line, enabled=line.enabled - {L.R5_TRANSMIT_ONLY_KNOWN})
+    assert solve(no_r5).stats == SolveStats(goal=1)
+    assert solve(encode(make_spec(packets=0, horizon=6, source=2))).status is SolveStatus.SAT
+
+
+def test_unsat_core_keeps_r5_when_a_process_may_send_what_it_lacks():
+    # 3 is three hops from the source, out of reach in two slots; with R5
+    # dropped, 2 sends the packet unheld in slot 0 and 1 relays it to 2
+    hears = frozenset({(1, 0), (2, 1), (3, 2), (1, 2)})
+    cs = encode(make_spec(processes=4, packets=1, horizon=2, topology=Topology(hears)))
+    assert unsat_core_minimize(cs) == {
+        L.GOAL_DEADLINE, L.R5_TRANSMIT_ONLY_KNOWN, L.R7_COLLISION_FREE_LEARNING,
+        L.TOPO_HEARS_RELATION,
+    }
+
+
 def _trial_systems(spec):
     """The full system and every one unsat_core_minimize's deletion tries."""
     cs = encode(spec)
