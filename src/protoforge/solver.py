@@ -16,31 +16,29 @@ reproducible. SolveStats counts the branches each one cuts.
 - R5: a cell may send only a packet its process holds.
 - Liveness (R3): a process must fit the action kinds it has not yet
   performed into its remaining cells.
-- Goal, at the root and at every slot end: a process missing n packets
-  needs n more slots, because a listener gains at most one packet per
-  slot. With R7 dropped learning is free and one slot is enough.
+- Goal: `need`, a lower bound on the slots the goal still takes, must not
+  exceed the slots left. With R7 dropped learning is free, so need is 1
+  while anything is missing. With R7, need is the sum over packets of
+  cover(H), where H is the set of the packet's holders and cover(H) is
+  the larger of
+    - the rounds until everyone holds the packet if, each round, every
+      eligible sender (a holder, or anyone with R5 dropped) sent it at
+      once; infinite when that stops short of everyone, and
+    - ceil(missing / deg), where deg is the largest audience of any
+      speaker under learning_topology.
+  This is admissible. Only a lone transmitter delivers, so a slot
+  advances at most one packet; that packet's new holders lie within one
+  round of the old ones, and number at most deg; and cover only falls as
+  holders grow. So one slot lowers need by at most one.
 
-With GOAL and R7 both enabled, only a lone transmitter delivers, and
-then only to its audible listeners, one packet each. So a slot delivers
-at most `deg` packets, the largest audience of any speaker in the
-learning rule's topology (learning_topology), and three more bounds apply:
-
-- Reachability, at the root, when there is a packet to deliver: every
-  process must be able to come to hold one. With R5 a packet reaches only
-  processes reachable from the source over the audiences; with R5 dropped
-  anyone may send any packet, so every process but the source needs some
-  speaker. SolveStats counts this cut under `goal`.
-- Fan-out, at the root and at every slot end: the missing (process,
-  packet) pairs must not outnumber `slots_left * deg`.
-- Intra-slot forward checking, while a slot is being filled: with r slots
-  after this one, each process missing r + 1 packets must learn in this
-  slot, so its cell must listen, and the slot must deliver at least
-  `missing - r * deg` packets. A collision or garbage delivers nothing; a
-  lone sender of packet k delivers only to its audience that lacks k and
-  listens or is still unassigned; with no sender yet the slot can deliver
-  at most `min(deg, needy processes that listen or are unassigned)`.
-  These are bounds on what step_knowledge can do, checked against the
-  slot's partial row; learning itself still happens only at slot end.
+The goal bound applies at the root and at every slot end (counted under
+`goal`), and also while a slot is being filled (`intra_slot`): when need
+equals the slots left, this slot must lower some packet's cover, so a
+partial row is cut unless some completion of it does. Since cover is
+monotone, the only completion tried is the one in which every later cell
+listens, with the lone sender already placed or, if there is none yet,
+each later process sending each packet it may send. These are bounds on
+what step_knowledge can do; learning itself still happens only at slot end.
 
 enumerate_all is the independent oracle: it tries every one of the
 (M+3)^(T*P) assignments and keeps those the trace validator accepts, with
@@ -50,8 +48,10 @@ no search machinery shared with solve.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 from .actions import Action, ActionKind, SLEEP, action_domain
@@ -65,6 +65,7 @@ from .model import (
 )
 from .trace import (
     ProtocolTrace,
+    all_known,
     initial_knowledge,
     learning_rule,
     learning_topology,
@@ -95,7 +96,6 @@ class SolveStats(NamedTuple):
     r5: int = 0
     liveness: int = 0
     goal: int = 0
-    fan_out: int = 0
     intra_slot: int = 0
 
 
@@ -123,16 +123,6 @@ class _Budget(Exception):
     pass
 
 
-class _SlotDemand(NamedTuple):
-    """What the goal asks of one slot: each tight process (one that lacks as
-    many packets as slots remain, this one included) must learn in it, and
-    at least `short` packets must arrive in total."""
-
-    miss: list[int]  # packets each process lacks when the slot starts
-    tight: list[bool]
-    short: int
-
-
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
     """Decides the system. Sat results carry the first trace in search order;
     Unsat results carry the full enabled set as their (unminimized) core."""
@@ -147,96 +137,82 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
     learn = learning_rule(spec, enabled)
     values = action_domain(M)
-    cuts = dict.fromkeys(("r5", "liveness", "goal", "fan_out", "intra_slot"), 0)
+    cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
     nodes = 0
 
     def result(status: SolveStatus, **fields) -> SolveResult:
         return SolveResult(status, stats=SolveStats(nodes, **cuts), **fields)
 
-    # audience[s]: who hears s under the learning rule (fan-out bounds only)
-    audience: list[list[int]] = [[] for _ in range(P)]
+    # audience[s]: bitmask of who hears s under the learning rule
+    audience = [0] * P
     if check_goal and not free_learning:
         for listener, speaker in learning_topology(spec, enabled).hears:
-            audience[speaker].append(listener)
-    deg = max(map(len, audience))
+            audience[speaker] |= 1 << listener
+    deg = max(a.bit_count() for a in audience)
+    everyone = (1 << P) - 1
 
-    def missing(row) -> list[int]:
-        return [M - sum(packets) for packets in row]
-
-    def goal_cut(miss: list[int], slots_left: int) -> str | None:
-        """The bound that puts the goal out of reach, or None."""
-        if not any(miss):
-            return None
-        if free_learning:
-            return None if slots_left >= 1 else "goal"
-        if max(miss) > slots_left:
-            return "goal"
-        if sum(miss) > slots_left * deg:
-            return "fan_out"
-        return None
-
-    def slot_demand(miss: list[int], slots_left: int) -> _SlotDemand | None:
-        """What the slot starting now must deliver; None when the goal asks
-        nothing of it in particular (or learning is free)."""
-        if free_learning or not slots_left:
-            return None
-        tight = [m == slots_left for m in miss]
-        short = sum(miss) - (slots_left - 1) * deg
-        if short <= 0 and not any(tight):
-            return None
-        return _SlotDemand(miss, tight, short)
-
-    def slot_can_deliver(t: int, p: int, demand: _SlotDemand) -> bool:
-        """Whether slot t, its cells 0..p assigned and later ones open, can
-        still deliver what it must. It must deliver something, so a
-        collision or garbage is fatal."""
-        miss, tight, short = demand
-        row = acts[t]
-        senders = [s for s in range(p + 1) if row[s].is_transmit]
-        if len(senders) > 1:
-            return False
-        if senders:
-            k = row[senders[0]].packet
-            if k is None:
-                return False
-            now = know[t]
-            reach = {
-                q for q in audience[senders[0]]
-                if (q > p or row[q].kind is ActionKind.LISTEN) and not now[q][k - 1]
-            }
-            return len(reach) >= short and all(
-                q in reach for q in range(P) if tight[q]
-            )
-        open_needy = sum(
-            1 for q in range(P)
-            if miss[q] and (q > p or row[q].kind is ActionKind.LISTEN)
-        )
-        return min(deg, open_needy) >= short
+    @cache
+    def cover(held: int) -> float:
+        """A lower bound on the slots a packet held by `held` still needs
+        (see the module doc)."""
+        rounds, reach = 0, held
+        while reach != everyone:
+            senders = reach if check_r5 else everyone
+            grown = reach
+            for s in range(P):
+                if senders >> s & 1:
+                    grown |= audience[s]
+            if grown == reach:
+                return math.inf
+            rounds, reach = rounds + 1, grown
+        return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
 
     know: list = [initial_knowledge(spec)]
-    demands: list[_SlotDemand | None] = [None] * (T + 1)  # by slot
-    if check_goal:
-        miss = missing(know[0])
-        cut = goal_cut(miss, T)
-        if cut:
-            cuts[cut] += 1
-            return result(SolveStatus.UNSAT, core=frozenset(enabled))
-        demands[0] = slot_demand(miss, T)
+    must_lower: list[list[int] | None] = [None] * T  # holder masks, when the slot must lower need
+
+    def within_reach(t: int, row) -> bool:
+        """Whether the goal is in reach of `row`, the knowledge at the start
+        of slot t; when slot t must lower need, notes the packets' holders."""
+        if free_learning:
+            return t < T or all_known(row)
+        held = [sum(row[p][k] << p for p in range(P)) for k in range(M)]
+        need = sum(map(cover, held))
+        if t < T:
+            must_lower[t] = held if need == T - t else None
+        return need <= T - t
+
+    def slot_can_lower(t: int, p: int, held: list[int]) -> bool:
+        """Whether some completion of slot t's row, its cells 0..p assigned,
+        lowers some packet's cover. Cover only falls as holders grow, so
+        only the completion in which every later cell listens is tried."""
+        listening, sender = everyone >> (p + 1) << (p + 1), None
+        for q in range(p + 1):
+            kind = acts[t][q].kind
+            if kind is ActionKind.LISTEN:
+                listening |= 1 << q
+            elif kind is ActionKind.TRANSMIT:
+                if sender is not None:
+                    return False  # a collision delivers nothing
+                sender = q
+        if sender is not None:
+            k = acts[t][sender].packet
+            tries = [] if k is None else [(sender, k)]
+        else:
+            tries = [  # each later process, with each packet it may send
+                (s, k) for k in range(1, M + 1) for s in range(p + 1, P)
+                if (held[k - 1] if check_r5 else everyone) >> s & 1
+            ]
+        return any(
+            cover(held[k - 1] | audience[s] & listening) < cover(held[k - 1])
+            for s, k in tries
+        )
+
+    if check_goal and not within_reach(0, know[0]):
+        cuts["goal"] += 1
+        return result(SolveStatus.UNSAT, core=frozenset(enabled))
     if check_live and T < len(ActionKind):
         cuts["liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
-    if check_goal and not free_learning and M:
-        if check_r5:  # only holders send packets, so learning spreads by audience
-            reached, frontier = {spec.source}, [spec.source]
-            while frontier:
-                heard = set(audience[frontier.pop()]) - reached
-                reached |= heard
-                frontier += heard
-        else:  # anyone may send any packet: a process with a speaker can learn
-            reached = {spec.source}.union(*audience)
-        if len(reached) < P:
-            cuts["goal"] += 1
-            return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
     cells = T * P
     acts: list[list[Action]] = [[SLEEP] * P for _ in range(T)]
@@ -250,7 +226,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             return True
         t, p = divmod(i, P)
         last_in_slot = p == P - 1
-        demand = demands[t]
+        held = None if last_in_slot else must_lower[t]
         for act in values:
             if nodes == limit:
                 raise _Budget
@@ -265,10 +241,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                 cuts["liveness"] += 1
                 continue
             acts[t][p] = act
-            if demand is not None and (
-                (demand.tight[p] and act.kind is not ActionKind.LISTEN)
-                or (not last_in_slot and not slot_can_deliver(t, p, demand))
-            ):
+            if held is not None and not slot_can_lower(t, p, held):
                 cuts["intra_slot"] += 1
                 continue
             if check_live:
@@ -278,13 +251,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             try:
                 if last_in_slot:
                     nxt = learn(know[t], acts[t])
-                    if check_goal:
-                        miss = missing(nxt)
-                        cut = goal_cut(miss, T - t - 1)
-                        if cut:
-                            cuts[cut] += 1
-                            continue
-                        demands[t + 1] = slot_demand(miss, T - t - 1)
+                    if check_goal and not within_reach(t + 1, nxt):
+                        cuts["goal"] += 1
+                        continue
                     know.append(nxt)
                     if search(i + 1):
                         return True

@@ -84,7 +84,7 @@ def test_synth_validate_round_trip(capsys, line3, tmp_path):
     code, out, _ = run_cli(capsys, "synth", line3, "--out", out_path)
     assert code == 0
     assert out.startswith("sat")
-    trace = read_trace(open(out_path).read())
+    trace = read_trace(Path(out_path).read_text())
     assert validate(trace) == []
     code, out, _ = run_cli(capsys, "validate", out_path)
     assert code == 0
@@ -126,7 +126,7 @@ def test_min_horizon_found(capsys, line3, tmp_path):
     assert "t_min: 2" in out
     block = machine_block(out)
     assert block == {**block, "found": True, "t_min": 2}
-    assert read_trace(open(out_path).read()).spec.horizon == 2
+    assert read_trace(Path(out_path).read_text()).spec.horizon == 2
 
 
 def test_min_horizon_not_found(capsys, line3):
@@ -144,11 +144,11 @@ def test_min_horizon_budget(capsys, all3):
 def test_validate_reports_violations(capsys, line3, tmp_path):
     out_path = str(tmp_path / "t.json")
     run_cli(capsys, "synth", line3, "--out", out_path)
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     doc["actions"][1][1] = "sleep"
     del doc["knowledge"]
     bad_path = str(tmp_path / "bad.json")
-    open(bad_path, "w").write(json.dumps(doc))
+    Path(bad_path).write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "validate", bad_path, "--json")
     assert code == 2
     assert "GOAL_Deadline" in out
@@ -245,7 +245,7 @@ def test_emit_smt_writes_file(capsys, line3, tmp_path):
     out_path = str(tmp_path / "doc.smt2")
     code, out, _ = run_cli(capsys, "emit-smt", line3, "--out", out_path)
     assert code == 0
-    assert "(exit)" in open(out_path).read()
+    assert "(exit)" in Path(out_path).read_text()
     assert "(set-logic" not in out
 
 
@@ -275,7 +275,7 @@ def test_emit_smt_with_solver_flag(capsys, line3, tmp_path):
     )
     assert code == 0
     assert out.splitlines()[0] == "sat"
-    assert validate(read_trace(open(trace_out).read())) == []
+    assert validate(read_trace(Path(trace_out).read_text())) == []
 
 
 def test_emit_smt_solver_from_environment(capsys, line3, tmp_path, monkeypatch):

@@ -105,7 +105,7 @@ def test_min_horizon_rejects_goalless_spec():
 
 
 def test_min_horizon_budget_raises_with_first_undecided_horizon():
-    # all, not line: the fan-out bound decides line's horizon 1 at the root
+    # all, not line: the goal bound decides line's horizon 1 at the root
     with pytest.raises(SearchBudgetExceeded) as err:
         min_horizon(
             make_spec(processes=3, packets=1, horizon=0, topology="all"),
@@ -245,18 +245,21 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     cut_at_root = solve(
         encode(make_spec(processes=6, packets=2, horizon=9)), SearchConfig(node_limit=10_000)
     )
-    assert cut_at_root.stats == SolveStats(fan_out=1)
+    assert cut_at_root.stats == SolveStats(goal=1)
     exhausted = solve(encode(make_spec()), SearchConfig(node_limit=2))
     assert exhausted.status is SolveStatus.BUDGET_EXHAUSTED
     assert exhausted.stats.nodes == 2
     stats = solve(encode(make_spec(processes=3, packets=2, horizon=2, topology="all"))).stats
-    assert stats.r5 > 0 and stats.intra_slot > 0
+    assert stats.intra_slot > 0
     assert stats.liveness == 0
-    # with R7 dropped learning is free: no fan-out or intra-slot bound applies
+    live = make_spec(processes=3, packets=1, horizon=3, topology="all",
+                     liveness=LivenessMode.EACH_ACTION_ONCE)
+    assert solve(encode(live)).stats.r5 > 0
+    # with R7 dropped learning is free: one slot is enough, nothing is cut
     cs = encode(make_spec(processes=4, packets=2, horizon=1, topology="all"))
     free = solve(replace(cs, enabled=cs.enabled - {L.R7_COLLISION_FREE_LEARNING}))
     assert free.status is SolveStatus.SAT
-    assert free.stats.fan_out == free.stats.intra_slot == 0
+    assert free.stats.goal == free.stats.intra_slot == 0
 
 
 @pytest.mark.parametrize("P, M, T, source, pairs", [
@@ -266,6 +269,8 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     (4, 1, 8, 3, None),
     # every process has a speaker, but nobody hears the source
     (3, 1, 4, 2, {(0, 1), (1, 0), (2, 1)}),
+    # a leaf source: each packet needs two transmissions, to the hub and on
+    (8, 3, 4, 1, {pair for leaf in range(1, 8) for pair in ((0, leaf), (leaf, 0))}),
 ])
 def test_unreachable_process_is_unsat_at_the_root(P, M, T, source, pairs):
     topology = "line" if pairs is None else Topology(frozenset(pairs))
@@ -273,6 +278,18 @@ def test_unreachable_process_is_unsat_at_the_root(P, M, T, source, pairs):
     result = solve(cs, SearchConfig(node_limit=100_000))
     assert result.status is SolveStatus.UNSAT
     assert result.stats == SolveStats(goal=1)
+
+
+def test_near_complete_relation_is_sat_within_a_small_budget():
+    # 2 does not hear the source; 0, 1, 0, 1 sending 1, 1, 2, 2 reaches it
+    hears = frozenset({
+        (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 2), (1, 4), (2, 1), (2, 3),
+        (2, 4), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 2), (4, 3),
+    })
+    cs = encode(make_spec(processes=5, packets=2, horizon=4, topology=Topology(hears)))
+    result = solve(cs, SearchConfig(node_limit=1_000))
+    assert result.status is SolveStatus.SAT
+    assert validate(result.trace) == []
 
 
 def test_reachability_without_r5_asks_only_for_a_speaker():
@@ -312,6 +329,8 @@ ORACLE_CASES = {
     "empty": (3, set(), 1, (1,), LivenessMode.OFF),
     "one-way pair, two packets": (2, {(1, 0)}, 2, (2,), LivenessMode.OFF),
     "one-way pair, liveness": (2, {(1, 0)}, 1, (3,), LivenessMode.EACH_ACTION_ONCE),
+    "two-way path": (3, {(0, 1), (1, 0), (1, 2), (2, 1)}, 1, (1, 2), LivenessMode.OFF),
+    "hub and two-way leaves": (3, {(1, 0), (0, 1), (2, 0), (0, 2)}, 1, (1, 2), LivenessMode.OFF),
 }
 
 
