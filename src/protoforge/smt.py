@@ -1,19 +1,26 @@
 """SMT-LIB 2 export and external solver plumbing.
 
-The emitted document is self-contained QF_UFLIA over four uninterpreted
+The emitted document is self-contained QF_UFLIA over six uninterpreted
 functions:
 
     sleep    (Int Int) Bool      sleep t p
     listen   (Int Int) Bool      listen t p
     transmit (Int Int) Int       content code, -1 silent, 0 garbage, k >= 1
     knows    (Int Int Int) Bool  knows t p k
+    senders  (Int) Int           how many processes transmit in slot t
+    heard    (Int Int) Int       sum of the packet codes p's speakers send in t
 
-Knowledge is pinned with equalities, so any model's knows atoms must agree
-with the local derivation; parse_value_response checks that agreement and
-refuses models that drift. Every assertion is named so unsat cores map
-back onto requirement families. The footer always asks for both values
-and an unsat core; solvers answer the inapplicable request with an error
-form, which the parser skips.
+A listener p learns packet k in slot t when it listens, senders is 1 and
+heard is k: with one sender, heard is k exactly when that sender is audible
+to p and sends k. senders is defined once per slot and heard once per
+slot and listener, each by an equality over transmit, so the document
+grows as T·P·(M + speakers) and no learning equality spells out the other
+processes' silence. Both are fixed by transmit, and knowledge is pinned with equalities, so any model's
+knows atoms must agree with the local derivation; parse_value_response
+checks that agreement and refuses models that drift. Every assertion is
+named so unsat cores map back onto requirement families. The footer always
+asks for both values and an unsat core; solvers answer the inapplicable
+request with an error form, which the parser skips.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from itertools import product
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
@@ -54,7 +61,7 @@ class SmtDocument:
     assertions: tuple[str, ...]
     footer: tuple[str, ...]
 
-    @property
+    @cached_property
     def text(self) -> str:
         sections = [self.header, self.declarations, self.assertions, self.footer]
         return "\n\n".join("\n".join(s) for s in sections if s) + "\n"
@@ -83,10 +90,22 @@ def _knows(t: int, p: int, k: int) -> str:
     return f"(knows {t} {p} {k})"
 
 
+def _senders(t: int) -> str:
+    return f"(senders {t})"
+
+
+def _heard(t: int, p: int) -> str:
+    return f"(heard {t} {p})"
+
+
 def _any(terms: list[str]) -> str:
     if len(terms) == 1:
         return terms[0]
     return f"(or {' '.join(terms)})" if terms else "false"
+
+
+def _sum(terms: list[str]) -> str:
+    return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
 
 
 _SILENT = "(- 1)"
@@ -110,6 +129,9 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         "(declare-fun listen (Int Int) Bool)",
         "(declare-fun transmit (Int Int) Int)",
         "(declare-fun knows (Int Int Int) Bool)",
+        "; senders t: transmitters in slot t; heard t p: packet codes p's speakers send",
+        "(declare-fun senders (Int) Int)",
+        "(declare-fun heard (Int Int) Int)",
     )
     lines: list[str] = []
 
@@ -140,22 +162,24 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         add(f"(=> (= {_tx(t, p)} {k}) {_knows(t, p, k)})", L.R5_TRANSMIT_ONLY_KNOWN, t=t, p=p, k=k)
     for t, p, k in facts:
         add(f"(=> {_knows(t, p, k)} {_knows(t + 1, p, k)})", L.R6_NEVER_FORGETS, t=t, p=p, k=k)
-    # Audibility is folded into the learning equalities, so the hears
-    # relation needs no assertions of its own. A listener learns k from an
-    # audible speaker s that sends k while every other process is silent.
+    # Audibility is folded into heard, so the hears relation needs no
+    # assertions of its own. senders and heard are defined only where a
+    # learning equality reads them: with packets, for listeners with speakers.
     speakers: list[list[int]] = [[] for _ in range(P)]
     for listener, speaker in sorted(spec.topology.hears):
         speakers[listener].append(speaker)
-
-    @cache
-    def alone(t: int, s: int) -> str:
-        return " ".join(f"(= {_tx(t, q)} {_SILENT})" for q in range(P) if q != s)
-
+    listeners = [p for p in range(P) if speakers[p]] if M else []
+    for t in range(T if listeners else 0):
+        count = _sum([f"(ite {_sends(t, q)} 1 0)" for q in range(P)])
+        add(f"(= {_senders(t)} {count})", L.R7_COLLISION_FREE_LEARNING, "senders", t=t)
+        for p in listeners:
+            codes = _sum([f"(ite (> {_tx(t, s)} 0) {_tx(t, s)} 0)" for s in speakers[p]])
+            add(f"(= {_heard(t, p)} {codes})", L.R7_COLLISION_FREE_LEARNING, "heard", t=t, p=p)
     for t, p, k in facts:
         rhs = _knows(t, p, k)
         if speakers[p]:
-            learn = _any([f"(and (= {_tx(t, s)} {k}) {alone(t, s)})" for s in speakers[p]])
-            rhs = f"(or {rhs} (and {_listen(t, p)} {learn}))"
+            learn = f"(and {_listen(t, p)} (= {_senders(t)} 1) (= {_heard(t, p)} {k}))"
+            rhs = f"(or {rhs} {learn})"
         add(f"(= {_knows(t + 1, p, k)} {rhs})", L.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k)
     if L.GOAL_DEADLINE in families:
         for p, k in holdings:

@@ -2,14 +2,23 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import stat
 import subprocess
 
 import pytest
 
-from protoforge.actions import LISTEN, SLEEP, transmit
+from protoforge.actions import LISTEN, SLEEP, action_domain, transmit
 from protoforge.encoder import describe, encode
-from protoforge.model import LivenessMode, RequirementLabel, GoalKind, Topology
+from protoforge.model import (
+    GoalKind,
+    LivenessMode,
+    NetworkSpec,
+    RequirementLabel,
+    Topology,
+    topology_all,
+    topology_line,
+)
 from protoforge.smt import (
     ExternalSolverError,
     SmtResponseError,
@@ -21,8 +30,8 @@ from protoforge.smt import (
     run_external,
     tokenize,
 )
-from protoforge.solver import solve
-from protoforge.trace import validate
+from protoforge.solver import SearchConfig, SolveStatus, solve
+from protoforge.trace import ProtocolTrace, validate
 from conftest import make_spec
 
 L = RequirementLabel
@@ -58,8 +67,11 @@ def test_no_standalone_topology_assertions():
     doc = emit_smtlib(make_spec(processes=3, packets=1, horizon=2, topology="line"))
     assert not any("TOPO_HearsRelation" in a for a in doc.assertions)
     # the hears relation shows up inside the learning equalities instead
-    r7 = [a for a in doc.assertions if "R7_CollisionFreeLearning" in a]
+    r7 = [a for a in doc.assertions if "|R7_CollisionFreeLearning@" in a]
     assert len(r7) == 6
+    # read through one sender count per slot and one heard code per listener
+    assert sum("|R7_CollisionFreeLearning.senders@" in a for a in doc.assertions) == 2
+    assert sum("|R7_CollisionFreeLearning.heard@" in a for a in doc.assertions) == 4
 
 
 def test_liveness_assertions_per_kind_and_false_at_horizon_zero():
@@ -78,38 +90,58 @@ def test_emit_is_deterministic():
     assert emit_smtlib(spec).text == emit_smtlib(spec).text
 
 
+def test_text_is_rendered_once_and_stays_out_of_equality():
+    spec = make_spec(processes=3, packets=2, horizon=2, topology="line")
+    doc, twin = emit_smtlib(spec), emit_smtlib(spec)
+    assert doc.text is doc.text
+    assert doc == twin and hash(doc) == hash(twin)
+
+
+def _r7_bytes(doc):
+    return sum(len(a) for a in doc.assertions if "|R7_CollisionFreeLearning" in a)
+
+
+def test_document_grows_linearly_in_processes():
+    # R7 must stay O(T·P·(M + speakers)). Spelling out every other process's
+    # silence in each learning equality is O(T·P²·M·speakers): 16.3 MB for
+    # the first document, and R7 growing 3.45x from P=8 to P=16.
+    assert len(emit_smtlib(make_spec(18, 6, 18, topology="all")).text) < 1_500_000
+    small, large = (emit_smtlib(make_spec(P, 3, 10, topology="line")) for P in (8, 16))
+    assert _r7_bytes(large) <= 2.2 * _r7_bytes(small)
+
+
 EACH = LivenessMode.EACH_ACTION_ONCE
 # name: (spec, sha256 of the SMT-LIB text, sha256 of describe(encode(spec)).render())
 GOLDEN = {
     "line3": (
         make_spec(),
-        "4b6881a74582d3cf0b563b87812da107747f66870eceb22ce695f1761ae19f23",
+        "c5bea5633027cf59c995e0c73bb089890b9760ea215f0a861639d0efe4183fef",
         "f61cd13855480cd1ef9a30f2231d9772a1ffeb94a05e0bb5eb6afc9b6ca578f3",
     ),
     "all P=4 M=2 T=2, liveness": (
         make_spec(processes=4, packets=2, horizon=2, topology="all", liveness=EACH),
-        "a84ebd63c69527304c9fa8dc8990ded9f4426e5a466c16e20a61fd2f0f697783",
+        "5f942a85df0ee63b0f8ac86cdf1b7a9b11e034cbf0cebf577b5e692a4bb11cc9",
         "f7b227264757dcf26756e54416c1b5f166b39989c9b0b6c9ac2a54bf7568f766",
     ),
     "explicit, process 3 isolated": (
         make_spec(processes=4, packets=2, horizon=3, source=1,
                   topology=Topology(frozenset({(1, 0), (0, 1), (2, 1)}))),
-        "38491bf129ccb419af064d5e03c8c86ffd47ffec3141a4509c58293efd7c0d95",
+        "9638f64a6297748e795d7f903aed2ea7fe1cdef8d272b30dd9a1b796e72b3f8f",
         "c12bc101e990aa2a5f421a3ece45855b06121a9c706a653385d78ce027bc4835",
     ),
     "T=0, liveness": (
         make_spec(horizon=0, liveness=EACH),
-        "b7d9e87d4b85ae52ea486aae6f79122f68a8acb014fcc727458920d979a52249",
+        "c6610db195f1058a3fe47b29ac308aaf52c13a545a4d7adaafb32a30cf6090b9",
         "a85e0c31ac1aa84d7a5e2a59445a319788fb3774b204d43e1533922a495a5301",
     ),
     "M=0": (
         make_spec(packets=0, horizon=2, topology="all"),
-        "b8b6cec2d3d09c9142bb04d425f0ba35fe0d672946e8dc9ee315a3f49564e957",
+        "b555e46108307e5622afad04cb6186e0aaeaf3c20e3f5676e4a496c152dfda8c",
         "cd95ecd05d036ad7da4f5df2add06eca0e29a4b8b00c2518728d354fa6226c17",
     ),
     "P=1 T=1, liveness": (
         make_spec(processes=1, packets=2, horizon=1, liveness=EACH),
-        "d78ede46c757a8caa6e17ff163077610b624d496172eeed91b0197b6c384c250",
+        "cdb362e6bf18713db8491f408ad00ae76fea14279d8f9a11b0262455dc5c6da0",
         "8c0f5e89c6f7bb973ba8059aa15b12753479396ea9dfbe46097c088eb3c227f8",
     ),
 }
@@ -127,7 +159,8 @@ def test_tokenizer_preserves_document_tokens():
     tokens = tokenize(doc.text)
     assert tokens.count("(") == tokens.count(")")
     exprs = parse_sexprs(doc.text)
-    assert len(exprs) == len(doc.header) + 4 + len(doc.assertions) + len(doc.footer)
+    declared = sum(line.startswith("(declare-fun") for line in doc.declarations)
+    assert len(exprs) == len(doc.header) + declared + len(doc.assertions) + len(doc.footer)
 
 
 def test_tokenizer_handles_quoted_forms():
@@ -315,3 +348,231 @@ def test_value_response_raises_only_response_errors(text):
     spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
     with pytest.raises(SmtResponseError):
         parse_value_response(text, spec)
+
+
+# An evaluator for the fragment the document uses. sleep, listen, transmit
+# and knows come from a trace; any other declared function is defined by the
+# first assertion of the form (= (f args) e), and reading it earlier fails.
+# No SMT solver is needed, so the emitted text is checked on every run.
+
+SUPPLIED = frozenset({"sleep", "listen", "transmit", "knows"})
+# operator: (fewest, most) arguments, None for no limit
+OPERATORS = {
+    "and": (2, None), "or": (2, None), "not": (1, 1), "=>": (2, None),
+    "=": (2, None), "ite": (3, 3), "+": (2, None), "-": (1, None),
+    ">=": (2, None), "<=": (2, None), ">": (2, None),
+}
+COMMANDS = frozenset({
+    "set-option", "set-logic", "declare-fun", "assert",
+    "check-sat", "get-value", "get-unsat-core", "exit",
+})
+
+
+def _declared(doc) -> dict[str, int]:
+    """Each declared function's name and arity."""
+    return {c[1]: len(c[2]) for c in parse_sexprs("\n".join(doc.declarations))}
+
+
+def _ints(values):
+    assert all(type(v) is int for v in values), values
+    return values
+
+
+def _bools(values):
+    assert all(type(v) is bool for v in values), values
+    return values
+
+
+class Evaluator:
+    def __init__(self, functions, trace):
+        self.functions = functions
+        self.values = {}
+        for t, row in enumerate(trace.actions):
+            for p, act in enumerate(row):
+                self.values["sleep", t, p] = act.kind is SLEEP.kind
+                self.values["listen", t, p] = act.kind is LISTEN.kind
+                self.values["transmit", t, p] = act.content if act.is_transmit else -1
+        for t, krow in enumerate(trace.knowledge):
+            for p, packets in enumerate(krow):
+                for k, held in enumerate(packets, 1):
+                    self.values["knows", t, p, k] = held
+
+    def key(self, app):
+        head, *args = app
+        assert len(args) == self.functions[head], app
+        return (head, *(int(a) for a in args))
+
+    def value(self, term):
+        if isinstance(term, str):
+            return term == "true" if term in ("true", "false") else int(term)
+        head, *args = term
+        if head in self.functions:
+            key = self.key(term)
+            assert key in self.values, f"{key} is read before it is defined"
+            return self.values[key]
+        v = [self.value(a) for a in args]
+        if head == "and":
+            return all(_bools(v))
+        if head == "or":
+            return any(_bools(v))
+        if head == "not":
+            return not _bools(v)[0]
+        if head == "=>":
+            *premises, conclusion = _bools(v)
+            return not all(premises) or conclusion
+        if head == "=":
+            assert len({type(x) for x in v}) == 1, term
+            return all(x == v[0] for x in v)
+        if head == "ite":
+            return v[1] if _bools(v[:1])[0] else v[2]
+        if head == "+":
+            return sum(_ints(v))
+        if head == "-":
+            return -_ints(v)[0] if len(v) == 1 else v[0] - sum(_ints(v)[1:])
+        comparisons = {">=": int.__ge__, "<=": int.__le__, ">": int.__gt__}
+        return all(comparisons[head](a, b) for a, b in zip(_ints(v), v[1:]))
+
+    def holds(self, expr) -> bool:
+        """Evaluates one assertion body, first binding a definition."""
+        if expr[0] == "=" and isinstance(expr[1], list) and expr[1][0] not in SUPPLIED:
+            key = self.key(expr[1])
+            if key not in self.values:
+                self.values[key] = self.value(expr[2])
+                return True
+        return _bools([self.value(expr)])[0]
+
+
+def falsified(doc, traces):
+    """For each trace, the families with an assertion it falsifies."""
+    functions = _declared(doc)
+    named = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
+    out = []
+    for trace in traces:
+        ev = Evaluator(functions, trace)
+        out.append({label_of_assertion_name(name) for _, expr, _, name in named
+                    if not ev.holds(expr)})
+    return out
+
+
+def _random_spec(rng):
+    P = rng.randint(1, 5)
+    pairs = [(l, s) for l in range(P) for s in range(P) if l != s]
+    topo = rng.choice([
+        topology_all(P),
+        topology_line(P),
+        Topology(frozenset(q for q in pairs if rng.random() < 0.5)),
+    ])
+    return NetworkSpec(
+        P, rng.randint(0, 3), rng.randint(0, 4), rng.randrange(P), topo,
+        rng.choice(list(LivenessMode)), rng.choice(list(GoalKind)),
+    )
+
+
+def test_solved_traces_satisfy_every_assertion():
+    rng = random.Random(7001)
+    specs = [spec for spec, _, _ in GOLDEN.values()]
+    specs += [_random_spec(rng) for _ in range(100)]
+    checked = 0
+    for spec in specs:
+        result = solve(encode(spec), SearchConfig(node_limit=5_000))
+        if result.status is SolveStatus.SAT:
+            assert falsified(emit_smtlib(spec), [result.trace]) == [set()], spec
+            checked += 1
+    assert checked >= 50
+
+
+def _mutants(rng, spec, count):
+    """Random schedules, some with an unknown packet code M+1 or garbage,
+    and some with knowledge bits flipped after the derivation. Half the
+    slots have one transmitter, so that listeners learn."""
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    domain = action_domain(M) + (transmit(M + 1),)
+
+    def slot():
+        acts = [rng.choice(domain) for _ in range(P)]
+        if rng.random() < 0.5:
+            acts = [rng.choice((LISTEN, LISTEN, SLEEP)) for _ in range(P)]
+            acts[rng.randrange(P)] = transmit(rng.randint(0, M + 1))
+        return acts
+
+    for _ in range(count):
+        actions = [slot() for _ in range(T)]
+        trace = ProtocolTrace.from_actions(spec, actions)
+        grid = [[list(packets) for packets in row] for row in trace.knowledge]
+        if M and rng.random() < 0.6:
+            for _ in range(rng.randint(1, 3)):
+                packets = grid[rng.randint(0, T)][rng.randrange(P)]
+                k = rng.randrange(M)
+                packets[k] = not packets[k]
+        yield ProtocolTrace(spec, trace.actions,
+                            tuple(tuple(map(tuple, row)) for row in grid))
+
+
+def test_falsified_families_match_the_validator():
+    rng = random.Random(7002)
+    compared = 0
+    for _ in range(200):
+        spec = _random_spec(rng)
+        traces = list(_mutants(rng, spec, 5))
+        for trace, families in zip(traces, falsified(emit_smtlib(spec), traces)):
+            expected = {v.label for v in validate(trace)}
+            if L.R6_NEVER_FORGETS in expected:
+                expected.add(L.R7_COLLISION_FREE_LEARNING)  # a forgotten packet breaks R7's equality
+            assert families == expected, (spec, trace)
+            compared += 1
+    assert compared == 1000
+
+
+def test_evaluator_reads_definitions_only_after_they_are_made():
+    spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
+    trace = ProtocolTrace.from_actions(spec, [[LISTEN]])
+    ev = Evaluator({"listen": 2, "heard": 2}, trace)
+    with pytest.raises(AssertionError, match="before it is defined"):
+        ev.holds(["=", "1", ["heard", "0", "0"]])
+    assert ev.holds(["=", ["heard", "0", "0"], ["ite", ["listen", "0", "0"], "3", "0"]])
+    assert ev.value(["heard", "0", "0"]) == 3
+    assert not ev.holds(["=", ["heard", "0", "0"], "2"])
+
+
+def _lint(doc):
+    """Every application is a declared function at its arity or a fragment
+    operator at an arity it takes; every assertion has a unique name."""
+    commands = parse_sexprs(doc.text)
+    functions = _declared(doc)
+
+    def check(term):
+        if isinstance(term, str):
+            assert term in ("true", "false") or term.isdigit(), term
+            return
+        head, *args = term
+        if head in functions:
+            assert len(args) == functions[head], term
+            assert all(isinstance(a, str) and a.isdigit() for a in args), term
+            return
+        assert head in OPERATORS, term
+        fewest, most = OPERATORS[head]
+        assert fewest <= len(args) and (most is None or len(args) <= most), term
+        for arg in args:
+            check(arg)
+
+    names = []
+    for command in commands:
+        assert command[0] in COMMANDS, command
+        if command[0] == "assert":
+            bang, expr, key, name = command[1]
+            assert (bang, key) == ("!", ":named"), command
+            check(expr)
+            names.append(name)
+        elif command[0] == "get-value":
+            for term in command[1]:
+                check(term)
+    assert len(names) == len(set(names))
+
+
+def test_documents_apply_only_declared_functions_and_fragment_operators():
+    rng = random.Random(7003)
+    pairs = [(l, s) for l in range(6) for s in range(6) if l != s]
+    explicit = make_spec(processes=6, packets=2, horizon=4, source=rng.randrange(6),
+                         topology=Topology(frozenset(rng.sample(pairs, 12))))
+    for spec in [spec for spec, _, _ in GOLDEN.values()] + [explicit]:
+        _lint(emit_smtlib(spec))
