@@ -26,6 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+# Size limits on problems read from text, checked before anything grows
+# with them: at most this many processes (so an `all` relation has at most
+# ~1M pairs), and at most this many facts (horizon + 1) * processes *
+# max(packets, 1) in the knowledge grid a trace file holds.
+MAX_PROCESSES = 1024
+MAX_FACTS = 2 ** 24
+
 
 class LivenessMode(Enum):
     OFF = "off"
@@ -182,8 +189,19 @@ def _assemble(
     fields: dict[str, object], hears: set[tuple[int, int]] | None
 ) -> NetworkSpec:
     """Builds the spec, which checks itself, from checked fields; `hears`
-    is None when the source gives no hears entries."""
-    processes = fields["processes"]
+    is None when the source gives no hears entries. The size limits are
+    checked first, so an oversized problem builds nothing."""
+    processes, horizon = fields["processes"], fields["horizon"]
+    oversized = []
+    if processes > MAX_PROCESSES:
+        oversized.append(f"processes must be <= {MAX_PROCESSES}, got {processes}")
+    facts = (horizon + 1) * processes * max(fields["packets"], 1)
+    if processes >= 1 and horizon >= 0 and facts > MAX_FACTS:
+        oversized.append(
+            f"(horizon + 1) * processes * max(packets, 1) must be <= {MAX_FACTS}, got {facts}"
+        )
+    if oversized:
+        raise SpecValidationError(oversized)
     if fields["topology"] == "all":
         topology = topology_all(processes)
     elif fields["topology"] == "line":

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .actions import Action, LISTEN, transmit
+from .actions import Action, LISTEN, action_domain
 from .model import NetworkSpec, RequirementLabel, spec_as_dict
 from .trace import (
     KnowledgeRow,
     ProtocolTrace,
     Violation,
     all_known,
+    audiences,
     initial_knowledge,
+    knowledge_table,
     step_knowledge,
     validate,
 )
@@ -93,7 +95,7 @@ def _report(
             concurrent += 1
         for p, act in enumerate(row):
             per[p] += power.active_cost if act.is_active else power.idle_cost
-    completion = next((t for t, row in enumerate(grid) if all_known(row)), None)
+    completion = next((t for t, row in enumerate(grid) if all_known(row, spec.processes)), None)
     return SimReport(
         spec=spec,
         power=power,
@@ -140,18 +142,21 @@ def run_baseline(
     if max_slots < 0:
         raise ValueError("max_slots must be >= 0")
     P, M = spec.processes, spec.packets
+    sends = action_domain(M)[2:-1]  # packets 1..M
+    audience = audiences(spec)
     know: list[KnowledgeRow] = [initial_knowledge(spec)]
     rows: list[tuple[Action, ...]] = []
     tx_count = [0] * P
-    while not all_known(know[-1]) and len(rows) < max_slots:
-        acts = []
+    while not all_known(know[-1], P) and len(rows) < max_slots:
+        full = -1  # the processes that hold every packet
+        for holders in know[-1]:
+            full &= holders
+        acts = [LISTEN] * P
         for p in range(P):
-            if all(know[-1][p]):
-                acts.append(transmit(tx_count[p] % M + 1))
+            if full >> p & 1:
+                acts[p] = sends[tx_count[p] % M]
                 tx_count[p] += 1
-            else:
-                acts.append(LISTEN)
-        know.append(step_knowledge(know[-1], acts, spec.topology, carrier_sense=True))
+        know.append(step_knowledge(know[-1], acts, audience, carrier_sense=True))
         rows.append(tuple(acts))
     trace = ProtocolTrace(
         replace(spec, horizon=len(rows)), tuple(rows), tuple(know)
@@ -238,7 +243,7 @@ def report_as_dict(report: SimReport) -> dict:
             "idle_cost": report.power.idle_cost,
         },
         "slots_run": report.slots_run,
-        "delivered": [list(row) for row in report.delivered],
+        "delivered": knowledge_table(report.delivered, report.spec.processes),
         "per_process_power": list(report.per_process_power),
         "total_power": report.total_power,
         "concurrent_tx_slots": report.concurrent_tx_slots,
@@ -258,8 +263,9 @@ def render_report(report: SimReport) -> str:
         lines.append(f"completed: yes (slot {report.completion_slot})")
     else:
         lines.append("completed: no")
+    held = knowledge_table(report.delivered, report.spec.processes)
     delivered = " ".join(
-        f"p{p}:{sum(row)}/{report.spec.packets}" for p, row in enumerate(report.delivered)
+        f"p{p}:{sum(row)}/{report.spec.packets}" for p, row in enumerate(held)
     )
     lines.append(f"delivered: {delivered}")
     return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from itertools import product
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families
-from .trace import ProtocolTrace, derive_knowledge
+from .trace import ProtocolTrace, derive_knowledge, knowledge_table
 
 
 class SmtResponseError(ValueError):
@@ -369,13 +369,14 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
     grid = derive_knowledge(spec, actions)
     if M > 0:
         for t in range(T + 1):
+            held = knowledge_table(grid[t], P)
             for p in range(P):
                 for k in range(1, M + 1):
                     if (t, p, k) not in knows:
                         raise SmtResponseError(
                             f"missing value for knows at t={t}, p={p}, k={k}"
                         )
-                    if knows[(t, p, k)] != grid[t][p][k - 1]:
+                    if knows[(t, p, k)] != held[p][k - 1]:
                         raise SmtResponseError(
                             f"knowledge mismatch at t={t}, p={p}, k={k}"
                         )

@@ -4,8 +4,8 @@ minimum-horizon search, and unsat-core minimization.
 The engine is a depth-first backtracker. Variables are cells in (slot,
 process) order; values follow the fixed order of actions.action_domain:
 sleep, listen, packets ascending, garbage (quiet schedules first).
-Knowledge is recomputed once per completed slot, by the learning rule the
-enabled families imply, and never searched over.
+Knowledge, holder masks as in trace, is recomputed once per completed slot,
+by the learning rule the enabled families imply, and never searched over.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -24,8 +24,8 @@ reproducible. SolveStats counts the branches each one cuts.
     - the rounds until everyone holds the packet if, each round, every
       eligible sender (a holder, or anyone with R5 dropped) sent it at
       once; infinite when that stops short of everyone, and
-    - ceil(missing / deg), where deg is the largest audience of any
-      speaker under learning_topology.
+    - ceil(missing / deg), where deg is the most listeners any speaker
+      has in trace.audiences, the masks the learning rule reads.
   This is admissible. Only a lone transmitter delivers, so a slot
   advances at most one packet; that packet's new holders lie within one
   round of the old ones, and number at most deg; and cover only falls as
@@ -66,9 +66,9 @@ from .model import (
 from .trace import (
     ProtocolTrace,
     all_known,
+    audiences,
     initial_knowledge,
     learning_rule,
-    learning_topology,
     satisfies,
 )
 
@@ -143,11 +143,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     def result(status: SolveStatus, **fields) -> SolveResult:
         return SolveResult(status, stats=SolveStats(nodes, **cuts), **fields)
 
-    # audience[s]: bitmask of who hears s under the learning rule
-    audience = [0] * P
-    if check_goal and not free_learning:
-        for listener, speaker in learning_topology(spec, enabled).hears:
-            audience[speaker] |= 1 << listener
+    audience = audiences(spec, enabled)
     deg = max(a.bit_count() for a in audience)
     everyone = (1 << P) - 1
 
@@ -168,20 +164,19 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
 
     know: list = [initial_knowledge(spec)]
-    must_lower: list[list[int] | None] = [None] * T  # holder masks, when the slot must lower need
+    must_lower: list = [None] * T  # the knowledge row, when the slot must lower need
 
     def within_reach(t: int, row) -> bool:
         """Whether the goal is in reach of `row`, the knowledge at the start
-        of slot t; when slot t must lower need, notes the packets' holders."""
+        of slot t; when slot t must lower need, notes the row."""
         if free_learning:
-            return t < T or all_known(row)
-        held = [sum(row[p][k] << p for p in range(P)) for k in range(M)]
-        need = sum(map(cover, held))
+            return t < T or all_known(row, P)
+        need = sum(map(cover, row))
         if t < T:
-            must_lower[t] = held if need == T - t else None
+            must_lower[t] = row if need == T - t else None
         return need <= T - t
 
-    def slot_can_lower(t: int, p: int, held: list[int]) -> bool:
+    def slot_can_lower(t: int, p: int, held) -> bool:
         """Whether some completion of slot t's row, its cells 0..p assigned,
         lowers some packet's cover. Cover only falls as holders grow, so
         only the completion in which every later cell listens is tried."""
@@ -233,7 +228,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             nodes += 1
             if check_r5:
                 k = act.packet
-                if k is not None and not know[t][p][k - 1]:
+                if k is not None and not know[t][k - 1] >> p & 1:
                     cuts["r5"] += 1
                     continue
             newly = check_live and kind_counts[p][act.kind] == 0

@@ -1,14 +1,16 @@
 """Slot semantics: how listeners learn packets, how schedules are checked,
 and the trace file format.
 
-A trace records one action per process per slot plus the knowledge grid
-that results (who holds which packet at each time index). Learning follows
+A trace records one action per process per slot plus the knowledge that
+results: a holder bitmask per packet and time index, so process p holds
+packet k at time t when ``knowledge[t][k - 1] >> p & 1``. Learning follows
 the shared-channel rule: a listener gains packet k in a slot exactly when
 the whole network has a single transmitter, that transmitter is audible to
 the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
 nothing, and nothing once learned is ever lost. step_knowledge is the one
-place this rule is written; learning_rule decides, for the search, the
+place this rule is written, over the listener bitmasks that audiences
+gives per speaker; learning_rule and audiences decide, for the search, the
 oracle and the validator alike, what dropping R7 or TOPO does to it.
 
 The validator here is the package's independent referee: it re-derives
@@ -18,8 +20,8 @@ so solver results can be checked against it.
 Trace files are JSON with fields in fixed order: ``spec`` (the embedded
 problem, same keys as the problem file format), ``actions`` (T rows of P
 strings: "sleep" | "listen" | "tx:<code>"), and ``knowledge`` ((T+1) x P x
-M booleans). A knowledge field is optional on read; when present it is
-compared against the grid re-derived from the actions.
+M booleans, from knowledge_table). A knowledge field is optional on read;
+when present it is compared against the grid re-derived from the actions.
 """
 
 from __future__ import annotations
@@ -34,14 +36,12 @@ from .model import (
     NetworkSpec,
     RequirementLabel,
     SpecError,
-    Topology,
     requirement_families,
     spec_as_dict,
     spec_from_dict,
-    topology_all,
 )
 
-KnowledgeRow = tuple[tuple[bool, ...], ...]
+KnowledgeRow = tuple[int, ...]  # one holder bitmask per packet
 KnowledgeGrid = tuple[KnowledgeRow, ...]
 
 
@@ -51,39 +51,53 @@ class TraceFormatError(ValueError):
 
 def initial_knowledge(spec: NetworkSpec) -> KnowledgeRow:
     """Time-0 knowledge: the source holds every packet, nobody else holds any."""
-    return tuple(
-        tuple(p == spec.source for _ in range(spec.packets))
-        for p in range(spec.processes)
-    )
+    return (1 << spec.source,) * spec.packets
+
+
+def audiences(
+    spec: NetworkSpec, enabled: Iterable[RequirementLabel] | None = None
+) -> tuple[int, ...]:
+    """One listener bitmask per speaker under the learning rule: the spec's
+    hears relation, or everyone else when TOPO is dropped."""
+    P = spec.processes
+    if RequirementLabel.TOPO_HEARS_RELATION not in _enabled_set(enabled):
+        return tuple(((1 << P) - 1) ^ (1 << s) for s in range(P))
+    audience = [0] * P
+    for listener, speaker in spec.topology.hears:
+        audience[speaker] |= 1 << listener
+    return tuple(audience)
 
 
 def step_knowledge(
     now: KnowledgeRow,
     acts: Sequence[Action],
-    topology: Topology,
+    audience: Sequence[int],
     carrier_sense: bool = False,
 ) -> KnowledgeRow:
     """One slot of the learning rule; the only place a listener gains a packet.
 
-    A listener gains packet k when exactly one transmitter contends for its
-    ear, that transmitter is audible to it, and it is sending packet k. On
-    the shared channel every transmitter in the network contends; with
-    carrier_sense only the ones the listener can hear do, so traffic it
-    cannot hear does not jam it. Garbage occupies the channel but delivers
-    nothing. Knowledge never shrinks.
+    A listener gains packet k when it hears a transmitter sending k and is
+    not jammed, that is, no two transmitters that contend for its ear both
+    send. On the shared channel every transmitter contends for every ear;
+    with carrier_sense only its audience, so traffic a listener cannot hear
+    does not jam it. Garbage occupies the channel but delivers nothing.
+    Knowledge never shrinks.
     """
-    transmitters = [p for p, act in enumerate(acts) if act.is_transmit]
-    if not transmitters or (len(transmitters) > 1 and not carrier_sense):
-        return now  # silence, or a collision on the shared channel
-    nxt = []
-    for p, row in enumerate(now):
-        if acts[p].kind is ActionKind.LISTEN:
-            heard = [s for s in transmitters if (p, s) in topology.hears]
-            if len(heard) == 1:
-                packet = acts[heard[0]].packet
-                if packet is not None and packet <= len(row):
-                    row = row[: packet - 1] + (True,) + row[packet:]
-        nxt.append(row)
+    listening = once = jammed = 0
+    senders = []
+    for p, act in enumerate(acts):
+        if act.kind is ActionKind.LISTEN:
+            listening |= 1 << p
+        elif act.kind is ActionKind.TRANSMIT:
+            contends = audience[p] if carrier_sense else -1  # -1: every process
+            jammed |= once & contends
+            once |= contends
+            senders.append(p)
+    nxt = list(now)
+    for s in senders:
+        packet = acts[s].packet
+        if packet is not None and packet <= len(nxt):
+            nxt[packet - 1] |= audience[s] & listening & ~jammed
     return tuple(nxt)
 
 
@@ -92,28 +106,15 @@ def learning_rule(
 ) -> Callable[[KnowledgeRow, Sequence[Action]], KnowledgeRow]:
     """The slot transition that the enabled requirement families imply.
 
-    With R7 enabled, listeners learn by step_knowledge over the spec's hears
-    relation, or over the complete graph when TOPO is dropped. With R7
-    dropped nothing limits learning, so every process holds every packet
-    after any slot.
+    With R7 enabled, listeners learn by step_knowledge over the audiences
+    the enabled families imply. With R7 dropped nothing limits learning, so
+    every process holds every packet after any slot.
     """
     enabled = _enabled_set(enabled)
     if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
-        everything = tuple(
-            tuple(True for _ in range(spec.packets)) for _ in range(spec.processes)
-        )
+        everything = ((1 << spec.processes) - 1,) * spec.packets
         return lambda now, acts: everything
-    return partial(step_knowledge, topology=learning_topology(spec, enabled))
-
-
-def learning_topology(
-    spec: NetworkSpec, enabled: frozenset[RequirementLabel]
-) -> Topology:
-    """Who can hear whom under the learning rule: the spec's hears relation,
-    or the complete graph when TOPO is dropped."""
-    if RequirementLabel.TOPO_HEARS_RELATION not in enabled:
-        return topology_all(spec.processes)
-    return spec.topology
+    return partial(step_knowledge, audience=audiences(spec, enabled))
 
 
 def derive_knowledge(
@@ -129,8 +130,20 @@ def derive_knowledge(
     return tuple(rows)
 
 
-def all_known(row: KnowledgeRow) -> bool:
-    return all(all(packets) for packets in row)
+def all_known(row: KnowledgeRow, processes: int) -> bool:
+    everyone = (1 << processes) - 1
+    return all(holders == everyone for holders in row)
+
+
+def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
+    """A knowledge row as the file and JSON forms hold it: entry [p][k - 1]
+    tells whether process p holds packet k."""
+    if not row:
+        return [[] for _ in range(processes)]
+    # each packet's holders as P booleans, process 0 first, then transposed
+    bit = {"0": False, "1": True}
+    columns = [map(bit.__getitem__, f"{holders:0{processes}b}"[::-1]) for holders in row]
+    return list(map(list, zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -151,9 +164,7 @@ class ProtocolTrace:
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
             )
         for t, krow in enumerate(self.knowledge):
-            if len(krow) != spec.processes or any(
-                len(packets) != spec.packets for packets in krow
-            ):
+            if len(krow) != spec.packets or any(holders >> spec.processes for holders in krow):
                 raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
 
     @classmethod
@@ -250,21 +261,19 @@ def _violations(
                     )
 
     if L.R4_INITIAL_KNOWLEDGE in enabled:
-        expected0 = initial_knowledge(spec)
-        for p in range(spec.processes):
-            wrong = [k for k in range(1, packets + 1) if grid[0][p][k - 1] != expected0[p][k - 1]]
-            if wrong:
-                role = "source" if p == spec.source else "non-source"
-                yield Violation(
-                    L.R4_INITIAL_KNOWLEDGE, 0, p,
-                    f"initial knowledge of {role} process {p} is wrong for packet(s) {wrong}",
-                )
+        wrong = [have ^ want for have, want in zip(grid[0], initial_knowledge(spec))]
+        for p, mistaken in _by_process(wrong):
+            role = "source" if p == spec.source else "non-source"
+            yield Violation(
+                L.R4_INITIAL_KNOWLEDGE, 0, p,
+                f"initial knowledge of {role} process {p} is wrong for packet(s) {mistaken}",
+            )
 
     if L.R5_TRANSMIT_ONLY_KNOWN in enabled:
         for t, row in enumerate(acts):
             for p, act in enumerate(row):
                 k = act.packet
-                if k is not None and k <= packets and not grid[t][p][k - 1]:
+                if k is not None and k <= packets and not grid[t][k - 1] >> p & 1:
                     yield Violation(
                         L.R5_TRANSMIT_ONLY_KNOWN, t, p,
                         f"process {p} transmits packet {k} at t={t} without knowing it",
@@ -272,35 +281,22 @@ def _violations(
 
     if L.R6_NEVER_FORGETS in enabled:
         for t in range(spec.horizon):
-            for p in range(spec.processes):
-                forgotten = [
-                    k for k in range(1, packets + 1)
-                    if grid[t][p][k - 1] and not grid[t + 1][p][k - 1]
-                ]
-                if forgotten:
-                    yield Violation(
-                        L.R6_NEVER_FORGETS, t, p,
-                        f"process {p} forgets packet(s) {forgotten} between t={t} and t={t + 1}",
-                    )
+            lost = [was & ~now for was, now in zip(grid[t], grid[t + 1])]
+            for p, forgotten in _by_process(lost):
+                yield Violation(
+                    L.R6_NEVER_FORGETS, t, p,
+                    f"process {p} forgets packet(s) {forgotten} between t={t} and t={t + 1}",
+                )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
         # Audibility folds into the learning test; dropping TOPO lifts it.
         learn = learning_rule(spec, enabled)
         for t in range(spec.horizon):
             expected = learn(grid[t], acts[t])
-            for p in range(spec.processes):
-                illegal = [
-                    k for k in range(1, packets + 1)
-                    if grid[t + 1][p][k - 1]
-                    and not grid[t][p][k - 1]
-                    and not expected[p][k - 1]
-                ]
-                missed = [
-                    k for k in range(1, packets + 1)
-                    if expected[p][k - 1]
-                    and not grid[t][p][k - 1]
-                    and not grid[t + 1][p][k - 1]
-                ]
+            before, after = grid[t], grid[t + 1]
+            gained = [now & ~was & ~legal for was, now, legal in zip(before, after, expected)]
+            dropped = [legal & ~was & ~now for was, now, legal in zip(before, after, expected)]
+            for p, illegal, missed in _by_process(gained, dropped):
                 if illegal:
                     yield Violation(
                         L.R7_COLLISION_FREE_LEARNING, t, p,
@@ -314,14 +310,25 @@ def _violations(
                     )
 
     if L.GOAL_DEADLINE in enabled:
-        final = grid[spec.horizon]
-        for p in range(spec.processes):
-            missing = [k for k in range(1, packets + 1) if not final[p][k - 1]]
-            if missing:
-                yield Violation(
-                    L.GOAL_DEADLINE, spec.horizon, p,
-                    f"process {p} misses packet(s) {missing} at the deadline t={spec.horizon}",
-                )
+        everyone = (1 << spec.processes) - 1
+        lacking = [everyone & ~holders for holders in grid[spec.horizon]]
+        for p, missing in _by_process(lacking):
+            yield Violation(
+                L.GOAL_DEADLINE, spec.horizon, p,
+                f"process {p} misses packet(s) {missing} at the deadline t={spec.horizon}",
+            )
+
+
+def _by_process(*families: Sequence[int]) -> Iterator[tuple]:
+    """For each process that some mask names, in id order: the process and,
+    per family of per-packet masks, the packets whose mask has its bit."""
+    union = 0
+    for masks in families:
+        for mask in masks:
+            union |= mask
+    for p in range(union.bit_length()):
+        if union >> p & 1:
+            yield p, *([k for k, m in enumerate(masks, 1) if m >> p & 1] for masks in families)
 
 
 def write_trace(trace: ProtocolTrace) -> str:
@@ -335,7 +342,8 @@ def write_trace(trace: ProtocolTrace) -> str:
         return "[\n" + ",\n".join(f"    {json.dumps(v)}" for v in values) + "\n  ]"
 
     actions = [[act.label for act in row] for row in trace.actions]
-    knowledge = [[list(packets) for packets in row] for row in trace.knowledge]
+    P = trace.spec.processes
+    knowledge = [knowledge_table(row, P) for row in trace.knowledge]
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
         f'  "actions": {rows(actions)},\n'
@@ -380,29 +388,23 @@ def read_trace(text: str) -> ProtocolTrace:
     trace = ProtocolTrace.from_actions(spec, actions)
 
     if "knowledge" in obj:
-        given = obj["knowledge"]
-        shape_ok = (
-            isinstance(given, list)
-            and len(given) == spec.horizon + 1
-            and all(
-                isinstance(row, list)
-                and len(row) == spec.processes
-                and all(
-                    isinstance(packets, list)
-                    and len(packets) == spec.packets
-                    and all(isinstance(v, bool) for v in packets)
-                    for packets in row
-                )
-                for row in given
-            )
-        )
-        if not shape_ok:
+        derived = [knowledge_table(row, spec.processes) for row in trace.knowledge]
+        if not _shaped_like(obj["knowledge"], derived):
             raise TraceFormatError("knowledge grid malformed")
-        for t, row in enumerate(given):
-            for p, packets in enumerate(row):
-                if tuple(packets) != trace.knowledge[t][p]:
+        for t, (row, derived_row) in enumerate(zip(obj["knowledge"], derived)):
+            for p, (packets, held) in enumerate(zip(row, derived_row)):
+                if packets != held:
                     raise TraceFormatError(
                         f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
                         "with the grid derived from the actions"
                     )
     return trace
+
+
+def _shaped_like(value: object, model: list) -> bool:
+    """Whether `value` nests lists exactly as `model` does, booleans at its leaves."""
+    if not isinstance(value, list) or len(value) != len(model):
+        return False
+    if model and not isinstance(model[0], list):
+        return all(isinstance(v, bool) for v in value)
+    return all(map(_shaped_like, value, model))

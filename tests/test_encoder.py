@@ -160,7 +160,7 @@ def test_every_assignment_that_validates_delivers():
         trace = ProtocolTrace.from_actions(spec, actions)
         if satisfies(trace, cs.enabled):
             seen_valid += 1
-            assert trace.knowledge[-1] == ((True,), (True,), (True,))
+            assert trace.knowledge[-1] == (0b111,)
     assert seen_valid > 0
 
 

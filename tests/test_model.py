@@ -21,6 +21,7 @@ from protoforge.model import (
     topology_all,
     topology_line,
 )
+from protoforge.cli import main
 from conftest import make_spec
 
 LINE3_TEXT = (
@@ -165,6 +166,62 @@ def test_topology_name_never_builds_the_complete_graph(monkeypatch):
     for name, specs_named in cases.items():
         for spec in specs_named:
             assert spec_as_dict(spec)["topology"] == name
+
+
+def _refuse(*args):
+    raise AssertionError("built before the size check")
+
+
+@pytest.mark.parametrize("topology", ["all", "line"])
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"processes": 100_000}, "processes must be <= 1024, got 100000"),
+        ({"packets": 10**30}, r"\(horizon \+ 1\) \* processes \* max\(packets, 1\) must be <= 16777216"),
+    ],
+)
+def test_size_limits_are_checked_before_a_relation_is_built(
+    monkeypatch, tmp_path, topology, sizes, message
+):
+    monkeypatch.setattr("protoforge.model.topology_all", _refuse)
+    monkeypatch.setattr("protoforge.model.topology_line", _refuse)
+    fields = {"processes": 3, "packets": 1, "horizon": 2, "source": 0, "topology": topology,
+              "liveness": "off", "goal": "all-know-all", **sizes}
+    text = "".join(f"{key} = {value}\n" for key, value in fields.items())
+    with pytest.raises(SpecValidationError, match=message):
+        parse_spec(text)
+    with pytest.raises(SpecValidationError, match=message):
+        spec_from_dict(fields)
+    path = tmp_path / "huge.spec"
+    path.write_text(text, encoding="utf-8")
+    assert main(["synth", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "processes, packets, horizon, ok",
+    [(1024, 1, 0, True), (1025, 0, 0, False),
+     (4, 1, 2**22 - 1, True), (4, 1, 2**22, False), (1, 2**24, 0, True), (1, 2**24 + 1, 0, False)],
+)
+def test_size_limits_are_inclusive(processes, packets, horizon, ok):
+    fields = {"processes": processes, "packets": packets, "horizon": horizon, "source": 0,
+              "topology": "explicit", "liveness": "off", "goal": "none"}
+    if ok:
+        spec_from_dict(fields)
+    else:
+        with pytest.raises(SpecValidationError, match="must be <="):
+            spec_from_dict(fields)
+
+
+def test_size_limits_leave_other_errors_and_derived_specs_alone():
+    fields = {"processes": -10**30, "packets": 1, "horizon": -10**30, "source": 0,
+              "topology": "all", "liveness": "off", "goal": "none"}
+    with pytest.raises(SpecValidationError) as err:
+        spec_from_dict(fields)
+    assert err.value.errors == ("processes must be >= 1", "horizon must be >= 0")
+    # a spec the library derives, such as a long baseline's action log, may
+    # pass the limits that input is held to
+    spec = make_spec(processes=1024, packets=16, horizon=0, topology=Topology(frozenset()))
+    assert replace(spec, horizon=2**20).horizon == 2**20
 
 
 def test_validate_bad_source():

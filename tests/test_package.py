@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import protoforge
 
 SOURCES = sorted(Path(protoforge.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -57,3 +60,44 @@ def test_only_the_model_reads_liveness_and_goal(path):
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert names & {"GoalKind", "LivenessMode"} == set()
     assert attributes & {"liveness", "goal"} == set()
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_relation_owners_read_hears(path):
+    # everything else reads who hears whom as trace.audiences' bitmasks
+    reads = any(
+        isinstance(node, ast.Attribute) and node.attr == "hears" for node in ast.walk(_tree(path))
+    )
+    assert not reads or path.name in ("model.py", "trace.py", "encoder.py", "smt.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_model_builds_all_and_line(path):
+    calls = {
+        node.func.id for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not calls & {"topology_all", "topology_line"} or path.name == "model.py"
+
+
+def test_a_failing_property_does_not_end_the_session(tmp_path):
+    # hypothesis imports libcst when a property fails; its deprecation
+    # warning must not turn into an INTERNALERROR that skips later tests
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n"
+        "def test_later():\n    pass\n",
+        encoding="utf-8",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -51,7 +51,7 @@ def test_all_sleep_costs_nothing_and_never_completes():
     report = simulate_trace(trace, PowerModel())
     assert report.total_power == 0
     assert not report.completed and report.completion_slot is None
-    assert report.delivered == ((True,), (False,))
+    assert report.delivered == (0b01,)  # packet 1 held by process 0 only
 
 
 def test_idle_cost_charged_for_sleep():

@@ -31,7 +31,7 @@ from protoforge.smt import (
     tokenize,
 )
 from protoforge.solver import SearchConfig, SolveStatus, solve
-from protoforge.trace import ProtocolTrace, validate
+from protoforge.trace import ProtocolTrace, knowledge_table, validate
 from conftest import make_spec
 
 L = RequirementLabel
@@ -207,7 +207,7 @@ def _response_for(trace):
                 f" ((transmit {t} {p}) {code_text}))"
             )
     for t, krow in enumerate(trace.knowledge):
-        for p, packets in enumerate(krow):
+        for p, packets in enumerate(knowledge_table(krow, spec.processes)):
             pairs = " ".join(
                 f"((knows {t} {p} {k + 1}) {'true' if val else 'false'})"
                 for k, val in enumerate(packets)
@@ -393,7 +393,7 @@ class Evaluator:
                 self.values["listen", t, p] = act.kind is LISTEN.kind
                 self.values["transmit", t, p] = act.content if act.is_transmit else -1
         for t, krow in enumerate(trace.knowledge):
-            for p, packets in enumerate(krow):
+            for p, packets in enumerate(knowledge_table(krow, trace.spec.processes)):
                 for k, held in enumerate(packets, 1):
                     self.values["knows", t, p, k] = held
 
@@ -498,14 +498,12 @@ def _mutants(rng, spec, count):
     for _ in range(count):
         actions = [slot() for _ in range(T)]
         trace = ProtocolTrace.from_actions(spec, actions)
-        grid = [[list(packets) for packets in row] for row in trace.knowledge]
+        grid = [list(row) for row in trace.knowledge]
         if M and rng.random() < 0.6:
             for _ in range(rng.randint(1, 3)):
-                packets = grid[rng.randint(0, T)][rng.randrange(P)]
-                k = rng.randrange(M)
-                packets[k] = not packets[k]
-        yield ProtocolTrace(spec, trace.actions,
-                            tuple(tuple(map(tuple, row)) for row in grid))
+                row, p = grid[rng.randint(0, T)], rng.randrange(P)
+                row[rng.randrange(M)] ^= 1 << p
+        yield ProtocolTrace(spec, trace.actions, tuple(map(tuple, grid)))
 
 
 def test_falsified_families_match_the_validator():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, transmit
-from protoforge.model import RequirementLabel, Topology, topology_all
+from protoforge.model import RequirementLabel, Topology
 from protoforge.trace import (
     ProtocolTrace,
     TraceFormatError,
     all_known,
+    audiences,
     derive_knowledge,
     initial_knowledge,
     read_trace,
@@ -27,47 +28,45 @@ L = RequirementLabel
 def test_step_single_transmitter_delivers():
     spec = make_spec(processes=3, packets=1, topology="all")
     now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), LISTEN, SLEEP), spec.topology)
-    assert nxt == ((True,), (True,), (False,))
+    nxt = step_knowledge(now, (transmit(1), LISTEN, SLEEP), audiences(spec))
+    assert nxt == (0b011,)
 
 
 def test_step_garbage_jams_the_channel():
     spec = make_spec(processes=3, packets=1, topology="all")
     now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), transmit(0), LISTEN), spec.topology)
+    nxt = step_knowledge(now, (transmit(1), transmit(0), LISTEN), audiences(spec))
     assert nxt == now
 
 
 def test_step_all_sleep_is_identity():
     spec = make_spec(processes=3, packets=2, topology="all")
     now = initial_knowledge(spec)
-    assert step_knowledge(now, (SLEEP, SLEEP, SLEEP), spec.topology) == now
+    assert step_knowledge(now, (SLEEP, SLEEP, SLEEP), audiences(spec)) == now
 
 
 def test_step_respects_hears_relation():
     spec = make_spec(processes=3, packets=1, topology="line")
     now = initial_knowledge(spec)
     # p2 listens but only hears p1, so p0's transmission is inaudible to it
-    nxt = step_knowledge(now, (transmit(1), LISTEN, LISTEN), spec.topology)
-    assert nxt == ((True,), (True,), (False,))
+    nxt = step_knowledge(now, (transmit(1), LISTEN, LISTEN), audiences(spec))
+    assert nxt == (0b011,)
 
 
 def test_step_transmitter_learns_nothing_from_itself():
     spec = make_spec(processes=2, packets=1, source=0, topology="all")
     now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), transmit(1)), spec.topology)
+    nxt = step_knowledge(now, (transmit(1), transmit(1)), audiences(spec))
     assert nxt == now
 
 
 def test_step_carrier_sense_ignores_inaudible_transmitters():
     # p0 and p3 both send packet 1; p1 hears only p0, p2 hears both
-    hears = Topology(frozenset({(1, 0), (2, 0), (2, 3)}))
-    now = ((True,), (False,), (False,), (True,))
+    spec = make_spec(processes=4, topology=Topology(frozenset({(1, 0), (2, 0), (2, 3)})))
+    now = (0b1001,)
     acts = (transmit(1), LISTEN, LISTEN, transmit(1))
-    assert step_knowledge(now, acts, hears, carrier_sense=True) == (
-        (True,), (True,), (False,), (True,)
-    )
-    assert step_knowledge(now, acts, hears) == now
+    assert step_knowledge(now, acts, audiences(spec), carrier_sense=True) == (0b1011,)
+    assert step_knowledge(now, acts, audiences(spec)) == now
 
 
 LINE3_ACTIONS = (
@@ -79,17 +78,13 @@ LINE3_ACTIONS = (
 def test_derive_line3_hand_stepped():
     spec = make_spec()
     grid = derive_knowledge(spec, LINE3_ACTIONS)
-    assert grid == (
-        ((True,), (False,), (False,)),
-        ((True,), (True,), (False,)),
-        ((True,), (True,), (True,)),
-    )
-    assert all_known(grid[2])
+    assert grid == ((0b001,), (0b011,), (0b111,))
+    assert all_known(grid[2], 3)
 
 
 def test_derive_horizon_zero():
     spec = make_spec(horizon=0)
-    assert derive_knowledge(spec, ()) == (((True,), (False,), (False,)),)
+    assert derive_knowledge(spec, ()) == ((0b001,),)
 
 
 def test_derive_all_sleep_fixpoint():
@@ -134,7 +129,7 @@ def test_validate_r2_out_of_range_content():
 def test_validate_catches_knowledge_tampering():
     spec = make_spec(processes=2, packets=1, horizon=1, topology="all")
     grid = derive_knowledge(spec, ((SLEEP, SLEEP),))
-    forged = (grid[0], ((True,), (True,)))
+    forged = (grid[0], (0b11,))
     trace = ProtocolTrace(spec, ((SLEEP, SLEEP),), forged)
     labels = {v.label for v in validate(trace)}
     assert L.R7_COLLISION_FREE_LEARNING in labels
@@ -217,6 +212,18 @@ def test_read_rejects_malformed_hears(hears, message):
         read_trace(json.dumps(doc))
 
 
+def test_read_rejects_an_oversized_embedded_spec_before_deriving(monkeypatch):
+    doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
+    doc["spec"]["packets"] = 10**30
+
+    def refuse(spec):
+        raise AssertionError("knowledge built before the size check")
+
+    monkeypatch.setattr("protoforge.trace.initial_knowledge", refuse)
+    with pytest.raises(TraceFormatError, match="embedded spec: .* must be <= 16777216"):
+        read_trace(json.dumps(doc))
+
+
 def test_read_rejects_short_row_with_a_lone_transmitter():
     doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
     doc["actions"][0] = ["tx:1"]
@@ -244,9 +251,8 @@ def test_knowledge_is_monotone(data):
     actions = data.draw(_action_rows(spec), label="actions")
     grid = derive_knowledge(spec, actions)
     for earlier, later in zip(grid, grid[1:]):
-        for p in range(spec.processes):
-            for k in range(spec.packets):
-                assert not (earlier[p][k] and not later[p][k])
+        for k in range(spec.packets):
+            assert earlier[k] & ~later[k] == 0
 
 
 @given(st.data())
@@ -262,6 +268,6 @@ def test_at_most_one_packet_gained_per_listener_per_slot(data):
     for earlier, later in zip(grid, grid[1:]):
         for p in range(spec.processes):
             gained = sum(
-                1 for k in range(spec.packets) if later[p][k] and not earlier[p][k]
+                1 for k in range(spec.packets) if (later[k] & ~earlier[k]) >> p & 1
             )
             assert gained <= 1
