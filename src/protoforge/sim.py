@@ -13,13 +13,18 @@ simultaneous traffic elsewhere does not block it. Synthesized schedules
 are replayed under the stricter whole-channel rule, which is why the
 comparison tracks slots with concurrent transmissions: any such slot means
 the schedule leans on collision handling rather than silence.
+
+The reference run stops stepping at its fixed point (see run_baseline);
+its trace and report are those of stepping every slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import cycle, islice
+from operator import attrgetter
 
-from .actions import Action, LISTEN, action_domain
+from .actions import Action, ActionKind, LISTEN, action_domain
 from .model import NetworkSpec, RequirementLabel, spec_as_dict
 from .trace import (
     KnowledgeRow,
@@ -27,9 +32,9 @@ from .trace import (
     Violation,
     all_known,
     audiences,
+    deliver,
     initial_knowledge,
     knowledge_table,
-    step_knowledge,
     validate,
 )
 
@@ -82,33 +87,6 @@ class SimReport:
     completion_slot: int | None
 
 
-def _report(
-    spec: NetworkSpec,
-    power: PowerModel,
-    actions: tuple[tuple[Action, ...], ...],
-    grid,
-) -> SimReport:
-    per = [0] * spec.processes
-    concurrent = 0
-    for row in actions:
-        if sum(1 for act in row if act.is_transmit) >= 2:
-            concurrent += 1
-        for p, act in enumerate(row):
-            per[p] += power.active_cost if act.is_active else power.idle_cost
-    completion = next((t for t, row in enumerate(grid) if all_known(row, spec.processes)), None)
-    return SimReport(
-        spec=spec,
-        power=power,
-        slots_run=len(actions),
-        delivered=grid[-1],
-        per_process_power=tuple(per),
-        total_power=sum(per),
-        concurrent_tx_slots=concurrent,
-        completed=completion is not None,
-        completion_slot=completion,
-    )
-
-
 def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> SimReport:
     """Replays a schedule slot by slot under the whole-channel learning rule;
     a clean guard check proves the trace's knowledge grid is that rule's."""
@@ -116,7 +94,13 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     bad = validate(trace, GUARD_LABELS)
     if bad:
         raise SimulationGuardError(bad)
-    return _report(trace.spec, power, trace.actions, trace.knowledge)
+    spec, T, grid = trace.spec, trace.spec.horizon, trace.knowledge
+    kinds = [list(map(attrgetter("kind"), row)) for row in trace.actions]
+    asleep = [column.count(ActionKind.SLEEP) for column in zip(*kinds)] or [0] * spec.processes
+    per = tuple(power.active_cost * (T - n) + power.idle_cost * n for n in asleep)
+    concurrent = sum(row.count(ActionKind.TRANSMIT) >= 2 for row in kinds)
+    done = next((t for t, row in enumerate(grid) if all_known(row, spec.processes)), None)
+    return SimReport(spec, power, T, grid[-1], per, sum(per), concurrent, done is not None, done)
 
 
 def default_max_slots(spec: NetworkSpec) -> int:
@@ -135,6 +119,11 @@ def run_baseline(
     actually run as its horizon, and its knowledge grid follows the
     carrier-sense rule) together with the usual report. The report keeps
     the caller's spec so it can be compared against a synthesized run.
+
+    A slot costs work in the full processes, the only senders. Each sends
+    every packet within M slots, so once the full set has held for M slots
+    nobody can join it: knowledge is final, the action rows repeat with
+    period M, and the slots left are filled in without being stepped.
     """
     power = power or PowerModel()
     if max_slots is None:
@@ -142,26 +131,42 @@ def run_baseline(
     if max_slots < 0:
         raise ValueError("max_slots must be >= 0")
     P, M = spec.processes, spec.packets
+    everyone = (1 << P) - 1
     sends = action_domain(M)[2:-1]  # packets 1..M
     audience = audiences(spec)
     know: list[KnowledgeRow] = [initial_knowledge(spec)]
     rows: list[tuple[Action, ...]] = []
-    tx_count = [0] * P
-    while not all_known(know[-1], P) and len(rows) < max_slots:
-        full = -1  # the processes that hold every packet
+    acts = [LISTEN] * P
+    full = since = 0  # the processes holding every packet, and since when
+    senders: list[tuple[int, int]] = []  # (process, slot it joined the full set)
+    concurrent = 0
+    while True:
+        joined = everyone
         for holders in know[-1]:
-            full &= holders
-        acts = [LISTEN] * P
-        for p in range(P):
-            if full >> p & 1:
-                acts[p] = sends[tx_count[p] % M]
-                tx_count[p] += 1
-        know.append(step_knowledge(know[-1], acts, audience, carrier_sense=True))
+            joined &= holders
+        t = len(rows)
+        if joined != full:  # walk the span of new members only
+            new = joined & ~full
+            low = (new & -new).bit_length() - 1
+            senders += [(p, t) for p in range(low, new.bit_length()) if new >> p & 1]
+            full, since = joined, t
+        if full == everyone or t == max_slots:
+            break
+        if t - since >= M:  # a fixed point: nobody can join the full set any more
+            rows += islice(cycle(rows[-M:]), max_slots - t)
+            know += [know[-1]] * (max_slots - t)
+            concurrent += (max_slots - t) * (len(senders) >= 2)
+            break
+        slot = [(p, (t - joined_at) % M + 1) for p, joined_at in senders]
+        for p, packet in slot:
+            acts[p] = sends[packet - 1]
         rows.append(tuple(acts))
-    trace = ProtocolTrace(
-        replace(spec, horizon=len(rows)), tuple(rows), tuple(know)
-    )
-    return trace, _report(spec, power, trace.actions, trace.knowledge)
+        know.append(deliver(know[-1], everyone & ~full, slot, audience, carrier_sense=True))
+        concurrent += len(senders) >= 2
+    T, done = len(rows), full == everyone
+    per = (T * power.active_cost,) * P  # every always-on cell is active
+    report = SimReport(spec, power, T, know[-1], per, sum(per), concurrent, done, T if done else None)
+    return ProtocolTrace(replace(spec, horizon=T), tuple(rows), tuple(know)), report
 
 
 @dataclass(frozen=True)

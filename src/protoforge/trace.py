@@ -8,9 +8,10 @@ the shared-channel rule: a listener gains packet k in a slot exactly when
 the whole network has a single transmitter, that transmitter is audible to
 the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
-nothing, and nothing once learned is ever lost. step_knowledge is the one
-place this rule is written, over the listener bitmasks that audiences
-gives per speaker; learning_rule and audiences decide, for the search, the
+nothing, and nothing once learned is ever lost. deliver is the one place
+this rule is written, over a listening mask, the sends, and the listener
+bitmasks that audiences gives per speaker; step_knowledge applies it to a
+row of actions. learning_rule and audiences decide, for the search, the
 oracle and the validator alike, what dropping R7 or TOPO does to it.
 
 The validator here is the package's independent referee: it re-derives
@@ -74,7 +75,28 @@ def step_knowledge(
     audience: Sequence[int],
     carrier_sense: bool = False,
 ) -> KnowledgeRow:
-    """One slot of the learning rule; the only place a listener gains a packet.
+    """One slot of the learning rule over a row of actions: decodes the row
+    into the listening mask and the sends, and hands them to deliver."""
+    listening = 0
+    sends = []
+    for p, act in enumerate(acts):
+        if act.kind is ActionKind.LISTEN:
+            listening |= 1 << p
+        elif act.kind is ActionKind.TRANSMIT:
+            sends.append((p, act.packet))
+    return deliver(now, listening, sends, audience, carrier_sense)
+
+
+def deliver(
+    now: KnowledgeRow,
+    listening: int,
+    sends: Sequence[tuple[int, int | None]],
+    audience: Sequence[int],
+    carrier_sense: bool = False,
+) -> KnowledgeRow:
+    """The learning rule's mask-level core; the only place a listener gains
+    a packet. `sends` holds a (speaker, packet) pair per transmitter, packet
+    None for garbage.
 
     A listener gains packet k when it hears a transmitter sending k and is
     not jammed, that is, no two transmitters that contend for its ear both
@@ -83,21 +105,16 @@ def step_knowledge(
     does not jam it. Garbage occupies the channel but delivers nothing.
     Knowledge never shrinks.
     """
-    listening = once = jammed = 0
-    senders = []
-    for p, act in enumerate(acts):
-        if act.kind is ActionKind.LISTEN:
-            listening |= 1 << p
-        elif act.kind is ActionKind.TRANSMIT:
-            contends = audience[p] if carrier_sense else -1  # -1: every process
-            jammed |= once & contends
-            once |= contends
-            senders.append(p)
+    once = jammed = 0
+    for s, _ in sends:
+        contends = audience[s] if carrier_sense else -1  # -1: every process
+        jammed |= once & contends
+        once |= contends
+    ears = listening & ~jammed
     nxt = list(now)
-    for s in senders:
-        packet = acts[s].packet
+    for s, packet in sends:
         if packet is not None and packet <= len(nxt):
-            nxt[packet - 1] |= audience[s] & listening & ~jammed
+            nxt[packet - 1] |= audience[s] & ears
     return tuple(nxt)
 
 
@@ -358,6 +375,8 @@ def read_trace(text: str) -> ProtocolTrace:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TraceFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise TraceFormatError("trace document must be a JSON object")
     unknown = sorted(set(obj) - {"spec", "actions", "knowledge"})

@@ -234,6 +234,14 @@ def test_malformed_spec_is_io_error(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_deeply_nested_trace_is_io_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (4, "")
+    assert "nested too deeply" in err and "internal error" not in err
+
+
 def test_emit_smt_stdout(capsys, line3):
     code, out, _ = run_cli(capsys, "emit-smt", line3)
     assert code == 0

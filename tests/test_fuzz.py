@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from protoforge.encoder import encode
 from protoforge.model import SpecError, parse_spec, render_spec
@@ -69,6 +69,8 @@ def test_parse_spec_raises_only_spec_errors(text):
 
 @settings(deadline=None)
 @given(st.sampled_from(SPECS).flatmap(lambda spec: mutated(write_trace(TRACES[spec]))))
+@example("[" * 100_000)  # nesting deeper than the interpreter's recursion limit
+@example('{"spec": ' * 100_000)
 def test_read_trace_raises_only_trace_format_errors(text):
     try:
         read_trace(text)

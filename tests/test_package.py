@@ -43,6 +43,12 @@ def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(tree) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_parses_as_python_3_10(path):
+    # pyproject.toml declares requires-python >= 3.10
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 @pytest.mark.parametrize(
     "path",
     [path for path in SOURCES if path.name not in ("model.py", "__init__.py")],

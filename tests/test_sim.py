@@ -1,14 +1,19 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import random
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from protoforge import sim
 from protoforge.actions import LISTEN, SLEEP, transmit
 from protoforge.encoder import encode
-from protoforge.model import GoalKind
+from protoforge.model import GoalKind, Topology
 from protoforge.sim import (
     ComparisonReport,
     PowerModel,
+    SimReport,
     SimulationGuardError,
     compare,
     default_max_slots,
@@ -16,7 +21,13 @@ from protoforge.sim import (
     simulate_trace,
 )
 from protoforge.solver import solve
-from protoforge.trace import ProtocolTrace
+from protoforge.trace import (
+    ProtocolTrace,
+    all_known,
+    audiences,
+    initial_knowledge,
+    step_knowledge,
+)
 from conftest import make_spec
 
 
@@ -210,3 +221,132 @@ def test_power_accounting_is_exact(data):
     n_idle = T * P - n_active
     assert report.total_power == active * n_active + idle * n_idle
     assert report.total_power == sum(report.per_process_power)
+
+
+def _stepped_baseline(spec, power, max_slots=None):
+    """The always-on policy folded one slot at a time through step_knowledge
+    until completion or max_slots, with the report from a walk over every
+    cell: what run_baseline must equal."""
+    if max_slots is None:
+        max_slots = default_max_slots(spec)
+    P, M = spec.processes, spec.packets
+    audience = audiences(spec)
+    know = [initial_knowledge(spec)]
+    rows = []
+    sent = [0] * P
+    while not all_known(know[-1], P) and len(rows) < max_slots:
+        acts = [LISTEN] * P
+        for p in range(P):
+            if all(holders >> p & 1 for holders in know[-1]):
+                acts[p] = transmit(sent[p] % M + 1)
+                sent[p] += 1
+        know.append(step_knowledge(know[-1], acts, audience, carrier_sense=True))
+        rows.append(tuple(acts))
+    per = [0] * P
+    for row in rows:
+        for p, act in enumerate(row):
+            per[p] += power.active_cost if act.is_active else power.idle_cost
+    completion = next((t for t, row in enumerate(know) if all_known(row, P)), None)
+    report = SimReport(
+        spec=spec,
+        power=power,
+        slots_run=len(rows),
+        delivered=know[-1],
+        per_process_power=tuple(per),
+        total_power=sum(per),
+        concurrent_tx_slots=sum(sum(act.is_transmit for act in row) >= 2 for row in rows),
+        completed=completion is not None,
+        completion_slot=completion,
+    )
+    trace = ProtocolTrace(replace(spec, horizon=len(rows)), tuple(rows), tuple(know))
+    return trace, report
+
+
+def _explicit(processes, packets, pairs, source=0):
+    return make_spec(
+        processes=processes, packets=packets, horizon=0, source=source,
+        topology=Topology(frozenset(pairs)), goal=GoalKind.NONE,
+    )
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_baseline_equals_the_stepped_fold(data):
+    P = data.draw(st.integers(1, 8), label="P")
+    M = data.draw(st.integers(0, 4), label="M")
+    pairs = [(listener, speaker) for listener in range(P) for speaker in range(P) if listener != speaker]
+    hears = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()), label="hears")
+    source = data.draw(st.integers(0, P - 1), label="source")
+    max_slots = data.draw(st.none() | st.integers(0, 30), label="max_slots")
+    power = PowerModel(active_cost=data.draw(st.integers(0, 3), label="active_cost"))
+    spec = _explicit(P, M, hears, source)
+    assert run_baseline(spec, power, max_slots) == _stepped_baseline(spec, power, max_slots)
+
+
+def test_baseline_counts_a_jammed_listener_across_the_filled_tail():
+    # 1 and 3 hear the source; 2 hears only 1 and 3, which both turn full
+    # after slot 1 and then jam it in every slot up to the allowance
+    spec = _explicit(4, 2, {(1, 0), (3, 0), (2, 1), (2, 3)})
+    trace, report = run_baseline(spec, PowerModel())
+    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    assert report.slots_run == default_max_slots(spec) == 18
+    assert report.concurrent_tx_slots == 16
+    assert not report.completed and report.delivered == (0b1011, 0b1011)
+
+
+def test_baseline_runs_out_the_allowance_on_an_unreachable_process():
+    # on a line only higher ids hear lower ones, so process 0 never learns
+    spec = make_spec(processes=3, packets=2, horizon=0, source=1, goal=GoalKind.NONE)
+    trace, report = run_baseline(spec, PowerModel())
+    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    assert report.slots_run == 14 and report.total_power == 42
+    assert report.concurrent_tx_slots == 12 and report.completion_slot is None
+
+
+@pytest.mark.parametrize("max_slots", [0, 1, 5, 11])
+def test_baseline_stops_at_an_allowance_below_completion(max_slots):
+    spec = make_spec(processes=5, packets=3, horizon=0, goal=GoalKind.NONE)
+    result = run_baseline(spec, PowerModel(), max_slots)
+    assert result == _stepped_baseline(spec, PowerModel(), max_slots)
+    assert result[1].slots_run == max_slots and not result[1].completed
+
+
+@pytest.mark.parametrize("processes, packets", [(1, 0), (1, 3), (4, 0)])
+def test_baseline_complete_at_slot_zero(processes, packets):
+    spec = make_spec(processes=processes, packets=packets, horizon=0, topology="all",
+                     goal=GoalKind.NONE)
+    trace, report = run_baseline(spec, PowerModel())
+    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    assert report.slots_run == 0 and report.completion_slot == 0
+
+
+@pytest.mark.parametrize("topology", ["line", "explicit"])
+def test_baseline_on_the_largest_wide_grid(topology):
+    P, M = 64, 16
+    if topology == "line":
+        spec = make_spec(processes=P, packets=M, horizon=0, goal=GoalKind.NONE)
+    else:  # every listener hears four random speakers
+        rng = random.Random(64)
+        hears = {
+            (listener, speaker) for listener in range(P)
+            for speaker in rng.sample([p for p in range(P) if p != listener], 4)
+        }
+        spec = _explicit(P, M, hears, source=rng.randrange(P))
+    assert run_baseline(spec, PowerModel()) == _stepped_baseline(spec, PowerModel())
+
+
+def test_baseline_fills_a_long_allowance_without_stepping_it(monkeypatch):
+    deliver, stepped = sim.deliver, []
+
+    def counting(*args, **kwargs):
+        stepped.append(None)
+        return deliver(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "deliver", counting)
+    spec = _explicit(2, 3, set())
+    trace, report = run_baseline(spec, PowerModel(), max_slots=10**6)
+    assert report.slots_run == trace.spec.horizon == 10**6
+    assert not report.completed and report.completion_slot is None
+    assert report.total_power == 2 * 10**6 and report.concurrent_tx_slots == 0
+    assert trace.actions[-1] == (transmit(1), LISTEN)  # slot 10**6 - 1 sends packet 1 again
+    assert len(stepped) <= spec.packets
