@@ -21,19 +21,24 @@ checks that agreement and refuses models that drift. Every assertion is
 named so unsat cores map back onto requirement families. The footer always
 asks for both values and an unsat core; solvers answer the inapplicable
 request with an error form, which the parser skips.
+
+The document is rendered from atom tables made once per document: the
+sleep, listen and transmit atom of each cell and the knows atom of each
+(t, p, k) are formatted up front, and each assertion is then one f-string
+that splices them together with its name.
 """
 
 from __future__ import annotations
 
+import re
 import shlex
 import subprocess
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families
-from .trace import ProtocolTrace, derive_knowledge, knowledge_table
+from .trace import ProtocolTrace, derive_knowledge
 
 
 class SmtResponseError(ValueError):
@@ -70,34 +75,6 @@ class SmtDocument:
         return self.text
 
 
-def _sleep(t: int, p: int) -> str:
-    return f"(sleep {t} {p})"
-
-
-def _listen(t: int, p: int) -> str:
-    return f"(listen {t} {p})"
-
-
-def _tx(t: int, p: int) -> str:
-    return f"(transmit {t} {p})"
-
-
-def _sends(t: int, p: int) -> str:
-    return f"(>= {_tx(t, p)} 0)"
-
-
-def _knows(t: int, p: int, k: int) -> str:
-    return f"(knows {t} {p} {k})"
-
-
-def _senders(t: int) -> str:
-    return f"(senders {t})"
-
-
-def _heard(t: int, p: int) -> str:
-    return f"(heard {t} {p})"
-
-
 def _any(terms: list[str]) -> str:
     if len(terms) == 1:
         return terms[0]
@@ -108,16 +85,23 @@ def _sum(terms: list[str]) -> str:
     return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
 
 
-_SILENT = "(- 1)"
-
-
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
     families = requirement_families(spec)
-    cells = list(product(range(T), range(P)))
-    facts = list(product(range(T), range(P), range(1, M + 1)))
-    holdings = list(product(range(P), range(1, M + 1)))
+    r1, r2, r3, r4, r5, r6, r7, goal = (
+        label.value
+        for label in (
+            L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R3_LIVENESS,
+            L.R4_INITIAL_KNOWLEDGE, L.R5_TRANSMIT_ONLY_KNOWN, L.R6_NEVER_FORGETS,
+            L.R7_COLLISION_FREE_LEARNING, L.GOAL_DEADLINE,
+        )
+    )
+    slots, procs, packets = range(T), range(P), range(1, M + 1)
+    sleep = [[f"(sleep {t} {p})" for p in procs] for t in slots]
+    listen = [[f"(listen {t} {p})" for p in procs] for t in slots]
+    tx = [[f"(transmit {t} {p})" for p in procs] for t in slots]
+    knows = [[[f"(knows {t} {p} {k})" for k in packets] for p in procs] for t in range(T + 1)]
     header = (
         "(set-option :produce-models true)",
         "(set-option :produce-unsat-cores true)",
@@ -133,63 +117,87 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         "(declare-fun senders (Int) Int)",
         "(declare-fun heard (Int Int) Int)",
     )
+    # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
+    # cores map back onto requirement families.
     lines: list[str] = []
-
-    def add(expr: str, label: RequirementLabel, variant: str | None = None, **where: int) -> None:
-        tag = label.value if variant is None else f"{label.value}.{variant}"
-        at = ",".join(f"{key}={value}" for key, value in where.items())
-        lines.append(f"(assert (! {expr} :named |{tag}@{at}|))")
-
-    for t, p in cells:
-        sleep, listen, tx = _sleep(t, p), _listen(t, p), _tx(t, p)
-        add(
-            f"(and (not (and {sleep} {listen})) (=> {sleep} (= {tx} {_SILENT}))"
-            f" (=> {listen} (= {tx} {_SILENT})))",
-            L.R1_EXACTLY_ONE_ACTION, t=t, p=p,
-        )
-        add(f"(or {sleep} {listen} {_sends(t, p)})", L.R1_EXACTLY_ONE_ACTION, "any", t=t, p=p)
-    for t, p in cells:
-        add(f"(and (>= {_tx(t, p)} {_SILENT}) (<= {_tx(t, p)} {M}))", L.R2_CONTENT_DOMAIN, t=t, p=p)
+    for t in slots:
+        for p, s, l, x in zip(procs, sleep[t], listen[t], tx[t]):
+            lines.append(
+                f"(assert (! (and (not (and {s} {l})) (=> {s} (= {x} (- 1)))"
+                f" (=> {l} (= {x} (- 1)))) :named |{r1}@t={t},p={p}|))"
+            )
+            lines.append(f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@t={t},p={p}|))")
+    for t in slots:
+        lines += [
+            f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@t={t},p={p}|))"
+            for p, x in enumerate(tx[t])
+        ]
     if L.R3_LIVENESS in families:
         lines.append("; every action kind must occur inside the finite window")
-        for p in range(P):
-            for variant, atom in (("sleep", _sleep), ("listen", _listen), ("transmit", _sends)):
-                add(_any([atom(t, p) for t in range(T)]), L.R3_LIVENESS, variant, p=p)
-    for p, k in holdings:
-        atom = _knows(0, p, k)
-        add(atom if p == spec.source else f"(not {atom})", L.R4_INITIAL_KNOWLEDGE, t=0, p=p, k=k)
-    for t, p, k in facts:
-        add(f"(=> (= {_tx(t, p)} {k}) {_knows(t, p, k)})", L.R5_TRANSMIT_ONLY_KNOWN, t=t, p=p, k=k)
-    for t, p, k in facts:
-        add(f"(=> {_knows(t, p, k)} {_knows(t + 1, p, k)})", L.R6_NEVER_FORGETS, t=t, p=p, k=k)
+        for p in procs:
+            for variant, atoms in (
+                ("sleep", [sleep[t][p] for t in slots]),
+                ("listen", [listen[t][p] for t in slots]),
+                ("transmit", [f"(>= {tx[t][p]} 0)" for t in slots]),
+            ):
+                lines.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
+    for p in procs:
+        lines += [
+            f"(assert (! {a if p == spec.source else f'(not {a})'} :named |{r4}@t=0,p={p},k={k}|))"
+            for k, a in zip(packets, knows[0][p])
+        ]
+    for t in slots:
+        for p, x in enumerate(tx[t]):
+            lines += [
+                f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@t={t},p={p},k={k}|))"
+                for k, a in zip(packets, knows[t][p])
+            ]
+    for t in slots:
+        for p in procs:
+            lines += [
+                f"(assert (! (=> {a} {b}) :named |{r6}@t={t},p={p},k={k}|))"
+                for k, a, b in zip(packets, knows[t][p], knows[t + 1][p])
+            ]
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
-    speakers: list[list[int]] = [[] for _ in range(P)]
+    speakers: list[list[int]] = [[] for _ in procs]
     for listener, speaker in sorted(spec.topology.hears):
         speakers[listener].append(speaker)
-    listeners = [p for p in range(P) if speakers[p]] if M else []
-    for t in range(T if listeners else 0):
-        count = _sum([f"(ite {_sends(t, q)} 1 0)" for q in range(P)])
-        add(f"(= {_senders(t)} {count})", L.R7_COLLISION_FREE_LEARNING, "senders", t=t)
+    listeners = [p for p in procs if speakers[p]] if M else []
+    for t in slots if listeners else ():
+        count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx[t]])
+        lines.append(f"(assert (! (= (senders {t}) {count}) :named |{r7}.senders@t={t}|))")
         for p in listeners:
-            codes = _sum([f"(ite (> {_tx(t, s)} 0) {_tx(t, s)} 0)" for s in speakers[p]])
-            add(f"(= {_heard(t, p)} {codes})", L.R7_COLLISION_FREE_LEARNING, "heard", t=t, p=p)
-    for t, p, k in facts:
-        rhs = _knows(t, p, k)
-        if speakers[p]:
-            learn = f"(and {_listen(t, p)} (= {_senders(t)} 1) (= {_heard(t, p)} {k}))"
-            rhs = f"(or {rhs} {learn})"
-        add(f"(= {_knows(t + 1, p, k)} {rhs})", L.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k)
+            codes = _sum([f"(ite (> {tx[t][s]} 0) {tx[t][s]} 0)" for s in speakers[p]])
+            lines.append(f"(assert (! (= (heard {t} {p}) {codes}) :named |{r7}.heard@t={t},p={p}|))")
+    for t in slots:
+        for p in procs:
+            now, later = knows[t][p], knows[t + 1][p]
+            if speakers[p]:
+                # p listens, the slot has one sender, and p hears packet k:
+                # each assertion closes (= (heard t p) k) after the prefix
+                lone = f"(and {listen[t][p]} (= (senders {t}) 1) (= (heard {t} {p})"
+                lines += [
+                    f"(assert (! (= {b} (or {a} {lone} {k})))) :named |{r7}@t={t},p={p},k={k}|))"
+                    for k, a, b in zip(packets, now, later)
+                ]
+            else:
+                lines += [
+                    f"(assert (! (= {b} {a}) :named |{r7}@t={t},p={p},k={k}|))"
+                    for k, a, b in zip(packets, now, later)
+                ]
     if L.GOAL_DEADLINE in families:
-        for p, k in holdings:
-            add(_knows(T, p, k), L.GOAL_DEADLINE, t=T, p=p, k=k)
+        for p in procs:
+            lines += [
+                f"(assert (! {a} :named |{goal}@t={T},p={p},k={k}|))"
+                for k, a in zip(packets, knows[T][p])
+            ]
     footer = ["(check-sat)"]
-    footer += [f"(get-value ({_sleep(t, p)} {_listen(t, p)} {_tx(t, p)}))" for t, p in cells]
+    for t in slots:
+        footer += [f"(get-value ({s} {l} {x}))" for s, l, x in zip(sleep[t], listen[t], tx[t])]
     if M > 0:
-        for t, p in product(range(T + 1), range(P)):
-            atoms = " ".join(_knows(t, p, k) for k in range(1, M + 1))
-            footer.append(f"(get-value ({atoms}))")
+        footer += [f"(get-value ({' '.join(row)}))" for rows in knows for row in rows]
     footer += ["(get-unsat-core)", "(exit)"]
     return SmtDocument(
         spec=spec,
@@ -210,38 +218,15 @@ def label_of_assertion_name(name: str) -> RequirementLabel:
     raise SmtResponseError(f"unrecognized assertion name: {name}")
 
 
+# A token is a parenthesis, a "string" or |symbol| (running to the end of
+# the text when unterminated) or an atom. A comment matches with the group
+# empty, and whitespace (\s is exactly str.isspace) matches nothing, so
+# findall steps over both.
+_TOKEN = re.compile(r';[^\n]*|([()]|"[^"]*"?|\|[^|]*\|?|[^\s();"|]+)')
+
+
 def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch == "|":
-            j = i + 1
-            while j < n and text[j] != "|":
-                j += 1
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '();"|':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return [token for token in _TOKEN.findall(text) if token]
 
 
 def parse_sexprs(text: str) -> list:
@@ -367,19 +352,19 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
         rows.append(tuple(row))
     actions = tuple(rows)
     grid = derive_knowledge(spec, actions)
-    if M > 0:
-        for t in range(T + 1):
-            held = knowledge_table(grid[t], P)
-            for p in range(P):
-                for k in range(1, M + 1):
-                    if (t, p, k) not in knows:
-                        raise SmtResponseError(
-                            f"missing value for knows at t={t}, p={p}, k={k}"
-                        )
-                    if knows[(t, p, k)] != held[p][k - 1]:
-                        raise SmtResponseError(
-                            f"knowledge mismatch at t={t}, p={p}, k={k}"
-                        )
+    # Read each holder bit straight from the masks, so a reply that lacks a
+    # knows value stops at the first gap instead of first tabulating T·P·M.
+    for t, row in enumerate(grid):
+        for p in range(P):
+            for k, holders in enumerate(row, 1):
+                if (t, p, k) not in knows:
+                    raise SmtResponseError(
+                        f"missing value for knows at t={t}, p={p}, k={k}"
+                    )
+                if knows[(t, p, k)] != bool(holders >> p & 1):
+                    raise SmtResponseError(
+                        f"knowledge mismatch at t={t}, p={p}, k={k}"
+                    )
     return ProtocolTrace(spec, actions, grid)
 
 

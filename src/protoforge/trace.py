@@ -171,10 +171,7 @@ class ProtocolTrace:
 
     def __post_init__(self) -> None:
         spec = self.spec
-        if len(self.actions) != spec.horizon:
-            raise TraceFormatError(
-                f"dimension mismatch: {len(self.actions)} action rows for horizon {spec.horizon}"
-            )
+        _check_row_count(spec, self.actions)
         _check_row_widths(spec, self.actions)
         if len(self.knowledge) != spec.horizon + 1:
             raise TraceFormatError(
@@ -194,6 +191,13 @@ class ProtocolTrace:
         frozen = tuple(tuple(row) for row in actions)
         _check_row_widths(spec, frozen)  # before the learning rule indexes them
         return cls(spec, frozen, derive_knowledge(spec, frozen, enabled))
+
+
+def _check_row_count(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
+    if len(actions) != spec.horizon:
+        raise TraceFormatError(
+            f"dimension mismatch: {len(actions)} action rows for horizon {spec.horizon}"
+        )
 
 
 def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
@@ -404,14 +408,19 @@ def read_trace(text: str) -> ProtocolTrace:
             except ActionFormatError as exc:
                 raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
         actions.append(parsed)
+    # The checks from_actions would make, in its order, then the file's grid
+    # against its (T+1, P, M) shape: knowledge is derived, at a cost that
+    # grows with M, only for a grid the file actually spells out.
+    _check_row_widths(spec, actions)
+    _check_row_count(spec, actions)
+    shape = (spec.horizon + 1, spec.processes, spec.packets)
+    if "knowledge" in obj and not _shaped(obj["knowledge"], shape):
+        raise TraceFormatError("knowledge grid malformed")
     trace = ProtocolTrace.from_actions(spec, actions)
 
     if "knowledge" in obj:
-        derived = [knowledge_table(row, spec.processes) for row in trace.knowledge]
-        if not _shaped_like(obj["knowledge"], derived):
-            raise TraceFormatError("knowledge grid malformed")
-        for t, (row, derived_row) in enumerate(zip(obj["knowledge"], derived)):
-            for p, (packets, held) in enumerate(zip(row, derived_row)):
+        for t, (row, masks) in enumerate(zip(obj["knowledge"], trace.knowledge)):
+            for p, (packets, held) in enumerate(zip(row, knowledge_table(masks, spec.processes))):
                 if packets != held:
                     raise TraceFormatError(
                         f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
@@ -420,10 +429,10 @@ def read_trace(text: str) -> ProtocolTrace:
     return trace
 
 
-def _shaped_like(value: object, model: list) -> bool:
-    """Whether `value` nests lists exactly as `model` does, booleans at its leaves."""
-    if not isinstance(value, list) or len(value) != len(model):
+def _shaped(value: object, shape: tuple[int, ...]) -> bool:
+    """Whether `value` nests lists of exactly these lengths, booleans at its leaves."""
+    if not isinstance(value, list) or len(value) != shape[0]:
         return False
-    if model and not isinstance(model[0], list):
+    if len(shape) == 1:
         return all(isinstance(v, bool) for v in value)
-    return all(map(_shaped_like, value, model))
+    return all(_shaped(v, shape[1:]) for v in value)

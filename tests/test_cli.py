@@ -4,6 +4,7 @@ import json
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -240,6 +241,27 @@ def test_deeply_nested_trace_is_io_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, out) == (4, "")
     assert "nested too deeply" in err and "internal error" not in err
+
+
+# A one-line trace whose spec claims 1,864,135 packets (under the fact cap
+# at P=3, T=2) next to a one-cell knowledge grid. Deriving its knowledge
+# before checking the grid's shape took about 20 s.
+OVERSIZED_PACKETS_TRACE = (
+    '{"spec": {"processes": 3, "packets": 1864135, "horizon": 2, "source": 0, '
+    '"topology": "line", "liveness": "off", "goal": "all-know-all"}, '
+    '"actions": [["tx:1", "listen", "sleep"], ["sleep", "tx:1", "listen"]], '
+    '"knowledge": [[[true]]]}'
+)
+
+
+def test_misshapen_knowledge_grid_is_rejected_before_deriving_knowledge(capsys, tmp_path):
+    path = tmp_path / "oversized.json"
+    path.write_text(OVERSIZED_PACKETS_TRACE)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert time.perf_counter() - started < 2.0
+    assert (code, out) == (4, "")
+    assert "knowledge grid malformed" in err
 
 
 def test_emit_smt_stdout(capsys, line3):

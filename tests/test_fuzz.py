@@ -13,6 +13,7 @@ from protoforge.smt import SmtResponseError, parse_value_response
 from protoforge.solver import solve
 from protoforge.trace import TraceFormatError, read_trace, write_trace
 from conftest import make_spec
+from test_cli import OVERSIZED_PACKETS_TRACE
 from test_smt import _response_for
 
 SPECS = [
@@ -71,6 +72,7 @@ def test_parse_spec_raises_only_spec_errors(text):
 @given(st.sampled_from(SPECS).flatmap(lambda spec: mutated(write_trace(TRACES[spec]))))
 @example("[" * 100_000)  # nesting deeper than the interpreter's recursion limit
 @example('{"spec": ' * 100_000)
+@example(OVERSIZED_PACKETS_TRACE)  # a small file whose spec claims 1,864,135 packets
 def test_read_trace_raises_only_trace_format_errors(text):
     try:
         read_trace(text)

@@ -5,8 +5,10 @@ import os
 import random
 import stat
 import subprocess
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, action_domain, transmit
 from protoforge.encoder import describe, encode
@@ -16,11 +18,13 @@ from protoforge.model import (
     NetworkSpec,
     RequirementLabel,
     Topology,
+    requirement_families,
     topology_all,
     topology_line,
 )
 from protoforge.smt import (
     ExternalSolverError,
+    SmtDocument,
     SmtResponseError,
     SolverTimeout,
     emit_smtlib,
@@ -152,6 +156,192 @@ def test_document_and_listing_bytes_are_pinned(name):
     spec, smt_sha, listing_sha = GOLDEN[name]
     assert hashlib.sha256(emit_smtlib(spec).text.encode()).hexdigest() == smt_sha
     assert hashlib.sha256(describe(encode(spec)).render().encode()).hexdigest() == listing_sha
+
+
+def _reference_emit(spec):
+    """The document assembled one assertion at a time through a naming
+    closure and per-atom helpers: what emit_smtlib must render byte for byte."""
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    families = requirement_families(spec)
+    silent = "(- 1)"
+
+    def sleep(t, p):
+        return f"(sleep {t} {p})"
+
+    def listen(t, p):
+        return f"(listen {t} {p})"
+
+    def tx(t, p):
+        return f"(transmit {t} {p})"
+
+    def sends(t, p):
+        return f"(>= {tx(t, p)} 0)"
+
+    def knows(t, p, k):
+        return f"(knows {t} {p} {k})"
+
+    def any_(terms):
+        if len(terms) == 1:
+            return terms[0]
+        return f"(or {' '.join(terms)})" if terms else "false"
+
+    def sum_(terms):
+        return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
+
+    cells = list(product(range(T), range(P)))
+    facts = list(product(range(T), range(P), range(1, M + 1)))
+    holdings = list(product(range(P), range(1, M + 1)))
+    lines = []
+
+    def add(expr, label, variant=None, **where):
+        tag = label.value if variant is None else f"{label.value}.{variant}"
+        at = ",".join(f"{key}={value}" for key, value in where.items())
+        lines.append(f"(assert (! {expr} :named |{tag}@{at}|))")
+
+    for t, p in cells:
+        add(
+            f"(and (not (and {sleep(t, p)} {listen(t, p)})) (=> {sleep(t, p)} (= {tx(t, p)} {silent}))"
+            f" (=> {listen(t, p)} (= {tx(t, p)} {silent})))",
+            L.R1_EXACTLY_ONE_ACTION, t=t, p=p,
+        )
+        add(f"(or {sleep(t, p)} {listen(t, p)} {sends(t, p)})", L.R1_EXACTLY_ONE_ACTION, "any", t=t, p=p)
+    for t, p in cells:
+        add(f"(and (>= {tx(t, p)} {silent}) (<= {tx(t, p)} {M}))", L.R2_CONTENT_DOMAIN, t=t, p=p)
+    if L.R3_LIVENESS in families:
+        lines.append("; every action kind must occur inside the finite window")
+        for p in range(P):
+            for variant, atom in (("sleep", sleep), ("listen", listen), ("transmit", sends)):
+                add(any_([atom(t, p) for t in range(T)]), L.R3_LIVENESS, variant, p=p)
+    for p, k in holdings:
+        atom = knows(0, p, k)
+        add(atom if p == spec.source else f"(not {atom})", L.R4_INITIAL_KNOWLEDGE, t=0, p=p, k=k)
+    for t, p, k in facts:
+        add(f"(=> (= {tx(t, p)} {k}) {knows(t, p, k)})", L.R5_TRANSMIT_ONLY_KNOWN, t=t, p=p, k=k)
+    for t, p, k in facts:
+        add(f"(=> {knows(t, p, k)} {knows(t + 1, p, k)})", L.R6_NEVER_FORGETS, t=t, p=p, k=k)
+    speakers = [[] for _ in range(P)]
+    for listener, speaker in sorted(spec.topology.hears):
+        speakers[listener].append(speaker)
+    listeners = [p for p in range(P) if speakers[p]] if M else []
+    for t in range(T if listeners else 0):
+        count = sum_([f"(ite {sends(t, q)} 1 0)" for q in range(P)])
+        add(f"(= (senders {t}) {count})", L.R7_COLLISION_FREE_LEARNING, "senders", t=t)
+        for p in listeners:
+            codes = sum_([f"(ite (> {tx(t, s)} 0) {tx(t, s)} 0)" for s in speakers[p]])
+            add(f"(= (heard {t} {p}) {codes})", L.R7_COLLISION_FREE_LEARNING, "heard", t=t, p=p)
+    for t, p, k in facts:
+        rhs = knows(t, p, k)
+        if speakers[p]:
+            rhs = f"(or {rhs} (and {listen(t, p)} (= (senders {t}) 1) (= (heard {t} {p}) {k})))"
+        add(f"(= {knows(t + 1, p, k)} {rhs})", L.R7_COLLISION_FREE_LEARNING, t=t, p=p, k=k)
+    if L.GOAL_DEADLINE in families:
+        for p, k in holdings:
+            add(knows(T, p, k), L.GOAL_DEADLINE, t=T, p=p, k=k)
+    footer = ["(check-sat)"]
+    footer += [f"(get-value ({sleep(t, p)} {listen(t, p)} {tx(t, p)}))" for t, p in cells]
+    if M > 0:
+        for t, p in product(range(T + 1), range(P)):
+            footer.append(f"(get-value ({' '.join(knows(t, p, k) for k in range(1, M + 1))}))")
+    footer += ["(get-unsat-core)", "(exit)"]
+    header = (
+        "(set-option :produce-models true)",
+        "(set-option :produce-unsat-cores true)",
+        "(set-logic QF_UFLIA)",
+    )
+    declarations = (
+        "; transmit codes: -1 silent, 0 garbage, k in [1, M] packet k",
+        "(declare-fun sleep (Int Int) Bool)",
+        "(declare-fun listen (Int Int) Bool)",
+        "(declare-fun transmit (Int Int) Int)",
+        "(declare-fun knows (Int Int Int) Bool)",
+        "; senders t: transmitters in slot t; heard t p: packet codes p's speakers send",
+        "(declare-fun senders (Int) Int)",
+        "(declare-fun heard (Int Int) Int)",
+    )
+    return SmtDocument(spec, header, declarations, tuple(lines), tuple(footer))
+
+
+def _lines(doc):
+    # Compared as line lists, a mismatch is reported by its first differing
+    # line; pytest's diff of two long strings takes minutes.
+    return doc.text.split("\n")
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_emitter_equals_the_assertion_by_assertion_reference(data):
+    P = data.draw(st.integers(1, 8), label="P")
+    M = data.draw(st.integers(0, 4), label="M")
+    T = data.draw(st.integers(0, 6), label="T")
+    pairs = [(listener, speaker) for listener in range(P) for speaker in range(P) if listener != speaker]
+    # the empty relation, and sparse ones, leave isolated listeners
+    hears = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()), label="hears")
+    spec = make_spec(
+        processes=P, packets=M, horizon=T,
+        source=data.draw(st.integers(0, P - 1), label="source"),
+        topology=Topology(frozenset(hears)),
+        liveness=data.draw(st.sampled_from(list(LivenessMode)), label="liveness"),
+        goal=data.draw(st.sampled_from(list(GoalKind)), label="goal"),
+    )
+    assert _lines(emit_smtlib(spec)) == _lines(_reference_emit(spec))
+
+
+# (P, M, T) of the five smt-export benchmark rungs
+RUNG_SHAPES = ((7, 2, 7), (9, 3, 9), (11, 3, 11), (14, 5, 14), (18, 6, 18))
+
+
+@pytest.mark.parametrize("topology", ["all", "line"])
+@pytest.mark.parametrize("shape", RUNG_SHAPES, ids=lambda shape: "P=%d M=%d T=%d" % shape)
+def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology):
+    P, M, T = shape
+    spec = make_spec(processes=P, packets=M, horizon=T, source=P // 2 if topology == "all" else 0,
+                     topology=topology, liveness=EACH if P % 2 else LivenessMode.OFF)
+    assert _lines(emit_smtlib(spec)) == _lines(_reference_emit(spec))
+
+
+def _reference_tokenize(text):
+    """Character-at-a-time tokenizer: what tokenize must return."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in "()":
+            tokens.append(ch)
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in '"|':
+            j = i + 1
+            while j < n and text[j] != ch:
+                j += 1
+            tokens.append(text[i : j + 1])
+            i = j + 1
+        elif ch.isspace():
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in '();"|':
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+# every character class the tokenizer tells apart, with whitespace that is
+# not ASCII (\x1c, \x85, \u3000) and an atom character that is not ASCII
+TOKEN_TEXT = st.text(alphabet='()";|' + " \t\n\x1c\x85\u3000" + "aZ1-é", max_size=60)
+
+
+@given(TOKEN_TEXT)
+def test_tokenizer_equals_the_character_loop(text):
+    assert tokenize(text) == _reference_tokenize(text)
+
+
+def test_tokenizer_equals_the_character_loop_on_a_document():
+    text = emit_smtlib(make_spec(processes=5, packets=2, horizon=4, topology="all", liveness=EACH)).text
+    text += '\n; trailing comment (with "quotes"\n(error "unterminated'
+    assert tokenize(text) == _reference_tokenize(text)
 
 
 def test_tokenizer_preserves_document_tokens():
