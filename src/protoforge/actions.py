@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 # Content code for a contentless transmission. It occupies the channel like
 # any other transmission but carries no packet.
@@ -25,13 +26,15 @@ class Action:
     """Exactly one of sleep, listen, or transmit-with-content.
 
     Transmit content is GARBAGE (0) or a packet id >= 1; sleep and listen
-    carry no content.
+    carry no content. label and packet are computed once per instance.
     """
 
     kind: ActionKind
     content: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, ActionKind):
+            raise ValueError(f"action kind must be an ActionKind, got {self.kind!r}")
         if self.kind is ActionKind.TRANSMIT:
             if self.content is None or self.content < 0:
                 raise ValueError(f"transmit needs a content code >= 0, got {self.content!r}")
@@ -47,14 +50,14 @@ class Action:
         """Transmitting and listening burn power; sleeping does not."""
         return self.kind is not ActionKind.SLEEP
 
-    @property
+    @cached_property
     def packet(self) -> int | None:
         """Packet id being sent, or None when not sending a real packet."""
         if self.kind is ActionKind.TRANSMIT and self.content is not None and self.content >= 1:
             return self.content
         return None
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Stable text form: "sleep", "listen", or "tx:<code>"."""
         if self.kind is ActionKind.TRANSMIT:

@@ -23,6 +23,14 @@ problem, same keys as the problem file format), ``actions`` (T rows of P
 strings: "sleep" | "listen" | "tx:<code>"), and ``knowledge`` ((T+1) x P x
 M booleans, from knowledge_table). A knowledge field is optional on read;
 when present it is compared against the grid re-derived from the actions.
+
+The layer works per distinct value rather than per cell: read_trace parses
+each distinct label once, so equal cells share one Action object; the
+validator checks each distinct cell object once and decodes each action row
+once; and each distinct knowledge row is tabulated once, by write_trace to
+render it and by read_trace to compare the file's rows against it. Shape
+checks run as whole-grid passes, and walk row by row only to name the
+first bad row. Violation messages list at most MAX_LISTED packet numbers.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
@@ -44,6 +54,13 @@ from .model import (
 
 KnowledgeRow = tuple[int, ...]  # one holder bitmask per packet
 KnowledgeGrid = tuple[KnowledgeRow, ...]
+
+# Violation messages list at most this many packet numbers, then the count.
+MAX_LISTED = 10
+
+# Looked up once: reading an Enum member off its class is slow per cell.
+_LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
+_kind = attrgetter("kind")
 
 
 class TraceFormatError(ValueError):
@@ -77,14 +94,21 @@ def step_knowledge(
 ) -> KnowledgeRow:
     """One slot of the learning rule over a row of actions: decodes the row
     into the listening mask and the sends, and hands them to deliver."""
+    listening, sends = _decode(acts, map(_kind, acts))
+    return deliver(now, listening, sends, audience, carrier_sense)
+
+
+def _decode(acts: Sequence[Action], kinds: Iterable[ActionKind | None]) -> tuple[int, list]:
+    """A row's listening mask and its (speaker, packet) sends, given the kind
+    of each of its cells (None for a cell that holds no action)."""
     listening = 0
     sends = []
-    for p, act in enumerate(acts):
-        if act.kind is ActionKind.LISTEN:
+    for p, kind in enumerate(kinds):
+        if kind is _LISTENS:
             listening |= 1 << p
-        elif act.kind is ActionKind.TRANSMIT:
-            sends.append((p, act.packet))
-    return deliver(now, listening, sends, audience, carrier_sense)
+        elif kind is _SENDS:
+            sends.append((p, acts[p].packet))
+    return listening, sends
 
 
 def deliver(
@@ -177,9 +201,20 @@ class ProtocolTrace:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
             )
-        for t, krow in enumerate(self.knowledge):
-            if len(krow) != spec.packets or any(holders >> spec.processes for holders in krow):
-                raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
+        try:  # over distinct rows and masks; a long baseline repeats one row
+            rows = set(self.knowledge)
+            masks = set(chain.from_iterable(rows))
+            fits = (
+                set(map(len, rows)) <= {spec.packets}
+                and all(map(isinstance, masks, repeat(int)))
+                and (not masks or min(masks) >= 0 and not max(masks) >> spec.processes)
+            )
+        except TypeError:  # an unhashable row or mask: the walk below decides
+            fits = False
+        if not fits:  # name the first bad row
+            for t, krow in enumerate(self.knowledge):
+                if len(krow) != spec.packets or any(holders >> spec.processes for holders in krow):
+                    raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
 
     @classmethod
     def from_actions(
@@ -201,6 +236,11 @@ def _check_row_count(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> 
 
 
 def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
+    try:
+        if set(map(len, actions)) <= {spec.processes}:
+            return
+    except TypeError:  # a row without a length: the walk below meets it in order
+        pass
     for t, row in enumerate(actions):
         if len(row) != spec.processes:
             raise TraceFormatError(
@@ -247,16 +287,21 @@ def _violations(
     grid = trace.knowledge
     L = RequirementLabel
     enabled &= requirement_families(spec)
+    # Each distinct cell object is checked once. A malformed cell is reported
+    # under R1 and acts as no action in every other family.
+    cells = list(chain.from_iterable(acts))
+    kind_of = {
+        key: act.kind if _well_formed(act) else None
+        for key, act in dict(zip(map(id, cells), cells)).items()
+    }
+    # Each row is decoded once: its cells' kinds, listening mask and sends.
+    kinds = [list(map(kind_of.__getitem__, map(id, row))) for row in acts]
+    listening, sends = zip(*map(_decode, acts, kinds)) if acts else ((), ())
 
-    if L.R1_EXACTLY_ONE_ACTION in enabled:
+    if L.R1_EXACTLY_ONE_ACTION in enabled and None in kind_of.values():
         for t, row in enumerate(acts):
             for p, act in enumerate(row):
-                ok = isinstance(act, Action) and act.kind in ActionKind
-                if ok and act.kind is ActionKind.TRANSMIT:
-                    ok = isinstance(act.content, int) and act.content >= 0
-                elif ok:
-                    ok = act.content is None
-                if not ok:
+                if kind_of[id(act)] is None:
                     yield Violation(
                         L.R1_EXACTLY_ONE_ACTION, t, p,
                         f"cell does not hold exactly one well-formed action: {act!r}",
@@ -264,16 +309,17 @@ def _violations(
 
     if L.R2_CONTENT_DOMAIN in enabled:
         for t, row in enumerate(acts):
-            for p, act in enumerate(row):
-                if act.is_transmit and act.content > packets:
+            for p, _ in sends[t]:
+                if row[p].content > packets:
                     yield Violation(
                         L.R2_CONTENT_DOMAIN, t, p,
-                        f"content code {act.content} outside 0..{packets}",
+                        f"content code {row[p].content} outside 0..{packets}",
                     )
 
     if L.R3_LIVENESS in enabled:
-        for p in range(spec.processes):
-            done = {row[p].kind for row in acts}
+        columns = zip(*kinds) if kinds else repeat((), spec.processes)
+        for p, column in enumerate(columns):
+            done = set(column)
             for kind in ActionKind:
                 if kind not in done:
                     yield Violation(
@@ -287,13 +333,12 @@ def _violations(
             role = "source" if p == spec.source else "non-source"
             yield Violation(
                 L.R4_INITIAL_KNOWLEDGE, 0, p,
-                f"initial knowledge of {role} process {p} is wrong for packet(s) {mistaken}",
+                f"initial knowledge of {role} process {p} is wrong for packet(s) {_listed(mistaken)}",
             )
 
     if L.R5_TRANSMIT_ONLY_KNOWN in enabled:
-        for t, row in enumerate(acts):
-            for p, act in enumerate(row):
-                k = act.packet
+        for t, slot in enumerate(sends):
+            for p, k in slot:
                 if k is not None and k <= packets and not grid[t][k - 1] >> p & 1:
                     yield Violation(
                         L.R5_TRANSMIT_ONLY_KNOWN, t, p,
@@ -306,28 +351,32 @@ def _violations(
             for p, forgotten in _by_process(lost):
                 yield Violation(
                     L.R6_NEVER_FORGETS, t, p,
-                    f"process {p} forgets packet(s) {forgotten} between t={t} and t={t + 1}",
+                    f"process {p} forgets packet(s) {_listed(forgotten)} between t={t} and t={t + 1}",
                 )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
-        # Audibility folds into the learning test; dropping TOPO lifts it.
-        learn = learning_rule(spec, enabled)
+        # The learning rule of learning_rule(spec, enabled) on the decoded
+        # rows. Audibility folds into it; dropping TOPO lifts it.
+        audience = audiences(spec, enabled)
         for t in range(spec.horizon):
-            expected = learn(grid[t], acts[t])
+            expected = deliver(grid[t], listening[t], sends[t], audience)
             before, after = grid[t], grid[t + 1]
+            if after == expected:  # expected never loses a packet of before
+                continue
             gained = [now & ~was & ~legal for was, now, legal in zip(before, after, expected)]
             dropped = [legal & ~was & ~now for was, now, legal in zip(before, after, expected)]
             for p, illegal, missed in _by_process(gained, dropped):
                 if illegal:
                     yield Violation(
                         L.R7_COLLISION_FREE_LEARNING, t, p,
-                        f"process {p} gains packet(s) {illegal} at t={t + 1} without a "
+                        f"process {p} gains packet(s) {_listed(illegal)} at t={t + 1} without a "
                         "collision-free audible transmission",
                     )
                 if missed:
                     yield Violation(
                         L.R7_COLLISION_FREE_LEARNING, t, p,
-                        f"process {p} fails to record packet(s) {missed} it legally hears at t={t}",
+                        f"process {p} fails to record packet(s) {_listed(missed)} it legally "
+                        f"hears at t={t}",
                     )
 
     if L.GOAL_DEADLINE in enabled:
@@ -336,8 +385,18 @@ def _violations(
         for p, missing in _by_process(lacking):
             yield Violation(
                 L.GOAL_DEADLINE, spec.horizon, p,
-                f"process {p} misses packet(s) {missing} at the deadline t={spec.horizon}",
+                f"process {p} misses packet(s) {_listed(missing)} at the deadline t={spec.horizon}",
             )
+
+
+def _well_formed(act: object) -> bool:
+    """R1: an Action of a known kind that carries content exactly when it
+    transmits."""
+    if not isinstance(act, Action) or not isinstance(act.kind, ActionKind):
+        return False
+    if act.kind is ActionKind.TRANSMIT:
+        return isinstance(act.content, int) and act.content >= 0
+    return act.content is None
 
 
 def _by_process(*families: Sequence[int]) -> Iterator[tuple]:
@@ -352,23 +411,31 @@ def _by_process(*families: Sequence[int]) -> Iterator[tuple]:
             yield p, *([k for k, m in enumerate(masks, 1) if m >> p & 1] for masks in families)
 
 
+def _listed(packets: list[int]) -> str:
+    """Packet numbers as messages give them: all of up to MAX_LISTED, or
+    the first MAX_LISTED and how many there are."""
+    if len(packets) <= MAX_LISTED:
+        return str(packets)
+    return f"{str(packets[:MAX_LISTED])[:-1]}, ...] ({len(packets)} packets)"
+
+
 def write_trace(trace: ProtocolTrace) -> str:
     """Deterministic JSON form; field order spec, actions, knowledge. The
     spec takes one line, each slot's actions and each time index's
-    knowledge one line apiece."""
+    knowledge one line apiece; each distinct knowledge row is rendered once."""
 
-    def rows(values: list) -> str:
-        if not values:
-            return "[]"
-        return "[\n" + ",\n".join(f"    {json.dumps(v)}" for v in values) + "\n  ]"
+    def rows(lines: Iterable[str]) -> str:
+        body = ",\n".join(f"    {line}" for line in lines)
+        return f"[\n{body}\n  ]" if body else "[]"
 
-    actions = [[act.label for act in row] for row in trace.actions]
+    label = attrgetter("label")
+    actions = [json.dumps(list(map(label, row))) for row in trace.actions]
     P = trace.spec.processes
-    knowledge = [knowledge_table(row, P) for row in trace.knowledge]
+    rendered = {row: json.dumps(knowledge_table(row, P)) for row in set(trace.knowledge)}
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
         f'  "actions": {rows(actions)},\n'
-        f'  "knowledge": {rows(knowledge)}\n}}\n'
+        f'  "knowledge": {rows(map(rendered.__getitem__, trace.knowledge))}\n}}\n'
     )
 
 
@@ -397,17 +464,7 @@ def read_trace(text: str) -> ProtocolTrace:
     rows = obj["actions"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TraceFormatError("actions must be a list of per-slot lists")
-    actions = []
-    for t, row in enumerate(rows):
-        parsed = []
-        for p, label in enumerate(row):
-            if not isinstance(label, str):
-                raise TraceFormatError(f"actions[{t}][{p}] must be a string")
-            try:
-                parsed.append(parse_action(label, spec.packets))
-            except ActionFormatError as exc:
-                raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
-        actions.append(parsed)
+    actions = _parse_actions(rows, spec.packets)
     # The checks from_actions would make, in its order, then the file's grid
     # against its (T+1, P, M) shape: knowledge is derived, at a cost that
     # grows with M, only for a grid the file actually spells out.
@@ -419,20 +476,51 @@ def read_trace(text: str) -> ProtocolTrace:
     trace = ProtocolTrace.from_actions(spec, actions)
 
     if "knowledge" in obj:
+        tables: dict[KnowledgeRow, list[list[bool]]] = {}
         for t, (row, masks) in enumerate(zip(obj["knowledge"], trace.knowledge)):
-            for p, (packets, held) in enumerate(zip(row, knowledge_table(masks, spec.processes))):
-                if packets != held:
-                    raise TraceFormatError(
-                        f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
-                        "with the grid derived from the actions"
-                    )
+            if masks not in tables:
+                tables[masks] = knowledge_table(masks, spec.processes)
+            if row != tables[masks]:  # safe: _shaped admits only booleans, never 1 for True
+                p = next(p for p, (file, held) in enumerate(zip(row, tables[masks])) if file != held)
+                raise TraceFormatError(
+                    f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
+                    "with the grid derived from the actions"
+                )
     return trace
 
 
+def _parse_actions(rows: list[list], packets: int) -> list[list[Action]]:
+    """Parses each distinct label once, so that equal labels share one
+    Action. When a cell is not a legal label, the cell by cell walk names
+    the first such cell."""
+    cells = list(chain.from_iterable(rows))
+    if all(map(isinstance, cells, repeat(str))):
+        try:
+            parsed = {label: parse_action(label, packets) for label in set(cells)}
+        except ActionFormatError:
+            pass
+        else:
+            return [list(map(parsed.__getitem__, row)) for row in rows]
+    actions = []
+    for t, row in enumerate(rows):
+        parsed_row = []
+        for p, label in enumerate(row):
+            if not isinstance(label, str):
+                raise TraceFormatError(f"actions[{t}][{p}] must be a string")
+            try:
+                parsed_row.append(parse_action(label, packets))
+            except ActionFormatError as exc:
+                raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
+        actions.append(parsed_row)
+    return actions
+
+
 def _shaped(value: object, shape: tuple[int, ...]) -> bool:
-    """Whether `value` nests lists of exactly these lengths, booleans at its leaves."""
-    if not isinstance(value, list) or len(value) != shape[0]:
-        return False
-    if len(shape) == 1:
-        return all(isinstance(v, bool) for v in value)
-    return all(_shaped(v, shape[1:]) for v in value)
+    """Whether `value` nests lists of exactly these lengths, booleans at its
+    leaves; checked one level at a time over all of that level's lists."""
+    level = [value]
+    for length in shape:
+        if not all(map(isinstance, level, repeat(list))) or set(map(len, level)) - {length}:
+            return False
+        level = list(chain.from_iterable(level))
+    return all(map(isinstance, level, repeat(bool)))

@@ -264,6 +264,23 @@ def test_misshapen_knowledge_grid_is_rejected_before_deriving_knowledge(capsys, 
     assert "knowledge grid malformed" in err
 
 
+def test_validate_caps_the_packet_lists_it_prints(capsys, tmp_path):
+    # without a grid the trace reads; every process but the source then
+    # misses 1,864,134 packets at the deadline
+    doc = json.loads(OVERSIZED_PACKETS_TRACE)
+    del doc["knowledge"]
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2 and err == ""
+    assert len(out.encode()) < 4096
+    assert out.splitlines() == [
+        f"GOAL_Deadline t=2,p={p}: process {p} misses packet(s) "
+        "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11, ...] (1864134 packets) at the deadline t=2"
+        for p in (1, 2)
+    ]
+
+
 def test_emit_smt_stdout(capsys, line3):
     code, out, _ = run_cli(capsys, "emit-smt", line3)
     assert code == 0

@@ -90,6 +90,31 @@ def test_only_the_model_builds_all_and_line(path):
     assert not calls & {"topology_all", "topology_line"} or path.name == "model.py"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_file_and_report_writers_tabulate_knowledge(path):
+    # booleans appear only at the file and JSON boundary; everything else
+    # reads the holder masks
+    calls = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+    }
+    assert "knowledge_table" not in calls or path.name in ("trace.py", "sim.py")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_tests_enum_membership_with_in(path):
+    # `x in ActionKind` raises TypeError for a non-member on Python 3.11 and
+    # runs a Python-level __contains__; isinstance asks the same question
+    tested = [
+        f"line {node.lineno}" for node in ast.walk(_tree(path)) if isinstance(node, ast.Compare)
+        for op, right in zip(node.ops, node.comparators)
+        if isinstance(op, (ast.In, ast.NotIn))
+        and isinstance(right, (ast.Name, ast.Attribute))
+        and getattr(right, "id", getattr(right, "attr", None)) in ("ActionKind", "RequirementLabel")
+    ]
+    assert tested == []
+
+
 def test_a_failing_property_does_not_end_the_session(tmp_path):
     # hypothesis imports libcst when a property fails; its deprecation
     # warning must not turn into an INTERNALERROR that skips later tests

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from protoforge.actions import LISTEN, SLEEP, transmit
+from protoforge.actions import LISTEN, SLEEP, Action, transmit
 from protoforge.model import RequirementLabel, Topology
 from protoforge.trace import (
     ProtocolTrace,
@@ -271,3 +271,59 @@ def test_at_most_one_packet_gained_per_listener_per_slot(data):
                 1 for k in range(spec.packets) if (later[k] & ~earlier[k]) >> p & 1
             )
             assert gained <= 1
+
+
+def _forged(kind, content=None):
+    """An Action whose fields were set past its constructor's checks."""
+    act = object.__new__(Action)
+    object.__setattr__(act, "kind", kind)
+    object.__setattr__(act, "content", content)
+    return act
+
+
+def test_action_rejects_a_kind_that_is_not_an_action_kind():
+    with pytest.raises(ValueError, match="action kind must be an ActionKind, got 'listen'"):
+        Action("listen")
+
+
+@pytest.mark.parametrize("cell", ["listen", None, _forged("listen")], ids=["str", "None", "str kind"])
+@pytest.mark.parametrize("enabled", [None, frozenset({L.R1_EXACTLY_ONE_ACTION})], ids=["all", "R1"])
+def test_validate_reports_a_malformed_cell_and_treats_it_as_no_action(cell, enabled):
+    # LINE3_ACTIONS with p1's listen at t=0 replaced: p1 no longer learns the
+    # packet, so the grid derived from the real schedule shows an illegal gain
+    spec = make_spec()
+    actions = ((transmit(1), cell, SLEEP), LINE3_ACTIONS[1])
+    trace = ProtocolTrace(spec, actions, derive_knowledge(spec, LINE3_ACTIONS))
+    found = [(v.label, v.time, v.process) for v in validate(trace, enabled)]
+    assert found[0] == (L.R1_EXACTLY_ONE_ACTION, 0, 1)
+    assert validate(trace, enabled)[0].detail == (
+        f"cell does not hold exactly one well-formed action: {cell!r}"
+    )
+    if enabled is None:
+        assert found[1:] == [(L.R7_COLLISION_FREE_LEARNING, 0, 1)]
+    else:
+        assert found == [(L.R1_EXACTLY_ONE_ACTION, 0, 1)]
+    assert not satisfies(trace, enabled)
+
+
+@pytest.mark.parametrize("packets, listed", [
+    (10, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    (11, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (11 packets)"),
+    (40, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...] (40 packets)"),
+])
+def test_violation_messages_list_at_most_ten_packets(packets, listed):
+    spec = make_spec(processes=2, packets=packets, horizon=1, topology="all")
+    trace = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP),))
+    forged = ProtocolTrace(spec, trace.actions, ((0b11,) * packets, (0b01,) * packets))
+    details = {v.label: v.detail for v in validate(forged)}
+    assert details[L.R4_INITIAL_KNOWLEDGE] == (
+        f"initial knowledge of non-source process 1 is wrong for packet(s) {listed}"
+    )
+    assert details[L.R6_NEVER_FORGETS] == (
+        f"process 1 forgets packet(s) {listed} between t=0 and t=1"
+    )
+    assert details[L.GOAL_DEADLINE] == f"process 1 misses packet(s) {listed} at the deadline t=1"
+    gained = ProtocolTrace(spec, trace.actions, (trace.knowledge[0], (0b11,) * packets))
+    assert [v.detail for v in validate(gained) if v.label is L.R7_COLLISION_FREE_LEARNING] == [
+        f"process 1 gains packet(s) {listed} at t=1 without a collision-free audible transmission"
+    ]
