@@ -201,15 +201,12 @@ class ProtocolTrace:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
             )
-        try:  # over distinct rows and masks; a long baseline repeats one row
+        try:  # the row test below over distinct rows and masks: baselines repeat rows
             rows = set(self.knowledge)
-            masks = set(chain.from_iterable(rows))
-            fits = (
-                set(map(len, rows)) <= {spec.packets}
-                and all(map(isinstance, masks, repeat(int)))
-                and (not masks or min(masks) >= 0 and not max(masks) >> spec.processes)
+            fits = set(map(len, rows)) <= {spec.packets} and not any(
+                holders >> spec.processes for holders in set(chain.from_iterable(rows))
             )
-        except TypeError:  # an unhashable row or mask: the walk below decides
+        except TypeError:  # an unhashable row or a mask that is no integer
             fits = False
         if not fits:  # name the first bad row
             for t, krow in enumerate(self.knowledge):
@@ -333,7 +330,8 @@ def _violations(
             role = "source" if p == spec.source else "non-source"
             yield Violation(
                 L.R4_INITIAL_KNOWLEDGE, 0, p,
-                f"initial knowledge of {role} process {p} is wrong for packet(s) {_listed(mistaken)}",
+                f"initial knowledge of {role} process {p} is wrong for packet(s) "
+                f"{_listed(mistaken)}",
             )
 
     if L.R5_TRANSMIT_ONLY_KNOWN in enabled:
@@ -351,7 +349,8 @@ def _violations(
             for p, forgotten in _by_process(lost):
                 yield Violation(
                     L.R6_NEVER_FORGETS, t, p,
-                    f"process {p} forgets packet(s) {_listed(forgotten)} between t={t} and t={t + 1}",
+                    f"process {p} forgets packet(s) {_listed(forgotten)} between t={t} and "
+                    f"t={t + 1}",
                 )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
@@ -385,7 +384,8 @@ def _violations(
         for p, missing in _by_process(lacking):
             yield Violation(
                 L.GOAL_DEADLINE, spec.horizon, p,
-                f"process {p} misses packet(s) {_listed(missing)} at the deadline t={spec.horizon}",
+                f"process {p} misses packet(s) {_listed(missing)} at the deadline "
+                f"t={spec.horizon}",
             )
 
 
@@ -481,7 +481,8 @@ def read_trace(text: str) -> ProtocolTrace:
             if masks not in tables:
                 tables[masks] = knowledge_table(masks, spec.processes)
             if row != tables[masks]:  # safe: _shaped admits only booleans, never 1 for True
-                p = next(p for p, (file, held) in enumerate(zip(row, tables[masks])) if file != held)
+                p = next(p for p, (file, held) in enumerate(zip(row, tables[masks]))
+                         if file != held)
                 raise TraceFormatError(
                     f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
                     "with the grid derived from the actions"

@@ -19,7 +19,14 @@ from typing import Iterator, Sequence
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from protoforge.actions import Action, ActionFormatError, ActionKind, action_domain, parse_action, transmit
+from protoforge.actions import (
+    Action,
+    ActionFormatError,
+    ActionKind,
+    action_domain,
+    parse_action,
+    transmit,
+)
 from protoforge.encoder import encode
 from protoforge.model import (
     GoalKind,
@@ -284,7 +291,8 @@ def _explicit_spec(processes, packets, horizon, seed, goal=GoalKind.ALL_KNOW_ALL
         if listener != speaker and rng.random() < 0.5
     }
     return make_spec(processes=processes, packets=packets, horizon=horizon,
-                     source=rng.randrange(processes), topology=Topology(frozenset(hears)), goal=goal)
+                     source=rng.randrange(processes), topology=Topology(frozenset(hears)),
+                     goal=goal)
 
 
 SOLVED_SPECS = [
@@ -325,7 +333,9 @@ def schedules(draw):
     """A random schedule of a random spec, with content codes past M too."""
     spec = draw(specs())
     cells = list(action_domain(spec.packets)) + [transmit(spec.packets + 1)]
-    cell = st.sampled_from(cells)
+    # shared objects, as the solver and read_trace give them, and equal copies
+    cell = st.sampled_from(cells).flatmap(
+        lambda act: st.sampled_from([act, Action(act.kind, act.content)]))
     actions = draw(st.lists(st.lists(cell, min_size=spec.processes, max_size=spec.processes),
                             min_size=spec.horizon, max_size=spec.horizon))
     return spec, actions
@@ -445,32 +455,55 @@ def test_misshapen_file_grids_are_malformed(edit):
     assert _outcome(read_trace, text) == ("TraceFormatError", "knowledge grid malformed")
 
 
-def _grid_with(trace, t, row):
-    return trace.knowledge[:t] + (row,) + trace.knowledge[t + 1:]
+TRAPS = [
+    "negative holder mask", "mask with bit P", "short knowledge row", "long knowledge row",
+    "short action row", "wide action row", "missing action row", "missing knowledge row",
+    "list rows", "unhashable bad row",
+]
 
 
-TRAPS = {
-    "negative holder mask": lambda tr: (tr.actions, _grid_with(tr, 2, (-1,) + tr.knowledge[2][1:])),
-    "mask with bit P": lambda tr: (tr.actions, _grid_with(tr, 1, (1 << tr.spec.processes,) + tr.knowledge[1][1:])),
-    "short knowledge row": lambda tr: (tr.actions, _grid_with(tr, 3, tr.knowledge[3][1:])),
-    "long knowledge row": lambda tr: (tr.actions, _grid_with(tr, 3, tr.knowledge[3] + (0,))),
-    "short action row": lambda tr: (tr.actions[:1] + (tr.actions[1][1:],) + tr.actions[2:], tr.knowledge),
-    "wide action row": lambda tr: (tr.actions[:2] + (tr.actions[2] * 2,) + tr.actions[3:], tr.knowledge),
-    "missing action row": lambda tr: (tr.actions[:-1], tr.knowledge),
-    "missing knowledge row": lambda tr: (tr.actions, tr.knowledge[:-1]),
-    "list rows": lambda tr: (tr.actions, tuple(map(list, tr.knowledge))),
-    "bad list row": lambda tr: (tr.actions, tuple(map(list, tr.knowledge[:-1])) + ([-1] * 2,)),
-}
+def _trapped(trap, trace):
+    """The trace's rows and grid with one defect (or, for "list rows", none)."""
+    actions, grid = list(trace.actions), list(trace.knowledge)
+    if trap == "negative holder mask":
+        grid[2] = (-1,) + grid[2][1:]
+    elif trap == "mask with bit P":
+        grid[1] = (1 << trace.spec.processes,) + grid[1][1:]
+    elif trap == "short knowledge row":
+        grid[3] = grid[3][1:]
+    elif trap == "long knowledge row":
+        grid[3] += (0,)
+    elif trap == "short action row":
+        actions[1] = actions[1][1:]
+    elif trap == "wide action row":
+        actions[2] *= 2
+    elif trap == "missing action row":
+        actions.pop()
+    elif trap == "missing knowledge row":
+        grid.pop()
+    elif trap == "list rows":
+        grid = list(map(list, grid))
+    else:
+        grid = list(map(list, grid[:-1])) + [[-1] * len(grid[-1])]
+    return tuple(actions), tuple(grid)
 
 
-@pytest.mark.parametrize("trap", sorted(TRAPS))
+@pytest.mark.parametrize("trap", TRAPS)
 def test_constructor_traps_raise_the_reference_message(trap):
     trace = SOLVED[1]  # all P=4 M=2 T=4
-    actions, grid = TRAPS[trap](trace)
+    actions, grid = _trapped(trap, trace)
     error = _reference_shape_error(trace.spec, actions, grid)
+    assert (error is None) == (trap == "list rows")
     made = _outcome(ProtocolTrace, trace.spec, actions, grid)
-    if error is None:
-        assert made[0] == "ok"
-    else:
-        assert made == ("TraceFormatError", error)
-    assert trap == "list rows" or error is not None
+    assert made == (("ok", ProtocolTrace(trace.spec, actions, grid)) if error is None
+                    else ("TraceFormatError", error))
+
+
+@pytest.mark.parametrize("label", [7, None, True, ["listen"], "tx:9", "shout"])
+def test_bad_action_labels_name_the_first_bad_cell(label):
+    doc = json.loads(write_trace(SOLVED[1]))
+    doc["actions"][2][3] = doc["actions"][3][1] = label
+    text = json.dumps(doc)
+    ours = _outcome(read_trace, text)
+    assert ours == _outcome(_reference_read, text)
+    assert ours[0] == "TraceFormatError" and ours[1].startswith("actions[2][3]")
