@@ -233,12 +233,9 @@ def _check_row_count(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> 
 
 
 def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
-    try:
-        if set(map(len, actions)) <= {spec.processes}:
-            return
-    except TypeError:  # a row without a length: the walk below meets it in order
-        pass
-    for t, row in enumerate(actions):
+    if set(map(len, actions)) <= {spec.processes}:
+        return
+    for t, row in enumerate(actions):  # name the first row of another width
         if len(row) != spec.processes:
             raise TraceFormatError(
                 f"dimension mismatch: {len(row)} actions at t={t} for {spec.processes} processes"
