@@ -206,7 +206,7 @@ class ProtocolTrace:
             fits = set(map(len, rows)) <= {spec.packets} and not any(
                 holders >> spec.processes for holders in set(chain.from_iterable(rows))
             )
-        except TypeError:  # an unhashable row or a mask that is no integer
+        except TypeError:  # an unhashable row, or a mask that is not an integer
             fits = False
         if not fits:  # name the first bad row
             for t, krow in enumerate(self.knowledge):
