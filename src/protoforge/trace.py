@@ -201,7 +201,7 @@ class ProtocolTrace:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
             )
-        try:  # the row test below over distinct rows and masks: baselines repeat rows
+        try:  # the row test below, once per distinct row and mask (baselines repeat rows)
             rows = set(self.knowledge)
             fits = set(map(len, rows)) <= {spec.packets} and not any(
                 holders >> spec.processes for holders in set(chain.from_iterable(rows))
