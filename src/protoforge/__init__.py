@@ -1,12 +1,15 @@
 """protoforge: schedule synthesis for slotted broadcast networks.
 
 Problems name a process count, a packet set held by one source, a horizon,
-and a hears relation; the toolkit grounds the requirements over the finite
-window, searches for a schedule in which every process sleeps, listens, or
+and a hears relation; the toolkit states the requirement families as
+constraints on one action per slot and process over the finite window,
+searches for a schedule in which every process sleeps, listens, or
 transmits each slot, and checks the result against an independent
 validator. Infeasible problems yield a minimized conflicting requirement
-set. Schedules can be exported as SMT-LIB 2, replayed in a slotted
-simulator, and compared against an always-on baseline for power use.
+set. A problem can be exported as an SMT-LIB 2 document, its one
+grounding, with a named assertion per requirement instance; schedules can
+be replayed in a slotted simulator and compared against an always-on
+baseline for power use.
 """
 
 from .actions import (
@@ -20,14 +23,7 @@ from .actions import (
     parse_action,
     transmit,
 )
-from .encoder import (
-    ConstraintSystem,
-    GroundConstraint,
-    describe,
-    disable,
-    encode,
-    ground,
-)
+from .encoder import ConstraintSystem, describe, encode
 from .model import (
     GoalKind,
     LivenessMode,
@@ -98,7 +94,6 @@ __all__ = [
     "ExternalSolverError",
     "GARBAGE",
     "GoalKind",
-    "GroundConstraint",
     "LISTEN",
     "LivenessMode",
     "NetworkSpec",
@@ -128,11 +123,9 @@ __all__ = [
     "compare",
     "derive_knowledge",
     "describe",
-    "disable",
     "emit_smtlib",
     "encode",
     "enumerate_all",
-    "ground",
     "min_horizon",
     "parse_action",
     "parse_spec",

@@ -189,8 +189,8 @@ def _assemble(
     fields: dict[str, object], hears: set[tuple[int, int]] | None
 ) -> NetworkSpec:
     """Builds the spec, which checks itself, from checked fields; `hears`
-    is None when the source gives no hears entries. The size limits are
-    checked first, so an oversized problem builds nothing."""
+    is None when the source gives no hears entries. The size limits and
+    stray hears entries are checked before any relation is built."""
     processes, horizon = fields["processes"], fields["horizon"]
     oversized = []
     if processes > MAX_PROCESSES:
@@ -202,14 +202,14 @@ def _assemble(
         )
     if oversized:
         raise SpecValidationError(oversized)
+    if hears is not None and fields["topology"] != "explicit":
+        raise SpecValidationError(["hears lines require topology = explicit"])
     if fields["topology"] == "all":
         topology = topology_all(processes)
     elif fields["topology"] == "line":
         topology = topology_line(processes)
     else:
         topology = Topology(frozenset(hears or ()))
-    if hears is not None and fields["topology"] != "explicit":
-        raise SpecValidationError(["hears lines require topology = explicit"])
     return NetworkSpec(
         processes=processes,
         packets=fields["packets"],

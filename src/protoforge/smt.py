@@ -38,7 +38,7 @@ from functools import cached_property
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families
-from .trace import ProtocolTrace, derive_knowledge
+from .trace import ProtocolTrace, audiences, derive_knowledge
 
 
 class SmtResponseError(ValueError):
@@ -162,8 +162,11 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
     speakers: list[list[int]] = [[] for _ in procs]
-    for listener, speaker in sorted(spec.topology.hears):
-        speakers[listener].append(speaker)
+    for speaker, heard_by in enumerate(audiences(spec)):
+        while heard_by:
+            low = heard_by & -heard_by
+            speakers[low.bit_length() - 1].append(speaker)
+            heard_by ^= low
     listeners = [p for p in procs if speakers[p]] if M else []
     for t in slots if listeners else ():
         count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx[t]])

@@ -1,19 +1,18 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from protoforge.actions import action_domain
-from protoforge.encoder import describe, disable, encode, ground
+from protoforge.encoder import describe, encode
 from protoforge.model import (
     GoalKind,
     LivenessMode,
     RequirementLabel,
     TAXONOMY,
     Topology,
-    topology_line,
 )
 from protoforge.trace import ProtocolTrace, satisfies, validate
 from conftest import make_spec
@@ -54,13 +53,12 @@ def test_goal_count_is_processes_times_packets():
     assert describe(cs).counts[L.GOAL_DEADLINE] == 2
 
 
-def test_topo_atoms_reference_only_line_pairs():
-    cs = encode(make_spec(processes=3, packets=1, horizon=2, topology="line"))
-    topo_atoms = [c for c in ground(cs.spec) if c.label is L.TOPO_HEARS_RELATION]
-    assert {(c.p, c.speaker) for c in topo_atoms} == {(1, 0), (2, 1)}
+def _counts(spec):
+    return [describe(encode(spec)).counts[label] for label in L]
 
 
 def test_counts_partition_constraints():
+    # one count per family, in TAXONOMY order: R1 R2 R3 R4 R5 R6 R7 GOAL TOPO
     cs = encode(
         make_spec(
             processes=3,
@@ -70,46 +68,22 @@ def test_counts_partition_constraints():
             liveness=LivenessMode.EACH_ACTION_ONCE,
         )
     )
-    counts = describe(cs).counts
-    assert set(counts) == set(L)
-    assert sum(counts.values()) == len(list(ground(cs.spec)))
+    assert list(describe(cs).counts) == list(TAXONOMY)
+    assert _counts(cs.spec) == [6, 6, 9, 6, 12, 12, 12, 6, 4]
 
 
-def test_closed_form_counts_match_the_listing():
+def test_closed_form_counts_are_pinned():
+    # literals counted atom by atom, not from the closed forms
     explicit = Topology(frozenset({(1, 0), (2, 0), (0, 2)}))
-    for topology, (T, M), liveness, goal in itertools.product(
-        ["all", "line", explicit, Topology(frozenset())],
-        [(0, 2), (2, 0), (3, 2)],
-        LivenessMode,
-        GoalKind,
-    ):
-        spec = make_spec(processes=3, packets=M, horizon=T, topology=topology,
-                         liveness=liveness, goal=goal)
-        listed = Counter(atom.label for atom in ground(spec))
-        assert describe(encode(spec)).counts == {label: listed[label] for label in L}
-
-
-def test_ground_yields_atoms_in_listing_order():
-    # taxonomy index, then t, p, k, speaker, with absent indices first
-    def listing_key(atom):
-        coords = (atom.t, atom.p, atom.k, atom.speaker)
-        return (TAXONOMY.index(atom.label),) + tuple(-1 if v is None else v for v in coords)
-
-    for spec in (
-        make_spec(processes=3, packets=2, horizon=3, topology="all",
-                  liveness=LivenessMode.EACH_ACTION_ONCE),
-        make_spec(processes=4, packets=1, horizon=2, source=2,
-                  topology=Topology(frozenset({(3, 0), (0, 3), (1, 2), (0, 1)}))),
-    ):
-        atoms = list(ground(spec))
-        keys = [listing_key(atom) for atom in atoms]
-        assert keys == sorted(keys)
-        assert {atom.label for atom in atoms} >= set(L) - {L.R3_LIVENESS}
-
-
-def test_describe_is_deterministic():
-    spec = make_spec(processes=3, packets=2, horizon=2, topology="line")
-    assert describe(encode(spec)).render() == describe(encode(spec)).render()
+    assert _counts(
+        make_spec(processes=4, packets=1, horizon=3, topology="all", goal=GoalKind.NONE)
+    ) == [12, 12, 0, 4, 12, 12, 12, 0, 36]
+    assert _counts(
+        make_spec(processes=3, packets=2, horizon=3, topology=explicit)
+    ) == [9, 9, 0, 6, 18, 18, 18, 6, 9]
+    assert _counts(
+        make_spec(processes=3, packets=0, horizon=2, topology=Topology(frozenset()))
+    ) == [6, 6, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_enabled_reflects_problem_not_atom_counts():
@@ -122,26 +96,12 @@ def test_enabled_reflects_problem_not_atom_counts():
     assert L.R1_EXACTLY_ONE_ACTION in cs.enabled
 
 
-def test_disable_goal_then_structural_then_missing():
-    cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
-    weaker = disable(cs, L.GOAL_DEADLINE)
-    assert L.GOAL_DEADLINE not in weaker.enabled
-    assert list(ground(weaker.spec)) == list(ground(cs.spec))
-    assert weaker.cell_count == cs.cell_count
-    with pytest.raises(ValueError, match="structural"):
-        disable(cs, L.R1_EXACTLY_ONE_ACTION)
-    with pytest.raises(ValueError, match="structural"):
-        disable(cs, L.R2_CONTENT_DOMAIN)
-    with pytest.raises(ValueError, match="not enabled"):
-        disable(weaker, L.GOAL_DEADLINE)
-
-
 def test_disable_goal_flips_tight_instance_to_sat():
     from protoforge.solver import SolveStatus, solve
 
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
     assert solve(cs).status is SolveStatus.UNSAT
-    assert solve(disable(cs, L.GOAL_DEADLINE)).status is SolveStatus.SAT
+    assert solve(replace(cs, enabled=cs.enabled - {L.GOAL_DEADLINE})).status is SolveStatus.SAT
 
 
 def test_every_assignment_that_validates_delivers():

@@ -169,7 +169,7 @@ def test_topology_name_never_builds_the_complete_graph(monkeypatch):
 
 
 def _refuse(*args):
-    raise AssertionError("built before the size check")
+    raise AssertionError("relation built before the input checks")
 
 
 @pytest.mark.parametrize("topology", ["all", "line"])
@@ -193,6 +193,26 @@ def test_size_limits_are_checked_before_a_relation_is_built(
     with pytest.raises(SpecValidationError, match=message):
         spec_from_dict(fields)
     path = tmp_path / "huge.spec"
+    path.write_text(text, encoding="utf-8")
+    assert main(["synth", str(path)]) == 4
+
+
+@pytest.mark.parametrize("topology", ["all", "line"])
+def test_stray_hears_lines_are_refused_before_a_relation_is_built(
+    monkeypatch, tmp_path, topology
+):
+    # a 1024-process `all` relation took 0.7 s to build only to be refused
+    monkeypatch.setattr("protoforge.model.topology_all", _refuse)
+    monkeypatch.setattr("protoforge.model.topology_line", _refuse)
+    fields = {"processes": 1024, "packets": 1, "horizon": 2, "source": 0, "topology": topology,
+              "liveness": "off", "goal": "all-know-all"}
+    text = "".join(f"{key} = {value}\n" for key, value in fields.items()) + "hears 1 0\n"
+    message = "hears lines require topology = explicit"
+    with pytest.raises(SpecValidationError, match=message):
+        parse_spec(text)
+    with pytest.raises(SpecValidationError, match=message):
+        spec_from_dict({**fields, "hears": [[1, 0]]})
+    path = tmp_path / "stray.spec"
     path.write_text(text, encoding="utf-8")
     assert main(["synth", str(path)]) == 4
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, action_domain, transmit
-from protoforge.encoder import describe, encode
+from protoforge.encoder import encode
 from protoforge.model import (
     GoalKind,
     LivenessMode,
@@ -115,47 +115,40 @@ def test_document_grows_linearly_in_processes():
 
 
 EACH = LivenessMode.EACH_ACTION_ONCE
-# name: (spec, sha256 of the SMT-LIB text, sha256 of describe(encode(spec)).render())
+# name: (spec, sha256 of the SMT-LIB text)
 GOLDEN = {
     "line3": (
         make_spec(),
         "c5bea5633027cf59c995e0c73bb089890b9760ea215f0a861639d0efe4183fef",
-        "f61cd13855480cd1ef9a30f2231d9772a1ffeb94a05e0bb5eb6afc9b6ca578f3",
     ),
     "all P=4 M=2 T=2, liveness": (
         make_spec(processes=4, packets=2, horizon=2, topology="all", liveness=EACH),
         "5f942a85df0ee63b0f8ac86cdf1b7a9b11e034cbf0cebf577b5e692a4bb11cc9",
-        "f7b227264757dcf26756e54416c1b5f166b39989c9b0b6c9ac2a54bf7568f766",
     ),
     "explicit, process 3 isolated": (
         make_spec(processes=4, packets=2, horizon=3, source=1,
                   topology=Topology(frozenset({(1, 0), (0, 1), (2, 1)}))),
         "9638f64a6297748e795d7f903aed2ea7fe1cdef8d272b30dd9a1b796e72b3f8f",
-        "c12bc101e990aa2a5f421a3ece45855b06121a9c706a653385d78ce027bc4835",
     ),
     "T=0, liveness": (
         make_spec(horizon=0, liveness=EACH),
         "c6610db195f1058a3fe47b29ac308aaf52c13a545a4d7adaafb32a30cf6090b9",
-        "a85e0c31ac1aa84d7a5e2a59445a319788fb3774b204d43e1533922a495a5301",
     ),
     "M=0": (
         make_spec(packets=0, horizon=2, topology="all"),
         "b555e46108307e5622afad04cb6186e0aaeaf3c20e3f5676e4a496c152dfda8c",
-        "cd95ecd05d036ad7da4f5df2add06eca0e29a4b8b00c2518728d354fa6226c17",
     ),
     "P=1 T=1, liveness": (
         make_spec(processes=1, packets=2, horizon=1, liveness=EACH),
         "cdb362e6bf18713db8491f408ad00ae76fea14279d8f9a11b0262455dc5c6da0",
-        "8c0f5e89c6f7bb973ba8059aa15b12753479396ea9dfbe46097c088eb3c227f8",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_document_and_listing_bytes_are_pinned(name):
-    spec, smt_sha, listing_sha = GOLDEN[name]
+    spec, smt_sha = GOLDEN[name]
     assert hashlib.sha256(emit_smtlib(spec).text.encode()).hexdigest() == smt_sha
-    assert hashlib.sha256(describe(encode(spec)).render().encode()).hexdigest() == listing_sha
 
 
 def _reference_emit(spec):
@@ -660,7 +653,7 @@ def _random_spec(rng):
 
 def test_solved_traces_satisfy_every_assertion():
     rng = random.Random(7001)
-    specs = [spec for spec, _, _ in GOLDEN.values()]
+    specs = [spec for spec, _ in GOLDEN.values()]
     specs += [_random_spec(rng) for _ in range(100)]
     checked = 0
     for spec in specs:
@@ -762,5 +755,5 @@ def test_documents_apply_only_declared_functions_and_fragment_operators():
     pairs = [(l, s) for l in range(6) for s in range(6) if l != s]
     explicit = make_spec(processes=6, packets=2, horizon=4, source=rng.randrange(6),
                          topology=Topology(frozenset(rng.sample(pairs, 12))))
-    for spec in [spec for spec, _, _ in GOLDEN.values()] + [explicit]:
+    for spec in [spec for spec, _ in GOLDEN.values()] + [explicit]:
         _lint(emit_smtlib(spec))
