@@ -38,6 +38,7 @@ from .model import (
     parse_spec,
     render_spec,
     topology_all,
+    topology_explicit,
     topology_line,
 )
 from .sim import (
@@ -139,6 +140,7 @@ __all__ = [
     "solve",
     "step_knowledge",
     "topology_all",
+    "topology_explicit",
     "topology_line",
     "transmit",
     "unsat_core_minimize",

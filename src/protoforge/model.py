@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 # Size limits on problems read from text, checked before anything grows
-# with them: at most this many processes (so an `all` relation has at most
-# ~1M pairs), and at most this many facts (horizon + 1) * processes *
-# max(packets, 1) in the knowledge grid a trace file holds.
+# with them: at most this many processes (so an `all` relation is at most
+# 1024 masks of 1024 bits), and at most this many facts (horizon + 1) *
+# processes * max(packets, 1) in the knowledge grid a trace file holds.
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
 
@@ -66,24 +67,56 @@ STRUCTURAL_LABELS = frozenset(
 )
 
 
+def set_bits(mask: int) -> list[int]:
+    """The positions of a mask's set bits, lowest first."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
 @dataclass(frozen=True)
 class Topology:
-    """The hears relation: (listener, speaker) pairs that can communicate."""
+    """The hears relation as listener masks: bit l of audience[s] is set when l hears s."""
 
-    hears: frozenset[tuple[int, int]]
+    audience: tuple[int, ...]
+
+    def __post_init__(self) -> None:  # trailing empty masks go: equal relations compare equal
+        masks = list(self.audience)
+        while masks and not masks[-1]:
+            masks.pop()
+        object.__setattr__(self, "audience", tuple(masks))
+
+    @property
+    def hears(self) -> list[tuple[int, int]]:
+        """The sorted (listener, speaker) pairs, as spec and trace files list them."""
+        return sorted((l, s) for s, mask in enumerate(self.audience) for l in set_bits(mask))
 
 
 def topology_all(processes: int) -> Topology:
     """Complete graph: everyone hears everyone else."""
-    pairs = frozenset(
-        (l, s) for l in range(processes) for s in range(processes) if l != s
-    )
-    return Topology(pairs)
+    return Topology(tuple(((1 << processes) - 1) ^ (1 << s) for s in range(processes)))
 
 
 def topology_line(processes: int) -> Topology:
     """Chain: process p hears only p-1."""
-    return Topology(frozenset((p, p - 1) for p in range(1, processes)))
+    return Topology(tuple(1 << (s + 1) for s in range(processes - 1)))
+
+
+def topology_explicit(processes: int, pairs: Iterable[tuple[int, int]]) -> Topology:
+    """The relation of the given (listener, speaker) pairs, each checked
+    before it becomes a bit, so a hostile id never builds a mask. Raises
+    SpecValidationError naming, in pair order, the reflexive pairs and,
+    when processes >= 1, the pairs with an id out of range."""
+    masks, bad = {}, []
+    for l, s in pairs:
+        if l != s and 0 <= l < processes and 0 <= s < processes:
+            masks[s] = masks.get(s, 0) | 1 << l
+        elif l == s or processes >= 1:
+            bad.append((l, s))
+    if bad:
+        raise SpecValidationError([
+            f"{'reflexive' if l == s else 'process id out of range in'} hears pair ({l}, {s})"
+            for l, s in sorted(bad)
+        ])
+    return Topology(tuple(masks.get(s, 0) for s in range(max(masks, default=-1) + 1)))
 
 
 class SpecError(ValueError):
@@ -126,13 +159,14 @@ class NetworkSpec:
             errors.append("horizon must be >= 0")
         if P >= 1 and not 0 <= self.source < P:
             errors.append(f"source out of range: {self.source}")
-        bad_pairs = []  # (pair, problem), reported in pair order
-        for listener, speaker in self.topology.hears:
-            if listener == speaker:
-                bad_pairs.append(((listener, speaker), "reflexive hears pair"))
-            elif P >= 1 and not (0 <= listener < P and 0 <= speaker < P):
-                bad_pairs.append(((listener, speaker), "process id out of range in hears pair"))
-        errors.extend(f"{problem} ({l}, {s})" for (l, s), problem in sorted(bad_pairs))
+        # stray bits: a speaker's own, those past P, and all of a speaker past P
+        strays = [mask if s >= P else (mask >> P << P) | (mask & 1 << s)
+                  for s, mask in enumerate(self.topology.audience)]
+        try:  # the builder words them as the pairs they stand for
+            topology_explicit(P, [(l, s) for s, bits in enumerate(strays) if bits
+                                  for l in set_bits(bits)])
+        except SpecValidationError as bad:
+            errors += bad.errors
         if errors:
             raise SpecValidationError(errors)
 
@@ -209,7 +243,14 @@ def _assemble(
     elif fields["topology"] == "line":
         topology = topology_line(processes)
     else:
-        topology = Topology(frozenset(hears or ()))
+        try:
+            topology = topology_explicit(processes, hears or ())
+        except SpecValidationError as bad:  # listed after the fields' own errors
+            try:
+                NetworkSpec(processes, fields["packets"], horizon, fields["source"], Topology(()))
+            except SpecValidationError as wrong:
+                raise SpecValidationError([*wrong.errors, *bad.errors]) from None
+            raise
     return NetworkSpec(
         processes=processes,
         packets=fields["packets"],
@@ -265,15 +306,11 @@ def parse_spec(text: str) -> NetworkSpec:
 
 
 def topology_name(topology: Topology, processes: int) -> str:
-    """Canonical file-format name for a spec's hears relation. The spec has
-    checked every pair (two distinct ids in range), so the complete graph
-    is the only relation with P*(P-1) pairs; nothing is materialised."""
-    hears = topology.hears
-    if len(hears) == processes * (processes - 1):
+    """Canonical file-format name for a spec's hears relation: a relation
+    equal to a named one goes by that name."""
+    if topology == topology_all(processes):
         return "all"
-    if len(hears) == processes - 1 and all((p, p - 1) in hears for p in range(1, processes)):
-        return "line"
-    return "explicit"
+    return "line" if topology == topology_line(processes) else "explicit"
 
 
 def render_spec(spec: NetworkSpec) -> str:
@@ -298,7 +335,7 @@ def spec_as_dict(spec: NetworkSpec) -> dict:
         "topology": name,
     }
     if name == "explicit":
-        obj["hears"] = [list(pair) for pair in sorted(spec.topology.hears)]
+        obj["hears"] = [list(pair) for pair in spec.topology.hears]
     obj["liveness"] = spec.liveness.value
     obj["goal"] = spec.goal.value
     return obj

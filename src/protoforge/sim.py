@@ -25,7 +25,7 @@ from itertools import cycle, islice
 from operator import attrgetter
 
 from .actions import Action, ActionKind, LISTEN, action_domain
-from .model import NetworkSpec, RequirementLabel, spec_as_dict
+from .model import NetworkSpec, RequirementLabel, set_bits, spec_as_dict
 from .trace import (
     KnowledgeRow,
     ProtocolTrace,
@@ -145,10 +145,8 @@ def run_baseline(
         for holders in know[-1]:
             joined &= holders
         t = len(rows)
-        if joined != full:  # walk the span of new members only
-            new = joined & ~full
-            low = (new & -new).bit_length() - 1
-            senders += [(p, t) for p in range(low, new.bit_length()) if new >> p & 1]
+        if joined != full:
+            senders += [(p, t) for p in set_bits(joined & ~full)]
             full, since = joined, t
         if full == everyone or t == max_slots:
             break

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import NetworkSpec, RequirementLabel, requirement_families
+from .model import NetworkSpec, RequirementLabel, requirement_families, set_bits
 from .trace import ProtocolTrace, audiences, derive_knowledge
 
 
@@ -163,10 +163,8 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # learning equality reads them: with packets, for listeners with speakers.
     speakers: list[list[int]] = [[] for _ in procs]
     for speaker, heard_by in enumerate(audiences(spec)):
-        while heard_by:
-            low = heard_by & -heard_by
-            speakers[low.bit_length() - 1].append(speaker)
-            heard_by ^= low
+        for listener in set_bits(heard_by):
+            speakers[listener].append(speaker)
     listeners = [p for p in procs if speakers[p]] if M else []
     for t in slots if listeners else ():
         count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx[t]])

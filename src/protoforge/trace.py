@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
-from operator import attrgetter
+from collections import Counter
+from functools import partial, reduce
+from itertools import chain, islice, repeat
+from operator import attrgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
@@ -48,6 +49,7 @@ from .model import (
     RequirementLabel,
     SpecError,
     requirement_families,
+    set_bits,
     spec_as_dict,
     spec_from_dict,
 )
@@ -80,10 +82,8 @@ def audiences(
     P = spec.processes
     if RequirementLabel.TOPO_HEARS_RELATION not in _enabled_set(enabled):
         return tuple(((1 << P) - 1) ^ (1 << s) for s in range(P))
-    audience = [0] * P
-    for listener, speaker in spec.topology.hears:
-        audience[speaker] |= 1 << listener
-    return tuple(audience)
+    audience = spec.topology.audience
+    return audience + (0,) * (P - len(audience))
 
 
 def step_knowledge(
@@ -321,14 +321,12 @@ def _violations(
                         f"process {p} never performs {kind.value} within the horizon",
                     )
 
-    if L.R4_INITIAL_KNOWLEDGE in enabled:
-        wrong = [have ^ want for have, want in zip(grid[0], initial_knowledge(spec))]
-        for p, mistaken in _by_process(wrong):
+    if L.R4_INITIAL_KNOWLEDGE in enabled and grid[0] != initial_knowledge(spec):
+        for p, mistaken in _by_process(grid[0], lambda have: have ^ 1 << spec.source):
             role = "source" if p == spec.source else "non-source"
             yield Violation(
                 L.R4_INITIAL_KNOWLEDGE, 0, p,
-                f"initial knowledge of {role} process {p} is wrong for packet(s) "
-                f"{_listed(mistaken)}",
+                f"initial knowledge of {role} process {p} is wrong for packet(s) {mistaken}",
             )
 
     if L.R5_TRANSMIT_ONLY_KNOWN in enabled:
@@ -340,49 +338,49 @@ def _violations(
                         f"process {p} transmits packet {k} at t={t} without knowing it",
                     )
 
+    # The learning rule of learning_rule(spec, enabled) on the decoded rows.
+    # Audibility folds into it; dropping TOPO lifts it.
+    audience = audiences(spec, enabled)
+
     if L.R6_NEVER_FORGETS in enabled:
         for t in range(spec.horizon):
-            lost = [was & ~now for was, now in zip(grid[t], grid[t + 1])]
-            for p, forgotten in _by_process(lost):
+            before, after = grid[t], grid[t + 1]
+            if after == deliver(before, listening[t], sends[t], audience):
+                continue  # the rule never takes a packet away
+            for p, forgotten in _by_process(list(zip(before, after)), lambda r: r[0] & ~r[1]):
                 yield Violation(
                     L.R6_NEVER_FORGETS, t, p,
-                    f"process {p} forgets packet(s) {_listed(forgotten)} between t={t} and "
-                    f"t={t + 1}",
+                    f"process {p} forgets packet(s) {forgotten} between t={t} and t={t + 1}",
                 )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
-        # The learning rule of learning_rule(spec, enabled) on the decoded
-        # rows. Audibility folds into it; dropping TOPO lifts it.
-        audience = audiences(spec, enabled)
         for t in range(spec.horizon):
             expected = deliver(grid[t], listening[t], sends[t], audience)
             before, after = grid[t], grid[t + 1]
             if after == expected:  # expected never loses a packet of before
                 continue
-            gained = [now & ~was & ~legal for was, now, legal in zip(before, after, expected)]
-            dropped = [legal & ~was & ~now for was, now, legal in zip(before, after, expected)]
-            for p, illegal, missed in _by_process(gained, dropped):
+            triples = list(zip(before, after, expected))  # (was, now, legal)
+            gained, dropped = (lambda r: r[1] & ~r[0] & ~r[2]), (lambda r: r[2] & ~r[0] & ~r[1])
+            for p, illegal, missed in _by_process(triples, gained, dropped):
                 if illegal:
                     yield Violation(
                         L.R7_COLLISION_FREE_LEARNING, t, p,
-                        f"process {p} gains packet(s) {_listed(illegal)} at t={t + 1} without a "
+                        f"process {p} gains packet(s) {illegal} at t={t + 1} without a "
                         "collision-free audible transmission",
                     )
                 if missed:
                     yield Violation(
                         L.R7_COLLISION_FREE_LEARNING, t, p,
-                        f"process {p} fails to record packet(s) {_listed(missed)} it legally "
+                        f"process {p} fails to record packet(s) {missed} it legally "
                         f"hears at t={t}",
                     )
 
     if L.GOAL_DEADLINE in enabled:
         everyone = (1 << spec.processes) - 1
-        lacking = [everyone & ~holders for holders in grid[spec.horizon]]
-        for p, missing in _by_process(lacking):
+        for p, missing in _by_process(grid[spec.horizon], lambda holders: everyone & ~holders):
             yield Violation(
                 L.GOAL_DEADLINE, spec.horizon, p,
-                f"process {p} misses packet(s) {_listed(missing)} at the deadline "
-                f"t={spec.horizon}",
+                f"process {p} misses packet(s) {missing} at the deadline t={spec.horizon}",
             )
 
 
@@ -396,24 +394,26 @@ def _well_formed(act: object) -> bool:
     return act.content is None
 
 
-def _by_process(*families: Sequence[int]) -> Iterator[tuple]:
-    """For each process that some mask names, in id order: the process and,
-    per family of per-packet masks, the packets whose mask has its bit."""
-    union = 0
-    for masks in families:
-        for mask in masks:
-            union |= mask
-    for p in range(union.bit_length()):
-        if union >> p & 1:
-            yield p, *([k for k, m in enumerate(masks, 1) if m >> p & 1] for masks in families)
+def _by_process(values: Sequence, *masks_of: Callable[..., int]) -> Iterator[tuple]:
+    """Per process that some packet's mask names, in id order: the process
+    and, per mask function, its packets as _listed gives them, or None.
+    Packet k's masks are functions of values[k - 1], taken once per distinct
+    value; the named values are counted by one C pass each while few."""
+    tables = [{value: mask_of(value) for value in set(values)} for mask_of in masks_of]
+    named = {value for table in tables for value, mask in table.items() if mask}
+    counts = Counter(values) if len(named) > MAX_LISTED else {v: values.count(v) for v in named}
+    union = reduce(or_, (table[value] for table in tables for value in named), 0)
+    for p in set_bits(union):
+        hits = [{value for value in named if table[value] >> p & 1} for table in tables]
+        yield p, *(_listed(values, counts, each) if each else None for each in hits)
 
 
-def _listed(packets: list[int]) -> str:
-    """Packet numbers as messages give them: all of up to MAX_LISTED, or
-    the first MAX_LISTED and how many there are."""
-    if len(packets) <= MAX_LISTED:
-        return str(packets)
-    return f"{str(packets[:MAX_LISTED])[:-1]}, ...] ({len(packets)} packets)"
+def _listed(values: Sequence, counts: Counter, hits: set) -> str:
+    """Packets whose value is in hits: all up to MAX_LISTED, else the first ones and the count."""
+    count = sum(counts[value] for value in hits)
+    found = (k for k, value in enumerate(values, 1) if value in hits)
+    packets = list(islice(found, min(count, MAX_LISTED)))
+    return str(packets) if count <= MAX_LISTED else f"{str(packets)[:-1]}, ...] ({count} packets)"
 
 
 def write_trace(trace: ProtocolTrace) -> str:

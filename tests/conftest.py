@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from typing import Iterable
+
 from protoforge.model import (
     GoalKind,
     LivenessMode,
     NetworkSpec,
     Topology,
     topology_all,
+    topology_explicit,
     topology_line,
 )
 
@@ -15,7 +18,7 @@ def make_spec(
     packets: int = 1,
     horizon: int = 2,
     source: int = 0,
-    topology: Topology | str = "line",
+    topology: Topology | str | Iterable[tuple[int, int]] = "line",
     liveness: LivenessMode = LivenessMode.OFF,
     goal: GoalKind = GoalKind.ALL_KNOW_ALL,
 ) -> NetworkSpec:
@@ -23,7 +26,8 @@ def make_spec(
         topology = topology_line(processes)
     elif topology == "all":
         topology = topology_all(processes)
-    assert isinstance(topology, Topology)
+    elif not isinstance(topology, Topology):  # (listener, speaker) pairs
+        topology = topology_explicit(processes, topology)
     return NetworkSpec(
         processes=processes,
         packets=packets,

@@ -21,10 +21,10 @@ from protoforge.model import (
     LivenessMode,
     NetworkSpec,
     RequirementLabel,
-    Topology,
     parse_spec,
     render_spec,
     topology_all,
+    topology_explicit,
     topology_line,
 )
 from protoforge.sim import PowerModel, run_baseline, simulate_trace
@@ -176,7 +176,7 @@ def test_criterion_6_round_trips_on_200_random_artifacts():
             [
                 topology_all(P),
                 topology_line(P),
-                Topology(frozenset(q for q in pairs if rng.random() < 0.5)),
+                topology_explicit(P, (q for q in pairs if rng.random() < 0.5)),
             ]
         )
         spec = NetworkSpec(

@@ -12,7 +12,6 @@ from protoforge.model import (
     LivenessMode,
     RequirementLabel,
     TAXONOMY,
-    Topology,
 )
 from protoforge.trace import ProtocolTrace, satisfies, validate
 from conftest import make_spec
@@ -74,7 +73,7 @@ def test_counts_partition_constraints():
 
 def test_closed_form_counts_are_pinned():
     # literals counted atom by atom, not from the closed forms
-    explicit = Topology(frozenset({(1, 0), (2, 0), (0, 2)}))
+    explicit = {(1, 0), (2, 0), (0, 2)}
     assert _counts(
         make_spec(processes=4, packets=1, horizon=3, topology="all", goal=GoalKind.NONE)
     ) == [12, 12, 0, 4, 12, 12, 12, 0, 36]
@@ -82,14 +81,14 @@ def test_closed_form_counts_are_pinned():
         make_spec(processes=3, packets=2, horizon=3, topology=explicit)
     ) == [9, 9, 0, 6, 18, 18, 18, 6, 9]
     assert _counts(
-        make_spec(processes=3, packets=0, horizon=2, topology=Topology(frozenset()))
+        make_spec(processes=3, packets=0, horizon=2, topology=set())
     ) == [6, 6, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_enabled_reflects_problem_not_atom_counts():
     # empty hears relation and zero horizon still leave their families active
     cs = encode(
-        make_spec(processes=2, packets=1, horizon=0, topology=Topology(frozenset()))
+        make_spec(processes=2, packets=1, horizon=0, topology=set())
     )
     assert L.TOPO_HEARS_RELATION in cs.enabled
     assert L.R7_COLLISION_FREE_LEARNING in cs.enabled

@@ -59,8 +59,13 @@ def mutated(draw, text: str) -> str:
     return "".join(tokens)
 
 
+# An id far past P: refused before it could become a bit of a mask.
+HOSTILE_HEARS = render_spec(SPECS[2]) + "hears 1000000000000 0\n"
+
+
 @settings(deadline=None)
 @given(st.sampled_from(SPECS).flatmap(lambda spec: mutated(render_spec(spec))))
+@example(HOSTILE_HEARS)
 def test_parse_spec_raises_only_spec_errors(text):
     try:
         parse_spec(text)
@@ -73,6 +78,7 @@ def test_parse_spec_raises_only_spec_errors(text):
 @example("[" * 100_000)  # nesting deeper than the interpreter's recursion limit
 @example('{"spec": ' * 100_000)
 @example(OVERSIZED_PACKETS_TRACE)  # a small file whose spec claims 1,864,135 packets
+@example(write_trace(TRACES[SPECS[2]]).replace("[1, 0]", "[1000000000000, 0]", 1))
 def test_read_trace_raises_only_trace_format_errors(text):
     try:
         read_trace(text)

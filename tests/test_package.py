@@ -74,11 +74,12 @@ def _tree(path: Path) -> ast.Module:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_relation_owners_read_hears(path):
-    # everything else reads who hears whom as trace.audiences' bitmasks
+    # the pair view exists for the file and JSON forms; everything else
+    # reads who hears whom as listener masks
     reads = any(
         isinstance(node, ast.Attribute) and node.attr == "hears" for node in ast.walk(_tree(path))
     )
-    assert not reads or path.name in ("model.py", "trace.py", "encoder.py")
+    assert not reads or path.name == "model.py"
 
 
 # Definitions that nothing in the package or the bench harness reads by name,

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from protoforge import sim
 from protoforge.actions import LISTEN, SLEEP, transmit
 from protoforge.encoder import encode
-from protoforge.model import GoalKind, Topology
+from protoforge.model import GoalKind
 from protoforge.sim import (
     ComparisonReport,
     PowerModel,
@@ -132,9 +132,7 @@ def test_baseline_line_completes_in_p_minus_one_slots(p):
 
 
 def test_baseline_gives_up_at_max_slots():
-    from protoforge.model import Topology
-
-    spec = make_spec(processes=2, packets=1, horizon=0, topology=Topology(frozenset()))
+    spec = make_spec(processes=2, packets=1, horizon=0, topology=set())
     trace, report = run_baseline(spec, PowerModel(), max_slots=4)
     assert report.slots_run == 4
     assert not report.completed
@@ -265,7 +263,7 @@ def _stepped_baseline(spec, power, max_slots=None):
 def _explicit(processes, packets, pairs, source=0):
     return make_spec(
         processes=processes, packets=packets, horizon=0, source=source,
-        topology=Topology(frozenset(pairs)), goal=GoalKind.NONE,
+        topology=pairs, goal=GoalKind.NONE,
     )
 
 

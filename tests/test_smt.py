@@ -17,9 +17,9 @@ from protoforge.model import (
     LivenessMode,
     NetworkSpec,
     RequirementLabel,
-    Topology,
     requirement_families,
     topology_all,
+    topology_explicit,
     topology_line,
 )
 from protoforge.smt import (
@@ -127,7 +127,7 @@ GOLDEN = {
     ),
     "explicit, process 3 isolated": (
         make_spec(processes=4, packets=2, horizon=3, source=1,
-                  topology=Topology(frozenset({(1, 0), (0, 1), (2, 1)}))),
+                  topology={(1, 0), (0, 1), (2, 1)}),
         "9638f64a6297748e795d7f903aed2ea7fe1cdef8d272b30dd9a1b796e72b3f8f",
     ),
     "T=0, liveness": (
@@ -272,7 +272,7 @@ def test_emitter_equals_the_assertion_by_assertion_reference(data):
     spec = make_spec(
         processes=P, packets=M, horizon=T,
         source=data.draw(st.integers(0, P - 1), label="source"),
-        topology=Topology(frozenset(hears)),
+        topology=hears,
         liveness=data.draw(st.sampled_from(list(LivenessMode)), label="liveness"),
         goal=data.draw(st.sampled_from(list(GoalKind)), label="goal"),
     )
@@ -643,7 +643,7 @@ def _random_spec(rng):
     topo = rng.choice([
         topology_all(P),
         topology_line(P),
-        Topology(frozenset(q for q in pairs if rng.random() < 0.5)),
+        topology_explicit(P, (q for q in pairs if rng.random() < 0.5)),
     ])
     return NetworkSpec(
         P, rng.randint(0, 3), rng.randint(0, 4), rng.randrange(P), topo,
@@ -754,6 +754,6 @@ def test_documents_apply_only_declared_functions_and_fragment_operators():
     rng = random.Random(7003)
     pairs = [(l, s) for l in range(6) for s in range(6) if l != s]
     explicit = make_spec(processes=6, packets=2, horizon=4, source=rng.randrange(6),
-                         topology=Topology(frozenset(rng.sample(pairs, 12))))
+                         topology=rng.sample(pairs, 12))
     for spec in [spec for spec, _ in GOLDEN.values()] + [explicit]:
         _lint(emit_smtlib(spec))

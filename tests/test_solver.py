@@ -13,7 +13,6 @@ from protoforge.model import (
     RequirementLabel,
     STRUCTURAL_LABELS,
     TAXONOMY,
-    Topology,
     topology_all,
     topology_line,
 )
@@ -130,7 +129,7 @@ def test_unsat_core_tight_instance_exact():
 
 def test_unsat_core_empty_hears_is_unsat_and_minimal():
     cs = encode(
-        make_spec(processes=2, packets=1, horizon=1, topology=Topology(frozenset()))
+        make_spec(processes=2, packets=1, horizon=1, topology=set())
     )
     assert solve(cs).status is SolveStatus.UNSAT
     core = unsat_core_minimize(cs)
@@ -273,7 +272,7 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     (8, 3, 4, 1, {pair for leaf in range(1, 8) for pair in ((0, leaf), (leaf, 0))}),
 ])
 def test_unreachable_process_is_unsat_at_the_root(P, M, T, source, pairs):
-    topology = "line" if pairs is None else Topology(frozenset(pairs))
+    topology = "line" if pairs is None else pairs
     cs = encode(make_spec(processes=P, packets=M, horizon=T, source=source, topology=topology))
     result = solve(cs, SearchConfig(node_limit=100_000))
     assert result.status is SolveStatus.UNSAT
@@ -286,7 +285,7 @@ def test_near_complete_relation_is_sat_within_a_small_budget():
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 2), (1, 4), (2, 1), (2, 3),
         (2, 4), (3, 0), (3, 1), (3, 2), (3, 4), (4, 0), (4, 1), (4, 2), (4, 3),
     })
-    cs = encode(make_spec(processes=5, packets=2, horizon=4, topology=Topology(hears)))
+    cs = encode(make_spec(processes=5, packets=2, horizon=4, topology=hears))
     result = solve(cs, SearchConfig(node_limit=1_000))
     assert result.status is SolveStatus.SAT
     assert validate(result.trace) == []
@@ -305,7 +304,7 @@ def test_unsat_core_keeps_r5_when_a_process_may_send_what_it_lacks():
     # 3 is three hops from the source, out of reach in two slots; with R5
     # dropped, 2 sends the packet unheld in slot 0 and 1 relays it to 2
     hears = frozenset({(1, 0), (2, 1), (3, 2), (1, 2)})
-    cs = encode(make_spec(processes=4, packets=1, horizon=2, topology=Topology(hears)))
+    cs = encode(make_spec(processes=4, packets=1, horizon=2, topology=hears))
     assert unsat_core_minimize(cs) == {
         L.GOAL_DEADLINE, L.R5_TRANSMIT_ONLY_KNOWN, L.R7_COLLISION_FREE_LEARNING,
         L.TOPO_HEARS_RELATION,
@@ -340,7 +339,7 @@ def test_first_trace_matches_oracle_on_explicit_relations(case):
     for horizon in horizons:
         for source in range(processes):
             spec = make_spec(processes=processes, packets=packets, horizon=horizon,
-                             source=source, topology=Topology(frozenset(pairs)),
+                             source=source, topology=pairs,
                              liveness=liveness)
             for cs in _trial_systems(spec):
                 assert cs.domain_size ** cs.cell_count <= 10**5

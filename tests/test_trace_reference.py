@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from typing import Iterator, Sequence
 
 import pytest
@@ -33,7 +34,6 @@ from protoforge.model import (
     LivenessMode,
     RequirementLabel,
     SpecError,
-    Topology,
     requirement_families,
     spec_as_dict,
     spec_from_dict,
@@ -291,7 +291,7 @@ def _explicit_spec(processes, packets, horizon, seed, goal=GoalKind.ALL_KNOW_ALL
         if listener != speaker and rng.random() < 0.5
     }
     return make_spec(processes=processes, packets=packets, horizon=horizon,
-                     source=rng.randrange(processes), topology=Topology(frozenset(hears)),
+                     source=rng.randrange(processes), topology=hears,
                      goal=goal)
 
 
@@ -317,8 +317,7 @@ def specs(draw):
     topology = draw(st.sampled_from(["all", "line", "explicit"]), label="topology")
     if topology == "explicit":
         pairs = [(a, b) for a in range(P) for b in range(P) if a != b]
-        topology = Topology(frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)
-                                          if pairs else st.just([]))))
+        topology = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
     return make_spec(
         processes=P, packets=M, horizon=T,
         source=draw(st.integers(0, P - 1), label="source"),
@@ -406,6 +405,44 @@ def test_tampered_grids_match_the_reference(case, enabled):
     trace = made[1]
     assert validate(trace, enabled) == list(_reference_violations(trace, enabled))
     assert write_trace(trace) == _reference_write(trace)
+
+
+def _capped(detail: str) -> str:
+    """A reference message with each packet list past ten cut as the
+    library cuts it: the first ten, then how many there are."""
+    def cap(match: re.Match) -> str:
+        packets = match.group(1).split(", ")
+        if len(packets) <= 10:
+            return match.group(0)
+        return f"[{', '.join(packets[:10])}, ...] ({len(packets)} packets)"
+    return re.sub(r"\[(\d+(?:, \d+)*)\]", cap, detail)
+
+
+@st.composite
+def scrambled(draw):
+    """A schedule over more packets than a message lists, with a grid of
+    random masks: many distinct masks, most of them violations."""
+    P = draw(st.integers(2, 6), label="P")
+    M = draw(st.integers(11, 40), label="M")
+    spec = make_spec(processes=P, packets=M, horizon=draw(st.integers(1, 2), label="T"),
+                     source=draw(st.integers(0, P - 1), label="source"), topology="all")
+    cell = st.sampled_from(list(action_domain(M)))
+    actions = draw(st.lists(st.lists(cell, min_size=P, max_size=P),
+                            min_size=spec.horizon, max_size=spec.horizon))
+    mask = st.integers(0, (1 << P) - 1)
+    grid = draw(st.lists(st.lists(mask, min_size=M, max_size=M).map(tuple),
+                         min_size=spec.horizon + 1, max_size=spec.horizon + 1))
+    return ProtocolTrace(spec, tuple(map(tuple, actions)), tuple(grid))
+
+
+@settings(deadline=None)
+@given(scrambled(), ENABLED)
+def test_many_distinct_masks_match_the_capped_reference(trace, enabled):
+    expected = [
+        Violation(v.label, v.time, v.process, _capped(v.detail))
+        for v in _reference_violations(trace, enabled)
+    ]
+    assert validate(trace, enabled) == expected
 
 
 @settings(deadline=None)
