@@ -22,10 +22,11 @@ named so unsat cores map back onto requirement families. The footer always
 asks for both values and an unsat core; solvers answer the inapplicable
 request with an error form, which the parser skips.
 
-The document is rendered from atom tables made once per document: the
-sleep, listen and transmit atom of each cell and the knows atom of each
-(t, p, k) are formatted up front, and each assertion is then one f-string
-that splices them together with its name.
+The per-slot families (R1, R2, R5, R6, R7 and the get-value lines) read
+the same in every slot but for the digits of t and t + 1. Each is rendered
+once per document as a block over placeholder characters for the two and
+stamped out per slot with str.replace. R3, R4 and GOAL are not per-slot and
+are rendered directly.
 """
 
 from __future__ import annotations
@@ -85,6 +86,24 @@ def _sum(terms: list[str]) -> str:
     return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
 
 
+# Placeholders for t and t + 1 in the per-slot families; no spec renders
+# either character.
+_T, _T1 = "\x00", "\x01"
+
+
+def _stamp(block: list[str], slots: range) -> list[str]:
+    """The block's lines for each slot in turn, its placeholders filled in.
+    Each stamped block is split on its own, so no string the size of a
+    family is ever built."""
+    if not block:
+        return []
+    template = "\n".join(block)
+    lines: list[str] = []
+    for t in slots:
+        lines += template.replace(_T, str(t)).replace(_T1, str(t + 1)).split("\n")
+    return lines
+
+
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
@@ -98,10 +117,6 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         )
     )
     slots, procs, packets = range(T), range(P), range(1, M + 1)
-    sleep = [[f"(sleep {t} {p})" for p in procs] for t in slots]
-    listen = [[f"(listen {t} {p})" for p in procs] for t in slots]
-    tx = [[f"(transmit {t} {p})" for p in procs] for t in slots]
-    knows = [[[f"(knows {t} {p} {k})" for k in packets] for p in procs] for t in range(T + 1)]
     header = (
         "(set-option :produce-models true)",
         "(set-option :produce-unsat-cores true)",
@@ -117,47 +132,6 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         "(declare-fun senders (Int) Int)",
         "(declare-fun heard (Int Int) Int)",
     )
-    # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
-    # cores map back onto requirement families.
-    lines: list[str] = []
-    for t in slots:
-        for p, s, l, x in zip(procs, sleep[t], listen[t], tx[t]):
-            lines.append(
-                f"(assert (! (and (not (and {s} {l})) (=> {s} (= {x} (- 1)))"
-                f" (=> {l} (= {x} (- 1)))) :named |{r1}@t={t},p={p}|))"
-            )
-            lines.append(f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@t={t},p={p}|))")
-    for t in slots:
-        lines += [
-            f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@t={t},p={p}|))"
-            for p, x in enumerate(tx[t])
-        ]
-    if L.R3_LIVENESS in families:
-        lines.append("; every action kind must occur inside the finite window")
-        for p in procs:
-            for variant, atoms in (
-                ("sleep", [sleep[t][p] for t in slots]),
-                ("listen", [listen[t][p] for t in slots]),
-                ("transmit", [f"(>= {tx[t][p]} 0)" for t in slots]),
-            ):
-                lines.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
-    for p in procs:
-        lines += [
-            f"(assert (! {a if p == spec.source else f'(not {a})'} :named |{r4}@t=0,p={p},k={k}|))"
-            for k, a in zip(packets, knows[0][p])
-        ]
-    for t in slots:
-        for p, x in enumerate(tx[t]):
-            lines += [
-                f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@t={t},p={p},k={k}|))"
-                for k, a in zip(packets, knows[t][p])
-            ]
-    for t in slots:
-        for p in procs:
-            lines += [
-                f"(assert (! (=> {a} {b}) :named |{r6}@t={t},p={p},k={k}|))"
-                for k, a, b in zip(packets, knows[t][p], knows[t + 1][p])
-            ]
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
@@ -166,47 +140,61 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         for listener in set_bits(heard_by):
             speakers[listener].append(speaker)
     listeners = [p for p in procs if speakers[p]] if M else []
-    for t in slots if listeners else ():
-        count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx[t]])
-        lines.append(f"(assert (! (= (senders {t}) {count}) :named |{r7}.senders@t={t}|))")
-        for p in listeners:
-            codes = _sum([f"(ite (> {tx[t][s]} 0) {tx[t][s]} 0)" for s in speakers[p]])
-            lines.append(f"(assert (! (= (heard {t} {p}) {codes}) :named |{r7}.heard@t={t},p={p}|))")
-    for t in slots:
+    tx = [f"(transmit {_T} {p})" for p in procs]
+    # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
+    # cores map back onto requirement families. The per-slot families are
+    # written once for slot _T (and _T1 for t + 1) and stamped per slot.
+    cells, bounds, sent, kept, learnt, actions, known = ([] for _ in range(7))
+    for p, x in enumerate(tx):
+        s, l = f"(sleep {_T} {p})", f"(listen {_T} {p})"
+        cells += [
+            f"(assert (! (and (not (and {s} {l})) (=> {s} (= {x} (- 1)))"
+            f" (=> {l} (= {x} (- 1)))) :named |{r1}@t={_T},p={p}|))",
+            f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@t={_T},p={p}|))",
+        ]
+        bounds.append(f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@t={_T},p={p}|))")
+        actions.append(f"(get-value ({s} {l} {x}))")
+        for k in packets:
+            a, b = f"(knows {_T} {p} {k})", f"(knows {_T1} {p} {k})"
+            sent.append(f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@t={_T},p={p},k={k}|))")
+            kept.append(f"(assert (! (=> {a} {b}) :named |{r6}@t={_T},p={p},k={k}|))")
+            if speakers[p]:  # p also learns k if it listens, the slot has one sender and p hears k
+                a = f"(or {a} (and {l} (= (senders {_T}) 1) (= (heard {_T} {p}) {k})))"
+            learnt.append(f"(assert (! (= {b} {a}) :named |{r7}@t={_T},p={p},k={k}|))")
+        if M:
+            known.append(f"(get-value ({' '.join(f'(knows {_T} {p} {k})' for k in packets)}))")
+    defined = []
+    if listeners:
+        count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx])
+        defined.append(f"(assert (! (= (senders {_T}) {count}) :named |{r7}.senders@t={_T}|))")
+    for p in listeners:
+        codes = _sum([f"(ite (> {tx[s]} 0) {tx[s]} 0)" for s in speakers[p]])
+        defined.append(f"(assert (! (= (heard {_T} {p}) {codes}) :named |{r7}.heard@t={_T},p={p}|))")
+    lines = _stamp(cells, slots) + _stamp(bounds, slots)
+    if L.R3_LIVENESS in families:
+        lines.append("; every action kind must occur inside the finite window")
         for p in procs:
-            now, later = knows[t][p], knows[t + 1][p]
-            if speakers[p]:
-                # p listens, the slot has one sender, and p hears packet k:
-                # each assertion closes (= (heard t p) k) after the prefix
-                lone = f"(and {listen[t][p]} (= (senders {t}) 1) (= (heard {t} {p})"
-                lines += [
-                    f"(assert (! (= {b} (or {a} {lone} {k})))) :named |{r7}@t={t},p={p},k={k}|))"
-                    for k, a, b in zip(packets, now, later)
-                ]
-            else:
-                lines += [
-                    f"(assert (! (= {b} {a}) :named |{r7}@t={t},p={p},k={k}|))"
-                    for k, a, b in zip(packets, now, later)
-                ]
+            for variant, atoms in (
+                ("sleep", [f"(sleep {t} {p})" for t in slots]),
+                ("listen", [f"(listen {t} {p})" for t in slots]),
+                ("transmit", [f"(>= (transmit {t} {p}) 0)" for t in slots]),
+            ):
+                lines.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
+    for p in procs:
+        for k in packets:
+            a = f"(knows 0 {p} {k})" if p == spec.source else f"(not (knows 0 {p} {k}))"
+            lines.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
+    for block in (sent, kept, defined, learnt):
+        lines += _stamp(block, slots)
     if L.GOAL_DEADLINE in families:
-        for p in procs:
-            lines += [
-                f"(assert (! {a} :named |{goal}@t={T},p={p},k={k}|))"
-                for k, a in zip(packets, knows[T][p])
-            ]
-    footer = ["(check-sat)"]
-    for t in slots:
-        footer += [f"(get-value ({s} {l} {x}))" for s, l, x in zip(sleep[t], listen[t], tx[t])]
-    if M > 0:
-        footer += [f"(get-value ({' '.join(row)}))" for rows in knows for row in rows]
+        lines += [
+            f"(assert (! (knows {T} {p} {k}) :named |{goal}@t={T},p={p},k={k}|))"
+            for p in procs
+            for k in packets
+        ]
+    footer = ["(check-sat)", *_stamp(actions, slots), *_stamp(known, range(T + 1))]
     footer += ["(get-unsat-core)", "(exit)"]
-    return SmtDocument(
-        spec=spec,
-        header=header,
-        declarations=declarations,
-        assertions=tuple(lines),
-        footer=tuple(footer),
-    )
+    return SmtDocument(spec, header, declarations, tuple(lines), tuple(footer))
 
 
 def label_of_assertion_name(name: str) -> RequirementLabel:

@@ -339,13 +339,21 @@ def _violations(
                     )
 
     # The learning rule of learning_rule(spec, enabled) on the decoded rows.
-    # Audibility folds into it; dropping TOPO lifts it.
+    # Audibility folds into it; dropping TOPO lifts it. Each slot's row is
+    # derived on first use and shared by R6 and R7.
     audience = audiences(spec, enabled)
+    derived: list[KnowledgeRow | None] = [None] * spec.horizon
+
+    def expected(t: int) -> KnowledgeRow:
+        row = derived[t]
+        if row is None:
+            row = derived[t] = deliver(grid[t], listening[t], sends[t], audience)
+        return row
 
     if L.R6_NEVER_FORGETS in enabled:
         for t in range(spec.horizon):
             before, after = grid[t], grid[t + 1]
-            if after == deliver(before, listening[t], sends[t], audience):
+            if after == expected(t):
                 continue  # the rule never takes a packet away
             for p, forgotten in _by_process(list(zip(before, after)), lambda r: r[0] & ~r[1]):
                 yield Violation(
@@ -355,11 +363,10 @@ def _violations(
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
         for t in range(spec.horizon):
-            expected = deliver(grid[t], listening[t], sends[t], audience)
-            before, after = grid[t], grid[t + 1]
-            if after == expected:  # expected never loses a packet of before
+            before, after, legal = grid[t], grid[t + 1], expected(t)
+            if after == legal:  # legal never loses a packet of before
                 continue
-            triples = list(zip(before, after, expected))  # (was, now, legal)
+            triples = list(zip(before, after, legal))  # (was, now, legal)
             gained, dropped = (lambda r: r[1] & ~r[0] & ~r[2]), (lambda r: r[2] & ~r[0] & ~r[1])
             for p, illegal, missed in _by_process(triples, gained, dropped):
                 if illegal:

@@ -260,36 +260,72 @@ def _lines(doc):
     return doc.text.split("\n")
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_emitter_equals_the_assertion_by_assertion_reference(data):
-    P = data.draw(st.integers(1, 8), label="P")
-    M = data.draw(st.integers(0, 4), label="M")
-    T = data.draw(st.integers(0, 6), label="T")
+def _assert_one_line_per_entry_and_no_placeholders(doc):
+    # Slot placeholders are control characters; none may survive stamping,
+    # and an entry holding a newline would throw off the assertion count.
+    assert not {ch for ch in doc.text if ch < " "} - {"\n"}
+    assert not any("\n" in entry for entry in doc.assertions + doc.footer)
+
+
+@st.composite
+def smt_specs(draw):
+    # P and T reach two digits, so stamping must splice multi-digit slot
+    # and process ids
+    P = draw(st.integers(1, 12), label="P")
+    M = draw(st.integers(0, 4), label="M")
+    T = draw(st.integers(0, 12), label="T")
     pairs = [(listener, speaker) for listener in range(P) for speaker in range(P) if listener != speaker]
     # the empty relation, and sparse ones, leave isolated listeners
-    hears = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()), label="hears")
-    spec = make_spec(
+    hears = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()), label="hears")
+    return make_spec(
         processes=P, packets=M, horizon=T,
-        source=data.draw(st.integers(0, P - 1), label="source"),
+        source=draw(st.integers(0, P - 1), label="source"),
         topology=hears,
-        liveness=data.draw(st.sampled_from(list(LivenessMode)), label="liveness"),
-        goal=data.draw(st.sampled_from(list(GoalKind)), label="goal"),
+        liveness=draw(st.sampled_from(list(LivenessMode)), label="liveness"),
+        goal=draw(st.sampled_from(list(GoalKind)), label="goal"),
     )
+
+
+@settings(deadline=None)
+@given(smt_specs())
+def test_emitter_equals_the_assertion_by_assertion_reference(spec):
     assert _lines(emit_smtlib(spec)) == _lines(_reference_emit(spec))
 
 
-# (P, M, T) of the five smt-export benchmark rungs
+@settings(deadline=None)
+@given(smt_specs())
+def test_no_placeholder_leaks_and_every_entry_is_one_line(spec):
+    _assert_one_line_per_entry_and_no_placeholders(emit_smtlib(spec))
+
+
+# (P, M, T) of the five smt-export benchmark rungs, then horizons around a
+# digit boundary, a packet-free spec and a lone process
 RUNG_SHAPES = ((7, 2, 7), (9, 3, 9), (11, 3, 11), (14, 5, 14), (18, 6, 18))
+EDGE_SHAPES = tuple((3, 2, T) for T in (0, 9, 10, 99, 100)) + ((4, 0, 10), (1, 2, 10))
 
 
-@pytest.mark.parametrize("topology", ["all", "line"])
-@pytest.mark.parametrize("shape", RUNG_SHAPES, ids=lambda shape: "P=%d M=%d T=%d" % shape)
+def _four_speakers(P, seed):
+    """An explicit relation in which every listener hears four random
+    speakers (or all others, if fewer), drawn as the smt-export workload does."""
+    rng = random.Random(seed)
+    pairs = set()
+    for listener in range(P):
+        others = [p for p in range(P) if p != listener]
+        pairs.update((listener, speaker) for speaker in rng.sample(others, min(4, len(others))))
+    return pairs
+
+
+@pytest.mark.parametrize("topology", ["all", "line", "explicit"])
+@pytest.mark.parametrize("shape", RUNG_SHAPES + EDGE_SHAPES, ids=lambda shape: "P=%d M=%d T=%d" % shape)
 def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology):
     P, M, T = shape
-    spec = make_spec(processes=P, packets=M, horizon=T, source=P // 2 if topology == "all" else 0,
+    if topology == "explicit":
+        topology = _four_speakers(P, seed=P * 1000 + M * 100 + T)
+    spec = make_spec(processes=P, packets=M, horizon=T, source=P // 2 if topology != "line" else 0,
                      topology=topology, liveness=EACH if P % 2 else LivenessMode.OFF)
-    assert _lines(emit_smtlib(spec)) == _lines(_reference_emit(spec))
+    doc = emit_smtlib(spec)
+    assert _lines(doc) == _lines(_reference_emit(spec))
+    _assert_one_line_per_entry_and_no_placeholders(doc)
 
 
 def _reference_tokenize(text):

@@ -13,6 +13,7 @@ from protoforge.trace import (
     TraceFormatError,
     all_known,
     audiences,
+    deliver,
     derive_knowledge,
     initial_knowledge,
     read_trace,
@@ -99,6 +100,23 @@ def test_validate_clean_trace():
     trace = ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)
     assert validate(trace) == []
     assert satisfies(trace)
+
+
+def test_validate_derives_each_slot_once_for_r6_and_r7(monkeypatch):
+    spec = make_spec(processes=3, packets=2, horizon=4, topology="all")
+    idle = (SLEEP, SLEEP, SLEEP)
+    trace = ProtocolTrace.from_actions(
+        spec, ((transmit(1), LISTEN, LISTEN), (transmit(2), LISTEN, LISTEN), idle, idle)
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deliver(*args, **kwargs)
+
+    monkeypatch.setattr("protoforge.trace.deliver", counted)
+    assert validate(trace) == []
+    assert len(calls) == spec.horizon
 
 
 def test_validate_all_sleep_reports_goal_violation():
