@@ -14,15 +14,25 @@ are replayed under the stricter whole-channel rule, which is why the
 comparison tracks slots with concurrent transmissions: any such slot means
 the schedule leans on collision handling rather than silence.
 
-The reference run stops stepping at its fixed point (see run_baseline);
-its trace and report are those of stepping every slot.
+The reference run (see run_baseline) steps a slot as one send: every node
+joins the full set, the nodes that hold every packet, at a multiple of M,
+so the full nodes form one phase group that sends packet t % M + 1 at
+slot t, heard by the union of their audiences. The run goes in rounds of
+M slots; the ears, the listeners no two full nodes jam, are recomputed
+only when the full set grows, and a round's action rows are M residue
+rows, updated once per joining node. It stops stepping at the fixed
+point, as soon as no ear hears a full node, and fills the slots left
+with period M. Listeners who do learn still cost O(M) per slot, as the
+knowledge grid it returns holds M masks per slot. Its trace and report
+are those of stepping every node in every slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import cycle, islice
-from operator import attrgetter
+from operator import and_, attrgetter
 
 from .actions import Action, ActionKind, LISTEN, action_domain
 from .model import NetworkSpec, RequirementLabel, set_bits, spec_as_dict
@@ -34,6 +44,7 @@ from .trace import (
     audiences,
     deliver,
     initial_knowledge,
+    jammed,
     knowledge_table,
     validate,
 )
@@ -120,10 +131,26 @@ def run_baseline(
     carrier-sense rule) together with the usual report. The report keeps
     the caller's spec so it can be compared against a synthesized run.
 
-    A slot costs work in the full processes, the only senders. Each sends
-    every packet within M slots, so once the full set has held for M slots
-    nobody can join it: knowledge is final, the action rows repeat with
-    period M, and the slots left are filled in without being stepped.
+    The full processes, the only senders, form one phase group: each joins
+    the full set at a slot that is a multiple of M, so at slot t every one
+    of them sends packet t % M + 1. (A listener learns only while it hears
+    exactly one full process, and from the slot that process joined it
+    hands the listener all M packets in M slots; a second full process it
+    hears jams it for good, as the full set never shrinks.) So the policy
+    runs in rounds of M slots with joins only between rounds, and a slot is
+    one deliver call with one send, from the union of the full processes'
+    audiences, to the ears: the listeners no two full processes jam. The
+    ears are recomputed only when the full set grows, at a round's start.
+    A round's action rows are the M residue rows, by t mod M, which are
+    updated once per joining process and appended by reference. A slot
+    thus costs O(1) in Python rather than O(full processes); listeners who
+    do learn still cost O(M) per slot, as the returned knowledge grid
+    holds a row of M masks per slot.
+
+    Knowledge is final, a fixed point, as soon as no ear hears a full
+    process: nobody can join the full set any more. From there the action
+    rows repeat with period M, and the slots left are filled in without
+    being stepped.
     """
     power = power or PowerModel()
     if max_slots is None:
@@ -136,31 +163,35 @@ def run_baseline(
     audience = audiences(spec)
     know: list[KnowledgeRow] = [initial_knowledge(spec)]
     rows: list[tuple[Action, ...]] = []
-    acts = [LISTEN] * P
-    full = since = 0  # the processes holding every packet, and since when
-    senders: list[tuple[int, int]] = []  # (process, slot it joined the full set)
+    residues = [[LISTEN] * P for _ in range(M)]  # the action row of the slots t = r mod M
+    full = heard = ears = 0  # the full set, the union of its audiences, and the ears
     concurrent = 0
-    while True:
-        joined = everyone
-        for holders in know[-1]:
-            joined &= holders
+    while True:  # a round of M slots per pass, as processes join only between rounds
+        joined = reduce(and_, know[-1], everyone)
         t = len(rows)
+        if joined == everyone or t == max_slots:
+            full = joined
+            break
         if joined != full:
-            senders += [(p, t) for p in set_bits(joined & ~full)]
-            full, since = joined, t
-        if full == everyone or t == max_slots:
-            break
-        if t - since >= M:  # a fixed point: nobody can join the full set any more
-            rows += islice(cycle(rows[-M:]), max_slots - t)
+            for p in set_bits(joined & ~full):
+                heard |= audience[p]
+                for row, act in zip(residues, sends):
+                    row[p] = act
+            full = joined
+            period = list(map(tuple, residues))
+            ears = everyone & ~full & ~jammed(map(audience.__getitem__, set_bits(full)))
+        multiple = full & (full - 1) != 0  # two or more senders
+        if not ears & heard:  # a fixed point
+            rows += islice(cycle(period), max_slots - t)
             know += [know[-1]] * (max_slots - t)
-            concurrent += (max_slots - t) * (len(senders) >= 2)
+            concurrent += (max_slots - t) * multiple
             break
-        slot = [(p, (t - joined_at) % M + 1) for p, joined_at in senders]
-        for p, packet in slot:
-            acts[p] = sends[packet - 1]
-        rows.append(tuple(acts))
-        know.append(deliver(know[-1], everyone & ~full, slot, audience, carrier_sense=True))
-        concurrent += len(senders) >= 2
+        slots = min(M, max_slots - t)
+        rows += period[:slots]
+        for packet in range(1, slots + 1):
+            # the full set sends as one speaker, 0, heard by all its audiences
+            know.append(deliver(know[-1], ears, [(0, packet)], (heard,)))
+        concurrent += slots * multiple
     T, done = len(rows), full == everyone
     per = (T * power.active_cost,) * P  # every always-on cell is active
     report = SimReport(spec, power, T, know[-1], per, sum(per), concurrent, done, T if done else None)

@@ -10,9 +10,11 @@ the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
 nothing, and nothing once learned is ever lost. deliver is the one place
 this rule is written, over a listening mask, the sends, and the listener
-bitmasks that audiences gives per speaker; step_knowledge applies it to a
-row of actions. learning_rule and audiences decide, for the search, the
-oracle and the validator alike, what dropping R7 or TOPO does to it.
+bitmasks that audiences gives per speaker; jammed, its jam mask, names the
+listeners that two contending transmitters block, and step_knowledge
+applies the rule to a row of actions. learning_rule and audiences decide,
+for the search, the oracle and the validator alike, what dropping R7 or
+TOPO does to it.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
@@ -39,8 +41,8 @@ import json
 from dataclasses import dataclass
 from collections import Counter
 from functools import partial, reduce
-from itertools import chain, islice, repeat
-from operator import attrgetter, or_
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, is_not, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
@@ -129,17 +131,23 @@ def deliver(
     does not jam it. Garbage occupies the channel but delivers nothing.
     Knowledge never shrinks.
     """
-    once = jammed = 0
-    for s, _ in sends:
-        contends = audience[s] if carrier_sense else -1  # -1: every process
-        jammed |= once & contends
-        once |= contends
-    ears = listening & ~jammed
+    contends = [audience[s] for s, _ in sends] if carrier_sense else [-1] * len(sends)
+    ears = listening & ~jammed(contends)  # -1: every process contends
     nxt = list(now)
     for s, packet in sends:
         if packet is not None and packet <= len(nxt):
             nxt[packet - 1] |= audience[s] & ears
     return tuple(nxt)
+
+
+def jammed(contends: Iterable[int]) -> int:
+    """The jam mask: the processes that two or more of the given masks name,
+    one mask per transmitter, naming the ears it contends for."""
+    once = jam = 0
+    for mask in contends:
+        jam |= once & mask
+        once |= mask
+    return jam
 
 
 def learning_rule(
@@ -201,8 +209,12 @@ class ProtocolTrace:
             raise TraceFormatError(
                 f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
             )
-        try:  # the row test below, once per distinct row and mask (baselines repeat rows)
-            rows = set(self.knowledge)
+        # The row test below, once per distinct row and mask. A row object
+        # that repeats the one before it, as in a baseline's filled tail, is
+        # dropped before hashing, which costs O(M) per row.
+        try:
+            fresh = map(is_not, islice(self.knowledge, 1, None), self.knowledge)
+            rows = set(compress(self.knowledge, chain((True,), fresh)))
             fits = set(map(len, rows)) <= {spec.packets} and not any(
                 holders >> spec.processes for holders in set(chain.from_iterable(rows))
             )

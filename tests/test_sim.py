@@ -348,3 +348,77 @@ def test_baseline_fills_a_long_allowance_without_stepping_it(monkeypatch):
     assert report.total_power == 2 * 10**6 and report.concurrent_tx_slots == 0
     assert trace.actions[-1] == (transmit(1), LISTEN)  # slot 10**6 - 1 sends packet 1 again
     assert len(stepped) <= spec.packets
+
+
+def test_baseline_sends_once_per_phase_group(monkeypatch):
+    # the full processes send in step, so each stepped slot is one send from
+    # the union of their audiences, however many of them are full
+    deliver, calls = sim.deliver, []
+
+    def counting(now, listening, sends, *args, **kwargs):
+        calls.append(len(sends))
+        return deliver(now, listening, sends, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "deliver", counting)
+    _, report = run_baseline(make_spec(processes=64, packets=16, horizon=0, goal=GoalKind.NONE))
+    assert report.completed and report.slots_run == 63 * 16
+    assert calls == [1] * report.slots_run
+
+
+def test_baseline_stops_stepping_once_no_listener_hears_a_full_process(monkeypatch):
+    deliver, stepped = sim.deliver, []
+
+    def counting(*args, **kwargs):
+        stepped.append(None)
+        return deliver(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "deliver", counting)
+    spec = _explicit(2, 8192, set())  # nobody hears the source
+    trace, report = run_baseline(spec, PowerModel())
+    assert report.slots_run == trace.spec.horizon == default_max_slots(spec) == 32770
+    assert not report.completed and report.concurrent_tx_slots == 0
+    assert report.delivered == (0b01,) * 8192
+    assert len(stepped) <= 1
+
+
+def _joins_and_jams(trace):
+    """The slots at which processes join the full set, and whether a listener
+    outside it ever hears two of its members, in a baseline run."""
+    spec, know = trace.spec, trace.knowledge
+    P = spec.processes
+    audience = audiences(spec)
+    joins = {}
+    for t, row in enumerate(know):
+        for p in range(P):
+            if p not in joins and all(holders >> p & 1 for holders in row):
+                joins[p] = t
+    jams = False
+    for t in set(joins.values()):
+        full = [p for p, joined in joins.items() if joined <= t]
+        for listener in set(range(P)) - set(full):
+            jams |= sum(audience[s] >> listener & 1 for s in full) >= 2
+    return set(joins.values()), jams
+
+
+def test_baseline_equals_the_stepped_fold_over_a_seeded_sweep():
+    # run_baseline steps the full set as one phase group; the stepped fold
+    # lets each process count its own sends, so they agree only if every
+    # process joins the full set at a multiple of M
+    rng = random.Random(16)
+    staggered = jammed = 0  # runs with joins in two or more later rounds; with a jam
+    for _ in range(300):
+        P, M = rng.randint(1, 12), rng.randint(0, 5)
+        density = rng.choice([0.1, 0.2, 0.35, 0.6])
+        hears = {
+            (listener, speaker) for listener in range(P) for speaker in range(P)
+            if listener != speaker and rng.random() < density
+        }
+        spec = _explicit(P, M, hears, source=rng.randrange(P))
+        max_slots = rng.choice([None, 0, 7, 40])
+        expected = _stepped_baseline(spec, PowerModel(), max_slots)
+        assert run_baseline(spec, PowerModel(), max_slots) == expected
+        joins, jams = _joins_and_jams(expected[0])
+        assert all(t % M == 0 for t in joins) if M else joins <= {0}
+        staggered += len(joins - {0}) >= 2
+        jammed += jams
+    assert staggered >= 50 and jammed >= 50
