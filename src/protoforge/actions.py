@@ -41,15 +41,6 @@ class Action:
         elif self.content is not None:
             raise ValueError(f"{self.kind.value} carries no content")
 
-    @property
-    def is_transmit(self) -> bool:
-        return self.kind is ActionKind.TRANSMIT
-
-    @property
-    def is_active(self) -> bool:
-        """Transmitting and listening burn power; sleeping does not."""
-        return self.kind is not ActionKind.SLEEP
-
     @cached_property
     def packet(self) -> int | None:
         """Packet id being sent, or None when not sending a real packet."""

@@ -28,10 +28,6 @@ class ConstraintSystem:
     enabled: frozenset[RequirementLabel]
 
     @property
-    def cell_count(self) -> int:
-        return self.spec.horizon * self.spec.processes
-
-    @property
     def domain_size(self) -> int:
         return len(action_domain(self.spec.packets))
 

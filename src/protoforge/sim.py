@@ -7,12 +7,13 @@ network holds every packet.
 
 The reference policy never sleeps: a node that holds all M packets
 broadcasts them in id order, one per slot, wrapping around; every other
-node listens. Its radios are carrier-sense: a listener is jammed only when
-two or more of the speakers it can actually hear transmit at once, so
-simultaneous traffic elsewhere does not block it. Synthesized schedules
-are replayed under the stricter whole-channel rule, which is why the
-comparison tracks slots with concurrent transmissions: any such slot means
-the schedule leans on collision handling rather than silence.
+node listens. Its radios are carrier-sense, and only this module models
+that: a listener is jammed only when two or more of the speakers it can
+actually hear transmit at once (jammed), so simultaneous traffic elsewhere
+does not block it. Synthesized schedules are replayed under the stricter
+whole-channel rule of trace.deliver, which is why the comparison tracks
+slots with concurrent transmissions: any such slot means the schedule
+leans on collision handling rather than silence.
 
 The reference run (see run_baseline) steps a slot as one send: every node
 joins the full set, the nodes that hold every packet, at a multiple of M,
@@ -44,7 +45,6 @@ from .trace import (
     audiences,
     deliver,
     initial_knowledge,
-    jammed,
     knowledge_table,
     validate,
 )
@@ -114,6 +114,16 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     return SimReport(spec, power, T, grid[-1], per, sum(per), concurrent, done is not None, done)
 
 
+def jammed(speakers: int, audience: tuple[int, ...]) -> int:
+    """The jam mask of carrier-sense radios: the processes that two or more
+    of the processes in the `speakers` mask reach."""
+    once = jam = 0
+    for s in set_bits(speakers):
+        jam |= once & audience[s]
+        once |= audience[s]
+    return jam
+
+
 def default_max_slots(spec: NetworkSpec) -> int:
     """Generous allowance: relaying one packet at a time across a chain."""
     return 2 * spec.processes * max(spec.packets, 1) + 2
@@ -179,7 +189,7 @@ def run_baseline(
                     row[p] = act
             full = joined
             period = list(map(tuple, residues))
-            ears = everyone & ~full & ~jammed(map(audience.__getitem__, set_bits(full)))
+            ears = everyone & ~full & ~jammed(full, audience)
         multiple = full & (full - 1) != 0  # two or more senders
         if not ears & heard:  # a fixed point
             rows += islice(cycle(period), max_slots - t)

@@ -6,6 +6,10 @@ process) order; values follow the fixed order of actions.action_domain:
 sleep, listen, packets ascending, garbage (quiet schedules first).
 Knowledge, holder masks as in trace, is recomputed once per completed slot,
 by the learning rule the enabled families imply, and never searched over.
+The search keeps its state per slot start t: the knowledge row, and per
+process the action kinds it performed before slot t, one bit per kind.
+Slot t - 1 writes both, so backtracking overwrites them and undoes
+nothing, and (t, knowledge row, kinds done) names a search state whole.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -37,8 +41,9 @@ equals the slots left, this slot must lower some packet's cover, so a
 partial row is cut unless some completion of it does. Since cover is
 monotone, the only completion tried is the one in which every later cell
 listens, with the lone sender already placed or, if there is none yet,
-each later process sending each packet it may send. These are bounds on
-what step_knowledge can do; learning itself still happens only at slot end.
+each later process sending each packet it may send. These bound what the
+slot can teach under the learning rule; learning itself still happens only
+at slot end.
 
 enumerate_all is the independent oracle: it tries every one of the
 (M+3)^(T*P) assignments and keeps those the trace validator accepts, with
@@ -163,7 +168,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             rounds, reach = rounds + 1, grown
         return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
 
-    know: list = [initial_knowledge(spec)]
+    # per slot start t (see the module doc): know[t], and p's kinds done[t][p]
+    know: list = [initial_knowledge(spec)] + [None] * T
+    done = [[0] * P for _ in range(T + 1)]
     must_lower: list = [None] * T  # the knowledge row, when the slot must lower need
 
     def within_reach(t: int, row) -> bool:
@@ -211,8 +218,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
 
     cells = T * P
     acts: list[list[Action]] = [[SLEEP] * P for _ in range(T)]
-    kind_counts = [{kind: 0 for kind in ActionKind} for _ in range(P)]
-    kind_missing = [len(ActionKind)] * P
+    bit_of = {kind: 1 << i for i, kind in enumerate(ActionKind)}
+    bits = [bit_of[act.kind] for act in values]
+    kinds = len(ActionKind)
     limit = config.node_limit
 
     def search(i: int) -> bool:
@@ -222,7 +230,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         t, p = divmod(i, P)
         last_in_slot = p == P - 1
         held = None if last_in_slot else must_lower[t]
-        for act in values:
+        for act, bit in zip(values, bits):
             if nodes == limit:
                 raise _Budget
             nodes += 1
@@ -231,35 +239,23 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                 if k is not None and not know[t][k - 1] >> p & 1:
                     cuts["r5"] += 1
                     continue
-            newly = check_live and kind_counts[p][act.kind] == 0
-            if check_live and kind_missing[p] - (1 if newly else 0) > T - 1 - t:
-                cuts["liveness"] += 1
-                continue
+            if check_live:
+                kinds_done = done[t][p] | bit
+                if kinds - kinds_done.bit_count() > T - 1 - t:
+                    cuts["liveness"] += 1
+                    continue
+                done[t + 1][p] = kinds_done
             acts[t][p] = act
             if held is not None and not slot_can_lower(t, p, held):
                 cuts["intra_slot"] += 1
                 continue
-            if check_live:
-                kind_counts[p][act.kind] += 1
-                if newly:
-                    kind_missing[p] -= 1
-            try:
-                if last_in_slot:
-                    nxt = learn(know[t], acts[t])
-                    if check_goal and not within_reach(t + 1, nxt):
-                        cuts["goal"] += 1
-                        continue
-                    know.append(nxt)
-                    if search(i + 1):
-                        return True
-                    know.pop()
-                elif search(i + 1):
-                    return True
-            finally:
-                if check_live:
-                    kind_counts[p][act.kind] -= 1
-                    if newly:
-                        kind_missing[p] += 1
+            if last_in_slot:
+                know[t + 1] = learn(know[t], acts[t])
+                if check_goal and not within_reach(t + 1, know[t + 1]):
+                    cuts["goal"] += 1
+                    continue
+            if search(i + 1):
+                return True
         return False
 
     try:

@@ -10,11 +10,11 @@ the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
 nothing, and nothing once learned is ever lost. deliver is the one place
 this rule is written, over a listening mask, the sends, and the listener
-bitmasks that audiences gives per speaker; jammed, its jam mask, names the
-listeners that two contending transmitters block, and step_knowledge
-applies the rule to a row of actions. learning_rule and audiences decide,
-for the search, the oracle and the validator alike, what dropping R7 or
-TOPO does to it.
+bitmasks that audiences gives per speaker, and step_knowledge applies it
+to a row of actions. learning_rule and audiences decide, for the search,
+the oracle and the validator alike, what dropping R7 or TOPO does to it.
+Carrier sense, the always-on baseline's radio model, belongs to sim,
+which hands deliver only the listeners no two audible senders block.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
@@ -89,15 +89,12 @@ def audiences(
 
 
 def step_knowledge(
-    now: KnowledgeRow,
-    acts: Sequence[Action],
-    audience: Sequence[int],
-    carrier_sense: bool = False,
+    now: KnowledgeRow, acts: Sequence[Action], audience: Sequence[int]
 ) -> KnowledgeRow:
     """One slot of the learning rule over a row of actions: decodes the row
     into the listening mask and the sends, and hands them to deliver."""
     listening, sends = _decode(acts, map(_kind, acts))
-    return deliver(now, listening, sends, audience, carrier_sense)
+    return deliver(now, listening, sends, audience)
 
 
 def _decode(acts: Sequence[Action], kinds: Iterable[ActionKind | None]) -> tuple[int, list]:
@@ -118,36 +115,22 @@ def deliver(
     listening: int,
     sends: Sequence[tuple[int, int | None]],
     audience: Sequence[int],
-    carrier_sense: bool = False,
 ) -> KnowledgeRow:
     """The learning rule's mask-level core; the only place a listener gains
     a packet. `sends` holds a (speaker, packet) pair per transmitter, packet
     None for garbage.
 
-    A listener gains packet k when it hears a transmitter sending k and is
-    not jammed, that is, no two transmitters that contend for its ear both
-    send. On the shared channel every transmitter contends for every ear;
-    with carrier_sense only its audience, so traffic a listener cannot hear
-    does not jam it. Garbage occupies the channel but delivers nothing.
-    Knowledge never shrinks.
+    The whole network shares one channel. A lone transmitter's packet
+    reaches the listening processes in its audience; two or more
+    transmitters deliver nothing, and garbage delivers nothing. Knowledge
+    never shrinks, and the row returned is a new tuple.
     """
-    contends = [audience[s] for s, _ in sends] if carrier_sense else [-1] * len(sends)
-    ears = listening & ~jammed(contends)  # -1: every process contends
     nxt = list(now)
-    for s, packet in sends:
+    if len(sends) == 1:
+        speaker, packet = sends[0]
         if packet is not None and packet <= len(nxt):
-            nxt[packet - 1] |= audience[s] & ears
+            nxt[packet - 1] |= audience[speaker] & listening
     return tuple(nxt)
-
-
-def jammed(contends: Iterable[int]) -> int:
-    """The jam mask: the processes that two or more of the given masks name,
-    one mask per transmitter, naming the ears it contends for."""
-    once = jam = 0
-    for mask in contends:
-        jam |= once & mask
-        once |= mask
-    return jam
 
 
 def learning_rule(

@@ -57,7 +57,7 @@ def test_criterion_1_min_horizon_equals_packet_count():
                 from dataclasses import replace
 
                 cs = encode(replace(spec, horizon=h))
-                if cs.domain_size ** cs.cell_count > ENUM_CEILING:
+                if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > ENUM_CEILING:
                     continue
                 cross_checked += 1
                 oracle = enumerate_all(cs, limit=1)
@@ -126,7 +126,7 @@ def test_criterion_4_completeness_against_enumeration_oracle():
                 for goal in GoalKind:
                     spec = NetworkSpec(P, M, T, 0, topo, live, goal)
                     cs = encode(spec)
-                    if cs.domain_size ** cs.cell_count > ENUM_CEILING:
+                    if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > ENUM_CEILING:
                         continue
                     count += 1
                     result = solve(cs)

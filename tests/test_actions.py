@@ -30,10 +30,9 @@ def test_constructor_rejects_bad_shapes():
         Action(ActionKind.TRANSMIT, content=-2)
 
 
-def test_packet_and_activity_flags():
-    assert SLEEP.is_active is False
-    assert LISTEN.is_active is True
-    assert transmit(GARBAGE).is_transmit and transmit(GARBAGE).packet is None
+def test_packet_is_none_unless_a_packet_is_sent():
+    assert SLEEP.packet is None and LISTEN.packet is None
+    assert transmit(GARBAGE).packet is None
     assert transmit(3).packet == 3
 
 

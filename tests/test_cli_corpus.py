@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import random
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -36,6 +37,7 @@ SEARCH = ("--node-limit", "5000")
 
 
 def _specs() -> dict[str, str]:
+    """Two seeded spec files per mix of relation, liveness and goal."""
     rng = random.Random(2417)
     specs = {}
     for topology in ("all", "line", "explicit"):
@@ -117,8 +119,7 @@ def _digest(runs: list[list[str]]) -> str:
 
 
 def corpus() -> dict[str, str]:
-    """The sha256 of every corpus entry, run in the current directory."""
-    digests = {}
+    """The sha256 of every corpus entry, each run in a directory of its own."""
     inputs = {name: (text, "spec") for name, text in _specs().items()}
     inputs |= {
         "line3": (LINE3, "spec"),
@@ -126,24 +127,34 @@ def corpus() -> dict[str, str]:
         "huge hears line": (HOSTILE_HEARS, "spec"),
     }
     inputs |= {name: (text, "trace") for name, text in _traces().items()}
-    for name, (text, kind) in inputs.items():
-        for leftover in os.listdir("."):
-            os.remove(leftover)
-        if kind == "trace":
-            Path("trace.json").write_text(text, encoding="utf-8")
-            digests[name] = _digest(_trace_runs(name))
-            continue
-        Path("spec.net").write_text(text, encoding="utf-8")
+    digests = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
         try:
-            spec = parse_spec(text)
-        except SpecError:
-            spec = None
-        if spec is not None:
-            listen = ((LISTEN,) * spec.processes,) * spec.horizon
-            listen_trace = write_trace(ProtocolTrace.from_actions(spec, listen))
-            Path("listen.json").write_text(listen_trace, encoding="utf-8")
-        digests[name] = _digest(_spec_runs(spec.horizon if spec else 2))
+            for i, (name, (text, kind)) in enumerate(inputs.items()):
+                os.chdir(scratch)
+                os.mkdir(str(i))
+                os.chdir(str(i))
+                digests[name] = _run_on(text, kind, name)
+        finally:
+            os.chdir(home)
     return digests
+
+
+def _run_on(text: str, kind: str, name: str) -> str:
+    """Writes one input file to the current directory and runs its commands."""
+    if kind == "trace":
+        Path("trace.json").write_text(text, encoding="utf-8")
+        return _digest(_trace_runs(name))
+    Path("spec.net").write_text(text, encoding="utf-8")
+    try:
+        spec = parse_spec(text)
+    except SpecError:
+        return _digest(_spec_runs(2))
+    listen = ((LISTEN,) * spec.processes,) * spec.horizon
+    listen_trace = write_trace(ProtocolTrace.from_actions(spec, listen))
+    Path("listen.json").write_text(listen_trace, encoding="utf-8")
+    return _digest(_spec_runs(spec.horizon))
 
 
 PINS = {
@@ -184,19 +195,14 @@ PINS = {
 }
 
 
-def test_every_command_on_the_corpus_holds_its_pin(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_every_command_on_the_corpus_holds_its_pin(monkeypatch):
     monkeypatch.delenv(SOLVER_ENV, raising=False)
     assert corpus() == PINS
 
 
 if __name__ == "__main__":
-    import tempfile
-
     os.environ.pop(SOLVER_ENV, None)
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        print("PINS = {")
-        for name, digest in corpus().items():
-            print(f"    {name!r}: {digest!r},")
-        print("}")
+    print("PINS = {")
+    for name, digest in corpus().items():
+        print(f"    {name!r}: {digest!r},")
+    print("}")

@@ -21,13 +21,13 @@ L = RequirementLabel
 
 def test_cell_and_domain_counts_small():
     cs = encode(make_spec(processes=2, packets=1, horizon=1, topology="all"))
-    assert cs.cell_count == 2
+    assert cs.spec.horizon * cs.spec.processes == 2
     assert cs.domain_size == 4
 
 
 def test_cell_and_domain_counts_medium():
     cs = encode(make_spec(processes=3, packets=2, horizon=2, topology="all"))
-    assert cs.cell_count == 6
+    assert cs.spec.horizon * cs.spec.processes == 6
     assert cs.domain_size == 5
 
 
@@ -109,9 +109,9 @@ def test_every_assignment_that_validates_delivers():
     spec = make_spec(processes=3, packets=1, horizon=2, topology="line")
     cs = encode(spec)
     domain = action_domain(spec.packets)
-    assert cs.domain_size ** cs.cell_count == 4 ** 6
+    assert cs.domain_size ** (cs.spec.horizon * cs.spec.processes) == 4 ** 6
     seen_valid = 0
-    for flat in itertools.product(domain, repeat=cs.cell_count):
+    for flat in itertools.product(domain, repeat=cs.spec.horizon * cs.spec.processes):
         actions = tuple(
             tuple(flat[t * spec.processes + p] for p in range(spec.processes))
             for t in range(spec.horizon)

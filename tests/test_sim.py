@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protoforge import sim
-from protoforge.actions import LISTEN, SLEEP, transmit
+from protoforge.actions import LISTEN, SLEEP, ActionKind, transmit
 from protoforge.encoder import encode
 from protoforge.model import GoalKind
 from protoforge.sim import (
@@ -26,7 +26,6 @@ from protoforge.trace import (
     all_known,
     audiences,
     initial_knowledge,
-    step_knowledge,
 )
 from conftest import make_spec
 
@@ -222,9 +221,10 @@ def test_power_accounting_is_exact(data):
 
 
 def _stepped_baseline(spec, power, max_slots=None):
-    """The always-on policy folded one slot at a time through step_knowledge
-    until completion or max_slots, with the report from a walk over every
-    cell: what run_baseline must equal."""
+    """The always-on policy folded one slot at a time until completion or
+    max_slots, with the report from a walk over every cell: what
+    run_baseline must equal. Its radios sense the carrier: a listener learns
+    when exactly one transmitter it hears is sending."""
     if max_slots is None:
         max_slots = default_max_slots(spec)
     P, M = spec.processes, spec.packets
@@ -238,12 +238,17 @@ def _stepped_baseline(spec, power, max_slots=None):
             if all(holders >> p & 1 for holders in know[-1]):
                 acts[p] = transmit(sent[p] % M + 1)
                 sent[p] += 1
-        know.append(step_knowledge(know[-1], acts, audience, carrier_sense=True))
+        nxt = list(know[-1])
+        for listener in range(P):
+            heard = [s for s in range(P) if acts[s] is not LISTEN and audience[s] >> listener & 1]
+            if acts[listener] is LISTEN and len(heard) == 1:
+                nxt[acts[heard[0]].packet - 1] |= 1 << listener
+        know.append(tuple(nxt))
         rows.append(tuple(acts))
     per = [0] * P
     for row in rows:
         for p, act in enumerate(row):
-            per[p] += power.active_cost if act.is_active else power.idle_cost
+            per[p] += power.active_cost if act.kind is not ActionKind.SLEEP else power.idle_cost
     completion = next((t for t, row in enumerate(know) if all_known(row, P)), None)
     report = SimReport(
         spec=spec,
@@ -252,7 +257,9 @@ def _stepped_baseline(spec, power, max_slots=None):
         delivered=know[-1],
         per_process_power=tuple(per),
         total_power=sum(per),
-        concurrent_tx_slots=sum(sum(act.is_transmit for act in row) >= 2 for row in rows),
+        concurrent_tx_slots=sum(
+            sum(act.kind is ActionKind.TRANSMIT for act in row) >= 2 for row in rows
+        ),
         completed=completion is not None,
         completion_slot=completion,
     )

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from protoforge.actions import LISTEN, SLEEP, action_domain, transmit
+from protoforge.actions import LISTEN, SLEEP, ActionKind, action_domain, transmit
 from protoforge.encoder import encode
 from protoforge.model import (
     GoalKind,
@@ -419,7 +419,7 @@ def _response_for(trace):
         for p, act in enumerate(row):
             asleep = "true" if act is SLEEP else "false"
             listening = "true" if act is LISTEN else "false"
-            code = act.content if act.is_transmit else -1
+            code = act.content if act.kind is ActionKind.TRANSMIT else -1
             code_text = str(code) if code >= 0 else "(- 1)"
             lines.append(
                 f"(((sleep {t} {p}) {asleep}) ((listen {t} {p}) {listening})"
@@ -610,7 +610,7 @@ class Evaluator:
             for p, act in enumerate(row):
                 self.values["sleep", t, p] = act.kind is SLEEP.kind
                 self.values["listen", t, p] = act.kind is LISTEN.kind
-                self.values["transmit", t, p] = act.content if act.is_transmit else -1
+                self.values["transmit", t, p] = act.content if act.kind is ActionKind.TRANSMIT else -1
         for t, krow in enumerate(trace.knowledge):
             for p, packets in enumerate(knowledge_table(krow, trace.spec.processes)):
                 for k, held in enumerate(packets, 1):

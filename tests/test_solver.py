@@ -195,7 +195,7 @@ def test_completeness_matches_oracle_on_small_instances():
             goal=rng.choice(list(GoalKind)),
         )
         cs = encode(spec)
-        if cs.domain_size ** cs.cell_count > 10**5:
+        if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > 10**5:
             continue
         checked += 1
         oracle = enumerate_all(cs)
@@ -342,7 +342,7 @@ def test_first_trace_matches_oracle_on_explicit_relations(case):
                              source=source, topology=pairs,
                              liveness=liveness)
             for cs in _trial_systems(spec):
-                assert cs.domain_size ** cs.cell_count <= 10**5
+                assert cs.domain_size ** (cs.spec.horizon * cs.spec.processes) <= 10**5
                 oracle = enumerate_all(cs, limit=1)
                 result = solve(cs)
                 assert (result.status is SolveStatus.SAT) == bool(oracle), (spec, cs.enabled)

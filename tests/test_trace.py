@@ -63,12 +63,11 @@ def test_step_transmitter_learns_nothing_from_itself():
     assert nxt == now
 
 
-def test_step_carrier_sense_ignores_inaudible_transmitters():
-    # p0 and p3 both send packet 1; p1 hears only p0, p2 hears both
+def test_step_inaudible_transmitters_still_jam_the_channel():
+    # p0 and p3 both send packet 1; p1 hears only p0, yet the channel is shared
     spec = make_spec(processes=4, topology={(1, 0), (2, 0), (2, 3)})
     now = (0b1001,)
     acts = (transmit(1), LISTEN, LISTEN, transmit(1))
-    assert step_knowledge(now, acts, audiences(spec), carrier_sense=True) == (0b1011,)
     assert step_knowledge(now, acts, audiences(spec)) == now
 
 

@@ -45,7 +45,6 @@ from protoforge.trace import (
     TraceFormatError,
     Violation,
     audiences,
-    deliver,
     derive_knowledge,
     initial_knowledge,
     knowledge_table,
@@ -162,14 +161,19 @@ def _reference_read(text: str) -> ProtocolTrace:
 
 
 def _reference_step(now, acts, audience):
-    listening = 0
-    sends = []
-    for p, act in enumerate(acts):
-        if act.kind is ActionKind.LISTEN:
-            listening |= 1 << p
-        elif act.kind is ActionKind.TRANSMIT:
-            sends.append((p, act.packet))
-    return deliver(now, listening, sends, audience)
+    """The whole-channel rule, listener by listener: a listener learns a
+    packet when the row has exactly one transmitter, it hears that
+    transmitter, and the transmitter sends a packet, not garbage."""
+    senders = [p for p, act in enumerate(acts) if act.kind is ActionKind.TRANSMIT]
+    nxt = list(now)
+    for listener, act in enumerate(acts):
+        if act.kind is not ActionKind.LISTEN or len(senders) != 1:
+            continue
+        speaker = senders[0]
+        k = acts[speaker].packet
+        if k is not None and k <= len(now) and audience[speaker] >> listener & 1:
+            nxt[k - 1] |= 1 << listener
+    return tuple(nxt)
 
 
 def _reference_by_process(*families: Sequence[int]) -> Iterator[tuple]:
@@ -207,7 +211,7 @@ def _reference_violations(trace, enabled) -> Iterator[Violation]:
     if L.R2_CONTENT_DOMAIN in enabled:
         for t, row in enumerate(acts):
             for p, act in enumerate(row):
-                if act.is_transmit and act.content > packets:
+                if act.kind is ActionKind.TRANSMIT and act.content > packets:
                     yield Violation(
                         L.R2_CONTENT_DOMAIN, t, p,
                         f"content code {act.content} outside 0..{packets}",
