@@ -66,7 +66,6 @@ from .solver import (
     SolveResult,
     SolveStats,
     SolveStatus,
-    enumerate_all,
     min_horizon,
     solve,
     unsat_core_minimize,
@@ -77,8 +76,6 @@ from .trace import (
     Violation,
     derive_knowledge,
     read_trace,
-    satisfies,
-    step_knowledge,
     write_trace,
 )
 from .trace import validate as validate_trace
@@ -126,7 +123,6 @@ __all__ = [
     "describe",
     "emit_smtlib",
     "encode",
-    "enumerate_all",
     "min_horizon",
     "parse_action",
     "parse_spec",
@@ -135,10 +131,8 @@ __all__ = [
     "render_spec",
     "run_baseline",
     "run_external",
-    "satisfies",
     "simulate_trace",
     "solve",
-    "step_knowledge",
     "topology_all",
     "topology_explicit",
     "topology_line",

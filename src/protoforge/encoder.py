@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .actions import action_domain
 from .model import NetworkSpec, RequirementLabel, requirement_families
 
 
@@ -26,10 +25,6 @@ from .model import NetworkSpec, RequirementLabel, requirement_families
 class ConstraintSystem:
     spec: NetworkSpec
     enabled: frozenset[RequirementLabel]
-
-    @property
-    def domain_size(self) -> int:
-        return len(action_domain(self.spec.packets))
 
 
 def encode(spec: NetworkSpec) -> ConstraintSystem:

@@ -30,6 +30,7 @@ are those of stepping every node in every slot.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import cycle, islice
@@ -307,9 +308,10 @@ def render_report(report: SimReport) -> str:
         lines.append(f"completed: yes (slot {report.completion_slot})")
     else:
         lines.append("completed: no")
-    held = knowledge_table(report.delivered, report.spec.processes)
+    masks = Counter(report.delivered)  # how many packets have each holder mask
     delivered = " ".join(
-        f"p{p}:{sum(row)}/{report.spec.packets}" for p, row in enumerate(held)
+        f"p{p}:{sum(n for mask, n in masks.items() if mask >> p & 1)}/{report.spec.packets}"
+        for p in range(report.spec.processes)
     )
     lines.append(f"delivered: {delivered}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,19 @@
-"""Deterministic search over the action grid, plus the brute-force oracle,
-minimum-horizon search, and unsat-core minimization.
+"""Deterministic search over the action grid, plus minimum-horizon search
+and unsat-core minimization.
 
 The engine is a depth-first backtracker. Variables are cells in (slot,
-process) order; values follow the fixed order of actions.action_domain:
-sleep, listen, packets ascending, garbage (quiet schedules first).
-Knowledge, holder masks as in trace, is recomputed once per completed slot,
-by the learning rule the enabled families imply, and never searched over.
-The search keeps its state per slot start t: the knowledge row, and per
-process the action kinds it performed before slot t, one bit per kind.
-Slot t - 1 writes both, so backtracking overwrites them and undoes
-nothing, and (t, knowledge row, kinds done) names a search state whole.
+process) order; a cell's value is an index into actions.action_domain,
+whose order is the value order: sleep, listen, packets ascending, garbage
+(quiet schedules first). Each value's kind, listening bit and packet are
+tabulated once per solve, and only the returned trace holds Actions.
+Knowledge, holder masks as in trace, is learned once per completed slot
+through trace.deliver (every packet everywhere with R7 dropped), and never
+searched over. The search state lives in arrays that are overwritten and
+never undone. Per slot start t: the knowledge row and, per process, the
+action kinds it performed before slot t, one bit per kind, so (t,
+knowledge row, kinds done) names a search state whole. Per cell: the
+listening mask and the (speaker, packet) sends of its slot's cells up to
+it, which the slot's last cell hands to deliver.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -45,21 +49,19 @@ each later process sending each packet it may send. These bound what the
 slot can teach under the learning rule; learning itself still happens only
 at slot end.
 
-enumerate_all is the independent oracle: it tries every one of the
-(M+3)^(T*P) assignments and keeps those the trace validator accepts, with
-no search machinery shared with solve.
+The brute-force oracle the tests compare the search against lives with the
+tests, and shares no search machinery with solve.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cache
 from typing import NamedTuple
 
-from .actions import Action, ActionKind, SLEEP, action_domain
+from .actions import ActionKind, action_domain
 from .encoder import ConstraintSystem, encode
 from .model import (
     NetworkSpec,
@@ -72,9 +74,8 @@ from .trace import (
     ProtocolTrace,
     all_known,
     audiences,
+    deliver,
     initial_knowledge,
-    learning_rule,
-    satisfies,
 )
 
 
@@ -140,7 +141,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     check_goal = L.GOAL_DEADLINE in enabled
     check_live = L.R3_LIVENESS in enabled
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
-    learn = learning_rule(spec, enabled)
     values = action_domain(M)
     cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
     nodes = 0
@@ -183,22 +183,16 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             must_lower[t] = row if need == T - t else None
         return need <= T - t
 
-    def slot_can_lower(t: int, p: int, held) -> bool:
-        """Whether some completion of slot t's row, its cells 0..p assigned,
-        lowers some packet's cover. Cover only falls as holders grow, so
-        only the completion in which every later cell listens is tried."""
-        listening, sender = everyone >> (p + 1) << (p + 1), None
-        for q in range(p + 1):
-            kind = acts[t][q].kind
-            if kind is ActionKind.LISTEN:
-                listening |= 1 << q
-            elif kind is ActionKind.TRANSMIT:
-                if sender is not None:
-                    return False  # a collision delivers nothing
-                sender = q
-        if sender is not None:
-            k = acts[t][sender].packet
-            tries = [] if k is None else [(sender, k)]
+    def slot_can_lower(p: int, held, listening: int, sends: tuple) -> bool:
+        """Whether some completion of a slot whose cells 0..p listen as
+        `listening` and send `sends` lowers some packet's cover. Cover only
+        falls as holders grow, so only the completion in which every later
+        cell listens is tried."""
+        if len(sends) > 1:
+            return False  # a collision delivers nothing
+        listening |= everyone >> (p + 1) << (p + 1)
+        if sends:
+            tries = [(s, k) for s, k in sends if k is not None]
         else:
             tries = [  # each later process, with each packet it may send
                 (s, k) for k in range(1, M + 1) for s in range(p + 1, P)
@@ -216,12 +210,20 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         cuts["liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
-    cells = T * P
-    acts: list[list[Action]] = [[SLEEP] * P for _ in range(T)]
+    # per value: its index, kind bit, listening bit, whether it transmits,
+    # and its packet (None for sleep, listen and garbage)
     bit_of = {kind: 1 << i for i, kind in enumerate(ActionKind)}
-    bits = [bit_of[act.kind] for act in values]
+    table = [
+        (v, bit_of[act.kind], int(act.kind is ActionKind.LISTEN),
+         act.kind is ActionKind.TRANSMIT, act.packet)
+        for v, act in enumerate(values)
+    ]
     kinds = len(ActionKind)
+    everything = (everyone,) * M
     limit = config.node_limit
+    cells = T * P
+    grid = [0] * cells  # each cell's value
+    heard, sent = [0] * cells, [()] * cells  # per cell (see the module doc)
 
     def search(i: int) -> bool:
         nonlocal nodes
@@ -230,27 +232,30 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         t, p = divmod(i, P)
         last_in_slot = p == P - 1
         held = None if last_in_slot else must_lower[t]
-        for act, bit in zip(values, bits):
+        before, sends_before = (heard[i - 1], sent[i - 1]) if p else (0, ())
+        for v, bit, listens, transmits, k in table:
             if nodes == limit:
                 raise _Budget
             nodes += 1
-            if check_r5:
-                k = act.packet
-                if k is not None and not know[t][k - 1] >> p & 1:
-                    cuts["r5"] += 1
-                    continue
+            if check_r5 and k is not None and not know[t][k - 1] >> p & 1:
+                cuts["r5"] += 1
+                continue
             if check_live:
                 kinds_done = done[t][p] | bit
                 if kinds - kinds_done.bit_count() > T - 1 - t:
                     cuts["liveness"] += 1
                     continue
                 done[t + 1][p] = kinds_done
-            acts[t][p] = act
-            if held is not None and not slot_can_lower(t, p, held):
+            grid[i] = v
+            listening = heard[i] = before | listens << p
+            sends = sent[i] = sends_before + ((p, k),) if transmits else sends_before
+            if held is not None and not slot_can_lower(p, held, listening, sends):
                 cuts["intra_slot"] += 1
                 continue
             if last_in_slot:
-                know[t + 1] = learn(know[t], acts[t])
+                know[t + 1] = everything if free_learning else deliver(
+                    know[t], listening, sends, audience
+                )
                 if check_goal and not within_reach(t + 1, know[t + 1]):
                     cuts["goal"] += 1
                     continue
@@ -264,33 +269,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         return result(SolveStatus.BUDGET_EXHAUSTED)
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
-    trace = ProtocolTrace(spec, tuple(tuple(row) for row in acts), tuple(know))
+    actions = tuple(tuple(values[v] for v in grid[t * P:(t + 1) * P]) for t in range(T))
+    trace = ProtocolTrace(spec, actions, tuple(know))
     return result(SolveStatus.SAT, trace=trace)
-
-
-def enumerate_all(
-    cs: ConstraintSystem,
-    limit: int | None = None,
-    ceiling: int = 10_000_000,
-) -> list[ProtocolTrace]:
-    """Every satisfying trace, found by checking all (M+3)^(T*P) assignments
-    with the independent validator, in lexicographic cell order."""
-    spec = cs.spec
-    P, T = spec.processes, spec.horizon
-    cells = T * P
-    size = cs.domain_size ** cells
-    if size > ceiling:
-        raise ValueError(f"enumeration space {size} exceeds ceiling {ceiling}")
-    domain = action_domain(spec.packets)
-    out: list[ProtocolTrace] = []
-    for combo in itertools.product(domain, repeat=cells):
-        actions = tuple(combo[t * P:(t + 1) * P] for t in range(T))
-        trace = ProtocolTrace.from_actions(spec, actions, cs.enabled)
-        if satisfies(trace, cs.enabled):
-            out.append(trace)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
 
 
 def min_horizon(

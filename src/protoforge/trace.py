@@ -10,10 +10,11 @@ the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
 nothing, and nothing once learned is ever lost. deliver is the one place
 this rule is written, over a listening mask, the sends, and the listener
-bitmasks that audiences gives per speaker, and step_knowledge applies it
-to a row of actions. learning_rule and audiences decide, for the search,
-the oracle and the validator alike, what dropping R7 or TOPO does to it.
-Carrier sense, the always-on baseline's radio model, belongs to sim,
+bitmasks that audiences gives per speaker. Its callers build that mask
+and those sends themselves: derive_knowledge and the validator decode each
+row of actions, and the search keeps them per cell. audiences decides
+what dropping TOPO does to the rule, and derive_knowledge what dropping R7
+does. Carrier sense, the always-on baseline's radio model, belongs to sim,
 which hands deliver only the listeners no two audible senders block.
 
 The validator here is the package's independent referee: it re-derives
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections import Counter
-from functools import partial, reduce
+from functools import reduce
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not, or_
 from typing import Callable, Iterable, Iterator, Sequence
@@ -88,15 +89,6 @@ def audiences(
     return audience + (0,) * (P - len(audience))
 
 
-def step_knowledge(
-    now: KnowledgeRow, acts: Sequence[Action], audience: Sequence[int]
-) -> KnowledgeRow:
-    """One slot of the learning rule over a row of actions: decodes the row
-    into the listening mask and the sends, and hands them to deliver."""
-    listening, sends = _decode(acts, map(_kind, acts))
-    return deliver(now, listening, sends, audience)
-
-
 def _decode(acts: Sequence[Action], kinds: Iterable[ActionKind | None]) -> tuple[int, list]:
     """A row's listening mask and its (speaker, packet) sends, given the kind
     of each of its cells (None for a cell that holds no action)."""
@@ -133,32 +125,23 @@ def deliver(
     return tuple(nxt)
 
 
-def learning_rule(
-    spec: NetworkSpec, enabled: Iterable[RequirementLabel] | None = None
-) -> Callable[[KnowledgeRow, Sequence[Action]], KnowledgeRow]:
-    """The slot transition that the enabled requirement families imply.
-
-    With R7 enabled, listeners learn by step_knowledge over the audiences
-    the enabled families imply. With R7 dropped nothing limits learning, so
-    every process holds every packet after any slot.
-    """
-    enabled = _enabled_set(enabled)
-    if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
-        everything = ((1 << spec.processes) - 1,) * spec.packets
-        return lambda now, acts: everything
-    return partial(step_knowledge, audience=audiences(spec, enabled))
-
-
 def derive_knowledge(
     spec: NetworkSpec,
     actions: Sequence[Sequence[Action]],
     enabled: Iterable[RequirementLabel] | None = None,
 ) -> KnowledgeGrid:
-    """Folds the learning rule over the whole schedule, giving T+1 rows."""
-    learn = learning_rule(spec, enabled)
-    rows = [initial_knowledge(spec)]
+    """Folds the learning rule the enabled families imply over the whole
+    schedule, giving T+1 rows. With R7 dropped nothing limits learning, so
+    every process holds every packet after any slot."""
+    enabled = _enabled_set(enabled)
+    first = initial_knowledge(spec)
+    if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
+        everything = ((1 << spec.processes) - 1,) * spec.packets
+        return (first,) + (everything,) * len(actions)
+    audience = audiences(spec, enabled)
+    rows = [first]
     for acts in actions:
-        rows.append(learn(rows[-1], acts))
+        rows.append(deliver(rows[-1], *_decode(acts, map(_kind, acts)), audience))
     return tuple(rows)
 
 
@@ -252,13 +235,6 @@ def validate(
     return list(_violations(trace, _enabled_set(enabled)))
 
 
-def satisfies(
-    trace: ProtocolTrace, enabled: Iterable[RequirementLabel] | None = None
-) -> bool:
-    """Short-circuit form of validate for bulk enumeration."""
-    return next(_violations(trace, _enabled_set(enabled)), None) is None
-
-
 def _enabled_set(
     enabled: Iterable[RequirementLabel] | None,
 ) -> frozenset[RequirementLabel]:
@@ -333,9 +309,9 @@ def _violations(
                         f"process {p} transmits packet {k} at t={t} without knowing it",
                     )
 
-    # The learning rule of learning_rule(spec, enabled) on the decoded rows.
-    # Audibility folds into it; dropping TOPO lifts it. Each slot's row is
-    # derived on first use and shared by R6 and R7.
+    # The learning rule on the decoded rows. Audibility folds into it;
+    # dropping TOPO lifts it. Each slot's row is derived on first use and
+    # shared by R6 and R7.
     audience = audiences(spec, enabled)
     derived: list[KnowledgeRow | None] = [None] * spec.horizon
 

@@ -29,9 +29,10 @@ from protoforge.model import (
 )
 from protoforge.sim import PowerModel, run_baseline, simulate_trace
 from protoforge.smt import emit_smtlib, parse_value_response, run_external
-from protoforge.solver import SolveStatus, enumerate_all, min_horizon, solve
+from protoforge.solver import SolveStatus, min_horizon, solve
 from protoforge.trace import ProtocolTrace, read_trace, validate, write_trace
 from conftest import make_spec
+from oracle import enumerate_all
 
 ENUM_CEILING = 10**5
 
@@ -57,7 +58,7 @@ def test_criterion_1_min_horizon_equals_packet_count():
                 from dataclasses import replace
 
                 cs = encode(replace(spec, horizon=h))
-                if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > ENUM_CEILING:
+                if len(action_domain(M)) ** (h * P) > ENUM_CEILING:
                     continue
                 cross_checked += 1
                 oracle = enumerate_all(cs, limit=1)
@@ -126,7 +127,7 @@ def test_criterion_4_completeness_against_enumeration_oracle():
                 for goal in GoalKind:
                     spec = NetworkSpec(P, M, T, 0, topo, live, goal)
                     cs = encode(spec)
-                    if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > ENUM_CEILING:
+                    if len(action_domain(M)) ** (T * P) > ENUM_CEILING:
                         continue
                     count += 1
                     result = solve(cs)

@@ -98,6 +98,24 @@ def test_first_models_and_nodes_hold_their_pins():
     assert changed == []
 
 
+def test_the_search_decodes_no_action_row(monkeypatch):
+    # the search hands deliver the listening mask and sends it keeps per
+    # cell; only the trace it returns is made of actions
+    def refuse(*args):
+        raise AssertionError("the search decoded an action row")
+
+    monkeypatch.setattr("protoforge.trace._decode", refuse)
+    pins = json.loads(PINS.read_text(encoding="utf-8"))
+    found = dict(outcomes())
+    assert {name: now[:2] for name, now in found.items()} == {
+        name: pin[:2] for name, pin in pins.items()
+    }
+    dropped = [name.partition(" -")[2].split(",") for name, now in found.items() if now[0] == "sat"]
+    assert any("R7" not in labels for labels in dropped)
+    assert any("R7" in labels for labels in dropped)
+    assert any("TOPO" in labels and "R7" not in labels for labels in dropped)
+
+
 if __name__ == "__main__":
     lines = [f"  {json.dumps(name)}: {json.dumps(pin)}" for name, pin in outcomes()]
     PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")

@@ -86,7 +86,6 @@ def test_only_the_relation_owners_read_hears(path):
 # Definitions that nothing in the package or the bench harness reads by name,
 # each kept for a reason of its own.
 UNREAD_BY_DESIGN = {
-    "enumerate_all": "the brute-force oracle the solver's tests compare against",
     "render_spec": "the spec file writer that tests round-trip parse_spec through",
 }
 
@@ -140,8 +139,8 @@ def test_every_definition_is_read_by_name():
 # Defaulted parameters that no call in the package or the bench harness
 # passes, each kept for a reason of its own.
 UNPASSED_BY_DESIGN = {
-    "enumerate_all.limit": "the oracle's tests stop at the first few traces",
-    "enumerate_all.ceiling": "the oracle's tests bound the assignments they may try",
+    "from_actions.enabled": "the brute-force oracle in tests/oracle.py builds each "
+    "candidate's trace under its system's families",
 }
 
 

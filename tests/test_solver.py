@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from protoforge.actions import LISTEN, SLEEP, transmit
+from protoforge.actions import LISTEN, SLEEP, action_domain, transmit
 from protoforge.encoder import encode
 from protoforge.model import (
     GoalKind,
@@ -21,13 +21,13 @@ from protoforge.solver import (
     SearchConfig,
     SolveStats,
     SolveStatus,
-    enumerate_all,
     min_horizon,
     solve,
     unsat_core_minimize,
 )
 from protoforge.trace import validate
 from conftest import make_spec
+from oracle import enumerate_all
 
 L = RequirementLabel
 
@@ -195,7 +195,7 @@ def test_completeness_matches_oracle_on_small_instances():
             goal=rng.choice(list(GoalKind)),
         )
         cs = encode(spec)
-        if cs.domain_size ** (cs.spec.horizon * cs.spec.processes) > 10**5:
+        if len(action_domain(spec.packets)) ** (spec.horizon * spec.processes) > 10**5:
             continue
         checked += 1
         oracle = enumerate_all(cs)
@@ -342,7 +342,7 @@ def test_first_trace_matches_oracle_on_explicit_relations(case):
                              source=source, topology=pairs,
                              liveness=liveness)
             for cs in _trial_systems(spec):
-                assert cs.domain_size ** (cs.spec.horizon * cs.spec.processes) <= 10**5
+                assert len(action_domain(packets)) ** (horizon * processes) <= 10**5
                 oracle = enumerate_all(cs, limit=1)
                 result = solve(cs)
                 assert (result.status is SolveStatus.SAT) == bool(oracle), (spec, cs.enabled)

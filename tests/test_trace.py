@@ -17,49 +17,51 @@ from protoforge.trace import (
     derive_knowledge,
     initial_knowledge,
     read_trace,
-    satisfies,
-    step_knowledge,
     validate,
     write_trace,
 )
 from conftest import make_spec
+from oracle import satisfies
 from test_cli import OVERSIZED_PACKETS_TRACE
 
 L = RequirementLabel
 
 
+def _step(spec, acts):
+    """The knowledge after one slot of `acts` from the initial knowledge."""
+    return derive_knowledge(spec, [acts])[1]
+
+
 def test_step_single_transmitter_delivers():
     spec = make_spec(processes=3, packets=1, topology="all")
-    now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), LISTEN, SLEEP), audiences(spec))
+    nxt = _step(spec, (transmit(1), LISTEN, SLEEP))
     assert nxt == (0b011,)
 
 
 def test_step_garbage_jams_the_channel():
     spec = make_spec(processes=3, packets=1, topology="all")
     now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), transmit(0), LISTEN), audiences(spec))
+    nxt = _step(spec, (transmit(1), transmit(0), LISTEN))
     assert nxt == now
 
 
 def test_step_all_sleep_is_identity():
     spec = make_spec(processes=3, packets=2, topology="all")
     now = initial_knowledge(spec)
-    assert step_knowledge(now, (SLEEP, SLEEP, SLEEP), audiences(spec)) == now
+    assert _step(spec, (SLEEP, SLEEP, SLEEP)) == now
 
 
 def test_step_respects_hears_relation():
     spec = make_spec(processes=3, packets=1, topology="line")
-    now = initial_knowledge(spec)
     # p2 listens but only hears p1, so p0's transmission is inaudible to it
-    nxt = step_knowledge(now, (transmit(1), LISTEN, LISTEN), audiences(spec))
+    nxt = _step(spec, (transmit(1), LISTEN, LISTEN))
     assert nxt == (0b011,)
 
 
 def test_step_transmitter_learns_nothing_from_itself():
     spec = make_spec(processes=2, packets=1, source=0, topology="all")
     now = initial_knowledge(spec)
-    nxt = step_knowledge(now, (transmit(1), transmit(1)), audiences(spec))
+    nxt = _step(spec, (transmit(1), transmit(1)))
     assert nxt == now
 
 
@@ -67,8 +69,8 @@ def test_step_inaudible_transmitters_still_jam_the_channel():
     # p0 and p3 both send packet 1; p1 hears only p0, yet the channel is shared
     spec = make_spec(processes=4, topology={(1, 0), (2, 0), (2, 3)})
     now = (0b1001,)
-    acts = (transmit(1), LISTEN, LISTEN, transmit(1))
-    assert step_knowledge(now, acts, audiences(spec)) == now
+    listening, sends = 0b0110, [(0, 1), (3, 1)]
+    assert deliver(now, listening, sends, audiences(spec)) == now
 
 
 LINE3_ACTIONS = (

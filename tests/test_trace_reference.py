@@ -49,11 +49,11 @@ from protoforge.trace import (
     initial_knowledge,
     knowledge_table,
     read_trace,
-    satisfies,
     validate,
     write_trace,
 )
 from conftest import make_spec
+from oracle import satisfies
 from test_fuzz import mutated
 
 L = RequirementLabel
