@@ -12,9 +12,9 @@ nothing, and nothing once learned is ever lost. deliver is the one place
 this rule is written, over a listening mask, the sends, and the listener
 bitmasks that audiences gives per speaker. Its callers build that mask
 and those sends themselves: derive_knowledge and the validator decode each
-row of actions, and the search keeps them per cell. audiences decides
-what dropping TOPO does to the rule, and derive_knowledge what dropping R7
-does. Carrier sense, the always-on baseline's radio model, belongs to sim,
+row of actions, and the search keeps them per cell. derive_knowledge
+folds the rule of the full system; audiences decides what dropping TOPO
+does to it, and the search what dropping R7 does. Carrier sense, the always-on baseline's radio model, belongs to sim,
 which hands deliver only the listeners no two audible senders block.
 
 The validator here is the package's independent referee: it re-derives
@@ -125,21 +125,10 @@ def deliver(
     return tuple(nxt)
 
 
-def derive_knowledge(
-    spec: NetworkSpec,
-    actions: Sequence[Sequence[Action]],
-    enabled: Iterable[RequirementLabel] | None = None,
-) -> KnowledgeGrid:
-    """Folds the learning rule the enabled families imply over the whole
-    schedule, giving T+1 rows. With R7 dropped nothing limits learning, so
-    every process holds every packet after any slot."""
-    enabled = _enabled_set(enabled)
-    first = initial_knowledge(spec)
-    if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
-        everything = ((1 << spec.processes) - 1,) * spec.packets
-        return (first,) + (everything,) * len(actions)
-    audience = audiences(spec, enabled)
-    rows = [first]
+def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> KnowledgeGrid:
+    """Folds the learning rule over the whole schedule, giving T+1 rows."""
+    audience = audiences(spec)
+    rows = [initial_knowledge(spec)]
     for acts in actions:
         rows.append(deliver(rows[-1], *_decode(acts, map(_kind, acts)), audience))
     return tuple(rows)
@@ -196,11 +185,10 @@ class ProtocolTrace:
         cls,
         spec: NetworkSpec,
         actions: Sequence[Sequence[Action]],
-        enabled: Iterable[RequirementLabel] | None = None,
     ) -> "ProtocolTrace":
         frozen = tuple(tuple(row) for row in actions)
         _check_row_widths(spec, frozen)  # before the learning rule indexes them
-        return cls(spec, frozen, derive_knowledge(spec, frozen, enabled))
+        return cls(spec, frozen, derive_knowledge(spec, frozen))
 
 
 def _check_row_count(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:

@@ -3,7 +3,8 @@
 enumerate_all tries every one of the (M+3)^(T*P) action grids and keeps
 those the trace validator accepts. It shares no search machinery with
 solver.solve: it reads only the value order of actions.action_domain, the
-learning rule through ProtocolTrace.from_actions, and the validator.
+learning rule through trace.deliver and trace.audiences, and the validator.
+Each candidate's knowledge grid is the one its system's families imply.
 """
 
 from __future__ import annotations
@@ -11,10 +12,20 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from protoforge.actions import action_domain
+from protoforge.actions import Action, ActionKind, action_domain
 from protoforge.encoder import ConstraintSystem
-from protoforge.model import RequirementLabel
-from protoforge.trace import ProtocolTrace, _violations
+from protoforge.model import NetworkSpec, RequirementLabel
+from protoforge.trace import (
+    KnowledgeGrid,
+    ProtocolTrace,
+    _violations,
+    audiences,
+    deliver,
+    initial_knowledge,
+)
+
+# Looked up once: reading an Enum member off its class is slow per cell.
+_LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
 
 
 def satisfies(
@@ -24,6 +35,27 @@ def satisfies(
     first violation."""
     enabled = frozenset(RequirementLabel if enabled is None else enabled)
     return next(_violations(trace, enabled), None) is None
+
+
+def _knowledge(
+    spec: NetworkSpec,
+    actions: tuple[tuple[Action, ...], ...],
+    enabled: frozenset[RequirementLabel],
+) -> KnowledgeGrid:
+    """The T+1 knowledge rows of `actions` under the learning rule the
+    enabled families imply. With R7 dropped nothing limits learning, so
+    every process holds every packet after any slot."""
+    first = initial_knowledge(spec)
+    if RequirementLabel.R7_COLLISION_FREE_LEARNING not in enabled:
+        everything = ((1 << spec.processes) - 1,) * spec.packets
+        return (first,) + (everything,) * len(actions)
+    audience = audiences(spec, enabled)
+    rows = [first]
+    for acts in actions:
+        listening = sum(1 << p for p, act in enumerate(acts) if act.kind is _LISTENS)
+        sends = [(p, act.packet) for p, act in enumerate(acts) if act.kind is _SENDS]
+        rows.append(deliver(rows[-1], listening, sends, audience))
+    return tuple(rows)
 
 
 def enumerate_all(
@@ -44,7 +76,7 @@ def enumerate_all(
     out: list[ProtocolTrace] = []
     for combo in itertools.product(domain, repeat=cells):
         actions = tuple(combo[t * P:(t + 1) * P] for t in range(T))
-        trace = ProtocolTrace.from_actions(spec, actions, cs.enabled)
+        trace = ProtocolTrace(spec, actions, _knowledge(spec, actions, cs.enabled))
         if satisfies(trace, cs.enabled):
             out.append(trace)
             if limit is not None and len(out) >= limit:

@@ -138,10 +138,7 @@ def test_every_definition_is_read_by_name():
 
 # Defaulted parameters that no call in the package or the bench harness
 # passes, each kept for a reason of its own.
-UNPASSED_BY_DESIGN = {
-    "from_actions.enabled": "the brute-force oracle in tests/oracle.py builds each "
-    "candidate's trace under its system's families",
-}
+UNPASSED_BY_DESIGN: dict[str, str] = {}
 
 
 def _functions(tree: ast.Module) -> Iterator[tuple[str, int, ast.arguments]]:
