@@ -14,8 +14,9 @@ bitmasks that audiences gives per speaker. Its callers build that mask
 and those sends themselves: derive_knowledge and the validator decode each
 row of actions, and the search keeps them per cell. derive_knowledge
 folds the rule of the full system; audiences decides what dropping TOPO
-does to it, and the search what dropping R7 does. Carrier sense, the always-on baseline's radio model, belongs to sim,
-which hands deliver only the listeners no two audible senders block.
+does to it, and the search what dropping R7 does. Carrier sense, the
+always-on baseline's radio model, belongs to sim, which hands deliver
+only the listeners no two audible senders block.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
