@@ -25,8 +25,11 @@ request with an error form, which the parser skips.
 The per-slot families (R1, R2, R5, R6, R7 and the get-value lines) read
 the same in every slot but for the digits of t and t + 1. Each is rendered
 once per document as a block over placeholder characters for the two and
-stamped out per slot with str.replace. R3, R4 and GOAL are not per-slot and
-are rendered directly.
+stamped out per slot with str.replace; each slot's stamp stays one block.
+R3, R4 and GOAL are not per-slot and are rendered directly, one block each.
+The document keeps these blocks as they are (see SmtDocument), so emit-smt
+writes them to its file one by one, and the whole text is joined only when
+something reads it.
 """
 
 from __future__ import annotations
@@ -34,8 +37,11 @@ from __future__ import annotations
 import re
 import shlex
 import subprocess
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from typing import TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families, set_bits
@@ -59,21 +65,72 @@ class SolverTimeout(ExternalSolverError):
 MAX_TIMEOUT_S = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmtDocument:
+    """An SMT-LIB 2 document in four sections, separated by a blank line.
+
+    Each section is a tuple of blocks, a block being one or more whole lines
+    joined by newlines, without a final one; the header and declarations
+    hold one line per block. emit_smtlib stores a per-slot family's stamp
+    for one slot as one block, and R3 with R4, and GOAL, as one block each.
+    write sends the blocks to a text file as they are. text, the whole
+    document as one string, is built only when read, and so are assertions
+    and footer, the one-line-per-entry views of the last two sections.
+    Equality and hash compare the spec and every section's lines, however
+    they are split into blocks.
+    """
+
     spec: NetworkSpec
     header: tuple[str, ...]
     declarations: tuple[str, ...]
-    assertions: tuple[str, ...]
-    footer: tuple[str, ...]
+    assertion_blocks: tuple[str, ...]
+    footer_blocks: tuple[str, ...]
+
+    def _pieces(self) -> Iterator[str]:
+        """The text in order: each block, the newline that ends it, and a
+        newline between sections."""
+        gap = ""
+        for section in (self.header, self.declarations, self.assertion_blocks, self.footer_blocks):
+            if section:
+                yield gap
+                for block in section:
+                    yield block
+                    yield "\n"
+                gap = "\n"
+
+    def write(self, fh: TextIO) -> None:
+        """Writes text to fh block by block, without building it."""
+        fh.writelines(self._pieces())
 
     @cached_property
     def text(self) -> str:
-        sections = [self.header, self.declarations, self.assertions, self.footer]
-        return "\n\n".join("\n".join(s) for s in sections if s) + "\n"
+        return "".join(self._pieces())
+
+    @cached_property
+    def assertions(self) -> tuple[str, ...]:
+        return _lines(self.assertion_blocks)
+
+    @cached_property
+    def footer(self) -> tuple[str, ...]:
+        return _lines(self.footer_blocks)
+
+    def _key(self) -> tuple:
+        return self.spec, self.header, self.declarations, self.assertions, self.footer
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SmtDocument):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __str__(self) -> str:
         return self.text
+
+
+def _lines(blocks: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(chain.from_iterable(block.split("\n") for block in blocks))
 
 
 def _any(terms: list[str]) -> str:
@@ -91,17 +148,18 @@ def _sum(terms: list[str]) -> str:
 _T, _T1 = "\x00", "\x01"
 
 
-def _stamp(block: list[str], slots: range) -> list[str]:
-    """The block's lines for each slot in turn, its placeholders filled in.
-    Each stamped block is split on its own, so no string the size of a
-    family is ever built."""
-    if not block:
-        return []
-    template = "\n".join(block)
-    lines: list[str] = []
-    for t in slots:
-        lines += template.replace(_T, str(t)).replace(_T1, str(t + 1)).split("\n")
-    return lines
+def _joined(lines: list[str]) -> list[str]:
+    """The lines as one block; none when there are no lines."""
+    return ["\n".join(lines)] if lines else []
+
+
+def _stamp(lines: list[str], slots: range) -> list[str]:
+    """The lines as one block per slot, its placeholders filled in."""
+    return [
+        template.replace(_T, str(t)).replace(_T1, str(t + 1))
+        for template in _joined(lines)
+        for t in slots
+    ]
 
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
@@ -170,31 +228,32 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     for p in listeners:
         codes = _sum([f"(ite (> {tx[s]} 0) {tx[s]} 0)" for s in speakers[p]])
         defined.append(f"(assert (! (= (heard {_T} {p}) {codes}) :named |{r7}.heard@t={_T},p={p}|))")
-    lines = _stamp(cells, slots) + _stamp(bounds, slots)
+    fixed = []  # R3 and R4, which are not per-slot
     if L.R3_LIVENESS in families:
-        lines.append("; every action kind must occur inside the finite window")
+        fixed.append("; every action kind must occur inside the finite window")
         for p in procs:
             for variant, atoms in (
                 ("sleep", [f"(sleep {t} {p})" for t in slots]),
                 ("listen", [f"(listen {t} {p})" for t in slots]),
                 ("transmit", [f"(>= (transmit {t} {p}) 0)" for t in slots]),
             ):
-                lines.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
+                fixed.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
     for p in procs:
         for k in packets:
             a = f"(knows 0 {p} {k})" if p == spec.source else f"(not (knows 0 {p} {k}))"
-            lines.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
+            fixed.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
+    blocks = _stamp(cells, slots) + _stamp(bounds, slots) + _joined(fixed)
     for block in (sent, kept, defined, learnt):
-        lines += _stamp(block, slots)
+        blocks += _stamp(block, slots)
     if L.GOAL_DEADLINE in families:
-        lines += [
+        blocks += _joined([
             f"(assert (! (knows {T} {p} {k}) :named |{goal}@t={T},p={p},k={k}|))"
             for p in procs
             for k in packets
-        ]
+        ])
     footer = ["(check-sat)", *_stamp(actions, slots), *_stamp(known, range(T + 1))]
     footer += ["(get-unsat-core)", "(exit)"]
-    return SmtDocument(spec, header, declarations, tuple(lines), tuple(footer))
+    return SmtDocument(spec, header, declarations, tuple(blocks), tuple(footer))
 
 
 def label_of_assertion_name(name: str) -> RequirementLabel:

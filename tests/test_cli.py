@@ -316,6 +316,25 @@ def test_emit_smt_writes_file(capsys, line3, tmp_path):
     assert "(set-logic" not in out
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["--out", "stdout"])
+def test_emit_smt_writes_the_blocks_without_joining_the_text(capsys, line3, tmp_path, monkeypatch, to_file):
+    from protoforge.smt import emit_smtlib
+
+    emitted = []
+
+    def recorded(spec):
+        emitted.append(emit_smtlib(spec))
+        return emitted[-1]
+
+    monkeypatch.setattr("protoforge.cli.emit_smtlib", recorded)
+    path = tmp_path / "doc.smt2"
+    code, out, _ = run_cli(capsys, "emit-smt", line3, *(["--out", str(path)] if to_file else []))
+    [doc] = emitted
+    assert code == 0
+    assert "text" not in doc.__dict__ and "assertions" not in doc.__dict__
+    assert (path.read_text(encoding="utf-8") if to_file else out) == doc.text
+
+
 def _fake_solver(tmp_path, body):
     path = tmp_path / "fake.sh"
     path.write_text("#!/bin/sh\ncat > /dev/null\n" + body)

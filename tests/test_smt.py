@@ -317,14 +317,23 @@ def _four_speakers(P, seed):
 
 @pytest.mark.parametrize("topology", ["all", "line", "explicit"])
 @pytest.mark.parametrize("shape", RUNG_SHAPES + EDGE_SHAPES, ids=lambda shape: "P=%d M=%d T=%d" % shape)
-def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology):
+def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tmp_path):
     P, M, T = shape
     if topology == "explicit":
         topology = _four_speakers(P, seed=P * 1000 + M * 100 + T)
     spec = make_spec(processes=P, packets=M, horizon=T, source=P // 2 if topology != "line" else 0,
                      topology=topology, liveness=EACH if P % 2 else LivenessMode.OFF)
-    doc = emit_smtlib(spec)
-    assert _lines(doc) == _lines(_reference_emit(spec))
+    doc, reference = emit_smtlib(spec), _reference_emit(spec)
+    # the file emit-smt writes, straight from the blocks; compared line by
+    # line, as _lines does, but as bytes
+    path = tmp_path / "doc.smt2"
+    with open(path, "w", encoding="utf-8") as fh:
+        doc.write(fh)
+    assert "text" not in doc.__dict__
+    assert path.read_bytes().split(b"\n") == reference.text.encode().split(b"\n")
+    assert _lines(doc) == _lines(reference)
+    # blocks and the reference's single lines split the same lines
+    assert doc == reference and hash(doc) == hash(reference)
     _assert_one_line_per_entry_and_no_placeholders(doc)
 
 
