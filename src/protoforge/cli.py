@@ -8,6 +8,9 @@ Human-readable output comes first; with --json the last thing printed is
 a machine block starting at the first "{" on its own line, exit 5 included
 ({"status": "budget-exhausted"}, plus the undecided "horizon" on
 min-horizon). Errors reported only on stderr print none.
+
+--out and --trace-out create the file, or overwrite an existing one in
+place and cut it to the new length, so it holds exactly this run's output.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import sys
 from collections.abc import Callable
 from functools import cache
+from typing import TextIO
 
 from .encoder import encode
 from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec
@@ -145,9 +149,31 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+# The file buffer of every --out and --trace-out write. A document is
+# written as a few hundred blocks of up to about 17 KB on the benchmark's
+# rungs, each followed by a newline piece; 64 KiB gathers them into a few
+# large writes.
+_SMT_BUFFER = 1 << 16
+
+
+def _write(path: str, fill: Callable[[TextIO], object]) -> None:
+    """Has fill write the file's text to a UTF-8 file at path, overwriting
+    an existing file in place: opening it without O_TRUNC keeps its blocks
+    and page cache, which the write reuses. The file is then cut where the
+    text ended, so it holds only this run's text, all of it or, when fill
+    raises, the part that reached it. A device or FIFO reports size 0 and
+    is never cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", buffering=_SMT_BUFFER) as fh:
+        size = os.fstat(fd).st_size
+        try:
+            fill(fh)
+            fh.flush()  # so a file that only grows is never cut
+        finally:
+            # after a failed fill, closing fh writes what it still holds
+            # from this offset on, so nothing of the old file is left
+            if size and size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
+                os.ftruncate(fd, end)
 
 
 def _load_spec(path: str) -> NetworkSpec:
@@ -182,7 +208,8 @@ def _unsat(core: frozenset[RequirementLabel]) -> tuple[int, dict]:
 def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
     """Writes the trace file when a path is given, else prints the schedule."""
     if path:
-        _write(path, write_trace(trace))
+        text = write_trace(trace)
+        _write(path, lambda fh: fh.write(text))
         print(f"wrote {path}")
     else:
         print("\n".join(
@@ -237,18 +264,11 @@ def _cmd_unsat_core(args: argparse.Namespace) -> tuple[int, object]:
     return 1, {"status": "unsat", "core": labels}
 
 
-# emit-smt's file buffer. A document is written as a few hundred blocks of
-# up to about 17 KB on the benchmark's rungs, each followed by a newline
-# piece; 64 KiB gathers them into a few large writes.
-_SMT_BUFFER = 1 << 16
-
-
 def _cmd_emit_smt(args: argparse.Namespace) -> tuple[int, object]:
     spec = _load_spec(args.spec)
     document = emit_smtlib(spec)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", buffering=_SMT_BUFFER) as fh:
-            document.write(fh)
+        _write(args.out, document.write)
         print(f"wrote {args.out}")
     solver = args.solver or os.environ.get(SOLVER_ENV) or None
     if solver is None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import stat
 import subprocess
 import sys
@@ -11,7 +13,11 @@ import pytest
 
 import protoforge
 from protoforge.cli import main
-from protoforge.trace import read_trace, validate
+from protoforge.encoder import encode
+from protoforge.model import parse_spec
+from protoforge.smt import SmtDocument, emit_smtlib
+from protoforge.solver import min_horizon, solve
+from protoforge.trace import read_trace, validate, write_trace
 from conftest import make_spec
 
 LINE3 = """\
@@ -333,6 +339,101 @@ def test_emit_smt_writes_the_blocks_without_joining_the_text(capsys, line3, tmp_
     assert code == 0
     assert "text" not in doc.__dict__ and "assertions" not in doc.__dict__
     assert (path.read_text(encoding="utf-8") if to_file else out) == doc.text
+
+
+# the --out commands, each with the arguments it needs besides the spec
+OUT_COMMANDS = {"emit-smt": [], "synth": [], "min-horizon": ["--max", "2"]}
+
+
+def _expected_out(command, spec_path):
+    spec = parse_spec(Path(spec_path).read_text())
+    if command == "emit-smt":
+        return emit_smtlib(spec).text
+    if command == "synth":
+        return write_trace(solve(encode(spec)).trace)
+    return write_trace(min_horizon(spec, 2)[1])
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("extra", [5000, -20, 0], ids=["longer", "shorter", "same-length"])
+def test_out_overwrites_an_existing_file_with_exactly_the_new_output(capsys, line3, tmp_path, command, extra):
+    expected = _expected_out(command, line3).encode("utf-8")
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (len(expected) + extra))
+    code, out, err = run_cli(capsys, command, line3, *OUT_COMMANDS[command], "--out", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {path}\n")
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_out_is_opened_once_without_truncating(capsys, line3, tmp_path, monkeypatch, command):
+    path = tmp_path / "out"
+    path.write_text("x" * 5000)
+    opened = []
+    real_open = os.open
+
+    def recording(file, flags, *args, **kwargs):
+        opened.append((os.fspath(file), flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert run_cli(capsys, command, line3, "--out", str(path))[0] == 0
+    [flags] = [flags for name, flags in opened if name == str(path)]
+    assert flags & os.O_CREAT and not flags & os.O_TRUNC
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_out_to_dev_null(capsys, line3, command):
+    code, out, err = run_cli(capsys, command, line3, "--out", os.devnull)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {os.devnull}\n")
+
+
+def test_a_failed_write_leaves_only_the_prefix_that_reached_the_file(capsys, line3, tmp_path, monkeypatch):
+    def failing(self, fh):
+        fh.write(self.text[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(SmtDocument, "write", failing)
+    path = tmp_path / "doc.smt2"
+    path.write_text("x" * 100_000)
+    assert run_cli(capsys, "emit-smt", line3, "--out", str(path)) == (4, "", "error: disk full\n")
+    assert path.read_text(encoding="utf-8") == _expected_out("emit-smt", line3)[:100]
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_a_new_out_file_gets_the_mode_the_umask_leaves(capsys, line3, tmp_path, command):
+    path = tmp_path / "out"
+    umask = os.umask(0o027)
+    try:
+        code = run_cli(capsys, command, line3, "--out", str(path))[0]
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_an_existing_out_file_keeps_its_inode_and_mode(capsys, line3, tmp_path, command):
+    path = tmp_path / "out"
+    path.write_text("x" * 5000)
+    path.chmod(0o600)
+    before = path.stat()
+    assert run_cli(capsys, command, line3, "--out", str(path))[0] == 0
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+    assert path.read_text(encoding="utf-8") == _expected_out(command, line3)
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+@pytest.mark.parametrize("target, code", [("missing/out", errno.ENOENT), ("", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_an_unwritable_out_is_an_io_error(capsys, line3, tmp_path, command, target, code):
+    path = str(tmp_path / target)
+    exit_code, _, err = run_cli(capsys, command, line3, "--out", path)
+    assert exit_code == 4
+    assert err == f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
 
 
 def _fake_solver(tmp_path, body):
