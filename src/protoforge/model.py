@@ -30,7 +30,9 @@ from typing import Iterable
 # Size limits on problems read from text, checked before anything grows
 # with them: at most this many processes (so an `all` relation is at most
 # 1024 masks of 1024 bits), and at most this many facts (horizon + 1) *
-# processes * max(packets, 1) in the knowledge grid a trace file holds.
+# processes * max(packets, 1) in the knowledge grid a trace file holds. A
+# baseline runs its own 2 * processes * max(packets, 1) + 2 slot allowance,
+# which this does not bound; its trace costs O(slots + packets).
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
 

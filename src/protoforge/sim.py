@@ -23,9 +23,8 @@ M slots; the ears, the listeners no two full nodes jam, are recomputed
 only when the full set grows, and a round's action rows are M residue
 rows, updated once per joining node. It stops stepping at the fixed
 point, as soon as no ear hears a full node, and fills the slots left
-with period M. Listeners who do learn still cost O(M) per slot, as the
-knowledge grid it returns holds M masks per slot. Its trace and report
-are those of stepping every node in every slot.
+with period M. Its trace and report are those of stepping every node in
+every slot.
 """
 
 from __future__ import annotations
@@ -153,10 +152,9 @@ def run_baseline(
     audiences, to the ears: the listeners no two full processes jam. The
     ears are recomputed only when the full set grows, at a round's start.
     A round's action rows are the M residue rows, by t mod M, which are
-    updated once per joining process and appended by reference. A slot
-    thus costs O(1) in Python rather than O(full processes); listeners who
-    do learn still cost O(M) per slot, as the returned knowledge grid
-    holds a row of M masks per slot.
+    updated once per joining process and appended by reference, and
+    knowledge is one row that each slot's change updates in place. A slot
+    thus costs O(1) in Python rather than O(full processes) or O(M).
 
     Knowledge is final, a fixed point, as soon as no ear hears a full
     process: nobody can join the full set any more. From there the action
@@ -172,13 +170,14 @@ def run_baseline(
     everyone = (1 << P) - 1
     sends = action_domain(M)[2:-1]  # packets 1..M
     audience = audiences(spec)
-    know: list[KnowledgeRow] = [initial_knowledge(spec)]
+    know = list(initial_knowledge(spec))  # the knowledge row at slot len(rows)
+    learned: list = []  # per slot, its changes to know
     rows: list[tuple[Action, ...]] = []
     residues = [[LISTEN] * P for _ in range(M)]  # the action row of the slots t = r mod M
     full = heard = ears = 0  # the full set, the union of its audiences, and the ears
     concurrent = 0
     while True:  # a round of M slots per pass, as processes join only between rounds
-        joined = reduce(and_, know[-1], everyone)
+        joined = reduce(and_, know, everyone)
         t = len(rows)
         if joined == everyone or t == max_slots:
             full = joined
@@ -194,19 +193,22 @@ def run_baseline(
         multiple = full & (full - 1) != 0  # two or more senders
         if not ears & heard:  # a fixed point
             rows += islice(cycle(period), max_slots - t)
-            know += [know[-1]] * (max_slots - t)
+            learned += [()] * (max_slots - t)
             concurrent += (max_slots - t) * multiple
             break
         slots = min(M, max_slots - t)
         rows += period[:slots]
         for packet in range(1, slots + 1):
             # the full set sends as one speaker, 0, heard by all its audiences
-            know.append(deliver(know[-1], ears, [(0, packet)], (heard,)))
+            if change := deliver(know, ears, [(0, packet)], (heard,)):
+                know[packet - 1] = change[1]
+            learned.append((change,) if change else ())
         concurrent += slots * multiple
     T, done = len(rows), full == everyone
     per = (T * power.active_cost,) * P  # every always-on cell is active
-    report = SimReport(spec, power, T, know[-1], per, sum(per), concurrent, done, T if done else None)
-    return ProtocolTrace(replace(spec, horizon=T), tuple(rows), tuple(know)), report
+    report = SimReport(spec, power, T, tuple(know), per, sum(per), concurrent, done, T if done else None)
+    trace = ProtocolTrace(replace(spec, horizon=T), tuple(rows), initial_knowledge(spec), tuple(learned))
+    return trace, report
 
 
 @dataclass(frozen=True)

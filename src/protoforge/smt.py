@@ -45,7 +45,7 @@ from typing import TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import NetworkSpec, RequirementLabel, requirement_families, set_bits
-from .trace import ProtocolTrace, audiences, derive_knowledge
+from .trace import ProtocolTrace, audiences
 
 
 class SmtResponseError(ValueError):
@@ -398,11 +398,10 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
                     f"sleep={asleep}, listen={listening}, transmit={code}"
                 )
         rows.append(tuple(row))
-    actions = tuple(rows)
-    grid = derive_knowledge(spec, actions)
+    trace = ProtocolTrace.from_actions(spec, rows)
     # Read each holder bit straight from the masks, so a reply that lacks a
     # knows value stops at the first gap instead of first tabulating T·P·M.
-    for t, row in enumerate(grid):
+    for t, row in enumerate(trace.knowledge):
         for p in range(P):
             for k, holders in enumerate(row, 1):
                 if (t, p, k) not in knows:
@@ -413,7 +412,7 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
                     raise SmtResponseError(
                         f"knowledge mismatch at t={t}, p={p}, k={k}"
                     )
-    return ProtocolTrace(spec, actions, grid)
+    return trace
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,7 @@ from .model import (
 from .trace import (
     ProtocolTrace,
     all_known,
+    applied,
     audiences,
     deliver,
     initial_knowledge,
@@ -141,7 +142,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     check_goal = L.GOAL_DEADLINE in enabled
     check_live = L.R3_LIVENESS in enabled
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
-    values = action_domain(M)
     cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
     nodes = 0
 
@@ -170,7 +170,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
 
     # per slot start t (see the module doc): know[t], and p's kinds done[t][p]
     know: list = [initial_knowledge(spec)] + [None] * T
-    done = [[0] * P for _ in range(T + 1)]
     must_lower: list = [None] * T  # the knowledge row, when the slot must lower need
 
     def within_reach(t: int, row) -> bool:
@@ -210,8 +209,10 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         cuts["liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
+    done = [[0] * P for _ in range(T + 1)]
     # per value: its index, kind bit, listening bit, whether it transmits,
     # and its packet (None for sleep, listen and garbage)
+    values = action_domain(M)
     bit_of = {kind: 1 << i for i, kind in enumerate(ActionKind)}
     table = [
         (v, bit_of[act.kind], int(act.kind is ActionKind.LISTEN),
@@ -253,9 +254,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                 cuts["intra_slot"] += 1
                 continue
             if last_in_slot:
-                know[t + 1] = everything if free_learning else deliver(
-                    know[t], listening, sends, audience
-                )
+                change = None if free_learning else deliver(know[t], listening, sends, audience)
+                slot = (change,) if change else ()
+                know[t + 1] = everything if free_learning else applied(know[t], slot)
                 if check_goal and not within_reach(t + 1, know[t + 1]):
                     cuts["goal"] += 1
                     continue
@@ -270,7 +271,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     actions = tuple(tuple(values[v] for v in grid[t * P:(t + 1) * P]) for t in range(T))
-    trace = ProtocolTrace(spec, actions, tuple(know))
+    trace = ProtocolTrace.from_rows(spec, actions, know)
     return result(SolveStatus.SAT, trace=trace)
 
 

@@ -18,6 +18,11 @@ does to it, and the search what dropping R7 does. Carrier sense, the
 always-on baseline's radio model, belongs to sim, which hands deliver
 only the listeners no two audible senders block.
 
+A trace stores its knowledge as the initial row plus, per slot, a tuple
+of changes, each a packet and its new mask: at most one for every grid the
+learning rule derives, any number for a grid given as rows, which
+from_rows diffs once. The (T+1)-row view is built on first read and kept.
+
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
 so solver results can be checked against it.
@@ -32,9 +37,10 @@ The layer works per distinct value rather than per cell: read_trace parses
 each distinct label once, so equal cells share one Action object; the
 validator checks each distinct cell object once and decodes each action row
 once; and each distinct knowledge row is tabulated once, by write_trace to
-render it and by read_trace to compare the file's rows against it. Shape
-checks run as whole-grid passes, and walk row by row only to name the
-first bad row. Violation messages list at most MAX_LISTED packet numbers.
+render it and by read_trace to compare the file's rows against it. Action
+shape checks run as whole-grid passes, and walk row by row only to name
+the first bad row; knowledge is checked once per change. Violation
+messages list at most MAX_LISTED packet numbers.
 """
 
 from __future__ import annotations
@@ -42,9 +48,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from collections import Counter
-from functools import reduce
-from itertools import chain, compress, islice, repeat
-from operator import attrgetter, is_not, or_
+from functools import cached_property, reduce
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
@@ -59,7 +65,8 @@ from .model import (
 )
 
 KnowledgeRow = tuple[int, ...]  # one holder bitmask per packet
-KnowledgeGrid = tuple[KnowledgeRow, ...]
+Change = tuple[int, int]  # a packet and its new holder mask
+Changes = tuple[tuple[Change, ...], ...]  # per slot, packets ascending
 
 # Violation messages list at most this many packet numbers, then the count.
 MAX_LISTED = 10
@@ -84,7 +91,7 @@ def audiences(
     """One listener bitmask per speaker under the learning rule: the spec's
     hears relation, or everyone else when TOPO is dropped."""
     P = spec.processes
-    if RequirementLabel.TOPO_HEARS_RELATION not in _enabled_set(enabled):
+    if enabled is not None and RequirementLabel.TOPO_HEARS_RELATION not in enabled:
         return tuple(((1 << P) - 1) ^ (1 << s) for s in range(P))
     audience = spec.topology.audience
     return audience + (0,) * (P - len(audience))
@@ -104,11 +111,11 @@ def _decode(acts: Sequence[Action], kinds: Iterable[ActionKind | None]) -> tuple
 
 
 def deliver(
-    now: KnowledgeRow,
+    now: Sequence[int],
     listening: int,
     sends: Sequence[tuple[int, int | None]],
     audience: Sequence[int],
-) -> KnowledgeRow:
+) -> Change | None:
     """The learning rule's mask-level core; the only place a listener gains
     a packet. `sends` holds a (speaker, packet) pair per transmitter, packet
     None for garbage.
@@ -116,23 +123,37 @@ def deliver(
     The whole network shares one channel. A lone transmitter's packet
     reaches the listening processes in its audience; two or more
     transmitters deliver nothing, and garbage delivers nothing. Knowledge
-    never shrinks, and the row returned is a new tuple.
+    never shrinks. The result is the slot's one change to the row `now`,
+    (packet, new holder mask), or None when nobody gains anything.
     """
-    nxt = list(now)
     if len(sends) == 1:
         speaker, packet = sends[0]
-        if packet is not None and packet <= len(nxt):
-            nxt[packet - 1] |= audience[speaker] & listening
+        if packet is not None and packet <= len(now):
+            if gained := audience[speaker] & listening & ~now[packet - 1]:
+                return packet, now[packet - 1] | gained
+    return None
+
+
+def applied(row: KnowledgeRow, changes: tuple[Change, ...]) -> KnowledgeRow:
+    """The row after a slot's changes; the row itself when there are none."""
+    if not changes:
+        return row
+    nxt = list(row)
+    for packet, holders in changes:
+        nxt[packet - 1] = holders
     return tuple(nxt)
 
 
-def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> KnowledgeGrid:
-    """Folds the learning rule over the whole schedule, giving T+1 rows."""
+def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> Changes:
+    """Folds the learning rule over the whole schedule: each slot's changes."""
     audience = audiences(spec)
-    rows = [initial_knowledge(spec)]
+    row = list(initial_knowledge(spec))
+    changes = []
     for acts in actions:
-        rows.append(deliver(rows[-1], *_decode(acts, map(_kind, acts)), audience))
-    return tuple(rows)
+        if change := deliver(row, *_decode(acts, map(_kind, acts)), audience):
+            row[change[0] - 1] = change[1]
+        changes.append((change,) if change else ())
+    return tuple(changes)
 
 
 def all_known(row: KnowledgeRow, processes: int) -> bool:
@@ -155,48 +176,47 @@ def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
 class ProtocolTrace:
     spec: NetworkSpec
     actions: tuple[tuple[Action, ...], ...]
-    knowledge: KnowledgeGrid
+    initial: KnowledgeRow
+    changes: Changes
 
     def __post_init__(self) -> None:
         spec = self.spec
-        _check_row_count(spec, self.actions)
+        P, M, T = spec.processes, spec.packets, spec.horizon
+        if (count := len(self.actions)) != T:
+            raise TraceFormatError(f"dimension mismatch: {count} action rows for horizon {T}")
         _check_row_widths(spec, self.actions)
-        if len(self.knowledge) != spec.horizon + 1:
-            raise TraceFormatError(
-                f"dimension mismatch: {len(self.knowledge)} knowledge rows for horizon {spec.horizon}"
-            )
-        # The row test below, once per distinct row and mask. A row object
-        # that repeats the one before it, as in a baseline's filled tail, is
-        # dropped before hashing, which costs O(M) per row.
-        try:
-            fresh = map(is_not, islice(self.knowledge, 1, None), self.knowledge)
-            rows = set(compress(self.knowledge, chain((True,), fresh)))
-            fits = set(map(len, rows)) <= {spec.packets} and not any(
-                holders >> spec.processes for holders in set(chain.from_iterable(rows))
-            )
-        except TypeError:  # an unhashable row, or a mask that is not an integer
-            fits = False
-        if not fits:  # name the first bad row
-            for t, krow in enumerate(self.knowledge):
-                if len(krow) != spec.packets or any(holders >> spec.processes for holders in krow):
+        if (count := len(self.changes) + 1) != T + 1:
+            raise TraceFormatError(f"dimension mismatch: {count} knowledge rows for horizon {T}")
+        if len(self.initial) != M or any(holders >> P for holders in set(self.initial)):
+            raise TraceFormatError("dimension mismatch in knowledge row t=0")
+        for t, slot in enumerate(self.changes, 1):
+            for packet, holders in slot:
+                if not 0 < packet <= M or holders >> P:
                     raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
 
+    @cached_property
+    def knowledge(self) -> tuple[KnowledgeRow, ...]:
+        """The T+1 rows; a slot without changes shares the row before it."""
+        return tuple(accumulate(self.changes, applied, initial=self.initial))
+
     @classmethod
-    def from_actions(
-        cls,
-        spec: NetworkSpec,
-        actions: Sequence[Sequence[Action]],
-    ) -> "ProtocolTrace":
+    def from_actions(cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> "ProtocolTrace":
         frozen = tuple(tuple(row) for row in actions)
         _check_row_widths(spec, frozen)  # before the learning rule indexes them
-        return cls(spec, frozen, derive_knowledge(spec, frozen))
+        return cls(spec, frozen, initial_knowledge(spec), derive_knowledge(spec, frozen))
 
-
-def _check_row_count(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
-    if len(actions) != spec.horizon:
-        raise TraceFormatError(
-            f"dimension mismatch: {len(actions)} action rows for horizon {spec.horizon}"
+    @classmethod
+    def from_rows(cls, spec: NetworkSpec, actions: tuple, rows: Sequence) -> "ProtocolTrace":
+        """A trace whose T+1 knowledge rows are diffed into changes. A row of
+        another length than the one before names packet 0, which no trace admits."""
+        if not rows:  # no row 0 to diff from
+            raise TraceFormatError(f"dimension mismatch: 0 knowledge rows for horizon {spec.horizon}")
+        changes = tuple(
+            tuple((k, now) for k, (was, now) in enumerate(zip(before, after), 1) if was != now)
+            + ((0, 0),) * (len(before) != len(after))
+            for before, after in zip(rows, rows[1:])
         )
+        return cls(spec, actions, tuple(rows[0]), changes)
 
 
 def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
@@ -221,15 +241,7 @@ def validate(
     trace: ProtocolTrace, enabled: Iterable[RequirementLabel] | None = None
 ) -> list[Violation]:
     """Exhaustively checks every enabled requirement; empty list means clean."""
-    return list(_violations(trace, _enabled_set(enabled)))
-
-
-def _enabled_set(
-    enabled: Iterable[RequirementLabel] | None,
-) -> frozenset[RequirementLabel]:
-    if enabled is None:
-        return frozenset(RequirementLabel)
-    return frozenset(enabled)
+    return list(_violations(trace, frozenset(RequirementLabel if enabled is None else enabled)))
 
 
 def _violations(
@@ -298,23 +310,17 @@ def _violations(
                         f"process {p} transmits packet {k} at t={t} without knowing it",
                     )
 
-    # The learning rule on the decoded rows. Audibility folds into it;
-    # dropping TOPO lifts it. Each slot's row is derived on first use and
-    # shared by R6 and R7.
+    # The learning rule on the decoded rows, once per slot for R6 and R7.
+    # Audibility folds into it; dropping TOPO lifts it.
     audience = audiences(spec, enabled)
-    derived: list[KnowledgeRow | None] = [None] * spec.horizon
-
-    def expected(t: int) -> KnowledgeRow:
-        row = derived[t]
-        if row is None:
-            row = derived[t] = deliver(grid[t], listening[t], sends[t], audience)
-        return row
+    legal = [deliver(grid[t], listening[t], sends[t], audience) for t in range(spec.horizon)]
+    legal = [(change,) if change else () for change in legal]
+    # only a slot whose changes are not the legal ones forgets or gains illegally
+    odd = [t for t, slot in enumerate(trace.changes) if slot != legal[t]]
 
     if L.R6_NEVER_FORGETS in enabled:
-        for t in range(spec.horizon):
+        for t in odd:
             before, after = grid[t], grid[t + 1]
-            if after == expected(t):
-                continue  # the rule never takes a packet away
             for p, forgotten in _by_process(list(zip(before, after)), lambda r: r[0] & ~r[1]):
                 yield Violation(
                     L.R6_NEVER_FORGETS, t, p,
@@ -322,11 +328,9 @@ def _violations(
                 )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
-        for t in range(spec.horizon):
-            before, after, legal = grid[t], grid[t + 1], expected(t)
-            if after == legal:  # legal never loses a packet of before
-                continue
-            triples = list(zip(before, after, legal))  # (was, now, legal)
+        for t in odd:
+            before, after = grid[t], grid[t + 1]
+            triples = list(zip(before, after, applied(before, legal[t])))  # (was, now, legal)
             gained, dropped = (lambda r: r[1] & ~r[0] & ~r[2]), (lambda r: r[2] & ~r[0] & ~r[1])
             for p, illegal, missed in _by_process(triples, gained, dropped):
                 if illegal:
@@ -428,18 +432,10 @@ def read_trace(text: str) -> ProtocolTrace:
     rows = obj["actions"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TraceFormatError("actions must be a list of per-slot lists")
-    actions = _parse_actions(rows, spec.packets)
-    # The checks from_actions would make, in its order, then the file's grid
-    # against its (T+1, P, M) shape: knowledge is derived, at a cost that
-    # grows with M, only for a grid the file actually spells out.
-    _check_row_widths(spec, actions)
-    _check_row_count(spec, actions)
-    shape = (spec.horizon + 1, spec.processes, spec.packets)
-    if "knowledge" in obj and not _shaped(obj["knowledge"], shape):
-        raise TraceFormatError("knowledge grid malformed")
-    trace = ProtocolTrace.from_actions(spec, actions)
-
+    trace = ProtocolTrace.from_actions(spec, _parse_actions(rows, spec.packets))
     if "knowledge" in obj:
+        if not _shaped(obj["knowledge"], (spec.horizon + 1, spec.processes, spec.packets)):
+            raise TraceFormatError("knowledge grid malformed")
         tables: dict[KnowledgeRow, list[list[bool]]] = {}
         for t, (row, masks) in enumerate(zip(obj["knowledge"], trace.knowledge)):
             if masks not in tables:

@@ -15,6 +15,7 @@ import protoforge
 from protoforge.cli import main
 from protoforge.encoder import encode
 from protoforge.model import parse_spec
+from protoforge.sim import run_baseline
 from protoforge.smt import SmtDocument, emit_smtlib
 from protoforge.solver import min_horizon, solve
 from protoforge.trace import read_trace, validate, write_trace
@@ -523,6 +524,41 @@ def test_baseline_report(capsys, line3):
     block = machine_block(out)
     assert block["total_power"] == 6
     assert block["concurrent_tx_slots"] == 1
+
+
+# Process 1 hears the source and learns one of 8,192 packets per slot for
+# 8,192 slots: a baseline that kept a knowledge row per slot held 8,192
+# rows of 8,192 masks here.
+HOSTILE = """\
+processes = 2
+packets = 8192
+horizon = 1
+source = 0
+topology = explicit
+liveness = off
+goal = all-know-all
+hears 1 0
+"""
+
+
+def test_baseline_of_a_hostile_spec_builds_no_knowledge_rows(capsys, tmp_path):
+    path = tmp_path / "hostile.net"
+    path.write_text(HOSTILE)
+    report = [
+        "slots run: 8192",
+        "total power: 16384 pw",
+        "per-process power: 8192 8192",
+        "concurrent tx slots: 0",
+        "completed: yes (slot 8192)",
+        "delivered: p0:8192/8192 p1:8192/8192",
+    ]
+    assert run_cli(capsys, "baseline", str(path)) == (0, "\n".join(report) + "\n", "")
+    code, out, err = run_cli(capsys, "baseline", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:6] == report
+    assert machine_block(out)["completion_slot"] == 8192
+    trace, _ = run_baseline(parse_spec(HOSTILE))
+    assert "knowledge" not in vars(trace)  # the rows view is built on first read
 
 
 def test_compare_reproduces_power_numbers(capsys, line3):

@@ -226,6 +226,27 @@ def test_only_the_file_and_report_writers_tabulate_knowledge(path):
     assert "knowledge_table" not in calls or path.name in ("trace.py", "sim.py")
 
 
+# The functions that produce a trace's knowledge, which they emit as changes.
+PRODUCERS = {"sim.py": "run_baseline", "solver.py": "solve"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_trace_module_builds_rows_from_changes(path):
+    # a trace's changes become its (T+1)-row view only in trace.py, when a
+    # reader first asks for it, and the producers never read that view, so
+    # no O(T·M) path returns to them
+    tree = _tree(path)
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "changes" not in attributes or path.name == "trace.py"
+    if path.name in PRODUCERS:
+        [producer] = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == PRODUCERS[path.name]
+        ]
+        reads = {node.attr for node in ast.walk(producer) if isinstance(node, ast.Attribute)}
+        assert "knowledge" not in reads
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_tests_enum_membership_with_in(path):
     # `x in ActionKind` raises TypeError for a non-member on Python 3.11 and

@@ -263,7 +263,7 @@ def _stepped_baseline(spec, power, max_slots=None):
         completed=completion is not None,
         completion_slot=completion,
     )
-    trace = ProtocolTrace(replace(spec, horizon=len(rows)), tuple(rows), tuple(know))
+    trace = ProtocolTrace.from_rows(replace(spec, horizon=len(rows)), tuple(rows), know)
     return trace, report
 
 

@@ -731,7 +731,7 @@ def _mutants(rng, spec, count):
             for _ in range(rng.randint(1, 3)):
                 row, p = grid[rng.randint(0, T)], rng.randrange(P)
                 row[rng.randrange(M)] ^= 1 << p
-        yield ProtocolTrace(spec, trace.actions, tuple(map(tuple, grid)))
+        yield ProtocolTrace.from_rows(spec, trace.actions, grid)
 
 
 def test_falsified_families_match_the_validator():

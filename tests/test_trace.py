@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import builtins
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, Action, transmit
+from protoforge.encoder import encode
 from protoforge.model import RequirementLabel
 from protoforge.trace import (
     ProtocolTrace,
     TraceFormatError,
     all_known,
+    applied,
     deliver,
     derive_knowledge,
     initial_knowledge,
@@ -20,7 +23,7 @@ from protoforge.trace import (
     write_trace,
 )
 from conftest import make_spec
-from oracle import satisfies
+from oracle import enumerate_all, satisfies
 from test_cli import OVERSIZED_PACKETS_TRACE
 
 L = RequirementLabel
@@ -28,7 +31,7 @@ L = RequirementLabel
 
 def _step(spec, acts):
     """The knowledge after one slot of `acts` from the initial knowledge."""
-    return derive_knowledge(spec, [acts])[1]
+    return applied(initial_knowledge(spec), derive_knowledge(spec, [acts])[0])
 
 
 def test_step_single_transmitter_delivers():
@@ -80,19 +83,22 @@ LINE3_ACTIONS = (
 
 def test_derive_line3_hand_stepped():
     spec = make_spec()
-    grid = derive_knowledge(spec, LINE3_ACTIONS)
+    assert derive_knowledge(spec, LINE3_ACTIONS) == (((1, 0b011),), ((1, 0b111),))
+    grid = ProtocolTrace.from_actions(spec, LINE3_ACTIONS).knowledge
     assert grid == ((0b001,), (0b011,), (0b111,))
     assert all_known(grid[2], 3)
 
 
 def test_derive_horizon_zero():
     spec = make_spec(horizon=0)
-    assert derive_knowledge(spec, ()) == ((0b001,),)
+    assert derive_knowledge(spec, ()) == ()
+    assert ProtocolTrace.from_actions(spec, ()).knowledge == ((0b001,),)
 
 
 def test_derive_all_sleep_fixpoint():
     spec = make_spec(horizon=3)
-    rows = derive_knowledge(spec, ((SLEEP,) * 3,) * 3)
+    assert derive_knowledge(spec, ((SLEEP,) * 3,) * 3) == ((),) * 3
+    rows = ProtocolTrace.from_actions(spec, ((SLEEP,) * 3,) * 3).knowledge
     assert all(row == rows[0] for row in rows)
 
 
@@ -141,6 +147,7 @@ def test_validate_r2_out_of_range_content():
     trace = ProtocolTrace(
         spec,
         ((transmit(5), LISTEN),),
+        initial_knowledge(spec),
         derive_knowledge(spec, ((transmit(5), LISTEN),)),
     )
     assert any(v.label is L.R2_CONTENT_DOMAIN for v in validate(trace))
@@ -148,9 +155,9 @@ def test_validate_r2_out_of_range_content():
 
 def test_validate_catches_knowledge_tampering():
     spec = make_spec(processes=2, packets=1, horizon=1, topology="all")
-    grid = derive_knowledge(spec, ((SLEEP, SLEEP),))
+    grid = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP),)).knowledge
     forged = (grid[0], (0b11,))
-    trace = ProtocolTrace(spec, ((SLEEP, SLEEP),), forged)
+    trace = ProtocolTrace.from_rows(spec, ((SLEEP, SLEEP),), forged)
     labels = {v.label for v in validate(trace)}
     assert L.R7_COLLISION_FREE_LEARNING in labels
 
@@ -165,7 +172,41 @@ def test_validate_enabled_subset_skips_checks():
 def test_dimension_mismatch_raises():
     spec = make_spec()
     with pytest.raises(TraceFormatError, match="dimension mismatch"):
-        ProtocolTrace(spec, ((SLEEP,),), derive_knowledge(spec, LINE3_ACTIONS))
+        ProtocolTrace(spec, ((SLEEP,),), initial_knowledge(spec), derive_knowledge(spec, LINE3_ACTIONS))
+
+
+@pytest.mark.parametrize(
+    "change", [(0, 0b01), (2, 0b01), (1, 0b100), (1, 0b110), (1, -1)],
+    ids=["packet 0", "packet M+1", "bit P", "bits P-1 and P", "negative mask"],
+)
+def test_a_change_out_of_range_is_refused(change):
+    spec = make_spec(processes=2, packets=1, horizon=2, topology="all")
+    with pytest.raises(TraceFormatError, match=r"^dimension mismatch in knowledge row t=2$"):
+        ProtocolTrace(spec, ((SLEEP, SLEEP),) * 2, initial_knowledge(spec), ((), (change,)))
+
+
+@pytest.mark.parametrize("shape", [
+    dict(processes=2, packets=1, horizon=2, topology="all"),
+    dict(processes=2, packets=2, horizon=2, topology="all"),
+    dict(processes=3, packets=1, horizon=2, topology="line"),
+    dict(processes=3, packets=2, horizon=1, topology="all"),
+], ids=["P=2 M=1 T=2", "P=2 M=2 T=2", "line P=3 M=1 T=2", "P=3 M=2 T=1"])
+def test_rows_diff_into_the_changes_derive_knowledge_gives(shape):
+    # the goal is dropped so that every schedule the learning rule allows is
+    # enumerated, not only those that finish; R7 and TOPO stay, so each
+    # enumerated grid is the one derive_knowledge folds
+    spec = make_spec(**shape)
+    system = encode(spec)
+    traces = enumerate_all(replace(system, enabled=system.enabled - {L.GOAL_DEADLINE}))
+    assert any(any(trace.changes) for trace in traces)
+    for trace in traces:
+        given = ProtocolTrace.from_rows(spec, trace.actions, trace.knowledge)
+        derived = ProtocolTrace(
+            spec, trace.actions, initial_knowledge(spec), derive_knowledge(spec, trace.actions)
+        )
+        assert given == derived == trace
+        assert hash(given) == hash(derived)
+        assert given.knowledge == derived.knowledge
 
 
 def test_write_read_round_trip():
@@ -269,7 +310,7 @@ def test_knowledge_is_monotone(data):
         topology="all",
     )
     actions = data.draw(_action_rows(spec), label="actions")
-    grid = derive_knowledge(spec, actions)
+    grid = ProtocolTrace.from_actions(spec, actions).knowledge
     for earlier, later in zip(grid, grid[1:]):
         for k in range(spec.packets):
             assert earlier[k] & ~later[k] == 0
@@ -284,7 +325,7 @@ def test_at_most_one_packet_gained_per_listener_per_slot(data):
         topology="all",
     )
     actions = data.draw(_action_rows(spec), label="actions")
-    grid = derive_knowledge(spec, actions)
+    grid = ProtocolTrace.from_actions(spec, actions).knowledge
     for earlier, later in zip(grid, grid[1:]):
         for p in range(spec.processes):
             gained = sum(
@@ -313,7 +354,7 @@ def test_validate_reports_a_malformed_cell_and_treats_it_as_no_action(cell, enab
     # packet, so the grid derived from the real schedule shows an illegal gain
     spec = make_spec()
     actions = ((transmit(1), cell, SLEEP), LINE3_ACTIONS[1])
-    trace = ProtocolTrace(spec, actions, derive_knowledge(spec, LINE3_ACTIONS))
+    trace = ProtocolTrace(spec, actions, initial_knowledge(spec), derive_knowledge(spec, LINE3_ACTIONS))
     found = [(v.label, v.time, v.process) for v in validate(trace, enabled)]
     assert found[0] == (L.R1_EXACTLY_ONE_ACTION, 0, 1)
     assert validate(trace, enabled)[0].detail == (
@@ -334,7 +375,7 @@ def test_validate_reports_a_malformed_cell_and_treats_it_as_no_action(cell, enab
 def test_violation_messages_list_at_most_ten_packets(packets, listed):
     spec = make_spec(processes=2, packets=packets, horizon=1, topology="all")
     trace = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP),))
-    forged = ProtocolTrace(spec, trace.actions, ((0b11,) * packets, (0b01,) * packets))
+    forged = ProtocolTrace.from_rows(spec, trace.actions, ((0b11,) * packets, (0b01,) * packets))
     details = {v.label: v.detail for v in validate(forged)}
     assert details[L.R4_INITIAL_KNOWLEDGE] == (
         f"initial knowledge of non-source process 1 is wrong for packet(s) {listed}"
@@ -343,7 +384,7 @@ def test_violation_messages_list_at_most_ten_packets(packets, listed):
         f"process 1 forgets packet(s) {listed} between t=0 and t=1"
     )
     assert details[L.GOAL_DEADLINE] == f"process 1 misses packet(s) {listed} at the deadline t=1"
-    gained = ProtocolTrace(spec, trace.actions, (trace.knowledge[0], (0b11,) * packets))
+    gained = ProtocolTrace.from_rows(spec, trace.actions, (trace.knowledge[0], (0b11,) * packets))
     assert [v.detail for v in validate(gained) if v.label is L.R7_COLLISION_FREE_LEARNING] == [
         f"process 1 gains packet(s) {listed} at t=1 without a collision-free audible transmission"
     ]

@@ -45,7 +45,6 @@ from protoforge.trace import (
     TraceFormatError,
     Violation,
     audiences,
-    derive_knowledge,
     initial_knowledge,
     knowledge_table,
     read_trace,
@@ -349,7 +348,7 @@ def tampered(draw):
     """A schedule and its derived grid with a few masks replaced: in range,
     negative, or past the top process."""
     spec, actions = draw(schedules())
-    grid = [list(row) for row in derive_knowledge(spec, actions)]
+    grid = [list(row) for row in ProtocolTrace.from_actions(spec, actions).knowledge]
     for _ in range(draw(st.integers(0, 3))):
         t = draw(st.integers(0, spec.horizon))
         if spec.packets:
@@ -367,7 +366,7 @@ def _outcome(fn, *args):
 
 
 def _construct(spec, actions, knowledge):
-    return ProtocolTrace(spec, tuple(map(tuple, actions)), tuple(knowledge))
+    return ProtocolTrace.from_rows(spec, tuple(map(tuple, actions)), knowledge)
 
 
 # ---- the properties ----------------------------------------------------------
@@ -436,7 +435,7 @@ def scrambled(draw):
     mask = st.integers(0, (1 << P) - 1)
     grid = draw(st.lists(st.lists(mask, min_size=M, max_size=M).map(tuple),
                          min_size=spec.horizon + 1, max_size=spec.horizon + 1))
-    return ProtocolTrace(spec, tuple(map(tuple, actions)), tuple(grid))
+    return ProtocolTrace.from_rows(spec, tuple(map(tuple, actions)), grid)
 
 
 @settings(deadline=None)
@@ -499,7 +498,7 @@ def test_misshapen_file_grids_are_malformed(edit):
 TRAPS = [
     "negative holder mask", "mask with bit P", "short knowledge row", "long knowledge row",
     "short action row", "wide action row", "missing action row", "missing knowledge row",
-    "list rows", "unhashable bad row",
+    "list rows", "unhashable bad row", "no knowledge rows",
 ]
 
 
@@ -524,6 +523,8 @@ def _trapped(trap, trace):
         grid.pop()
     elif trap == "list rows":
         grid = list(map(list, grid))
+    elif trap == "no knowledge rows":
+        grid = []
     else:
         grid = list(map(list, grid[:-1])) + [[-1] * len(grid[-1])]
     return tuple(actions), tuple(grid)
@@ -535,8 +536,8 @@ def test_constructor_traps_raise_the_reference_message(trap):
     actions, grid = _trapped(trap, trace)
     error = _reference_shape_error(trace.spec, actions, grid)
     assert (error is None) == (trap == "list rows")
-    made = _outcome(ProtocolTrace, trace.spec, actions, grid)
-    assert made == (("ok", ProtocolTrace(trace.spec, actions, grid)) if error is None
+    made = _outcome(ProtocolTrace.from_rows, trace.spec, actions, grid)
+    assert made == (("ok", ProtocolTrace.from_rows(trace.spec, actions, grid)) if error is None
                     else ("TraceFormatError", error))
 
 
