@@ -76,8 +76,6 @@ class SmtDocument:
     write sends the blocks to a text file as they are. text, the whole
     document as one string, is built only when read, and so are assertions
     and footer, the one-line-per-entry views of the last two sections.
-    Equality and hash compare the spec and every section's lines, however
-    they are split into blocks.
     """
 
     spec: NetworkSpec
@@ -113,20 +111,6 @@ class SmtDocument:
     @cached_property
     def footer(self) -> tuple[str, ...]:
         return _lines(self.footer_blocks)
-
-    def _key(self) -> tuple:
-        return self.spec, self.header, self.declarations, self.assertions, self.footer
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SmtDocument):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def _lines(blocks: tuple[str, ...]) -> tuple[str, ...]:

@@ -7,13 +7,14 @@ whose order is the value order: sleep, listen, packets ascending, garbage
 (quiet schedules first). Each value's kind, listening bit and packet are
 tabulated once per solve, and only the returned trace holds Actions.
 Knowledge, holder masks as in trace, is learned once per completed slot
-through trace.deliver (every packet everywhere with R7 dropped), and never
+through trace.deliver (everything in slot 0 with R7 dropped), and never
 searched over. The search state lives in arrays that are overwritten and
-never undone. Per slot start t: the knowledge row and, per process, the
-action kinds it performed before slot t, one bit per kind, so (t,
-knowledge row, kinds done) names a search state whole. Per cell: the
-listening mask and the (speaker, packet) sends of its slot's cells up to
-it, which the slot's last cell hands to deliver.
+never undone. Per slot start t: the knowledge row, need (below) and, per
+process, the action kinds it performed before slot t, one bit per kind, so
+(t, knowledge row, kinds done) names a search state whole. Per slot: its
+change, which the trace is built from. Per cell: the listening mask and
+(speaker, packet) sends of its slot's cells up to it, which the slot's
+last cell hands to deliver.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -39,15 +40,15 @@ reproducible. SolveStats counts the branches each one cuts.
   round of the old ones, and number at most deg; and cover only falls as
   holders grow. So one slot lowers need by at most one.
 
-The goal bound applies at the root and at every slot end (counted under
-`goal`), and also while a slot is being filled (`intra_slot`): when need
-equals the slots left, this slot must lower some packet's cover, so a
-partial row is cut unless some completion of it does. Since cover is
-monotone, the only completion tried is the one in which every later cell
-listens, with the lone sender already placed or, if there is none yet,
-each later process sending each packet it may send. These bound what the
-slot can teach under the learning rule; learning itself still happens only
-at slot end.
+The goal bound applies at the root, where need is summed, at every slot
+end (counted under `goal`), which updates need by its change's cover, and
+while a slot is being filled (`intra_slot`): when need equals the slots
+left, this slot must lower some packet's cover, so a partial row is cut
+unless some completion of it does. Since cover is monotone, the only
+completion tried is the one in which every later cell listens, with the
+lone sender already placed or, if there is none yet, each later process
+sending each packet it may send. These bound what the slot can teach under
+the learning rule; learning itself still happens only at slot end.
 
 The brute-force oracle the tests compare the search against lives with the
 tests, and shares no search machinery with solve.
@@ -72,7 +73,6 @@ from .model import (
 )
 from .trace import (
     ProtocolTrace,
-    all_known,
     applied,
     audiences,
     deliver,
@@ -168,20 +168,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             rounds, reach = rounds + 1, grown
         return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
 
-    # per slot start t (see the module doc): know[t], and p's kinds done[t][p]
-    know: list = [initial_knowledge(spec)] + [None] * T
-    must_lower: list = [None] * T  # the knowledge row, when the slot must lower need
-
-    def within_reach(t: int, row) -> bool:
-        """Whether the goal is in reach of `row`, the knowledge at the start
-        of slot t; when slot t must lower need, notes the row."""
-        if free_learning:
-            return t < T or all_known(row, P)
-        need = sum(map(cover, row))
-        if t < T:
-            must_lower[t] = row if need == T - t else None
-        return need <= T - t
-
     def slot_can_lower(p: int, held, listening: int, sends: tuple) -> bool:
         """Whether some completion of a slot whose cells 0..p listen as
         `listening` and send `sends` lowers some packet's cover. Cover only
@@ -202,14 +188,23 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             for s, k in tries
         )
 
-    if check_goal and not within_reach(0, know[0]):
+    initial = initial_knowledge(spec)
+    # with R7 dropped, slot 0 teaches everyone every packet they lack
+    learn_all = tuple((k, everyone) for k, held in enumerate(initial, 1) if held != everyone)
+    track_need = check_goal and not free_learning
+    start_need = sum(map(cover, initial)) if track_need else int(bool(learn_all))
+    if check_goal and start_need > T:
         cuts["goal"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     if check_live and T < len(ActionKind):
         cuts["liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
+    # per slot start t: know[t], need[t] (None when untracked), done[t][p]; per slot: changes[t]
+    know: list = [initial] + [None] * T
+    need = [start_need] * (T + 1) if track_need else None
     done = [[0] * P for _ in range(T + 1)]
+    changes: list = [()] * T
     # per value: its index, kind bit, listening bit, whether it transmits,
     # and its packet (None for sleep, listen and garbage)
     values = action_domain(M)
@@ -220,7 +215,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         for v, act in enumerate(values)
     ]
     kinds = len(ActionKind)
-    everything = (everyone,) * M
     limit = config.node_limit
     cells = T * P
     grid = [0] * cells  # each cell's value
@@ -232,7 +226,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             return True
         t, p = divmod(i, P)
         last_in_slot = p == P - 1
-        held = None if last_in_slot else must_lower[t]
+        held = know[t] if need and not last_in_slot and need[t] == T - t else None
         before, sends_before = (heard[i - 1], sent[i - 1]) if p else (0, ())
         for v, bit, listens, transmits, k in table:
             if nodes == limit:
@@ -254,12 +248,18 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                 cuts["intra_slot"] += 1
                 continue
             if last_in_slot:
-                change = None if free_learning else deliver(know[t], listening, sends, audience)
-                slot = (change,) if change else ()
-                know[t + 1] = everything if free_learning else applied(know[t], slot)
-                if check_goal and not within_reach(t + 1, know[t + 1]):
-                    cuts["goal"] += 1
-                    continue
+                if free_learning:
+                    slot = () if t else learn_all
+                else:
+                    change = deliver(know[t], listening, sends, audience)
+                    slot = (change,) if change else ()
+                changes[t], know[t + 1] = slot, applied(know[t], slot)
+                if need:
+                    need[t + 1] = need[t] - (
+                        cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
+                    if need[t + 1] > T - 1 - t:
+                        cuts["goal"] += 1
+                        continue
             if search(i + 1):
                 return True
         return False
@@ -271,8 +271,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     actions = tuple(tuple(values[v] for v in grid[t * P:(t + 1) * P]) for t in range(T))
-    trace = ProtocolTrace.from_rows(spec, actions, know)
-    return result(SolveStatus.SAT, trace=trace)
+    return result(SolveStatus.SAT, trace=ProtocolTrace(spec, actions, initial, tuple(changes)))
 
 
 def min_horizon(

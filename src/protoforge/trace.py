@@ -18,10 +18,11 @@ does to it, and the search what dropping R7 does. Carrier sense, the
 always-on baseline's radio model, belongs to sim, which hands deliver
 only the listeners no two audible senders block.
 
-A trace stores its knowledge as the initial row plus, per slot, a tuple
-of changes, each a packet and its new mask: at most one for every grid the
-learning rule derives, any number for a grid given as rows, which
-from_rows diffs once. The (T+1)-row view is built on first read and kept.
+A trace stores its knowledge as the initial row plus, per slot, a tuple of
+changes, each a packet and its new mask: at most one for every grid the
+learning rule derives. No producer in the package diffs rows: from_rows is
+for a grid given as rows, and finds any number of changes in a slot. The
+(T+1)-row view is built on first read and kept.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,

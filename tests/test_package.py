@@ -87,6 +87,8 @@ def test_only_the_relation_owners_read_hears(path):
 # each kept for a reason of its own.
 UNREAD_BY_DESIGN = {
     "render_spec": "the spec file writer that tests round-trip parse_spec through",
+    "ProtocolTrace.from_rows": "the constructor for a grid given as rows, which the tampering "
+    "and trap tests build traces with",
 }
 
 

@@ -94,11 +94,11 @@ def test_emit_is_deterministic():
     assert emit_smtlib(spec).text == emit_smtlib(spec).text
 
 
-def test_text_is_rendered_once_and_stays_out_of_equality():
+def test_text_is_rendered_once():
     spec = make_spec(processes=3, packets=2, horizon=2, topology="line")
     doc, twin = emit_smtlib(spec), emit_smtlib(spec)
     assert doc.text is doc.text
-    assert doc == twin and hash(doc) == hash(twin)
+    assert doc.text == twin.text
 
 
 def _r7_bytes(doc):
@@ -333,7 +333,7 @@ def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tm
     assert path.read_bytes().split(b"\n") == reference.text.encode().split(b"\n")
     assert _lines(doc) == _lines(reference)
     # blocks and the reference's single lines split the same lines
-    assert doc == reference and hash(doc) == hash(reference)
+    assert (doc.assertions, doc.footer) == (reference.assertions, reference.footer)
     _assert_one_line_per_entry_and_no_placeholders(doc)
 
 

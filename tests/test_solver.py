@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -277,6 +278,20 @@ def test_unreachable_process_is_unsat_at_the_root(P, M, T, source, pairs):
     result = solve(cs, SearchConfig(node_limit=100_000))
     assert result.status is SolveStatus.UNSAT
     assert result.stats == SolveStats(goal=1)
+
+
+def test_a_root_cut_allocates_nothing_that_grows_with_the_horizon():
+    # on a line, packet 1 never reaches the processes before source 2, so no
+    # horizon is enough; the goal cut runs before any per-slot array exists
+    cs = encode(make_spec(processes=3, packets=1, horizon=10**6, source=2))
+    tracemalloc.start()
+    try:
+        result = solve(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats == SolveStats(goal=1)
+    assert peak < 1_000_000
 
 
 def test_near_complete_relation_is_sat_within_a_small_budget():
