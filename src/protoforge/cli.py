@@ -1,5 +1,11 @@
 """Command-line front end.
 
+Usage: protoforge COMMAND FILE [OPTION]..., FILE being the command's spec
+or trace file. Options go in any order around FILE as --json, --flag value
+or --flag=value, each flag spelled in full; a repeated option keeps its
+last value, and after "--" every argument is positional. The command table
+below defines the commands; -h or --help lists them.
+
 Exit codes: 0 success or Sat, 1 Unsat or horizon not found, 2 validation
 violations, 3 usage error, 4 I/O, format, or external-solver failure,
 5 search budget exhausted, 6 internal error (an unexpected exception).
@@ -15,12 +21,12 @@ place and cut it to the new length, so it holds exactly this run's output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Callable
-from functools import cache
+from types import SimpleNamespace
 from typing import TextIO
 
 from .encoder import encode
@@ -55,29 +61,22 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+def _at_least(base: type, low: int, strict: bool = False, high: int | None = None) -> Callable:
+    """An option's converter: base(text), >= low (> low when strict), <= high
+    if given. Its ValueError holds the rest of the usage error's line."""
 
-
-def _at_least(
-    base: type, low: int, strict: bool = False, high: int | None = None
-) -> Callable[[str], object]:
-    """An argparse type: base(text), >= low (> low when strict), <= high if
-    given. It carries base's name, so a non-number keeps argparse's
-    "invalid int value" wording."""
-
-    def check(text: str):
-        value = base(text)
+    def convert(text: str):
+        try:
+            value = base(text)
+        except ValueError:
+            raise ValueError(f"invalid {base.__name__} value: {text!r}") from None
         if not (value > low if strict else value >= low):
-            bound = ">" if strict else ">="
-            raise argparse.ArgumentTypeError(f"must be {bound} {low}, got {text}")
+            raise ValueError(f"must be {'>' if strict else '>='} {low}, got {text}")
         if high is not None and not value <= high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {text}")
+            raise ValueError(f"must be <= {high}, got {text}")
         return value
 
-    check.__name__ = base.__name__
-    return check
+    return convert
 
 
 _NODE_LIMIT = _at_least(int, 1)
@@ -85,68 +84,12 @@ _COUNT = _at_least(int, 0)
 _TIMEOUT = _at_least(float, 0, strict=True, high=MAX_TIMEOUT_S)
 
 
-@cache
-def _build_parser() -> _Parser:
-    """The command-line parser, built on the first main() call and shared by
-    the rest. Handlers read solve, write_trace and the other module names at
-    call time, so patching those still takes effect."""
-    parser = _Parser(prog="protoforge", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def cmd(name: str, help_: str, handler: Callable) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true", help="append a machine block")
-        return p
-
-    p = cmd("synth", "synthesize a schedule for a problem file", _cmd_synth)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--out", help="trace file to write on Sat")
-    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget in visited nodes")
-
-    p = cmd("min-horizon", "find the smallest feasible horizon", _cmd_min_horizon)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--max", type=_COUNT, required=True, help="largest horizon to try")
-    p.add_argument("--out", help="trace file to write when found")
-    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget per horizon")
-
-    p = cmd("validate", "check a trace file against every requirement", _cmd_validate)
-    p.add_argument("trace", help="trace file")
-
-    p = cmd("unsat-core", "minimize the conflicting requirement set", _cmd_unsat_core)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget per solve")
-
-    p = cmd("emit-smt", "write the SMT-LIB 2 form, optionally run a solver", _cmd_emit_smt)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--out", help="file for the document (default stdout)")
-    p.add_argument(
-        "--solver",
-        help=f"external solver command reading SMT-LIB 2 on stdin (default ${SOLVER_ENV})",
-    )
-    p.add_argument("--timeout", type=_TIMEOUT, help="seconds to allow the solver")
-    p.add_argument("--trace-out", help="trace file to write when the solver says sat")
-
-    p = cmd("simulate", "replay a trace and report power and delivery", _cmd_simulate)
-    p.add_argument("trace", help="trace file")
-    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
-
-    p = cmd("baseline", "run the always-on policy on a problem file", _cmd_baseline)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
-    p.add_argument("--max-slots", type=_COUNT, help="slot allowance before giving up")
-
-    p = cmd("compare", "synthesized schedule vs the always-on policy", _cmd_compare)
-    p.add_argument("spec", help="problem file")
-    p.add_argument("--pw", type=_COUNT, default=1, help="power units per active slot")
-    p.add_argument("--node-limit", type=_NODE_LIMIT, help="search budget in visited nodes")
-
-    return parser
-
-
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file's text in one unbuffered read, decoded as UTF-8 and with
+    "\\r\\n" and "\\r" made "\\n" as in text mode; errors name the path."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.readall().decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 # The file buffer of every --out and --trace-out write. A document is
@@ -176,15 +119,7 @@ def _write(path: str, fill: Callable[[TextIO], object]) -> None:
                 os.ftruncate(fd, end)
 
 
-def _load_spec(path: str) -> NetworkSpec:
-    return parse_spec(_read(path))
-
-
-def _load_trace(path: str) -> ProtocolTrace:
-    return read_trace(_read(path))
-
-
-def _solve(args: argparse.Namespace, spec: NetworkSpec) -> SolveResult:
+def _solve(args: SimpleNamespace, spec: NetworkSpec) -> SolveResult:
     """Decides the spec within --node-limit; a Sat or Unsat result, or
     SearchBudgetExceeded when the budget runs out first."""
     result = solve(encode(spec), SearchConfig(node_limit=args.node_limit))
@@ -200,8 +135,7 @@ def _ordered(core: frozenset[RequirementLabel]) -> list[str]:
 def _unsat(core: frozenset[RequirementLabel]) -> tuple[int, dict]:
     """Reports an Unsat verdict with its unminimized core."""
     labels = _ordered(core)
-    print("unsat")
-    print("core: " + " ".join(labels))
+    print("unsat\ncore: " + " ".join(labels))
     return 1, {"status": "unsat", "core": labels}
 
 
@@ -212,14 +146,12 @@ def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
         _write(path, lambda fh: fh.write(text))
         print(f"wrote {path}")
     else:
-        print("\n".join(
-            f"t={t}: " + " ".join(act.label for act in row)
-            for t, row in enumerate(trace.actions)
-        ))
+        print("\n".join(f"t={t}: " + " ".join(act.label for act in row)
+                        for t, row in enumerate(trace.actions)))
 
 
-def _cmd_synth(args: argparse.Namespace) -> tuple[int, object]:
-    result = _solve(args, _load_spec(args.spec))
+def _cmd_synth(args: SimpleNamespace) -> tuple[int, object]:
+    result = _solve(args, parse_spec(_read(args.spec)))
     if result.status is SolveStatus.UNSAT:
         return _unsat(result.core)
     print("sat")
@@ -227,8 +159,8 @@ def _cmd_synth(args: argparse.Namespace) -> tuple[int, object]:
     return 0, {"status": "sat", "trace": result.trace}
 
 
-def _cmd_min_horizon(args: argparse.Namespace) -> tuple[int, object]:
-    spec = _load_spec(args.spec)
+def _cmd_min_horizon(args: SimpleNamespace) -> tuple[int, object]:
+    spec = parse_spec(_read(args.spec))
     found = min_horizon(spec, args.max, SearchConfig(node_limit=args.node_limit))
     if found is None:
         print(f"no feasible horizon up to {args.max}")
@@ -239,21 +171,16 @@ def _cmd_min_horizon(args: argparse.Namespace) -> tuple[int, object]:
     return 0, {"found": True, "t_min": t_min, "trace": trace}
 
 
-def _cmd_validate(args: argparse.Namespace) -> tuple[int, object]:
-    violations = validate(_load_trace(args.trace))
+def _cmd_validate(args: SimpleNamespace) -> tuple[int, object]:
+    violations = validate(read_trace(_read(args.trace)))
     for v in violations:
-        where = []
-        if v.time is not None:
-            where.append(f"t={v.time}")
-        if v.process is not None:
-            where.append(f"p={v.process}")
-        place = " " + ",".join(where) if where else ""
-        print(f"{v.label.value}{place}: {v.detail}")
+        where = ",".join(f"{k}={x}" for k, x in (("t", v.time), ("p", v.process)) if x is not None)
+        print(f"{v.label.value}{' ' * bool(where)}{where}: {v.detail}")
     return (2 if violations else 0), {"ok": not violations, "violations": violations}
 
 
-def _cmd_unsat_core(args: argparse.Namespace) -> tuple[int, object]:
-    cs = encode(_load_spec(args.spec))
+def _cmd_unsat_core(args: SimpleNamespace) -> tuple[int, object]:
+    cs = encode(parse_spec(_read(args.spec)))
     core = unsat_core_minimize(cs, SearchConfig(node_limit=args.node_limit))
     if core is None:
         print("sat (no unsat core)")
@@ -264,8 +191,8 @@ def _cmd_unsat_core(args: argparse.Namespace) -> tuple[int, object]:
     return 1, {"status": "unsat", "core": labels}
 
 
-def _cmd_emit_smt(args: argparse.Namespace) -> tuple[int, object]:
-    spec = _load_spec(args.spec)
+def _cmd_emit_smt(args: SimpleNamespace) -> tuple[int, object]:
+    spec = parse_spec(_read(args.spec))
     document = emit_smtlib(spec)
     if args.out:
         _write(args.out, document.write)
@@ -288,29 +215,26 @@ def _cmd_emit_smt(args: argparse.Namespace) -> tuple[int, object]:
     return 4, block
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[int, object]:
-    report = simulate_trace(_load_trace(args.trace), PowerModel(active_cost=args.pw))
+def _cmd_simulate(args: SimpleNamespace) -> tuple[int, object]:
+    report = simulate_trace(read_trace(_read(args.trace)), PowerModel(active_cost=args.pw))
     sys.stdout.write(render_report(report))
     return 0, report
 
 
-def _cmd_baseline(args: argparse.Namespace) -> tuple[int, object]:
-    _, report = run_baseline(
-        _load_spec(args.spec), PowerModel(active_cost=args.pw), max_slots=args.max_slots
-    )
+def _cmd_baseline(args: SimpleNamespace) -> tuple[int, object]:
+    power = PowerModel(active_cost=args.pw)
+    _, report = run_baseline(parse_spec(_read(args.spec)), power, max_slots=args.max_slots)
     sys.stdout.write(render_report(report))
     return 0, report
 
 
-def _cmd_compare(args: argparse.Namespace) -> tuple[int, object]:
-    spec = _load_spec(args.spec)
+def _cmd_compare(args: SimpleNamespace) -> tuple[int, object]:
+    spec = parse_spec(_read(args.spec))
     result = _solve(args, spec)
     if result.status is SolveStatus.UNSAT:
         return _unsat(result.core)
     power = PowerModel(active_cost=args.pw)
-    synth_report = simulate_trace(result.trace, power)
-    _, base_report = run_baseline(spec, power)
-    report = compare_reports(synth_report, base_report)
+    report = compare_reports(simulate_trace(result.trace, power), run_baseline(spec, power)[1])
     sys.stdout.write(report.text())
     return 0, report
 
@@ -330,13 +254,89 @@ def _as_json(obj: object) -> object:
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
+def _cmd_help(args: SimpleNamespace) -> tuple[int, object]:
+    """Prints this module's docstring, then each command of the table."""
+    print(__doc__ + "Commands:")
+    for name, (_, positional, help_, options, defaults) in _COMMANDS.items():
+        flags = (flag if defaults.get(flag) is _REQUIRED else f"[{flag}]" for flag in options)
+        print(f"  {' '.join([name, positional, *flags])}\n      {help_}")
+    return 0, None
+
+
+_REQUIRED = object()  # the default of an option that must be given
+# name -> (handler, positional, help, {flag: converter}, {flag: value if absent, else None})
+_COMMANDS = {
+    "synth": (_cmd_synth, "spec", "synthesize a schedule for a problem file",
+              {"--out": str, "--node-limit": _NODE_LIMIT}, {}),
+    "min-horizon": (_cmd_min_horizon, "spec", "find the smallest feasible horizon",
+                    {"--max": _COUNT, "--out": str, "--node-limit": _NODE_LIMIT},
+                    {"--max": _REQUIRED}),
+    "validate": (_cmd_validate, "trace", "check a trace file against every requirement", {}, {}),
+    "unsat-core": (_cmd_unsat_core, "spec", "minimize the conflicting requirement set",
+                   {"--node-limit": _NODE_LIMIT}, {}),
+    "emit-smt": (_cmd_emit_smt, "spec", "write the SMT-LIB 2 form, optionally run a solver",
+                 {"--out": str, "--solver": str, "--timeout": _TIMEOUT, "--trace-out": str}, {}),
+    "simulate": (_cmd_simulate, "trace", "replay a trace and report power and delivery",
+                 {"--pw": _COUNT}, {"--pw": 1}),
+    "baseline": (_cmd_baseline, "spec", "run the always-on policy on a problem file",
+                 {"--pw": _COUNT, "--max-slots": _COUNT}, {"--pw": 1}),
+    "compare": (_cmd_compare, "spec", "synthesized schedule vs the always-on policy",
+                {"--pw": _COUNT, "--node-limit": _NODE_LIMIT}, {"--pw": 1}),
+}
+
+
+def _parse(argv: list[str]) -> tuple[Callable, SimpleNamespace]:
+    """The handler of the command argv names, and its arguments. As in argparse, an
+    argument is an option if it starts with "-", unless it is "-" or, naming no flag,
+    a negative number or holds a space."""
+    flags, options, args, extras, command, literal = {"-h", "--help"}, {}, {}, [], None, False
+
+    def is_option(arg: str) -> bool:
+        return arg[:1] == "-" and arg != "-" and (arg.partition("=")[0] in flags or not (
+            re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg))
+
+    for arg in (rest := iter(argv)):
+        flag, eq, value = arg.partition("=")
+        if arg == "--" and command and not literal:
+            literal = True  # every later argument is positional
+        elif literal or arg == "--" or not is_option(arg):
+            if command is None:
+                if (command := _COMMANDS.get(arg)) is None:
+                    raise UsageError(f"argument command: invalid choice: {arg!r} (choose from "
+                                     f"{', '.join(map(repr, _COMMANDS))})")
+                handler, name, _, options, defaults = command
+                flags |= {*options, "--json"}
+                args = {name: _REQUIRED, "--json": False} | dict.fromkeys(options) | defaults
+            elif args[name] is _REQUIRED:
+                args[name] = arg
+            else:
+                extras.append(arg)
+        elif flag not in flags or eq and flag not in options:
+            extras.append(arg)  # an unknown option, or a switch given a value
+        elif flag not in options:  # --json, -h or --help
+            if flag != "--json":
+                return _cmd_help, SimpleNamespace(json=False)
+            args[flag] = True
+        else:
+            if not eq and ((value := next(rest, None)) is None or is_option(value)):
+                raise UsageError(f"argument {flag}: expected one argument")
+            try:
+                args[flag] = options[flag](value)
+            except ValueError as exc:
+                raise UsageError(f"argument {flag}: {exc}") from None
+    if missing := [flag for flag, value in args.items() if value is _REQUIRED]:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras or command is None:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}" if extras
+                         else "a subcommand is required")
+    return handler, SimpleNamespace(**{k.lstrip("-").replace("-", "_"): v for k, v in args.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required")
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
         try:
-            code, block = args.handler(args)
+            code, block = handler(args)
         except SearchBudgetExceeded as exc:
             # an exhausted budget is a verdict too, so it ends in a block
             print(exc, file=sys.stderr)

@@ -196,12 +196,29 @@ def test_unsat_core_decides_the_base_system_once(capsys, tight, monkeypatch):
     assert len(calls) == 1 + len(trials)
 
 
+COMMANDS = ("synth", "min-horizon", "validate", "unsat-core", "emit-smt", "simulate",
+            "baseline", "compare")
+
+
 def test_usage_errors(capsys, line3):
-    assert run_cli(capsys)[0] == 3
-    assert run_cli(capsys, "frobnicate", line3)[0] == 3
-    assert run_cli(capsys, "synth")[0] == 3
-    assert run_cli(capsys, "min-horizon", line3)[0] == 3  # --max required
-    assert run_cli(capsys, "min-horizon", line3, "--max", "-1")[0] == 3
+    choices = ", ".join(map(repr, COMMANDS))
+    for argv, line in [
+        ([], "a subcommand is required"),
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--json", "synth", line3], "unrecognized arguments: --json"),
+        (["frobnicate", line3], f"argument command: invalid choice: 'frobnicate' (choose from {choices})"),
+        (["synth"], "the following arguments are required: spec"),
+        (["min-horizon"], "the following arguments are required: spec, --max"),
+        (["min-horizon", line3], "the following arguments are required: --max"),
+        (["min-horizon", line3, "--max", "-1"], "argument --max: must be >= 0, got -1"),
+        (["synth", line3, "--bogus"], "unrecognized arguments: --bogus"),
+        (["synth", line3, "extra", "--bogus=1"], "unrecognized arguments: extra --bogus=1"),
+        (["synth", line3, "--out"], "argument --out: expected one argument"),
+        (["synth", line3, "--out", "--json"], "argument --out: expected one argument"),
+        # a flag is spelled in full: a prefix of one is an unknown option
+        (["synth", line3, "--node", "5"], "unrecognized arguments: --node 5"),
+    ]:
+        assert run_cli(capsys, *argv) == (3, "", f"usage error: {line}\n"), argv
 
 
 @pytest.mark.parametrize(
@@ -219,13 +236,90 @@ def test_usage_errors(capsys, line3):
         (["emit-smt", "--solver", "/bin/cat", "--timeout", "1e308"], "must be <= 1000000"),
         (["emit-smt", "--solver", "/bin/cat", "--timeout", "3e6"], "must be <= 1000000"),
         (["emit-smt", "--solver", "/bin/cat", "--timeout", "1e10"], "must be <= 1000000"),
+        (["synth", "--node-limit", "0"], "argument --node-limit: must be >= 1, got 0"),
+        (["synth", "--node-limit=0"], "argument --node-limit: must be >= 1, got 0"),
+        (["unsat-core", "--node-limit", "x"], "argument --node-limit: invalid int value: 'x'"),
+        (["synth", "--bogus", "--node-limit", "5"], "unrecognized arguments: --bogus"),
+        (["synth", "extra"], "unrecognized arguments: extra"),
+        (["synth", "--node-limit", "5", "--out"], "argument --out: expected one argument"),
+        (["baseline", "--max", "2"], "unrecognized arguments: --max 2"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, line3, flags, message):
     command, *rest = flags
-    code, _, err = run_cli(capsys, command, line3, *rest)
-    assert code == 3
+    code, out, err = run_cli(capsys, command, line3, *rest)
+    assert (code, out) == (3, "")
     assert err.startswith("usage error: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_out_equals_form_writes_the_same_bytes(capsys, line3, tmp_path):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run_cli(capsys, "synth", line3, "--out", str(spaced))[0] == 0
+    assert run_cli(capsys, "synth", line3, f"--out={joined}")[0] == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
+def test_options_go_on_either_side_of_the_positional(capsys, line3):
+    after = run_cli(capsys, "synth", line3, "--json")
+    assert after[0] == 0 and machine_block(after[1])["status"] == "sat"
+    assert run_cli(capsys, "synth", "--json", line3) == after
+    assert run_cli(capsys, "synth", "--node-limit", "100", "--json", "--", line3) == after
+    # after "--" every argument is positional, so this --json is an extra one
+    assert run_cli(capsys, "synth", "--", line3, "--json")[2] == (
+        "usage error: unrecognized arguments: --json\n")
+
+
+def test_a_repeated_option_keeps_its_last_value(capsys, all3):
+    assert run_cli(capsys, "synth", all3, "--node-limit", "1", "--node-limit", "100")[0] == 0
+    assert run_cli(capsys, "synth", all3, "--node-limit", "100", "--node-limit", "1")[0] == 5
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["synth", "--help"], ["validate", "x", "-h"]])
+def test_help_lists_every_command(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    listing = out[out.index("\nCommands:\n"):].splitlines()
+    listed = [line.split()[0] for line in listing if line[:3].strip() and line[:2] == "  "]
+    assert listed == list(COMMANDS)
+    assert "  min-horizon spec --max [--out] [--node-limit]\n" in out
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import protoforge.cli, sys; print('argparse' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=Path(protoforge.__file__).parent.parent,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("command", ["synth", "emit-smt", "baseline", "compare"])
+def test_a_crlf_spec_reads_as_its_lf_twin(capsys, line3, tmp_path, command):
+    crlf = tmp_path / "crlf.net"
+    crlf.write_bytes(LINE3.replace("\n", "\r\n").encode())
+    assert run_cli(capsys, command, str(crlf)) == run_cli(capsys, command, line3)
+
+
+def test_a_malformed_crlf_trace_counts_each_line_end_as_one_char(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"spec": \r\n 1,\r\n x}')
+    assert run_cli(capsys, "validate", str(path)) == (4, "", (
+        "error: not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 3 column 2 (char 15)\n"))
+
+
+def test_a_directory_input_names_its_path(capsys, tmp_path):
+    assert run_cli(capsys, "synth", str(tmp_path)) == (
+        4, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+
+def test_a_bad_utf8_byte_is_reported_at_its_offset(capsys, tmp_path):
+    path = tmp_path / "bad.net"
+    path.write_bytes(b"#" * 20000 + b"\xff\n")
+    assert run_cli(capsys, "synth", str(path)) == (4, "", (
+        "error: 'utf-8' codec can't decode byte 0xff in position 20000: invalid start byte\n"))
 
 
 def test_missing_file_is_io_error(capsys, tmp_path):
@@ -642,23 +736,6 @@ def test_synth_writes_the_trace_only_for_out(capsys, line3, tmp_path, monkeypatc
     extra = ["--out", str(tmp_path / "t.json")] if out else []
     assert run_cli(capsys, "synth", line3, *extra)[0] == 0
     assert len(seen) == calls
-
-
-def test_main_builds_the_parser_once(capsys, line3, monkeypatch):
-    import protoforge.cli as cli
-
-    built = []
-    real_init = cli._Parser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
-
-    assert run_cli(capsys, "synth", line3)[0] == 0
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    for argv in (["synth", line3], ["emit-smt", line3], ["bogus"]):
-        run_cli(capsys, *argv)
-    assert built == []
 
 
 def test_module_entry_point(line3):
