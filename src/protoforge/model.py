@@ -23,6 +23,7 @@ once; unknown keys are rejected; parse errors report line numbers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -32,7 +33,10 @@ from typing import Iterable
 # 1024 masks of 1024 bits), and at most this many facts (horizon + 1) *
 # processes * max(packets, 1) in the knowledge grid a trace file holds. A
 # baseline runs its own 2 * processes * max(packets, 1) + 2 slot allowance,
-# which this does not bound; its trace costs O(slots + packets).
+# which this does not bound. Its trace holds a new period of packets rows
+# of processes actions for each round in which a process joins, so it
+# costs O(slots + rounds * packets * processes), with at most processes
+# rounds.
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
 
@@ -193,6 +197,7 @@ _ENUM_KEYS = {
     "goal": tuple(g.value for g in GoalKind),
 }
 _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")  # the integers a spec file spells
 
 
 def _check_field(key: str, value: object) -> object:
@@ -265,11 +270,9 @@ def _assemble(
 
 
 def _decode_int(token: str) -> int | str:
-    """The integer a token spells, or the token itself."""
-    try:
-        return int(token)
-    except ValueError:
-        return token
+    """The integer an ASCII decimal token such as 7, +3 or 007 spells, or the
+    token itself; int() alone would also read 1_0 and non-ASCII digits."""
+    return int(token) if _DECIMAL.fullmatch(token) else token
 
 
 def parse_spec(text: str) -> NetworkSpec:

@@ -5,26 +5,29 @@ Power accounting charges active_cost for every transmitting or listening
 cell and idle_cost for every sleeping cell. Completion means the whole
 network holds every packet.
 
-The reference policy never sleeps: a node that holds all M packets
-broadcasts them in id order, one per slot, wrapping around; every other
-node listens. Its radios are carrier-sense, and only this module models
-that: a listener is jammed only when two or more of the speakers it can
-actually hear transmit at once (jammed), so simultaneous traffic elsewhere
-does not block it. Synthesized schedules are replayed under the stricter
-whole-channel rule of trace.deliver, which is why the comparison tracks
-slots with concurrent transmissions: any such slot means the schedule
-leans on collision handling rather than silence.
+The reference policy never sleeps: a node that holds all M packets, a
+full node, broadcasts them in id order, one per slot, wrapping around;
+every other node listens. Its radios are carrier-sense, and only this
+module models that: a listener is jammed only when two or more of the
+speakers it can actually hear transmit at once, so simultaneous traffic
+elsewhere does not block it. Synthesized schedules are replayed under the
+stricter whole-channel rule of trace.deliver, which is why the comparison
+tracks slots with concurrent transmissions: any such slot means the
+schedule leans on collision handling rather than silence.
 
-The reference run (see run_baseline) steps a slot as one send: every node
-joins the full set, the nodes that hold every packet, at a multiple of M,
-so the full nodes form one phase group that sends packet t % M + 1 at
-slot t, heard by the union of their audiences. The run goes in rounds of
-M slots; the ears, the listeners no two full nodes jam, are recomputed
-only when the full set grows, and a round's action rows are M residue
-rows, updated once per joining node. It stops stepping at the fixed
-point, as soon as no ear hears a full node, and fills the slots left
-with period M. Its trace and report are those of stepping every node in
-every slot.
+The reference run floods in rounds of M slots, the round structure of
+radio broadcast (Chlamtac & Kutten 1985). At every multiple of M each
+node holds all M packets or none. A listener learns only while it hears
+exactly one full node, and that node, sending packet t % M + 1 at slot t
+from the multiple of M at which it joined, hands it all M packets in one
+round; a second full node it hears jams it for good, as the full set
+never shrinks. So at a round's start every packet has the same holders,
+the full set, whose members send in step as one speaker heard by the
+union of their audiences, and one deliver call gives a round's new
+holders for all M packets. A round that gives none is the fixed point,
+so the run ends after at most P rounds with the slots left filled by
+that round's period. Its trace and report are those of stepping every
+node in every slot.
 """
 
 from __future__ import annotations
@@ -114,16 +117,6 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     return SimReport(spec, power, T, grid[-1], per, sum(per), concurrent, done is not None, done)
 
 
-def jammed(speakers: int, audience: tuple[int, ...]) -> int:
-    """The jam mask of carrier-sense radios: the processes that two or more
-    of the processes in the `speakers` mask reach."""
-    once = jam = 0
-    for s in set_bits(speakers):
-        jam |= once & audience[s]
-        once |= audience[s]
-    return jam
-
-
 def default_max_slots(spec: NetworkSpec) -> int:
     """Generous allowance: relaying one packet at a time across a chain."""
     return 2 * spec.processes * max(spec.packets, 1) + 2
@@ -134,32 +127,13 @@ def run_baseline(
     power: PowerModel | None = None,
     max_slots: int | None = None,
 ) -> tuple[ProtocolTrace, SimReport]:
-    """Runs the always-on policy until completion or max_slots.
+    """Runs the always-on policy until completion or max_slots, a round of
+    M slots at a time (see the module docstring).
 
     Returns the action log (its embedded spec carries the number of slots
     actually run as its horizon, and its knowledge grid follows the
     carrier-sense rule) together with the usual report. The report keeps
     the caller's spec so it can be compared against a synthesized run.
-
-    The full processes, the only senders, form one phase group: each joins
-    the full set at a slot that is a multiple of M, so at slot t every one
-    of them sends packet t % M + 1. (A listener learns only while it hears
-    exactly one full process, and from the slot that process joined it
-    hands the listener all M packets in M slots; a second full process it
-    hears jams it for good, as the full set never shrinks.) So the policy
-    runs in rounds of M slots with joins only between rounds, and a slot is
-    one deliver call with one send, from the union of the full processes'
-    audiences, to the ears: the listeners no two full processes jam. The
-    ears are recomputed only when the full set grows, at a round's start.
-    A round's action rows are the M residue rows, by t mod M, which are
-    updated once per joining process and appended by reference, and
-    knowledge is one row that each slot's change updates in place. A slot
-    thus costs O(1) in Python rather than O(full processes) or O(M).
-
-    Knowledge is final, a fixed point, as soon as no ear hears a full
-    process: nobody can join the full set any more. From there the action
-    rows repeat with period M, and the slots left are filled in without
-    being stepped.
     """
     power = power or PowerModel()
     if max_slots is None:
@@ -170,43 +144,35 @@ def run_baseline(
     everyone = (1 << P) - 1
     sends = action_domain(M)[2:-1]  # packets 1..M
     audience = audiences(spec)
-    know = list(initial_knowledge(spec))  # the knowledge row at slot len(rows)
+    know = initial_knowledge(spec)  # the knowledge row at slot len(rows)
     learned: list = []  # per slot, its changes to know
     rows: list[tuple[Action, ...]] = []
     residues = [[LISTEN] * P for _ in range(M)]  # the action row of the slots t = r mod M
-    full = heard = ears = 0  # the full set, the union of its audiences, and the ears
-    concurrent = 0
-    while True:  # a round of M slots per pass, as processes join only between rounds
+    full = heard = jam = concurrent = 0  # the full set, the union of its audiences, its jam mask
+    while True:  # a round per pass, as processes join only between rounds
         joined = reduce(and_, know, everyone)
-        t = len(rows)
-        if joined == everyone or t == max_slots:
-            full = joined
+        for p in set_bits(joined & ~full):
+            jam |= heard & audience[p]
+            heard |= audience[p]
+            for row, act in zip(residues, sends):
+                row[p] = act
+        full, t = joined, len(rows)
+        if full == everyone or t == max_slots:
             break
-        if joined != full:
-            for p in set_bits(joined & ~full):
-                heard |= audience[p]
-                for row, act in zip(residues, sends):
-                    row[p] = act
-            full = joined
-            period = list(map(tuple, residues))
-            ears = everyone & ~full & ~jammed(full, audience)
-        multiple = full & (full - 1) != 0  # two or more senders
-        if not ears & heard:  # a fixed point
-            rows += islice(cycle(period), max_slots - t)
-            learned += [()] * (max_slots - t)
-            concurrent += (max_slots - t) * multiple
-            break
-        slots = min(M, max_slots - t)
-        rows += period[:slots]
-        for packet in range(1, slots + 1):
-            # the full set sends as one speaker, 0, heard by all its audiences
-            if change := deliver(know, ears, [(0, packet)], (heard,)):
-                know[packet - 1] = change[1]
-            learned.append((change,) if change else ())
-        concurrent += slots * multiple
+        # the full set sends as one speaker, 0: one call gives all M packets' new holders
+        change = deliver((full,), everyone & ~full & ~jam, [(0, 1)], (heard,))
+        if change:  # each of the round's slots gives its packet the new holders
+            slots = min(M, max_slots - t)
+            learned += [((k, change[1]),) for k in range(1, slots + 1)]
+            know = (change[1],) * slots + know[slots:]
+        else:  # a fixed point: the round's period fills the slots left
+            slots = max_slots - t
+            learned += [()] * slots
+        rows += islice(cycle(map(tuple, residues)), slots)
+        concurrent += slots * (full & (full - 1) != 0)  # two or more senders
     T, done = len(rows), full == everyone
     per = (T * power.active_cost,) * P  # every always-on cell is active
-    report = SimReport(spec, power, T, tuple(know), per, sum(per), concurrent, done, T if done else None)
+    report = SimReport(spec, power, T, know, per, sum(per), concurrent, done, T if done else None)
     trace = ProtocolTrace(replace(spec, horizon=T), tuple(rows), initial_knowledge(spec), tuple(learned))
     return trace, report
 

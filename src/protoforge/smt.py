@@ -78,7 +78,6 @@ class SmtDocument:
     and footer, the one-line-per-entry views of the last two sections.
     """
 
-    spec: NetworkSpec
     header: tuple[str, ...]
     declarations: tuple[str, ...]
     assertion_blocks: tuple[str, ...]
@@ -237,7 +236,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         ])
     footer = ["(check-sat)", *_stamp(actions, slots), *_stamp(known, range(T + 1))]
     footer += ["(get-unsat-core)", "(exit)"]
-    return SmtDocument(spec, header, declarations, tuple(blocks), tuple(footer))
+    return SmtDocument(header, declarations, tuple(blocks), tuple(footer))
 
 
 def label_of_assertion_name(name: str) -> RequirementLabel:
@@ -283,6 +282,11 @@ def parse_sexprs(text: str) -> list:
     return out
 
 
+# The integers a reply spells: ASCII decimal only, where int() alone would
+# also read 1_0 and any Unicode digit.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _as_int(value) -> int | None:
     sign = 1
     if (
@@ -293,20 +297,16 @@ def _as_int(value) -> int | None:
         and value[1].isdigit()
     ):
         sign, value = -1, value[1]
-    if isinstance(value, str):
-        try:
-            return sign * int(value)
-        except ValueError:  # also digits int() refuses, such as "²"
-            return None
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return sign * int(value)
     return None
 
 
 def _indices(app: list[str]) -> tuple[int, ...]:
     """The integer arguments of a function application such as (sleep 0 1)."""
-    try:
-        return tuple(int(arg) for arg in app[1:])
-    except ValueError:
-        raise SmtResponseError(f"non-integer index in ({' '.join(app)})") from None
+    if not all(map(_DECIMAL.fullmatch, app[1:])):
+        raise SmtResponseError(f"non-integer index in ({' '.join(app)})")
+    return tuple(map(int, app[1:]))
 
 
 def _as_bool(value) -> bool | None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -109,10 +110,25 @@ def test_parse_hears_requires_explicit_topology():
         parse_spec(text)
 
 
-def test_parse_bad_int_reports_line():
+def test_parse_bad_int_reports_line(tmp_path):
     with pytest.raises(SpecParseError) as err:
         parse_spec("processes = few\npackets = 1")
     assert err.value.line_no == 1
+    # integers are ASCII decimal: int() alone would read 1_0 as 10, the
+    # fullwidth ３ as 3 and the Arabic-Indic ١ ٠ as the pair (1, 0)
+    rest = "horizon = 2\nsource = 0\ntopology = explicit\nliveness = off\ngoal = none\n"
+    for head, message in [
+        ("processes = 1_0\npackets = 1\n", "processes must be an integer, got '1_0'"),
+        ("processes = 2\npackets = ３\n", "packets must be an integer, got '３'"),
+        ("processes = 2\npackets = 1\nhears ١ ٠\n", "hears ids must be integers: 'hears ١ ٠'"),
+    ]:
+        with pytest.raises(SpecParseError, match=re.escape(message)):
+            parse_spec(head + rest)
+        path = tmp_path / "bad.spec"
+        path.write_text(head + rest, encoding="utf-8")
+        assert main(["synth", str(path)]) == 4
+    spec = parse_spec("processes = +3\npackets = 007\n" + rest)  # a sign and zeros still read
+    assert (spec.processes, spec.packets) == (3, 7)
 
 
 def test_topology_all_pairs():

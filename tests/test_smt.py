@@ -251,7 +251,7 @@ def _reference_emit(spec):
         "(declare-fun senders (Int) Int)",
         "(declare-fun heard (Int Int) Int)",
     )
-    return SmtDocument(spec, header, declarations, tuple(lines), tuple(footer))
+    return SmtDocument(header, declarations, tuple(lines), tuple(footer))
 
 
 def _lines(doc):
@@ -569,8 +569,14 @@ def test_run_external_full_pipeline_with_scripted_solver(tmp_path):
         "(((sleep x 0) true))",  # int() on an index
         "sat\n" + "(" * 5000 + ")" * 5000 + "\n",  # deeper than the recursion limit
         "(((transmit 0 0) (- ²)))",  # a digit int() refuses
+        # whole replies that int() would read: ASCII decimal only
+        "(((sleep ٠ 0) false) ((listen 0 0) true) ((transmit 0 0) (- 1)))",
+        "(((sleep 0_0 0) false) ((listen 0 0) true) ((transmit 0 0) (- 1)))",
+        "(((sleep 0 0) false) ((listen 0 0) true) ((transmit 0 0) (- ١)))",
+        "(((sleep 0 0) false) ((listen 0 0) false) ((transmit 0 0) 0_0))",
     ],
-    ids=["non-integer-index", "deep-nesting", "unicode-digit"],
+    ids=["non-integer-index", "deep-nesting", "unicode-digit", "arabic-indic-index",
+         "underscore-index", "arabic-indic-value", "underscore-value"],
 )
 def test_value_response_raises_only_response_errors(text):
     spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
