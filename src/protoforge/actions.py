@@ -1,10 +1,13 @@
-"""Per-slot process actions: sleep, listen, or transmit a content code."""
+"""Per-slot process actions: sleep, listen, or transmit a content code.
+
+An Action's `label` and `packet` are set when it is built; parse_action
+accepts exactly the texts `label` writes.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 # Content code for a contentless transmission. It occupies the channel like
 # any other transmission but carries no packet.
@@ -26,7 +29,10 @@ class Action:
     """Exactly one of sleep, listen, or transmit-with-content.
 
     Transmit content is GARBAGE (0) or a packet id >= 1; sleep and listen
-    carry no content. label and packet are computed once per instance.
+    carry no content. The constructor also sets two plain attributes, which
+    are not fields: `label`, the stable text form ("sleep", "listen" or
+    "tx:<code>"), and `packet`, the packet id being sent, or None when not
+    sending a real packet.
     """
 
     kind: ActionKind
@@ -38,22 +44,13 @@ class Action:
         if self.kind is ActionKind.TRANSMIT:
             if self.content is None or self.content < 0:
                 raise ValueError(f"transmit needs a content code >= 0, got {self.content!r}")
+            object.__setattr__(self, "label", f"tx:{self.content}")
+            object.__setattr__(self, "packet", self.content or None)
         elif self.content is not None:
             raise ValueError(f"{self.kind.value} carries no content")
-
-    @cached_property
-    def packet(self) -> int | None:
-        """Packet id being sent, or None when not sending a real packet."""
-        if self.kind is ActionKind.TRANSMIT and self.content is not None and self.content >= 1:
-            return self.content
-        return None
-
-    @cached_property
-    def label(self) -> str:
-        """Stable text form: "sleep", "listen", or "tx:<code>"."""
-        if self.kind is ActionKind.TRANSMIT:
-            return f"tx:{self.content}"
-        return self.kind.value
+        else:
+            object.__setattr__(self, "label", self.kind.value)
+            object.__setattr__(self, "packet", None)
 
 
 SLEEP = Action(ActionKind.SLEEP)
@@ -71,8 +68,14 @@ def parse_action(text: str, packets: int) -> Action:
     if text == "listen":
         return LISTEN
     if text.startswith("tx:"):
+        # the codes label writes, ASCII decimal without a sign or a leading
+        # zero, and negative ones, which the range check refuses by value;
+        # int() alone would also read tx:01, tx:+1, tx:1_0 and tx: 2
+        digits = text[3:].removeprefix("-")
         try:
-            code = int(text[3:])
+            if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "tx:0")):
+                raise ValueError
+            code = int(text[3:])  # ValueError past the interpreter's digit limit
         except ValueError:
             raise ActionFormatError(f"bad transmit code in {text!r}") from None
         if not 0 <= code <= packets:

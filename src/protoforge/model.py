@@ -64,6 +64,12 @@ class RequirementLabel(Enum):
     GOAL_DEADLINE = "GOAL_Deadline"
     TOPO_HEARS_RELATION = "TOPO_HearsRelation"
 
+    # Members are singletons that compare by identity, so they may hash by
+    # it too: object's hash is C code, and Enum's runs Python on every set
+    # or dict lookup. No order of a set of labels was fixed before either:
+    # Enum hashes the name, and str hashes differ from run to run.
+    __hash__ = object.__hash__
+
 
 TAXONOMY: tuple[RequirementLabel, ...] = tuple(RequirementLabel)
 
@@ -168,35 +174,47 @@ class NetworkSpec:
         # stray bits: a speaker's own, those past P, and all of a speaker past P
         strays = [mask if s >= P else (mask >> P << P) | (mask & 1 << s)
                   for s, mask in enumerate(self.topology.audience)]
-        try:  # the builder words them as the pairs they stand for
-            topology_explicit(P, [(l, s) for s, bits in enumerate(strays) if bits
-                                  for l in set_bits(bits)])
-        except SpecValidationError as bad:
-            errors += bad.errors
+        if any(strays):
+            try:  # topology_explicit words them as the pairs they stand for
+                topology_explicit(P, [(l, s) for s, bits in enumerate(strays) if bits
+                                      for l in set_bits(bits)])
+            except SpecValidationError as bad:
+                errors += bad.errors
         if errors:
             raise SpecValidationError(errors)
 
 
+# Looked up once: reading an Enum member off its class is slow per request.
+_EACH_ACTION_ONCE, _ALL_KNOW_ALL = LivenessMode.EACH_ACTION_ONCE, GoalKind.ALL_KNOW_ALL
+# The families each problem states, per (each-action-once liveness,
+# all-know-all goal): R3 needs the first and GOAL the second; the rest bind
+# every problem, even with no atoms (no hears pairs, T = 0).
+_FAMILIES = {
+    (live, deliver): frozenset(
+        label for label in TAXONOMY
+        if (live or label is not RequirementLabel.R3_LIVENESS)
+        and (deliver or label is not RequirementLabel.GOAL_DEADLINE)
+    )
+    for live in (False, True) for deliver in (False, True)
+}
+
+
 def requirement_families(spec: NetworkSpec) -> frozenset[RequirementLabel]:
     """The families the problem states; the one rule that reads liveness and
-    goal. R3 needs each-action-once liveness and GOAL the all-know-all goal;
-    the rest bind every problem, even with no atoms (no hears pairs, T = 0).
-    """
-    families = set(TAXONOMY)
-    if spec.liveness is not LivenessMode.EACH_ACTION_ONCE:
-        families.discard(RequirementLabel.R3_LIVENESS)
-    if spec.goal is not GoalKind.ALL_KNOW_ALL:
-        families.discard(RequirementLabel.GOAL_DEADLINE)
-    return frozenset(families)
+    goal (see _FAMILIES)."""
+    return _FAMILIES[spec.liveness is _EACH_ACTION_ONCE, spec.goal is _ALL_KNOW_ALL]
 
 
 _INT_KEYS = ("processes", "packets", "horizon", "source")
+_LIVENESS = {mode.value: mode for mode in LivenessMode}
+_GOALS = {goal.value: goal for goal in GoalKind}
 _ENUM_KEYS = {
     "topology": ("all", "line", "explicit"),
-    "liveness": tuple(m.value for m in LivenessMode),
-    "goal": tuple(g.value for g in GoalKind),
+    "liveness": tuple(_LIVENESS),
+    "goal": tuple(_GOALS),
 }
 _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
+_SPEC_FIELDS = frozenset((*_ALL_KEYS, "hears"))
 _DECIMAL = re.compile(r"[+-]?[0-9]+")  # the integers a spec file spells
 
 
@@ -264,8 +282,8 @@ def _assemble(
         horizon=fields["horizon"],
         source=fields["source"],
         topology=topology,
-        liveness=LivenessMode(fields["liveness"]),
-        goal=GoalKind(fields["goal"]),
+        liveness=_LIVENESS[fields["liveness"]],
+        goal=_GOALS[fields["goal"]],
     )
 
 
@@ -280,7 +298,7 @@ def parse_spec(text: str) -> NetworkSpec:
     fields: dict[str, object] = {}
     hears: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         tokens = line.replace("=", " ").split()
@@ -291,7 +309,8 @@ def parse_spec(text: str) -> NetworkSpec:
                 continue
             if "=" not in line:
                 raise SpecError(f"expected key = value, got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
             if key not in _ALL_KEYS:
                 raise SpecError(f"unknown key {key!r}")
             if key in fields:
@@ -350,8 +369,7 @@ def spec_from_dict(obj: dict) -> NetworkSpec:
     """Inverse of spec_as_dict; raises SpecError on malformed input."""
     if not isinstance(obj, dict):
         raise SpecError(f"spec object must be a mapping, got {type(obj).__name__}")
-    allowed = set(_ALL_KEYS) | {"hears"}
-    unknown = sorted(set(obj) - allowed)
+    unknown = sorted(obj.keys() - _SPEC_FIELDS)
     if unknown:
         raise SpecError(f"unknown spec fields: {', '.join(unknown)}")
     missing = [key for key in _ALL_KEYS if key not in obj]

@@ -48,7 +48,10 @@ unless some completion of it does. Since cover is monotone, the only
 completion tried is the one in which every later cell listens, with the
 lone sender already placed or, if there is none yet, each later process
 sending each packet it may send. These bound what the slot can teach under
-the learning rule; learning itself still happens only at slot end.
+the learning rule; learning itself still happens only at slot end. That
+completion's listening mask only shrinks as the slot fills, so a
+(sender, packet) pair that cannot lower a cover at one cell cannot at the
+next either, and each cell resumes the scan where the one before it stopped.
 
 The brute-force oracle the tests compare the search against lives with the
 tests, and shares no search machinery with solve.
@@ -59,8 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .actions import ActionKind, action_domain
 from .encoder import ConstraintSystem, encode
@@ -126,8 +128,29 @@ class SearchBudgetExceeded(RuntimeError):
         self.horizon = horizon
 
 
+# Per action kind its bit in a process's kinds done. Built and looked up
+# once: reading an Enum member off its class is slow.
+_KIND_BIT = {kind: 1 << i for i, kind in enumerate(ActionKind)}
+_LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
+
+
 class _Budget(Exception):
     pass
+
+
+class _Memo(dict):
+    """A one-argument function's values by argument, each computed on its
+    first lookup. A lookup is a plain dict read, and a memo costs less to
+    build than a functools.cache wrapper, which solve would build per call."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function: Callable[[int], float]) -> None:
+        self.function = function
+
+    def __missing__(self, key: int) -> float:
+        value = self[key] = self.function(key)
+        return value
 
 
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
@@ -152,10 +175,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     deg = max(a.bit_count() for a in audience)
     everyone = (1 << P) - 1
 
-    @cache
-    def cover(held: int) -> float:
+    def slots_needed(held: int) -> float:
         """A lower bound on the slots a packet held by `held` still needs
-        (see the module doc)."""
+        (see the module doc); read through cover, which keeps each value."""
         rounds, reach = 0, held
         while reach != everyone:
             senders = reach if check_r5 else everyone
@@ -168,25 +190,37 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             rounds, reach = rounds + 1, grown
         return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
 
-    def slot_can_lower(p: int, held, listening: int, sends: tuple) -> bool:
-        """Whether some completion of a slot whose cells 0..p listen as
-        `listening` and send `sends` lowers some packet's cover. Cover only
-        falls as holders grow, so only the completion in which every later
-        cell listens is tried."""
+    cover = _Memo(slots_needed).__getitem__
+
+    def slot_can_lower(i: int, held, listening: int, sends: tuple) -> bool:
+        """Whether some completion of a slot whose cells up to cell i listen
+        as `listening` and send `sends` lowers some packet's cover. Cover
+        only falls as holders grow, so only the completion in which every
+        later cell listens is tried. Before any cell sends, the candidates
+        are the slot's eligible (sender, packet) pairs, listed at its first
+        cell, and each cell resumes the scan where the one before it stopped
+        (see the module doc)."""
         if len(sends) > 1:
             return False  # a collision delivers nothing
+        t, p = divmod(i, P)
         listening |= everyone >> (p + 1) << (p + 1)
         if sends:
-            tries = [(s, k) for s, k in sends if k is not None]
-        else:
-            tries = [  # each later process, with each packet it may send
-                (s, k) for k in range(1, M + 1) for s in range(p + 1, P)
-                if (held[k - 1] if check_r5 else everyone) >> s & 1
+            [(s, k)] = sends
+            if k is None:
+                return False  # garbage delivers nothing
+            return cover(held[k - 1] | audience[s] & listening) < cover(held[k - 1])
+        if not p:  # each later process, with each packet it may send and an audience lacks
+            pairs[t] = [
+                (s, reach, was, cover(was)) for s in range(1, P) for was in held
+                if (was if check_r5 else everyone) >> s & 1 and (reach := audience[s] & ~was)
             ]
-        return any(
-            cover(held[k - 1] | audience[s] & listening) < cover(held[k - 1])
-            for s, k in tries
-        )
+        candidates = pairs[t]
+        for j in range(resume[i - 1] if p else 0, len(candidates)):
+            s, reach, was, now = candidates[j]
+            if s > p and cover(was | reach & listening) < now:
+                resume[i] = j
+                return True
+        return False
 
     initial = initial_knowledge(spec)
     # with R7 dropped, slot 0 teaches everyone every packet they lack
@@ -208,17 +242,18 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     # per value: its index, kind bit, listening bit, whether it transmits,
     # and its packet (None for sleep, listen and garbage)
     values = action_domain(M)
-    bit_of = {kind: 1 << i for i, kind in enumerate(ActionKind)}
     table = [
-        (v, bit_of[act.kind], int(act.kind is ActionKind.LISTEN),
-         act.kind is ActionKind.TRANSMIT, act.packet)
+        (v, _KIND_BIT[act.kind], int(act.kind is _LISTENS), act.kind is _SENDS, act.packet)
         for v, act in enumerate(values)
     ]
-    kinds = len(ActionKind)
+    kinds = len(_KIND_BIT)
     limit = config.node_limit
     cells = T * P
     grid = [0] * cells  # each cell's value
     heard, sent = [0] * cells, [()] * cells  # per cell (see the module doc)
+    # slot_can_lower's state: per slot its candidate pairs, per cell where its scan stopped
+    pairs: list = [None] * T
+    resume = [0] * cells
 
     def search(i: int) -> bool:
         nonlocal nodes
@@ -244,7 +279,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
             grid[i] = v
             listening = heard[i] = before | listens << p
             sends = sent[i] = sends_before + ((p, k),) if transmits else sends_before
-            if held is not None and not slot_can_lower(p, held, listening, sends):
+            if held is not None and not slot_can_lower(i, held, listening, sends):
                 cuts["intra_slot"] += 1
                 continue
             if last_in_slot:
@@ -307,16 +342,15 @@ def unsat_core_minimize(
         return None
     if base.status is SolveStatus.BUDGET_EXHAUSTED:
         raise SearchBudgetExceeded()
-    core = [
-        label for label in TAXONOMY
-        if label in cs.enabled and label not in STRUCTURAL_LABELS
-    ]
-    for label in list(core):
-        trial = solve(replace(cs, enabled=frozenset(core) - {label}), config)
+    core = cs.enabled - STRUCTURAL_LABELS
+    for label in TAXONOMY:
+        if label not in core:
+            continue
+        trial = solve(ConstraintSystem(cs.spec, core - {label}), config)
         if trial.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(
                 f"budget exhausted while testing {label.value} for removal"
             )
         if trial.status is SolveStatus.UNSAT:
-            core.remove(label)
-    return frozenset(core)
+            core -= {label}
+    return core

@@ -37,11 +37,22 @@ when present it is compared against the grid re-derived from the actions.
 The layer works per distinct value rather than per cell: read_trace parses
 each distinct label once, so equal cells share one Action object; the
 validator checks each distinct cell object once and decodes each action row
-once; and each distinct knowledge row is tabulated once, by write_trace to
-render it and by read_trace to compare the file's rows against it. Action
-shape checks run as whole-grid passes, and walk row by row only to name
-the first bad row; knowledge is checked once per change. Violation
-messages list at most MAX_LISTED packet numbers.
+once; and the knowledge rows are tabulated from the changes, each row's
+table sharing the lists of the one before that its slot leaves alone, by
+write_trace to render them (a run of equal rows once) and by read_trace to
+compare the file's rows against them. Action shape checks run as
+whole-grid passes, and walk row by row only to name the first bad row;
+knowledge is checked once per change. Violation messages list at most
+MAX_LISTED packet numbers.
+
+read_trace checks a file's knowledge grid in three whole-grid passes. The
+first checks its shape, level by level: T+1 lists of P lists of M entries,
+so that a small file whose spec claims a huge grid is refused before
+anything that size is derived. The second compares the grid with the
+tabulated derived rows in one ==. The third checks that every entry is a
+bool, since 1 == True. A grid of another shape or with a non-boolean entry
+is malformed; only a well-formed grid that differs from the derived rows
+is walked row by row, to name the first cell that differs.
 """
 
 from __future__ import annotations
@@ -75,6 +86,7 @@ MAX_LISTED = 10
 # Looked up once: reading an Enum member off its class is slow per cell.
 _LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
 _kind = attrgetter("kind")
+_EVERY_FAMILY = frozenset(RequirementLabel)  # what validate checks by default
 
 
 class TraceFormatError(ValueError):
@@ -220,6 +232,29 @@ class ProtocolTrace:
         return cls(spec, actions, tuple(rows[0]), changes)
 
 
+def _knowledge_tables(trace: ProtocolTrace) -> list[list[list[bool]]]:
+    """The T+1 knowledge rows as knowledge_table gives them. Row 0 is
+    tabulated. A slot with one change, as every grid the learning rule
+    derives has, copies the table before it and flips the entries of the
+    processes the change names, sharing every other list; a slot without
+    changes shares the whole table, and one with more is tabulated anew."""
+    P = trace.spec.processes
+    row, table = trace.initial, knowledge_table(trace.initial, P)
+    tables = [table]
+    for slot in trace.changes:
+        if len(slot) == 1:
+            [(packet, holders)] = slot
+            table = table.copy()
+            for p in set_bits(holders ^ row[packet - 1]):
+                cell = table[p] = table[p].copy()
+                cell[packet - 1] = not cell[packet - 1]
+        row = applied(row, slot)
+        if len(slot) > 1:
+            table = knowledge_table(row, P)
+        tables.append(table)
+    return tables
+
+
 def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
     if set(map(len, actions)) <= {spec.processes}:
         return
@@ -242,7 +277,7 @@ def validate(
     trace: ProtocolTrace, enabled: Iterable[RequirementLabel] | None = None
 ) -> list[Violation]:
     """Exhaustively checks every enabled requirement; empty list means clean."""
-    return list(_violations(trace, frozenset(RequirementLabel if enabled is None else enabled)))
+    return list(_violations(trace, _EVERY_FAMILY if enabled is None else frozenset(enabled)))
 
 
 def _violations(
@@ -256,11 +291,8 @@ def _violations(
     enabled &= requirement_families(spec)
     # Each distinct cell object is checked once. A malformed cell is reported
     # under R1 and acts as no action in every other family.
-    cells = list(chain.from_iterable(acts))
-    kind_of = {
-        key: act.kind if _well_formed(act) else None
-        for key, act in dict(zip(map(id, cells), cells)).items()
-    }
+    distinct = dict(zip(map(id, chain.from_iterable(acts)), chain.from_iterable(acts)))
+    kind_of = {key: act.kind if _well_formed(act) else None for key, act in distinct.items()}
     # Each row is decoded once: its cells' kinds, listening mask and sends.
     kinds = [list(map(kind_of.__getitem__, map(id, row))) for row in acts]
     listening, sends = zip(*map(_decode, acts, kinds)) if acts else ((), ())
@@ -347,8 +379,8 @@ def _violations(
                         f"hears at t={t}",
                     )
 
-    if L.GOAL_DEADLINE in enabled:
-        everyone = (1 << spec.processes) - 1
+    everyone = (1 << spec.processes) - 1
+    if L.GOAL_DEADLINE in enabled and grid[spec.horizon].count(everyone) != packets:
         for p, missing in _by_process(grid[spec.horizon], lambda holders: everyone & ~holders):
             yield Violation(
                 L.GOAL_DEADLINE, spec.horizon, p,
@@ -391,7 +423,7 @@ def _listed(values: Sequence, counts: Counter, hits: set) -> str:
 def write_trace(trace: ProtocolTrace) -> str:
     """Deterministic JSON form; field order spec, actions, knowledge. The
     spec takes one line, each slot's actions and each time index's
-    knowledge one line apiece; each distinct knowledge row is rendered once."""
+    knowledge one line apiece; a run of equal knowledge rows is rendered once."""
 
     def rows(lines: Iterable[str]) -> str:
         body = ",\n".join(f"    {line}" for line in lines)
@@ -399,12 +431,13 @@ def write_trace(trace: ProtocolTrace) -> str:
 
     label = attrgetter("label")
     actions = [json.dumps(list(map(label, row))) for row in trace.actions]
-    P = trace.spec.processes
-    rendered = {row: json.dumps(knowledge_table(row, P)) for row in set(trace.knowledge)}
+    tables = _knowledge_tables(trace)
+    distinct = {id(table): table for table in tables}
+    rendered = {key: json.dumps(table) for key, table in distinct.items()}
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
         f'  "actions": {rows(actions)},\n'
-        f'  "knowledge": {rows(map(rendered.__getitem__, trace.knowledge))}\n}}\n'
+        f'  "knowledge": {rows(map(rendered.__getitem__, map(id, tables)))}\n}}\n'
     )
 
 
@@ -435,26 +468,28 @@ def read_trace(text: str) -> ProtocolTrace:
         raise TraceFormatError("actions must be a list of per-slot lists")
     trace = ProtocolTrace.from_actions(spec, _parse_actions(rows, spec.packets))
     if "knowledge" in obj:
-        if not _shaped(obj["knowledge"], (spec.horizon + 1, spec.processes, spec.packets)):
+        grid = obj["knowledge"]
+        # its size is checked before anything that size is derived to compare with it
+        cells = _cells(grid, (spec.horizon + 1, spec.processes, spec.packets))
+        if cells is not None:
+            derived = _knowledge_tables(trace)
+            same = grid == derived  # 1 == True, so the leaves' types are checked next
+        if cells is None or not all(map(isinstance, chain.from_iterable(cells), repeat(bool))):
             raise TraceFormatError("knowledge grid malformed")
-        tables: dict[KnowledgeRow, list[list[bool]]] = {}
-        for t, (row, masks) in enumerate(zip(obj["knowledge"], trace.knowledge)):
-            if masks not in tables:
-                tables[masks] = knowledge_table(masks, spec.processes)
-            if row != tables[masks]:  # safe: _shaped admits only booleans, never 1 for True
-                p = next(p for p, (file, held) in enumerate(zip(row, tables[masks]))
-                         if file != held)
-                raise TraceFormatError(
-                    f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
-                    "with the grid derived from the actions"
-                )
+        if not same:
+            t, p = next((t, p) for t, (row, held) in enumerate(zip(grid, derived)) if row != held
+                        for p, (file, have) in enumerate(zip(row, held)) if file != have)
+            raise TraceFormatError(
+                f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
+                "with the grid derived from the actions"
+            )
     return trace
 
 
-def _parse_actions(rows: list[list], packets: int) -> list[list[Action]]:
+def _parse_actions(rows: list[list], packets: int) -> list[Sequence[Action]]:
     """Parses each distinct label once, so that equal labels share one
-    Action. When a cell is not a legal label, the cell by cell walk names
-    the first such cell."""
+    Action; the rows come out as the tuples a trace holds. When a cell is
+    not a legal label, the cell by cell walk names the first such cell."""
     cells = list(chain.from_iterable(rows))
     if all(map(isinstance, cells, repeat(str))):
         try:
@@ -462,7 +497,7 @@ def _parse_actions(rows: list[list], packets: int) -> list[list[Action]]:
         except ActionFormatError:
             pass
         else:
-            return [list(map(parsed.__getitem__, row)) for row in rows]
+            return [tuple(map(parsed.__getitem__, row)) for row in rows]
     actions = []
     for t, row in enumerate(rows):
         parsed_row = []
@@ -477,12 +512,14 @@ def _parse_actions(rows: list[list], packets: int) -> list[list[Action]]:
     return actions
 
 
-def _shaped(value: object, shape: tuple[int, ...]) -> bool:
-    """Whether `value` nests lists of exactly these lengths, booleans at its
-    leaves; checked one level at a time over all of that level's lists."""
-    level = [value]
-    for length in shape:
+def _cells(grid: object, shape: tuple[int, int, int]) -> list | None:
+    """The innermost lists of `grid` when it nests lists of exactly these
+    lengths, else None; checked one level at a time over all of that level's
+    lists. What the innermost lists hold is not looked at."""
+    level = [grid]
+    for depth, length in enumerate(shape):
+        if depth:
+            level = list(chain.from_iterable(level))
         if not all(map(isinstance, level, repeat(list))) or set(map(len, level)) - {length}:
-            return False
-        level = list(chain.from_iterable(level))
-    return all(map(isinstance, level, repeat(bool)))
+            return None
+    return level

@@ -20,6 +20,7 @@ from protoforge.model import (
     TAXONOMY,
     Topology,
     parse_spec,
+    requirement_families,
     render_spec,
     spec_as_dict,
     spec_from_dict,
@@ -303,6 +304,19 @@ def test_size_limits_leave_other_errors_and_derived_specs_alone():
 def test_validate_bad_source():
     with pytest.raises(SpecValidationError, match="source out of range"):
         make_spec(source=7)
+
+
+@pytest.mark.parametrize("liveness", list(LivenessMode))
+@pytest.mark.parametrize("goal", list(GoalKind))
+def test_requirement_families_follow_the_liveness_and_goal_rule(liveness, goal):
+    # the rule the table built at import stands for, written out as a set
+    expected = set(TAXONOMY)
+    if liveness is not LivenessMode.EACH_ACTION_ONCE:
+        expected.discard(RequirementLabel.R3_LIVENESS)
+    if goal is not GoalKind.ALL_KNOW_ALL:
+        expected.discard(RequirementLabel.GOAL_DEADLINE)
+    families = requirement_families(make_spec(liveness=liveness, goal=goal))
+    assert isinstance(families, frozenset) and families == expected
 
 
 def test_taxonomy_order_and_index():

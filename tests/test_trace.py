@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -234,6 +235,17 @@ def test_read_rejects_unknown_content_code():
     doc = json.loads(write_trace(trace))
     doc["actions"][0][0] = "tx:7"
     with pytest.raises(TraceFormatError, match="unknown content code"):
+        read_trace(json.dumps(doc))
+
+
+@pytest.mark.parametrize("label", ["tx:01", "tx:+1", "tx: 1", "tx:1 "])
+def test_read_rejects_a_transmit_label_that_label_never_writes(label):
+    # each reads as tx:1 through int(), but would be rewritten as another text
+    trace = ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)
+    doc = json.loads(write_trace(trace))
+    doc["actions"][0][0] = label
+    message = f"actions[0][0]: bad transmit code in {label!r}"
+    with pytest.raises(TraceFormatError, match=re.escape(message)):
         read_trace(json.dumps(doc))
 
 
