@@ -13,6 +13,11 @@ from enum import Enum
 # any other transmission but carries no packet.
 GARBAGE = 0
 
+# The longest transmit code parse_action reads. A longer one is refused as a
+# bad code rather than as an unknown one, on every interpreter; the figure is
+# CPython's default limit on converting decimal text to int.
+_MAX_CODE_DIGITS = 4300
+
 
 class ActionKind(Enum):
     SLEEP = "sleep"
@@ -75,7 +80,9 @@ def parse_action(text: str, packets: int) -> Action:
         try:
             if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "tx:0")):
                 raise ValueError
-            code = int(text[3:])  # ValueError past the interpreter's digit limit
+            if len(digits) > _MAX_CODE_DIGITS:
+                raise ValueError
+            code = int(text[3:])
         except ValueError:
             raise ActionFormatError(f"bad transmit code in {text!r}") from None
         if not 0 <= code <= packets:

@@ -234,23 +234,20 @@ class ProtocolTrace:
 
 def _knowledge_tables(trace: ProtocolTrace) -> list[list[list[bool]]]:
     """The T+1 knowledge rows as knowledge_table gives them. Row 0 is
-    tabulated. A slot with one change, as every grid the learning rule
-    derives has, copies the table before it and flips the entries of the
-    processes the change names, sharing every other list; a slot without
-    changes shares the whole table, and one with more is tabulated anew."""
+    tabulated. Each later row copies the table before it and flips the
+    entries of the processes its slot's changes name, sharing every other
+    list; a slot without changes shares the whole table."""
     P = trace.spec.processes
     row, table = trace.initial, knowledge_table(trace.initial, P)
     tables = [table]
     for slot in trace.changes:
-        if len(slot) == 1:
-            [(packet, holders)] = slot
+        if slot:
             table = table.copy()
-            for p in set_bits(holders ^ row[packet - 1]):
-                cell = table[p] = table[p].copy()
-                cell[packet - 1] = not cell[packet - 1]
-        row = applied(row, slot)
-        if len(slot) > 1:
-            table = knowledge_table(row, P)
+            for packet, holders in slot:
+                for p in set_bits(holders ^ row[packet - 1]):
+                    cell = table[p] = table[p].copy()
+                    cell[packet - 1] = not cell[packet - 1]
+                row = applied(row, ((packet, holders),))
         tables.append(table)
     return tables
 

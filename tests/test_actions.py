@@ -83,3 +83,12 @@ def test_replace_sets_label_and_packet_again():
 def test_parse_accepts_only_the_labels_label_writes(text):
     with pytest.raises(ActionFormatError, match="bad transmit code in"):
         parse_action(text, packets=12)
+
+
+def test_a_code_longer_than_the_digit_cap_is_a_bad_code():
+    # refused by its length, not by whichever limit the interpreter puts
+    # on int(); a code of 4,300 digits is still read and refused by value
+    with pytest.raises(ActionFormatError, match="unknown content code 9{4300} with 12 packets"):
+        parse_action("tx:" + "9" * 4300, packets=12)
+    with pytest.raises(ActionFormatError, match="bad transmit code in"):
+        parse_action("tx:" + "9" * 4301, packets=12)

@@ -19,6 +19,7 @@ from protoforge.trace import (
     deliver,
     derive_knowledge,
     initial_knowledge,
+    knowledge_table,
     read_trace,
     validate,
     write_trace,
@@ -426,3 +427,18 @@ def test_validate_walks_only_the_packets_it_lists(monkeypatch):
         "at the deadline t=2"
         for p in (1, 2)
     ]
+
+
+@given(st.data())
+def test_written_knowledge_is_each_row_tabulated(data):
+    # slots with several changes, and one packet changed twice in a slot,
+    # which only a trace built from its parts or from rows can hold
+    processes, packets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    spec = make_spec(processes=processes, packets=packets, horizon=3, topology="all")
+    change = st.tuples(st.integers(1, packets), st.integers(0, 2**processes - 1))
+    changes = tuple(data.draw(st.lists(change, max_size=4).map(tuple)) for _ in range(3))
+    initial = tuple(data.draw(st.lists(st.integers(0, 2**processes - 1),
+                                       min_size=packets, max_size=packets)))
+    trace = ProtocolTrace(spec, ((SLEEP,) * processes,) * 3, initial, changes)
+    written = json.loads(write_trace(trace))["knowledge"]
+    assert written == [knowledge_table(row, processes) for row in trace.knowledge]
