@@ -88,10 +88,11 @@ _TIMEOUT = _at_least(float, 0, strict=True, high=MAX_TIMEOUT_S)
 
 def _read(path: str) -> str:
     """The file's text, decoded as UTF-8 and with "\\r\\n" and "\\r" made
-    "\\n" as in text mode; errors name the path. A regular file takes four
-    system calls (open, fstat, one read of its size plus a byte, close),
-    where a file object's readall takes seven, each a sizable share of a
-    request that reads one small file. A pipe, a device, or a file whose
+    "\\n" as in text mode. An OS error names the path; a UTF-8 decode
+    error names the byte and its offset but not the path. A regular file
+    takes four system calls (open, fstat, one read of its size plus a byte,
+    close), where a file object's readall takes seven, each a sizable share
+    of a request that reads one small file. A pipe, a device, or a file whose
     size changed since fstat is read on to its end."""
     fd = os.open(path, os.O_RDONLY)
     try:

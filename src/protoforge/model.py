@@ -31,12 +31,11 @@ from typing import Iterable
 # Size limits on problems read from text, checked before anything grows
 # with them: at most this many processes (so an `all` relation is at most
 # 1024 masks of 1024 bits), and at most this many facts (horizon + 1) *
-# processes * max(packets, 1) in the knowledge grid a trace file holds. A
-# baseline runs its own 2 * processes * max(packets, 1) + 2 slot allowance,
-# which this does not bound. Its trace holds a new period of packets rows
-# of processes actions for each round in which a process joins, so it
-# costs O(slots + rounds * packets * processes), with at most processes
-# rounds.
+# processes * max(packets, 1) in the knowledge grid a trace file holds.
+# They bound the baseline too, whatever its slot allowance: it runs at most
+# processes rounds, each one deliver call and one update of its single
+# packets-long knowledge row, so it costs O(rounds * packets), at most
+# processes * packets <= MAX_FACTS.
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
 
@@ -215,7 +214,9 @@ _ENUM_KEYS = {
 }
 _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
 _SPEC_FIELDS = frozenset((*_ALL_KEYS, "hears"))
-_DECIMAL = re.compile(r"[+-]?[0-9]+")  # the integers a spec file spells
+# The integers a spec file or a solver reply spells: ASCII decimal only,
+# where int() alone would also read 1_0 and any Unicode digit.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _check_field(key: str, value: object) -> object:

@@ -26,19 +26,20 @@ the full set, whose members send in step as one speaker heard by the
 union of their audiences, and one deliver call gives a round's new
 holders for all M packets. A round that gives none is the fixed point,
 so the run ends after at most P rounds with the slots left filled by
-that round's period. Its trace and report are those of stepping every
-node in every slot.
+that round's period. Its report is that of stepping every node in every
+slot. A node listens until the slot at which it joins the full set and
+sends packet t % M + 1 at every slot t from then on, so the run returns
+those join slots, not an action log.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
-from itertools import cycle, islice
 from operator import and_, attrgetter
 
-from .actions import Action, ActionKind, LISTEN, action_domain
+from .actions import ActionKind
 from .model import NetworkSpec, RequirementLabel, set_bits, spec_as_dict
 from .trace import (
     KnowledgeRow,
@@ -126,14 +127,14 @@ def run_baseline(
     spec: NetworkSpec,
     power: PowerModel | None = None,
     max_slots: int | None = None,
-) -> tuple[ProtocolTrace, SimReport]:
+) -> tuple[list[int | None], SimReport]:
     """Runs the always-on policy until completion or max_slots, a round of
     M slots at a time (see the module docstring).
 
-    Returns the action log (its embedded spec carries the number of slots
-    actually run as its horizon, and its knowledge grid follows the
-    carrier-sense rule) together with the usual report. The report keeps
-    the caller's spec so it can be compared against a synthesized run.
+    Returns each process's join slot, the slot from which it holds all M
+    packets and sends packet t % M + 1 at every slot t, or None if it never
+    does, together with the usual report. The report keeps the caller's
+    spec so it can be compared against a synthesized run.
     """
     power = power or PowerModel()
     if max_slots is None:
@@ -142,39 +143,33 @@ def run_baseline(
         raise ValueError("max_slots must be >= 0")
     P, M = spec.processes, spec.packets
     everyone = (1 << P) - 1
-    sends = action_domain(M)[2:-1]  # packets 1..M
     audience = audiences(spec)
-    know = initial_knowledge(spec)  # the knowledge row at slot len(rows)
-    learned: list = []  # per slot, its changes to know
-    rows: list[tuple[Action, ...]] = []
-    residues = [[LISTEN] * P for _ in range(M)]  # the action row of the slots t = r mod M
-    full = heard = jam = concurrent = 0  # the full set, the union of its audiences, its jam mask
+    know = initial_knowledge(spec)  # the knowledge row at slot t
+    joins: list[int | None] = [None] * P
+    t = concurrent = 0
+    full = heard = jam = 0  # the full set, the union of its audiences, its jam mask
     while True:  # a round per pass, as processes join only between rounds
         joined = reduce(and_, know, everyone)
         for p in set_bits(joined & ~full):
             jam |= heard & audience[p]
             heard |= audience[p]
-            for row, act in zip(residues, sends):
-                row[p] = act
-        full, t = joined, len(rows)
+            joins[p] = t
+        full = joined
         if full == everyone or t == max_slots:
             break
         # the full set sends as one speaker, 0: one call gives all M packets' new holders
         change = deliver((full,), everyone & ~full & ~jam, [(0, 1)], (heard,))
         if change:  # each of the round's slots gives its packet the new holders
             slots = min(M, max_slots - t)
-            learned += [((k, change[1]),) for k in range(1, slots + 1)]
             know = (change[1],) * slots + know[slots:]
         else:  # a fixed point: the round's period fills the slots left
             slots = max_slots - t
-            learned += [()] * slots
-        rows += islice(cycle(map(tuple, residues)), slots)
+        t += slots
         concurrent += slots * (full & (full - 1) != 0)  # two or more senders
-    T, done = len(rows), full == everyone
-    per = (T * power.active_cost,) * P  # every always-on cell is active
-    report = SimReport(spec, power, T, know, per, sum(per), concurrent, done, T if done else None)
-    trace = ProtocolTrace(replace(spec, horizon=T), tuple(rows), initial_knowledge(spec), tuple(learned))
-    return trace, report
+    done = full == everyone
+    per = (t * power.active_cost,) * P  # every always-on cell is active
+    report = SimReport(spec, power, t, know, per, sum(per), concurrent, done, t if done else None)
+    return joins, report
 
 
 @dataclass(frozen=True)

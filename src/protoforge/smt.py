@@ -44,7 +44,7 @@ from itertools import chain
 from typing import TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import NetworkSpec, RequirementLabel, requirement_families, set_bits
+from .model import _DECIMAL, NetworkSpec, RequirementLabel, requirement_families, set_bits
 from .trace import ProtocolTrace, audiences
 
 
@@ -280,11 +280,6 @@ def parse_sexprs(text: str) -> list:
     if open_lists:
         raise SmtResponseError("unbalanced parenthesis in solver output")
     return out
-
-
-# The integers a reply spells: ASCII decimal only, where int() alone would
-# also read 1_0 and any Unicode digit.
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _as_int(value) -> int | None:

@@ -1,8 +1,11 @@
-"""The benchmark on smt-export, run twice. Its traced replay reads each
-document's text and its one-line-per-entry assertions, which emit-smt
-itself never builds, and checks their sizes against the benchmark's
-counts. A timed run of two passes writes every document over the one the
-first pass left. Takes about 4 s."""
+"""The benchmark on smt-export, run twice, and on wide, run once. Its
+traced replay reads each smt-export document's text and its
+one-line-per-entry assertions, which emit-smt itself never builds, and
+checks their sizes against the benchmark's counts. A timed run of two
+passes writes every document over the one the first pass left. The traced
+wide run makes every library call the CLI handlers make, run_baseline's
+among them, so it fails if the benchmark no longer reads what they return.
+Takes about 6 s."""
 
 from __future__ import annotations
 
@@ -40,3 +43,17 @@ def test_smt_export_documents_written_over_the_last_pass_stay_exact():
     result = json.loads(done.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0)
     assert abs(result["metrics"]["written_mb"]["value"] - 5_978_577 / 15 / 1e6) <= 1e-12
+
+
+def test_traced_wide_run_reads_the_library_calls_it_times():
+    # the replay unpacks each call's result as the benchmark expects it,
+    # run_baseline's (join slots, report) pair among them
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "wide",
+         "--seed", "1", "--trace", "1", "--seconds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["sim.baseline_slots"]["value"] == 5819

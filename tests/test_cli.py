@@ -15,11 +15,12 @@ import protoforge
 from protoforge.cli import main
 from protoforge.encoder import encode
 from protoforge.model import parse_spec
-from protoforge.sim import run_baseline
+from protoforge.sim import PowerModel
 from protoforge.smt import SmtDocument, emit_smtlib
 from protoforge.solver import min_horizon, solve
 from protoforge.trace import read_trace, validate, write_trace
 from conftest import make_spec
+from test_sim import _baseline_against_the_fold
 
 LINE3 = """\
 # three nodes in a line, one packet
@@ -651,8 +652,42 @@ def test_baseline_of_a_hostile_spec_builds_no_knowledge_rows(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out.splitlines()[:6] == report
     assert machine_block(out)["completion_slot"] == 8192
-    trace, _ = run_baseline(parse_spec(HOSTILE))
-    assert "knowledge" not in vars(trace)  # the rows view is built on first read
+    _, joins, _ = _baseline_against_the_fold(parse_spec(HOSTILE), PowerModel())
+    assert joins == [0, 8192]
+
+
+def test_baseline_of_a_long_one_way_line_takes_a_round_per_process(capsys, tmp_path):
+    # 255 rounds of 1,024 slots; a baseline that logged each slot's action
+    # row took 6.8 s and 585 MB here
+    path = tmp_path / "line.net"
+    path.write_text(HOSTILE.replace("processes = 2", "processes = 256")
+                    .replace("packets = 8192", "packets = 1024")
+                    .replace("topology = explicit", "topology = line")
+                    .replace("hears 1 0\n", ""))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "baseline", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert (lines[0], lines[3], lines[4]) == (
+        "slots run: 261120", "concurrent tx slots: 260096", "completed: yes (slot 261120)")
+
+
+def test_baseline_fills_an_allowance_past_any_list(capsys, tmp_path):
+    # on a line only higher ids hear lower ones, so nobody hears source 2
+    # and the run never completes; a baseline that logged each slot's action
+    # row ran out of memory on this allowance
+    path = tmp_path / "stuck.net"
+    path.write_text(LINE3.replace("source = 0", "source = 2"))
+    code, out, err = run_cli(capsys, "baseline", str(path), "--max-slots", "1000000000000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:5] == [
+        "slots run: 1000000000000",
+        "total power: 3000000000000 pw",
+        "per-process power: 1000000000000 1000000000000 1000000000000",
+        "concurrent tx slots: 0",
+        "completed: no",
+    ]
 
 
 def test_compare_reproduces_power_numbers(capsys, line3):

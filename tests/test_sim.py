@@ -23,7 +23,6 @@ from protoforge.sim import (
 from protoforge.solver import solve
 from protoforge.trace import (
     ProtocolTrace,
-    all_known,
     audiences,
     initial_knowledge,
 )
@@ -91,7 +90,8 @@ def test_power_model_rejects_negative_costs():
 
 
 def test_baseline_line3_matches_reference_numbers():
-    trace, report = run_baseline(make_spec(), PowerModel())
+    trace, joins, report = _baseline_against_the_fold(make_spec(), PowerModel())
+    assert joins == [0, 1, 2]
     assert report.slots_run == 2
     assert report.total_power == 6
     assert report.per_process_power == (2, 2, 2)
@@ -105,7 +105,8 @@ def test_baseline_line3_matches_reference_numbers():
 
 def test_baseline_all_topology_two_packets_back_to_back():
     spec = make_spec(processes=3, packets=2, horizon=0, topology="all")
-    trace, report = run_baseline(spec, PowerModel())
+    trace, joins, report = _baseline_against_the_fold(spec, PowerModel())
+    assert joins == [0, 2, 2]
     assert report.slots_run == 2
     assert report.total_power == 6
     assert report.completed and report.completion_slot == 2
@@ -132,14 +133,14 @@ def test_baseline_line_completes_in_p_minus_one_slots(p):
 
 def test_baseline_gives_up_at_max_slots():
     spec = make_spec(processes=2, packets=1, horizon=0, topology=set())
-    trace, report = run_baseline(spec, PowerModel(), max_slots=4)
+    trace, joins, report = _baseline_against_the_fold(spec, PowerModel(), max_slots=4)
     assert report.slots_run == 4
     assert not report.completed
-    assert trace.spec.horizon == 4
+    assert trace.spec.horizon == 4 and joins == [0, None]
 
 
 def test_baseline_trace_spec_carries_slots_run():
-    trace, report = run_baseline(make_spec(), PowerModel())
+    trace, _, report = _baseline_against_the_fold(make_spec(), PowerModel())
     assert trace.spec.horizon == report.slots_run
     assert report.spec == make_spec()
 
@@ -224,37 +225,50 @@ def _stepped_baseline(spec, power, max_slots=None):
     """The always-on policy folded one slot at a time until completion or
     max_slots, with the report from a walk over every cell: what
     run_baseline must equal. Its radios sense the carrier: a listener learns
-    when exactly one transmitter it hears is sending."""
+    when exactly one transmitter it hears is sending. Returns the fold's
+    trace, the slot at which each process first holds every packet (None if
+    it never does) and the report."""
     if max_slots is None:
         max_slots = default_max_slots(spec)
     P, M = spec.processes, spec.packets
     audience = audiences(spec)
-    know = [initial_knowledge(spec)]
-    rows = []
+    know = list(initial_knowledge(spec))
+    held = [sum(holders >> p & 1 for holders in know) for p in range(P)]
+    joins = [None] * P
+    rows, changes = [], []
     sent = [0] * P
-    while not all_known(know[-1], P) and len(rows) < max_slots:
+    while True:
+        for p in range(P):
+            if joins[p] is None and held[p] == M:
+                joins[p] = len(rows)
+        if None not in joins or len(rows) == max_slots:
+            break
         acts = [LISTEN] * P
         for p in range(P):
-            if all(holders >> p & 1 for holders in know[-1]):
+            if joins[p] is not None:
                 acts[p] = transmit(sent[p] % M + 1)
                 sent[p] += 1
-        nxt = list(know[-1])
+        learned = {}
         for listener in range(P):
             heard = [s for s in range(P) if acts[s] is not LISTEN and audience[s] >> listener & 1]
             if acts[listener] is LISTEN and len(heard) == 1:
-                nxt[acts[heard[0]].packet - 1] |= 1 << listener
-        know.append(tuple(nxt))
+                k = acts[heard[0]].packet
+                if not know[k - 1] >> listener & 1:
+                    know[k - 1] |= 1 << listener
+                    held[listener] += 1
+                    learned[k] = know[k - 1]
+        changes.append(tuple(sorted(learned.items())))
         rows.append(tuple(acts))
     per = [0] * P
     for row in rows:
         for p, act in enumerate(row):
             per[p] += power.active_cost if act.kind is not ActionKind.SLEEP else power.idle_cost
-    completion = next((t for t, row in enumerate(know) if all_known(row, P)), None)
+    completion = None if None in joins else max(joins)
     report = SimReport(
         spec=spec,
         power=power,
         slots_run=len(rows),
-        delivered=know[-1],
+        delivered=tuple(know),
         per_process_power=tuple(per),
         total_power=sum(per),
         concurrent_tx_slots=sum(
@@ -263,8 +277,29 @@ def _stepped_baseline(spec, power, max_slots=None):
         completed=completion is not None,
         completion_slot=completion,
     )
-    trace = ProtocolTrace.from_rows(replace(spec, horizon=len(rows)), tuple(rows), know)
-    return trace, report
+    trace = ProtocolTrace(
+        replace(spec, horizon=len(rows)), tuple(rows), initial_knowledge(spec), tuple(changes)
+    )
+    return trace, joins, report
+
+
+def _expanded_row(joins, packets, t):
+    """The always-on policy's action row at slot t, from its join slots: a
+    process listens before it joins and sends packet t % M + 1 after."""
+    return tuple(
+        LISTEN if joined is None or t < joined else transmit(t % packets + 1) for joined in joins
+    )
+
+
+def _baseline_against_the_fold(spec, power, max_slots=None):
+    """Runs run_baseline and checks it against the stepped fold: the fold's
+    join slots and report, and, expanded slot by slot, the fold's every
+    action. Returns the fold's trace, join slots and report."""
+    trace, joins, report = _stepped_baseline(spec, power, max_slots)
+    assert run_baseline(spec, power, max_slots) == (joins, report)
+    expanded = tuple(_expanded_row(joins, spec.packets, t) for t in range(report.slots_run))
+    assert expanded == trace.actions
+    return trace, joins, report
 
 
 def _explicit(processes, packets, pairs, source=0):
@@ -285,11 +320,10 @@ def test_baseline_equals_the_stepped_fold(data):
     max_slots = data.draw(st.none() | st.integers(0, 30), label="max_slots")
     power = PowerModel(active_cost=data.draw(st.integers(0, 3), label="active_cost"))
     spec = _explicit(P, M, hears, source)
-    expected = _stepped_baseline(spec, power, max_slots)
-    assert run_baseline(spec, power, max_slots) == expected
+    trace, _, _ = _baseline_against_the_fold(spec, power, max_slots)
     # the premise of run_baseline's rounds: at a multiple of M every packet
     # has the same holders
-    know = expected[0].knowledge
+    know = trace.knowledge
     assert M == 0 or all(len(set(know[t])) == 1 for t in range(0, len(know), M))
 
 
@@ -297,8 +331,8 @@ def test_baseline_counts_a_jammed_listener_across_the_filled_tail():
     # 1 and 3 hear the source; 2 hears only 1 and 3, which both turn full
     # after slot 1 and then jam it in every slot up to the allowance
     spec = _explicit(4, 2, {(1, 0), (3, 0), (2, 1), (2, 3)})
-    trace, report = run_baseline(spec, PowerModel())
-    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    _, joins, report = _baseline_against_the_fold(spec, PowerModel())
+    assert joins == [0, 2, None, 2]
     assert report.slots_run == default_max_slots(spec) == 18
     assert report.concurrent_tx_slots == 16
     assert not report.completed and report.delivered == (0b1011, 0b1011)
@@ -307,8 +341,8 @@ def test_baseline_counts_a_jammed_listener_across_the_filled_tail():
 def test_baseline_runs_out_the_allowance_on_an_unreachable_process():
     # on a line only higher ids hear lower ones, so process 0 never learns
     spec = make_spec(processes=3, packets=2, horizon=0, source=1, goal=GoalKind.NONE)
-    trace, report = run_baseline(spec, PowerModel())
-    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    _, joins, report = _baseline_against_the_fold(spec, PowerModel())
+    assert joins == [None, 0, 2]
     assert report.slots_run == 14 and report.total_power == 42
     assert report.concurrent_tx_slots == 12 and report.completion_slot is None
 
@@ -316,17 +350,16 @@ def test_baseline_runs_out_the_allowance_on_an_unreachable_process():
 @pytest.mark.parametrize("max_slots", [0, 1, 5, 11])
 def test_baseline_stops_at_an_allowance_below_completion(max_slots):
     spec = make_spec(processes=5, packets=3, horizon=0, goal=GoalKind.NONE)
-    result = run_baseline(spec, PowerModel(), max_slots)
-    assert result == _stepped_baseline(spec, PowerModel(), max_slots)
-    assert result[1].slots_run == max_slots and not result[1].completed
+    _, _, report = _baseline_against_the_fold(spec, PowerModel(), max_slots)
+    assert report.slots_run == max_slots and not report.completed
 
 
 @pytest.mark.parametrize("processes, packets", [(1, 0), (1, 3), (4, 0)])
 def test_baseline_complete_at_slot_zero(processes, packets):
     spec = make_spec(processes=processes, packets=packets, horizon=0, topology="all",
                      goal=GoalKind.NONE)
-    trace, report = run_baseline(spec, PowerModel())
-    assert (trace, report) == _stepped_baseline(spec, PowerModel())
+    _, joins, report = _baseline_against_the_fold(spec, PowerModel())
+    assert joins == [0] * processes
     assert report.slots_run == 0 and report.completion_slot == 0
 
 
@@ -342,7 +375,7 @@ def test_baseline_on_the_largest_wide_grid(topology):
             for speaker in rng.sample([p for p in range(P) if p != listener], 4)
         }
         spec = _explicit(P, M, hears, source=rng.randrange(P))
-    assert run_baseline(spec, PowerModel()) == _stepped_baseline(spec, PowerModel())
+    _baseline_against_the_fold(spec, PowerModel())
 
 
 def test_baseline_fills_a_long_allowance_without_stepping_it(monkeypatch):
@@ -354,11 +387,12 @@ def test_baseline_fills_a_long_allowance_without_stepping_it(monkeypatch):
 
     monkeypatch.setattr(sim, "deliver", counting)
     spec = _explicit(2, 3, set())
-    trace, report = run_baseline(spec, PowerModel(), max_slots=10**6)
-    assert report.slots_run == trace.spec.horizon == 10**6
+    joins, report = run_baseline(spec, PowerModel(), max_slots=10**6)
+    assert report.slots_run == 10**6 and joins == [0, None]
     assert not report.completed and report.completion_slot is None
     assert report.total_power == 2 * 10**6 and report.concurrent_tx_slots == 0
-    assert trace.actions[-1] == (transmit(1), LISTEN)  # slot 10**6 - 1 sends packet 1 again
+    # slot 10**6 - 1 sends packet 1 again
+    assert _expanded_row(joins, spec.packets, 10**6 - 1) == (transmit(1), LISTEN)
     assert len(stepped) <= spec.packets
 
 
@@ -386,30 +420,24 @@ def test_baseline_stops_stepping_once_no_listener_hears_a_full_process(monkeypat
 
     monkeypatch.setattr(sim, "deliver", counting)
     spec = _explicit(2, 8192, set())  # nobody hears the source
-    trace, report = run_baseline(spec, PowerModel())
-    assert report.slots_run == trace.spec.horizon == default_max_slots(spec) == 32770
+    joins, report = run_baseline(spec, PowerModel())
+    assert report.slots_run == default_max_slots(spec) == 32770 and joins == [0, None]
     assert not report.completed and report.concurrent_tx_slots == 0
     assert report.delivered == (0b01,) * 8192
     assert len(stepped) <= 1
 
 
-def _joins_and_jams(trace):
+def _joins_and_jams(spec, joins):
     """The slots at which processes join the full set, and whether a listener
     outside it ever hears two of its members, in a baseline run."""
-    spec, know = trace.spec, trace.knowledge
     P = spec.processes
     audience = audiences(spec)
-    joins = {}
-    for t, row in enumerate(know):
-        for p in range(P):
-            if p not in joins and all(holders >> p & 1 for holders in row):
-                joins[p] = t
     jams = False
-    for t in set(joins.values()):
-        full = [p for p, joined in joins.items() if joined <= t]
+    for t in set(joins) - {None}:
+        full = [p for p, joined in enumerate(joins) if joined is not None and joined <= t]
         for listener in set(range(P)) - set(full):
             jams |= sum(audience[s] >> listener & 1 for s in full) >= 2
-    return set(joins.values()), jams
+    return set(joins) - {None}, jams
 
 
 def test_baseline_equals_the_stepped_fold_over_a_seeded_sweep():
@@ -427,9 +455,8 @@ def test_baseline_equals_the_stepped_fold_over_a_seeded_sweep():
         }
         spec = _explicit(P, M, hears, source=rng.randrange(P))
         max_slots = rng.choice([None, 0, 7, 40])
-        expected = _stepped_baseline(spec, PowerModel(), max_slots)
-        assert run_baseline(spec, PowerModel(), max_slots) == expected
-        joins, jams = _joins_and_jams(expected[0])
+        _, joins, _ = _baseline_against_the_fold(spec, PowerModel(), max_slots)
+        joins, jams = _joins_and_jams(spec, joins)
         assert all(t % M == 0 for t in joins) if M else joins <= {0}
         staggered += len(joins - {0}) >= 2
         jammed += jams

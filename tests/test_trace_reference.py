@@ -38,7 +38,7 @@ from protoforge.model import (
     spec_as_dict,
     spec_from_dict,
 )
-from protoforge.sim import run_baseline
+from protoforge.sim import PowerModel
 from protoforge.solver import solve
 from protoforge.trace import (
     ProtocolTrace,
@@ -54,6 +54,7 @@ from protoforge.trace import (
 from conftest import make_spec
 from oracle import satisfies
 from test_fuzz import mutated
+from test_sim import _stepped_baseline
 
 L = RequirementLabel
 
@@ -306,8 +307,21 @@ SOLVED_SPECS = [
     _explicit_spec(5, 3, 10, seed=5, goal=GoalKind.NONE),
 ]
 SOLVED = [solve(encode(spec)).trace for spec in SOLVED_SPECS]
-# baseline traces share one Action object per cell value and repeat rows
-BASELINES = [run_baseline(spec)[0] for spec in SOLVED_SPECS[:3]]
+
+
+def _baseline(spec):
+    """The always-on policy's trace from the stepped fold, sharing one
+    Action object per cell value and one tuple per repeated row."""
+    trace, _, _ = _stepped_baseline(spec, PowerModel())
+    cells, rows = {}, {}
+    actions = tuple(
+        rows.setdefault(row, row)
+        for row in (tuple(cells.setdefault(act, act) for act in row) for row in trace.actions)
+    )
+    return ProtocolTrace(trace.spec, actions, trace.initial, trace.changes)
+
+
+BASELINES = [_baseline(spec) for spec in SOLVED_SPECS[:3]]
 TRACES = [trace for trace in SOLVED + BASELINES if trace is not None]
 ENABLED = st.one_of(st.none(), st.sets(st.sampled_from(list(RequirementLabel))).map(frozenset))
 
