@@ -1,7 +1,8 @@
 """Per-slot process actions: sleep, listen, or transmit a content code.
 
 An Action's `label` and `packet` are set when it is built; parse_action
-accepts exactly the texts `label` writes.
+accepts exactly the texts `label` writes, reading a transmit code with
+model.read_int and keeping it only when `label` spells it the same way.
 """
 
 from __future__ import annotations
@@ -9,14 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .model import read_int
+
 # Content code for a contentless transmission. It occupies the channel like
 # any other transmission but carries no packet.
 GARBAGE = 0
-
-# The longest transmit code parse_action reads. A longer one is refused as a
-# bad code rather than as an unknown one, on every interpreter; the figure is
-# CPython's default limit on converting decimal text to int.
-_MAX_CODE_DIGITS = 4300
 
 
 class ActionKind(Enum):
@@ -73,18 +71,11 @@ def parse_action(text: str, packets: int) -> Action:
     if text == "listen":
         return LISTEN
     if text.startswith("tx:"):
-        # the codes label writes, ASCII decimal without a sign or a leading
-        # zero, and negative ones, which the range check refuses by value;
-        # int() alone would also read tx:01, tx:+1, tx:1_0 and tx: 2
-        digits = text[3:].removeprefix("-")
-        try:
-            if not (digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "tx:0")):
-                raise ValueError
-            if len(digits) > _MAX_CODE_DIGITS:
-                raise ValueError
-            code = int(text[3:])
-        except ValueError:
-            raise ActionFormatError(f"bad transmit code in {text!r}") from None
+        # only the spelling label writes: not tx:01 or tx:+1; a negative code
+        # is read, and the range check refuses it by value
+        code = read_int(text[3:])
+        if code is None or str(code) != text[3:]:
+            raise ActionFormatError(f"bad transmit code in {text!r}")
         if not 0 <= code <= packets:
             raise ActionFormatError(f"unknown content code {code} with {packets} packets")
         return transmit(code)

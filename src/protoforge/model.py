@@ -18,7 +18,8 @@ whitespace-insensitive::
 
 With ``topology = explicit`` each audible pair appears on its own
 ``hears <listener> <speaker>`` line. Every other key is mandatory exactly
-once; unknown keys are rejected; parse errors report line numbers.
+once; unknown keys are rejected; integers are read by read_int; parse
+errors report line numbers.
 """
 
 from __future__ import annotations
@@ -214,9 +215,17 @@ _ENUM_KEYS = {
 }
 _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
 _SPEC_FIELDS = frozenset((*_ALL_KEYS, "hears"))
-# The integers a spec file or a solver reply spells: ASCII decimal only,
-# where int() alone would also read 1_0 and any Unicode digit.
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
+# How spec files, trace labels and solver replies spell an integer: ASCII
+# decimal, an optional sign, leading zeros allowed, at most 4,300 digits, so
+# no interpreter's limit on int() decides what reads. int() alone would also
+# read 1_0, any Unicode digit and surrounding whitespace.
+_DECIMAL = re.compile(r"[+-]?[0-9]{1,4300}")
+
+
+def read_int(text: str) -> int | None:
+    """The integer text such as 7, +3 or 007 spells (see _DECIMAL), or None.
+    The one reader of integers from outside text."""
+    return int(text) if _DECIMAL.fullmatch(text) else None
 
 
 def _check_field(key: str, value: object) -> object:
@@ -288,12 +297,6 @@ def _assemble(
     )
 
 
-def _decode_int(token: str) -> int | str:
-    """The integer an ASCII decimal token such as 7, +3 or 007 spells, or the
-    token itself; int() alone would also read 1_0 and non-ASCII digits."""
-    return int(token) if _DECIMAL.fullmatch(token) else token
-
-
 def parse_spec(text: str) -> NetworkSpec:
     """Parses the file format above; raises SpecParseError/SpecValidationError."""
     fields: dict[str, object] = {}
@@ -305,7 +308,7 @@ def parse_spec(text: str) -> NetworkSpec:
         tokens = line.replace("=", " ").split()
         try:
             if tokens and tokens[0] == "hears":
-                ids = [_decode_int(token) for token in tokens[1:]]
+                ids = [read_int(token) for token in tokens[1:]]
                 hears.add(_check_pair(ids, hears, line))
                 continue
             if "=" not in line:
@@ -318,8 +321,9 @@ def parse_spec(text: str) -> NetworkSpec:
                 raise SpecError(f"duplicate key {key!r}")
             if not value:
                 raise SpecError(f"missing value for {key!r}")
-            if key in _INT_KEYS:
-                value = _decode_int(value)
+            if key in _INT_KEYS:  # a value that is no integer is named as written
+                number = read_int(value)
+                value = value if number is None else number
             fields[key] = _check_field(key, value)
         except SpecError as exc:
             raise SpecParseError(line_no, str(exc)) from None

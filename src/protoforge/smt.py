@@ -44,7 +44,7 @@ from itertools import chain
 from typing import TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import _DECIMAL, NetworkSpec, RequirementLabel, requirement_families, set_bits
+from .model import NetworkSpec, RequirementLabel, read_int, requirement_families, set_bits
 from .trace import ProtocolTrace, audiences
 
 
@@ -239,14 +239,16 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     return SmtDocument(header, declarations, tuple(blocks), tuple(footer))
 
 
+_LABELS = {label.value: label for label in RequirementLabel}
+
+
 def label_of_assertion_name(name: str) -> RequirementLabel:
     """Maps an assertion name like |R5_TransmitOnlyKnown@t=1,p=0,k=2| back
     to its requirement family."""
     tag = name.strip().strip("|").split("@", 1)[0].split(".", 1)[0]
-    for label in RequirementLabel:
-        if label.value == tag:
-            return label
-    raise SmtResponseError(f"unrecognized assertion name: {name}")
+    if tag not in _LABELS:
+        raise SmtResponseError(f"unrecognized assertion name: {name}")
+    return _LABELS[tag]
 
 
 # A token is a parenthesis, a "string" or |symbol| (running to the end of
@@ -283,25 +285,10 @@ def parse_sexprs(text: str) -> list:
 
 
 def _as_int(value) -> int | None:
-    sign = 1
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and value[0] == "-"
-        and isinstance(value[1], str)
-        and value[1].isdigit()
-    ):
-        sign, value = -1, value[1]
-    if isinstance(value, str) and _DECIMAL.fullmatch(value):
-        return sign * int(value)
-    return None
-
-
-def _indices(app: list[str]) -> tuple[int, ...]:
-    """The integer arguments of a function application such as (sleep 0 1)."""
-    if not all(map(_DECIMAL.fullmatch, app[1:])):
-        raise SmtResponseError(f"non-integer index in ({' '.join(app)})")
-    return tuple(map(int, app[1:]))
+    """The integer an atom such as 3 or a negation such as (- 1) spells."""
+    if isinstance(value, list) and len(value) == 2 and value[0] == "-" and isinstance(value[1], str):
+        value = "-" + value[1]  # so (- +1) and (- -1) read as no integer
+    return read_int(value) if isinstance(value, str) else None
 
 
 def _as_bool(value) -> bool | None:
@@ -312,8 +299,14 @@ def _as_bool(value) -> bool | None:
     return None
 
 
-def _is_error(expr) -> bool:
-    return isinstance(expr, list) and len(expr) >= 1 and expr[0] == "error"
+# The functions whose values a reply gives: each one's argument count and
+# the reader of its values, which gives None for a value of another sort.
+_READERS = {
+    "sleep": (2, _as_bool),
+    "listen": (2, _as_bool),
+    "transmit": (2, _as_int),
+    "knows": (3, _as_bool),
+}
 
 
 def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
@@ -324,11 +317,10 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
     derives from the decoded actions.
     """
     P, M, T = spec.processes, spec.packets, spec.horizon
-    bools: dict[tuple[str, int, int], bool] = {}
-    ints: dict[tuple[int, int], int] = {}
-    knows: dict[tuple[int, int, int], bool] = {}
+    # each value read, keyed by (function, *indices)
+    values: dict[tuple, bool | int] = {}
     for expr in parse_sexprs(text):
-        if not isinstance(expr, list) or _is_error(expr):
+        if not isinstance(expr, list):
             continue
         for pair in expr:
             if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], list)):
@@ -336,27 +328,20 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
             app, value = pair
             if not app or not all(isinstance(part, str) for part in app):
                 continue
-            fn, *args = app
-            if fn in ("sleep", "listen") and len(args) == 2:
-                flag = _as_bool(value)
-                if flag is not None:
-                    bools[(fn, *_indices(app))] = flag
-            elif fn == "transmit" and len(args) == 2:
-                code = _as_int(value)
-                if code is not None:
-                    ints[_indices(app)] = code
-            elif fn == "knows" and len(args) == 3:
-                flag = _as_bool(value)
-                if flag is not None:
-                    knows[_indices(app)] = flag
+            arity, read = _READERS.get(app[0], (None, None))
+            if len(app) - 1 == arity and (got := read(value)) is not None:
+                indices = tuple(map(read_int, app[1:]))
+                if None in indices:
+                    raise SmtResponseError(f"non-integer index in ({' '.join(app)})")
+                values[(app[0], *indices)] = got
     rows: list[tuple[Action, ...]] = []
     for t in range(T):
         row: list[Action] = []
         for p in range(P):
             try:
-                asleep = bools[("sleep", t, p)]
-                listening = bools[("listen", t, p)]
-                code = ints[(t, p)]
+                asleep = values[("sleep", t, p)]
+                listening = values[("listen", t, p)]
+                code = values[("transmit", t, p)]
             except KeyError as exc:
                 raise SmtResponseError(
                     f"missing value for cell t={t}, p={p}: {exc.args[0]}"
@@ -383,11 +368,11 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
     for t, row in enumerate(trace.knowledge):
         for p in range(P):
             for k, holders in enumerate(row, 1):
-                if (t, p, k) not in knows:
+                if ("knows", t, p, k) not in values:
                     raise SmtResponseError(
                         f"missing value for knows at t={t}, p={p}, k={k}"
                     )
-                if knows[(t, p, k)] != bool(holders >> p & 1):
+                if values[("knows", t, p, k)] != bool(holders >> p & 1):
                     raise SmtResponseError(
                         f"knowledge mismatch at t={t}, p={p}, k={k}"
                     )
@@ -401,25 +386,22 @@ class ExternalResult:
 
 
 def run_external(
-    command: str | list[str],
-    document: SmtDocument | str,
-    timeout: float | None = None,
+    command: str, document: SmtDocument, timeout: float | None = None
 ) -> ExternalResult:
     """Feeds the document to a solver process over stdin.
 
     The command gets no arguments beyond its own; solvers that need flags
     to read stdin (z3 -in, cvc5 with no file) should include them.
     """
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    argv = shlex.split(command)
     if not argv:
         raise ExternalSolverError("empty solver command")
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT_S:
         raise SolverTimeout(f"timeout must lie in (0, {MAX_TIMEOUT_S}] s, got {timeout}")
-    text = document.text if isinstance(document, SmtDocument) else document
     try:
         proc = subprocess.run(
             argv,
-            input=text,
+            input=document.text,
             capture_output=True,
             text=True,
             timeout=timeout,

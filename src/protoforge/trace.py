@@ -443,7 +443,7 @@ def read_trace(text: str) -> ProtocolTrace:
     re-derived from the actions; anything else is a TraceFormatError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
         raise TraceFormatError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise TraceFormatError("not valid JSON: nested too deeply") from None

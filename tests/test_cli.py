@@ -337,6 +337,15 @@ def test_malformed_spec_is_io_error(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_a_spec_integer_past_4300_digits_is_an_invalid_problem(capsys, tmp_path, digits):
+    path = tmp_path / "huge.net"
+    path.write_text(f"processes = {'9' * digits}\n")
+    code, out, err = run_cli(capsys, "synth", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: line 1: processes must be an integer, got '999")
+
+
 def test_deeply_nested_trace_is_io_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -132,6 +132,28 @@ def test_parse_bad_int_reports_line(tmp_path):
     assert (spec.processes, spec.packets) == (3, 7)
 
 
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_an_integer_past_4300_digits_is_a_parse_error_naming_its_line(digits):
+    # refused by the format on every interpreter, not by whichever limit the
+    # interpreter puts on int()
+    huge = "9" * digits
+    rest = "horizon = 2\nsource = 0\ntopology = explicit\nliveness = off\ngoal = none\n"
+    for text, line_no, message in [
+        (f"processes = {huge}\npackets = 1\n" + rest, 1,
+         f"processes must be an integer, got '{huge}'"),
+        (f"processes = 2\npackets = -{huge}\n" + rest, 2,
+         f"packets must be an integer, got '-{huge}'"),
+        ("processes = 2\npackets = 1\n" + rest + f"hears 0 {huge}\n", 8,
+         "hears ids must be integers: "),
+    ]:
+        with pytest.raises(SpecParseError, match=f"^line {line_no}: {re.escape(message)}") as err:
+            parse_spec(text)
+        assert err.value.line_no == line_no
+    # 4,300 digits are still read, and refused by value
+    with pytest.raises(SpecValidationError, match=r"out of range in hears pair \(0, 9{4300}\)$"):
+        parse_spec("processes = 2\npackets = 1\n" + rest + f"hears 0 {'9' * 4300}\n")
+
+
 def test_topology_all_pairs():
     assert len(topology_all(3).hears) == 6
     assert topology_all(1).hears == []

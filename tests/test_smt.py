@@ -574,9 +574,15 @@ def test_run_external_full_pipeline_with_scripted_solver(tmp_path):
         "(((sleep 0_0 0) false) ((listen 0 0) true) ((transmit 0 0) (- 1)))",
         "(((sleep 0 0) false) ((listen 0 0) true) ((transmit 0 0) (- ١)))",
         "(((sleep 0 0) false) ((listen 0 0) false) ((transmit 0 0) 0_0))",
+        # integers past 4,300 digits, which int() reads or refuses by interpreter
+        "(((sleep 0 0) false) ((listen 0 0) false) ((transmit 0 0) (- " + "9" * 4301 + ")))",
+        "(((sleep 0 0) false) ((listen 0 0) false) ((transmit 0 0) (- " + "9" * 5000 + ")))",
+        "(((sleep " + "9" * 4301 + " 0) false))",
+        "(((sleep 0 " + "9" * 5000 + ") false))",
     ],
     ids=["non-integer-index", "deep-nesting", "unicode-digit", "arabic-indic-index",
-         "underscore-index", "arabic-indic-value", "underscore-value"],
+         "underscore-index", "arabic-indic-value", "underscore-value",
+         "value-4301-digits", "value-5000-digits", "index-4301-digits", "index-5000-digits"],
 )
 def test_value_response_raises_only_response_errors(text):
     spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)

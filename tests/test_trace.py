@@ -298,6 +298,14 @@ def test_read_rejects_an_oversized_embedded_spec_before_deriving(monkeypatch):
         read_trace(json.dumps(doc))
 
 
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_read_rejects_an_embedded_integer_past_4300_digits(digits):
+    text = write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS))
+    assert '"packets": 1,' in text
+    with pytest.raises(TraceFormatError, match="^not valid JSON: "):
+        read_trace(text.replace('"packets": 1,', f'"packets": {"9" * digits},'))
+
+
 def test_read_rejects_short_row_with_a_lone_transmitter():
     doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
     doc["actions"][0] = ["tx:1"]
