@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .model import read_int
 
@@ -60,6 +61,7 @@ SLEEP = Action(ActionKind.SLEEP)
 LISTEN = Action(ActionKind.LISTEN)
 
 
+@lru_cache(maxsize=1024, typed=True)  # equal transmits share one Action across traces too
 def transmit(content: int) -> Action:
     return Action(ActionKind.TRANSMIT, content)
 

@@ -19,7 +19,9 @@ whitespace-insensitive::
 With ``topology = explicit`` each audible pair appears on its own
 ``hears <listener> <speaker>`` line. Every other key is mandatory exactly
 once; unknown keys are rejected; integers are read by read_int; parse
-errors report line numbers.
+errors report line numbers. A hears line takes one match of _HEARS ("="
+counts as whitespace) and one set insert; only a line these refuse, a
+duplicate among them, is split into tokens to word its error.
 """
 
 from __future__ import annotations
@@ -217,9 +219,12 @@ _ALL_KEYS = _INT_KEYS + tuple(_ENUM_KEYS)
 _SPEC_FIELDS = frozenset((*_ALL_KEYS, "hears"))
 # How spec files, trace labels and solver replies spell an integer: ASCII
 # decimal, an optional sign, leading zeros allowed, at most 4,300 digits, so
-# no interpreter's limit on int() decides what reads. int() alone would also
-# read 1_0, any Unicode digit and surrounding whitespace.
-_DECIMAL = re.compile(r"[+-]?[0-9]{1,4300}")
+# no interpreter's limit on int() decides what reads, nor str()'s what prints.
+# int() alone would also read 1_0, any Unicode digit and surrounding whitespace.
+_DIGITS = 4300
+_DECIMAL = re.compile(rf"[+-]?[0-9]{{1,{_DIGITS}}}")
+# A hears line as parse_spec's token walk accepts it, "=" read as whitespace.
+_HEARS = re.compile(rf"[\s=]*hears[\s=]+({_DECIMAL.pattern})[\s=]+({_DECIMAL.pattern})[\s=]*")
 
 
 def read_int(text: str) -> int | None:
@@ -266,8 +271,10 @@ def _assemble(
         oversized.append(f"processes must be <= {MAX_PROCESSES}, got {processes}")
     facts = (horizon + 1) * processes * max(fields["packets"], 1)
     if processes >= 1 and horizon >= 0 and facts > MAX_FACTS:
+        # each factor has at most _DIGITS digits, but their product may have more
+        shown = facts if facts < 10**_DIGITS else f"a number of more than {_DIGITS} digits"
         oversized.append(
-            f"(horizon + 1) * processes * max(packets, 1) must be <= {MAX_FACTS}, got {facts}"
+            f"(horizon + 1) * processes * max(packets, 1) must be <= {MAX_FACTS}, got {shown}"
         )
     if oversized:
         raise SpecValidationError(oversized)
@@ -305,12 +312,18 @@ def parse_spec(text: str) -> NetworkSpec:
         line = raw.partition("#")[0].strip()
         if not line:
             continue
-        tokens = line.replace("=", " ").split()
         try:
-            if tokens and tokens[0] == "hears":
-                ids = [read_int(token) for token in tokens[1:]]
-                hears.add(_check_pair(ids, hears, line))
-                continue
+            if "hears" in line:  # the token walk only words a refused line's error
+                if match := _HEARS.fullmatch(line):  # its ids as read_int spells them
+                    size = len(hears)
+                    hears.add((int(match[1]), int(match[2])))
+                    if len(hears) > size:  # not a duplicate
+                        continue
+                tokens = line.replace("=", " ").split()
+                if tokens[0] == "hears":
+                    ids = [read_int(token) for token in tokens[1:]]
+                    hears.add(_check_pair(ids, hears, line))
+                    continue
             if "=" not in line:
                 raise SpecError(f"expected key = value, got {line!r}")
             key, _, value = line.partition("=")

@@ -50,6 +50,7 @@ from .trace import (
     deliver,
     initial_knowledge,
     knowledge_table,
+    per_distinct,
     validate,
 )
 
@@ -110,7 +111,7 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     if bad:
         raise SimulationGuardError(bad)
     spec, T, grid = trace.spec, trace.spec.horizon, trace.knowledge
-    kinds = [list(map(attrgetter("kind"), row)) for row in trace.actions]
+    kinds = per_distinct(lambda row: list(map(attrgetter("kind"), row)), trace.actions)
     asleep = [column.count(ActionKind.SLEEP) for column in zip(*kinds)] or [0] * spec.processes
     per = tuple(power.active_cost * (T - n) + power.idle_cost * n for n in asleep)
     concurrent = sum(row.count(ActionKind.TRANSMIT) >= 2 for row in kinds)

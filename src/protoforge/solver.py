@@ -305,7 +305,10 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         return result(SolveStatus.BUDGET_EXHAUSTED)
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
-    actions = tuple(tuple(values[v] for v in grid[t * P:(t + 1) * P]) for t in range(T))
+    # equal rows share one tuple, as they do in a trace read from a file
+    slices = [tuple(grid[t * P:(t + 1) * P]) for t in range(T)]
+    rows = {key: tuple(map(values.__getitem__, key)) for key in dict.fromkeys(slices)}
+    actions = tuple(map(rows.__getitem__, slices))
     return result(SolveStatus.SAT, trace=ProtocolTrace(spec, actions, initial, tuple(changes)))
 
 

@@ -34,13 +34,16 @@ strings: "sleep" | "listen" | "tx:<code>"), and ``knowledge`` ((T+1) x P x
 M booleans, from knowledge_table). A knowledge field is optional on read;
 when present it is compared against the grid re-derived from the actions.
 
-The layer works per distinct value rather than per cell: read_trace parses
-each distinct label once, so equal cells share one Action object; the
-validator checks each distinct cell object once and decodes each action row
-once; and the knowledge rows are tabulated from the changes, each row's
-table sharing the lists of the one before that its slot leaves alone, by
-write_trace to render them (a run of equal rows once) and by read_trace to
-compare the file's rows against them. Action shape checks run as
+The layer works per distinct value rather than per cell or row: read_trace
+parses each distinct label and builds each distinct row once, so equal cells
+share one Action object and equal rows one tuple, as in the traces solve
+returns; derive_knowledge and write_trace (through per_distinct) and the
+validator decode or render each distinct row object once, though deliver
+runs per slot, and the validator checks each distinct cell object of those
+rows once; and the knowledge rows are tabulated from the changes, each
+row's table sharing the lists of the one before that its slot leaves alone,
+by write_trace to render them (a run of equal rows once) and by read_trace
+to compare the file's rows against them. Action shape checks run as
 whole-grid passes, and walk row by row only to name the first bad row;
 knowledge is checked once per change. Violation messages list at most
 MAX_LISTED packet numbers.
@@ -63,6 +66,7 @@ from collections import Counter
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, or_
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .actions import Action, ActionFormatError, ActionKind, parse_action
@@ -85,6 +89,7 @@ MAX_LISTED = 10
 
 # Looked up once: reading an Enum member off its class is slow per cell.
 _LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
+_LABELS = SimpleNamespace(**RequirementLabel.__members__)  # the members, as plain attributes
 _kind = attrgetter("kind")
 _EVERY_FAMILY = frozenset(RequirementLabel)  # what validate checks by default
 
@@ -157,13 +162,22 @@ def applied(row: KnowledgeRow, changes: tuple[Change, ...]) -> KnowledgeRow:
     return tuple(nxt)
 
 
+def per_distinct(function: Callable, items: Iterable) -> list:
+    """function(item) for each item, called once per distinct item object.
+    The memo holds each item beside its value, so no id it is keyed by is
+    reused while it lives, even when each read of `items` builds a new one."""
+    memo = {}
+    return [(memo.get(id(item)) or memo.setdefault(id(item), (item, function(item))))[1]
+            for item in items]
+
+
 def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> Changes:
     """Folds the learning rule over the whole schedule: each slot's changes."""
     audience = audiences(spec)
     row = list(initial_knowledge(spec))
     changes = []
-    for acts in actions:
-        if change := deliver(row, *_decode(acts, map(_kind, acts)), audience):
+    for listening, sends in per_distinct(lambda acts: _decode(acts, map(_kind, acts)), actions):
+        if change := deliver(row, listening, sends, audience):
             row[change[0] - 1] = change[1]
         changes.append((change,) if change else ())
     return tuple(changes)
@@ -214,7 +228,7 @@ class ProtocolTrace:
 
     @classmethod
     def from_actions(cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> "ProtocolTrace":
-        frozen = tuple(tuple(row) for row in actions)
+        frozen = tuple(map(tuple, actions))
         _check_row_widths(spec, frozen)  # before the learning rule indexes them
         return cls(spec, frozen, initial_knowledge(spec), derive_knowledge(spec, frozen))
 
@@ -284,36 +298,43 @@ def _violations(
     packets = spec.packets
     acts = trace.actions
     grid = trace.knowledge
-    L = RequirementLabel
+    L = _LABELS
     enabled &= requirement_families(spec)
-    # Each distinct cell object is checked once. A malformed cell is reported
-    # under R1 and acts as no action in every other family.
-    distinct = dict(zip(map(id, chain.from_iterable(acts)), chain.from_iterable(acts)))
-    kind_of = {key: act.kind if _well_formed(act) else None for key, act in distinct.items()}
-    # Each row is decoded once: its cells' kinds, listening mask and sends.
-    kinds = [list(map(kind_of.__getitem__, map(id, row))) for row in acts]
-    listening, sends = zip(*map(_decode, acts, kinds)) if acts else ((), ())
+    # Each distinct row object is decoded once, into itself (held, so its id
+    # stays its own), its cells' kinds, listening mask and sends, and each
+    # distinct cell object of those rows is checked once. A malformed cell
+    # is reported under R1 and acts as no action in every other family.
+    decoded = dict(zip(map(id, acts), acts))
+    cells = list(chain.from_iterable(decoded.values()))
+    cells = dict(zip(map(id, cells), cells))
+    kind_of = {key: act.kind if _well_formed(act) else None for key, act in cells.items()}
+    for key, row in decoded.items():
+        kinds = list(map(kind_of.__getitem__, map(id, row)))
+        listening, sends = _decode(row, kinds)
+        decoded[key] = row, kinds, listening, sends
+    slots = list(map(decoded.__getitem__, map(id, acts)))
 
     if L.R1_EXACTLY_ONE_ACTION in enabled and None in kind_of.values():
-        for t, row in enumerate(acts):
-            for p, act in enumerate(row):
-                if kind_of[id(act)] is None:
+        for t, (row, kinds, _, _) in enumerate(slots):
+            for p, (act, kind) in enumerate(zip(row, kinds)):
+                if kind is None:
                     yield Violation(
                         L.R1_EXACTLY_ONE_ACTION, t, p,
                         f"cell does not hold exactly one well-formed action: {act!r}",
                     )
 
     if L.R2_CONTENT_DOMAIN in enabled:
-        for t, row in enumerate(acts):
-            for p, _ in sends[t]:
+        for t, (row, _, _, sends) in enumerate(slots):
+            for p, _ in sends:
                 if row[p].content > packets:
                     yield Violation(
                         L.R2_CONTENT_DOMAIN, t, p,
                         f"content code {row[p].content} outside 0..{packets}",
                     )
 
-    if L.R3_LIVENESS in enabled:
-        columns = zip(*kinds) if kinds else repeat((), spec.processes)
+    if L.R3_LIVENESS in enabled:  # a repeated row adds no kind to a column
+        distinct = [kinds for _, kinds, _, _ in decoded.values()]
+        columns = zip(*distinct) if distinct else repeat((), spec.processes)
         for p, column in enumerate(columns):
             done = set(column)
             for kind in ActionKind:
@@ -332,8 +353,8 @@ def _violations(
             )
 
     if L.R5_TRANSMIT_ONLY_KNOWN in enabled:
-        for t, slot in enumerate(sends):
-            for p, k in slot:
+        for t, (_, _, _, sends) in enumerate(slots):
+            for p, k in sends:
                 if k is not None and k <= packets and not grid[t][k - 1] >> p & 1:
                     yield Violation(
                         L.R5_TRANSMIT_ONLY_KNOWN, t, p,
@@ -343,8 +364,10 @@ def _violations(
     # The learning rule on the decoded rows, once per slot for R6 and R7.
     # Audibility folds into it; dropping TOPO lifts it.
     audience = audiences(spec, enabled)
-    legal = [deliver(grid[t], listening[t], sends[t], audience) for t in range(spec.horizon)]
-    legal = [(change,) if change else () for change in legal]
+    legal = [
+        (change,) if (change := deliver(grid[t], listening, sends, audience)) else ()
+        for t, (_, _, listening, sends) in enumerate(slots)
+    ]
     # only a slot whose changes are not the legal ones forgets or gains illegally
     odd = [t for t, slot in enumerate(trace.changes) if slot != legal[t]]
 
@@ -390,7 +413,7 @@ def _well_formed(act: object) -> bool:
     transmits."""
     if not isinstance(act, Action) or not isinstance(act.kind, ActionKind):
         return False
-    if act.kind is ActionKind.TRANSMIT:
+    if act.kind is _SENDS:
         return isinstance(act.content, int) and act.content >= 0
     return act.content is None
 
@@ -427,14 +450,12 @@ def write_trace(trace: ProtocolTrace) -> str:
         return f"[\n{body}\n  ]" if body else "[]"
 
     label = attrgetter("label")
-    actions = [json.dumps(list(map(label, row))) for row in trace.actions]
-    tables = _knowledge_tables(trace)
-    distinct = {id(table): table for table in tables}
-    rendered = {key: json.dumps(table) for key, table in distinct.items()}
+    actions = per_distinct(lambda row: json.dumps(list(map(label, row))), trace.actions)
+    knowledge = per_distinct(json.dumps, _knowledge_tables(trace))
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
         f'  "actions": {rows(actions)},\n'
-        f'  "knowledge": {rows(map(rendered.__getitem__, map(id, tables)))}\n}}\n'
+        f'  "knowledge": {rows(knowledge)}\n}}\n'
     )
 
 
@@ -483,10 +504,11 @@ def read_trace(text: str) -> ProtocolTrace:
     return trace
 
 
-def _parse_actions(rows: list[list], packets: int) -> list[Sequence[Action]]:
-    """Parses each distinct label once, so that equal labels share one
-    Action; the rows come out as the tuples a trace holds. When a cell is
-    not a legal label, the cell by cell walk names the first such cell."""
+def _parse_actions(rows: list[list], packets: int) -> list[tuple[Action, ...]]:
+    """Parses each distinct label once and builds each distinct row of labels
+    once, so that equal labels share one Action and equal rows one tuple, the
+    form a trace holds. When a cell is not a legal label, the cell by cell
+    walk names the first such cell."""
     cells = list(chain.from_iterable(rows))
     if all(map(isinstance, cells, repeat(str))):
         try:
@@ -494,19 +516,17 @@ def _parse_actions(rows: list[list], packets: int) -> list[Sequence[Action]]:
         except ActionFormatError:
             pass
         else:
-            return [tuple(map(parsed.__getitem__, row)) for row in rows]
-    actions = []
+            shared = {}
+            return [shared.get(key) or shared.setdefault(key, tuple(map(parsed.__getitem__, key)))
+                    for key in map(tuple, rows)]
     for t, row in enumerate(rows):
-        parsed_row = []
         for p, label in enumerate(row):
             if not isinstance(label, str):
                 raise TraceFormatError(f"actions[{t}][{p}] must be a string")
             try:
-                parsed_row.append(parse_action(label, packets))
+                parse_action(label, packets)
             except ActionFormatError as exc:
                 raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
-        actions.append(parsed_row)
-    return actions
 
 
 def _cells(grid: object, shape: tuple[int, int, int]) -> list | None:

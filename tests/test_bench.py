@@ -57,3 +57,6 @@ def test_traced_wide_run_reads_the_library_calls_it_times():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["metrics"]["sim.baseline_slots"]["value"] == 5819
+    # the written traces, most of whose action rows repeat an earlier row,
+    # are byte for byte what each row rendered on its own gave
+    assert result["metrics"]["trace.bytes"]["value"] == 483_097

@@ -346,6 +346,18 @@ def test_a_spec_integer_past_4300_digits_is_an_invalid_problem(capsys, tmp_path,
     assert err.startswith("error: line 1: processes must be an integer, got '999")
 
 
+def test_a_size_product_past_4300_digits_is_an_invalid_problem(capsys, tmp_path):
+    # packets has 4,300 digits and reads; 3 * 3 * packets has 4,301, which
+    # the message names without printing
+    path = tmp_path / "huge.net"
+    path.write_text(f"processes = 3\npackets = {'9' * 4300}\nhorizon = 2\nsource = 0\n"
+                    "topology = all\nliveness = off\ngoal = none\n")
+    code, out, err = run_cli(capsys, "synth", str(path))
+    assert (code, out) == (4, "")
+    assert err == ("error: (horizon + 1) * processes * max(packets, 1) must be <= 16777216, "
+                   "got a number of more than 4300 digits\n")
+
+
 def test_deeply_nested_trace_is_io_error(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

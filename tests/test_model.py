@@ -154,6 +154,57 @@ def test_an_integer_past_4300_digits_is_a_parse_error_naming_its_line(digits):
         parse_spec("processes = 2\npackets = 1\n" + rest + f"hears 0 {'9' * 4300}\n")
 
 
+EXPLICIT3_TEXT = (
+    "processes = 3\npackets = 1\nhorizon = 2\nsource = 0\n"
+    "topology = explicit\nliveness = off\ngoal = none\n"
+)
+
+
+@pytest.mark.parametrize(
+    "lines, outcome",
+    [
+        ("hears=1 2", [(1, 2)]),
+        ("= hears 1 2", [(1, 2)]),
+        ("hears\t1\t2", [(1, 2)]),
+        ("hears\u20031\u20032", [(1, 2)]),  # an em space is whitespace too
+        ("hears +1 02", [(1, 2)]),
+        ("hears 2 1\nhears 1 2", [(1, 2), (2, 1)]),
+        ("hears 1 2\nhears 01 +2", (9, "duplicate hears pair (1, 2)")),
+        ("hears 1", (8, "hears takes exactly two process ids")),
+        ("hears 1 2 0", (8, "hears takes exactly two process ids")),
+    ],
+    ids=["equals", "leading equals", "tab", "em space", "sign and zero", "two pairs",
+         "duplicate spelled differently", "one id", "three ids"],
+)
+def test_a_hears_line_reads_as_its_tokens_do(lines, outcome):
+    # "=" counts as whitespace, and ids are spelled as read_int reads them
+    text = EXPLICIT3_TEXT + lines + "\n"
+    if isinstance(outcome, list):
+        assert parse_spec(text).topology.hears == outcome
+    else:
+        line_no, message = outcome
+        with pytest.raises(SpecParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
+            parse_spec(text)
+        assert err.value.line_no == line_no
+
+
+def test_a_size_product_past_4300_digits_is_named_without_printing_it():
+    # each factor has at most 4,300 digits, but their product may have more,
+    # and str() refuses to print it
+    fields = {"processes": 3, "packets": int("9" * 4300), "horizon": 2, "source": 0,
+              "topology": "all", "liveness": "off", "goal": "none"}
+    message = ("(horizon + 1) * processes * max(packets, 1) must be <= 16777216, "
+               "got a number of more than 4300 digits")
+    text = "".join(f"{key} = {value}\n" for key, value in fields.items())
+    for read, source in [(parse_spec, text), (spec_from_dict, fields)]:
+        with pytest.raises(SpecValidationError) as err:
+            read(source)
+        assert err.value.errors == (message,)
+    # a product that can be printed still is
+    with pytest.raises(SpecValidationError, match=r"got 89{4298}1$"):
+        parse_spec(text.replace("9" * 4300, "9" * 4299))
+
+
 def test_topology_all_pairs():
     assert len(topology_all(3).hears) == 6
     assert topology_all(1).hears == []

@@ -54,6 +54,22 @@ def test_hand_schedule_costs_exactly_five():
     assert report.concurrent_tx_slots == 0
 
 
+def test_a_repeated_row_is_charged_at_each_of_its_slots():
+    # one row object where everyone but p2 listens, at slots 0 and 2, and
+    # one with two transmitters, at slots 1 and 3: each slot counts
+    spec = make_spec(processes=3, packets=1, horizon=5, topology="all")
+    busy, clash = (LISTEN, LISTEN, SLEEP), (transmit(1), SLEEP, transmit(0))
+    actions = (busy, clash, busy, clash, (transmit(1), LISTEN, LISTEN))
+    shared = simulate_trace(ProtocolTrace.from_actions(spec, actions), PowerModel())
+    fresh = simulate_trace(
+        ProtocolTrace.from_actions(spec, [list(row) for row in actions]), PowerModel()
+    )
+    assert shared == fresh
+    assert shared.per_process_power == (5, 3, 3)
+    assert shared.concurrent_tx_slots == 2
+    assert shared.completed and shared.completion_slot == 5
+
+
 def test_all_sleep_costs_nothing_and_never_completes():
     spec = make_spec(processes=2, packets=1, horizon=2, topology="all")
     trace = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP), (SLEEP, SLEEP)))

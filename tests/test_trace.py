@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from protoforge.actions import LISTEN, SLEEP, Action, transmit
 from protoforge.encoder import encode
 from protoforge.model import RequirementLabel
+from protoforge.solver import solve
 from protoforge.trace import (
     ProtocolTrace,
     TraceFormatError,
@@ -306,6 +307,14 @@ def test_read_rejects_an_embedded_integer_past_4300_digits(digits):
         read_trace(text.replace('"packets": 1,', f'"packets": {"9" * digits},'))
 
 
+def test_read_names_an_embedded_size_product_past_4300_digits():
+    # 4,300 digits read, but 3 * 3 * packets has more than str() prints
+    doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
+    doc["spec"]["packets"] = int("9" * 4300)
+    with pytest.raises(TraceFormatError, match="^embedded spec: .* got a number of more than 4300 digits$"):
+        read_trace(json.dumps(doc))
+
+
 def test_read_rejects_short_row_with_a_lone_transmitter():
     doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
     doc["actions"][0] = ["tx:1"]
@@ -450,3 +459,75 @@ def test_written_knowledge_is_each_row_tabulated(data):
     trace = ProtocolTrace(spec, ((SLEEP,) * processes,) * 3, initial, changes)
     written = json.loads(write_trace(trace))["knowledge"]
     assert written == [knowledge_table(row, processes) for row in trace.knowledge]
+
+
+def _rows_share_objects(actions):
+    """Whether equal action rows are one tuple object."""
+    return len(set(map(id, actions))) == len(set(actions))
+
+
+def test_equal_action_rows_are_one_object_after_read_and_solve():
+    # the first model sleeps through the slots it can spare, so its first
+    # three rows are equal
+    spec = make_spec(processes=3, packets=1, horizon=5)
+    trace = solve(encode(spec)).trace
+    assert trace.actions[0] == trace.actions[2] == (SLEEP,) * 3
+    assert _rows_share_objects(trace.actions)
+    back = read_trace(write_trace(trace))
+    assert back == trace and _rows_share_objects(back.actions)
+    assert len(set(map(id, back.actions))) == 3  # the sleep row and the two that send
+
+
+@pytest.mark.parametrize(
+    "bad_row, label, process",
+    [
+        ((SLEEP, "listen", SLEEP), L.R1_EXACTLY_ONE_ACTION, 1),
+        ((LISTEN, _forged("listen"), SLEEP), L.R1_EXACTLY_ONE_ACTION, 1),
+        ((transmit(5), LISTEN, SLEEP), L.R2_CONTENT_DOMAIN, 0),
+        ((SLEEP, transmit(1), LISTEN), L.R5_TRANSMIT_ONLY_KNOWN, 1),
+    ],
+    ids=["string cell", "forged cell", "out-of-range code", "R5 send"],
+)
+def test_a_repeated_row_gives_each_of_its_slots_a_violation(bad_row, label, process):
+    # one row object at slots 0, 2 and 3: each slot is reported, and the
+    # list equals the one for a trace holding a fresh copy of each row
+    spec = make_spec(processes=3, packets=1, horizon=4)
+    actions = (bad_row, LINE3_ACTIONS[0], bad_row, bad_row)
+    nothing_learned = ((),) * spec.horizon
+    shared = ProtocolTrace(spec, actions, initial_knowledge(spec), nothing_learned)
+    fresh = ProtocolTrace(spec, tuple(tuple(list(row)) for row in actions),
+                          initial_knowledge(spec), nothing_learned)
+    assert shared.actions[0] is shared.actions[2] and fresh.actions[0] is not fresh.actions[2]
+    found = validate(shared)
+    assert found == validate(fresh)
+    reported = [(v.time, v.process) for v in found if v.label is label]
+    assert reported == [(0, process), (2, process), (3, process)]
+
+
+class _FreshRows:
+    """A schedule whose every read of a row builds a new tuple, which is
+    freed once read, so its id may come back for the next row."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, t):
+        return tuple(list(self.rows[t]))
+
+
+def test_derive_knowledge_over_rows_built_on_every_read():
+    spec = make_spec(processes=4, packets=2, horizon=6, topology="all")
+    rows = (
+        (transmit(1), LISTEN, SLEEP, SLEEP),
+        (transmit(2), SLEEP, LISTEN, SLEEP),
+        (SLEEP, transmit(1), SLEEP, LISTEN),
+        (SLEEP, LISTEN, transmit(2), SLEEP),
+        (SLEEP, SLEEP, LISTEN, transmit(1)),
+        (SLEEP, transmit(2), SLEEP, LISTEN),
+    )
+    expected = derive_knowledge(spec, rows)
+    assert all(expected)  # every slot teaches one process one packet
+    assert derive_knowledge(spec, _FreshRows(rows)) == expected
