@@ -2,8 +2,11 @@
 per (slot, process) cell.
 
 Each cell's domain is actions.action_domain (M+3 values), so
-exactly-one-action and the content bounds hold by construction; those two
-families are structural and can never be disabled. A constraint system is
+exactly-one-action and the content bounds hold by construction, and the
+search derives knowledge from the initial row and never lowers it, so
+initial knowledge and never-forgets do too: these four families are
+structural (model.STRUCTURAL_LABELS), and dropping one changes no
+search. A constraint system is
 the problem plus the set of enabled families, at first the ones
 model.requirement_families says the problem states, and the search reads
 only that set. describe() counts each family's ground atoms in closed

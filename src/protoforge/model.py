@@ -75,10 +75,15 @@ class RequirementLabel(Enum):
 
 TAXONOMY: tuple[RequirementLabel, ...] = tuple(RequirementLabel)
 
-# Hold by construction of the cell domain; they can never be disabled.
-STRUCTURAL_LABELS = frozenset(
-    {RequirementLabel.R1_EXACTLY_ONE_ACTION, RequirementLabel.R2_CONTENT_DOMAIN}
-)
+# The families the search holds by construction, whatever is enabled, so
+# dropping one never changes its answer: R1 and R2 through the cell domain
+# (one action per cell, contents in range), R4 and R6 because it derives
+# knowledge from the source's initial row, and that knowledge never shrinks.
+# The validator still checks all nine; no unsat core names these four.
+STRUCTURAL_LABELS = frozenset({
+    RequirementLabel.R1_EXACTLY_ONE_ACTION, RequirementLabel.R2_CONTENT_DOMAIN,
+    RequirementLabel.R4_INITIAL_KNOWLEDGE, RequirementLabel.R6_NEVER_FORGETS,
+})
 
 
 def set_bits(mask: int) -> list[int]:
@@ -320,10 +325,8 @@ def parse_spec(text: str) -> NetworkSpec:
                     if len(hears) > size:  # not a duplicate
                         continue
                 tokens = line.replace("=", " ").split()
-                if tokens[0] == "hears":
-                    ids = [read_int(token) for token in tokens[1:]]
-                    hears.add(_check_pair(ids, hears, line))
-                    continue
+                if tokens[0] == "hears":  # raises, as _check_pair accepts no line _HEARS refused
+                    _check_pair([read_int(token) for token in tokens[1:]], hears, line)
             if "=" not in line:
                 raise SpecError(f"expected key = value, got {line!r}")
             key, _, value = line.partition("=")

@@ -303,6 +303,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         sat = True if cells == 0 else search(0)
     except _Budget:
         return result(SolveStatus.BUDGET_EXHAUSTED)
+    except RecursionError:  # one line, whatever operation overflowed
+        raise RecursionError(f"the search of {cells} cells nests deeper than the "
+                             "interpreter's recursion limit") from None
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     # equal rows share one tuple, as they do in a trace read from a file
@@ -336,9 +339,10 @@ def unsat_core_minimize(
     """Deletion-based 1-minimal unsat core at requirement-family granularity;
     None when the system is satisfiable.
 
-    Tries dropping each non-structural enabled label in taxonomy order and
-    keeps it out whenever the rest stays unsatisfiable. Structural families
-    are always implicitly active and never appear in the result.
+    Tries dropping each non-structural enabled label (R3, R5, R7, GOAL,
+    TOPO) in taxonomy order and keeps it out whenever the rest stays
+    unsatisfiable. The search holds the structural families whatever is
+    enabled (see model.STRUCTURAL_LABELS), so they never appear in the result.
     """
     base = solve(cs, config)
     if base.status is SolveStatus.SAT:

@@ -300,19 +300,22 @@ def _violations(
     grid = trace.knowledge
     L = _LABELS
     enabled &= requirement_families(spec)
-    # Each distinct row object is decoded once, into itself (held, so its id
-    # stays its own), its cells' kinds, listening mask and sends, and each
-    # distinct cell object of those rows is checked once. A malformed cell
+    # Each distinct row object is decoded once (per_distinct), into itself,
+    # its cells' kinds, listening mask and sends, and each distinct cell
+    # object, which its row keeps alive, is checked once. A malformed cell
     # is reported under R1 and acts as no action in every other family.
-    decoded = dict(zip(map(id, acts), acts))
-    cells = list(chain.from_iterable(decoded.values()))
-    cells = dict(zip(map(id, cells), cells))
-    kind_of = {key: act.kind if _well_formed(act) else None for key, act in cells.items()}
-    for key, row in decoded.items():
+    kind_of = {}
+    distinct = []  # each distinct row's kinds
+
+    def decode(row: Sequence[Action]) -> tuple:
+        for act in row:
+            if id(act) not in kind_of:
+                kind_of[id(act)] = act.kind if _well_formed(act) else None
         kinds = list(map(kind_of.__getitem__, map(id, row)))
-        listening, sends = _decode(row, kinds)
-        decoded[key] = row, kinds, listening, sends
-    slots = list(map(decoded.__getitem__, map(id, acts)))
+        distinct.append(kinds)
+        return row, kinds, *_decode(row, kinds)
+
+    slots = per_distinct(decode, acts)
 
     if L.R1_EXACTLY_ONE_ACTION in enabled and None in kind_of.values():
         for t, (row, kinds, _, _) in enumerate(slots):
@@ -333,7 +336,6 @@ def _violations(
                     )
 
     if L.R3_LIVENESS in enabled:  # a repeated row adds no kind to a column
-        distinct = [kinds for _, kinds, _, _ in decoded.values()]
         columns = zip(*distinct) if distinct else repeat((), spec.processes)
         for p, column in enumerate(columns):
             done = set(column)

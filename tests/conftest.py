@@ -1,7 +1,9 @@
 from __future__ import annotations
 
-from typing import Iterable
+import itertools
+from typing import Iterable, Iterator
 
+from protoforge.actions import action_domain
 from protoforge.model import (
     GoalKind,
     LivenessMode,
@@ -37,3 +39,20 @@ def make_spec(
         liveness=liveness,
         goal=goal,
     )
+
+
+# The most grids the enumeration oracle is asked to walk for one problem.
+ENUM_CEILING = 10**5
+
+
+def oracle_sized_specs() -> Iterator[NetworkSpec]:
+    """The problems acceptance criterion 4 checks against the oracle: P 1-3,
+    M 0-2 and T 0-3 on `all` and `line`, source 0, each liveness and goal,
+    those with at most ENUM_CEILING grids."""
+    for P, M, T in itertools.product((1, 2, 3), (0, 1, 2), (0, 1, 2, 3)):
+        if len(action_domain(M)) ** (T * P) > ENUM_CEILING:
+            continue
+        for topo in (topology_all(P), topology_line(P)):
+            for live in LivenessMode:
+                for goal in GoalKind:
+                    yield NetworkSpec(P, M, T, 0, topo, live, goal)

@@ -31,10 +31,8 @@ from protoforge.sim import PowerModel, run_baseline, simulate_trace
 from protoforge.smt import emit_smtlib, parse_value_response, run_external
 from protoforge.solver import SolveStatus, min_horizon, solve
 from protoforge.trace import ProtocolTrace, read_trace, validate, write_trace
-from conftest import make_spec
+from conftest import ENUM_CEILING, make_spec, oracle_sized_specs
 from oracle import enumerate_all
-
-ENUM_CEILING = 10**5
 
 
 def _verdict(line: str) -> None:
@@ -121,21 +119,15 @@ def test_criterion_3_solver_soundness_on_1000_random_specs():
 
 def test_criterion_4_completeness_against_enumeration_oracle():
     count = agreements = 0
-    for P, M, T in itertools.product((1, 2, 3), (0, 1, 2), (0, 1, 2, 3)):
-        for topo in (topology_all(P), topology_line(P)):
-            for live in LivenessMode:
-                for goal in GoalKind:
-                    spec = NetworkSpec(P, M, T, 0, topo, live, goal)
-                    cs = encode(spec)
-                    if len(action_domain(M)) ** (T * P) > ENUM_CEILING:
-                        continue
-                    count += 1
-                    result = solve(cs)
-                    oracle = enumerate_all(cs)
-                    assert (result.status is SolveStatus.SAT) == bool(oracle), spec
-                    if oracle:
-                        assert result.trace == oracle[0], spec
-                        agreements += 1
+    for spec in oracle_sized_specs():
+        count += 1
+        cs = encode(spec)
+        result = solve(cs)
+        oracle = enumerate_all(cs)
+        assert (result.status is SolveStatus.SAT) == bool(oracle), spec
+        if oracle:
+            assert result.trace == oracle[0], spec
+            agreements += 1
     assert count >= 200
     _verdict(
         f"criterion 4: PASS - {count} instances match the oracle's emptiness, "

@@ -777,6 +777,20 @@ def test_unexpected_exception_is_internal_error(capsys, line3, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "unsat-core", "compare"])
+def test_a_search_past_the_recursion_limit_ends_in_one_line(capsys, tmp_path, command):
+    # which operation overflows the stack does not reach the message
+    spec = tmp_path / "deep.net"
+    spec.write_text(
+        "processes = 64\npackets = 2\nhorizon = 40\nsource = 0\n"
+        "topology = all\nliveness = off\ngoal = none\n", encoding="utf-8",
+    )
+    assert run_cli(capsys, command, str(spec)) == (6, "", (
+        "internal error: RecursionError: the search of 2560 cells nests deeper than "
+        "the interpreter's recursion limit\n"
+    ))
+
+
 @pytest.mark.parametrize("out, calls", [(False, 0), (True, 1)])
 def test_synth_writes_the_trace_only_for_out(capsys, line3, tmp_path, monkeypatch, out, calls):
     import protoforge.cli

@@ -11,6 +11,7 @@ from protoforge.model import (
     GoalKind,
     LivenessMode,
     RequirementLabel,
+    STRUCTURAL_LABELS,
     TAXONOMY,
 )
 from protoforge.trace import ProtocolTrace, validate
@@ -131,11 +132,10 @@ def test_structural_labels_hold_for_random_assignments():
     cs = encode(spec)
     domain = action_domain(spec.packets)
     rng = random.Random(3)
-    structural = frozenset({L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN})
     for _ in range(200):
         actions = tuple(
             tuple(rng.choice(domain) for _ in range(spec.processes))
             for _ in range(spec.horizon)
         )
         trace = ProtocolTrace.from_actions(spec, actions)
-        assert validate(trace, structural) == []
+        assert validate(trace, STRUCTURAL_LABELS) == []

@@ -15,11 +15,13 @@ from protoforge.model import (
     LivenessMode,
     NetworkSpec,
     RequirementLabel,
+    SpecError,
     SpecParseError,
     SpecValidationError,
     TAXONOMY,
     Topology,
     parse_spec,
+    read_int,
     requirement_families,
     render_spec,
     spec_as_dict,
@@ -178,11 +180,75 @@ EXPLICIT3_TEXT = (
 )
 def test_a_hears_line_reads_as_its_tokens_do(lines, outcome):
     # "=" counts as whitespace, and ids are spelled as read_int reads them
+    assert _by_tokens(lines) == outcome
     text = EXPLICIT3_TEXT + lines + "\n"
     if isinstance(outcome, list):
         assert parse_spec(text).topology.hears == outcome
     else:
         line_no, message = outcome
+        with pytest.raises(SpecParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
+            parse_spec(text)
+        assert err.value.line_no == line_no
+
+
+def _by_tokens(lines: str) -> list[tuple[int, int]] | tuple[int, str]:
+    """What the token rule makes of hears lines put after EXPLICIT3_TEXT's
+    seven: "=" reads as whitespace, a line whose first token is "hears"
+    names two ids as read_int reads them, and any other line is read as
+    key = value. The sorted pairs, or the refused line's number and message."""
+    pairs = set()
+    for line_no, raw in enumerate(lines.splitlines(), start=8):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = line.replace("=", " ").split()
+        if tokens[:1] != ["hears"]:
+            if "=" not in line:
+                return line_no, f"expected key = value, got {line!r}"
+            return line_no, f"unknown key {line.partition('=')[0].strip()!r}"
+        ids = [read_int(token) for token in tokens[1:]]
+        if len(ids) != 2:
+            return line_no, "hears takes exactly two process ids"
+        if None in ids:
+            return line_no, f"hears ids must be integers: {line!r}"
+        if tuple(ids) in pairs:
+            return line_no, f"duplicate hears pair {tuple(ids)}"
+        pairs.add(tuple(ids))
+    return sorted(pairs)
+
+
+def _outcome(text: str) -> object:
+    try:
+        return parse_spec(text)
+    except SpecError as err:
+        return type(err), str(err)
+
+
+# U+0085 and U+001C end a line as splitlines reads it and are whitespace
+# to strip, split and the regular expression; U+0662 is a digit to int()
+# but not to read_int. Most lines are "hears" and two ids, spaced out.
+_SPACE = st.sampled_from([" ", " ", "=", "\t", "\u2003", "\u0085", "\u001c"])
+_GAP, _SEP = (st.lists(_SPACE, min_size=size, max_size=2).map("".join) for size in (0, 1))
+_ID = st.one_of(
+    st.sampled_from(["0", "1", "2", "01", "+2", "-1"]),
+    st.lists(st.sampled_from(["+", "-", "0", "1", "2", "_", "\u0662"]), min_size=1, max_size=3)
+    .map("".join),
+)
+_PAIR_LINE = st.tuples(_GAP, _SEP, _ID, _SEP, _ID, _GAP).map(
+    lambda parts: parts[0] + "hears" + "".join(parts[1:]))
+_ANY_LINE = st.lists(st.one_of(st.just("hears"), _ID, _SEP), max_size=6).map("".join)
+_HEARS_LINES = st.lists(st.one_of(_PAIR_LINE, _PAIR_LINE, _ANY_LINE), min_size=1, max_size=4)
+
+
+@given(_HEARS_LINES.map("\n".join))
+def test_any_hears_line_reads_as_its_tokens_do(lines):
+    text = EXPLICIT3_TEXT + lines + "\n"
+    expected = _by_tokens(lines)
+    if isinstance(expected, list):  # the spec those pairs make, or its refusal
+        pairs = "".join(f"hears {l} {s}\n" for l, s in expected)
+        assert _outcome(text) == _outcome(EXPLICIT3_TEXT + pairs)
+    else:
+        line_no, message = expected
         with pytest.raises(SpecParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
             parse_spec(text)
         assert err.value.line_no == line_no

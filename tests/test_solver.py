@@ -27,7 +27,7 @@ from protoforge.solver import (
     unsat_core_minimize,
 )
 from protoforge.trace import validate
-from conftest import make_spec
+from conftest import make_spec, oracle_sized_specs
 from oracle import enumerate_all
 
 L = RequirementLabel
@@ -120,6 +120,22 @@ def test_solve_budget_exhausted_status():
     result = solve(cs, SearchConfig(node_limit=2))
     assert result.status is SolveStatus.BUDGET_EXHAUSTED
     assert result.trace is None and result.core is None
+
+
+@pytest.mark.parametrize(
+    "dropped",
+    [{L.R4_INITIAL_KNOWLEDGE}, {L.R6_NEVER_FORGETS},
+     {L.R4_INITIAL_KNOWLEDGE, L.R6_NEVER_FORGETS}],
+    ids=["R4", "R6", "R4 and R6"],
+)
+def test_dropping_r4_or_r6_changes_no_search(dropped):
+    # the search holds both by construction (see STRUCTURAL_LABELS), so
+    # unsat_core_minimize never spends a solve on dropping them
+    assert dropped <= STRUCTURAL_LABELS
+    for spec in oracle_sized_specs():
+        cs = encode(spec)
+        full, trial = solve(cs), solve(replace(cs, enabled=cs.enabled - dropped))
+        assert (trial.status, trial.trace, trial.stats) == (full.status, full.trace, full.stats), spec
 
 
 def test_unsat_core_tight_instance_exact():
