@@ -12,7 +12,8 @@ capped.
 A change to the search must keep every verdict and first trace and may
 only lower the nodes. One that prunes more, or decides a capped system,
 rewrites the pins with `PYTHONPATH=src python tests/test_first_models.py` and names the
-systems it changed.
+systems it changed. test_frontier.py pins the hardest systems known the
+same way, through outcomes and breaks below.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def _specs():
         )
 
 
-def outcomes():
+def outcomes(specs=None, node_limit=NODE_LIMIT, trials=True):
     """Each system's name and [status, sha256 of the first trace or None,
-    nodes], in order: a spec's full system, then, while it is unsat, the
-    trials of the deletion loop unsat_core_minimize runs."""
-    config = SearchConfig(node_limit=NODE_LIMIT)
-    for name, spec in _specs():
+    nodes], in order: a spec's full system, then, while it is unsat and
+    `trials` holds, the trials of the deletion loop unsat_core_minimize runs.
+    The specs are (name, spec) pairs, this file's own by default."""
+    config = SearchConfig(node_limit=node_limit)
+    for name, spec in specs or _specs():
         cs = encode(spec)
 
         def run(enabled):
@@ -75,7 +77,7 @@ def outcomes():
 
         system, pin = run(cs.enabled)
         yield system, pin
-        if pin[0] != SolveStatus.UNSAT.value:
+        if not trials or pin[0] != SolveStatus.UNSAT.value:
             continue
         core = [l for l in TAXONOMY if l in cs.enabled and l not in STRUCTURAL_LABELS]
         for label in list(core):
@@ -87,15 +89,24 @@ def outcomes():
                 core.remove(label)
 
 
-def test_first_models_and_nodes_hold_their_pins():
-    pins = json.loads(PINS.read_text(encoding="utf-8"))
-    found = dict(outcomes())
+def breaks(path, found):
+    """The systems in `found` (name: outcome) that break the pins in `path`:
+    a changed verdict or first trace, or more nodes."""
+    pins = json.loads(path.read_text(encoding="utf-8"))
     assert list(found) == list(pins)
-    changed = [
+    return [
         f"{name}: pinned {pins[name]}, found {now}" for name, now in found.items()
         if now[:2] != pins[name][:2] or now[2] > pins[name][2]
     ]
-    assert changed == []
+
+
+def write_pins(path, found):
+    lines = [f"  {json.dumps(name)}: {json.dumps(pin)}" for name, pin in found]
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+def test_first_models_and_nodes_hold_their_pins():
+    assert breaks(PINS, dict(outcomes())) == []
 
 
 def test_the_search_decodes_no_action_row(monkeypatch):
@@ -117,5 +128,4 @@ def test_the_search_decodes_no_action_row(monkeypatch):
 
 
 if __name__ == "__main__":
-    lines = [f"  {json.dumps(name)}: {json.dumps(pin)}" for name, pin in outcomes()]
-    PINS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    write_pins(PINS, outcomes())
