@@ -28,17 +28,13 @@ reproducible. SolveStats counts the branches each one cuts.
 - Goal: `need`, a lower bound on the slots the goal still takes, must not
   exceed the slots left. With R7 dropped learning is free, so need is 1
   while anything is missing. With R7, need is the sum over packets of
-  cover(H), where H is the set of the packet's holders and cover(H) is
-  the larger of
-    - the rounds until everyone holds the packet if, each round, every
-      eligible sender (a holder, or anyone with R5 dropped) sent it at
-      once; infinite when that stops short of everyone, and
-    - ceil(missing / deg), where deg is the most listeners any speaker
-      has in trace.audiences, the masks the learning rule reads.
-  This is admissible. Only a lone transmitter delivers, so a slot
-  advances at most one packet; that packet's new holders lie within one
-  round of the old ones, and number at most deg; and cover only falls as
-  holders grow. So one slot lowers need by at most one.
+  cover(H), H the packet's holders: the fewest lone sends, each by an
+  eligible sender (a holder, or anyone with R5 dropped) to its audience in
+  trace.audiences, that bring the packet to everyone; infinite if none do.
+  A lone transmitter delivers one packet, so a slot lowers need by at most
+  one; with liveness off, need fits the slots left iff the goal does. Past
+  EXACT_COVER_PROCESSES processes a lower bound of cover stands in for it
+  (see cover_function). Either way cover only falls as holders grow.
 
 The goal bound applies at the root, where need is summed, at every slot
 end (counted under `goal`), which updates need by its change's cover, and
@@ -62,7 +58,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, NamedTuple
+from functools import reduce
+from typing import Callable, NamedTuple, Sequence
 
 from .actions import ActionKind, action_domain
 from .encoder import ConstraintSystem, encode
@@ -153,6 +150,48 @@ class _Memo(dict):
         return value
 
 
+# Up to this many processes cover is exact: 2**P masks of P senders at most a solve.
+EXACT_COVER_PROCESSES = 16
+
+
+def cover_function(P: int, audience: Sequence[int], check_r5: bool) -> Callable[[int], float]:
+    """cover (see the module doc), memoised by holder mask. Past EXACT_COVER_PROCESSES
+    it is the larger of the rounds of every eligible sender at once and ceil(missing / deg)."""
+    everyone = (1 << P) - 1
+
+    def relaxed(held: int) -> float:
+        rounds, reach = 0, held
+        while reach != everyone:
+            eligible = reach if check_r5 else everyone
+            grown = reduce(int.__or__, (audience[s] for s in range(P) if eligible >> s & 1), reach)
+            if grown == reach:
+                return math.inf
+            rounds, reach = rounds + 1, grown
+        deg = max(a.bit_count() for a in audience)
+        return max(rounds, math.ceil((P - held.bit_count()) / deg))  # held is never everyone
+
+    def exact(held: int) -> float:
+        # depth first over an explicit stack, filling the memo on the way
+        stack = [held]
+        while stack:
+            reach = stack.pop()
+            if reach not in memo:
+                eligible = reach if check_r5 else everyone
+                grown = {reach | audience[s] for s in range(P) if eligible >> s & 1}
+                grown.discard(reach)
+                if everyone in grown:  # one send finishes: no successor needs looking at
+                    memo[reach] = 1
+                elif unknown := grown - memo.keys():
+                    stack += [reach, *unknown]
+                else:
+                    memo[reach] = 1 + min(map(memo.__getitem__, grown), default=math.inf)
+        return memo[held]
+
+    memo = _Memo(exact if P <= EXACT_COVER_PROCESSES else relaxed)
+    memo[everyone] = 0
+    return memo.__getitem__
+
+
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
     """Decides the system. Sat results carry the first trace in search order;
     Unsat results carry the full enabled set as their (unminimized) core."""
@@ -172,25 +211,8 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         return SolveResult(status, stats=SolveStats(nodes, **cuts), **fields)
 
     audience = audiences(spec, enabled)
-    deg = max(a.bit_count() for a in audience)
     everyone = (1 << P) - 1
-
-    def slots_needed(held: int) -> float:
-        """A lower bound on the slots a packet held by `held` still needs
-        (see the module doc); read through cover, which keeps each value."""
-        rounds, reach = 0, held
-        while reach != everyone:
-            senders = reach if check_r5 else everyone
-            grown = reach
-            for s in range(P):
-                if senders >> s & 1:
-                    grown |= audience[s]
-            if grown == reach:
-                return math.inf
-            rounds, reach = rounds + 1, grown
-        return max(rounds, math.ceil((P - held.bit_count()) / deg)) if rounds else 0
-
-    cover = _Memo(slots_needed).__getitem__
+    cover = cover_function(P, audience, check_r5)
 
     def slot_can_lower(i: int, held, listening: int, sends: tuple) -> bool:
         """Whether some completion of a slot whose cells up to cell i listen
@@ -319,12 +341,19 @@ def min_horizon(
     spec: NetworkSpec, t_max: int, config: SearchConfig | None = None
 ) -> tuple[int, ProtocolTrace] | None:
     """Least horizon in 0..t_max whose encoding is satisfiable, with its
-    trace; None when every horizon in range is unsatisfiable."""
-    if RequirementLabel.GOAL_DEADLINE not in requirement_families(spec):
+    trace; None when every horizon in range is unsatisfiable. Horizons that
+    solve's root bounds cut, which spend no budget, are skipped unsolved."""
+    families = requirement_families(spec)
+    if RequirementLabel.GOAL_DEADLINE not in families:
         raise ValueError("min_horizon needs goal = all-know-all")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    for horizon in range(t_max + 1):
+    cover = cover_function(spec.processes, audiences(spec, families), True)
+    start = max(sum(map(cover, initial_knowledge(spec))),
+                len(ActionKind) if RequirementLabel.R3_LIVENESS in families else 0)
+    if start > t_max:
+        return None
+    for horizon in range(start, t_max + 1):
         result = solve(encode(replace(spec, horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)

@@ -41,6 +41,23 @@ def make_spec(
     )
 
 
+# Two specs a goal bound that counts rounds of simultaneous senders handles
+# worst; test_frontier.py pins both. DEAD_SLOTS is sat, but from {1} one
+# round reaches {0, 1, 3, 4} and the next everyone, while lone sends take
+# three (1, then one for 2 and one for 5): counting rounds lets the search
+# end slot 0 delivering nothing.
+DEAD_SLOTS = make_spec(processes=6, packets=1, horizon=3, source=1, topology={
+    (0, 1), (0, 2), (0, 4), (0, 5), (1, 0), (1, 2), (1, 3), (1, 5), (2, 0),
+    (2, 3), (2, 5), (3, 0), (3, 1), (3, 5), (4, 0), (4, 1), (4, 2), (5, 4),
+})
+# Unsat at the root. With R5 dropped every process may send, and one round
+# reaches everyone, yet covering {0, 1, 3, 4} by audiences still takes three
+# sends a packet, 6 > 5 slots.
+R5_DROPPED = make_spec(processes=5, packets=2, horizon=5, source=2, topology={
+    (0, 1), (0, 2), (0, 3), (1, 4), (2, 0), (2, 4), (3, 0), (3, 2), (4, 0), (4, 3),
+})
+
+
 # The most grids the enumeration oracle is asked to walk for one problem.
 ENUM_CEILING = 10**5
 

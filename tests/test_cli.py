@@ -14,12 +14,12 @@ import pytest
 import protoforge
 from protoforge.cli import main
 from protoforge.encoder import encode
-from protoforge.model import parse_spec
+from protoforge.model import parse_spec, render_spec
 from protoforge.sim import PowerModel
 from protoforge.smt import SmtDocument, emit_smtlib
 from protoforge.solver import min_horizon, solve
 from protoforge.trace import read_trace, validate, write_trace
-from conftest import make_spec
+from conftest import R5_DROPPED, make_spec
 from test_sim import _baseline_against_the_fold
 
 LINE3 = """\
@@ -51,8 +51,8 @@ def line3(tmp_path):
     return str(path)
 
 
-# The fan-out bound decides line3 at horizons 0 and 1 without visiting a
-# node; here horizon 0 is cut at the root and horizon 1 needs a search.
+# The goal bound decides line3 at horizons 0 and 1 without a solve; here
+# it rules out horizon 0 and horizon 1 needs a search.
 ALL3 = """\
 processes = 3
 packets = 1
@@ -170,6 +170,14 @@ def test_unsat_core_taxonomy_order(capsys, tight):
     code, out, _ = run_cli(capsys, "unsat-core", tight)
     assert code == 1
     assert out.splitlines() == ["R7_CollisionFreeLearning", "GOAL_Deadline"]
+
+
+def test_unsat_core_drops_r5_when_lone_sends_cannot_cover_the_deadline(capsys, tmp_path):
+    spec = tmp_path / "r5.net"
+    spec.write_text(render_spec(R5_DROPPED), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "unsat-core", str(spec), "--node-limit", "100000")
+    assert code == 1
+    assert out.splitlines() == ["R7_CollisionFreeLearning", "GOAL_Deadline", "TOPO_HearsRelation"]
 
 
 def test_unsat_core_on_sat_instance(capsys, line3):
@@ -826,3 +834,15 @@ def test_bounds_decide_line3_short_horizons_without_a_node(capsys, line3):
     code, out, _ = run_cli(capsys, "min-horizon", line3, "--max", "1", "--node-limit", "1")
     assert code == 1
     assert "no feasible horizon up to 1" in out
+
+
+def test_min_horizon_refutes_every_horizon_without_a_solve(capsys, tmp_path, monkeypatch):
+    # processes 0 and 1 of a line never hear source 2, whatever the horizon
+    spec = tmp_path / "unreachable.net"
+    spec.write_text(LINE3.replace("source = 0", "source = 2"), encoding="utf-8")
+    monkeypatch.setattr("protoforge.solver.solve", None)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "min-horizon", str(spec), "--max", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "no feasible horizon up to 1000000000" in out

@@ -4,9 +4,9 @@ visited nodes of the hardest systems known, pinned in frontier.json.
 The systems are each-action-once `all` (P 4-8, M 2-4, source 0 and P-1, at
 T = M+2 and M+1) and `line` (P 3-5, M 1-2, at T = M*(P-1)+1 and one below),
 two-way chains (P 5-7, M=2, every source, T 4-8), seeded random relations
-(edge probability 0.35, P 6/8/10, three each, M=2, T 3-6) and two specs
-that once showed a fault of the goal bound, the second with the trials of
-its unsat-core deletion loop. Systems are run and named as in
+(edge probability 0.35, P 6/8/10, three each, M=2, T 3-6) and conftest's
+DEAD_SLOTS and R5_DROPPED, the second with the trials of its unsat-core
+deletion loop. Systems are run and named as in
 test_first_models.py, whose outcomes and breaks this file reuses, and a
 capped system is pinned as capped.
 
@@ -22,7 +22,7 @@ import random
 from pathlib import Path
 
 from protoforge.model import LivenessMode
-from conftest import make_spec
+from conftest import DEAD_SLOTS, R5_DROPPED, make_spec
 from test_first_models import breaks, outcomes, write_pins
 
 PINS = Path(__file__).with_name("frontier.json")
@@ -61,30 +61,14 @@ def _specs():
                 yield f"rand P={P} #{graph} T={T}", make_spec(
                     processes=P, packets=2, horizon=T, topology=hears,
                 )
-    # sat, but one round of simultaneous senders reaches more than one sender
-    # per slot, so a relaxed goal bound lets the search end slots that deliver nothing
-    yield "dead slots P=6 M=1 T=3 s=1", make_spec(
-        processes=6, packets=1, horizon=3, source=1, topology={
-            (0, 1), (0, 2), (0, 4), (0, 5), (1, 0), (1, 2), (1, 3), (1, 5), (2, 0),
-            (2, 3), (2, 5), (3, 0), (3, 1), (3, 5), (4, 0), (4, 1), (4, 2), (5, 4),
-        },
-    )
-
-
-# unsat at the root; with R5 dropped every process may send, yet covering
-# {0, 1, 3, 4} by audiences still takes 3 sends a packet, 6 > 5 slots
-R5_DROPPED = "R5 dropped P=5 M=2 T=5 s=2", make_spec(
-    processes=5, packets=2, horizon=5, source=2, topology={
-        (0, 1), (0, 2), (0, 3), (1, 4), (2, 0), (2, 4), (3, 0), (3, 2), (4, 0), (4, 3),
-    },
-)
+    yield "dead slots P=6 M=1 T=3 s=1", DEAD_SLOTS
 
 
 def _outcomes():
     """outcomes of every system: only R5_DROPPED brings its deletion-loop
     trials, which the others would triple in number and in time."""
     yield from outcomes(_specs(), NODE_LIMIT, trials=False)
-    yield from outcomes([R5_DROPPED], NODE_LIMIT)
+    yield from outcomes([("R5 dropped P=5 M=2 T=5 s=2", R5_DROPPED)], NODE_LIMIT)
 
 
 def test_frontier_holds_its_pins():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -17,17 +19,19 @@ from protoforge.model import (
     topology_all,
     topology_line,
 )
+from protoforge import solver
 from protoforge.solver import (
     SearchBudgetExceeded,
     SearchConfig,
     SolveStats,
     SolveStatus,
+    cover_function,
     min_horizon,
     solve,
     unsat_core_minimize,
 )
-from protoforge.trace import validate
-from conftest import make_spec, oracle_sized_specs
+from protoforge.trace import audiences, validate
+from conftest import DEAD_SLOTS, make_spec, oracle_sized_specs
 from oracle import enumerate_all
 
 L = RequirementLabel
@@ -113,6 +117,41 @@ def test_min_horizon_budget_raises_with_first_undecided_horizon():
             SearchConfig(node_limit=1),
         )
     assert err.value.horizon == 1
+
+
+def _min_horizon_from_zero(spec, t_max, config):
+    """min_horizon as a loop that solves every horizon from 0."""
+    for horizon in range(t_max + 1):
+        result = solve(encode(replace(spec, horizon=horizon)), config)
+        if result.status is SolveStatus.BUDGET_EXHAUSTED:
+            return "budget exhausted", horizon
+        if result.status is SolveStatus.SAT:
+            return horizon, result.trace
+    return None
+
+
+def test_min_horizon_agrees_with_a_loop_from_horizon_zero():
+    rng = random.Random(31)
+    config = SearchConfig(node_limit=2_000)
+    seen = set()
+    for _ in range(400):
+        P, M = rng.randint(1, 5), rng.randint(0, 3)
+        density = rng.choice([0.2, 0.4, 0.7])
+        hears = {(l, s) for l in range(P) for s in range(P) if l != s and rng.random() < density}
+        spec = make_spec(processes=P, packets=M, horizon=0, source=rng.randrange(P),
+                         topology=hears, liveness=rng.choice(list(LivenessMode)))
+        try:
+            found = min_horizon(spec, 8, config)
+        except SearchBudgetExceeded as err:
+            found = "budget exhausted", err.horizon
+        assert found == _min_horizon_from_zero(spec, 8, config), spec
+        seen.add((spec.liveness, found and str(found[0])))
+        if spec.liveness is LivenessMode.OFF and found and found[0] != "budget exhausted":
+            # with liveness off the goal bound is exact: the first horizon tried is sat
+            assert found[0] == (M and M * cover_function(P, audiences(spec), True)(1 << spec.source))
+    # sat and none with liveness on and off, and some budget stop
+    assert {(live, outcome) for live in LivenessMode for outcome in ("3", None)} <= seen
+    assert any(outcome == "budget exhausted" for _, outcome in seen)
 
 
 def test_solve_budget_exhausted_status():
@@ -329,6 +368,69 @@ def test_reachability_without_r5_asks_only_for_a_speaker():
     no_r5 = replace(line, enabled=line.enabled - {L.R5_TRANSMIT_ONLY_KNOWN})
     assert solve(no_r5).stats == SolveStats(goal=1)
     assert solve(encode(make_spec(packets=0, horizon=6, source=2))).status is SolveStatus.SAT
+
+
+def test_one_sender_a_slot_spends_no_slot_delivering_nothing():
+    result = solve(encode(DEAD_SLOTS), SearchConfig(node_limit=100))
+    assert result.status is SolveStatus.SAT
+    # the first trace a goal bound counting rounds found after 22,133 nodes
+    assert [[act.label for act in row] for row in result.trace.actions] == [
+        ["sleep", "tx:1", "sleep", "sleep", "listen", "sleep"],
+        ["sleep", "sleep", "sleep", "sleep", "tx:1", "listen"],
+        ["listen", "sleep", "listen", "listen", "sleep", "tx:1"],
+    ]
+
+
+def _fewest_sends(P, audience, check_r5, held):
+    """The fewest lone sends after which everyone holds a packet first held
+    by `held`, found by trying every sequence of senders, shortest first."""
+    everyone = (1 << P) - 1
+    for n in range(P + 1):
+        for senders in itertools.product(range(P), repeat=n):
+            reach = held
+            for s in senders:
+                if check_r5 and not reach >> s & 1:
+                    break
+                reach |= audience[s]
+            else:
+                if reach == everyone:
+                    return n
+    return math.inf
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 4])
+def test_cover_is_the_fewest_lone_sends_and_bounds_its_relaxation(P, monkeypatch):
+    pairs = [(l, s) for l in range(P) for s in range(P) if l != s]
+    relations = [
+        {pair for i, pair in enumerate(pairs) if bits >> i & 1} for bits in range(1 << len(pairs))
+    ]
+    if P == 4:  # 4,096 relations: a seeded sample
+        relations = random.Random(4).sample(relations, 150)
+    for relation in relations:
+        cs = encode(make_spec(processes=P, topology=relation))
+        for enabled in (cs.enabled, cs.enabled - {L.R5_TRANSMIT_ONLY_KNOWN},
+                        cs.enabled - {L.TOPO_HEARS_RELATION}):
+            audience, check_r5 = audiences(cs.spec, enabled), L.R5_TRANSMIT_ONLY_KNOWN in enabled
+            exact = cover_function(P, audience, check_r5)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "EXACT_COVER_PROCESSES", 0)
+                relaxed = cover_function(P, audience, check_r5)
+            for held in range(1 << P):
+                assert exact(held) == _fewest_sends(P, audience, check_r5, held), (relation, held)
+                # so every cut the relaxation makes, cover makes too
+                assert relaxed(held) <= exact(held)
+
+
+def test_past_the_exact_limit_cover_is_relaxed():
+    # lone sends from 0 take 0, 1, 2, then 4 to 16: 15; every holder at once
+    # takes 14 rounds, as 1 and 2 send together
+    P = solver.EXACT_COVER_PROCESSES + 1
+    fork = {(1, 0), (2, 0), (3, 1), (4, 2)} | {(p, p - 1) for p in range(5, P)}
+    assert cover_function(P, audiences(make_spec(processes=P, topology=fork)), True)(1) == 14
+    # and the search still decides a star whose leaf 1 is the source
+    star = {pair for leaf in range(1, P) for pair in ((0, leaf), (leaf, 0))}
+    result = solve(encode(make_spec(processes=P, packets=2, horizon=4, source=1, topology=star)))
+    assert (result.status, result.stats.nodes) == (SolveStatus.SAT, 110)
 
 
 def test_unsat_core_keeps_r5_when_a_process_may_send_what_it_lacks():
