@@ -150,13 +150,14 @@ class _Memo(dict):
         return value
 
 
-# Up to this many processes cover is exact: 2**P masks of P senders at most a solve.
-EXACT_COVER_PROCESSES = 16
+# Cover is exact up to this many processes: at 14 its costliest fill outlasts a 100k-node search.
+EXACT_COVER_PROCESSES = 13
 
 
 def cover_function(P: int, audience: Sequence[int], check_r5: bool) -> Callable[[int], float]:
-    """cover (see the module doc), memoised by holder mask. Past EXACT_COVER_PROCESSES
-    it is the larger of the rounds of every eligible sender at once and ceil(missing / deg)."""
+    """cover (see the module doc), memoised by holder mask and filled depth first over an
+    explicit stack. Past EXACT_COVER_PROCESSES it is the larger of the rounds of every
+    eligible sender at once and ceil(missing / the most listeners a speaker has)."""
     everyone = (1 << P) - 1
 
     def relaxed(held: int) -> float:
@@ -167,21 +168,18 @@ def cover_function(P: int, audience: Sequence[int], check_r5: bool) -> Callable[
             if grown == reach:
                 return math.inf
             rounds, reach = rounds + 1, grown
-        deg = max(a.bit_count() for a in audience)
-        return max(rounds, math.ceil((P - held.bit_count()) / deg))  # held is never everyone
+        return max(rounds, math.ceil((P - held.bit_count()) / max(map(int.bit_count, audience))))
 
     def exact(held: int) -> float:
-        # depth first over an explicit stack, filling the memo on the way
         stack = [held]
         while stack:
             reach = stack.pop()
             if reach not in memo:
                 eligible = reach if check_r5 else everyone
-                grown = {reach | audience[s] for s in range(P) if eligible >> s & 1}
-                grown.discard(reach)
+                grown = {reach | audience[s] for s in range(P) if eligible >> s & 1} - {reach}
                 if everyone in grown:  # one send finishes: no successor needs looking at
                     memo[reach] = 1
-                elif unknown := grown - memo.keys():
+                elif unknown := [g for g in grown if g not in memo]:
                     stack += [reach, *unknown]
                 else:
                     memo[reach] = 1 + min(map(memo.__getitem__, grown), default=math.inf)
@@ -190,6 +188,16 @@ def cover_function(P: int, audience: Sequence[int], check_r5: bool) -> Callable[
     memo = _Memo(exact if P <= EXACT_COVER_PROCESSES else relaxed)
     memo[everyone] = 0
     return memo.__getitem__
+
+
+def _root_needs(spec: NetworkSpec, enabled, cover: Callable[[int], float]) -> tuple[float, int]:
+    """The fewest slots the goal and liveness each need from the initial knowledge (see the
+    module doc): solve cuts a horizon below either at its root; min_horizon starts at the larger."""
+    L, everyone = RequirementLabel, (1 << spec.processes) - 1
+    lacked = [held for held in initial_knowledge(spec) if held != everyone]
+    goal = (0 if L.GOAL_DEADLINE not in enabled else sum(map(cover, lacked))
+            if L.R7_COLLISION_FREE_LEARNING in enabled else int(bool(lacked)))
+    return goal, len(ActionKind) if L.R3_LIVENESS in enabled else 0
 
 
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
@@ -247,18 +255,14 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     initial = initial_knowledge(spec)
     # with R7 dropped, slot 0 teaches everyone every packet they lack
     learn_all = tuple((k, everyone) for k, held in enumerate(initial, 1) if held != everyone)
-    track_need = check_goal and not free_learning
-    start_need = sum(map(cover, initial)) if track_need else int(bool(learn_all))
-    if check_goal and start_need > T:
-        cuts["goal"] += 1
-        return result(SolveStatus.UNSAT, core=frozenset(enabled))
-    if check_live and T < len(ActionKind):
-        cuts["liveness"] += 1
+    goal_need, live_need = _root_needs(spec, enabled, cover)
+    if goal_need > T or live_need > T:
+        cuts["goal" if goal_need > T else "liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
     # per slot start t: know[t], need[t] (None when untracked), done[t][p]; per slot: changes[t]
     know: list = [initial] + [None] * T
-    need = [start_need] * (T + 1) if track_need else None
+    need = [goal_need] * (T + 1) if check_goal and not free_learning else None
     done = [[0] * P for _ in range(T + 1)]
     changes: list = [()] * T
     # per value: its index, kind bit, listening bit, whether it transmits,
@@ -348,12 +352,9 @@ def min_horizon(
         raise ValueError("min_horizon needs goal = all-know-all")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    cover = cover_function(spec.processes, audiences(spec, families), True)
-    start = max(sum(map(cover, initial_knowledge(spec))),
-                len(ActionKind) if RequirementLabel.R3_LIVENESS in families else 0)
-    if start > t_max:
-        return None
-    for horizon in range(start, t_max + 1):
+    start = max(_root_needs(spec, families, cover_function(
+        spec.processes, audiences(spec, families), True)))
+    for horizon in range(min(start, t_max + 1), t_max + 1):
         result = solve(encode(replace(spec, horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)

@@ -317,6 +317,17 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     assert free.stats.goal == free.stats.intra_slot == 0
 
 
+def test_a_root_cut_counts_once_under_the_goal_first():
+    # with liveness, two slots fit none of the three action kinds a process
+    # owes; the goal cuts first when it too needs more slots than there are
+    live = LivenessMode.EACH_ACTION_ONCE
+    assert solve(encode(make_spec(topology="all", liveness=live))).stats == SolveStats(liveness=1)
+    both = encode(make_spec(processes=4, liveness=live))  # line: three lone sends
+    assert solve(both).stats == SolveStats(goal=1)
+    goal_dropped = replace(both, enabled=both.enabled - {L.GOAL_DEADLINE})
+    assert solve(goal_dropped).stats == SolveStats(liveness=1)
+
+
 @pytest.mark.parametrize("P, M, T, source, pairs", [
     # on a line p hears only p - 1: no process below the source hears a holder
     (2, 2, 6, 1, None),
@@ -422,15 +433,15 @@ def test_cover_is_the_fewest_lone_sends_and_bounds_its_relaxation(P, monkeypatch
 
 
 def test_past_the_exact_limit_cover_is_relaxed():
-    # lone sends from 0 take 0, 1, 2, then 4 to 16: 15; every holder at once
-    # takes 14 rounds, as 1 and 2 send together
+    # lone sends from 0 take 0, 1, 2, then 4 to P - 2: P - 2; every holder at
+    # once takes P - 3 rounds, as 1 and 2 send together
     P = solver.EXACT_COVER_PROCESSES + 1
     fork = {(1, 0), (2, 0), (3, 1), (4, 2)} | {(p, p - 1) for p in range(5, P)}
-    assert cover_function(P, audiences(make_spec(processes=P, topology=fork)), True)(1) == 14
+    assert cover_function(P, audiences(make_spec(processes=P, topology=fork)), True)(1) == P - 3
     # and the search still decides a star whose leaf 1 is the source
     star = {pair for leaf in range(1, P) for pair in ((0, leaf), (leaf, 0))}
     result = solve(encode(make_spec(processes=P, packets=2, horizon=4, source=1, topology=star)))
-    assert (result.status, result.stats.nodes) == (SolveStatus.SAT, 110)
+    assert (result.status, result.stats.nodes) == (SolveStatus.SAT, 92)
 
 
 def test_unsat_core_keeps_r5_when_a_process_may_send_what_it_lacks():
