@@ -108,11 +108,11 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-# The file buffer of every --out and --trace-out write. A document is
-# written as a few hundred blocks of up to about 17 KB on the benchmark's
-# rungs, each followed by a newline piece; 64 KiB gathers them into a few
-# large writes.
-_SMT_BUFFER = 1 << 16
+# The file buffer of every --out and --trace-out write, trace files and SMT
+# documents alike. An SMT document is written as a few hundred blocks of up
+# to about 17 KB on the benchmark's rungs, each followed by a newline
+# piece; 64 KiB gathers them into a few large writes.
+_WRITE_BUFFER = 1 << 16
 
 
 def _write(path: str, fill: Callable[[TextIO], object]) -> None:
@@ -123,7 +123,7 @@ def _write(path: str, fill: Callable[[TextIO], object]) -> None:
     raises, the part that reached it. A device or FIFO reports size 0 and
     is never cut."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", buffering=_SMT_BUFFER) as fh:
+    with open(fd, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as fh:
         size = os.fstat(fd).st_size
         try:
             fill(fh)

@@ -40,22 +40,33 @@ share one Action object and equal rows one tuple, as in the traces solve
 returns; derive_knowledge and write_trace (through per_distinct) and the
 validator decode or render each distinct row object once, though deliver
 runs per slot, and the validator checks each distinct cell object of those
-rows once; and the knowledge rows are tabulated from the changes, each
-row's table sharing the lists of the one before that its slot leaves alone,
-by write_trace to render them (a run of equal rows once) and by read_trace
-to compare the file's rows against them. Action shape checks run as
-whole-grid passes, and walk row by row only to name the first bad row;
-knowledge is checked once per change. Violation messages list at most
-MAX_LISTED packet numbers.
+rows once; write_trace renders knowledge rows straight from their masks,
+a run of equal rows once; and read_trace, for a file in another layout,
+tabulates the knowledge rows from the changes, each row's table sharing the
+lists of the one before that its slot leaves alone, to compare the file's
+rows against them. Action shape checks run as whole-grid passes, and walk
+row by row only to name the first bad row; knowledge is checked once per
+change. Violation messages list at most MAX_LISTED packet numbers.
 
-read_trace checks a file's knowledge grid in three whole-grid passes. The
-first checks its shape, level by level: T+1 lists of P lists of M entries,
-so that a small file whose spec claims a huge grid is refused before
-anything that size is derived. The second compares the grid with the
-tabulated derived rows in one ==. The third checks that every entry is a
-bool, since 1 == True. A grid of another shape or with a non-boolean entry
-is malformed; only a well-formed grid that differs from the derived rows
-is walked row by row, to name the first cell that differs.
+read_trace first checks the knowledge field as text. write_trace writes it
+last, behind a comma, a newline and ``  "knowledge": ``, a separator no
+JSON string holds, as it holds a raw newline. The file before the last
+separator, closed with a brace, is read as a file without knowledge. When
+it reads and the rest is exactly the field write_trace renders for its
+trace, the whole file is that object plus this last knowledge member,
+which reading it whole would accept with an equal trace. The field is
+rendered only when the rest has the four characters per entry of the
+claimed grid that each boolean takes.
+
+Any other file is read whole, so no verdict or message depends on the text
+check. Its knowledge grid is checked in three whole-grid passes. The first
+checks its shape, level by level: T+1 lists of P lists of M entries, so
+that a small file whose spec claims a huge grid is refused before anything
+that size is derived. The second compares the grid with the tabulated
+derived rows in one ==. The third checks that every entry is a bool, since
+1 == True. A grid of another shape or with a non-boolean entry is
+malformed; only a well-formed grid that differs from the derived rows is
+walked row by row, to name the first cell that differs.
 """
 
 from __future__ import annotations
@@ -188,15 +199,20 @@ def all_known(row: KnowledgeRow, processes: int) -> bool:
     return all(holders == everyone for holders in row)
 
 
+def _holdings(row: KnowledgeRow, processes: int) -> Iterable[tuple[str, ...]]:
+    """Per process, process 0 first, a "1" or a "0" per packet: whether the
+    process holds it. Each packet's holders as P digits, then transposed."""
+    if not row:
+        return repeat((), processes)
+    top = 1 << processes  # bin(top | holders) is "0b1" and then the P digits
+    return zip(*[bin(top | holders)[:2:-1] for holders in row])
+
+
 def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
     """A knowledge row as the file and JSON forms hold it: entry [p][k - 1]
     tells whether process p holds packet k."""
-    if not row:
-        return [[] for _ in range(processes)]
-    # each packet's holders as P booleans, process 0 first, then transposed
     bit = {"0": False, "1": True}
-    columns = [map(bit.__getitem__, f"{holders:0{processes}b}"[::-1]) for holders in row]
-    return list(map(list, zip(*columns)))
+    return [list(map(bit.__getitem__, held)) for held in _holdings(row, processes)]
 
 
 @dataclass(frozen=True)
@@ -442,28 +458,70 @@ def _listed(values: Sequence, counts: Counter, hits: set) -> str:
     return str(packets) if count <= MAX_LISTED else f"{str(packets)[:-1]}, ...] ({count} packets)"
 
 
+# What write_trace writes before the knowledge field, its last field.
+_KNOWLEDGE = ',\n  "knowledge": '
+
+
+def _rows(lines: list[str]) -> str:
+    """A JSON list of rendered values, one value per line."""
+    return "[\n    " + ",\n    ".join(lines) + "\n  ]" if lines else "[]"
+
+
+def _knowledge_field(trace: ProtocolTrace) -> str:
+    """The file's text from the separator before the knowledge field to its
+    end, as write_trace writes it: each row as json.dumps renders its
+    knowledge_table, a run of equal rows, which share one tuple, once."""
+    P = trace.spec.processes
+    lines, row = [], None
+    for now in trace.knowledge:
+        if now is not row:
+            row = now
+            cells = "], [".join(map(", ".join, _holdings(row, P)))
+            line = f"[[{cells}]]".replace("0", "false").replace("1", "true")
+        lines.append(line)
+    return f"{_KNOWLEDGE}{_rows(lines)}\n}}\n"
+
+
 def write_trace(trace: ProtocolTrace) -> str:
     """Deterministic JSON form; field order spec, actions, knowledge. The
     spec takes one line, each slot's actions and each time index's
     knowledge one line apiece; a run of equal knowledge rows is rendered once."""
-
-    def rows(lines: Iterable[str]) -> str:
-        body = ",\n".join(f"    {line}" for line in lines)
-        return f"[\n{body}\n  ]" if body else "[]"
-
     label = attrgetter("label")
     actions = per_distinct(lambda row: json.dumps(list(map(label, row))), trace.actions)
-    knowledge = per_distinct(json.dumps, _knowledge_tables(trace))
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
-        f'  "actions": {rows(actions)},\n'
-        f'  "knowledge": {rows(knowledge)}\n}}\n'
+        f'  "actions": {_rows(actions)}{_knowledge_field(trace)}'
     )
 
 
 def read_trace(text: str) -> ProtocolTrace:
     """Inverse of write_trace. Knowledge, when present, must match the grid
     re-derived from the actions; anything else is a TraceFormatError."""
+    trace = _as_written(text)
+    return _read(text) if trace is None else trace
+
+
+def _as_written(text: str) -> ProtocolTrace | None:
+    """The trace of a file whose knowledge field is exactly the one
+    write_trace writes for it, read without decoding that field; else None."""
+    cut = text.rfind(_KNOWLEDGE)
+    if cut == -1:
+        return None
+    try:
+        trace = _read(text[:cut] + "\n}")
+    except TraceFormatError:
+        return None
+    spec = trace.spec
+    # a field this short is not the written one; rendering it could cost
+    # far more than the file, when a small file claims a huge grid
+    if len(text) - cut < 4 * (spec.horizon + 1) * spec.processes * spec.packets:
+        return None
+    return trace if text[cut:] == _knowledge_field(trace) else None
+
+
+def _read(text: str) -> ProtocolTrace:
+    """read_trace for any JSON layout: the file's knowledge grid decoded and
+    compared with the one derived from the actions."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit

@@ -395,6 +395,31 @@ def test_misshapen_knowledge_grid_is_rejected_before_deriving_knowledge(capsys, 
     assert "knowledge grid malformed" in err
 
 
+# A 242-byte trace in write_trace's layout whose spec claims 4,000,000
+# packets at P=2, T=1, next to the knowledge grid of one packet. The field
+# its spec implies, rendered to compare with the file's, would be about
+# 100 million characters.
+OVERSIZED_WRITTEN_TRACE = (
+    '{\n  "spec": {"processes": 2, "packets": 4000000, "horizon": 1, "source": 0, '
+    '"topology": "line", "liveness": "off", "goal": "none"},\n'
+    '  "actions": [\n    ["tx:1", "listen"]\n  ],\n'
+    '  "knowledge": [\n    [[true], [false]],\n    [[true], [true]]\n  ]\n}\n'
+)
+
+
+def test_a_written_trace_claiming_a_huge_grid_is_refused_without_rendering_it(capsys, tmp_path):
+    one_packet = OVERSIZED_WRITTEN_TRACE.replace("4000000", "1")
+    assert write_trace(read_trace(one_packet)) == one_packet
+    assert len(OVERSIZED_WRITTEN_TRACE) == 242
+    path = tmp_path / "oversized.json"
+    path.write_text(OVERSIZED_WRITTEN_TRACE)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (4, "")
+    assert "knowledge grid malformed" in err
+
+
 def test_validate_caps_the_packet_lists_it_prints(capsys, tmp_path):
     # without a grid the trace reads; every process but the source then
     # misses 1,864,134 packets at the deadline

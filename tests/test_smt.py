@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
 import stat
 import subprocess
 from itertools import product
@@ -623,19 +624,32 @@ def _bools(values):
     return values
 
 
+CELL = ("sleep", "listen", "transmit")
+
+
+def _encoding(act):
+    """An action as the values of sleep, listen and transmit in its cell."""
+    return act.kind is SLEEP.kind, act.kind is LISTEN.kind, (
+        act.content if act.kind is ActionKind.TRANSMIT else -1)
+
+
+def trace_values(trace):
+    """The supplied functions' values on a trace, keyed as Evaluator reads them."""
+    values = {}
+    for t, row in enumerate(trace.actions):
+        for p, act in enumerate(row):
+            values.update(((name, t, p), value) for name, value in zip(CELL, _encoding(act)))
+    for t, krow in enumerate(trace.knowledge):
+        for p, packets in enumerate(knowledge_table(krow, trace.spec.processes)):
+            for k, held in enumerate(packets, 1):
+                values["knows", t, p, k] = held
+    return values
+
+
 class Evaluator:
-    def __init__(self, functions, trace):
+    def __init__(self, functions, values):
         self.functions = functions
-        self.values = {}
-        for t, row in enumerate(trace.actions):
-            for p, act in enumerate(row):
-                self.values["sleep", t, p] = act.kind is SLEEP.kind
-                self.values["listen", t, p] = act.kind is LISTEN.kind
-                self.values["transmit", t, p] = act.content if act.kind is ActionKind.TRANSMIT else -1
-        for t, krow in enumerate(trace.knowledge):
-            for p, packets in enumerate(knowledge_table(krow, trace.spec.processes)):
-                for k, held in enumerate(packets, 1):
-                    self.values["knows", t, p, k] = held
+        self.values = values
 
     def key(self, app):
         head, *args = app
@@ -688,7 +702,7 @@ def falsified(doc, traces):
     named = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
     out = []
     for trace in traces:
-        ev = Evaluator(functions, trace)
+        ev = Evaluator(functions, trace_values(trace))
         out.append({label_of_assertion_name(name) for _, expr, _, name in named
                     if not ev.holds(expr)})
     return out
@@ -764,12 +778,40 @@ def test_falsified_families_match_the_validator():
 def test_evaluator_reads_definitions_only_after_they_are_made():
     spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
     trace = ProtocolTrace.from_actions(spec, [[LISTEN]])
-    ev = Evaluator({"listen": 2, "heard": 2}, trace)
+    ev = Evaluator({"listen": 2, "heard": 2}, trace_values(trace))
     with pytest.raises(AssertionError, match="before it is defined"):
         ev.holds(["=", "1", ["heard", "0", "0"]])
     assert ev.holds(["=", ["heard", "0", "0"], ["ite", ["listen", "0", "0"], "3", "0"]])
     assert ev.value(["heard", "0", "0"]) == 3
     assert not ev.holds(["=", ["heard", "0", "0"], "2"])
+
+
+CELL_ASSERTION = re.compile(r"\|(?:R1_ExactlyOneAction(?:\.any)?|R2_ContentDomain)@t=(\d+),p=(\d+)\|")
+
+
+@pytest.mark.parametrize("packets", [0, 1, 2, 5])
+def test_cell_assertions_admit_exactly_the_encodings_of_the_action_domain(packets):
+    """R1, R1.any and R2 mention one cell's variables each. Over sleep and
+    listen in {true, false} and transmit in [-3, M + 3], a cell's three hold
+    together exactly on the M + 3 encodings of action_domain(M)."""
+    spec = make_spec(processes=2, packets=packets, horizon=2, topology="all")
+    doc = emit_smtlib(spec)
+    cells = {}
+    for _, (_, expr, _, name) in parse_sexprs("\n".join(doc.assertions)):
+        if match := CELL_ASSERTION.fullmatch(name):
+            cells.setdefault((int(match[1]), int(match[2])), []).append(expr)
+    assert sorted(cells) == [(t, p) for t in range(2) for p in range(2)]
+    expected = set(map(_encoding, action_domain(packets)))
+    assert len(expected) == packets + 3
+    ev = Evaluator(_declared(doc), {})
+    for (t, p), assertions in cells.items():
+        assert len(assertions) == 3
+        admitted = set()
+        for values in product((False, True), (False, True), range(-3, packets + 4)):
+            ev.values.update(((name, t, p), value) for name, value in zip(CELL, values))
+            if all(map(ev.holds, assertions)):
+                admitted.add(values)
+        assert admitted == expected, (t, p)
 
 
 def _lint(doc):

@@ -509,6 +509,46 @@ def test_misshapen_file_grids_are_malformed(edit):
     assert _outcome(read_trace, text) == ("TraceFormatError", "knowledge grid malformed")
 
 
+LAYOUTS = {  # each file still holds the separator write_trace puts before knowledge
+    "indented": "ok",
+    "bad duplicate before": "ok",
+    "bad duplicate after": "TraceFormatError",
+    "actions first, respaced": "ok",
+    "head not JSON": "TraceFormatError",
+}
+
+
+def _laid_out(layout, trace):
+    """The trace's file in another layout than write_trace's."""
+    text = write_trace(trace)
+    tail = text[text.rfind(',\n  "knowledge": '):]
+    doc = json.loads(text)
+    if layout == "indented":
+        return json.dumps(doc, indent=2)
+    if layout == "bad duplicate before":  # the written member, last, overrides it
+        return text.replace('{\n  "spec"', '{\n  "knowledge": [],\n  "spec"', 1)
+    if layout == "bad duplicate after":  # overrides the written member
+        return text[:-3] + tail.replace("true", "false")
+    if layout == "actions first, respaced":
+        head = json.dumps({"actions": doc["actions"], "spec": doc["spec"]}, indent=1)
+        return head[:-2] + tail
+    return '{"spec": ' + tail
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("trace", [trace for trace in SOLVED if trace is not None],
+                         ids=lambda trace: "P=%d M=%d T=%d" % (
+                             trace.spec.processes, trace.spec.packets, trace.spec.horizon))
+def test_other_layouts_read_as_the_reference_reads_them(layout, trace):
+    text = _laid_out(layout, trace)
+    assert text != write_trace(trace) and ',\n  "knowledge": ' in text
+    ours = _outcome(read_trace, text)
+    assert ours == _outcome(_reference_read, text)
+    assert ours[0] == LAYOUTS[layout]
+    if ours[0] == "ok":
+        assert ours[1] == trace
+
+
 TRAPS = [
     "negative holder mask", "mask with bit P", "short knowledge row", "long knowledge row",
     "short action row", "wide action row", "missing action row", "missing knowledge row",
