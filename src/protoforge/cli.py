@@ -109,9 +109,9 @@ def _read(path: str) -> str:
 
 
 # The file buffer of every --out and --trace-out write, trace files and SMT
-# documents alike. An SMT document is written as a few hundred blocks of up
-# to about 17 KB on the benchmark's rungs, each followed by a newline
-# piece; 64 KiB gathers them into a few large writes.
+# documents alike. An SMT document is written as 60 to 150 blocks of up to
+# about 27 KB on the benchmark's rungs, each followed by a newline piece;
+# 64 KiB gathers them into a few large writes.
 _WRITE_BUFFER = 1 << 16
 
 

@@ -22,11 +22,16 @@ named so unsat cores map back onto requirement families. The footer always
 asks for both values and an unsat core; solvers answer the inapplicable
 request with an error form, which the parser skips.
 
-The per-slot families (R1, R2, R5, R6, R7 and the get-value lines) read
-the same in every slot but for the digits of t and t + 1. Each is rendered
-once per document as a block over placeholder characters for the two and
-stamped out per slot with str.replace; each slot's stamp stays one block.
-R3, R4 and GOAL are not per-slot and are rendered directly, one block each.
+The repeated families read the same for every process and slot but for
+the digits of p, t and t + 1: R1, R2, R5, R6, R7 and the get-value lines,
+and R3 and GOAL, which are not per-slot. Each is written once, over
+placeholder characters for the three, split once on a placeholder and
+stamped per value by one join of its pieces on the value's digits: per
+process into a family's template for one slot, and that per slot, one
+block per slot. R6 and R7 alone hold t + 1, filled in by one str.replace
+per slot block; R7 has two templates, for processes with and without
+speakers. The senders and heard definitions are stamped per slot only,
+R4 is rendered directly, and R3 with R4, and GOAL, are one block each.
 The document keeps these blocks as they are (see SmtDocument), so emit-smt
 writes them to its file one by one, and the whole text is joined only when
 something reads it.
@@ -39,7 +44,7 @@ import shlex
 import subprocess
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from typing import TextIO
 
@@ -126,9 +131,9 @@ def _sum(terms: list[str]) -> str:
     return terms[0] if len(terms) == 1 else f"(+ {' '.join(terms)})"
 
 
-# Placeholders for t and t + 1 in the per-slot families; no spec renders
-# either character.
-_T, _T1 = "\x00", "\x01"
+# Placeholders for the slot t, the slot t + 1 and the process p in the
+# repeated families; no spec renders any of these characters.
+_T, _T1, _P = "\x00", "\x01", "\x02"
 
 
 def _joined(lines: list[str]) -> list[str]:
@@ -136,13 +141,15 @@ def _joined(lines: list[str]) -> list[str]:
     return ["\n".join(lines)] if lines else []
 
 
-def _stamp(lines: list[str], slots: range) -> list[str]:
-    """The lines as one block per slot, its placeholders filled in."""
-    return [
-        template.replace(_T, str(t)).replace(_T1, str(t + 1))
-        for template in _joined(lines)
-        for t in slots
-    ]
+def _stamp(lines: list[str], values: range, mark: str) -> list[str]:
+    """The lines as one block per value, each mark spliced with its digits by
+    one join; none without lines. Per slot (_T), _T1 then gets t + 1."""
+    template = "\n".join(lines)
+    pieces = template.split(mark)
+    blocks = [str(value).join(pieces) for value in values] if lines else []
+    if mark == _T and _T1 in template:
+        return [block.replace(_T1, str(t + 1)) for t, block in zip(values, blocks)]
+    return blocks
 
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
@@ -181,61 +188,61 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         for listener in set_bits(heard_by):
             speakers[listener].append(speaker)
     listeners = [p for p in procs if speakers[p]] if M else []
-    tx = [f"(transmit {_T} {p})" for p in procs]
+
+    each = partial(_stamp, values=procs, mark=_P)  # one process's lines, per process
     # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
-    # cores map back onto requirement families. The per-slot families are
-    # written once for slot _T (and _T1 for t + 1) and stamped per slot.
-    cells, bounds, sent, kept, learnt, actions, known = ([] for _ in range(7))
-    for p, x in enumerate(tx):
-        s, l = f"(sleep {_T} {p})", f"(listen {_T} {p})"
-        cells += [
-            f"(assert (! (and (not (and {s} {l})) (=> {s} (= {x} (- 1)))"
-            f" (=> {l} (= {x} (- 1)))) :named |{r1}@t={_T},p={p}|))",
-            f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@t={_T},p={p}|))",
-        ]
-        bounds.append(f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@t={_T},p={p}|))")
-        actions.append(f"(get-value ({s} {l} {x}))")
-        for k in packets:
-            a, b = f"(knows {_T} {p} {k})", f"(knows {_T1} {p} {k})"
-            sent.append(f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@t={_T},p={p},k={k}|))")
-            kept.append(f"(assert (! (=> {a} {b}) :named |{r6}@t={_T},p={p},k={k}|))")
-            if speakers[p]:  # p also learns k if it listens, the slot has one sender and p hears k
-                a = f"(or {a} (and {l} (= (senders {_T}) 1) (= (heard {_T} {p}) {k})))"
-            learnt.append(f"(assert (! (= {b} {a}) :named |{r7}@t={_T},p={p},k={k}|))")
-        if M:
-            known.append(f"(get-value ({' '.join(f'(knows {_T} {p} {k})' for k in packets)}))")
+    # cores map back onto requirement families. The repeated families are
+    # written for process _P in slot _T (_T1 for t + 1), stamped per process.
+    s, l, x = (f"({name} {_T} {_P})" for name in ("sleep", "listen", "transmit"))
+    at = f"t={_T},p={_P}"
+    cells = [
+        f"(assert (! (and (not (and {s} {l})) (=> {s} (= {x} (- 1)))"
+        f" (=> {l} (= {x} (- 1)))) :named |{r1}@{at}|))",
+        f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@{at}|))",
+    ]
+    bounds = [f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@{at}|))"]
+    sent, kept, heard, deaf, goals = ([] for _ in range(5))
+    for k in packets:
+        a, b = f"(knows {_T} {_P} {k})", f"(knows {_T1} {_P} {k})"
+        sent.append(f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@{at},k={k}|))")
+        kept.append(f"(assert (! (=> {a} {b}) :named |{r6}@{at},k={k}|))")
+        # with speakers, p learns k if it listens, the slot has one sender and p hears k
+        learns = f"(or {a} (and {l} (= (senders {_T}) 1) (= (heard {_T} {_P}) {k})))"
+        heard.append(f"(assert (! (= {b} {learns}) :named |{r7}@{at},k={k}|))")
+        deaf.append(f"(assert (! (= {b} {a}) :named |{r7}@{at},k={k}|))")
+        goals.append(f"(assert (! (knows {T} {_P} {k}) :named |{goal}@t={T},p={_P},k={k}|))")
+    learnt = [h if speakers[p] else d for p, h, d in zip(procs, each(heard), each(deaf))]
+    tx = [f"(transmit {_T} {p})" for p in procs]
     defined = []
     if listeners:
-        count = _sum([f"(ite (>= {x} 0) 1 0)" for x in tx])
+        count = _sum([f"(ite (>= {q} 0) 1 0)" for q in tx])
         defined.append(f"(assert (! (= (senders {_T}) {count}) :named |{r7}.senders@t={_T}|))")
     for p in listeners:
-        codes = _sum([f"(ite (> {tx[s]} 0) {tx[s]} 0)" for s in speakers[p]])
+        codes = _sum([f"(ite (> {tx[q]} 0) {tx[q]} 0)" for q in speakers[p]])
         defined.append(f"(assert (! (= (heard {_T} {p}) {codes}) :named |{r7}.heard@t={_T},p={p}|))")
     fixed = []  # R3 and R4, which are not per-slot
     if L.R3_LIVENESS in families:
         fixed.append("; every action kind must occur inside the finite window")
-        for p in procs:
+        fixed += each([
+            f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={_P}|))"
             for variant, atoms in (
-                ("sleep", [f"(sleep {t} {p})" for t in slots]),
-                ("listen", [f"(listen {t} {p})" for t in slots]),
-                ("transmit", [f"(>= (transmit {t} {p}) 0)" for t in slots]),
-            ):
-                fixed.append(f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={p}|))")
+                ("sleep", [f"(sleep {t} {_P})" for t in slots]),
+                ("listen", [f"(listen {t} {_P})" for t in slots]),
+                ("transmit", [f"(>= (transmit {t} {_P}) 0)" for t in slots]),
+            )
+        ])
     for p in procs:
         for k in packets:
             a = f"(knows 0 {p} {k})" if p == spec.source else f"(not (knows 0 {p} {k}))"
             fixed.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
-    blocks = _stamp(cells, slots) + _stamp(bounds, slots) + _joined(fixed)
-    for block in (sent, kept, defined, learnt):
-        blocks += _stamp(block, slots)
+    blocks = _stamp(each(cells), slots, _T) + _stamp(each(bounds), slots, _T) + _joined(fixed)
+    for family in (each(sent), each(kept), defined, learnt):
+        blocks += _stamp(family, slots, _T)
     if L.GOAL_DEADLINE in families:
-        blocks += _joined([
-            f"(assert (! (knows {T} {p} {k}) :named |{goal}@t={T},p={p},k={k}|))"
-            for p in procs
-            for k in packets
-        ])
-    footer = ["(check-sat)", *_stamp(actions, slots), *_stamp(known, range(T + 1))]
-    footer += ["(get-unsat-core)", "(exit)"]
+        blocks += _joined(each(goals))
+    known = [f"(get-value ({' '.join(f'(knows {_T} {_P} {k})' for k in packets)}))"] if M else []
+    footer = ["(check-sat)", *_stamp(each([f"(get-value ({s} {l} {x}))"]), slots, _T)]
+    footer += [*_stamp(each(known), range(T + 1), _T), "(get-unsat-core)", "(exit)"]
     return SmtDocument(header, declarations, tuple(blocks), tuple(footer))
 
 

@@ -497,31 +497,32 @@ def write_trace(trace: ProtocolTrace) -> str:
 def read_trace(text: str) -> ProtocolTrace:
     """Inverse of write_trace. Knowledge, when present, must match the grid
     re-derived from the actions; anything else is a TraceFormatError."""
-    trace = _as_written(text)
-    return _read(text) if trace is None else trace
+    head, written = _as_written(text)
+    return head if written else _read(text, head)
 
 
-def _as_written(text: str) -> ProtocolTrace | None:
-    """The trace of a file whose knowledge field is exactly the one
-    write_trace writes for it, read without decoding that field; else None."""
+def _as_written(text: str) -> tuple[ProtocolTrace | None, bool]:
+    """The trace of the file before its last knowledge separator, when that
+    reads, and whether the rest is exactly the knowledge field write_trace
+    writes for it, so that the trace is the file's without decoding it."""
     cut = text.rfind(_KNOWLEDGE)
     if cut == -1:
-        return None
+        return None, False
     try:
         trace = _read(text[:cut] + "\n}")
     except TraceFormatError:
-        return None
+        return None, False
     spec = trace.spec
     # a field this short is not the written one; rendering it could cost
     # far more than the file, when a small file claims a huge grid
-    if len(text) - cut < 4 * (spec.horizon + 1) * spec.processes * spec.packets:
-        return None
-    return trace if text[cut:] == _knowledge_field(trace) else None
+    short = len(text) - cut < 4 * (spec.horizon + 1) * spec.processes * spec.packets
+    return trace, not short and text[cut:] == _knowledge_field(trace)
 
 
-def _read(text: str) -> ProtocolTrace:
+def _read(text: str, head: ProtocolTrace | None = None) -> ProtocolTrace:
     """read_trace for any JSON layout: the file's knowledge grid decoded and
-    compared with the one derived from the actions."""
+    compared with the one derived from the actions. A head trace from
+    _as_written with the file's spec and actions is the file's trace."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
@@ -544,7 +545,9 @@ def _read(text: str) -> ProtocolTrace:
     rows = obj["actions"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TraceFormatError("actions must be a list of per-slot lists")
-    trace = ProtocolTrace.from_actions(spec, _parse_actions(rows, spec.packets))
+    actions = tuple(_parse_actions(rows, spec.packets))
+    same_head = head is not None and head.spec == spec and head.actions == actions
+    trace = head if same_head else ProtocolTrace.from_actions(spec, actions)
     if "knowledge" in obj:
         grid = obj["knowledge"]
         # its size is checked before anything that size is derived to compare with it

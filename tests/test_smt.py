@@ -38,6 +38,7 @@ from protoforge.smt import (
 from protoforge.solver import SearchConfig, SolveStatus, solve
 from protoforge.trace import ProtocolTrace, knowledge_table, validate
 from conftest import make_spec
+from oracle import enumerate_all
 
 L = RequirementLabel
 
@@ -300,9 +301,11 @@ def test_no_placeholder_leaks_and_every_entry_is_one_line(spec):
 
 
 # (P, M, T) of the five smt-export benchmark rungs, then horizons around a
-# digit boundary, a packet-free spec and a lone process
+# digit boundary, a packet-free spec, a lone process, and three-digit process
+# ids with the last process as the source
 RUNG_SHAPES = ((7, 2, 7), (9, 3, 9), (11, 3, 11), (14, 5, 14), (18, 6, 18))
 EDGE_SHAPES = tuple((3, 2, T) for T in (0, 9, 10, 99, 100)) + ((4, 0, 10), (1, 2, 10))
+EDGE_SHAPES += ((101, 1, 2), (100, 2, 1), (101, 0, 1))
 
 
 def _four_speakers(P, seed):
@@ -322,7 +325,8 @@ def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tm
     P, M, T = shape
     if topology == "explicit":
         topology = _four_speakers(P, seed=P * 1000 + M * 100 + T)
-    spec = make_spec(processes=P, packets=M, horizon=T, source=P // 2 if topology != "line" else 0,
+    source = P - 1 if P >= 100 else P // 2 if topology != "line" else 0
+    spec = make_spec(processes=P, packets=M, horizon=T, source=source,
                      topology=topology, liveness=EACH if P % 2 else LivenessMode.OFF)
     doc, reference = emit_smtlib(spec), _reference_emit(spec)
     # the file emit-smt writes, straight from the blocks; compared line by
@@ -812,6 +816,64 @@ def test_cell_assertions_admit_exactly_the_encodings_of_the_action_domain(packet
             if all(map(ev.holds, assertions)):
                 admitted.add(values)
         assert admitted == expected, (t, p)
+
+
+# Shapes whose whole model set is walked, over every legal action grid, with
+# no solver. Explicit relations are (listener, speaker) pairs.
+GRID_SPECS = {
+    "all P=2 M=2 T=2": make_spec(processes=2, packets=2, horizon=2, source=1, topology="all"),
+    "all P=2 M=0 T=3 liveness": make_spec(processes=2, packets=0, horizon=3, topology="all", liveness=EACH),
+    "line P=3 M=1 T=2": make_spec(processes=3, packets=1, horizon=2, topology="line"),
+    "line P=3 M=1 T=1 unsat": make_spec(processes=3, packets=1, horizon=1, topology="line"),
+    "explicit P=3 M=1 T=1": make_spec(processes=3, packets=1, horizon=1, source=2,
+                                      topology={(0, 2), (1, 0), (1, 2)}),
+    "explicit P=3 M=2 T=1 no goal": make_spec(processes=3, packets=2, horizon=1, topology={(1, 0), (2, 1)},
+                                              goal=GoalKind.NONE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SPECS))
+def test_the_grids_satisfying_every_assertion_are_the_oracle_traces(name):
+    """Per legal action grid, knows is set at t = 0 from the R4 literals and
+    at t + 1 from the R7 equalities, in document order, with the senders and
+    heard definitions R7 reads; then every assertion is evaluated. The grids
+    that satisfy them all, with those knows values, are enumerate_all's traces."""
+    spec = GRID_SPECS[name]
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    doc = emit_smtlib(spec)
+    functions = _declared(doc)
+    assertions = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
+    key = Evaluator(functions, {}).key
+    definitions = []  # (defined term, the value it takes)
+    for _, expr, _, label in assertions:
+        family = label_of_assertion_name(label)
+        if family is L.R4_INITIAL_KNOWLEDGE:  # (knows 0 p k) or its negation
+            negated = expr[0] == "not"
+            definitions.append((key(expr[1] if negated else expr), "false" if negated else "true"))
+        elif family is L.R7_COLLISION_FREE_LEARNING:  # (= (f args) value)
+            assert expr[0] == "=", expr
+            definitions.append((key(expr[1]), expr[2]))
+    knows = [term for term, _ in definitions if term[0] == "knows"]
+    # each knows term defined exactly once; evaluating the definitions in
+    # order below fails on a read of a term not yet defined
+    assert sorted(knows) == [("knows", t, p, k) for t in range(T + 1) for p in range(P) for k in range(1, M + 1)]
+    assert len({term for term, _ in definitions}) == len(definitions)
+    bodies = [expr for _, expr, _, _ in reversed(assertions)]  # the goal, which fails most, first
+    encoding = {act: _encoding(act) for act in action_domain(M)}
+    cells = [[(function, t, p) for function in CELL] for t in range(T) for p in range(P)]
+    models = {}
+    for grid in product(action_domain(M), repeat=T * P):
+        values = {}
+        for keys, act in zip(cells, grid):
+            values.update(zip(keys, encoding[act]))
+        ev = Evaluator(functions, values)
+        for term, value in definitions:
+            values[term] = ev.value(value)
+        if all(map(ev.holds, bodies)):
+            models[tuple(grid[t * P:(t + 1) * P] for t in range(T))] = {term: values[term] for term in knows}
+    traces = enumerate_all(encode(spec))
+    assert models == {trace.actions: {term: trace_values(trace)[term] for term in knows} for trace in traces}
+    assert bool(models) == ("unsat" not in name)
 
 
 def _lint(doc):

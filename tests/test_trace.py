@@ -27,7 +27,7 @@ from protoforge.trace import (
 )
 from conftest import make_spec
 from oracle import enumerate_all, satisfies
-from test_cli import OVERSIZED_PACKETS_TRACE
+from test_cli import OVERSIZED_PACKETS_TRACE, OVERSIZED_WRITTEN_TRACE
 
 L = RequirementLabel
 
@@ -297,6 +297,37 @@ def test_read_rejects_an_oversized_embedded_spec_before_deriving(monkeypatch):
     monkeypatch.setattr("protoforge.trace.initial_knowledge", refuse)
     with pytest.raises(TraceFormatError, match="embedded spec: .* must be <= 16777216"):
         read_trace(json.dumps(doc))
+
+
+ONE_PACKET_TRACE = OVERSIZED_WRITTEN_TRACE.replace("4000000", "1")
+
+
+@pytest.mark.parametrize("text, message, derived", [
+    # the head's spec claims a grid too large to render, so the file is
+    # read whole, and the head's trace serves it
+    (OVERSIZED_WRITTEN_TRACE, "knowledge grid malformed", 1),
+    # the grid in another layout, then a forged one
+    (ONE_PACKET_TRACE.replace("[true], [false]", "[true],[false]"), None, 1),
+    (ONE_PACKET_TRACE.replace("[true], [true]", "[true], [false]"), "mismatch at t=1, p=1", 1),
+    # JSON keeps the last of two actions fields, which the head never sees
+    (ONE_PACKET_TRACE.replace("\n}", ', "actions": [["tx:1", "sleep"]]\n}'), "mismatch at t=1, p=1", 2),
+])
+def test_a_file_read_whole_after_its_head_derives_knowledge_once(monkeypatch, text, message, derived):
+    calls = []
+    from_actions = ProtocolTrace.from_actions.__func__
+
+    def counted(cls, spec, actions):
+        calls.append(spec)
+        return from_actions(cls, spec, actions)
+
+    monkeypatch.setattr(ProtocolTrace, "from_actions", classmethod(counted))
+    if message is None:
+        assert read_trace(text) == read_trace(ONE_PACKET_TRACE)
+        calls.pop()  # the written file's read
+    else:
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace(text)
+    assert len(calls) == derived
 
 
 @pytest.mark.parametrize("digits", [4301, 5000])
