@@ -41,32 +41,30 @@ returns; derive_knowledge and write_trace (through per_distinct) and the
 validator decode or render each distinct row object once, though deliver
 runs per slot, and the validator checks each distinct cell object of those
 rows once; write_trace renders knowledge rows straight from their masks,
-a run of equal rows once; and read_trace, for a file in another layout,
-tabulates the knowledge rows from the changes, each row's table sharing the
-lists of the one before that its slot leaves alone, to compare the file's
-rows against them. Action shape checks run as whole-grid passes, and walk
-row by row only to name the first bad row; knowledge is checked once per
-change. Violation messages list at most MAX_LISTED packet numbers.
+a run of equal rows once. Action shape checks run as whole-grid passes, and
+walk row by row only to name the first bad row; knowledge is checked once
+per change. Violation messages list at most MAX_LISTED packet numbers.
 
-read_trace first checks the knowledge field as text. write_trace writes it
+read_trace checks a file in one order: JSON, fields, the embedded spec,
+the action labels, each action row's width, the number of rows, then the
+knowledge grid's shape, level by level (T+1 lists of P lists of M
+entries), and that every entry is a bool, since 1 == True. Only then is
+knowledge derived, so a small file whose spec claims a huge grid is
+refused before anything that size is built. The file's rows are then
+compared, one at a time, with one knowledge_table that each change flips
+in place; the first row that differs names the first cell.
+
+The one early exit is a text check. write_trace writes the knowledge field
 last, behind a comma, a newline and ``  "knowledge": ``, a separator no
 JSON string holds, as it holds a raw newline. The file before the last
-separator, closed with a brace, is read as a file without knowledge. When
-it reads and the rest is exactly the field write_trace renders for its
-trace, the whole file is that object plus this last knowledge member,
-which reading it whole would accept with an equal trace. The field is
-rendered only when the rest has the four characters per entry of the
-claimed grid that each boolean takes.
-
-Any other file is read whole, so no verdict or message depends on the text
-check. Its knowledge grid is checked in three whole-grid passes. The first
-checks its shape, level by level: T+1 lists of P lists of M entries, so
-that a small file whose spec claims a huge grid is refused before anything
-that size is derived. The second compares the grid with the tabulated
-derived rows in one ==. The third checks that every entry is a bool, since
-1 == True. A grid of another shape or with a non-boolean entry is
-malformed; only a well-formed grid that differs from the derived rows is
-walked row by row, to name the first cell that differs.
+separator, closed with a brace, is checked in the order above as far as
+the action rows. When the rest has the four characters per entry of the
+claimed grid that each boolean takes, the head's trace is derived, and
+when the rest is exactly the field write_trace renders for it, the whole
+file is that object plus this last knowledge member, which reading it
+whole would accept with an equal trace. Any other file is read whole, so
+no verdict or message depends on the text check; the head's trace serves
+it when the whole file's spec and actions equal the head's.
 """
 
 from __future__ import annotations
@@ -225,9 +223,9 @@ class ProtocolTrace:
     def __post_init__(self) -> None:
         spec = self.spec
         P, M, T = spec.processes, spec.packets, spec.horizon
-        if (count := len(self.actions)) != T:
+        if (count := len(self.actions)) != T:  # counted before the widths, unlike a file
             raise TraceFormatError(f"dimension mismatch: {count} action rows for horizon {T}")
-        _check_row_widths(spec, self.actions)
+        _check_actions(spec, self.actions)
         if (count := len(self.changes) + 1) != T + 1:
             raise TraceFormatError(f"dimension mismatch: {count} knowledge rows for horizon {T}")
         if len(self.initial) != M or any(holders >> P for holders in set(self.initial)):
@@ -245,7 +243,7 @@ class ProtocolTrace:
     @classmethod
     def from_actions(cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> "ProtocolTrace":
         frozen = tuple(map(tuple, actions))
-        _check_row_widths(spec, frozen)  # before the learning rule indexes them
+        _check_actions(spec, frozen)  # before the learning rule indexes them
         return cls(spec, frozen, initial_knowledge(spec), derive_knowledge(spec, frozen))
 
     @classmethod
@@ -262,34 +260,15 @@ class ProtocolTrace:
         return cls(spec, actions, tuple(rows[0]), changes)
 
 
-def _knowledge_tables(trace: ProtocolTrace) -> list[list[list[bool]]]:
-    """The T+1 knowledge rows as knowledge_table gives them. Row 0 is
-    tabulated. Each later row copies the table before it and flips the
-    entries of the processes its slot's changes name, sharing every other
-    list; a slot without changes shares the whole table."""
-    P = trace.spec.processes
-    row, table = trace.initial, knowledge_table(trace.initial, P)
-    tables = [table]
-    for slot in trace.changes:
-        if slot:
-            table = table.copy()
-            for packet, holders in slot:
-                for p in set_bits(holders ^ row[packet - 1]):
-                    cell = table[p] = table[p].copy()
-                    cell[packet - 1] = not cell[packet - 1]
-                row = applied(row, ((packet, holders),))
-        tables.append(table)
-    return tables
-
-
-def _check_row_widths(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
-    if set(map(len, actions)) <= {spec.processes}:
-        return
-    for t, row in enumerate(actions):  # name the first row of another width
-        if len(row) != spec.processes:
-            raise TraceFormatError(
-                f"dimension mismatch: {len(row)} actions at t={t} for {spec.processes} processes"
-            )
+def _check_actions(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
+    """The action rows' shape, in a file's order: each row's width, naming
+    the first row of another width, then the number of rows."""
+    P, T = spec.processes, spec.horizon
+    if not set(map(len, actions)) <= {P}:
+        t, row = next((t, row) for t, row in enumerate(actions) if len(row) != P)
+        raise TraceFormatError(f"dimension mismatch: {len(row)} actions at t={t} for {P} processes")
+    if len(actions) != T:
+        raise TraceFormatError(f"dimension mismatch: {len(actions)} action rows for horizon {T}")
 
 
 @dataclass(frozen=True)
@@ -497,32 +476,36 @@ def write_trace(trace: ProtocolTrace) -> str:
 def read_trace(text: str) -> ProtocolTrace:
     """Inverse of write_trace. Knowledge, when present, must match the grid
     re-derived from the actions; anything else is a TraceFormatError."""
-    head, written = _as_written(text)
-    return head if written else _read(text, head)
-
-
-def _as_written(text: str) -> tuple[ProtocolTrace | None, bool]:
-    """The trace of the file before its last knowledge separator, when that
-    reads, and whether the rest is exactly the knowledge field write_trace
-    writes for it, so that the trace is the file's without decoding it."""
+    head = None
     cut = text.rfind(_KNOWLEDGE)
-    if cut == -1:
-        return None, False
-    try:
-        trace = _read(text[:cut] + "\n}")
-    except TraceFormatError:
-        return None, False
-    spec = trace.spec
-    # a field this short is not the written one; rendering it could cost
-    # far more than the file, when a small file claims a huge grid
-    short = len(text) - cut < 4 * (spec.horizon + 1) * spec.processes * spec.packets
-    return trace, not short and text[cut:] == _knowledge_field(trace)
+    if cut != -1:
+        try:
+            spec, actions = _document(text[:cut] + "\n}")[:2]  # drops the decoded labels now
+        except TraceFormatError:
+            pass
+        else:
+            # a field this short is not the written one; rendering it could cost
+            # far more than the file, when a small file claims a huge grid
+            if len(text) - cut >= 4 * (spec.horizon + 1) * spec.processes * spec.packets:
+                head = ProtocolTrace.from_actions(spec, actions)
+                if text[cut:] == _knowledge_field(head):
+                    return head
+
+    spec, actions, obj = _document(text)
+    if "knowledge" in obj:  # its shape is checked before anything that size is derived
+        cells = _cells(obj["knowledge"], (spec.horizon + 1, spec.processes, spec.packets))
+        if cells is None or not all(map(isinstance, chain.from_iterable(cells), repeat(bool))):
+            raise TraceFormatError("knowledge grid malformed")
+    same_head = head is not None and head.spec == spec and head.actions == actions
+    trace = head if same_head else ProtocolTrace.from_actions(spec, actions)
+    if "knowledge" in obj:
+        _compare_knowledge(obj["knowledge"], trace)
+    return trace
 
 
-def _read(text: str, head: ProtocolTrace | None = None) -> ProtocolTrace:
-    """read_trace for any JSON layout: the file's knowledge grid decoded and
-    compared with the one derived from the actions. A head trace from
-    _as_written with the file's spec and actions is the file's trace."""
+def _document(text: str) -> tuple[NetworkSpec, tuple[tuple[Action, ...], ...], dict]:
+    """A trace document's spec, its action rows parsed and checked against
+    that spec, and the decoded object, whose knowledge is not looked at."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
@@ -546,25 +529,27 @@ def _read(text: str, head: ProtocolTrace | None = None) -> ProtocolTrace:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise TraceFormatError("actions must be a list of per-slot lists")
     actions = tuple(_parse_actions(rows, spec.packets))
-    same_head = head is not None and head.spec == spec and head.actions == actions
-    trace = head if same_head else ProtocolTrace.from_actions(spec, actions)
-    if "knowledge" in obj:
-        grid = obj["knowledge"]
-        # its size is checked before anything that size is derived to compare with it
-        cells = _cells(grid, (spec.horizon + 1, spec.processes, spec.packets))
-        if cells is not None:
-            derived = _knowledge_tables(trace)
-            same = grid == derived  # 1 == True, so the leaves' types are checked next
-        if cells is None or not all(map(isinstance, chain.from_iterable(cells), repeat(bool))):
-            raise TraceFormatError("knowledge grid malformed")
-        if not same:
-            t, p = next((t, p) for t, (row, held) in enumerate(zip(grid, derived)) if row != held
-                        for p, (file, have) in enumerate(zip(row, held)) if file != have)
+    _check_actions(spec, actions)
+    return spec, actions, obj
+
+
+def _compare_knowledge(grid: list, trace: ProtocolTrace) -> None:
+    """Raises at the first (t, p) where a well-formed file grid differs from
+    the trace's knowledge. Each file row is compared with one knowledge_table
+    that the slot's changes flip in place. derive_knowledge gives at most
+    one change per slot, so the row before the slot holds its old holders."""
+    rows = trace.knowledge
+    table = knowledge_table(rows[0], trace.spec.processes)
+    for t, (line, slot) in enumerate(zip(grid, ((),) + trace.changes)):
+        for packet, holders in slot:
+            for p in set_bits(holders ^ rows[t - 1][packet - 1]):
+                table[p][packet - 1] = not table[p][packet - 1]
+        if line != table:
+            p = next(p for p, (file, have) in enumerate(zip(line, table)) if file != have)
             raise TraceFormatError(
                 f"knowledge grid mismatch at t={t}, p={p}: file disagrees "
                 "with the grid derived from the actions"
             )
-    return trace
 
 
 def _parse_actions(rows: list[list], packets: int) -> list[tuple[Action, ...]]:

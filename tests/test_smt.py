@@ -650,7 +650,32 @@ def trace_values(trace):
     return values
 
 
+def _equal(v):
+    assert len({type(x) for x in v}) == 1, v
+    return all(x == v[0] for x in v)
+
+
+# each fragment operator on its evaluated arguments
+APPLY = {
+    "and": lambda v: all(_bools(v)),
+    "or": lambda v: any(_bools(v)),
+    "not": lambda v: not _bools(v)[0],
+    "=>": lambda v: not all(_bools(v)[:-1]) or v[-1],
+    "=": _equal,
+    "ite": lambda v: v[1] if _bools(v[:1])[0] else v[2],
+    "+": lambda v: sum(_ints(v)),
+    "-": lambda v: -_ints(v)[0] if len(v) == 1 else v[0] - sum(_ints(v)[1:]),
+    ">=": lambda v: all(a >= b for a, b in zip(_ints(v), v[1:])),
+    "<=": lambda v: all(a <= b for a, b in zip(_ints(v), v[1:])),
+    ">": lambda v: all(a > b for a, b in zip(_ints(v), v[1:])),
+}
+
+
 class Evaluator:
+    """Evaluates terms and assertions on a values dict. compiled and
+    assertion convert a term once, literals, keys and operators included,
+    into a function of the values, which a loop over many value sets calls."""
+
     def __init__(self, functions, values):
         self.functions = functions
         self.values = values
@@ -660,55 +685,53 @@ class Evaluator:
         assert len(args) == self.functions[head], app
         return (head, *(int(a) for a in args))
 
-    def value(self, term):
+    def compiled(self, term):
         if isinstance(term, str):
-            return term == "true" if term in ("true", "false") else int(term)
+            literal = term == "true" if term in ("true", "false") else int(term)
+            return lambda values: literal
         head, *args = term
         if head in self.functions:
             key = self.key(term)
-            assert key in self.values, f"{key} is read before it is defined"
-            return self.values[key]
-        v = [self.value(a) for a in args]
-        if head == "and":
-            return all(_bools(v))
-        if head == "or":
-            return any(_bools(v))
-        if head == "not":
-            return not _bools(v)[0]
-        if head == "=>":
-            *premises, conclusion = _bools(v)
-            return not all(premises) or conclusion
-        if head == "=":
-            assert len({type(x) for x in v}) == 1, term
-            return all(x == v[0] for x in v)
-        if head == "ite":
-            return v[1] if _bools(v[:1])[0] else v[2]
-        if head == "+":
-            return sum(_ints(v))
-        if head == "-":
-            return -_ints(v)[0] if len(v) == 1 else v[0] - sum(_ints(v)[1:])
-        comparisons = {">=": int.__ge__, "<=": int.__le__, ">": int.__gt__}
-        return all(comparisons[head](a, b) for a, b in zip(_ints(v), v[1:]))
+
+            def read(values):
+                assert key in values, f"{key} is read before it is defined"
+                return values[key]
+            return read
+        parts = [self.compiled(a) for a in args]
+        apply = APPLY[head]
+        return lambda values: apply([part(values) for part in parts])
+
+    def assertion(self, expr):
+        """One assertion body as a function of the values that tells whether
+        it holds, first binding a definition."""
+        body = self.compiled(expr)
+        if expr[0] == "=" and isinstance(expr[1], list) and expr[1][0] not in SUPPLIED:
+            key, definition = self.key(expr[1]), self.compiled(expr[2])
+
+            def holds(values):
+                if key not in values:
+                    values[key] = definition(values)
+                    return True
+                return _bools([body(values)])[0]
+            return holds
+        return lambda values: _bools([body(values)])[0]
+
+    def value(self, term):
+        return self.compiled(term)(self.values)
 
     def holds(self, expr) -> bool:
-        """Evaluates one assertion body, first binding a definition."""
-        if expr[0] == "=" and isinstance(expr[1], list) and expr[1][0] not in SUPPLIED:
-            key = self.key(expr[1])
-            if key not in self.values:
-                self.values[key] = self.value(expr[2])
-                return True
-        return _bools([self.value(expr)])[0]
+        return self.assertion(expr)(self.values)
 
 
 def falsified(doc, traces):
     """For each trace, the families with an assertion it falsifies."""
-    functions = _declared(doc)
+    ev = Evaluator(_declared(doc), {})
     named = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
+    checks = [(ev.assertion(expr), label_of_assertion_name(name)) for _, expr, _, name in named]
     out = []
     for trace in traces:
-        ev = Evaluator(functions, trace_values(trace))
-        out.append({label_of_assertion_name(name) for _, expr, _, name in named
-                    if not ev.holds(expr)})
+        values = trace_values(trace)
+        out.append({label for holds, label in checks if not holds(values)})
     return out
 
 
@@ -823,6 +846,7 @@ def test_cell_assertions_admit_exactly_the_encodings_of_the_action_domain(packet
 GRID_SPECS = {
     "all P=2 M=2 T=2": make_spec(processes=2, packets=2, horizon=2, source=1, topology="all"),
     "all P=2 M=0 T=3 liveness": make_spec(processes=2, packets=0, horizon=3, topology="all", liveness=EACH),
+    "all P=2 M=1 T=3 liveness": make_spec(processes=2, packets=1, horizon=3, topology="all", liveness=EACH),
     "line P=3 M=1 T=2": make_spec(processes=3, packets=1, horizon=2, topology="line"),
     "line P=3 M=1 T=1 unsat": make_spec(processes=3, packets=1, horizon=1, topology="line"),
     "explicit P=3 M=1 T=1": make_spec(processes=3, packets=1, horizon=1, source=2,
@@ -843,22 +867,23 @@ def test_the_grids_satisfying_every_assertion_are_the_oracle_traces(name):
     doc = emit_smtlib(spec)
     functions = _declared(doc)
     assertions = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
-    key = Evaluator(functions, {}).key
-    definitions = []  # (defined term, the value it takes)
+    ev = Evaluator(functions, {})  # every term is compiled here, before the grid loop
+    key, compiled = ev.key, ev.compiled
+    definitions = []  # (defined term, the value it takes as a function of the values)
     for _, expr, _, label in assertions:
         family = label_of_assertion_name(label)
         if family is L.R4_INITIAL_KNOWLEDGE:  # (knows 0 p k) or its negation
             negated = expr[0] == "not"
-            definitions.append((key(expr[1] if negated else expr), "false" if negated else "true"))
+            definitions.append((key(expr[1] if negated else expr), compiled("false" if negated else "true")))
         elif family is L.R7_COLLISION_FREE_LEARNING:  # (= (f args) value)
             assert expr[0] == "=", expr
-            definitions.append((key(expr[1]), expr[2]))
+            definitions.append((key(expr[1]), compiled(expr[2])))
     knows = [term for term, _ in definitions if term[0] == "knows"]
     # each knows term defined exactly once; evaluating the definitions in
     # order below fails on a read of a term not yet defined
     assert sorted(knows) == [("knows", t, p, k) for t in range(T + 1) for p in range(P) for k in range(1, M + 1)]
     assert len({term for term, _ in definitions}) == len(definitions)
-    bodies = [expr for _, expr, _, _ in reversed(assertions)]  # the goal, which fails most, first
+    bodies = [ev.assertion(expr) for _, expr, _, _ in reversed(assertions)]  # the goal, which fails most, first
     encoding = {act: _encoding(act) for act in action_domain(M)}
     cells = [[(function, t, p) for function in CELL] for t in range(T) for p in range(P)]
     models = {}
@@ -866,10 +891,9 @@ def test_the_grids_satisfying_every_assertion_are_the_oracle_traces(name):
         values = {}
         for keys, act in zip(cells, grid):
             values.update(zip(keys, encoding[act]))
-        ev = Evaluator(functions, values)
         for term, value in definitions:
-            values[term] = ev.value(value)
-        if all(map(ev.holds, bodies)):
+            values[term] = value(values)
+        if all(holds(values) for holds in bodies):
             models[tuple(grid[t * P:(t + 1) * P] for t in range(T))] = {term: values[term] for term in knows}
     traces = enumerate_all(encode(spec))
     assert models == {trace.actions: {term: trace_values(trace)[term] for term in knows} for trace in traces}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -304,8 +305,8 @@ ONE_PACKET_TRACE = OVERSIZED_WRITTEN_TRACE.replace("4000000", "1")
 
 @pytest.mark.parametrize("text, message, derived", [
     # the head's spec claims a grid too large to render, so the file is
-    # read whole, and the head's trace serves it
-    (OVERSIZED_WRITTEN_TRACE, "knowledge grid malformed", 1),
+    # read whole, and its grid's shape is refused before anything is derived
+    (OVERSIZED_WRITTEN_TRACE, "knowledge grid malformed", 0),
     # the grid in another layout, then a forged one
     (ONE_PACKET_TRACE.replace("[true], [false]", "[true],[false]"), None, 1),
     (ONE_PACKET_TRACE.replace("[true], [true]", "[true], [false]"), "mismatch at t=1, p=1", 1),
@@ -321,13 +322,19 @@ def test_a_file_read_whole_after_its_head_derives_knowledge_once(monkeypatch, te
         return from_actions(cls, spec, actions)
 
     monkeypatch.setattr(ProtocolTrace, "from_actions", classmethod(counted))
-    if message is None:
-        assert read_trace(text) == read_trace(ONE_PACKET_TRACE)
-        calls.pop()  # the written file's read
-    else:
-        with pytest.raises(TraceFormatError, match=message):
-            read_trace(text)
+    tracemalloc.start()
+    try:
+        if message is None:
+            assert read_trace(text) == read_trace(ONE_PACKET_TRACE)
+            calls.pop()  # the written file's read
+        else:
+            with pytest.raises(TraceFormatError, match=message):
+                read_trace(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(calls) == derived
+    assert peak < 2**20  # the 4,000,000-packet initial row alone would be 32 MB
 
 
 @pytest.mark.parametrize("digits", [4301, 5000])

@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protoforge.actions import (
+    LISTEN,
+    SLEEP,
     Action,
     ActionFormatError,
     ActionKind,
@@ -535,8 +537,21 @@ def _laid_out(layout, trace):
     return '{"spec": ' + tail
 
 
+def _relay():
+    """line P=6 M=3 T=15: at slot t, process t mod 5 sends packet t // 5 + 1
+    and its successor listens, so the grid changes in every slot."""
+    spec = make_spec(processes=6, packets=3, horizon=15, topology="line")
+    rows = [[SLEEP] * 6 for _ in range(15)]
+    for t, row in enumerate(rows):
+        row[t % 5], row[t % 5 + 1] = transmit(t // 5 + 1), LISTEN
+    return ProtocolTrace.from_actions(spec, rows)
+
+
+RELAY = _relay()
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("trace", [trace for trace in SOLVED if trace is not None],
+@pytest.mark.parametrize("trace", [trace for trace in SOLVED if trace is not None] + [RELAY],
                          ids=lambda trace: "P=%d M=%d T=%d" % (
                              trace.spec.processes, trace.spec.packets, trace.spec.horizon))
 def test_other_layouts_read_as_the_reference_reads_them(layout, trace):
