@@ -12,9 +12,11 @@ searched over. The search state lives in arrays that are overwritten and
 never undone. Per slot start t: the knowledge row, need (below) and, per
 process, the action kinds it performed before slot t, one bit per kind, so
 (t, knowledge row, kinds done) names a search state whole. Per slot: its
-change, which the trace is built from. Per cell: the listening mask and
-(speaker, packet) sends of its slot's cells up to it, which the slot's
-last cell hands to deliver.
+change, which the trace is built from. A cell's slot and process, and the
+listening mask and (speaker, packet) sends of its slot's cells before it,
+are passed down the call; the slot's last cell hands its own to deliver.
+One frame per cell: a search that nests past the interpreter's recursion
+limit stops at the frame that hits it, and every caller returns at once.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -276,19 +278,17 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     limit = config.node_limit
     cells = T * P
     grid = [0] * cells  # each cell's value
-    heard, sent = [0] * cells, [()] * cells  # per cell (see the module doc)
     # slot_can_lower's state: per slot its candidate pairs, per cell where its scan stopped
     pairs: list = [None] * T
     resume = [0] * cells
 
-    def search(i: int) -> bool:
-        nonlocal nodes
+    def search(i: int, t: int, p: int, before: int, sends_before: tuple) -> bool:
+        nonlocal nodes, overflowed
         if i == cells:
             return True
-        t, p = divmod(i, P)
         last_in_slot = p == P - 1
         held = know[t] if need and not last_in_slot and need[t] == T - t else None
-        before, sends_before = (heard[i - 1], sent[i - 1]) if p else (0, ())
+        next_t, next_p = (t + 1, 0) if last_in_slot else (t, p + 1)
         for v, bit, listens, transmits, k in table:
             if nodes == limit:
                 raise _Budget
@@ -303,8 +303,8 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                     continue
                 done[t + 1][p] = kinds_done
             grid[i] = v
-            listening = heard[i] = before | listens << p
-            sends = sent[i] = sends_before + ((p, k),) if transmits else sends_before
+            listening = before | listens << p
+            sends = sends_before + ((p, k),) if transmits else sends_before
             if held is not None and not slot_can_lower(i, held, listening, sends):
                 cuts["intra_slot"] += 1
                 continue
@@ -321,17 +321,25 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                     if need[t + 1] > T - 1 - t:
                         cuts["goal"] += 1
                         continue
-            if search(i + 1):
+                listening, sends = 0, ()  # the next slot starts empty
+            try:
+                if search(i + 1, next_t, next_p, listening, sends):
+                    return True
+            except RecursionError:  # stop here: each caller returns True too, then solve raises
+                overflowed = True
                 return True
         return False
 
+    overflowed = False
     try:
-        sat = True if cells == 0 else search(0)
+        sat = True if cells == 0 else search(0, 0, 0, 0, ())
     except _Budget:
         return result(SolveStatus.BUDGET_EXHAUSTED)
-    except RecursionError:  # one line, whatever operation overflowed
+    except RecursionError:  # raised in the first cell's frame, which no search call wraps
+        overflowed = True
+    if overflowed:  # one line, whatever operation overflowed
         raise RecursionError(f"the search of {cells} cells nests deeper than the "
-                             "interpreter's recursion limit") from None
+                             "interpreter's recursion limit")
     if not sat:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     # equal rows share one tuple, as they do in a trace read from a file

@@ -824,6 +824,46 @@ def test_a_search_past_the_recursion_limit_ends_in_one_line(capsys, tmp_path, co
     ))
 
 
+DEEP = ("processes = 64\npackets = 2\nhorizon = 40\nsource = 0\n"
+        "topology = all\nliveness = off\ngoal = none\n")
+OVERFLOW_LINE = ("internal error: RecursionError: the search of {} cells nests deeper than "
+                 "the interpreter's recursion limit\n")
+
+
+@pytest.mark.parametrize("limit, code, err", [
+    ("500", 5, "budget exhausted\n"),  # spent at cell 500, before the search nests too deep
+    ("5000", 6, OVERFLOW_LINE.format(2560)),
+])
+def test_a_budget_and_an_overflow_end_the_search_in_the_order_they_happen(
+        capsys, tmp_path, limit, code, err):
+    spec = tmp_path / "deep.net"
+    spec.write_text(DEEP, encoding="utf-8")
+    assert run_cli(capsys, "synth", str(spec), "--node-limit", limit) == (code, "", err)
+
+
+@pytest.mark.parametrize("text, cells, slot", [
+    (DEEP, 2560, 5),  # deep in the grid, at the end of slot 5 (cell 383)
+    (DEEP.replace("processes = 64", "processes = 1"), 40, 0),  # cell 0 ends slot 0
+])
+def test_an_overflow_outside_the_search_ends_in_the_same_line(
+        capsys, tmp_path, monkeypatch, text, cells, slot):
+    import protoforge.solver
+
+    real, calls = protoforge.solver.deliver, []
+
+    def deliver(*args):  # called once per slot end
+        calls.append(args)
+        if len(calls) > slot:
+            raise RecursionError("maximum recursion depth exceeded")
+        return real(*args)
+
+    monkeypatch.setattr(protoforge.solver, "deliver", deliver)
+    spec = tmp_path / "deep.net"
+    spec.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "synth", str(spec)) == (6, "", OVERFLOW_LINE.format(cells))
+    assert len(calls) == slot + 1
+
+
 @pytest.mark.parametrize("out, calls", [(False, 0), (True, 1)])
 def test_synth_writes_the_trace_only_for_out(capsys, line3, tmp_path, monkeypatch, out, calls):
     import protoforge.cli

@@ -4,13 +4,11 @@ import ast
 import subprocess
 import sys
 from pathlib import Path
-from types import CodeType
 from typing import Iterator
 
 import pytest
 
 import protoforge
-from protoforge import solver
 
 SOURCES = sorted(Path(protoforge.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -299,20 +297,6 @@ def test_no_module_tests_enum_membership_with_in(path):
         and getattr(right, "id", getattr(right, "attr", None)) in ("ActionKind", "RequirementLabel")
     ]
     assert tested == []
-
-
-def test_the_search_frame_keeps_its_size():
-    """solve's nested search recurses once per cell, and past the recursion
-    limit the size of its frame, not the work done, sets what a solve costs.
-    CHANGES.md's FOUND line on the recursion-overflow path measured it: one
-    more local or free variable made the nine wide(1) solves that overflow
-    take 10-15% longer in-process, about 3% of wide's throughput. A change
-    that needs more state in search times that path, then updates the counts."""
-    [search] = [
-        const for const in solver.solve.__code__.co_consts
-        if isinstance(const, CodeType) and const.co_name == "search"
-    ]
-    assert (search.co_nlocals, len(search.co_freevars)) == (17, 23)
 
 
 def test_a_failing_property_does_not_end_the_session(tmp_path):

@@ -360,6 +360,28 @@ def test_a_root_cut_allocates_nothing_that_grows_with_the_horizon():
     assert peak < 1_000_000
 
 
+def test_a_search_past_the_recursion_limit_stops_at_the_frame_that_hits_it():
+    # 2,560 cells nest deeper than the interpreter allows; the frame nearest
+    # the limit catches the overflow and its callers return, so no exception
+    # crosses the search's ~1,000 frames (one traceback entry each when one did)
+    cs = encode(make_spec(processes=64, packets=2, horizon=40, topology="all",
+                          goal=GoalKind.NONE))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecursionError, match="search of 2560 cells") as caught:
+            solve(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries, error = 0, caught.value
+    while error is not None:
+        tb, error = error.__traceback__, error.__context__
+        while tb is not None:
+            entries, tb = entries + 1, tb.tb_next
+    assert entries < 10
+    assert peak < 300_000  # about 140 KB; 680 KB when one frame object was kept per cell
+
+
 def test_near_complete_relation_is_sat_within_a_small_budget():
     # 2 does not hear the source; 0, 1, 0, 1 sending 1, 1, 2, 2 reaches it
     hears = frozenset({

@@ -537,13 +537,15 @@ def _laid_out(layout, trace):
     return '{"spec": ' + tail
 
 
-def _relay():
-    """line P=6 M=3 T=15: at slot t, process t mod 5 sends packet t // 5 + 1
-    and its successor listens, so the grid changes in every slot."""
-    spec = make_spec(processes=6, packets=3, horizon=15, topology="line")
-    rows = [[SLEEP] * 6 for _ in range(15)]
+def _relay(processes=6, packets=3):
+    """line P=6 M=3 T=15 by default: at slot t, process t mod (P-1) sends
+    packet t // (P-1) + 1 and its successor listens, so the grid changes in
+    every slot and everyone knows everything at T = (P-1)M."""
+    P, T = processes, (processes - 1) * packets
+    spec = make_spec(processes=P, packets=packets, horizon=T, topology="line")
+    rows = [[SLEEP] * P for _ in range(T)]
     for t, row in enumerate(rows):
-        row[t % 5], row[t % 5 + 1] = transmit(t // 5 + 1), LISTEN
+        row[t % (P - 1)], row[t % (P - 1) + 1] = transmit(t // (P - 1) + 1), LISTEN
     return ProtocolTrace.from_actions(spec, rows)
 
 
