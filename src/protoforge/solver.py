@@ -15,8 +15,9 @@ process, the action kinds it performed before slot t, one bit per kind, so
 change, which the trace is built from. A cell's slot and process, and the
 listening mask and (speaker, packet) sends of its slot's cells before it,
 are passed down the call; the slot's last cell hands its own to deliver.
-One frame per cell: a search that nests past the interpreter's recursion
-limit stops at the frame that hits it, and every caller returns at once.
+One frame per cell. A budget stop and an overflow past the interpreter's
+recursion limit both end in the frame where they happen, and each caller
+returns what ended it; an overflow outside every search frame is not caught.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -131,10 +132,6 @@ class SearchBudgetExceeded(RuntimeError):
 # once: reading an Enum member off its class is slow.
 _KIND_BIT = {kind: 1 << i for i, kind in enumerate(ActionKind)}
 _LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
-
-
-class _Budget(Exception):
-    pass
 
 
 class _Memo(dict):
@@ -282,65 +279,63 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     pairs: list = [None] * T
     resume = [0] * cells
 
-    def search(i: int, t: int, p: int, before: int, sends_before: tuple) -> bool:
-        nonlocal nodes, overflowed
+    def search(i: int, t: int, p: int, before: int,
+               sends_before: tuple) -> SolveStatus | type[RecursionError] | None:
+        """What ended the search below cell i, returned by the frame it happened in: SAT,
+        BUDGET_EXHAUSTED or RecursionError; None when every completion was tried."""
+        nonlocal nodes
         if i == cells:
-            return True
+            return SolveStatus.SAT
         last_in_slot = p == P - 1
         held = know[t] if need and not last_in_slot and need[t] == T - t else None
         next_t, next_p = (t + 1, 0) if last_in_slot else (t, p + 1)
-        for v, bit, listens, transmits, k in table:
-            if nodes == limit:
-                raise _Budget
-            nodes += 1
-            if check_r5 and k is not None and not know[t][k - 1] >> p & 1:
-                cuts["r5"] += 1
-                continue
-            if check_live:
-                kinds_done = done[t][p] | bit
-                if kinds - kinds_done.bit_count() > T - 1 - t:
-                    cuts["liveness"] += 1
+        try:
+            for v, bit, listens, transmits, k in table:
+                if nodes == limit:
+                    return SolveStatus.BUDGET_EXHAUSTED
+                nodes += 1
+                if check_r5 and k is not None and not know[t][k - 1] >> p & 1:
+                    cuts["r5"] += 1
                     continue
-                done[t + 1][p] = kinds_done
-            grid[i] = v
-            listening = before | listens << p
-            sends = sends_before + ((p, k),) if transmits else sends_before
-            if held is not None and not slot_can_lower(i, held, listening, sends):
-                cuts["intra_slot"] += 1
-                continue
-            if last_in_slot:
-                if free_learning:
-                    slot = () if t else learn_all
-                else:
-                    change = deliver(know[t], listening, sends, audience)
-                    slot = (change,) if change else ()
-                changes[t], know[t + 1] = slot, applied(know[t], slot)
-                if need:
-                    need[t + 1] = need[t] - (
-                        cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
-                    if need[t + 1] > T - 1 - t:
-                        cuts["goal"] += 1
+                if check_live:
+                    kinds_done = done[t][p] | bit
+                    if kinds - kinds_done.bit_count() > T - 1 - t:
+                        cuts["liveness"] += 1
                         continue
-                listening, sends = 0, ()  # the next slot starts empty
-            try:
-                if search(i + 1, next_t, next_p, listening, sends):
-                    return True
-            except RecursionError:  # stop here: each caller returns True too, then solve raises
-                overflowed = True
-                return True
-        return False
+                    done[t + 1][p] = kinds_done
+                grid[i] = v
+                listening = before | listens << p
+                sends = sends_before + ((p, k),) if transmits else sends_before
+                if held is not None and not slot_can_lower(i, held, listening, sends):
+                    cuts["intra_slot"] += 1
+                    continue
+                if last_in_slot:
+                    if free_learning:
+                        slot = () if t else learn_all
+                    else:
+                        change = deliver(know[t], listening, sends, audience)
+                        slot = (change,) if change else ()
+                    changes[t], know[t + 1] = slot, applied(know[t], slot)
+                    if need:
+                        need[t + 1] = need[t] - (
+                            cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
+                        if need[t + 1] > T - 1 - t:
+                            cuts["goal"] += 1
+                            continue
+                    listening, sends = 0, ()  # the next slot starts empty
+                if ended := search(i + 1, next_t, next_p, listening, sends):
+                    return ended
+        except RecursionError:  # the class, not the error: its traceback would keep every frame
+            return RecursionError
+        return None
 
-    overflowed = False
-    try:
-        sat = True if cells == 0 else search(0, 0, 0, 0, ())
-    except _Budget:
-        return result(SolveStatus.BUDGET_EXHAUSTED)
-    except RecursionError:  # raised in the first cell's frame, which no search call wraps
-        overflowed = True
-    if overflowed:  # one line, whatever operation overflowed
+    ended = search(0, 0, 0, 0, ())
+    if ended is RecursionError:  # one line, whatever operation overflowed
         raise RecursionError(f"the search of {cells} cells nests deeper than the "
                              "interpreter's recursion limit")
-    if not sat:
+    if ended is SolveStatus.BUDGET_EXHAUSTED:
+        return result(ended)
+    if ended is None:
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
     # equal rows share one tuple, as they do in a trace read from a file
     slices = [tuple(grid[t * P:(t + 1) * P]) for t in range(T)]

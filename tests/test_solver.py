@@ -62,8 +62,10 @@ def test_tight_instance_unsat_with_full_enabled_core():
     assert result.core == cs.enabled
 
 
-def test_empty_problem_sat_with_empty_trace():
-    spec = make_spec(processes=1, packets=0, horizon=0, topology="all", goal=GoalKind.NONE)
+@pytest.mark.parametrize("P, goal", [(1, GoalKind.NONE), (3, GoalKind.ALL_KNOW_ALL)])
+def test_empty_problem_sat_with_empty_trace(P, goal):
+    # no cell to search: the search's own exit at the last cell decides it
+    spec = make_spec(processes=P, packets=0, horizon=0, topology="all", goal=goal)
     result = solve(encode(spec))
     assert result.status is SolveStatus.SAT
     assert result.trace.actions == ()
@@ -159,6 +161,21 @@ def test_solve_budget_exhausted_status():
     result = solve(cs, SearchConfig(node_limit=2))
     assert result.status is SolveStatus.BUDGET_EXHAUSTED
     assert result.trace is None and result.core is None
+
+
+@pytest.mark.parametrize("topology, M, T, liveness, nodes", [
+    ("line", 1, 2, LivenessMode.OFF, 12),
+    ("all", 2, 4, LivenessMode.EACH_ACTION_ONCE, 755),
+    ("all", 2, 3, LivenessMode.EACH_ACTION_ONCE, 1_090),  # unsat after a full search
+])
+def test_a_budget_of_exactly_the_nodes_a_search_visits_decides_it(topology, M, T, liveness, nodes):
+    cs = encode(make_spec(processes=3, packets=M, horizon=T, topology=topology, liveness=liveness))
+    unbounded = solve(cs)
+    assert unbounded.stats.nodes == nodes
+    assert solve(cs, SearchConfig(node_limit=nodes)) == unbounded
+    short = solve(cs, SearchConfig(node_limit=nodes - 1))
+    assert short.status is SolveStatus.BUDGET_EXHAUSTED
+    assert short.stats.nodes == nodes - 1
 
 
 @pytest.mark.parametrize(
@@ -366,6 +383,16 @@ def test_a_search_past_the_recursion_limit_stops_at_the_frame_that_hits_it():
     # crosses the search's ~1,000 frames (one traceback entry each when one did)
     cs = encode(make_spec(processes=64, packets=2, horizon=40, topology="all",
                           goal=GoalKind.NONE))
+    # a budget spent at cell 900 ends there too (one node per cell without a goal)
+    tracemalloc.start()
+    try:
+        result = solve(cs, SearchConfig(node_limit=900))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status is SolveStatus.BUDGET_EXHAUSTED
+    assert result.stats.nodes == 900
+    assert peak < 300_000  # about 130 KB; 600 KB when an exception crossed every frame
     tracemalloc.start()
     try:
         with pytest.raises(RecursionError, match="search of 2560 cells") as caught:
