@@ -4,20 +4,26 @@ and unsat-core minimization.
 The engine is a depth-first backtracker. Variables are cells in (slot,
 process) order; a cell's value is an index into actions.action_domain,
 whose order is the value order: sleep, listen, packets ascending, garbage
-(quiet schedules first). Each value's kind, listening bit and packet are
-tabulated once per solve, and only the returned trace holds Actions.
+(quiet schedules first). Each value's kind, listening bit, content and the
+packet R5 checks (None with R5 off) are tabulated once per solve, and only
+the returned trace holds Actions.
 Knowledge, holder masks as in trace, is learned once per completed slot
 through trace.deliver (everything in slot 0 with R7 dropped), and never
 searched over. The search state lives in arrays that are overwritten and
 never undone. Per slot start t: the knowledge row, need (below) and, per
 process, the action kinds it performed before slot t, one bit per kind, so
-(t, knowledge row, kinds done) names a search state whole. Per slot: its
-change, which the trace is built from. A cell's slot and process, and the
-listening mask and (speaker, packet) sends of its slot's cells before it,
-are passed down the call; the slot's last cell hands its own to deliver.
-One frame per cell. A budget stop and an overflow past the interpreter's
-recursion limit both end in the frame where they happen, and each caller
-returns what ended it; an overflow outside every search frame is not caught.
+(t, knowledge row, kinds done) names a search state whole; the kinds done
+are None with liveness off. Per slot: its change, which the trace is built
+from.
+
+One frame per cell, which holds little: past the recursion limit its size,
+not its work, sets what a solve costs. A cell's slot and process, and the
+listening mask and (speaker, content) sends of its slot's cells before it,
+are passed down the call. The slot's last cell hands its own to end_slot,
+which learns the change, updates need and makes the goal cut. A budget stop
+and an overflow past the recursion limit both end in the frame where they
+happen, and each caller returns what ended it; an overflow outside every
+search frame is not caught.
 
 Bounds prune branches that cannot lead to a model. Each is a necessary
 condition of some enabled family, so none cuts a satisfiable branch: the
@@ -131,7 +137,7 @@ class SearchBudgetExceeded(RuntimeError):
 # Per action kind its bit in a process's kinds done. Built and looked up
 # once: reading an Enum member off its class is slow.
 _KIND_BIT = {kind: 1 << i for i, kind in enumerate(ActionKind)}
-_LISTENS, _SENDS = ActionKind.LISTEN, ActionKind.TRANSMIT
+_LISTENS = ActionKind.LISTEN
 
 
 class _Memo(dict):
@@ -208,8 +214,6 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     L = RequirementLabel
     enabled = cs.enabled & requirement_families(spec)
     check_r5 = L.R5_TRANSMIT_ONLY_KNOWN in enabled
-    check_goal = L.GOAL_DEADLINE in enabled
-    check_live = L.R3_LIVENESS in enabled
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
     cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
     nodes = 0
@@ -223,19 +227,17 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
 
     def slot_can_lower(i: int, held, listening: int, sends: tuple) -> bool:
         """Whether some completion of a slot whose cells up to cell i listen
-        as `listening` and send `sends` lowers some packet's cover. Cover
-        only falls as holders grow, so only the completion in which every
-        later cell listens is tried. Before any cell sends, the candidates
-        are the slot's eligible (sender, packet) pairs, listed at its first
-        cell, and each cell resumes the scan where the one before it stopped
-        (see the module doc)."""
+        as `listening` and send `sends` lowers some packet's cover; the only
+        one tried is the one the module doc names. Before any cell sends, the
+        candidates are the slot's eligible (sender, packet) pairs, listed at
+        its first cell."""
         if len(sends) > 1:
             return False  # a collision delivers nothing
         t, p = divmod(i, P)
         listening |= everyone >> (p + 1) << (p + 1)
         if sends:
             [(s, k)] = sends
-            if k is None:
+            if not k:
                 return False  # garbage delivers nothing
             return cover(held[k - 1] | audience[s] & listening) < cover(held[k - 1])
         if not p:  # each later process, with each packet it may send and an audience lacks
@@ -259,18 +261,15 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         cuts["goal" if goal_need > T else "liveness"] += 1
         return result(SolveStatus.UNSAT, core=frozenset(enabled))
 
-    # per slot start t: know[t], need[t] (None when untracked), done[t][p]; per slot: changes[t]
+    # per slot start t: know[t], need[t], done[t][p] (None when untracked); per slot: changes[t]
     know: list = [initial] + [None] * T
-    need = [goal_need] * (T + 1) if check_goal and not free_learning else None
-    done = [[0] * P for _ in range(T + 1)]
+    need = [goal_need] * (T + 1) if goal_need and not free_learning else None
+    done = [[0] * P for _ in range(T + 1)] if L.R3_LIVENESS in enabled else None
     changes: list = [()] * T
-    # per value: its index, kind bit, listening bit, whether it transmits,
-    # and its packet (None for sleep, listen and garbage)
+    # per value: index, kind bit, listening bit, content (None unless sending), R5's packet
     values = action_domain(M)
-    table = [
-        (v, _KIND_BIT[act.kind], int(act.kind is _LISTENS), act.kind is _SENDS, act.packet)
-        for v, act in enumerate(values)
-    ]
+    table = [(v, _KIND_BIT[act.kind], int(act.kind is _LISTENS), act.content,
+              act.packet if check_r5 else None) for v, act in enumerate(values)]
     kinds = len(_KIND_BIT)
     limit = config.node_limit
     cells = T * P
@@ -279,25 +278,38 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     pairs: list = [None] * T
     resume = [0] * cells
 
-    def search(i: int, t: int, p: int, before: int,
-               sends_before: tuple) -> SolveStatus | type[RecursionError] | None:
+    def end_slot(t: int, listening: int, sends: tuple) -> bool:
+        """Learns slot t's change; False when the goal cuts."""
+        if free_learning:
+            slot = () if t else learn_all
+        else:
+            change = deliver(know[t], listening, sends, audience)
+            slot = (change,) if change else ()
+        changes[t], know[t + 1] = slot, applied(know[t], slot)
+        if need:
+            need[t + 1] = need[t] - (
+                cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
+            if need[t + 1] > T - 1 - t:
+                cuts["goal"] += 1
+                return False
+        return True
+
+    def search(i: int, t: int, p: int, before: int, sends_before: tuple):
         """What ended the search below cell i, returned by the frame it happened in: SAT,
         BUDGET_EXHAUSTED or RecursionError; None when every completion was tried."""
         nonlocal nodes
-        if i == cells:
+        if t == T:
             return SolveStatus.SAT
-        last_in_slot = p == P - 1
-        held = know[t] if need and not last_in_slot and need[t] == T - t else None
-        next_t, next_p = (t + 1, 0) if last_in_slot else (t, p + 1)
+        held = know[t] if need and p < P - 1 and need[t] == T - t else None
         try:
-            for v, bit, listens, transmits, k in table:
+            for v, bit, listens, k, r5 in table:
                 if nodes == limit:
                     return SolveStatus.BUDGET_EXHAUSTED
                 nodes += 1
-                if check_r5 and k is not None and not know[t][k - 1] >> p & 1:
+                if r5 and not know[t][r5 - 1] >> p & 1:
                     cuts["r5"] += 1
                     continue
-                if check_live:
+                if done:
                     kinds_done = done[t][p] | bit
                     if kinds - kinds_done.bit_count() > T - 1 - t:
                         cuts["liveness"] += 1
@@ -305,25 +317,14 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                     done[t + 1][p] = kinds_done
                 grid[i] = v
                 listening = before | listens << p
-                sends = sends_before + ((p, k),) if transmits else sends_before
-                if held is not None and not slot_can_lower(i, held, listening, sends):
+                sends = sends_before if k is None else sends_before + ((p, k),)
+                if held and not slot_can_lower(i, held, listening, sends):
                     cuts["intra_slot"] += 1
                     continue
-                if last_in_slot:
-                    if free_learning:
-                        slot = () if t else learn_all
-                    else:
-                        change = deliver(know[t], listening, sends, audience)
-                        slot = (change,) if change else ()
-                    changes[t], know[t + 1] = slot, applied(know[t], slot)
-                    if need:
-                        need[t + 1] = need[t] - (
-                            cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
-                        if need[t + 1] > T - 1 - t:
-                            cuts["goal"] += 1
-                            continue
-                    listening, sends = 0, ()  # the next slot starts empty
-                if ended := search(i + 1, next_t, next_p, listening, sends):
+                if p < P - 1:
+                    if ended := search(i + 1, t, p + 1, listening, sends):
+                        return ended
+                elif end_slot(t, listening, sends) and (ended := search(i + 1, t + 1, 0, 0, ())):
                     return ended
         except RecursionError:  # the class, not the error: its traceback would keep every frame
             return RecursionError

@@ -60,11 +60,11 @@ JSON string holds, as it holds a raw newline. The file before the last
 separator, closed with a brace, is checked in the order above as far as
 the action rows. When the rest has the four characters per entry of the
 claimed grid that each boolean takes, the head's trace is derived, and
-when the rest is exactly the field write_trace renders for it, the whole
-file is that object plus this last knowledge member, which reading it
-whole would accept with an equal trace. Any other file is read whole, so
-no verdict or message depends on the text check; the head's trace serves
-it when the whole file's spec and actions equal the head's.
+when the rest is exactly the field write_trace renders for it, compared
+row by row, the whole file is that object plus this last knowledge member,
+which reading it whole would accept with an equal trace. Any other file is
+read whole, so no verdict or message depends on the text check; the head's
+trace serves it when the whole file's spec and actions equal the head's.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def deliver(
 ) -> Change | None:
     """The learning rule's mask-level core; the only place a listener gains
     a packet. `sends` holds a (speaker, packet) pair per transmitter, packet
-    None for garbage.
+    None or 0 for garbage.
 
     The whole network shares one channel. A lone transmitter's packet
     reaches the listening processes in its audience; two or more
@@ -155,7 +155,7 @@ def deliver(
     """
     if len(sends) == 1:
         speaker, packet = sends[0]
-        if packet is not None and packet <= len(now):
+        if packet and packet <= len(now):
             if gained := audience[speaker] & listening & ~now[packet - 1]:
                 return packet, now[packet - 1] | gained
     return None
@@ -446,19 +446,21 @@ def _rows(lines: list[str]) -> str:
     return "[\n    " + ",\n    ".join(lines) + "\n  ]" if lines else "[]"
 
 
-def _knowledge_field(trace: ProtocolTrace) -> str:
-    """The file's text from the separator before the knowledge field to its
-    end, as write_trace writes it: each row as json.dumps renders its
+def _knowledge_pieces(trace: ProtocolTrace) -> Iterator[str]:
+    """The file's text from the knowledge separator to its end, as write_trace
+    writes it, a row at a time: each row as json.dumps renders its
     knowledge_table, a run of equal rows, which share one tuple, once."""
     P = trace.spec.processes
-    lines, row = [], None
+    row, start = None, 1  # no comma before the first row
+    yield f"{_KNOWLEDGE}["
     for now in trace.knowledge:
         if now is not row:
             row = now
             cells = "], [".join(map(", ".join, _holdings(row, P)))
-            line = f"[[{cells}]]".replace("0", "false").replace("1", "true")
-        lines.append(line)
-    return f"{_KNOWLEDGE}{_rows(lines)}\n}}\n"
+            line = f",\n    [[{cells}]]".replace("0", "false").replace("1", "true")
+        yield line[start:]
+        start = 0
+    yield "\n  ]\n}\n"
 
 
 def write_trace(trace: ProtocolTrace) -> str:
@@ -469,7 +471,7 @@ def write_trace(trace: ProtocolTrace) -> str:
     actions = per_distinct(lambda row: json.dumps(list(map(label, row))), trace.actions)
     return (
         f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
-        f'  "actions": {_rows(actions)}{_knowledge_field(trace)}'
+        f'  "actions": {_rows(actions)}{"".join(_knowledge_pieces(trace))}'
     )
 
 
@@ -488,9 +490,13 @@ def read_trace(text: str) -> ProtocolTrace:
             # far more than the file, when a small file claims a huge grid
             if len(text) - cut >= 4 * (spec.horizon + 1) * spec.processes * spec.packets:
                 head = ProtocolTrace.from_actions(spec, actions)
-                field = _knowledge_field(head)  # compared in place: a slice would copy the tail
-                if len(text) - cut == len(field) and text.startswith(field, cut):
-                    return head
+                for piece in _knowledge_pieces(head):  # up to the first that differs
+                    if not text.startswith(piece, cut):
+                        break
+                    cut += len(piece)
+                else:
+                    if cut == len(text):
+                        return head
 
     spec, actions, obj = _document(text)
     if "knowledge" in obj:  # its shape is checked before anything that size is derived

@@ -409,6 +409,21 @@ def test_a_search_past_the_recursion_limit_stops_at_the_frame_that_hits_it():
     assert peak < 300_000  # about 140 KB; 680 KB when one frame object was kept per cell
 
 
+@pytest.mark.parametrize("P, M, T, solves", [(21, 13, 40, True), (29, 3, 42, False)])
+def test_the_search_takes_one_frame_per_cell(P, M, T, solves):
+    # rungs 3 and 4 of bench/workloads.py's WIDE_RUNGS (840 and 1,218 cells),
+    # on either side of the ~1,000 frames the interpreter allows, with room
+    # for the caller's own
+    cs = encode(make_spec(processes=P, packets=M, horizon=T, topology="all", goal=GoalKind.NONE))
+    if solves:
+        assert solve(cs).stats == SolveStats(nodes=P * T)  # everyone sleeps
+    else:
+        with pytest.raises(RecursionError) as caught:
+            solve(cs)
+        assert str(caught.value) == (f"the search of {P * T} cells nests deeper than "
+                                     "the interpreter's recursion limit")
+
+
 def test_near_complete_relation_is_sat_within_a_small_budget():
     # 2 does not hear the source; 0, 1, 0, 1 sending 1, 1, 2, 2 reaches it
     hears = frozenset({
