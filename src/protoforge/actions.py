@@ -23,6 +23,8 @@ class ActionKind(Enum):
     LISTEN = "listen"
     TRANSMIT = "transmit"
 
+    __hash__ = object.__hash__  # see model.RequirementLabel
+
 
 class ActionFormatError(ValueError):
     """A textual action label that does not describe a legal action."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import NetworkSpec, RequirementLabel, requirement_families
+from .model import NetworkSpec, Record, RequirementLabel, requirement_families
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,11 @@ def encode(spec: NetworkSpec) -> ConstraintSystem:
     return ConstraintSystem(spec, requirement_families(spec))
 
 
-@dataclass(frozen=True)
-class SystemDescription:
-    counts: dict[RequirementLabel, int]
+class SystemDescription(Record):
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[RequirementLabel, int]) -> None:
+        object.__setattr__(self, "counts", counts)
 
 
 def describe(cs: ConstraintSystem) -> SystemDescription:

@@ -22,13 +22,29 @@ once; unknown keys are rejected; integers are read by read_int; parse
 errors report line numbers. A hears line takes one match of _HEARS ("="
 counts as whitespace) and one set insert; only a line these refuse, a
 duplicate among them, is split into tokens to word its error.
+
+Record is the base of the package's immutable value types. A record's
+fields are its __init__'s parameters, in order, and each __init__ sets
+them with object.__setattr__, checking what it must first. The base
+compares and hashes the fields through one operator.attrgetter per class,
+prints them as a dataclass does, refuses assignment with
+dataclasses.FrozenInstanceError, and copies and pickles by calling
+__init__ again. A frozen dataclass instead compiles and runs six methods
+when its module is imported, about 0.6 ms per class, which every CLI run
+and benchmark set-up pays. Four types stay dataclasses: NetworkSpec,
+ConstraintSystem and Action, which tests rebuild with
+dataclasses.replace (and read Action's plain attributes with vars()),
+and PowerModel, whose idle_cost no caller outside the tests passes: as a
+field it escapes the check that every defaulted parameter is passed
+somewhere, which an __init__ parameter would fail.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 # Size limits on problems read from text, checked before anything grows
@@ -47,10 +63,14 @@ class LivenessMode(Enum):
     OFF = "off"
     EACH_ACTION_ONCE = "each-action-once"
 
+    __hash__ = object.__hash__  # see RequirementLabel
+
 
 class GoalKind(Enum):
     ALL_KNOW_ALL = "all-know-all"
     NONE = "none"
+
+    __hash__ = object.__hash__  # see RequirementLabel
 
 
 class RequirementLabel(Enum):
@@ -91,15 +111,53 @@ def set_bits(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-@dataclass(frozen=True)
-class Topology:
+class Record:
+    """An immutable value whose fields are its __init__'s parameters (see
+    the module docstring)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        key = attrgetter(*cls._fields)
+
+        # Closures over key, not methods that read it off the class: that
+        # call is not specialised, as key is no function, and made equality
+        # 10% slower than the dataclass's.
+        def __eq__(self: Record, other: object) -> bool:
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self: Record) -> int:
+            return hash(key(self))
+
+        if "__eq__" not in vars(cls):  # a class with its own equality keeps its own hash
+            cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+class Topology(Record):
     """The hears relation as listener masks: bit l of audience[s] is set when l hears s."""
 
-    audience: tuple[int, ...]
+    __slots__ = ("audience",)
 
-    def __post_init__(self) -> None:  # trailing empty masks go: equal relations compare equal
-        masks = list(self.audience)
-        while masks and not masks[-1]:
+    def __init__(self, audience: tuple[int, ...]) -> None:
+        masks = list(audience)
+        while masks and not masks[-1]:  # trailing empty masks go: equal relations compare equal
             masks.pop()
         object.__setattr__(self, "audience", tuple(masks))
 

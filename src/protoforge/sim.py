@@ -40,7 +40,7 @@ from functools import reduce
 from operator import and_, attrgetter
 
 from .actions import ActionKind
-from .model import NetworkSpec, RequirementLabel, set_bits, spec_as_dict
+from .model import NetworkSpec, Record, RequirementLabel, set_bits, spec_as_dict
 from .trace import (
     KnowledgeRow,
     ProtocolTrace,
@@ -90,17 +90,26 @@ class PowerModel:
             raise ValueError("power costs must be >= 0")
 
 
-@dataclass(frozen=True)
-class SimReport:
-    spec: NetworkSpec
-    power: PowerModel
-    slots_run: int
-    delivered: KnowledgeRow
-    per_process_power: tuple[int, ...]
-    total_power: int
-    concurrent_tx_slots: int
-    completed: bool
-    completion_slot: int | None
+class SimReport(Record):
+    __slots__ = (
+        "spec", "power", "slots_run", "delivered", "per_process_power", "total_power",
+        "concurrent_tx_slots", "completed", "completion_slot",
+    )
+
+    def __init__(
+        self, spec: NetworkSpec, power: PowerModel, slots_run: int, delivered: KnowledgeRow,
+        per_process_power: tuple[int, ...], total_power: int, concurrent_tx_slots: int,
+        completed: bool, completion_slot: int | None,
+    ) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "slots_run", slots_run)
+        object.__setattr__(self, "delivered", delivered)
+        object.__setattr__(self, "per_process_power", per_process_power)
+        object.__setattr__(self, "total_power", total_power)
+        object.__setattr__(self, "concurrent_tx_slots", concurrent_tx_slots)
+        object.__setattr__(self, "completed", completed)
+        object.__setattr__(self, "completion_slot", completion_slot)
 
 
 def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> SimReport:
@@ -173,10 +182,12 @@ def run_baseline(
     return joins, report
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    synthesized: SimReport
-    baseline: SimReport
+class ComparisonReport(Record):
+    __slots__ = ("synthesized", "baseline")
+
+    def __init__(self, synthesized: SimReport, baseline: SimReport) -> None:
+        object.__setattr__(self, "synthesized", synthesized)
+        object.__setattr__(self, "baseline", baseline)
 
     @property
     def lower_power(self) -> str:

@@ -40,16 +40,13 @@ something reads it.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
 from typing import TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import NetworkSpec, RequirementLabel, read_int, requirement_families, set_bits
+from .model import NetworkSpec, Record, RequirementLabel, read_int, requirement_families, set_bits
 from .trace import ProtocolTrace, audiences
 
 
@@ -70,8 +67,7 @@ class SolverTimeout(ExternalSolverError):
 MAX_TIMEOUT_S = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class SmtDocument:
+class SmtDocument(Record):
     """An SMT-LIB 2 document in four sections, separated by a blank line.
 
     Each section is a tuple of blocks, a block being one or more whole lines
@@ -83,10 +79,18 @@ class SmtDocument:
     and footer, the one-line-per-entry views of the last two sections.
     """
 
-    header: tuple[str, ...]
-    declarations: tuple[str, ...]
-    assertion_blocks: tuple[str, ...]
-    footer_blocks: tuple[str, ...]
+    # No __slots__: the cached properties live in the instance's __dict__.
+    # Documents compare by identity, as comparing their blocks could read MBs.
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, header: tuple[str, ...], declarations: tuple[str, ...],
+        assertion_blocks: tuple[str, ...], footer_blocks: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "header", header)
+        object.__setattr__(self, "declarations", declarations)
+        object.__setattr__(self, "assertion_blocks", assertion_blocks)
+        object.__setattr__(self, "footer_blocks", footer_blocks)
 
     def _pieces(self) -> Iterator[str]:
         """The text in order: each block, the newline that ends it, and a
@@ -386,10 +390,12 @@ def parse_value_response(text: str, spec: NetworkSpec) -> ProtocolTrace:
     return trace
 
 
-@dataclass(frozen=True)
-class ExternalResult:
-    status: str
-    output: str
+class ExternalResult(Record):
+    __slots__ = ("status", "output")
+
+    def __init__(self, status: str, output: str) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "output", output)
 
 
 def run_external(
@@ -400,6 +406,9 @@ def run_external(
     The command gets no arguments beyond its own; solvers that need flags
     to read stdin (z3 -in, cvc5 with no file) should include them.
     """
+    import shlex  # imported here, their one reader: no other command pays for them
+    import subprocess
+
     argv = shlex.split(command)
     if not argv:
         raise ExternalSolverError("empty solver command")

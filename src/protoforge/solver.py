@@ -65,7 +65,7 @@ tests, and shares no search machinery with solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence
@@ -74,6 +74,7 @@ from .actions import ActionKind, action_domain
 from .encoder import ConstraintSystem, encode
 from .model import (
     NetworkSpec,
+    Record,
     RequirementLabel,
     STRUCTURAL_LABELS,
     TAXONOMY,
@@ -88,19 +89,21 @@ from .trace import (
 )
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    node_limit: int | None = None
+class SearchConfig(Record):
+    __slots__ = ("node_limit",)
 
-    def __post_init__(self) -> None:
-        if self.node_limit is not None and self.node_limit < 1:
+    def __init__(self, node_limit: int | None = None) -> None:
+        if node_limit is not None and node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        object.__setattr__(self, "node_limit", node_limit)
 
 
 class SolveStatus(Enum):
     SAT = "sat"
     UNSAT = "unsat"
     BUDGET_EXHAUSTED = "budget-exhausted"
+
+    __hash__ = object.__hash__  # see model.RequirementLabel
 
 
 class SolveStats(NamedTuple):
@@ -114,12 +117,17 @@ class SolveStats(NamedTuple):
     intra_slot: int = 0
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    status: SolveStatus
-    trace: ProtocolTrace | None = None
-    core: frozenset[RequirementLabel] | None = None
-    stats: SolveStats = SolveStats()
+class SolveResult(Record):
+    __slots__ = ("status", "trace", "core", "stats")
+
+    def __init__(
+        self, status: SolveStatus, trace: ProtocolTrace | None = None,
+        core: frozenset[RequirementLabel] | None = None, stats: SolveStats = SolveStats(),
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "stats", stats)
 
 
 class SearchBudgetExceeded(RuntimeError):

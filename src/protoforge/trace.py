@@ -70,7 +70,6 @@ trace serves it when the whole file's spec and actions equal the head's.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from collections import Counter
 from functools import cached_property, reduce
 from itertools import accumulate, chain, islice, repeat
@@ -81,6 +80,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .actions import Action, ActionFormatError, ActionKind, parse_action
 from .model import (
     NetworkSpec,
+    Record,
     RequirementLabel,
     SpecError,
     requirement_families,
@@ -213,27 +213,27 @@ def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
     return [list(map(bit.__getitem__, held)) for held in _holdings(row, processes)]
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
-    spec: NetworkSpec
-    actions: tuple[tuple[Action, ...], ...]
-    initial: KnowledgeRow
-    changes: Changes
-
-    def __post_init__(self) -> None:
-        spec = self.spec
+class ProtocolTrace(Record):  # no __slots__: knowledge is cached in the instance's __dict__
+    def __init__(
+        self, spec: NetworkSpec, actions: tuple[tuple[Action, ...], ...], initial: KnowledgeRow,
+        changes: Changes,
+    ) -> None:
         P, M, T = spec.processes, spec.packets, spec.horizon
-        if (count := len(self.actions)) != T:  # counted before the widths, unlike a file
+        if (count := len(actions)) != T:  # counted before the widths, unlike a file
             raise TraceFormatError(f"dimension mismatch: {count} action rows for horizon {T}")
-        _check_actions(spec, self.actions)
-        if (count := len(self.changes) + 1) != T + 1:
+        _check_actions(spec, actions)
+        if (count := len(changes) + 1) != T + 1:
             raise TraceFormatError(f"dimension mismatch: {count} knowledge rows for horizon {T}")
-        if len(self.initial) != M or any(holders >> P for holders in set(self.initial)):
+        if len(initial) != M or any(holders >> P for holders in set(initial)):
             raise TraceFormatError("dimension mismatch in knowledge row t=0")
-        for t, slot in enumerate(self.changes, 1):
+        for t, slot in enumerate(changes, 1):
             for packet, holders in slot:
                 if not 0 < packet <= M or holders >> P:
                     raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "changes", changes)
 
     @cached_property
     def knowledge(self) -> tuple[KnowledgeRow, ...]:
@@ -271,12 +271,16 @@ def _check_actions(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> No
         raise TraceFormatError(f"dimension mismatch: {len(actions)} action rows for horizon {T}")
 
 
-@dataclass(frozen=True)
-class Violation:
-    label: RequirementLabel
-    time: int | None
-    process: int | None
-    detail: str
+class Violation(Record):
+    __slots__ = ("label", "time", "process", "detail")
+
+    def __init__(
+        self, label: RequirementLabel, time: int | None, process: int | None, detail: str
+    ) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "process", process)
+        object.__setattr__(self, "detail", detail)
 
 
 def validate(

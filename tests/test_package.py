@@ -316,6 +316,37 @@ def test_the_search_frame_keeps_its_size():
     assert (search.co_nlocals, len(search.co_freevars), search.co_stacksize) == (15, 14, 8)
 
 
+def test_only_four_value_types_are_dataclasses():
+    """A frozen dataclass compiles and runs six generated methods when its
+    module is imported, about 0.6 ms each class, and every CLI run and
+    benchmark set-up pays it. CHANGES.md measured bench/run.py's wide
+    set-up (median wall time of 5 runs) when ten of the fourteen moved onto
+    model.Record: 36.6 ms, of which 21.8 compiling the package, 8.4
+    processing dataclasses and 3.3 running the rest of its modules, became
+    28.9 ms with 21.1, 2.4 and 3.0. These four stay for the reasons
+    model.py's docstring gives."""
+    decorated = {
+        node.name for path in SOURCES for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if getattr(getattr(decorator, "func", decorator), "id", None) == "dataclass"
+    }
+    assert decorated == {"NetworkSpec", "ConstraintSystem", "Action", "PowerModel"}
+
+
+def test_only_run_external_imports_subprocess():
+    # subprocess costs 5 to 9 ms to import and shlex about 0.4 ms; only
+    # smt.run_external reads them, so no other command pays for them
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import protoforge.cli;"
+         " print(sorted({'subprocess', 'shlex'} & sys.modules.keys()))",
+         str(Path(protoforge.__file__).parent.parent)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_a_failing_property_does_not_end_the_session(tmp_path):
     # hypothesis imports libcst when a property fails; its deprecation
     # warning must not turn into an INTERNALERROR that skips later tests
