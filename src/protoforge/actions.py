@@ -7,11 +7,10 @@ model.read_int and keeping it only when `label` spells it the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .model import read_int
+from .model import Record, read_int
 
 # Content code for a contentless transmission. It occupies the channel like
 # any other transmission but carries no packet.
@@ -30,33 +29,28 @@ class ActionFormatError(ValueError):
     """A textual action label that does not describe a legal action."""
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """Exactly one of sleep, listen, or transmit-with-content.
 
     Transmit content is GARBAGE (0) or a packet id >= 1; sleep and listen
     carry no content. The constructor also sets two plain attributes, which
     are not fields: `label`, the stable text form ("sleep", "listen" or
     "tx:<code>"), and `packet`, the packet id being sent, or None when not
-    sending a real packet.
+    sending a real packet. Action has no __slots__, so vars() shows all four.
     """
 
-    kind: ActionKind
-    content: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, ActionKind):
-            raise ValueError(f"action kind must be an ActionKind, got {self.kind!r}")
-        if self.kind is ActionKind.TRANSMIT:
-            if self.content is None or self.content < 0:
-                raise ValueError(f"transmit needs a content code >= 0, got {self.content!r}")
-            object.__setattr__(self, "label", f"tx:{self.content}")
-            object.__setattr__(self, "packet", self.content or None)
-        elif self.content is not None:
-            raise ValueError(f"{self.kind.value} carries no content")
+    def __init__(self, kind: ActionKind, content: int | None = None) -> None:
+        if not isinstance(kind, ActionKind):
+            raise ValueError(f"action kind must be an ActionKind, got {kind!r}")
+        if kind is ActionKind.TRANSMIT:
+            if content is None or content < 0:
+                raise ValueError(f"transmit needs a content code >= 0, got {content!r}")
+            label, packet = f"tx:{content}", content or None
+        elif content is not None:
+            raise ValueError(f"{kind.value} carries no content")
         else:
-            object.__setattr__(self, "label", self.kind.value)
-            object.__setattr__(self, "packet", None)
+            label, packet = kind.value, None
+        vars(self).update(kind=kind, content=content, label=label, packet=packet)
 
 
 SLEEP = Action(ActionKind.SLEEP)

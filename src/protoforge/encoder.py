@@ -19,15 +19,15 @@ actions), never a decision variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import NetworkSpec, Record, RequirementLabel, requirement_families
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    spec: NetworkSpec
-    enabled: frozenset[RequirementLabel]
+class ConstraintSystem(Record):
+    __slots__ = ("spec", "enabled")
+
+    def __init__(self, spec: NetworkSpec, enabled: frozenset[RequirementLabel]) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "enabled", enabled)
 
 
 def encode(spec: NetworkSpec) -> ConstraintSystem:

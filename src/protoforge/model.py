@@ -25,27 +25,21 @@ duplicate among them, is split into tokens to word its error.
 
 Record is the base of the package's immutable value types. A record's
 fields are its __init__'s parameters, in order, and each __init__ sets
-them with object.__setattr__, checking what it must first. The base
-compares and hashes the fields through one operator.attrgetter per class,
-prints them as a dataclass does, refuses assignment with
-dataclasses.FrozenInstanceError, and copies and pickles by calling
-__init__ again. A frozen dataclass instead compiles and runs six methods
-when its module is imported, about 0.6 ms per class, which every CLI run
-and benchmark set-up pays. Four types stay dataclasses: NetworkSpec,
-ConstraintSystem and Action, which tests rebuild with
-dataclasses.replace (and read Action's plain attributes with vars()),
-and PowerModel, whose idle_cost no caller outside the tests passes: as a
-field it escapes the check that every defaulted parameter is passed
-somewhere, which an __init__ parameter would fail.
+them with object.__setattr__ after its checks. The base compares and
+hashes the fields through one operator.attrgetter per class, prints them
+as a dataclass does, and copies, pickles and replace()s by calling
+__init__ again, so a rebuilt value is checked as a new one is. A frozen
+dataclass instead compiles and runs six methods per class at import,
+about 0.6 ms each, and importing dataclasses costs 13 ms, so the base
+imports it only to raise FrozenInstanceError on assignment.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 # Size limits on problems read from text, checked before anything grows
 # with them: at most this many processes (so an `all` relation is at most
@@ -141,13 +135,26 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _refuse(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _refuse(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
         return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+    def replace(self, **changes: object) -> Record:
+        """A copy with the given fields changed, built and checked by __init__."""
+        for name in self._fields:  # a comprehension here was slower than dataclasses.replace
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return self.__class__(**changes)
+
+
+def _refuse(message: str) -> NoReturn:
+    from dataclasses import FrozenInstanceError  # see the module docstring
+
+    raise FrozenInstanceError(message)
 
 
 class Topology(Record):
@@ -212,33 +219,29 @@ class SpecValidationError(SpecError):
         self.errors = tuple(errors)
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """A usable problem instance: construction (dataclasses.replace too)
-    raises SpecValidationError listing every semantic violation."""
+class NetworkSpec(Record):
+    """A usable problem instance: construction (replace too) raises
+    SpecValidationError listing every semantic violation."""
 
-    processes: int
-    packets: int
-    horizon: int
-    source: int
-    topology: Topology
-    liveness: LivenessMode = LivenessMode.OFF
-    goal: GoalKind = GoalKind.ALL_KNOW_ALL
+    __slots__ = ("processes", "packets", "horizon", "source", "topology", "liveness", "goal")
 
-    def __post_init__(self) -> None:
-        P = self.processes
+    def __init__(
+        self, processes: int, packets: int, horizon: int, source: int, topology: Topology,
+        liveness: LivenessMode = LivenessMode.OFF, goal: GoalKind = GoalKind.ALL_KNOW_ALL,
+    ) -> None:
+        P = processes
         errors: list[str] = []
         if P < 1:
             errors.append("processes must be >= 1")
-        if self.packets < 0:
+        if packets < 0:
             errors.append("packets must be >= 0")
-        if self.horizon < 0:
+        if horizon < 0:
             errors.append("horizon must be >= 0")
-        if P >= 1 and not 0 <= self.source < P:
-            errors.append(f"source out of range: {self.source}")
+        if P >= 1 and not 0 <= source < P:
+            errors.append(f"source out of range: {source}")
         # stray bits: a speaker's own, those past P, and all of a speaker past P
         strays = [mask if s >= P else (mask >> P << P) | (mask & 1 << s)
-                  for s, mask in enumerate(self.topology.audience)]
+                  for s, mask in enumerate(topology.audience)]
         if any(strays):
             try:  # topology_explicit words them as the pairs they stand for
                 topology_explicit(P, [(l, s) for s, bits in enumerate(strays) if bits
@@ -247,6 +250,13 @@ class NetworkSpec:
                 errors += bad.errors
         if errors:
             raise SpecValidationError(errors)
+        object.__setattr__(self, "processes", processes)
+        object.__setattr__(self, "packets", packets)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "liveness", liveness)
+        object.__setattr__(self, "goal", goal)
 
 
 # Looked up once: reading an Enum member off its class is slow per request.

@@ -1,9 +1,9 @@
 """Slotted-channel execution: replay synthesized schedules, run the
 always-on reference policy, and compare power use.
 
-Power accounting charges active_cost for every transmitting or listening
-cell and idle_cost for every sleeping cell. Completion means the whole
-network holds every packet.
+Power accounting charges active_cost for each transmitting or listening
+cell and nothing for a sleeping one. Completion means the whole network
+holds every packet.
 
 The reference policy never sleeps: a node that holds all M packets, a
 full node, broadcasts them in id order, one per slot, wrapping around;
@@ -35,7 +35,6 @@ those join slots, not an action log.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, attrgetter
 
@@ -78,16 +77,15 @@ class SimulationGuardError(ValueError):
         self.violations = tuple(violations)
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Per-slot unit costs; transmitting and listening are both active."""
+class PowerModel(Record):
+    """Per-slot unit cost of transmitting or listening; sleeping is free."""
 
-    active_cost: int = 1
-    idle_cost: int = 0
+    __slots__ = ("active_cost",)
 
-    def __post_init__(self) -> None:
-        if self.active_cost < 0 or self.idle_cost < 0:
+    def __init__(self, active_cost: int = 1) -> None:
+        if active_cost < 0:
             raise ValueError("power costs must be >= 0")
+        object.__setattr__(self, "active_cost", active_cost)
 
 
 class SimReport(Record):
@@ -122,7 +120,7 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     spec, T, grid = trace.spec, trace.spec.horizon, trace.knowledge
     kinds = per_distinct(lambda row: list(map(attrgetter("kind"), row)), trace.actions)
     asleep = [column.count(ActionKind.SLEEP) for column in zip(*kinds)] or [0] * spec.processes
-    per = tuple(power.active_cost * (T - n) + power.idle_cost * n for n in asleep)
+    per = tuple(power.active_cost * (T - n) for n in asleep)
     concurrent = sum(row.count(ActionKind.TRANSMIT) >= 2 for row in kinds)
     done = next((t for t, row in enumerate(grid) if all_known(row, spec.processes)), None)
     return SimReport(spec, power, T, grid[-1], per, sum(per), concurrent, done is not None, done)
@@ -260,7 +258,7 @@ def report_as_dict(report: SimReport) -> dict:
         "spec": spec_as_dict(report.spec),
         "power": {
             "active_cost": report.power.active_cost,
-            "idle_cost": report.power.idle_cost,
+            "idle_cost": 0,  # sleeping is free; the key keeps --json output unchanged
         },
         "slots_run": report.slots_run,
         "delivered": knowledge_table(report.delivered, report.spec.processes),

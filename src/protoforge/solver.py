@@ -65,7 +65,6 @@ tests, and shares no search machinery with solve.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from functools import reduce
 from typing import Callable, NamedTuple, Sequence
@@ -367,7 +366,7 @@ def min_horizon(
     start = max(_root_needs(spec, families, cover_function(
         spec.processes, audiences(spec, families), True)))
     for horizon in range(min(start, t_max + 1), t_max + 1):
-        result = solve(encode(replace(spec, horizon=horizon)), config)
+        result = solve(encode(spec.replace(horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)
         if result.status is SolveStatus.SAT:

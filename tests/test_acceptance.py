@@ -53,9 +53,7 @@ def test_criterion_1_min_horizon_equals_packet_count():
             assert validate(trace) == []
             # replay the horizon climb against the brute-force oracle
             for h in range(M + 1):
-                from dataclasses import replace
-
-                cs = encode(replace(spec, horizon=h))
+                cs = encode(spec.replace(horizon=h))
                 if len(action_domain(M)) ** (h * P) > ENUM_CEILING:
                     continue
                 cross_checked += 1
@@ -72,7 +70,7 @@ def test_criterion_1_min_horizon_equals_packet_count():
 def test_criterion_2_line_power_table():
     """Always-on policy burns 6 pw with a collision; schedules need at most 5."""
     spec = make_spec()  # 3-node line, one packet, two slots
-    pw = PowerModel(active_cost=1, idle_cost=0)
+    pw = PowerModel(active_cost=1)
     _, base = run_baseline(spec, pw)
     assert base.total_power == 6
     assert base.concurrent_tx_slots >= 1
@@ -136,8 +134,6 @@ def test_criterion_4_completeness_against_enumeration_oracle():
 
 
 def test_criterion_5_tight_core_is_exact_unsat_and_one_minimal():
-    from dataclasses import replace
-
     from protoforge.solver import unsat_core_minimize
 
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
@@ -147,9 +143,9 @@ def test_criterion_5_tight_core_is_exact_unsat_and_one_minimal():
         {RequirementLabel.GOAL_DEADLINE, RequirementLabel.R7_COLLISION_FREE_LEARNING}
     )
     assert core == expected
-    assert solve(replace(cs, enabled=frozenset(core))).status is SolveStatus.UNSAT
+    assert solve(cs.replace(enabled=frozenset(core))).status is SolveStatus.UNSAT
     for label in core:
-        weaker = replace(cs, enabled=frozenset(core - {label}))
+        weaker = cs.replace(enabled=frozenset(core - {label}))
         assert solve(weaker).status is SolveStatus.SAT, label
     _verdict(
         "criterion 5: PASS - core is exactly {GOAL_Deadline, R7_CollisionFreeLearning}, "

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from dataclasses import replace
 
 import pytest
 
@@ -62,17 +61,17 @@ def test_parse_rejects_out_of_range_code():
 def test_label_and_packet_are_set_at_construction(act, label, packet):
     assert (act.label, act.packet) == (label, packet)
     assert {"label", "packet"} <= vars(act).keys()  # plain attributes, not computed on read
-    copy = replace(act)
+    copy = act.replace()
     assert copy == act and (copy.label, copy.packet) == (label, packet)
 
 
 def test_replace_sets_label_and_packet_again():
-    act = replace(transmit(1), content=7)
+    act = transmit(1).replace(content=7)
     assert (act.label, act.packet) == ("tx:7", 7)
-    garbage = replace(act, content=GARBAGE)
+    garbage = act.replace(content=GARBAGE)
     assert (garbage.label, garbage.packet) == ("tx:0", None)
-    assert replace(SLEEP, kind=ActionKind.LISTEN) == LISTEN
-    assert replace(SLEEP, kind=ActionKind.LISTEN).label == "listen"
+    assert SLEEP.replace(kind=ActionKind.LISTEN) == LISTEN
+    assert SLEEP.replace(kind=ActionKind.LISTEN).label == "listen"
 
 
 # texts label never writes; int() reads all but the last two as some code

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -102,7 +101,7 @@ def test_disable_goal_flips_tight_instance_to_sat():
 
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
     assert solve(cs).status is SolveStatus.UNSAT
-    assert solve(replace(cs, enabled=cs.enabled - {L.GOAL_DEADLINE})).status is SolveStatus.SAT
+    assert solve(cs.replace(enabled=cs.enabled - {L.GOAL_DEADLINE})).status is SolveStatus.SAT
 
 
 def test_every_assignment_that_validates_delivers():

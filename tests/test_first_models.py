@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 from protoforge.encoder import encode
@@ -69,7 +68,7 @@ def outcomes(specs=None, node_limit=NODE_LIMIT, trials=True):
         cs = encode(spec)
 
         def run(enabled):
-            result = solve(replace(cs, enabled=enabled), config)
+            result = solve(cs.replace(enabled=enabled), config)
             trace = result.trace and write_trace(result.trace)
             sha = trace and hashlib.sha256(trace.encode()).hexdigest()
             dropped = ",".join(l.value.split("_")[0] for l in TAXONOMY if l in cs.enabled - enabled)

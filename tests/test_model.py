@@ -4,7 +4,6 @@ import json
 import re
 import time
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -294,7 +293,7 @@ def test_equal_relations_compare_equal():
 
 def test_validate_ok_on_line3():
     spec = make_spec()
-    assert replace(spec) == spec
+    assert spec.replace() == spec
 
 
 def test_validate_reflexive_pair():
@@ -347,7 +346,7 @@ def test_a_1024_process_all_relation_costs_masks_not_pairs(capsys, tmp_path):
     tracemalloc.start()
     try:
         spec = parse_spec(ALL_1024)
-        assert replace(spec, horizon=3).topology is spec.topology
+        assert spec.replace(horizon=3).topology is spec.topology
         assert len(audiences(spec)) == 1024
         assert spec_as_dict(spec)["topology"] == "all"
         counts = describe(encode(spec)).counts
@@ -437,7 +436,7 @@ def test_size_limits_leave_other_errors_and_derived_specs_alone():
     # a spec the library derives, such as a long baseline's action log, may
     # pass the limits that input is held to
     spec = make_spec(processes=1024, packets=16, horizon=0, topology=set())
-    assert replace(spec, horizon=2**20).horizon == 2**20
+    assert spec.replace(horizon=2**20).horizon == 2**20
 
 
 def test_validate_bad_source():
@@ -525,7 +524,7 @@ def test_line_subset_of_all(p):
 
 @given(specs())
 def test_valid_specs_pass_validation(spec):
-    assert replace(spec) == spec
+    assert spec.replace() == spec
 
 
 def test_parse_is_linear_in_hears_lines():

@@ -316,31 +316,39 @@ def test_the_search_frame_keeps_its_size():
     assert (search.co_nlocals, len(search.co_freevars), search.co_stacksize) == (15, 14, 8)
 
 
-def test_only_four_value_types_are_dataclasses():
+def test_no_class_is_a_dataclass():
     """A frozen dataclass compiles and runs six generated methods when its
     module is imported, about 0.6 ms each class, and every CLI run and
-    benchmark set-up pays it. CHANGES.md measured bench/run.py's wide
-    set-up (median wall time of 5 runs) when ten of the fourteen moved onto
-    model.Record: 36.6 ms, of which 21.8 compiling the package, 8.4
-    processing dataclasses and 3.3 running the rest of its modules, became
-    28.9 ms with 21.1, 2.4 and 3.0. These four stay for the reasons
-    model.py's docstring gives."""
+    benchmark set-up pays it; model.Record builds the same values without
+    generated code. CHANGES.md measured bench/run.py's wide set-up (median
+    wall time of 9 runs) when the last four moved onto it: 30.6 ms, of
+    which 22.8 compiling the package, 2.6 processing dataclasses and 3.5
+    running the rest of its modules, became 26.7 ms with 21.9, 0 and 3.3.
+    Importing dataclasses itself costs about 13 ms, so no module imports it
+    at module level (see the next test)."""
     decorated = {
         node.name for path in SOURCES for node in ast.walk(_tree(path))
         if isinstance(node, ast.ClassDef)
         for decorator in node.decorator_list
         if getattr(getattr(decorator, "func", decorator), "id", None) == "dataclass"
     }
-    assert decorated == {"NetworkSpec", "ConstraintSystem", "Action", "PowerModel"}
+    assert decorated == set()
+    imported = [
+        f"{path.name}:{node.lineno}" for path in SOURCES for node in _tree(path).body
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+        or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+    ]
+    assert imported == []
 
 
-def test_only_run_external_imports_subprocess():
+def test_the_cli_imports_neither_subprocess_nor_dataclasses():
     # subprocess costs 5 to 9 ms to import and shlex about 0.4 ms; only
-    # smt.run_external reads them, so no other command pays for them
+    # smt.run_external reads them. dataclasses costs about 13 ms, 11 of it
+    # inspect; only a refused assignment reads it (model._refuse)
     done = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; sys.path.insert(0, sys.argv[1]); import protoforge.cli;"
-         " print(sorted({'subprocess', 'shlex'} & sys.modules.keys()))",
+         " print(sorted({'subprocess', 'shlex', 'dataclasses', 'inspect'} & sys.modules.keys()))",
          str(Path(protoforge.__file__).parent.parent)],
         capture_output=True, text=True, timeout=60,
     )

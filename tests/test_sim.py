@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,13 +76,6 @@ def test_all_sleep_costs_nothing_and_never_completes():
     assert report.total_power == 0
     assert not report.completed and report.completion_slot is None
     assert report.delivered == (0b01,)  # packet 1 held by process 0 only
-
-
-def test_idle_cost_charged_for_sleep():
-    spec = make_spec(processes=2, packets=1, horizon=2, topology="all")
-    trace = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP), (SLEEP, SLEEP)))
-    report = simulate_trace(trace, PowerModel(active_cost=3, idle_cost=2))
-    assert report.total_power == 8
 
 
 def test_guard_rejects_physically_inconsistent_trace():
@@ -220,7 +212,6 @@ def test_power_accounting_is_exact(data):
         st.tuples(*[st.tuples(*[cell] * P)] * T), label="actions"
     )
     active = data.draw(st.integers(0, 5), label="active")
-    idle = data.draw(st.integers(0, 5), label="idle")
     # keep the draw physically consistent: only the source transmits packets
     actions = tuple(
         tuple(
@@ -230,10 +221,9 @@ def test_power_accounting_is_exact(data):
         for row in actions
     )
     trace = ProtocolTrace.from_actions(spec, actions)
-    report = simulate_trace(trace, PowerModel(active_cost=active, idle_cost=idle))
+    report = simulate_trace(trace, PowerModel(active_cost=active))
     n_active = sum(1 for row in actions for act in row if act is not SLEEP)
-    n_idle = T * P - n_active
-    assert report.total_power == active * n_active + idle * n_idle
+    assert report.total_power == active * n_active
     assert report.total_power == sum(report.per_process_power)
 
 
@@ -278,7 +268,7 @@ def _stepped_baseline(spec, power, max_slots=None):
     per = [0] * P
     for row in rows:
         for p, act in enumerate(row):
-            per[p] += power.active_cost if act.kind is not ActionKind.SLEEP else power.idle_cost
+            per[p] += power.active_cost if act.kind is not ActionKind.SLEEP else 0
     completion = None if None in joins else max(joins)
     report = SimReport(
         spec=spec,
@@ -294,7 +284,7 @@ def _stepped_baseline(spec, power, max_slots=None):
         completion_slot=completion,
     )
     trace = ProtocolTrace(
-        replace(spec, horizon=len(rows)), tuple(rows), initial_knowledge(spec), tuple(changes)
+        spec.replace(horizon=len(rows)), tuple(rows), initial_knowledge(spec), tuple(changes)
     )
     return trace, joins, report
 

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 
@@ -124,7 +123,7 @@ def test_min_horizon_budget_raises_with_first_undecided_horizon():
 def _min_horizon_from_zero(spec, t_max, config):
     """min_horizon as a loop that solves every horizon from 0."""
     for horizon in range(t_max + 1):
-        result = solve(encode(replace(spec, horizon=horizon)), config)
+        result = solve(encode(spec.replace(horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             return "budget exhausted", horizon
         if result.status is SolveStatus.SAT:
@@ -190,7 +189,7 @@ def test_dropping_r4_or_r6_changes_no_search(dropped):
     assert dropped <= STRUCTURAL_LABELS
     for spec in oracle_sized_specs():
         cs = encode(spec)
-        full, trial = solve(cs), solve(replace(cs, enabled=cs.enabled - dropped))
+        full, trial = solve(cs), solve(cs.replace(enabled=cs.enabled - dropped))
         assert (trial.status, trial.trace, trial.stats) == (full.status, full.trace, full.stats), spec
 
 
@@ -208,9 +207,9 @@ def test_unsat_core_empty_hears_is_unsat_and_minimal():
     core = unsat_core_minimize(cs)
     assert core & {L.TOPO_HEARS_RELATION, L.GOAL_DEADLINE}
     assert not (core & STRUCTURAL_LABELS)
-    assert solve(replace(cs, enabled=frozenset(core))).status is SolveStatus.UNSAT
+    assert solve(cs.replace(enabled=frozenset(core))).status is SolveStatus.UNSAT
     for label in core:
-        weaker = replace(cs, enabled=frozenset(core - {label}))
+        weaker = cs.replace(enabled=frozenset(core - {label}))
         assert solve(weaker).status is SolveStatus.SAT
 
 
@@ -282,7 +281,7 @@ def test_completeness_matches_oracle_on_small_instances():
 def test_feasibility_is_monotone_in_horizon():
     base = make_spec(processes=3, packets=2, horizon=0, topology="all")
     statuses = [
-        solve(encode(replace(base, horizon=t))).status is SolveStatus.SAT
+        solve(encode(base.replace(horizon=t))).status is SolveStatus.SAT
         for t in range(5)
     ]
     first_sat = statuses.index(True)
@@ -329,7 +328,7 @@ def test_stats_count_nodes_and_the_bound_that_cut():
     assert solve(encode(live)).stats.r5 > 0
     # with R7 dropped learning is free: one slot is enough, nothing is cut
     cs = encode(make_spec(processes=4, packets=2, horizon=1, topology="all"))
-    free = solve(replace(cs, enabled=cs.enabled - {L.R7_COLLISION_FREE_LEARNING}))
+    free = solve(cs.replace(enabled=cs.enabled - {L.R7_COLLISION_FREE_LEARNING}))
     assert free.status is SolveStatus.SAT
     assert free.stats.goal == free.stats.intra_slot == 0
 
@@ -341,7 +340,7 @@ def test_a_root_cut_counts_once_under_the_goal_first():
     assert solve(encode(make_spec(topology="all", liveness=live))).stats == SolveStats(liveness=1)
     both = encode(make_spec(processes=4, liveness=live))  # line: three lone sends
     assert solve(both).stats == SolveStats(goal=1)
-    goal_dropped = replace(both, enabled=both.enabled - {L.GOAL_DEADLINE})
+    goal_dropped = both.replace(enabled=both.enabled - {L.GOAL_DEADLINE})
     assert solve(goal_dropped).stats == SolveStats(liveness=1)
 
 
@@ -440,7 +439,7 @@ def test_reachability_without_r5_asks_only_for_a_speaker():
     # with R5 dropped anyone may send any packet, but process 0 of a line
     # has no speaker at all; with no packet to deliver nothing is missing
     line = encode(make_spec(processes=3, packets=1, horizon=6, source=2))
-    no_r5 = replace(line, enabled=line.enabled - {L.R5_TRANSMIT_ONLY_KNOWN})
+    no_r5 = line.replace(enabled=line.enabled - {L.R5_TRANSMIT_ONLY_KNOWN})
     assert solve(no_r5).stats == SolveStats(goal=1)
     assert solve(encode(make_spec(packets=0, horizon=6, source=2))).status is SolveStatus.SAT
 
@@ -524,7 +523,7 @@ def _trial_systems(spec):
     cs = encode(spec)
     yield cs
     for label in sorted(cs.enabled - STRUCTURAL_LABELS, key=TAXONOMY.index):
-        yield replace(cs, enabled=cs.enabled - {label})
+        yield cs.replace(enabled=cs.enabled - {label})
 
 
 # name: (processes, hears pairs, packets, horizons, liveness). With no pairs

@@ -4,7 +4,6 @@ import builtins
 import json
 import re
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -202,7 +201,7 @@ def test_rows_diff_into_the_changes_derive_knowledge_gives(shape):
     # enumerated grid is the one derive_knowledge folds
     spec = make_spec(**shape)
     system = encode(spec)
-    traces = enumerate_all(replace(system, enabled=system.enabled - {L.GOAL_DEADLINE}))
+    traces = enumerate_all(system.replace(enabled=system.enabled - {L.GOAL_DEADLINE}))
     assert any(any(trace.changes) for trace in traces)
     for trace in traces:
         given = ProtocolTrace.from_rows(spec, trace.actions, trace.knowledge)

@@ -31,7 +31,7 @@ FIELDS = {
     "ConstraintSystem": ("spec", "enabled"),
     "ExternalResult": ("status", "output"),
     "NetworkSpec": ("processes", "packets", "horizon", "source", "topology", "liveness", "goal"),
-    "PowerModel": ("active_cost", "idle_cost"),
+    "PowerModel": ("active_cost",),
     "ProtocolTrace": ("spec", "actions", "initial", "changes"),
     "SearchConfig": ("node_limit",),
     "SimReport": ("spec", "power", "slots_run", "delivered", "per_process_power", "total_power",
@@ -46,7 +46,7 @@ FIELDS = {
 DEFAULTS = {
     "Action": {"content": None},
     "NetworkSpec": {"liveness": model.LivenessMode.OFF, "goal": model.GoalKind.ALL_KNOW_ALL},
-    "PowerModel": {"active_cost": 1, "idle_cost": 0},
+    "PowerModel": {"active_cost": 1},
     "SearchConfig": {"node_limit": None},
     "SolveResult": {"trace": None, "core": None, "stats": SolveStats()},
     "SolveStats": dict.fromkeys(FIELDS["SolveStats"], 0),
@@ -68,7 +68,7 @@ def _values() -> dict[str, object]:
         "ConstraintSystem": cs,
         "ExternalResult": ExternalResult("sat", "sat\n((x true))\n"),
         "NetworkSpec": spec,
-        "PowerModel": PowerModel(2, 1),
+        "PowerModel": PowerModel(2),
         "ProtocolTrace": result.trace,
         "SearchConfig": SearchConfig(10_000),
         "SimReport": synthesized,
@@ -171,6 +171,25 @@ def test_fields_cannot_be_assigned_or_deleted(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         value.unknown = 1
     assert getattr(value, field) is before
+
+
+@pytest.mark.parametrize("name", sorted(set(FIELDS) - {"SolveStats"}))
+def test_replace_rebuilds_the_value_through_its_constructor(name):
+    value = VALUES[name]
+    rebuilt = value.replace()
+    assert rebuilt is not value and type(rebuilt) is type(value)
+    assert _same_fields(rebuilt, value, name)
+    with pytest.raises(TypeError):
+        value.replace(nonfield=1)
+
+
+def test_replace_runs_the_constructor_checks():
+    spec = VALUES["NetworkSpec"]
+    assert spec.replace(horizon=2).horizon == 2 and spec.horizon == 6
+    with pytest.raises(model.SpecValidationError, match="horizon must be >= 0"):
+        spec.replace(horizon=-1)
+    with pytest.raises(ValueError, match="transmit needs a content code >= 0"):
+        actions.transmit(1).replace(content=-1)
 
 
 def test_solve_stats_is_a_read_only_tuple():
