@@ -42,7 +42,6 @@ from .model import (
     topology_line,
 )
 from .sim import (
-    ComparisonReport,
     PowerModel,
     SimReport,
     SimulationGuardError,
@@ -86,7 +85,6 @@ __all__ = [
     "Action",
     "ActionFormatError",
     "ActionKind",
-    "ComparisonReport",
     "ConstraintSystem",
     "ExternalResult",
     "ExternalSolverError",

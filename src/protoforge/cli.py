@@ -32,13 +32,13 @@ from types import SimpleNamespace
 from typing import TextIO
 
 from .encoder import encode
-from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec
+from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec, requirement_families
 from .sim import (
-    ComparisonReport,
     PowerModel,
     SimReport,
     SimulationGuardError,
-    compare as compare_reports,
+    compare,
+    render_comparison,
     render_report,
     report_as_dict,
     run_baseline,
@@ -148,9 +148,9 @@ def _ordered(core: frozenset[RequirementLabel]) -> list[str]:
     return [label.value for label in TAXONOMY if label in core]
 
 
-def _unsat(core: frozenset[RequirementLabel]) -> tuple[int, dict]:
-    """Reports an Unsat verdict with its unminimized core."""
-    labels = _ordered(core)
+def _unsat(spec: NetworkSpec) -> tuple[int, dict]:
+    """Reports encode(spec)'s Unsat verdict with its unminimized core."""
+    labels = _ordered(requirement_families(spec))
     print("unsat\ncore: " + " ".join(labels))
     return 1, {"status": "unsat", "core": labels}
 
@@ -167,9 +167,10 @@ def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
 
 
 def _cmd_synth(args: SimpleNamespace) -> tuple[int, object]:
-    result = _solve(args, parse_spec(_read(args.spec)))
+    spec = parse_spec(_read(args.spec))
+    result = _solve(args, spec)
     if result.status is SolveStatus.UNSAT:
-        return _unsat(result.core)
+        return _unsat(spec)
     print("sat")
     _emit_trace(result.trace, args.out)
     return 0, {"status": "sat", "trace": result.trace}
@@ -177,11 +178,11 @@ def _cmd_synth(args: SimpleNamespace) -> tuple[int, object]:
 
 def _cmd_min_horizon(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
-    found = min_horizon(spec, args.max, SearchConfig(node_limit=args.node_limit))
-    if found is None:
+    trace = min_horizon(spec, args.max, SearchConfig(node_limit=args.node_limit))
+    if trace is None:
         print(f"no feasible horizon up to {args.max}")
         return 1, {"found": False, "t_min": None}
-    t_min, trace = found
+    t_min = trace.spec.horizon
     print(f"t_min: {t_min}")
     _emit_trace(trace, args.out)
     return 0, {"found": True, "t_min": t_min, "trace": trace}
@@ -248,11 +249,12 @@ def _cmd_compare(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
     result = _solve(args, spec)
     if result.status is SolveStatus.UNSAT:
-        return _unsat(result.core)
+        return _unsat(spec)
     power = PowerModel(active_cost=args.pw)
-    report = compare_reports(simulate_trace(result.trace, power), run_baseline(spec, power)[1])
-    sys.stdout.write(report.text())
-    return 0, report
+    synthesized, baseline = simulate_trace(result.trace, power), run_baseline(spec, power)[1]
+    sys.stdout.write(render_comparison(synthesized, baseline))
+    return 0, {"synthesized": synthesized, "baseline": baseline,
+               "verdict": compare(synthesized, baseline)}
 
 
 def _as_json(obj: object) -> object:
@@ -265,8 +267,6 @@ def _as_json(obj: object) -> object:
                 "detail": obj.detail}
     if isinstance(obj, SimReport):
         return report_as_dict(obj)
-    if isinstance(obj, ComparisonReport):
-        return obj.as_dict()
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 

@@ -3,7 +3,8 @@ always-on reference policy, and compare power use.
 
 Power accounting charges active_cost for each transmitting or listening
 cell and nothing for a sleeping one. Completion means the whole network
-holds every packet.
+holds every packet. A report derives its total power and whether it
+completed from its per-process power and completion slot.
 
 The reference policy never sleeps: a node that holds all M packets, a
 full node, broadcasts them in id order, one per slot, wrapping around;
@@ -90,24 +91,29 @@ class PowerModel(Record):
 
 class SimReport(Record):
     __slots__ = (
-        "spec", "power", "slots_run", "delivered", "per_process_power", "total_power",
-        "concurrent_tx_slots", "completed", "completion_slot",
+        "spec", "power", "slots_run", "delivered", "per_process_power", "concurrent_tx_slots",
+        "completion_slot",
     )
 
     def __init__(
         self, spec: NetworkSpec, power: PowerModel, slots_run: int, delivered: KnowledgeRow,
-        per_process_power: tuple[int, ...], total_power: int, concurrent_tx_slots: int,
-        completed: bool, completion_slot: int | None,
+        per_process_power: tuple[int, ...], concurrent_tx_slots: int, completion_slot: int | None,
     ) -> None:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "slots_run", slots_run)
         object.__setattr__(self, "delivered", delivered)
         object.__setattr__(self, "per_process_power", per_process_power)
-        object.__setattr__(self, "total_power", total_power)
         object.__setattr__(self, "concurrent_tx_slots", concurrent_tx_slots)
-        object.__setattr__(self, "completed", completed)
         object.__setattr__(self, "completion_slot", completion_slot)
+
+    @property
+    def total_power(self) -> int:
+        return sum(self.per_process_power)
+
+    @property
+    def completed(self) -> bool:
+        return self.completion_slot is not None
 
 
 def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> SimReport:
@@ -123,7 +129,7 @@ def simulate_trace(trace: ProtocolTrace, power: PowerModel | None = None) -> Sim
     per = tuple(power.active_cost * (T - n) for n in asleep)
     concurrent = sum(row.count(ActionKind.TRANSMIT) >= 2 for row in kinds)
     done = next((t for t, row in enumerate(grid) if all_known(row, spec.processes)), None)
-    return SimReport(spec, power, T, grid[-1], per, sum(per), concurrent, done is not None, done)
+    return SimReport(spec, power, T, grid[-1], per, concurrent, done)
 
 
 def default_max_slots(spec: NetworkSpec) -> int:
@@ -174,83 +180,52 @@ def run_baseline(
             slots = max_slots - t
         t += slots
         concurrent += slots * (full & (full - 1) != 0)  # two or more senders
-    done = full == everyone
     per = (t * power.active_cost,) * P  # every always-on cell is active
-    report = SimReport(spec, power, t, know, per, sum(per), concurrent, done, t if done else None)
+    report = SimReport(spec, power, t, know, per, concurrent, t if full == everyone else None)
     return joins, report
 
 
-class ComparisonReport(Record):
-    __slots__ = ("synthesized", "baseline")
-
-    def __init__(self, synthesized: SimReport, baseline: SimReport) -> None:
-        object.__setattr__(self, "synthesized", synthesized)
-        object.__setattr__(self, "baseline", baseline)
-
-    @property
-    def lower_power(self) -> str:
-        if self.synthesized.total_power < self.baseline.total_power:
-            return "synthesized"
-        if self.baseline.total_power < self.synthesized.total_power:
-            return "baseline"
-        return "tie"
-
-    def text(self) -> str:
-        synth, base = self.synthesized, self.baseline
-
-        def csma(report: SimReport) -> str:
-            return "required" if report.concurrent_tx_slots > 0 else "not required"
-
-        def done(report: SimReport) -> str:
-            if report.completed:
-                return f"yes (slot {report.completion_slot})"
-            return "no"
-
-        rows = [
-            ("metric", "synthesized", "baseline"),
-            ("slots run", str(synth.slots_run), str(base.slots_run)),
-            ("total power (pw)", str(synth.total_power), str(base.total_power)),
-            ("concurrent tx slots", str(synth.concurrent_tx_slots), str(base.concurrent_tx_slots)),
-            ("collision detection", csma(synth), csma(base)),
-            ("completed", done(synth), done(base)),
-        ]
-        widths = [max(len(row[col]) for row in rows) for col in range(3)]
-        lines = [
-            "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
-            for row in rows
-        ]
-        if self.lower_power == "tie":
-            outcome = "tie"
-        else:
-            outcome = f"{self.lower_power} lower"
-        lines.append(
-            f"power: synthesized {synth.total_power} pw, baseline {base.total_power} pw ({outcome})"
-        )
-        lines.append(
-            f"collision detection: synthesized {csma(synth)}, baseline {csma(base)}"
-        )
-        return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> dict:
-        return {
-            "synthesized": report_as_dict(self.synthesized),
-            "baseline": report_as_dict(self.baseline),
-            "verdict": {
-                "lower_power": self.lower_power,
-                "collision_detection_needed": {
-                    "synthesized": self.synthesized.concurrent_tx_slots > 0,
-                    "baseline": self.baseline.concurrent_tx_slots > 0,
-                },
-            },
-        }
-
-
-def compare(synthesized: SimReport, baseline: SimReport) -> ComparisonReport:
+def compare(synthesized: SimReport, baseline: SimReport) -> dict:
+    """The verdict on two reports of one spec and power model: which used
+    less power, and whether each had concurrent transmissions."""
     if synthesized.spec != baseline.spec:
         raise ValueError("reports come from different specs")
     if synthesized.power != baseline.power:
         raise ValueError("reports use different power models")
-    return ComparisonReport(synthesized=synthesized, baseline=baseline)
+    synth, base = synthesized.total_power, baseline.total_power
+    return {
+        "lower_power": "synthesized" if synth < base else "baseline" if base < synth else "tie",
+        "collision_detection_needed": {
+            "synthesized": synthesized.concurrent_tx_slots > 0,
+            "baseline": baseline.concurrent_tx_slots > 0,
+        },
+    }
+
+
+def render_comparison(synthesized: SimReport, baseline: SimReport) -> str:
+    """The two reports side by side, then compare's verdict in words."""
+    verdict, reports = compare(synthesized, baseline), (synthesized, baseline)
+    csma = ["required" if needed else "not required"
+            for needed in verdict["collision_detection_needed"].values()]
+    rows = [
+        ("metric", "synthesized", "baseline"),
+        ("slots run", *(str(r.slots_run) for r in reports)),
+        ("total power (pw)", *(str(r.total_power) for r in reports)),
+        ("concurrent tx slots", *(str(r.concurrent_tx_slots) for r in reports)),
+        ("collision detection", *csma),
+        ("completed", *(f"yes (slot {r.completion_slot})" if r.completed else "no"
+                        for r in reports)),
+    ]
+    widths = [max(len(row[col]) for row in rows) for col in range(3)]
+    lines = [
+        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
+        for row in rows
+    ]
+    lower = verdict["lower_power"]
+    lines.append(f"power: synthesized {synthesized.total_power} pw, baseline "
+                 f"{baseline.total_power} pw ({lower if lower == 'tie' else lower + ' lower'})")
+    lines.append(f"collision detection: synthesized {csma[0]}, baseline {csma[1]}")
+    return "\n".join(lines) + "\n"
 
 
 def report_as_dict(report: SimReport) -> dict:

@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import reduce
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .actions import ActionKind, action_domain
 from .encoder import ConstraintSystem, encode
@@ -105,27 +105,33 @@ class SolveStatus(Enum):
     __hash__ = object.__hash__  # see model.RequirementLabel
 
 
-class SolveStats(NamedTuple):
+class SolveStats(Record):
     """What one search did: cell values tried (nodes, the unit node_limit
     counts) and the branches each bound cut. Cuts at the root count too."""
 
-    nodes: int = 0
-    r5: int = 0
-    liveness: int = 0
-    goal: int = 0
-    intra_slot: int = 0
+    __slots__ = ("nodes", "r5", "liveness", "goal", "intra_slot")
+
+    def __init__(
+        self, nodes: int = 0, r5: int = 0, liveness: int = 0, goal: int = 0, intra_slot: int = 0,
+    ) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "r5", r5)
+        object.__setattr__(self, "liveness", liveness)
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "intra_slot", intra_slot)
 
 
 class SolveResult(Record):
-    __slots__ = ("status", "trace", "core", "stats")
+    """A verdict, with solve's first trace when it is SAT."""
+
+    __slots__ = ("status", "trace", "stats")
 
     def __init__(
         self, status: SolveStatus, trace: ProtocolTrace | None = None,
-        core: frozenset[RequirementLabel] | None = None, stats: SolveStats = SolveStats(),
+        stats: SolveStats = SolveStats(),
     ) -> None:
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "core", core)
         object.__setattr__(self, "stats", stats)
 
 
@@ -213,8 +219,9 @@ def _root_needs(spec: NetworkSpec, enabled, cover: Callable[[int], float]) -> tu
 
 
 def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResult:
-    """Decides the system. Sat results carry the first trace in search order;
-    Unsat results carry the full enabled set as their (unminimized) core."""
+    """Decides the system; a SAT result carries the first trace in search
+    order. An UNSAT one's unminimized core is the caller's
+    cs.enabled & requirement_families(cs.spec)."""
     config = config or SearchConfig()
     spec = cs.spec
     P, M, T = spec.processes, spec.packets, spec.horizon
@@ -225,8 +232,8 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
     nodes = 0
 
-    def result(status: SolveStatus, **fields) -> SolveResult:
-        return SolveResult(status, stats=SolveStats(nodes, **cuts), **fields)
+    def result(status: SolveStatus, trace: ProtocolTrace | None = None) -> SolveResult:
+        return SolveResult(status, trace, SolveStats(nodes, **cuts))
 
     audience = audiences(spec, enabled)
     everyone = (1 << P) - 1
@@ -266,7 +273,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     goal_need, live_need = _root_needs(spec, enabled, cover)
     if goal_need > T or live_need > T:
         cuts["goal" if goal_need > T else "liveness"] += 1
-        return result(SolveStatus.UNSAT, core=frozenset(enabled))
+        return result(SolveStatus.UNSAT)
 
     # per slot start t: know[t], need[t], done[t][p] (None when untracked); per slot: changes[t]
     know: list = [initial] + [None] * T
@@ -344,20 +351,21 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     if ended is SolveStatus.BUDGET_EXHAUSTED:
         return result(ended)
     if ended is None:
-        return result(SolveStatus.UNSAT, core=frozenset(enabled))
+        return result(SolveStatus.UNSAT)
     # equal rows share one tuple, as they do in a trace read from a file
     slices = [tuple(grid[t * P:(t + 1) * P]) for t in range(T)]
     rows = {key: tuple(map(values.__getitem__, key)) for key in dict.fromkeys(slices)}
     actions = tuple(map(rows.__getitem__, slices))
-    return result(SolveStatus.SAT, trace=ProtocolTrace(spec, actions, initial, tuple(changes)))
+    return result(SolveStatus.SAT, ProtocolTrace(spec, actions, initial, tuple(changes)))
 
 
 def min_horizon(
     spec: NetworkSpec, t_max: int, config: SearchConfig | None = None
-) -> tuple[int, ProtocolTrace] | None:
-    """Least horizon in 0..t_max whose encoding is satisfiable, with its
-    trace; None when every horizon in range is unsatisfiable. Horizons that
-    solve's root bounds cut, which spend no budget, are skipped unsolved."""
+) -> ProtocolTrace | None:
+    """The first trace at the least horizon in 0..t_max whose encoding is
+    satisfiable, which is its spec's; None when every horizon in range is
+    unsatisfiable. Horizons that solve's root bounds cut, which
+    spend no budget, are skipped unsolved."""
     families = requirement_families(spec)
     if RequirementLabel.GOAL_DEADLINE not in families:
         raise ValueError("min_horizon needs goal = all-know-all")
@@ -370,7 +378,7 @@ def min_horizon(
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)
         if result.status is SolveStatus.SAT:
-            return horizon, result.trace
+            return result.trace
     return None
 
 

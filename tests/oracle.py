@@ -6,12 +6,17 @@ solver.solve: it reads only the value order of actions.action_domain, the
 learning rule through trace.deliver and trace.audiences, and the validator.
 Each candidate's knowledge, the changes of each slot, is the one its
 system's families imply.
+
+fewest_sends is the goal bound's c(H) computed on its own: the fewest lone
+sends that bring a packet held by H to everyone, found breadth first over
+reach masks, one level per send.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+import math
+from typing import Iterable, Sequence
 
 from protoforge.actions import Action, ActionKind, action_domain
 from protoforge.encoder import ConstraintSystem
@@ -87,3 +92,21 @@ def enumerate_all(
             if limit is not None and len(out) >= limit:
                 break
     return out
+
+
+def fewest_sends(processes: int, audience: Sequence[int], check_r5: bool, held: int) -> float:
+    """The fewest lone sends after which every process holds a packet first
+    held by the mask `held`, math.inf if no number does. A send by s, a holder
+    or with R5 dropped anyone, adds s's audience to the holders."""
+    everyone = (1 << processes) - 1
+    level, seen, sends = {held}, {held}, 0
+    while everyone not in level:
+        if not level:
+            return math.inf
+        level = {
+            reach | audience[s] for reach in level for s in range(processes)
+            if not check_r5 or reach >> s & 1
+        } - seen
+        seen |= level
+        sends += 1
+    return sends

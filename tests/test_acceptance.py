@@ -46,10 +46,9 @@ def test_criterion_1_min_horizon_equals_packet_count():
     for P in (2, 3, 4):
         for M in (1, 2, 3):
             spec = NetworkSpec(P, M, 0, 0, topology_all(P))
-            found = min_horizon(spec, t_max=M + 2)
-            assert found is not None, (P, M)
-            t_min, trace = found
-            assert t_min == M, (P, M, t_min)
+            trace = min_horizon(spec, t_max=M + 2)
+            assert trace is not None, (P, M)
+            assert trace.spec.horizon == M, (P, M, trace.spec.horizon)
             assert validate(trace) == []
             # replay the horizon climb against the brute-force oracle
             for h in range(M + 1):

@@ -501,7 +501,7 @@ def _expected_out(command, spec_path):
         return emit_smtlib(spec).text
     if command == "synth":
         return write_trace(solve(encode(spec)).trace)
-    return write_trace(min_horizon(spec, 2)[1])
+    return write_trace(min_horizon(spec, 2))
 
 
 @pytest.mark.parametrize("command", OUT_COMMANDS)

@@ -325,14 +325,21 @@ def test_no_class_is_a_dataclass():
     which 22.8 compiling the package, 2.6 processing dataclasses and 3.5
     running the rest of its modules, became 26.7 ms with 21.9, 0 and 3.3.
     Importing dataclasses itself costs about 13 ms, so no module imports it
-    at module level (see the next test)."""
+    at module level (see the next test). A NamedTuple is a tuple, which
+    unpacks, indexes and compares equal to any tuple of its fields, so no
+    value type is one either."""
+    classes = [node for path in SOURCES for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ClassDef)]
     decorated = {
-        node.name for path in SOURCES for node in ast.walk(_tree(path))
-        if isinstance(node, ast.ClassDef)
-        for decorator in node.decorator_list
+        node.name for node in classes for decorator in node.decorator_list
         if getattr(getattr(decorator, "func", decorator), "id", None) == "dataclass"
     }
     assert decorated == set()
+    named_tuples = {
+        node.name for node in classes for base in node.bases
+        if getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+    }
+    assert named_tuples == set()
     imported = [
         f"{path.name}:{node.lineno}" for path in SOURCES for node in _tree(path).body
         if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"

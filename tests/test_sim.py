@@ -10,12 +10,12 @@ from protoforge.actions import LISTEN, SLEEP, ActionKind, transmit
 from protoforge.encoder import encode
 from protoforge.model import GoalKind
 from protoforge.sim import (
-    ComparisonReport,
     PowerModel,
     SimReport,
     SimulationGuardError,
     compare,
     default_max_slots,
+    render_comparison,
     run_baseline,
     simulate_trace,
 )
@@ -162,26 +162,23 @@ def test_compare_line3_verdict():
     spec = make_spec()
     synth = simulate_trace(solve(encode(spec)).trace, PowerModel())
     _, base = run_baseline(spec, PowerModel())
-    report = compare(synth, base)
-    assert report.lower_power == "synthesized"
-    text = report.text()
+    assert compare(synth, base) == {
+        "lower_power": "synthesized",
+        "collision_detection_needed": {"synthesized": False, "baseline": True},
+    }
+    text = render_comparison(synth, base)
     assert "synthesized 4 pw" in text
     assert "baseline 6 pw" in text
     assert "not required" in text and "required" in text
-    payload = report.as_dict()
-    assert payload["verdict"]["lower_power"] == "synthesized"
-    assert payload["verdict"]["collision_detection_needed"] == {
-        "synthesized": False,
-        "baseline": True,
-    }
+    assert text.endswith("(synthesized lower)\n"
+                         "collision detection: synthesized not required, baseline required\n")
 
 
 def test_compare_tie_on_identical_reports():
     spec = make_spec()
     synth = simulate_trace(solve(encode(spec)).trace, PowerModel())
-    report = compare(synth, synth)
-    assert report.lower_power == "tie"
-    assert "tie" in report.text()
+    assert compare(synth, synth)["lower_power"] == "tie"
+    assert "(tie)" in render_comparison(synth, synth)
 
 
 def test_compare_rejects_mismatched_specs():
@@ -191,6 +188,8 @@ def test_compare_rejects_mismatched_specs():
     _, base = run_baseline(spec_b, PowerModel())
     with pytest.raises(ValueError, match="different specs"):
         compare(synth, base)
+    with pytest.raises(ValueError, match="different specs"):
+        render_comparison(synth, base)
 
 
 def test_compare_rejects_mismatched_power_models():
@@ -199,6 +198,8 @@ def test_compare_rejects_mismatched_power_models():
     _, base = run_baseline(spec, PowerModel(active_cost=2))
     with pytest.raises(ValueError, match="power"):
         compare(synth, base)
+    with pytest.raises(ValueError, match="power"):
+        render_comparison(synth, base)
 
 
 @given(st.data())
@@ -276,11 +277,9 @@ def _stepped_baseline(spec, power, max_slots=None):
         slots_run=len(rows),
         delivered=tuple(know),
         per_process_power=tuple(per),
-        total_power=sum(per),
         concurrent_tx_slots=sum(
             sum(act.kind is ActionKind.TRANSMIT for act in row) >= 2 for row in rows
         ),
-        completed=completion is not None,
         completion_slot=completion,
     )
     trace = ProtocolTrace(

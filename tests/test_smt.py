@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from protoforge.actions import LISTEN, SLEEP, ActionKind, action_domain, transmit
 from protoforge.encoder import encode
 from protoforge.model import (
+    STRUCTURAL_LABELS,
     GoalKind,
     LivenessMode,
     NetworkSpec,
@@ -35,7 +36,7 @@ from protoforge.smt import (
     run_external,
     tokenize,
 )
-from protoforge.solver import SearchConfig, SolveStatus, solve
+from protoforge.solver import SearchConfig, SolveStatus, solve, unsat_core_minimize
 from protoforge.trace import ProtocolTrace, knowledge_table, validate
 from conftest import make_spec
 from oracle import enumerate_all
@@ -856,48 +857,107 @@ GRID_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GRID_SPECS))
-def test_the_grids_satisfying_every_assertion_are_the_oracle_traces(name):
-    """Per legal action grid, knows is set at t = 0 from the R4 literals and
-    at t + 1 from the R7 equalities, in document order, with the senders and
-    heard definitions R7 reads; then every assertion is evaluated. The grids
-    that satisfy them all, with those knows values, are enumerate_all's traces."""
-    spec = GRID_SPECS[name]
+def _models(spec, families):
+    """Every model of the assertions of `families`, which hold R1, R2 and R4,
+    as (action grid, values), found by walking every legal grid. A cell takes
+    the encodings of the action domain, the only values R1 and R2 admit (see
+    the test above); knows is set at t = 0 from the R4 literals and, with R7
+    among the families, at t + 1 from the R7 equalities, in document order,
+    with the senders and heard definitions R7 reads. Without R7, every knows
+    term past t = 0 is free and each of its values is tried. Then the
+    families' assertions are evaluated."""
     P, M, T = spec.processes, spec.packets, spec.horizon
     doc = emit_smtlib(spec)
-    functions = _declared(doc)
-    assertions = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
-    ev = Evaluator(functions, {})  # every term is compiled here, before the grid loop
+    ev = Evaluator(_declared(doc), {})  # every term is compiled here, before the grid loop
     key, compiled = ev.key, ev.compiled
-    definitions = []  # (defined term, the value it takes as a function of the values)
-    for _, expr, _, label in assertions:
+    definitions, bodies = [], []  # definitions: (defined term, its value as a function of the values)
+    for _, expr, _, label in (cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))):
         family = label_of_assertion_name(label)
+        if family not in families:
+            continue
         if family is L.R4_INITIAL_KNOWLEDGE:  # (knows 0 p k) or its negation
             negated = expr[0] == "not"
             definitions.append((key(expr[1] if negated else expr), compiled("false" if negated else "true")))
         elif family is L.R7_COLLISION_FREE_LEARNING:  # (= (f args) value)
             assert expr[0] == "=", expr
             definitions.append((key(expr[1]), compiled(expr[2])))
-    knows = [term for term, _ in definitions if term[0] == "knows"]
-    # each knows term defined exactly once; evaluating the definitions in
-    # order below fails on a read of a term not yet defined
-    assert sorted(knows) == [("knows", t, p, k) for t in range(T + 1) for p in range(P) for k in range(1, M + 1)]
+        bodies.append(ev.assertion(expr))
+    bodies.reverse()  # the goal, which fails most, first
+    knows = [("knows", t, p, k) for t in range(T + 1) for p in range(P) for k in range(1, M + 1)]
+    free = [] if L.R7_COLLISION_FREE_LEARNING in families else [term for term in knows if term[1]]
+    # each knows term defined exactly once or free; evaluating the definitions
+    # in order below fails on a read of a term not yet defined
+    assert sorted(term for term, _ in definitions if term[0] == "knows") + free == knows
     assert len({term for term, _ in definitions}) == len(definitions)
-    bodies = [ev.assertion(expr) for _, expr, _, _ in reversed(assertions)]  # the goal, which fails most, first
     encoding = {act: _encoding(act) for act in action_domain(M)}
     cells = [[(function, t, p) for function in CELL] for t in range(T) for p in range(P)]
-    models = {}
     for grid in product(action_domain(M), repeat=T * P):
         values = {}
         for keys, act in zip(cells, grid):
             values.update(zip(keys, encoding[act]))
         for term, value in definitions:
             values[term] = value(values)
-        if all(holds(values) for holds in bodies):
-            models[tuple(grid[t * P:(t + 1) * P] for t in range(T))] = {term: values[term] for term in knows}
+        for held in product((False, True), repeat=len(free)):
+            values.update(zip(free, held))
+            if all(holds(values) for holds in bodies):
+                yield tuple(grid[t * P:(t + 1) * P] for t in range(T)), values
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SPECS))
+def test_the_grids_satisfying_every_assertion_are_the_oracle_traces(name):
+    """The grids whose values satisfy every assertion (see _models), with
+    those knows values, are enumerate_all's traces."""
+    spec = GRID_SPECS[name]
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    knows = [("knows", t, p, k) for t in range(T + 1) for p in range(P) for k in range(1, M + 1)]
+    models = {
+        actions: {term: values[term] for term in knows}
+        for actions, values in _models(spec, frozenset(RequirementLabel))
+    }
     traces = enumerate_all(encode(spec))
     assert models == {trace.actions: {term: trace_values(trace)[term] for term in knows} for trace in traces}
     assert bool(models) == ("unsat" not in name)
+
+
+# Unsat shapes whose minimal core is checked against the document, over
+# every legal action grid, with that core. Explicit relations are (listener,
+# speaker) pairs.
+GOAL, R3, R5, R7, TOPO = (L.GOAL_DEADLINE, L.R3_LIVENESS, L.R5_TRANSMIT_ONLY_KNOWN,
+                          L.R7_COLLISION_FREE_LEARNING, L.TOPO_HEARS_RELATION)
+CORE_SPECS = {
+    "all P=2 M=1 T=0": (make_spec(processes=2, packets=1, horizon=0, topology="all"), {GOAL}),
+    "all P=2 M=2 T=1": (make_spec(processes=2, packets=2, horizon=1, topology="all"), {GOAL, R7}),
+    "all P=3 M=3 T=1": (make_spec(processes=3, packets=3, horizon=1, topology="all"), {GOAL, R7}),
+    "line P=3 M=1 T=1": (make_spec(processes=3, packets=1, horizon=1, topology="line"),
+                         {GOAL, R7, TOPO}),
+    "explicit P=2 M=1 T=1 liveness": (make_spec(processes=2, packets=1, horizon=1, topology={(1, 0)},
+                                                liveness=EACH), {R3}),
+    "explicit P=3 M=1 T=2": (make_spec(processes=3, packets=1, horizon=2, topology={(1, 2), (2, 1)}),
+                             {GOAL, R5, R7, TOPO}),
+}
+# The most knows terms, P·M·(T+1), whose values are enumerated when R7 is dropped.
+FREE_KNOWS = 12
+
+
+@pytest.mark.parametrize("name", sorted(CORE_SPECS))
+def test_the_core_families_have_no_model_and_each_one_is_needed(name):
+    """The assertions of unsat_core_minimize's families, with those of the
+    four structural families, have no model, and dropping any one core
+    family's gives one. The structural families stay on both sides: without
+    R4's, criterion 5's core {GOAL, R7} holds with every knows true and
+    every cell asleep. TOPO has no assertions of its own, as the hears
+    relation is folded into R7's heard definitions, so dropping it is not
+    checked; nor is dropping R7 where P·M·(T+1) > FREE_KNOWS, as on
+    "all P=3 M=3 T=1"."""
+    spec, expected = CORE_SPECS[name]
+    core = unsat_core_minimize(encode(spec))
+    assert core == expected
+    kept = core | STRUCTURAL_LABELS
+    assert next(_models(spec, kept), None) is None
+    for label in core - {TOPO}:
+        if label is R7 and spec.processes * spec.packets * (spec.horizon + 1) > FREE_KNOWS:
+            continue
+        assert next(_models(spec, kept - {label}), None) is not None, label
 
 
 def _lint(doc):

@@ -31,7 +31,7 @@ from protoforge.solver import (
 )
 from protoforge.trace import audiences, validate
 from conftest import DEAD_SLOTS, make_spec, oracle_sized_specs
-from oracle import enumerate_all
+from oracle import enumerate_all, fewest_sends
 
 L = RequirementLabel
 
@@ -53,12 +53,11 @@ def test_line3_first_trace_matches_oracle_order():
     assert solve(cs).trace == traces[0]
 
 
-def test_tight_instance_unsat_with_full_enabled_core():
+def test_tight_instance_is_unsat_without_a_trace():
     cs = encode(make_spec(processes=2, packets=2, horizon=1, topology="all"))
     result = solve(cs)
     assert result.status is SolveStatus.UNSAT
     assert result.trace is None
-    assert result.core == cs.enabled
 
 
 @pytest.mark.parametrize("P, goal", [(1, GoalKind.NONE), (3, GoalKind.ALL_KNOW_ALL)])
@@ -88,14 +87,15 @@ def test_enumeration_limit_truncates():
 
 
 def test_min_horizon_examples():
-    assert min_horizon(make_spec(processes=3, packets=2, horizon=0, topology="all"), 5)[0] == 2
-    assert min_horizon(make_spec(processes=2, packets=1, horizon=0, topology="all"), 5)[0] == 1
-    assert min_horizon(make_spec(processes=3, packets=1, horizon=0, topology="line"), 5)[0] == 2
+    assert min_horizon(make_spec(processes=3, packets=2, horizon=0, topology="all"), 5).spec.horizon == 2
+    assert min_horizon(make_spec(processes=2, packets=1, horizon=0, topology="all"), 5).spec.horizon == 1
+    assert min_horizon(make_spec(processes=3, packets=1, horizon=0, topology="line"), 5).spec.horizon == 2
 
 
 def test_min_horizon_trace_is_solution_at_t_min():
-    t_min, trace = min_horizon(make_spec(processes=3, packets=1, horizon=0, topology="line"), 5)
-    assert trace.spec.horizon == t_min
+    spec = make_spec(processes=3, packets=1, horizon=0, topology="line")
+    trace = min_horizon(spec, 5)
+    assert trace.spec == spec.replace(horizon=2)
     assert validate(trace) == []
 
 
@@ -142,7 +142,8 @@ def test_min_horizon_agrees_with_a_loop_from_horizon_zero():
         spec = make_spec(processes=P, packets=M, horizon=0, source=rng.randrange(P),
                          topology=hears, liveness=rng.choice(list(LivenessMode)))
         try:
-            found = min_horizon(spec, 8, config)
+            trace = min_horizon(spec, 8, config)
+            found = None if trace is None else (trace.spec.horizon, trace)
         except SearchBudgetExceeded as err:
             found = "budget exhausted", err.horizon
         assert found == _min_horizon_from_zero(spec, 8, config), spec
@@ -159,7 +160,7 @@ def test_solve_budget_exhausted_status():
     cs = encode(make_spec(processes=3, packets=1, horizon=2, topology="line"))
     result = solve(cs, SearchConfig(node_limit=2))
     assert result.status is SolveStatus.BUDGET_EXHAUSTED
-    assert result.trace is None and result.core is None
+    assert result.trace is None
 
 
 @pytest.mark.parametrize("topology, M, T, liveness, nodes", [
@@ -491,8 +492,59 @@ def test_cover_is_the_fewest_lone_sends_and_bounds_its_relaxation(P, monkeypatch
                 relaxed = cover_function(P, audience, check_r5)
             for held in range(1 << P):
                 assert exact(held) == _fewest_sends(P, audience, check_r5, held), (relation, held)
+                assert fewest_sends(P, audience, check_r5, held) == exact(held), (relation, held)
                 # so every cut the relaxation makes, cover makes too
                 assert relaxed(held) <= exact(held)
+
+
+def _seeded_relations(seed):
+    """(P, hears pairs) for every P up to EXACT_COVER_PROCESSES, at densities
+    from a sparse, mostly disconnected relation to a dense one."""
+    rng = random.Random(seed)
+    for P, density in itertools.product(
+            range(1, solver.EXACT_COVER_PROCESSES + 1), (0.1, 0.2, 0.35, 0.6)):
+        for _ in range(2):
+            yield P, {(l, s) for l in range(P) for s in range(P) if l != s and rng.random() < density}
+
+
+def test_cover_equals_the_oracle_on_seeded_relations():
+    rng = random.Random(41)
+    compared = set()
+    for P, relation in _seeded_relations(41):
+        audience = audiences(make_spec(processes=P, topology=relation))
+        masks = range(1 << P) if P <= 6 else rng.sample(range(1 << P), 60)
+        for check_r5 in (True, False):
+            cover = cover_function(P, audience, check_r5)
+            for held in masks:
+                expected = fewest_sends(P, audience, check_r5, held)
+                assert cover(held) == expected, (relation, check_r5, held)
+                compared.add(expected)
+    assert {0, 1, 6, math.inf} <= compared
+
+
+def test_with_liveness_off_the_least_horizon_is_m_covers_of_the_source():
+    """With liveness off the goal bound is exact, so a spec is sat from
+    M·c({source}) slots on, c being the oracle's, and unsat below."""
+    config = SearchConfig(node_limit=10_000)
+    rng = random.Random(42)
+    horizons = set()
+    for P, relation in _seeded_relations(42):
+        M, source = rng.randint(0, 2), rng.randrange(P)
+        spec = make_spec(processes=P, packets=M, horizon=0, source=source, topology=relation)
+        c = fewest_sends(P, audiences(spec), True, 1 << source)
+        if M and c == math.inf:
+            assert min_horizon(spec, P * M, config) is None, spec
+            horizons.add(None)
+            continue
+        t_min = M * c if M else 0
+        result = solve(encode(spec.replace(horizon=t_min)), config)
+        assert result.status is SolveStatus.SAT, spec
+        if t_min:
+            below = solve(encode(spec.replace(horizon=t_min - 1)), config)
+            assert below.status is SolveStatus.UNSAT, spec
+        assert min_horizon(spec, P * M, config) == result.trace
+        horizons.add(t_min)
+    assert {None, 0, 1, 2, 10} <= horizons
 
 
 def test_past_the_exact_limit_cover_is_relaxed():
