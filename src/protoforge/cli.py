@@ -29,7 +29,6 @@ import stat
 import sys
 from collections.abc import Callable
 from types import SimpleNamespace
-from typing import TextIO
 
 from .encoder import encode
 from .model import NetworkSpec, RequirementLabel, TAXONOMY, parse_spec, requirement_families
@@ -108,31 +107,40 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-# The file buffer of every --out and --trace-out write, trace files and SMT
-# documents alike. An SMT document is written as 60 to 150 blocks of up to
-# about 27 KB on the benchmark's rungs, each followed by a newline piece;
-# 64 KiB gathers them into a few large writes.
-_WRITE_BUFFER = 1 << 16
+# The most pieces one os.writev takes. An SMT document on the benchmark's
+# rungs is 149 to 325 pieces, one of 100 slots more than 1,024.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
-def _write(path: str, fill: Callable[[TextIO], object]) -> None:
-    """Has fill write the file's text to a UTF-8 file at path, overwriting
-    an existing file in place: opening it without O_TRUNC keeps its blocks
-    and page cache, which the write reuses. The file is then cut where the
-    text ended, so it holds only this run's text, all of it or, when fill
-    raises, the part that reached it. A device or FIFO reports size 0 and
-    is never cut."""
+def _write(path: str, pieces: list[bytes]) -> None:
+    """Writes the pieces, in order, to the file at path, overwriting an
+    existing file in place: opening it without O_TRUNC keeps its blocks and
+    page cache, which the write reuses. The pieces are gathered straight from
+    the caller's buffers by os.writev, at most _IOV_MAX per call, and a short
+    write resumes inside the piece it stopped in. The file is then cut at the
+    offset reached, so it holds only this run's bytes, all of them or, when a
+    write raises, the part that reached it. A device or FIFO reports size 0
+    and is never cut."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", encoding="utf-8", buffering=_WRITE_BUFFER) as fh:
+    try:
         size = os.fstat(fd).st_size
         try:
-            fill(fh)
-            fh.flush()  # so a file that only grows is never cut
+            while pieces:
+                batch = pieces[:_IOV_MAX]
+                written = os.writev(fd, batch)
+                if written == sum(map(len, batch)):
+                    pieces = pieces[len(batch):]
+                    continue
+                for n, piece in enumerate(batch):
+                    if written < len(piece):
+                        pieces = [memoryview(piece)[written:], *pieces[n + 1:]]
+                        break
+                    written -= len(piece)
         finally:
-            # after a failed fill, closing fh writes what it still holds
-            # from this offset on, so nothing of the old file is left
             if size and size > (end := os.lseek(fd, 0, os.SEEK_CUR)):
                 os.ftruncate(fd, end)
+    finally:
+        os.close(fd)
 
 
 def _solve(args: SimpleNamespace, spec: NetworkSpec) -> SolveResult:
@@ -158,8 +166,7 @@ def _unsat(spec: NetworkSpec) -> tuple[int, dict]:
 def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
     """Writes the trace file when a path is given, else prints the schedule."""
     if path:
-        text = write_trace(trace)
-        _write(path, lambda fh: fh.write(text))
+        _write(path, [write_trace(trace).encode()])
         print(f"wrote {path}")
     else:
         print("\n".join(f"t={t}: " + " ".join(act.label for act in row)
@@ -212,7 +219,7 @@ def _cmd_emit_smt(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
     document = emit_smtlib(spec)
     if args.out:
-        _write(args.out, document.write)
+        _write(args.out, document.pieces())
         print(f"wrote {args.out}")
     solver = args.solver or os.environ.get(SOLVER_ENV) or None
     if solver is None:

@@ -25,22 +25,23 @@ request with an error form, which the parser skips.
 The repeated families read the same for every process and slot but for
 the digits of p, t and t + 1: R1, R2, R5, R6, R7 and the get-value lines,
 and R3 and GOAL, which are not per-slot. Each is written once, over
-placeholder characters for the three, split once on a placeholder and
-stamped per value by one join of its pieces on the value's digits: per
-process into a family's template for one slot, and that per slot, one
-block per slot. R6 and R7 alone hold t + 1, filled in by one str.replace
-per slot block; R7 has two templates, for processes with and without
-speakers. The senders and heard definitions are stamped per slot only,
-R4 is rendered directly, and R3 with R4, and GOAL, are one block each.
-The document keeps these blocks as they are (see SmtDocument), so emit-smt
-writes them to its file one by one, and the whole text is joined only when
-something reads it.
+placeholder characters for the three. Per process, a family's lines are
+split once on the process placeholder and stamped by one join of the
+pieces on p's digits, giving the family's text for one slot; R7 has two
+templates, for processes with and without speakers, and each process is
+stamped into only the one it uses. That text is encoded to ASCII once, as
+the slot template, and each slot's block is one bytes.replace of the slot
+placeholder by t's digits, then, for R6 and R7, which alone hold t + 1,
+one more of its placeholder by t + 1's. The senders and heard definitions
+are stamped per slot only, R4 is rendered directly, and R3 with R4, and
+GOAL, are one block each. The document keeps these bytes blocks as they
+are (see SmtDocument), so emit-smt gathers them into its file without
+joining them, and the text is decoded only when something reads it.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from functools import cached_property, partial
 from itertools import chain
 from typing import TextIO
@@ -70,13 +71,16 @@ MAX_TIMEOUT_S = 1_000_000
 class SmtDocument(Record):
     """An SMT-LIB 2 document in four sections, separated by a blank line.
 
-    Each section is a tuple of blocks, a block being one or more whole lines
-    joined by newlines, without a final one; the header and declarations
-    hold one line per block. emit_smtlib stores a per-slot family's stamp
-    for one slot as one block, and R3 with R4, and GOAL, as one block each.
-    write sends the blocks to a text file as they are. text, the whole
-    document as one string, is built only when read, and so are assertions
-    and footer, the one-line-per-entry views of the last two sections.
+    The header and declarations are tuples of str, one line each. The
+    assertions and footer sections are tuples of ASCII bytes blocks, a block
+    being one or more whole lines joined by newlines, without a final one:
+    emit_smtlib stores a per-slot family's stamp for one slot as one block,
+    and R3 with R4, and GOAL, as one block each. pieces lists the document's
+    bytes as these blocks and the newlines between them, which emit-smt
+    writes to its file unjoined; write decodes them one at a time onto a
+    text stream. text, the whole document as one string, is decoded only
+    when read, and so are assertions and footer, the one-line-per-entry
+    views of the last two sections.
     """
 
     # No __slots__: the cached properties live in the instance's __dict__.
@@ -85,32 +89,36 @@ class SmtDocument(Record):
 
     def __init__(
         self, header: tuple[str, ...], declarations: tuple[str, ...],
-        assertion_blocks: tuple[str, ...], footer_blocks: tuple[str, ...],
+        assertion_blocks: tuple[bytes, ...], footer_blocks: tuple[bytes, ...],
     ) -> None:
         object.__setattr__(self, "header", header)
         object.__setattr__(self, "declarations", declarations)
         object.__setattr__(self, "assertion_blocks", assertion_blocks)
         object.__setattr__(self, "footer_blocks", footer_blocks)
 
-    def _pieces(self) -> Iterator[str]:
-        """The text in order: each block, the newline that ends it, and a
-        newline between sections."""
-        gap = ""
-        for section in (self.header, self.declarations, self.assertion_blocks, self.footer_blocks):
+    def pieces(self) -> list[bytes]:
+        """The document's bytes in order: each block, the newline that ends
+        it, and a newline between sections."""
+        out: list[bytes] = []
+        for section in (
+            [line.encode("ascii") for line in self.header],
+            [line.encode("ascii") for line in self.declarations],
+            self.assertion_blocks, self.footer_blocks,
+        ):
             if section:
-                yield gap
+                if out:
+                    out.append(b"\n")
                 for block in section:
-                    yield block
-                    yield "\n"
-                gap = "\n"
+                    out += (block, b"\n")
+        return out
 
     def write(self, fh: TextIO) -> None:
-        """Writes text to fh block by block, without building it."""
-        fh.writelines(self._pieces())
+        """Writes text to the text stream fh piece by piece, without building it."""
+        fh.writelines(piece.decode("ascii") for piece in self.pieces())
 
     @cached_property
     def text(self) -> str:
-        return "".join(self._pieces())
+        return b"".join(self.pieces()).decode("ascii")
 
     @cached_property
     def assertions(self) -> tuple[str, ...]:
@@ -121,8 +129,8 @@ class SmtDocument(Record):
         return _lines(self.footer_blocks)
 
 
-def _lines(blocks: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(chain.from_iterable(block.split("\n") for block in blocks))
+def _lines(blocks: tuple[bytes, ...]) -> tuple[str, ...]:
+    return tuple(chain.from_iterable(block.decode("ascii").split("\n") for block in blocks))
 
 
 def _any(terms: list[str]) -> str:
@@ -138,22 +146,31 @@ def _sum(terms: list[str]) -> str:
 # Placeholders for the slot t, the slot t + 1 and the process p in the
 # repeated families; no spec renders any of these characters.
 _T, _T1, _P = "\x00", "\x01", "\x02"
+_SLOT, _NEXT = _T.encode(), _T1.encode()  # the first two in the bytes slot templates
 
 
-def _joined(lines: list[str]) -> list[str]:
-    """The lines as one block; none when there are no lines."""
-    return ["\n".join(lines)] if lines else []
+def _joined(lines: list[str]) -> list[bytes]:
+    """The lines as one ASCII block; none when there are no lines."""
+    return ["\n".join(lines).encode("ascii")] if lines else []
 
 
-def _stamp(lines: list[str], values: range, mark: str) -> list[str]:
-    """The lines as one block per value, each mark spliced with its digits by
-    one join; none without lines. Per slot (_T), _T1 then gets t + 1."""
-    template = "\n".join(lines)
-    pieces = template.split(mark)
-    blocks = [str(value).join(pieces) for value in values] if lines else []
-    if mark == _T and _T1 in template:
-        return [block.replace(_T1, str(t + 1)) for t, block in zip(values, blocks)]
-    return blocks
+def _each(lines: list[str], procs: range) -> list[str]:
+    """The lines as one block per process, _P spliced with p's digits by one
+    join; none without lines."""
+    pieces = "\n".join(lines).split(_P)
+    return [str(p).join(pieces) for p in procs] if lines else []
+
+
+def _stamp(lines: list[str], slots: range) -> list[bytes]:
+    """The lines as one ASCII block per slot: the template is encoded once,
+    and each slot's block is one bytes.replace of _T by t's digits, then one
+    of _T1 by t + 1's where the template holds it; none without lines."""
+    if not lines:
+        return []
+    template = "\n".join(lines).encode("ascii")
+    if _NEXT in template:
+        return [template.replace(_SLOT, b"%d" % t).replace(_NEXT, b"%d" % (t + 1)) for t in slots]
+    return [template.replace(_SLOT, b"%d" % t) for t in slots]
 
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
@@ -193,7 +210,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
             speakers[listener].append(speaker)
     listeners = [p for p in procs if speakers[p]] if M else []
 
-    each = partial(_stamp, values=procs, mark=_P)  # one process's lines, per process
+    each = partial(_each, procs=procs)  # one process's lines, per process
     # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
     # cores map back onto requirement families. The repeated families are
     # written for process _P in slot _T (_T1 for t + 1), stamped per process.
@@ -215,7 +232,10 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         heard.append(f"(assert (! (= {b} {learns}) :named |{r7}@{at},k={k}|))")
         deaf.append(f"(assert (! (= {b} {a}) :named |{r7}@{at},k={k}|))")
         goals.append(f"(assert (! (knows {T} {_P} {k}) :named |{goal}@t={T},p={_P},k={k}|))")
-    learnt = [h if speakers[p] else d for p, h, d in zip(procs, each(heard), each(deaf))]
+    # R7 has a template with speakers and one without: each process is
+    # stamped into only the one it uses
+    r7_pieces = {True: "\n".join(heard).split(_P), False: "\n".join(deaf).split(_P)}
+    learnt = [str(p).join(r7_pieces[bool(speakers[p])]) for p in procs] if M else []
     tx = [f"(transmit {_T} {p})" for p in procs]
     defined = []
     if listeners:
@@ -239,14 +259,14 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         for k in packets:
             a = f"(knows 0 {p} {k})" if p == spec.source else f"(not (knows 0 {p} {k}))"
             fixed.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
-    blocks = _stamp(each(cells), slots, _T) + _stamp(each(bounds), slots, _T) + _joined(fixed)
+    blocks = _stamp(each(cells), slots) + _stamp(each(bounds), slots) + _joined(fixed)
     for family in (each(sent), each(kept), defined, learnt):
-        blocks += _stamp(family, slots, _T)
+        blocks += _stamp(family, slots)
     if L.GOAL_DEADLINE in families:
         blocks += _joined(each(goals))
     known = [f"(get-value ({' '.join(f'(knows {_T} {_P} {k})' for k in packets)}))"] if M else []
-    footer = ["(check-sat)", *_stamp(each([f"(get-value ({s} {l} {x}))"]), slots, _T)]
-    footer += [*_stamp(each(known), range(T + 1), _T), "(get-unsat-core)", "(exit)"]
+    footer = [b"(check-sat)", *_stamp(each([f"(get-value ({s} {l} {x}))"]), slots)]
+    footer += [*_stamp(each(known), range(T + 1)), b"(get-unsat-core)", b"(exit)"]
     return SmtDocument(header, declarations, tuple(blocks), tuple(footer))
 
 

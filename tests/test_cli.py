@@ -16,7 +16,7 @@ from protoforge.cli import main
 from protoforge.encoder import encode
 from protoforge.model import parse_spec, render_spec
 from protoforge.sim import PowerModel
-from protoforge.smt import SmtDocument, emit_smtlib
+from protoforge.smt import emit_smtlib
 from protoforge.solver import min_horizon, solve
 from protoforge.trace import read_trace, validate, write_trace
 from conftest import R5_DROPPED, make_spec
@@ -483,12 +483,24 @@ def test_emit_smt_writes_the_blocks_without_joining_the_text(capsys, line3, tmp_
         return emitted[-1]
 
     monkeypatch.setattr("protoforge.cli.emit_smtlib", recorded)
+    gathered = []  # the pieces each os.writev call is given
+    real_writev = os.writev
+
+    def recording(fd, buffers):
+        gathered.append(len(buffers))
+        return real_writev(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", recording)
     path = tmp_path / "doc.smt2"
     code, out, _ = run_cli(capsys, "emit-smt", line3, *(["--out", str(path)] if to_file else []))
     [doc] = emitted
     assert code == 0
     assert "text" not in doc.__dict__ and "assertions" not in doc.__dict__
     assert (path.read_text(encoding="utf-8") if to_file else out) == doc.text
+    # --out gathers the pieces unjoined, at most SC_IOV_MAX per call
+    pieces = len(doc.pieces()) if to_file else 0
+    assert sum(gathered) == pieces
+    assert len(gathered) == -(-pieces // os.sysconf("SC_IOV_MAX"))
 
 
 # the --out commands, each with the arguments it needs besides the spec
@@ -540,16 +552,39 @@ def test_out_to_dev_null(capsys, line3, command):
     assert out.endswith(f"wrote {os.devnull}\n")
 
 
-def test_a_failed_write_leaves_only_the_prefix_that_reached_the_file(capsys, line3, tmp_path, monkeypatch):
-    def failing(self, fh):
-        fh.write(self.text[:100])
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_a_failed_write_leaves_only_the_prefix_that_reached_the_file(capsys, line3, tmp_path, monkeypatch, command):
+    def failing(fd, buffers):
+        os.write(fd, b"".join(buffers)[:100])
         raise OSError("disk full")
 
-    monkeypatch.setattr(SmtDocument, "write", failing)
-    path = tmp_path / "doc.smt2"
+    monkeypatch.setattr(os, "writev", failing)
+    path = tmp_path / "out"
     path.write_text("x" * 100_000)
-    assert run_cli(capsys, "emit-smt", line3, "--out", str(path)) == (4, "", "error: disk full\n")
-    assert path.read_text(encoding="utf-8") == _expected_out("emit-smt", line3)[:100]
+    printed = "sat\n" if command == "synth" else ""  # the verdict comes before the write
+    assert run_cli(capsys, command, line3, "--out", str(path)) == (4, printed, "error: disk full\n")
+    assert path.read_text(encoding="utf-8") == _expected_out(command, line3)[:100]
+
+
+@pytest.mark.parametrize("command", ["emit-smt", "synth"])
+def test_short_writes_resume_where_they_stopped(capsys, tmp_path, monkeypatch, command):
+    # a trace of about 13 KB and a document of many pieces, so both need
+    # several writes of 4,096 bytes, most of them ending inside a piece
+    spec = tmp_path / "all12.net"
+    spec.write_text(render_spec(make_spec(processes=12, packets=2, horizon=40, topology="all")))
+    expected = _expected_out(command, str(spec)).encode("utf-8")
+    assert len(expected) > 2 * 4096
+
+    def capped(fd, buffers):
+        return os.write(fd, b"".join(buffers)[:4096])
+
+    monkeypatch.setattr(os, "writev", capped)
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (len(expected) + 5000))
+    code, out, err = run_cli(capsys, command, str(spec), "--out", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote {path}\n")
+    assert path.read_bytes() == expected
 
 
 @pytest.mark.parametrize("command", ["emit-smt", "synth"])
