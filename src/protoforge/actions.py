@@ -80,8 +80,22 @@ def parse_action(text: str, packets: int) -> Action:
     raise ActionFormatError(f"unknown action {text!r}")
 
 
+def cell_values(packets: int) -> list[tuple[ActionKind, int | None]]:
+    """Everything a cell can hold, as (kind, content), in the search's value
+    order: sleep, listen, packets 1..M ascending, garbage (quiet schedules
+    first). No Action is built, so a spec with many packets costs a pair
+    per packet here."""
+    quiet = [(ActionKind.SLEEP, None), (ActionKind.LISTEN, None)]
+    return quiet + [(ActionKind.TRANSMIT, k) for k in (*range(1, packets + 1), GARBAGE)]
+
+
+def action_of(kind: ActionKind, content: int | None) -> Action:
+    """The shared Action of that kind and content: SLEEP, LISTEN or transmit's."""
+    if kind is ActionKind.TRANSMIT:
+        return transmit(content)
+    return SLEEP if kind is ActionKind.SLEEP else LISTEN
+
+
 def action_domain(packets: int) -> tuple[Action, ...]:
-    """Everything a cell can hold, in the search's value order: sleep,
-    listen, packets 1..M ascending, garbage (quiet schedules first)."""
-    ascending = tuple(transmit(k) for k in range(1, packets + 1))
-    return (SLEEP, LISTEN) + ascending + (transmit(GARBAGE),)
+    """cell_values(packets) as shared Actions, in the same order."""
+    return tuple(action_of(kind, content) for kind, content in cell_values(packets))

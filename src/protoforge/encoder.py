@@ -1,7 +1,7 @@
 """A problem as a finite-domain constraint system over one action variable
 per (slot, process) cell.
 
-Each cell's domain is actions.action_domain (M+3 values), so
+Each cell's domain is actions.cell_values (M+3 values), so
 exactly-one-action and the content bounds hold by construction, and the
 search derives knowledge from the initial row and never lowers it, so
 initial knowledge and never-forgets do too: these four families are

@@ -22,32 +22,36 @@ named so unsat cores map back onto requirement families. The footer always
 asks for both values and an unsat core; solvers answer the inapplicable
 request with an error form, which the parser skips.
 
-The repeated families read the same for every process and slot but for
-the digits of p, t and t + 1: R1, R2, R5, R6, R7 and the get-value lines,
-and R3 and GOAL, which are not per-slot. Each is written once, over
-placeholder characters for the three. Per process, a family's lines are
-split once on the process placeholder and stamped by one join of the
-pieces on p's digits, giving the family's text for one slot; R7 has two
-templates, for processes with and without speakers, and each process is
-stamped into only the one it uses. That text is encoded to ASCII once, as
-the slot template, and each slot's block is one bytes.replace of the slot
-placeholder by t's digits, then, for R6 and R7, which alone hold t + 1,
-one more of its placeholder by t + 1's. The senders and heard definitions
-are stamped per slot only, R4 is rendered directly, and R3 with R4, and
-GOAL, are one block each. The document keeps these bytes blocks as they
-are (see SmtDocument), so emit-smt gathers them into its file without
-joining them, and the text is decoded only when something reads it.
+The header and declarations never depend on the spec, and are module
+constants. Every other family is written once, over placeholder characters
+for the digits of p, t and t + 1, and rendered by one renderer, _each: per
+process, a family's lines are split once on the process placeholder and
+stamped by one join of the pieces on p's digits. R4 has a template for the
+source and one for the others, R7 one for processes with speakers and one
+without, and each process is stamped into only the one it uses. For a
+per-slot family (R1, R2, R5, R6, R7 and the get-value lines) the
+processes' text is encoded to ASCII once, as the slot template, and each
+slot's block is one bytes.replace of the slot placeholder by t's digits,
+then, for R6 and R7, which alone hold t + 1, one more of its placeholder
+by t + 1's. With no slots nothing is joined, and R5 to R7 build no lines.
+R3 (after its comment line), R4 and GOAL, which are not per-slot, are one
+block each. The senders and heard definitions are stamped per slot only,
+each speaker's term in heard built once for all its listeners. The
+document keeps these bytes blocks as they are (see SmtDocument): emit-smt
+gathers them into its file without joining them, run_external joins them
+once into a solver's stdin, and the text is decoded only when something
+reads it.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property, partial
-from itertools import chain
-from typing import TextIO
+from functools import cached_property
+from itertools import chain, repeat
+from typing import Callable, Iterable, TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import NetworkSpec, Record, RequirementLabel, read_int, requirement_families, set_bits
+from .model import NetworkSpec, Record, RequirementLabel, read_int, requirement_families
 from .trace import ProtocolTrace, audiences
 
 
@@ -68,19 +72,39 @@ class SolverTimeout(ExternalSolverError):
 MAX_TIMEOUT_S = 1_000_000
 
 
-class SmtDocument(Record):
-    """An SMT-LIB 2 document in four sections, separated by a blank line.
+# The header and declarations, which no spec changes: the bytes pieces
+# writes for them, each section's lines with the newline that ends each.
+HEADER = b"""\
+(set-option :produce-models true)
+(set-option :produce-unsat-cores true)
+(set-logic QF_UFLIA)
+"""
+DECLARATIONS = b"""\
+; transmit codes: -1 silent, 0 garbage, k in [1, M] packet k
+(declare-fun sleep (Int Int) Bool)
+(declare-fun listen (Int Int) Bool)
+(declare-fun transmit (Int Int) Int)
+(declare-fun knows (Int Int Int) Bool)
+; senders t: transmitters in slot t; heard t p: packet codes p's speakers send
+(declare-fun senders (Int) Int)
+(declare-fun heard (Int Int) Int)
+"""
 
-    The header and declarations are tuples of str, one line each. The
-    assertions and footer sections are tuples of ASCII bytes blocks, a block
-    being one or more whole lines joined by newlines, without a final one:
-    emit_smtlib stores a per-slot family's stamp for one slot as one block,
-    and R3 with R4, and GOAL, as one block each. pieces lists the document's
-    bytes as these blocks and the newlines between them, which emit-smt
-    writes to its file unjoined; write decodes them one at a time onto a
-    text stream. text, the whole document as one string, is decoded only
-    when read, and so are assertions and footer, the one-line-per-entry
-    views of the last two sections.
+
+class SmtDocument(Record):
+    """An SMT-LIB 2 document in four sections, separated by a blank line:
+    HEADER and DECLARATIONS, the same in every document, then the
+    assertions and the footer, the two that are fields.
+
+    The fields are tuples of ASCII bytes blocks, a block being one or more
+    whole lines joined by newlines, without a final one: emit_smtlib stores
+    a per-slot family's stamp for one slot as one block, and each family
+    that is not per-slot as one. pieces lists the document's bytes as the
+    constant sections, these blocks and the newlines between them, which
+    emit-smt writes to its file unjoined and run_external joins once for a
+    solver's stdin; write decodes them one at a time onto a text stream.
+    text, the whole document as one string, is decoded only when read, and
+    so are assertions and footer, the one-line-per-entry views of the fields.
     """
 
     # No __slots__: the cached properties live in the instance's __dict__.
@@ -88,26 +112,18 @@ class SmtDocument(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
-        self, header: tuple[str, ...], declarations: tuple[str, ...],
-        assertion_blocks: tuple[bytes, ...], footer_blocks: tuple[bytes, ...],
+        self, assertion_blocks: tuple[bytes, ...], footer_blocks: tuple[bytes, ...]
     ) -> None:
-        object.__setattr__(self, "header", header)
-        object.__setattr__(self, "declarations", declarations)
         object.__setattr__(self, "assertion_blocks", assertion_blocks)
         object.__setattr__(self, "footer_blocks", footer_blocks)
 
     def pieces(self) -> list[bytes]:
-        """The document's bytes in order: each block, the newline that ends
-        it, and a newline between sections."""
-        out: list[bytes] = []
-        for section in (
-            [line.encode("ascii") for line in self.header],
-            [line.encode("ascii") for line in self.declarations],
-            self.assertion_blocks, self.footer_blocks,
-        ):
+        """The document's bytes in order: the constant sections, then each
+        block, the newline that ends it, and a newline between sections."""
+        out = [HEADER, b"\n", DECLARATIONS]
+        for section in (self.assertion_blocks, self.footer_blocks):
             if section:
-                if out:
-                    out.append(b"\n")
+                out.append(b"\n")
                 for block in section:
                     out += (block, b"\n")
         return out
@@ -149,28 +165,40 @@ _T, _T1, _P = "\x00", "\x01", "\x02"
 _SLOT, _NEXT = _T.encode(), _T1.encode()  # the first two in the bytes slot templates
 
 
-def _joined(lines: list[str]) -> list[bytes]:
-    """The lines as one ASCII block; none when there are no lines."""
-    return ["\n".join(lines).encode("ascii")] if lines else []
-
-
-def _each(lines: list[str], procs: range) -> list[str]:
-    """The lines as one block per process, _P spliced with p's digits by one
-    join; none without lines."""
-    pieces = "\n".join(lines).split(_P)
-    return [str(p).join(pieces) for p in procs] if lines else []
-
-
-def _stamp(lines: list[str], slots: range) -> list[bytes]:
-    """The lines as one ASCII block per slot: the template is encoded once,
-    and each slot's block is one bytes.replace of _T by t's digits, then one
-    of _T1 by t + 1's where the template holds it; none without lines."""
+def _stamp(lines: list[str], slots: range | None) -> list[bytes]:
+    """The lines joined as ASCII blocks: one when slots is None, else one per
+    slot, the template being encoded once and each slot's block one
+    bytes.replace of _T by t's digits, then one of _T1 by t + 1's where the
+    template holds it. No blocks without lines."""
     if not lines:
         return []
     template = "\n".join(lines).encode("ascii")
+    if slots is None:
+        return [template]
     if _NEXT in template:
         return [template.replace(_SLOT, b"%d" % t).replace(_NEXT, b"%d" % (t + 1)) for t in slots]
     return [template.replace(_SLOT, b"%d" % t) for t in slots]
+
+
+def _each(
+    lines: Iterable[str] | Callable[[int], Iterable[str]], P: int, slots: range | None
+) -> list[bytes]:
+    """A family's blocks, stamped per process, then as _stamp stamps them.
+    lines is one process's lines, with _P for p, or a function giving the
+    lines process p uses, one of a few. Each distinct set of lines is joined
+    and split on _P once, and a process's text is one join of its pieces on
+    p's digits; a process whose lines are empty has none. With an empty slot
+    range there are no blocks, and no lines are read or joined."""
+    if slots is not None and not slots:
+        return []
+    if callable(lines):
+        chosen = list(map(lines, range(P)))
+        keys = list(map(id, chosen))
+        split = {key: "\n".join(used).split(_P) for key, used in dict(zip(keys, chosen)).items()}
+        pieces = map(split.__getitem__, keys)
+    else:
+        pieces = repeat("\n".join(lines).split(_P), P)
+    return _stamp(list(filter(None, map(str.join, map(str, range(P)), pieces))), slots)
 
 
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
@@ -186,34 +214,16 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         )
     )
     slots, procs, packets = range(T), range(P), range(1, M + 1)
-    header = (
-        "(set-option :produce-models true)",
-        "(set-option :produce-unsat-cores true)",
-        "(set-logic QF_UFLIA)",
-    )
-    declarations = (
-        "; transmit codes: -1 silent, 0 garbage, k in [1, M] packet k",
-        "(declare-fun sleep (Int Int) Bool)",
-        "(declare-fun listen (Int Int) Bool)",
-        "(declare-fun transmit (Int Int) Int)",
-        "(declare-fun knows (Int Int Int) Bool)",
-        "; senders t: transmitters in slot t; heard t p: packet codes p's speakers send",
-        "(declare-fun senders (Int) Int)",
-        "(declare-fun heard (Int Int) Int)",
-    )
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
-    speakers: list[list[int]] = [[] for _ in procs]
-    for speaker, heard_by in enumerate(audiences(spec)):
-        for listener in set_bits(heard_by):
-            speakers[listener].append(speaker)
+    audience = audiences(spec)
+    speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs]
     listeners = [p for p in procs if speakers[p]] if M else []
 
-    each = partial(_each, procs=procs)  # one process's lines, per process
     # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
     # cores map back onto requirement families. The repeated families are
-    # written for process _P in slot _T (_T1 for t + 1), stamped per process.
+    # written for process _P in slot _T (_T1 for t + 1).
     s, l, x = (f"({name} {_T} {_P})" for name in ("sleep", "listen", "transmit"))
     at = f"t={_T},p={_P}"
     cells = [
@@ -222,8 +232,13 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         f"(assert (! (or {s} {l} (>= {x} 0)) :named |{r1}.any@{at}|))",
     ]
     bounds = [f"(assert (! (and (>= {x} (- 1)) (<= {x} {M})) :named |{r2}@{at}|))"]
-    sent, kept, heard, deaf, goals = ([] for _ in range(5))
+    held, lacking, sent, kept, heard, deaf, goals = ([] for _ in range(7))
     for k in packets:
+        start = f"(knows 0 {_P} {k})"
+        held.append(f"(assert (! {start} :named |{r4}@t=0,p={_P},k={k}|))")
+        lacking.append(f"(assert (! (not {start}) :named |{r4}@t=0,p={_P},k={k}|))")
+        goals.append(f"(assert (! (knows {T} {_P} {k}) :named |{goal}@t={T},p={_P},k={k}|))")
+    for k in packets if slots else ():  # the per-slot lines: without slots, no block holds them
         a, b = f"(knows {_T} {_P} {k})", f"(knows {_T1} {_P} {k})"
         sent.append(f"(assert (! (=> (= {x} {k}) {a}) :named |{r5}@{at},k={k}|))")
         kept.append(f"(assert (! (=> {a} {b}) :named |{r6}@{at},k={k}|))")
@@ -231,43 +246,35 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
         learns = f"(or {a} (and {l} (= (senders {_T}) 1) (= (heard {_T} {_P}) {k})))"
         heard.append(f"(assert (! (= {b} {learns}) :named |{r7}@{at},k={k}|))")
         deaf.append(f"(assert (! (= {b} {a}) :named |{r7}@{at},k={k}|))")
-        goals.append(f"(assert (! (knows {T} {_P} {k}) :named |{goal}@t={T},p={_P},k={k}|))")
-    # R7 has a template with speakers and one without: each process is
-    # stamped into only the one it uses
-    r7_pieces = {True: "\n".join(heard).split(_P), False: "\n".join(deaf).split(_P)}
-    learnt = [str(p).join(r7_pieces[bool(speakers[p])]) for p in procs] if M else []
-    tx = [f"(transmit {_T} {p})" for p in procs]
+    tx = [f"(transmit {_T} {q})" for q in procs]
+    code = [f"(ite (> {q} 0) {q} 0)" for q in tx]  # each speaker's term in its listeners' heard
     defined = []
     if listeners:
         count = _sum([f"(ite (>= {q} 0) 1 0)" for q in tx])
         defined.append(f"(assert (! (= (senders {_T}) {count}) :named |{r7}.senders@t={_T}|))")
     for p in listeners:
-        codes = _sum([f"(ite (> {tx[q]} 0) {tx[q]} 0)" for q in speakers[p]])
+        codes = _sum([code[q] for q in speakers[p]])
         defined.append(f"(assert (! (= (heard {_T} {p}) {codes}) :named |{r7}.heard@t={_T},p={p}|))")
-    fixed = []  # R3 and R4, which are not per-slot
+    blocks = _each(cells, P, slots) + _each(bounds, P, slots)
     if L.R3_LIVENESS in families:
-        fixed.append("; every action kind must occur inside the finite window")
-        fixed += each([
+        blocks.append(b"; every action kind must occur inside the finite window")
+        blocks += _each([
             f"(assert (! {_any(atoms)} :named |{r3}.{variant}@p={_P}|))"
             for variant, atoms in (
                 ("sleep", [f"(sleep {t} {_P})" for t in slots]),
                 ("listen", [f"(listen {t} {_P})" for t in slots]),
                 ("transmit", [f"(>= (transmit {t} {_P}) 0)" for t in slots]),
             )
-        ])
-    for p in procs:
-        for k in packets:
-            a = f"(knows 0 {p} {k})" if p == spec.source else f"(not (knows 0 {p} {k}))"
-            fixed.append(f"(assert (! {a} :named |{r4}@t=0,p={p},k={k}|))")
-    blocks = _stamp(each(cells), slots) + _stamp(each(bounds), slots) + _joined(fixed)
-    for family in (each(sent), each(kept), defined, learnt):
-        blocks += _stamp(family, slots)
+        ], P, None)
+    blocks += _each(lambda p: held if p == spec.source else lacking, P, None)
+    blocks += _each(sent, P, slots) + _each(kept, P, slots) + _stamp(defined, slots)
+    blocks += _each(lambda p: heard if speakers[p] else deaf, P, slots)
     if L.GOAL_DEADLINE in families:
-        blocks += _joined(each(goals))
+        blocks += _each(goals, P, None)
     known = [f"(get-value ({' '.join(f'(knows {_T} {_P} {k})' for k in packets)}))"] if M else []
-    footer = [b"(check-sat)", *_stamp(each([f"(get-value ({s} {l} {x}))"]), slots)]
-    footer += [*_stamp(each(known), range(T + 1)), b"(get-unsat-core)", b"(exit)"]
-    return SmtDocument(header, declarations, tuple(blocks), tuple(footer))
+    footer = [b"(check-sat)", *_each([f"(get-value ({s} {l} {x}))"], P, slots)]
+    footer += [*_each(known, P, range(T + 1)), b"(get-unsat-core)", b"(exit)"]
+    return SmtDocument(tuple(blocks), tuple(footer))
 
 
 _LABELS = {label.value: label for label in RequirementLabel}
@@ -421,12 +428,15 @@ class ExternalResult(Record):
 def run_external(
     command: str, document: SmtDocument, timeout: float | None = None
 ) -> ExternalResult:
-    """Feeds the document to a solver process over stdin.
+    """Feeds the document to a solver process over stdin: the bytes --out
+    writes, joined once. The reply is read as text mode reads it: decoded
+    in the locale's encoding, with CR LF and a lone CR made LF.
 
     The command gets no arguments beyond its own; solvers that need flags
     to read stdin (z3 -in, cvc5 with no file) should include them.
     """
-    import shlex  # imported here, their one reader: no other command pays for them
+    import locale  # imported here, their one reader: no other command pays for them
+    import shlex
     import subprocess
 
     argv = shlex.split(command)
@@ -435,18 +445,15 @@ def run_external(
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT_S:
         raise SolverTimeout(f"timeout must lie in (0, {MAX_TIMEOUT_S}] s, got {timeout}")
     try:
-        proc = subprocess.run(
-            argv,
-            input=document.text,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
+        proc = subprocess.run(argv, input=b"".join(document.pieces()), capture_output=True,
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         raise SolverTimeout(f"external solver exceeded {timeout} s") from None
     except (FileNotFoundError, PermissionError) as exc:
         raise ExternalSolverError(f"cannot run external solver: {exc}") from None
-    output = proc.stdout
+    encoding = locale.getpreferredencoding(False)  # text mode's: UTF-8 in UTF-8 mode
+    output, errors = (data.decode(encoding).replace("\r\n", "\n").replace("\r", "\n")
+                      for data in (proc.stdout, proc.stderr))
     status = next(
         (
             line.strip()
@@ -456,7 +463,7 @@ def run_external(
         None,
     )
     if status is None:
-        detail = (output or proc.stderr).strip().splitlines()
+        detail = (output or errors).strip().splitlines()
         head = detail[0] if detail else "no output"
         raise ExternalSolverError(f"solver gave no sat/unsat/unknown verdict: {head}")
     return ExternalResult(status=status, output=output)

@@ -2,11 +2,11 @@
 and unsat-core minimization.
 
 The engine is a depth-first backtracker. Variables are cells in (slot,
-process) order; a cell's value is an index into actions.action_domain,
+process) order; a cell's value is an index into actions.cell_values,
 whose order is the value order: sleep, listen, packets ascending, garbage
 (quiet schedules first). Each value's kind, listening bit, content and the
-packet R5 checks (None with R5 off) are tabulated once per solve, and only
-the returned trace holds Actions.
+packet R5 checks (None with R5 off) are tabulated once per solve, and
+Actions are built only for the values the returned trace holds.
 Knowledge, holder masks as in trace, is learned once per completed slot
 through trace.deliver (everything in slot 0 with R7 dropped), and never
 searched over. The search state lives in arrays that are overwritten and
@@ -69,7 +69,7 @@ from enum import Enum
 from functools import reduce
 from typing import Callable, Sequence
 
-from .actions import ActionKind, action_domain
+from .actions import ActionKind, action_of, cell_values
 from .encoder import ConstraintSystem, encode
 from .model import (
     NetworkSpec,
@@ -281,9 +281,9 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     done = [[0] * P for _ in range(T + 1)] if L.R3_LIVENESS in enabled else None
     changes: list = [()] * T
     # per value: index, kind bit, listening bit, content (None unless sending), R5's packet
-    values = action_domain(M)
-    table = [(v, _KIND_BIT[act.kind], int(act.kind is _LISTENS), act.content,
-              act.packet if check_r5 else None) for v, act in enumerate(values)]
+    values = cell_values(M)
+    table = [(v, _KIND_BIT[kind], int(kind is _LISTENS), content,
+              (content or None) if check_r5 else None) for v, (kind, content) in enumerate(values)]
     kinds = len(_KIND_BIT)
     limit = config.node_limit
     cells = T * P
@@ -354,7 +354,8 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         return result(SolveStatus.UNSAT)
     # equal rows share one tuple, as they do in a trace read from a file
     slices = [tuple(grid[t * P:(t + 1) * P]) for t in range(T)]
-    rows = {key: tuple(map(values.__getitem__, key)) for key in dict.fromkeys(slices)}
+    used = {v: action_of(*values[v]) for v in set(grid)}  # an Action only for the values held
+    rows = {key: tuple(map(used.__getitem__, key)) for key in dict.fromkeys(slices)}
     actions = tuple(map(rows.__getitem__, slices))
     return result(SolveStatus.SAT, ProtocolTrace(spec, actions, initial, tuple(changes)))
 

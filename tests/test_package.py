@@ -91,6 +91,8 @@ UNREAD_BY_DESIGN = {
     "render_spec": "the spec file writer that tests round-trip parse_spec through",
     "ProtocolTrace.from_rows": "the constructor for a grid given as rows, which the tampering "
     "and trap tests build traces with",
+    "action_domain": "the value order as shared Actions, which the tests and their oracle "
+    "enumerate grids over; solve tabulates cell_values, so no packet is given an Action",
 }
 
 

@@ -6,6 +6,8 @@ import random
 import re
 import stat
 import subprocess
+import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,6 +28,8 @@ from protoforge.model import (
     topology_line,
 )
 from protoforge.smt import (
+    DECLARATIONS,
+    HEADER,
     ExternalSolverError,
     SmtDocument,
     SmtResponseError,
@@ -55,11 +59,12 @@ def test_one_exclusion_and_one_any_assertion_per_cell():
 
 def test_document_structure_and_options():
     doc = emit_smtlib(make_spec())
-    assert doc.header[0] == "(set-option :produce-models true)"
-    assert doc.header[1] == "(set-option :produce-unsat-cores true)"
-    assert doc.header[2] == "(set-logic QF_UFLIA)"
-    assert "(declare-fun transmit (Int Int) Int)" in doc.declarations
-    assert "(declare-fun knows (Int Int Int) Bool)" in doc.declarations
+    header, declarations = HEADER.decode().splitlines(), DECLARATIONS.decode().splitlines()
+    assert header[0] == "(set-option :produce-models true)"
+    assert header[1] == "(set-option :produce-unsat-cores true)"
+    assert header[2] == "(set-logic QF_UFLIA)"
+    assert "(declare-fun transmit (Int Int) Int)" in declarations
+    assert "(declare-fun knows (Int Int Int) Bool)" in declarations
     assert doc.footer[0] == "(check-sat)"
     assert doc.footer[-2] == "(get-unsat-core)"
     assert doc.footer[-1] == "(exit)"
@@ -103,6 +108,21 @@ def test_text_is_rendered_once():
     doc, twin = emit_smtlib(spec), emit_smtlib(spec)
     assert doc.text is doc.text
     assert doc.text == twin.text
+
+
+def test_a_horizon_of_zero_joins_no_per_slot_family():
+    # with no slots R5, R6 and R7 render nothing, so their lines are never
+    # built or joined: stamping them for no slot peaked at 468 MB
+    spec = make_spec(processes=1, packets=200_000, horizon=0, topology="all")
+    tracemalloc.start()
+    try:
+        doc = emit_smtlib(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000_000
+    assert hashlib.sha256(b"".join(doc.pieces())).hexdigest() == (
+        "1ca88cd5b5a627d1c037f1962a645d97ea1c0eac2738293d647fc5fc0a2a9c88")
 
 
 def _r7_bytes(doc):
@@ -240,24 +260,9 @@ def _reference_emit(spec):
         for t, p in product(range(T + 1), range(P)):
             footer.append(f"(get-value ({' '.join(knows(t, p, k) for k in range(1, M + 1))}))")
     footer += ["(get-unsat-core)", "(exit)"]
-    header = (
-        "(set-option :produce-models true)",
-        "(set-option :produce-unsat-cores true)",
-        "(set-logic QF_UFLIA)",
-    )
-    declarations = (
-        "; transmit codes: -1 silent, 0 garbage, k in [1, M] packet k",
-        "(declare-fun sleep (Int Int) Bool)",
-        "(declare-fun listen (Int Int) Bool)",
-        "(declare-fun transmit (Int Int) Int)",
-        "(declare-fun knows (Int Int Int) Bool)",
-        "; senders t: transmitters in slot t; heard t p: packet codes p's speakers send",
-        "(declare-fun senders (Int) Int)",
-        "(declare-fun heard (Int Int) Int)",
-    )
-    # SmtDocument holds the last two sections as ASCII bytes blocks
-    return SmtDocument(header, declarations, *(tuple(entry.encode() for entry in section)
-                                               for section in (lines, footer)))
+    # SmtDocument holds the assertions and footer as ASCII bytes blocks; the
+    # header and declarations, module constants, are the same in every document
+    return SmtDocument(*(tuple(entry.encode() for entry in section) for section in (lines, footer)))
 
 
 def _lines(doc):
@@ -397,8 +402,9 @@ def test_tokenizer_preserves_document_tokens():
     tokens = tokenize(doc.text)
     assert tokens.count("(") == tokens.count(")")
     exprs = parse_sexprs(doc.text)
-    declared = sum(line.startswith("(declare-fun") for line in doc.declarations)
-    assert len(exprs) == len(doc.header) + declared + len(doc.assertions) + len(doc.footer)
+    header, declarations = HEADER.decode().splitlines(), DECLARATIONS.decode().splitlines()
+    declared = sum(line.startswith("(declare-fun") for line in declarations)
+    assert len(exprs) == len(header) + declared + len(doc.assertions) + len(doc.footer)
 
 
 def test_tokenizer_handles_quoted_forms():
@@ -530,6 +536,23 @@ def test_run_external_classifies_status(tmp_path):
     assert unknown.status == "unknown"
 
 
+def test_run_external_feeds_the_file_bytes_and_reads_the_reply_as_text(tmp_path):
+    # the solver reads exactly what emit-smt --out writes, and its reply is
+    # decoded as text mode decodes it, CR LF and a lone CR made LF
+    doc = emit_smtlib(make_spec())
+    script = tmp_path / "digest.py"
+    script.write_text(
+        "import hashlib, sys\n"
+        "digest = hashlib.sha256(sys.stdin.buffer.read()).hexdigest().encode()\n"
+        "sys.stdout.buffer.write(b'sat\\r\\n' + digest + b'\\r\\n(done)\\r')\n"
+    )
+    result = run_external(f"{sys.executable} {script}", doc)
+    digest = hashlib.sha256(b"".join(doc.pieces())).hexdigest()
+    assert result.status == "sat"
+    assert result.output == f"sat\n{digest}\n(done)\n"
+    assert "text" not in doc.__dict__
+
+
 def test_run_external_rejects_chatter_without_verdict(tmp_path):
     doc = emit_smtlib(make_spec())
     with pytest.raises(ExternalSolverError, match="verdict"):
@@ -618,9 +641,9 @@ COMMANDS = frozenset({
 })
 
 
-def _declared(doc) -> dict[str, int]:
+def _declared() -> dict[str, int]:
     """Each declared function's name and arity."""
-    return {c[1]: len(c[2]) for c in parse_sexprs("\n".join(doc.declarations))}
+    return {c[1]: len(c[2]) for c in parse_sexprs(DECLARATIONS.decode())}
 
 
 def _ints(values):
@@ -730,7 +753,7 @@ class Evaluator:
 
 def falsified(doc, traces):
     """For each trace, the families with an assertion it falsifies."""
-    ev = Evaluator(_declared(doc), {})
+    ev = Evaluator(_declared(), {})
     named = [cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))]
     checks = [(ev.assertion(expr), label_of_assertion_name(name)) for _, expr, _, name in named]
     out = []
@@ -835,7 +858,7 @@ def test_cell_assertions_admit_exactly_the_encodings_of_the_action_domain(packet
     assert sorted(cells) == [(t, p) for t in range(2) for p in range(2)]
     expected = set(map(_encoding, action_domain(packets)))
     assert len(expected) == packets + 3
-    ev = Evaluator(_declared(doc), {})
+    ev = Evaluator(_declared(), {})
     for (t, p), assertions in cells.items():
         assert len(assertions) == 3
         admitted = set()
@@ -872,7 +895,7 @@ def _models(spec, families):
     families' assertions are evaluated."""
     P, M, T = spec.processes, spec.packets, spec.horizon
     doc = emit_smtlib(spec)
-    ev = Evaluator(_declared(doc), {})  # every term is compiled here, before the grid loop
+    ev = Evaluator(_declared(), {})  # every term is compiled here, before the grid loop
     key, compiled = ev.key, ev.compiled
     definitions, bodies = [], []  # definitions: (defined term, its value as a function of the values)
     for _, expr, _, label in (cmd[1] for cmd in parse_sexprs("\n".join(doc.assertions))):
@@ -968,7 +991,7 @@ def _lint(doc):
     """Every application is a declared function at its arity or a fragment
     operator at an arity it takes; every assertion has a unique name."""
     commands = parse_sexprs(doc.text)
-    functions = _declared(doc)
+    functions = _declared()
 
     def check(term):
         if isinstance(term, str):

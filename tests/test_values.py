@@ -35,7 +35,7 @@ FIELDS = {
     "SearchConfig": ("node_limit",),
     "SimReport": ("spec", "power", "slots_run", "delivered", "per_process_power",
                   "concurrent_tx_slots", "completion_slot"),
-    "SmtDocument": ("header", "declarations", "assertion_blocks", "footer_blocks"),
+    "SmtDocument": ("assertion_blocks", "footer_blocks"),
     "SolveResult": ("status", "trace", "stats"),
     "SolveStats": ("nodes", "r5", "liveness", "goal", "intra_slot"),
     "SystemDescription": ("counts",),
