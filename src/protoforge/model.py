@@ -51,6 +51,17 @@ from typing import Iterable, NoReturn
 # processes * packets <= MAX_FACTS.
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
+# At most this many per-slot terms in an SMT-LIB document, which
+# smt.emit_smtlib counts in closed form before it builds any block: one per
+# cell for R1 and for R2, one per slot, process and packet for each of R5,
+# R6 and R7, and, where some listener reads them, one per slot and process
+# in senders and one per slot and audible pair in heard. MAX_FACTS bounds
+# none of these: heard alone holds T * P * (P - 1) terms on `all`, 51 MB of
+# text a slot at 1024 processes. A term takes 50 (heard) to about 160 bytes
+# (R5-R7, with their get-value lines), so the per-slot text stays under
+# about 700 MB; 1024 processes on `all` with one packet get horizons up to
+# 3 (154 MB).
+MAX_TERMS = 2 ** 22
 
 
 class LivenessMode(Enum):
@@ -324,9 +335,11 @@ def _check_pair(
     entry as its document gives it, for the error message."""
     if len(ids) != 2:
         raise SpecError("hears takes exactly two process ids")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in ids):
+    listener, speaker = ids
+    if (not isinstance(listener, int) or isinstance(listener, bool)
+            or not isinstance(speaker, int) or isinstance(speaker, bool)):
         raise SpecError(f"hears ids must be integers: {source!r}")
-    pair = (ids[0], ids[1])
+    pair = (listener, speaker)
     if pair in seen:
         raise SpecError(f"duplicate hears pair {pair}")
     return pair

@@ -246,20 +246,25 @@ def report_as_dict(report: SimReport) -> dict:
 
 
 def render_report(report: SimReport) -> str:
+    """The report as the CLI prints it. Each process's delivered count sums,
+    over the distinct holder masks of the last knowledge row, the packets of
+    each mask that names it: work per distinct mask and set bit, not per
+    process and mask."""
     lines = [
         f"slots run: {report.slots_run}",
         f"total power: {report.total_power} pw",
-        "per-process power: " + " ".join(str(v) for v in report.per_process_power),
+        "per-process power: " + " ".join(map(str, report.per_process_power)),
         f"concurrent tx slots: {report.concurrent_tx_slots}",
     ]
     if report.completed:
         lines.append(f"completed: yes (slot {report.completion_slot})")
     else:
         lines.append("completed: no")
-    masks = Counter(report.delivered)  # how many packets have each holder mask
-    delivered = " ".join(
-        f"p{p}:{sum(n for mask, n in masks.items() if mask >> p & 1)}/{report.spec.packets}"
-        for p in range(report.spec.processes)
-    )
+    held = [0] * report.spec.processes  # per process, the packets it holds
+    for mask, n in Counter(report.delivered).items():  # n packets have this holder mask
+        for p in set_bits(mask):
+            held[p] += n
+    M = report.spec.packets
+    delivered = " ".join(f"p{p}:{n}/{M}" for p, n in enumerate(held))
     lines.append(f"delivered: {delivered}")
     return "\n".join(lines) + "\n"

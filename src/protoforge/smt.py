@@ -51,7 +51,15 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
-from .model import NetworkSpec, Record, RequirementLabel, read_int, requirement_families
+from .model import (
+    MAX_TERMS,
+    NetworkSpec,
+    Record,
+    RequirementLabel,
+    SpecValidationError,
+    read_int,
+    requirement_families,
+)
 from .trace import ProtocolTrace, audiences
 
 
@@ -218,6 +226,12 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
     audience = audiences(spec)
+    # the per-slot terms model.MAX_TERMS bounds, counted before any is built
+    pairs = sum(map(int.bit_count, audience)) if M else 0
+    terms = T * (P * (2 + 3 * M) + (P + pairs if pairs else 0))
+    if terms > MAX_TERMS:
+        raise SpecValidationError(
+            [f"the SMT-LIB document would hold {terms} per-slot terms, must be <= {MAX_TERMS}"])
     speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs]
     listeners = [p for p in procs if speakers[p]] if M else []
 

@@ -5,8 +5,9 @@ The engine is a depth-first backtracker. Variables are cells in (slot,
 process) order; a cell's value is an index into actions.cell_values,
 whose order is the value order: sleep, listen, packets ascending, garbage
 (quiet schedules first). Each value's kind, listening bit, content and the
-packet R5 checks (None with R5 off) are tabulated once per solve, and
-Actions are built only for the values the returned trace holds.
+packet R5 checks (None with R5 off) are tabulated once per solve, none
+when there is no cell, and Actions are built only for the values the
+returned trace holds.
 Knowledge, holder masks as in trace, is learned once per completed slot
 through trace.deliver (everything in slot 0 with R7 dropped), and never
 searched over. The search state lives in arrays that are overwritten and
@@ -280,13 +281,14 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     need = [goal_need] * (T + 1) if goal_need and not free_learning else None
     done = [[0] * P for _ in range(T + 1)] if L.R3_LIVENESS in enabled else None
     changes: list = [()] * T
-    # per value: index, kind bit, listening bit, content (None unless sending), R5's packet
-    values = cell_values(M)
+    cells = T * P
+    # per value: index, kind bit, listening bit, content (None unless sending), R5's packet;
+    # with no cell to search, no value is tabulated
+    values = cell_values(M) if cells else []
     table = [(v, _KIND_BIT[kind], int(kind is _LISTENS), content,
               (content or None) if check_r5 else None) for v, (kind, content) in enumerate(values)]
     kinds = len(_KIND_BIT)
     limit = config.node_limit
-    cells = T * P
     grid = [0] * cells  # each cell's value
     # slot_can_lower's state: per slot its candidate pairs, per cell where its scan stopped
     pairs: list = [None] * T

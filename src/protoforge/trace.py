@@ -34,16 +34,22 @@ strings: "sleep" | "listen" | "tx:<code>"), and ``knowledge`` ((T+1) x P x
 M booleans, from knowledge_table). A knowledge field is optional on read;
 when present it is compared against the grid re-derived from the actions.
 
-The layer works per distinct value rather than per cell or row: read_trace
-parses each distinct label and builds each distinct row once, so equal cells
-share one Action object and equal rows one tuple, as in the traces solve
-returns; derive_knowledge and write_trace (through per_distinct) and the
+The layer works per distinct value rather than per cell or row. read_trace
+reads the action rows in one pass and hashes each row once: a row equal to
+an earlier one reuses its tuple, a row of labels all seen before is one
+C-level map over the parsed labels, and only a row that brings a new label
+is walked cell by cell, to parse that label or name the first bad cell. So
+equal cells share one Action object and equal rows one tuple, as in the
+traces solve returns, and a file whose rows repeat is read per distinct
+row. derive_knowledge and write_trace (through per_distinct) and the
 validator decode or render each distinct row object once, though deliver
 runs per slot, and the validator checks each distinct cell object of those
 rows once; write_trace renders knowledge rows straight from their masks,
 a run of equal rows once. Action shape checks run as whole-grid passes, and
 walk row by row only to name the first bad row; knowledge is checked once
-per change. Violation messages list at most MAX_LISTED packet numbers.
+per change, and all_known, which finds a replay's completion slot, is one
+C-level count per row. Violation messages list at most MAX_LISTED packet
+numbers.
 
 read_trace checks a file in one order: JSON, fields, the embedded spec,
 the action labels, each action row's width, the number of rows, then the
@@ -193,8 +199,8 @@ def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> 
 
 
 def all_known(row: KnowledgeRow, processes: int) -> bool:
-    everyone = (1 << processes) - 1
-    return all(holders == everyone for holders in row)
+    """Whether every process holds every packet: one C-level count."""
+    return row.count((1 << processes) - 1) == len(row)
 
 
 def _holdings(row: KnowledgeRow, processes: int) -> Iterable[tuple[str, ...]]:
@@ -537,7 +543,7 @@ def _document(text: str) -> tuple[NetworkSpec, tuple[tuple[Action, ...], ...], d
         raise TraceFormatError(f"embedded spec: {exc}") from None
 
     rows = obj["actions"]
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+    if not isinstance(rows, list) or not all(map(isinstance, rows, repeat(list))):
         raise TraceFormatError("actions must be a list of per-slot lists")
     actions = tuple(_parse_actions(rows, spec.packets))
     _check_actions(spec, actions)
@@ -564,28 +570,32 @@ def _compare_knowledge(grid: list, trace: ProtocolTrace) -> None:
 
 
 def _parse_actions(rows: list[list], packets: int) -> list[tuple[Action, ...]]:
-    """Parses each distinct label once and builds each distinct row of labels
-    once, so that equal labels share one Action and equal rows one tuple, the
-    form a trace holds. When a cell is not a legal label, the cell by cell
-    walk names the first such cell."""
-    cells = list(chain.from_iterable(rows))
-    if all(map(isinstance, cells, repeat(str))):
+    """One pass over the rows, in order, hashing each row once as the tuple
+    of its labels. A row equal to an earlier one reuses that row's tuple; a
+    new row whose labels have all been seen is built by one C-level map over
+    the parsed labels. Only a row that brings a label not seen before, or an
+    unhashable cell, is walked cell by cell: the walk parses its new labels
+    and names the first cell that is not a legal label, which is the file's
+    first, as every row before it parsed. Equal labels so share one Action
+    and equal rows one tuple, the form a trace holds."""
+    parsed: dict[str, Action] = {}
+    shared: dict[tuple, tuple[Action, ...]] = {}
+    out = []
+    for t, key in enumerate(map(tuple, rows)):
         try:
-            parsed = {label: parse_action(label, packets) for label in set(cells)}
-        except ActionFormatError:
-            pass
-        else:
-            shared = {}
-            return [shared.get(key) or shared.setdefault(key, tuple(map(parsed.__getitem__, key)))
-                    for key in map(tuple, rows)]
-    for t, row in enumerate(rows):
-        for p, label in enumerate(row):
-            if not isinstance(label, str):
-                raise TraceFormatError(f"actions[{t}][{p}] must be a string")
-            try:
-                parse_action(label, packets)
-            except ActionFormatError as exc:
-                raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
+            row = shared.get(key) or shared.setdefault(key, tuple(map(parsed.__getitem__, key)))
+        except (KeyError, TypeError):  # a label not seen before, or an unhashable cell
+            for p, label in enumerate(key):
+                if not isinstance(label, str):
+                    raise TraceFormatError(f"actions[{t}][{p}] must be a string") from None
+                if label not in parsed:
+                    try:
+                        parsed[label] = parse_action(label, packets)
+                    except ActionFormatError as exc:
+                        raise TraceFormatError(f"actions[{t}][{p}]: {exc}") from None
+            row = shared.setdefault(key, tuple(map(parsed.__getitem__, key)))
+        out.append(row)
+    return out
 
 
 def _cells(grid: object, shape: tuple[int, int, int]) -> list | None:

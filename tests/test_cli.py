@@ -763,6 +763,20 @@ def test_baseline_of_a_long_one_way_line_takes_a_round_per_process(capsys, tmp_p
         "slots run: 261120", "concurrent tx slots: 260096", "completed: yes (slot 261120)")
 
 
+def test_emit_smt_past_the_size_cap_exits_4_at_once(capsys, tmp_path):
+    # a legal 7-line spec whose document grows 51 MB a slot; the cap is
+    # checked before any block is built, so nothing is written
+    path, out_path = tmp_path / "wide.net", tmp_path / "wide.smt"
+    path.write_text(render_spec(make_spec(processes=1024, packets=1, horizon=100, topology="all")))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "emit-smt", str(path), "--out", str(out_path))
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (4, "")
+    assert err == ("error: the SMT-LIB document would hold 105369600 per-slot terms, "
+                   "must be <= 4194304\n")
+    assert not out_path.exists()
+
+
 MANY_PACKETS = """\
 processes = 1
 packets = 400000

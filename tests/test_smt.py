@@ -16,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 from protoforge.actions import LISTEN, SLEEP, ActionKind, action_domain, transmit
 from protoforge.cli import _write
 from protoforge.encoder import encode
+from protoforge import smt
 from protoforge.model import (
+    MAX_TERMS,
     STRUCTURAL_LABELS,
     GoalKind,
     LivenessMode,
     NetworkSpec,
     RequirementLabel,
+    SpecValidationError,
     requirement_families,
     topology_all,
     topology_explicit,
@@ -123,6 +126,36 @@ def test_a_horizon_of_zero_joins_no_per_slot_family():
     assert peak < 250_000_000
     assert hashlib.sha256(b"".join(doc.pieces())).hexdigest() == (
         "1ca88cd5b5a627d1c037f1962a645d97ea1c0eac2738293d647fc5fc0a2a9c88")
+
+
+def _per_slot_terms(doc):
+    """The per-slot terms model.MAX_TERMS counts, read off the document:
+    R1's (without R1.any), R2's and R5-R7's assertions, and the speaker
+    terms of senders and heard."""
+    text = doc.text
+    named = sum(text.count(f"|{label.value}@") for label in (
+        L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R5_TRANSMIT_ONLY_KNOWN,
+        L.R6_NEVER_FORGETS, L.R7_COLLISION_FREE_LEARNING))
+    return named + text.count("(ite (>= (transmit ") + text.count("(ite (> (transmit ")
+
+
+def test_the_size_cap_counts_the_per_slot_terms(monkeypatch):
+    # the closed form emit_smtlib checks is the count of the document's
+    # per-slot terms, and a document of exactly MAX_TERMS of them is emitted
+    specs = [spec for spec, _ in GOLDEN.values()] + [
+        make_spec(processes=5, packets=2, horizon=3, source=2,
+                  topology={(0, 2), (1, 2), (3, 2), (4, 3), (2, 4)}),
+        make_spec(processes=6, packets=3, horizon=2, topology="line"),
+    ]
+    for spec in specs:
+        monkeypatch.setattr(smt, "MAX_TERMS", MAX_TERMS)
+        terms = _per_slot_terms(emit_smtlib(spec))
+        monkeypatch.setattr(smt, "MAX_TERMS", terms)
+        emit_smtlib(spec)
+        if terms:
+            monkeypatch.setattr(smt, "MAX_TERMS", terms - 1)
+            with pytest.raises(SpecValidationError, match=f"would hold {terms} per-slot terms"):
+                emit_smtlib(spec)
 
 
 def _r7_bytes(doc):

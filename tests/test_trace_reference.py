@@ -620,3 +620,98 @@ def test_bad_action_labels_name_the_first_bad_cell(label):
     ours = _outcome(read_trace, text)
     assert ours == _outcome(_reference_read, text)
     assert ours[0] == "TraceFormatError" and ours[1].startswith("actions[2][3]")
+
+
+# ---- files whose action rows repeat --------------------------------------------
+
+
+def _repeating(rows: int = 40):
+    """A file as `wide` writes them: all P=6 M=3 over 40 slots, whose action
+    rows cycle through three distinct rows, so most rows repeat an earlier one."""
+    spec = make_spec(processes=6, packets=3, horizon=rows, topology="all")
+    cycle = [
+        [transmit(1), LISTEN, LISTEN, SLEEP, LISTEN, LISTEN],
+        [LISTEN, transmit(1), SLEEP, LISTEN, SLEEP, LISTEN],
+        [SLEEP] * 6,
+    ]
+    return ProtocolTrace.from_actions(spec, [cycle[t % 3] for t in range(rows)])
+
+
+REPEATING = _repeating()
+
+# Cells no file may hold: labels out of range or misspelt, other JSON values,
+# and the unhashable ones, which a row's tuple cannot be hashed with.
+BAD_CELLS = ["tx:9", "tx:01", "shout", 7, None, True, 1.5, ["listen"], [], {"tx": 1}, {}]
+
+
+def test_repeated_rows_share_one_tuple_and_equal_labels_one_action():
+    trace = read_trace(write_trace(REPEATING))
+    assert trace == REPEATING == _reference_read(write_trace(REPEATING))
+    assert len({id(row) for row in trace.actions}) == 3
+    assert len({id(act) for row in trace.actions for act in row}) == 3  # tx:1, listen, sleep
+    assert all(trace.actions[t] is trace.actions[t % 3] for t in range(40))
+
+
+REPEATED_ROW_DEFECTS = {  # the edits (slot, process or None for the row, value), the error's start
+    "bad label in a copy of an earlier row": ([(20, 2, "tx:9")], "actions[20][2]"),
+    "unknown label in a copy of an earlier row": ([(31, 5, "shout")], "actions[31][5]"),
+    "number in a copy of an earlier row": ([(17, 0, 7)], "actions[17][0]"),
+    "list cell in a later row": ([(25, 1, ["listen"])], "actions[25][1]"),
+    "dict cell in a later row": ([(25, 4, {"tx": 1})], "actions[25][4]"),
+    "non-list row after repeated rows": ([(25, None, "listen")], "actions must be"),
+    "unhashable cell before a bad label": ([(10, 4, []), (12, 0, "shout")], "actions[10][4]"),
+    "bad label before an unhashable cell": ([(10, 4, "shout"), (12, 0, {})], "actions[10][4]"),
+    "unhashable cell after a bad label in its row": (
+        [(14, 1, "tx:4"), (14, 3, ["tx:1"])], "actions[14][1]"),
+    "new good label, then a bad one in a copy": ([(5, 2, "tx:0"), (8, 2, "tx:01")], "actions[8][2]"),
+}
+
+
+@pytest.mark.parametrize("defects, named", REPEATED_ROW_DEFECTS.values(), ids=REPEATED_ROW_DEFECTS)
+def test_defects_among_repeated_rows_raise_the_reference_message(defects, named):
+    doc = json.loads(write_trace(REPEATING))
+    for t, p, cell in defects:
+        if p is None:
+            doc["actions"][t] = cell
+        else:
+            doc["actions"][t] = row = list(doc["actions"][t])  # no longer the row it repeated
+            row[p] = cell
+    text = json.dumps(doc, indent=2)  # keeps the separator before knowledge
+    ours = _outcome(read_trace, text)
+    assert ours == _outcome(_reference_read, text)
+    assert ours[0] == "TraceFormatError" and ours[1].startswith(named)
+
+
+@st.composite
+def repeated_row_files(draw):
+    """A file whose rows are drawn from a few distinct ones, with a few rows
+    replaced by a copy of an earlier row in which one cell is another label,
+    good or bad, or by a value that is no row."""
+    P, M = draw(st.integers(1, 5), label="P"), draw(st.integers(0, 3), label="M")
+    T = draw(st.integers(2, 30), label="T")
+    spec = make_spec(processes=P, packets=M, horizon=T, topology="all")
+    distinct = draw(st.lists(st.lists(st.sampled_from(list(action_domain(M))),
+                                      min_size=P, max_size=P), min_size=1, max_size=3))
+    rows = [draw(st.sampled_from(distinct)) for _ in range(T)]
+    doc = json.loads(write_trace(ProtocolTrace.from_actions(spec, rows)))
+    labels = [act.label for act in action_domain(M + 1)]
+    for _ in range(draw(st.integers(0, 3), label="edits")):
+        t = draw(st.integers(1, T - 1))
+        if draw(st.integers(0, 9)) == 0:
+            doc["actions"][t] = draw(st.sampled_from(["listen", 3, None, {"a": 1}]))
+            continue
+        earlier = doc["actions"][draw(st.integers(0, t - 1))]
+        if isinstance(earlier, list) and earlier:
+            doc["actions"][t] = row = list(earlier)
+            row[draw(st.integers(0, P - 1))] = draw(st.sampled_from(labels + BAD_CELLS))
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+
+
+@settings(deadline=None)
+@given(repeated_row_files())
+def test_repeated_row_files_read_as_the_reference_reads_them(text):
+    ours = _outcome(read_trace, text)
+    assert ours == _outcome(_reference_read, text)
+    if ours[0] == "ok":
+        rows = ours[1].actions
+        assert len({id(row) for row in rows}) == len(set(rows))
