@@ -14,8 +14,8 @@ searched over. The search state lives in arrays that are overwritten and
 never undone. Per slot start t: the knowledge row, need (below) and, per
 process, the action kinds it performed before slot t, one bit per kind, so
 (t, knowledge row, kinds done) names a search state whole; the kinds done
-are None with liveness off. Per slot: its change, which the trace is built
-from.
+are None with liveness off. The knowledge rows of the path that succeeds
+are the trace's: a slot without a change shares the row before it.
 
 One frame per cell, which holds little: past the recursion limit its size,
 not its work, sets what a solve costs. A cell's slot and process, and the
@@ -82,6 +82,7 @@ from .model import (
 )
 from .trace import (
     ProtocolTrace,
+    all_known,
     applied,
     audiences,
     deliver,
@@ -270,17 +271,17 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
 
     initial = initial_knowledge(spec)
     # with R7 dropped, slot 0 teaches everyone every packet they lack
-    learn_all = tuple((k, everyone) for k, held in enumerate(initial, 1) if held != everyone)
+    learned = initial if all_known(initial, P) else (everyone,) * M
     goal_need, live_need = _root_needs(spec, enabled, cover)
     if goal_need > T or live_need > T:
         cuts["goal" if goal_need > T else "liveness"] += 1
         return result(SolveStatus.UNSAT)
 
-    # per slot start t: know[t], need[t], done[t][p] (None when untracked); per slot: changes[t]
+    # per slot start t: know[t], the trace's knowledge once a model is found, need[t] and
+    # done[t][p] (None when untracked)
     know: list = [initial] + [None] * T
     need = [goal_need] * (T + 1) if goal_need and not free_learning else None
     done = [[0] * P for _ in range(T + 1)] if L.R3_LIVENESS in enabled else None
-    changes: list = [()] * T
     cells = T * P
     # per value: index, kind bit, listening bit, content (None unless sending), R5's packet;
     # with no cell to search, no value is tabulated
@@ -297,11 +298,10 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     def end_slot(t: int, listening: int, sends: tuple) -> bool:
         """Learns slot t's change; False when the goal cuts."""
         if free_learning:
-            slot = () if t else learn_all
+            know[t + 1] = know[t] if t else learned
         else:
             change = deliver(know[t], listening, sends, audience)
-            slot = (change,) if change else ()
-        changes[t], know[t + 1] = slot, applied(know[t], slot)
+            know[t + 1] = applied(know[t], change)
         if need:
             need[t + 1] = need[t] - (
                 cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)
@@ -359,7 +359,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     used = {v: action_of(*values[v]) for v in set(grid)}  # an Action only for the values held
     rows = {key: tuple(map(used.__getitem__, key)) for key in dict.fromkeys(slices)}
     actions = tuple(map(rows.__getitem__, slices))
-    return result(SolveStatus.SAT, ProtocolTrace(spec, actions, initial, tuple(changes)))
+    return result(SolveStatus.SAT, ProtocolTrace(spec, actions, tuple(know)))
 
 
 def min_horizon(

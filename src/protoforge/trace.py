@@ -18,11 +18,12 @@ does to it, and the search what dropping R7 does. Carrier sense, the
 always-on baseline's radio model, belongs to sim, which hands deliver
 only the listeners no two audible senders block.
 
-A trace stores its knowledge as the initial row plus, per slot, a tuple of
-changes, each a packet and its new mask: at most one for every grid the
-learning rule derives. No producer in the package diffs rows: from_rows is
-for a grid given as rows, and finds any number of changes in a slot. The
-(T+1)-row view is built on first read and kept.
+A trace stores its knowledge as its T+1 rows, time 0 first. The learning
+rule changes at most one packet's mask in a slot, and derive_knowledge and
+the search build a new row only for a slot that changes one: a slot
+without a change shares the row object before it, so a run of equal rows
+costs one row's memory and, in the readers that work per row object, one
+row's work.
 
 The validator here is the package's independent referee: it re-derives
 everything from first principles and never calls into the search engine,
@@ -45,11 +46,11 @@ row. derive_knowledge and write_trace (through per_distinct) and the
 validator decode or render each distinct row object once, though deliver
 runs per slot, and the validator checks each distinct cell object of those
 rows once; write_trace renders knowledge rows straight from their masks,
-a run of equal rows once. Action shape checks run as whole-grid passes, and
-walk row by row only to name the first bad row; knowledge is checked once
-per change, and all_known, which finds a replay's completion slot, is one
-C-level count per row. Violation messages list at most MAX_LISTED packet
-numbers.
+each distinct mask once and a run of equal rows once. Action shape checks
+run as whole-grid passes, and walk row by row only to name the first bad
+row; knowledge is checked once per distinct row object, and all_known,
+which finds a replay's completion slot, is one C-level count per row.
+Violation messages list at most MAX_LISTED packet numbers.
 
 read_trace checks a file in one order: JSON, fields, the embedded spec,
 the action labels, each action row's width, the number of rows, then the
@@ -57,8 +58,9 @@ knowledge grid's shape, level by level (T+1 lists of P lists of M
 entries), and that every entry is a bool, since 1 == True. Only then is
 knowledge derived, so a small file whose spec claims a huge grid is
 refused before anything that size is built. The file's rows are then
-compared, one at a time, with one knowledge_table that each change flips
-in place; the first row that differs names the first cell.
+compared, one at a time, with one knowledge_table that is flipped in place
+where a row's masks differ from the row before it; the first row that
+differs names the first cell.
 
 The one early exit is a text check. write_trace writes the knowledge field
 last, behind a comma, a newline and ``  "knowledge": ``, a separator no
@@ -77,9 +79,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from functools import cached_property, reduce
-from itertools import accumulate, chain, islice, repeat
-from operator import attrgetter, or_
+from functools import reduce
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, ne, or_
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -97,7 +99,6 @@ from .model import (
 
 KnowledgeRow = tuple[int, ...]  # one holder bitmask per packet
 Change = tuple[int, int]  # a packet and its new holder mask
-Changes = tuple[tuple[Change, ...], ...]  # per slot, packets ascending
 
 # Violation messages list at most this many packet numbers, then the count.
 MAX_LISTED = 10
@@ -167,14 +168,12 @@ def deliver(
     return None
 
 
-def applied(row: KnowledgeRow, changes: tuple[Change, ...]) -> KnowledgeRow:
-    """The row after a slot's changes; the row itself when there are none."""
-    if not changes:
+def applied(row: KnowledgeRow, change: Change | None) -> KnowledgeRow:
+    """The row after a slot's change; the row itself when there is none."""
+    if change is None:
         return row
-    nxt = list(row)
-    for packet, holders in changes:
-        nxt[packet - 1] = holders
-    return tuple(nxt)
+    packet, holders = change
+    return row[:packet - 1] + (holders,) + row[packet:]
 
 
 def per_distinct(function: Callable, items: Iterable) -> list:
@@ -186,16 +185,15 @@ def per_distinct(function: Callable, items: Iterable) -> list:
             for item in items]
 
 
-def derive_knowledge(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> Changes:
-    """Folds the learning rule over the whole schedule: each slot's changes."""
+def derive_knowledge(
+    spec: NetworkSpec, actions: Sequence[Sequence[Action]]
+) -> tuple[KnowledgeRow, ...]:
+    """Folds the learning rule over the whole schedule: the T+1 rows."""
     audience = audiences(spec)
-    row = list(initial_knowledge(spec))
-    changes = []
+    rows = [initial_knowledge(spec)]
     for listening, sends in per_distinct(lambda acts: _decode(acts, map(_kind, acts)), actions):
-        if change := deliver(row, listening, sends, audience):
-            row[change[0] - 1] = change[1]
-        changes.append((change,) if change else ())
-    return tuple(changes)
+        rows.append(applied(rows[-1], deliver(rows[-1], listening, sends, audience)))
+    return tuple(rows)
 
 
 def all_known(row: KnowledgeRow, processes: int) -> bool:
@@ -205,11 +203,12 @@ def all_known(row: KnowledgeRow, processes: int) -> bool:
 
 def _holdings(row: KnowledgeRow, processes: int) -> Iterable[tuple[str, ...]]:
     """Per process, process 0 first, a "1" or a "0" per packet: whether the
-    process holds it. Each packet's holders as P digits, then transposed."""
+    process holds it. Each distinct mask as P digits, then transposed."""
     if not row:
         return repeat((), processes)
     top = 1 << processes  # bin(top | holders) is "0b1" and then the P digits
-    return zip(*[bin(top | holders)[:2:-1] for holders in row])
+    digits = {holders: bin(top | holders)[:2:-1] for holders in set(row)}
+    return zip(*map(digits.__getitem__, row))
 
 
 def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
@@ -219,51 +218,37 @@ def knowledge_table(row: KnowledgeRow, processes: int) -> list[list[bool]]:
     return [list(map(bit.__getitem__, held)) for held in _holdings(row, processes)]
 
 
-class ProtocolTrace(Record):  # no __slots__: knowledge is cached in the instance's __dict__
+class ProtocolTrace(Record):
+    """A schedule and the knowledge it is claimed to imply: the spec, T rows
+    of P actions, and the T+1 knowledge rows of M holder masks, time 0
+    first. Equal action rows may share one tuple, and a slot without a
+    change shares the knowledge row before it."""
+
+    __slots__ = ("spec", "actions", "knowledge")
+
     def __init__(
-        self, spec: NetworkSpec, actions: tuple[tuple[Action, ...], ...], initial: KnowledgeRow,
-        changes: Changes,
+        self, spec: NetworkSpec, actions: tuple[tuple[Action, ...], ...],
+        knowledge: tuple[KnowledgeRow, ...],
     ) -> None:
         P, M, T = spec.processes, spec.packets, spec.horizon
         if (count := len(actions)) != T:  # counted before the widths, unlike a file
             raise TraceFormatError(f"dimension mismatch: {count} action rows for horizon {T}")
         _check_actions(spec, actions)
-        if (count := len(changes) + 1) != T + 1:
+        if (count := len(knowledge)) != T + 1:
             raise TraceFormatError(f"dimension mismatch: {count} knowledge rows for horizon {T}")
-        if len(initial) != M or any(holders >> P for holders in set(initial)):
-            raise TraceFormatError("dimension mismatch in knowledge row t=0")
-        for t, slot in enumerate(changes, 1):
-            for packet, holders in slot:
-                if not 0 < packet <= M or holders >> P:
-                    raise TraceFormatError(f"dimension mismatch in knowledge row t={t}")
+        bad = per_distinct(
+            lambda row: len(row) != M or any(holders >> P for holders in set(row)), knowledge)
+        if True in bad:
+            raise TraceFormatError(f"dimension mismatch in knowledge row t={bad.index(True)}")
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "changes", changes)
-
-    @cached_property
-    def knowledge(self) -> tuple[KnowledgeRow, ...]:
-        """The T+1 rows; a slot without changes shares the row before it."""
-        return tuple(accumulate(self.changes, applied, initial=self.initial))
+        object.__setattr__(self, "knowledge", knowledge)
 
     @classmethod
     def from_actions(cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> "ProtocolTrace":
         frozen = tuple(map(tuple, actions))
         _check_actions(spec, frozen)  # before the learning rule indexes them
-        return cls(spec, frozen, initial_knowledge(spec), derive_knowledge(spec, frozen))
-
-    @classmethod
-    def from_rows(cls, spec: NetworkSpec, actions: tuple, rows: Sequence) -> "ProtocolTrace":
-        """A trace whose T+1 knowledge rows are diffed into changes. A row of
-        another length than the one before names packet 0, which no trace admits."""
-        if not rows:  # no row 0 to diff from
-            raise TraceFormatError(f"dimension mismatch: 0 knowledge rows for horizon {spec.horizon}")
-        changes = tuple(
-            tuple((k, now) for k, (was, now) in enumerate(zip(before, after), 1) if was != now)
-            + ((0, 0),) * (len(before) != len(after))
-            for before, after in zip(rows, rows[1:])
-        )
-        return cls(spec, actions, tuple(rows[0]), changes)
+        return cls(spec, frozen, derive_knowledge(spec, frozen))
 
 
 def _check_actions(spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> None:
@@ -368,18 +353,18 @@ def _violations(
                         f"process {p} transmits packet {k} at t={t} without knowing it",
                     )
 
-    # The learning rule on the decoded rows, once per slot for R6 and R7.
-    # Audibility folds into it; dropping TOPO lifts it.
+    # The learning rule on the decoded rows, once per slot for R6 and R7:
+    # per slot whose next row is not the legal one, that legal row, as only
+    # such a slot forgets or gains illegally. Audibility folds into the
+    # rule; dropping TOPO lifts it.
     audience = audiences(spec, enabled)
-    legal = [
-        (change,) if (change := deliver(grid[t], listening, sends, audience)) else ()
-        for t, (_, _, listening, sends) in enumerate(slots)
-    ]
-    # only a slot whose changes are not the legal ones forgets or gains illegally
-    odd = [t for t, slot in enumerate(trace.changes) if slot != legal[t]]
+    legal = {
+        t: row for t, (_, _, listening, sends) in enumerate(slots)
+        if (row := applied(grid[t], deliver(grid[t], listening, sends, audience))) != grid[t + 1]
+    }
 
     if L.R6_NEVER_FORGETS in enabled:
-        for t in odd:
+        for t in legal:
             before, after = grid[t], grid[t + 1]
             for p, forgotten in _by_process(list(zip(before, after)), lambda r: r[0] & ~r[1]):
                 yield Violation(
@@ -388,9 +373,8 @@ def _violations(
                 )
 
     if L.R7_COLLISION_FREE_LEARNING in enabled:
-        for t in odd:
-            before, after = grid[t], grid[t + 1]
-            triples = list(zip(before, after, applied(before, legal[t])))  # (was, now, legal)
+        for t, row in legal.items():
+            triples = list(zip(grid[t], grid[t + 1], row))  # (was, now, legal)
             gained, dropped = (lambda r: r[1] & ~r[0] & ~r[2]), (lambda r: r[2] & ~r[0] & ~r[1])
             for p, illegal, missed in _by_process(triples, gained, dropped):
                 if illegal:
@@ -552,15 +536,16 @@ def _document(text: str) -> tuple[NetworkSpec, tuple[tuple[Action, ...], ...], d
 
 def _compare_knowledge(grid: list, trace: ProtocolTrace) -> None:
     """Raises at the first (t, p) where a well-formed file grid differs from
-    the trace's knowledge. Each file row is compared with one knowledge_table
-    that the slot's changes flip in place. derive_knowledge gives at most
-    one change per slot, so the row before the slot holds its old holders."""
+    the trace's knowledge. Each file row is compared with one knowledge_table,
+    flipped in place where a row's masks differ from the row before it; a
+    row that is the row before it flips nothing."""
     rows = trace.knowledge
     table = knowledge_table(rows[0], trace.spec.processes)
-    for t, (line, slot) in enumerate(zip(grid, ((),) + trace.changes)):
-        for packet, holders in slot:
-            for p in set_bits(holders ^ rows[t - 1][packet - 1]):
-                table[p][packet - 1] = not table[p][packet - 1]
+    for t, (line, now) in enumerate(zip(grid, rows)):
+        if t and now is not (was := rows[t - 1]):
+            for k in compress(range(len(now)), map(ne, was, now)):
+                for p in set_bits(was[k] ^ now[k]):
+                    table[p][k] = not table[p][k]
         if line != table:
             p = next(p for p, (file, have) in enumerate(zip(line, table)) if file != have)
             raise TraceFormatError(

@@ -89,8 +89,6 @@ def test_only_the_relation_owners_read_hears(path):
 # each kept for a reason of its own.
 UNREAD_BY_DESIGN = {
     "render_spec": "the spec file writer that tests round-trip parse_spec through",
-    "ProtocolTrace.from_rows": "the constructor for a grid given as rows, which the tampering "
-    "and trap tests build traces with",
     "action_domain": "the value order as shared Actions, which the tests and their oracle "
     "enumerate grids over; solve tabulates cell_values, so no packet is given an Action",
 }
@@ -230,28 +228,6 @@ def test_only_the_file_and_report_writers_tabulate_knowledge(path):
         for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
     }
     assert "knowledge_table" not in calls or path.name in ("trace.py", "sim.py")
-
-
-# The function that produces a trace's knowledge, which it emits as changes;
-# the baseline returns join slots and produces no trace.
-PRODUCERS = {"solver.py": "solve"}
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
-def test_only_the_trace_module_builds_rows_from_changes(path):
-    # a trace's changes become its (T+1)-row view only in trace.py, when a
-    # reader first asks for it, and the producers never read that view, so
-    # no O(T·M) path returns to them
-    tree = _tree(path)
-    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "changes" not in attributes or path.name == "trace.py"
-    if path.name in PRODUCERS:
-        [producer] = [
-            node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == PRODUCERS[path.name]
-        ]
-        reads = {node.attr for node in ast.walk(producer) if isinstance(node, ast.Attribute)}
-        assert "knowledge" not in reads
 
 
 # Calls that hand int to a converter of their own, each kept for a reason.

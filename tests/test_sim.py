@@ -242,7 +242,7 @@ def _stepped_baseline(spec, power, max_slots=None):
     know = list(initial_knowledge(spec))
     held = [sum(holders >> p & 1 for holders in know) for p in range(P)]
     joins = [None] * P
-    rows, changes = [], []
+    rows, grid = [], [tuple(know)]
     sent = [0] * P
     while True:
         for p in range(P):
@@ -255,7 +255,6 @@ def _stepped_baseline(spec, power, max_slots=None):
             if joins[p] is not None:
                 acts[p] = transmit(sent[p] % M + 1)
                 sent[p] += 1
-        learned = {}
         for listener in range(P):
             heard = [s for s in range(P) if acts[s] is not LISTEN and audience[s] >> listener & 1]
             if acts[listener] is LISTEN and len(heard) == 1:
@@ -263,8 +262,7 @@ def _stepped_baseline(spec, power, max_slots=None):
                 if not know[k - 1] >> listener & 1:
                     know[k - 1] |= 1 << listener
                     held[listener] += 1
-                    learned[k] = know[k - 1]
-        changes.append(tuple(sorted(learned.items())))
+        grid.append(tuple(know))
         rows.append(tuple(acts))
     per = [0] * P
     for row in rows:
@@ -282,9 +280,7 @@ def _stepped_baseline(spec, power, max_slots=None):
         ),
         completion_slot=completion,
     )
-    trace = ProtocolTrace(
-        spec.replace(horizon=len(rows)), tuple(rows), initial_knowledge(spec), tuple(changes)
-    )
+    trace = ProtocolTrace(spec.replace(horizon=len(rows)), tuple(rows), tuple(grid))
     return trace, joins, report
 
 

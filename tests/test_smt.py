@@ -845,7 +845,7 @@ def _mutants(rng, spec, count):
             for _ in range(rng.randint(1, 3)):
                 row, p = grid[rng.randint(0, T)], rng.randrange(P)
                 row[rng.randrange(M)] ^= 1 << p
-        yield ProtocolTrace.from_rows(spec, trace.actions, grid)
+        yield ProtocolTrace(spec, trace.actions, tuple(map(tuple, grid)))
 
 
 def test_falsified_families_match_the_validator():

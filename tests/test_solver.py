@@ -619,5 +619,5 @@ def test_a_solve_without_cells_tabulates_no_cell_value(monkeypatch):
     spec = make_spec(processes=1, packets=400_000, horizon=0, topology="all")
     result = solve(encode(spec))
     assert result.status is SolveStatus.SAT
-    assert (result.trace.actions, result.trace.changes) == ((), ())
+    assert (result.trace.actions, result.trace.knowledge) == ((), ((1,) * 400_000,))
     assert validate(result.trace) == []

@@ -16,7 +16,6 @@ from protoforge.trace import (
     ProtocolTrace,
     TraceFormatError,
     all_known,
-    applied,
     deliver,
     derive_knowledge,
     initial_knowledge,
@@ -35,7 +34,7 @@ L = RequirementLabel
 
 def _step(spec, acts):
     """The knowledge after one slot of `acts` from the initial knowledge."""
-    return applied(initial_knowledge(spec), derive_knowledge(spec, [acts])[0])
+    return derive_knowledge(spec, [acts])[1]
 
 
 def test_step_single_transmitter_delivers():
@@ -87,23 +86,23 @@ LINE3_ACTIONS = (
 
 def test_derive_line3_hand_stepped():
     spec = make_spec()
-    assert derive_knowledge(spec, LINE3_ACTIONS) == (((1, 0b011),), ((1, 0b111),))
-    grid = ProtocolTrace.from_actions(spec, LINE3_ACTIONS).knowledge
+    grid = derive_knowledge(spec, LINE3_ACTIONS)
     assert grid == ((0b001,), (0b011,), (0b111,))
+    assert ProtocolTrace.from_actions(spec, LINE3_ACTIONS).knowledge == grid
     assert all_known(grid[2], 3)
 
 
 def test_derive_horizon_zero():
     spec = make_spec(horizon=0)
-    assert derive_knowledge(spec, ()) == ()
+    assert derive_knowledge(spec, ()) == ((0b001,),)
     assert ProtocolTrace.from_actions(spec, ()).knowledge == ((0b001,),)
 
 
 def test_derive_all_sleep_fixpoint():
     spec = make_spec(horizon=3)
-    assert derive_knowledge(spec, ((SLEEP,) * 3,) * 3) == ((),) * 3
-    rows = ProtocolTrace.from_actions(spec, ((SLEEP,) * 3,) * 3).knowledge
-    assert all(row == rows[0] for row in rows)
+    rows = derive_knowledge(spec, ((SLEEP,) * 3,) * 3)
+    assert rows == (initial_knowledge(spec),) * 4
+    assert all(row is rows[0] for row in rows)
 
 
 def test_validate_clean_trace():
@@ -148,12 +147,8 @@ def test_validate_r5_violation_located():
 
 def test_validate_r2_out_of_range_content():
     spec = make_spec(processes=2, packets=1, horizon=1, topology="all")
-    trace = ProtocolTrace(
-        spec,
-        ((transmit(5), LISTEN),),
-        initial_knowledge(spec),
-        derive_knowledge(spec, ((transmit(5), LISTEN),)),
-    )
+    actions = ((transmit(5), LISTEN),)
+    trace = ProtocolTrace(spec, actions, derive_knowledge(spec, actions))
     assert any(v.label is L.R2_CONTENT_DOMAIN for v in validate(trace))
 
 
@@ -161,7 +156,7 @@ def test_validate_catches_knowledge_tampering():
     spec = make_spec(processes=2, packets=1, horizon=1, topology="all")
     grid = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP),)).knowledge
     forged = (grid[0], (0b11,))
-    trace = ProtocolTrace.from_rows(spec, ((SLEEP, SLEEP),), forged)
+    trace = ProtocolTrace(spec, ((SLEEP, SLEEP),), forged)
     labels = {v.label for v in validate(trace)}
     assert L.R7_COLLISION_FREE_LEARNING in labels
 
@@ -176,17 +171,30 @@ def test_validate_enabled_subset_skips_checks():
 def test_dimension_mismatch_raises():
     spec = make_spec()
     with pytest.raises(TraceFormatError, match="dimension mismatch"):
-        ProtocolTrace(spec, ((SLEEP,),), initial_knowledge(spec), derive_knowledge(spec, LINE3_ACTIONS))
+        ProtocolTrace(spec, ((SLEEP,),), derive_knowledge(spec, LINE3_ACTIONS))
 
 
+@pytest.mark.parametrize("t", [0, 1, 2])
 @pytest.mark.parametrize(
-    "change", [(0, 0b01), (2, 0b01), (1, 0b100), (1, 0b110), (1, -1)],
-    ids=["packet 0", "packet M+1", "bit P", "bits P-1 and P", "negative mask"],
+    "row", [(0b01,), (0b01, 0b01, 0b01), (0b01, 0b100), (0b01, 0b110), (0b01, -1)],
+    ids=["M-1 masks", "M+1 masks", "bit P", "bits P-1 and P", "negative mask"],
 )
-def test_a_change_out_of_range_is_refused(change):
-    spec = make_spec(processes=2, packets=1, horizon=2, topology="all")
-    with pytest.raises(TraceFormatError, match=r"^dimension mismatch in knowledge row t=2$"):
-        ProtocolTrace(spec, ((SLEEP, SLEEP),) * 2, initial_knowledge(spec), ((), (change,)))
+def test_a_knowledge_row_out_of_range_is_refused(row, t):
+    # from row t on, as a slot without a change shares the row before it
+    spec = make_spec(processes=2, packets=2, horizon=3, topology="all")
+    good = initial_knowledge(spec)
+    rows = (good,) * t + (row,) * (4 - t)
+    with pytest.raises(TraceFormatError, match=rf"^dimension mismatch in knowledge row t={t}$"):
+        ProtocolTrace(spec, ((SLEEP, SLEEP),) * 3, rows)
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_a_knowledge_grid_of_another_length_is_refused(count):
+    spec = make_spec(processes=2, packets=2, horizon=3, topology="all")
+    rows = (initial_knowledge(spec),) * count
+    message = rf"^dimension mismatch: {count} knowledge rows for horizon 3$"
+    with pytest.raises(TraceFormatError, match=message):
+        ProtocolTrace(spec, ((SLEEP, SLEEP),) * 3, rows)
 
 
 @pytest.mark.parametrize("shape", [
@@ -195,22 +203,18 @@ def test_a_change_out_of_range_is_refused(change):
     dict(processes=3, packets=1, horizon=2, topology="line"),
     dict(processes=3, packets=2, horizon=1, topology="all"),
 ], ids=["P=2 M=1 T=2", "P=2 M=2 T=2", "line P=3 M=1 T=2", "P=3 M=2 T=1"])
-def test_rows_diff_into_the_changes_derive_knowledge_gives(shape):
+def test_enumerated_grids_are_the_rows_derive_knowledge_gives(shape):
     # the goal is dropped so that every schedule the learning rule allows is
     # enumerated, not only those that finish; R7 and TOPO stay, so each
-    # enumerated grid is the one derive_knowledge folds
+    # enumerated grid, folded by the oracle, is the one derive_knowledge folds
     spec = make_spec(**shape)
     system = encode(spec)
     traces = enumerate_all(system.replace(enabled=system.enabled - {L.GOAL_DEADLINE}))
-    assert any(any(trace.changes) for trace in traces)
+    assert any(trace.knowledge[-1] != trace.knowledge[0] for trace in traces)
     for trace in traces:
-        given = ProtocolTrace.from_rows(spec, trace.actions, trace.knowledge)
-        derived = ProtocolTrace(
-            spec, trace.actions, initial_knowledge(spec), derive_knowledge(spec, trace.actions)
-        )
-        assert given == derived == trace
-        assert hash(given) == hash(derived)
-        assert given.knowledge == derived.knowledge
+        derived = ProtocolTrace.from_actions(spec, trace.actions)
+        assert derive_knowledge(spec, trace.actions) == derived.knowledge == trace.knowledge
+        assert derived == trace and hash(derived) == hash(trace)
 
 
 def test_write_read_round_trip():
@@ -455,7 +459,7 @@ def test_validate_reports_a_malformed_cell_and_treats_it_as_no_action(cell, enab
     # packet, so the grid derived from the real schedule shows an illegal gain
     spec = make_spec()
     actions = ((transmit(1), cell, SLEEP), LINE3_ACTIONS[1])
-    trace = ProtocolTrace(spec, actions, initial_knowledge(spec), derive_knowledge(spec, LINE3_ACTIONS))
+    trace = ProtocolTrace(spec, actions, derive_knowledge(spec, LINE3_ACTIONS))
     found = [(v.label, v.time, v.process) for v in validate(trace, enabled)]
     assert found[0] == (L.R1_EXACTLY_ONE_ACTION, 0, 1)
     assert validate(trace, enabled)[0].detail == (
@@ -476,7 +480,7 @@ def test_validate_reports_a_malformed_cell_and_treats_it_as_no_action(cell, enab
 def test_violation_messages_list_at_most_ten_packets(packets, listed):
     spec = make_spec(processes=2, packets=packets, horizon=1, topology="all")
     trace = ProtocolTrace.from_actions(spec, ((SLEEP, SLEEP),))
-    forged = ProtocolTrace.from_rows(spec, trace.actions, ((0b11,) * packets, (0b01,) * packets))
+    forged = ProtocolTrace(spec, trace.actions, ((0b11,) * packets, (0b01,) * packets))
     details = {v.label: v.detail for v in validate(forged)}
     assert details[L.R4_INITIAL_KNOWLEDGE] == (
         f"initial knowledge of non-source process 1 is wrong for packet(s) {listed}"
@@ -485,7 +489,7 @@ def test_violation_messages_list_at_most_ten_packets(packets, listed):
         f"process 1 forgets packet(s) {listed} between t=0 and t=1"
     )
     assert details[L.GOAL_DEADLINE] == f"process 1 misses packet(s) {listed} at the deadline t=1"
-    gained = ProtocolTrace.from_rows(spec, trace.actions, (trace.knowledge[0], (0b11,) * packets))
+    gained = ProtocolTrace(spec, trace.actions, (trace.knowledge[0], (0b11,) * packets))
     assert [v.detail for v in validate(gained) if v.label is L.R7_COLLISION_FREE_LEARNING] == [
         f"process 1 gains packet(s) {listed} at t=1 without a collision-free audible transmission"
     ]
@@ -519,15 +523,16 @@ def test_validate_walks_only_the_packets_it_lists(monkeypatch):
 
 @given(st.data())
 def test_written_knowledge_is_each_row_tabulated(data):
-    # slots with several changes, and one packet changed twice in a slot,
-    # which only a trace built from its parts or from rows can hold
+    # rows of any masks, several packets changed in a slot and equal rows
+    # that are copies as well as ones that share the row before them, which
+    # only a trace built from its parts can hold
     processes, packets = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
     spec = make_spec(processes=processes, packets=packets, horizon=3, topology="all")
-    change = st.tuples(st.integers(1, packets), st.integers(0, 2**processes - 1))
-    changes = tuple(data.draw(st.lists(change, max_size=4).map(tuple)) for _ in range(3))
-    initial = tuple(data.draw(st.lists(st.integers(0, 2**processes - 1),
-                                       min_size=packets, max_size=packets)))
-    trace = ProtocolTrace(spec, ((SLEEP,) * processes,) * 3, initial, changes)
+    row = st.tuples(*[st.integers(0, 2**processes - 1)] * packets)
+    rows = [data.draw(row)]
+    for _ in range(3):
+        rows.append(rows[-1] if data.draw(st.booleans()) else data.draw(row))
+    trace = ProtocolTrace(spec, ((SLEEP,) * processes,) * 3, tuple(rows))
     written = json.loads(write_trace(trace))["knowledge"]
     assert written == [knowledge_table(row, processes) for row in trace.knowledge]
 
@@ -549,6 +554,26 @@ def test_equal_action_rows_are_one_object_after_read_and_solve():
     assert len(set(map(id, back.actions))) == 3  # the sleep row and the two that send
 
 
+def _unchanged_rows_shared(trace):
+    """Whether each knowledge row equal to the row before it is that row's
+    object, and some slot changes nothing."""
+    pairs = [(was, now) for was, now in zip(trace.knowledge, trace.knowledge[1:]) if was == now]
+    return bool(pairs) and all(was is now for was, now in pairs)
+
+
+def test_a_slot_without_a_change_shares_the_knowledge_row_before_it():
+    # write_trace renders a run of rows once only when they are one object;
+    # the first model's three sleeping slots and its last change nothing
+    spec = make_spec(processes=3, packets=1, horizon=5)
+    solved = solve(encode(spec)).trace
+    text = write_trace(solved)
+    respaced = text.replace('"knowledge": ', '"knowledge":')  # no text check: read whole
+    assert respaced != text
+    traces = [solved, ProtocolTrace.from_actions(spec, solved.actions),
+              read_trace(text), read_trace(respaced)]
+    assert all(trace == solved and _unchanged_rows_shared(trace) for trace in traces)
+
+
 @pytest.mark.parametrize(
     "bad_row, label, process",
     [
@@ -564,10 +589,9 @@ def test_a_repeated_row_gives_each_of_its_slots_a_violation(bad_row, label, proc
     # list equals the one for a trace holding a fresh copy of each row
     spec = make_spec(processes=3, packets=1, horizon=4)
     actions = (bad_row, LINE3_ACTIONS[0], bad_row, bad_row)
-    nothing_learned = ((),) * spec.horizon
-    shared = ProtocolTrace(spec, actions, initial_knowledge(spec), nothing_learned)
-    fresh = ProtocolTrace(spec, tuple(tuple(list(row)) for row in actions),
-                          initial_knowledge(spec), nothing_learned)
+    nothing_learned = (initial_knowledge(spec),) * (spec.horizon + 1)
+    shared = ProtocolTrace(spec, actions, nothing_learned)
+    fresh = ProtocolTrace(spec, tuple(tuple(list(row)) for row in actions), nothing_learned)
     assert shared.actions[0] is shared.actions[2] and fresh.actions[0] is not fresh.actions[2]
     found = validate(shared)
     assert found == validate(fresh)

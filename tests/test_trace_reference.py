@@ -320,7 +320,7 @@ def _baseline(spec):
         rows.setdefault(row, row)
         for row in (tuple(cells.setdefault(act, act) for act in row) for row in trace.actions)
     )
-    return ProtocolTrace(trace.spec, actions, trace.initial, trace.changes)
+    return ProtocolTrace(trace.spec, actions, trace.knowledge)
 
 
 BASELINES = [_baseline(spec) for spec in SOLVED_SPECS[:3]]
@@ -382,7 +382,7 @@ def _outcome(fn, *args):
 
 
 def _construct(spec, actions, knowledge):
-    return ProtocolTrace.from_rows(spec, tuple(map(tuple, actions)), knowledge)
+    return ProtocolTrace(spec, tuple(map(tuple, actions)), knowledge)
 
 
 # ---- the properties ----------------------------------------------------------
@@ -451,7 +451,7 @@ def scrambled(draw):
     mask = st.integers(0, (1 << P) - 1)
     grid = draw(st.lists(st.lists(mask, min_size=M, max_size=M).map(tuple),
                          min_size=spec.horizon + 1, max_size=spec.horizon + 1))
-    return ProtocolTrace.from_rows(spec, tuple(map(tuple, actions)), grid)
+    return ProtocolTrace(spec, tuple(map(tuple, actions)), tuple(grid))
 
 
 @settings(deadline=None)
@@ -607,8 +607,8 @@ def test_constructor_traps_raise_the_reference_message(trap):
     actions, grid = _trapped(trap, trace)
     error = _reference_shape_error(trace.spec, actions, grid)
     assert (error is None) == (trap == "list rows")
-    made = _outcome(ProtocolTrace.from_rows, trace.spec, actions, grid)
-    assert made == (("ok", ProtocolTrace.from_rows(trace.spec, actions, grid)) if error is None
+    made = _outcome(ProtocolTrace, trace.spec, actions, grid)
+    assert made == (("ok", ProtocolTrace(trace.spec, actions, grid)) if error is None
                     else ("TraceFormatError", error))
 
 

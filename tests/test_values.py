@@ -31,7 +31,7 @@ FIELDS = {
     "ExternalResult": ("status", "output"),
     "NetworkSpec": ("processes", "packets", "horizon", "source", "topology", "liveness", "goal"),
     "PowerModel": ("active_cost",),
-    "ProtocolTrace": ("spec", "actions", "initial", "changes"),
+    "ProtocolTrace": ("spec", "actions", "knowledge"),
     "SearchConfig": ("node_limit",),
     "SimReport": ("spec", "power", "slots_run", "delivered", "per_process_power",
                   "concurrent_tx_slots", "completion_slot"),
