@@ -34,7 +34,7 @@ from .model import (
     SpecParseError,
     SpecValidationError,
     TAXONOMY,
-    Topology,
+    hears,
     parse_spec,
     render_spec,
     topology_all,
@@ -112,7 +112,6 @@ __all__ = [
     "SpecParseError",
     "SpecValidationError",
     "TAXONOMY",
-    "Topology",
     "TraceFormatError",
     "Violation",
     "action_domain",
@@ -121,6 +120,7 @@ __all__ = [
     "describe",
     "emit_smtlib",
     "encode",
+    "hears",
     "min_horizon",
     "parse_action",
     "parse_spec",

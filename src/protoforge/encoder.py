@@ -61,6 +61,6 @@ def describe(cs: ConstraintSystem) -> SystemDescription:
         L.R6_NEVER_FORGETS: T * P * M,
         L.R7_COLLISION_FREE_LEARNING: T * P * M,
         L.GOAL_DEADLINE: P * M if L.GOAL_DEADLINE in families else 0,
-        L.TOPO_HEARS_RELATION: T * sum(mask.bit_count() for mask in spec.topology.audience),
+        L.TOPO_HEARS_RELATION: T * sum(mask.bit_count() for mask in spec.audience),
     }
     return SystemDescription(counts)

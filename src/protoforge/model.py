@@ -23,6 +23,11 @@ errors report line numbers. A hears line takes one match of _HEARS ("="
 counts as whitespace) and one set insert; only a line these refuse, a
 duplicate among them, is split into tokens to word its error.
 
+A spec holds the hears relation in one form, spec.audience: exactly P
+listener masks, bit l of audience[s] set when l hears s, as
+topology_all, topology_line and topology_explicit build them. hears gives
+the sorted (listener, speaker) pairs that spec and trace files list.
+
 Record is the base of the package's immutable value types. A record's
 fields are its __init__'s parameters, in order, and each __init__ sets
 them with object.__setattr__ after its checks. The base compares and
@@ -39,29 +44,19 @@ from __future__ import annotations
 import re
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, NoReturn
+from typing import Iterable, NoReturn, Sequence
 
-# Size limits on problems read from text, checked before anything grows
-# with them: at most this many processes (so an `all` relation is at most
-# 1024 masks of 1024 bits), and at most this many facts (horizon + 1) *
-# processes * max(packets, 1) in the knowledge grid a trace file holds.
+# Size limits on problems read from text and on each horizon min_horizon
+# solves, checked by check_size before anything grows with them: at most
+# this many processes (so an `all` relation is at most 1024 masks of 1024
+# bits), and at most this many facts (horizon + 1) * processes *
+# max(packets, 1) in the knowledge grid a trace file holds.
 # They bound the baseline too, whatever its slot allowance: it runs at most
 # processes rounds, each one deliver call and one update of its single
 # packets-long knowledge row, so it costs O(rounds * packets), at most
 # processes * packets <= MAX_FACTS.
 MAX_PROCESSES = 1024
 MAX_FACTS = 2 ** 24
-# At most this many per-slot terms in an SMT-LIB document, which
-# smt.emit_smtlib counts in closed form before it builds any block: one per
-# cell for R1 and for R2, one per slot, process and packet for each of R5,
-# R6 and R7, and, where some listener reads them, one per slot and process
-# in senders and one per slot and audible pair in heard. MAX_FACTS bounds
-# none of these: heard alone holds T * P * (P - 1) terms on `all`, 51 MB of
-# text a slot at 1024 processes. A term takes 50 (heard) to about 160 bytes
-# (R5-R7, with their get-value lines), so the per-slot text stays under
-# about 700 MB; 1024 processes on `all` with one packet get horizons up to
-# 3 (154 MB).
-MAX_TERMS = 2 ** 22
 
 
 class LivenessMode(Enum):
@@ -168,35 +163,24 @@ def _refuse(message: str) -> NoReturn:
     raise FrozenInstanceError(message)
 
 
-class Topology(Record):
-    """The hears relation as listener masks: bit l of audience[s] is set when l hears s."""
-
-    __slots__ = ("audience",)
-
-    def __init__(self, audience: tuple[int, ...]) -> None:
-        masks = list(audience)
-        while masks and not masks[-1]:  # trailing empty masks go: equal relations compare equal
-            masks.pop()
-        object.__setattr__(self, "audience", tuple(masks))
-
-    @property
-    def hears(self) -> list[tuple[int, int]]:
-        """The sorted (listener, speaker) pairs, as spec and trace files list them."""
-        return sorted((l, s) for s, mask in enumerate(self.audience) for l in set_bits(mask))
+def hears(audience: Sequence[int]) -> list[tuple[int, int]]:
+    """The sorted (listener, speaker) pairs of listener masks, as spec and
+    trace files list them."""
+    return sorted((l, s) for s, mask in enumerate(audience) for l in set_bits(mask))
 
 
-def topology_all(processes: int) -> Topology:
+def topology_all(processes: int) -> tuple[int, ...]:
     """Complete graph: everyone hears everyone else."""
-    return Topology(tuple(((1 << processes) - 1) ^ (1 << s) for s in range(processes)))
+    return tuple(((1 << processes) - 1) ^ (1 << s) for s in range(processes))
 
 
-def topology_line(processes: int) -> Topology:
+def topology_line(processes: int) -> tuple[int, ...]:
     """Chain: process p hears only p-1."""
-    return Topology(tuple(1 << (s + 1) for s in range(processes - 1)))
+    return tuple(1 << s + 1 if s + 1 < processes else 0 for s in range(processes))
 
 
-def topology_explicit(processes: int, pairs: Iterable[tuple[int, int]]) -> Topology:
-    """The relation of the given (listener, speaker) pairs, each checked
+def topology_explicit(processes: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The listener masks of the given (listener, speaker) pairs, each checked
     before it becomes a bit, so a hostile id never builds a mask. Raises
     SpecValidationError naming, in pair order, the reflexive pairs and,
     when processes >= 1, the pairs with an id out of range."""
@@ -211,7 +195,7 @@ def topology_explicit(processes: int, pairs: Iterable[tuple[int, int]]) -> Topol
             f"{'reflexive' if l == s else 'process id out of range in'} hears pair ({l}, {s})"
             for l, s in sorted(bad)
         ])
-    return Topology(tuple(masks.get(s, 0) for s in range(max(masks, default=-1) + 1)))
+    return tuple(masks.get(s, 0) for s in range(processes))
 
 
 class SpecError(ValueError):
@@ -232,12 +216,17 @@ class SpecValidationError(SpecError):
 
 class NetworkSpec(Record):
     """A usable problem instance: construction (replace too) raises
-    SpecValidationError listing every semantic violation."""
+    SpecValidationError listing every semantic violation.
 
-    __slots__ = ("processes", "packets", "horizon", "source", "topology", "liveness", "goal")
+    audience is the hears relation as exactly P listener masks: bit l of
+    audience[s] is set when l hears s. The constructor takes any sequence
+    of masks, pads a shorter one with empty masks and keeps a tuple of P
+    masks as it is, so replace shares it."""
+
+    __slots__ = ("processes", "packets", "horizon", "source", "audience", "liveness", "goal")
 
     def __init__(
-        self, processes: int, packets: int, horizon: int, source: int, topology: Topology,
+        self, processes: int, packets: int, horizon: int, source: int, audience: Sequence[int],
         liveness: LivenessMode = LivenessMode.OFF, goal: GoalKind = GoalKind.ALL_KNOW_ALL,
     ) -> None:
         P = processes
@@ -252,7 +241,7 @@ class NetworkSpec(Record):
             errors.append(f"source out of range: {source}")
         # stray bits: a speaker's own, those past P, and all of a speaker past P
         strays = [mask if s >= P else (mask >> P << P) | (mask & 1 << s)
-                  for s, mask in enumerate(topology.audience)]
+                  for s, mask in enumerate(audience)]
         if any(strays):
             try:  # topology_explicit words them as the pairs they stand for
                 topology_explicit(P, [(l, s) for s, bits in enumerate(strays) if bits
@@ -261,11 +250,13 @@ class NetworkSpec(Record):
                 errors += bad.errors
         if errors:
             raise SpecValidationError(errors)
+        if audience.__class__ is not tuple or len(audience) != P:  # past P every mask is empty
+            audience = tuple(audience[:P]) + (0,) * (P - len(audience))
         object.__setattr__(self, "processes", processes)
         object.__setattr__(self, "packets", packets)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "audience", audience)
         object.__setattr__(self, "liveness", liveness)
         object.__setattr__(self, "goal", goal)
 
@@ -345,17 +336,13 @@ def _check_pair(
     return pair
 
 
-def _assemble(
-    fields: dict[str, object], hears: set[tuple[int, int]] | None
-) -> NetworkSpec:
-    """Builds the spec, which checks itself, from checked fields; `hears`
-    is None when the source gives no hears entries. The size limits and
-    stray hears entries are checked before any relation is built."""
-    processes, horizon = fields["processes"], fields["horizon"]
+def check_size(processes: int, packets: int, horizon: int) -> None:
+    """Raises SpecValidationError naming each size limit (see MAX_PROCESSES)
+    that a problem of these dimensions breaks."""
     oversized = []
     if processes > MAX_PROCESSES:
         oversized.append(f"processes must be <= {MAX_PROCESSES}, got {processes}")
-    facts = (horizon + 1) * processes * max(fields["packets"], 1)
+    facts = (horizon + 1) * processes * max(packets, 1)
     if processes >= 1 and horizon >= 0 and facts > MAX_FACTS:
         # each factor has at most _DIGITS digits, but their product may have more
         shown = facts if facts < 10**_DIGITS else f"a number of more than {_DIGITS} digits"
@@ -364,18 +351,28 @@ def _assemble(
         )
     if oversized:
         raise SpecValidationError(oversized)
+
+
+def _assemble(
+    fields: dict[str, object], hears: set[tuple[int, int]] | None
+) -> NetworkSpec:
+    """Builds the spec, which checks itself, from checked fields; `hears`
+    is None when the source gives no hears entries. The size limits and
+    stray hears entries are checked before any relation is built."""
+    processes, horizon = fields["processes"], fields["horizon"]
+    check_size(processes, fields["packets"], horizon)
     if hears is not None and fields["topology"] != "explicit":
         raise SpecValidationError(["hears lines require topology = explicit"])
     if fields["topology"] == "all":
-        topology = topology_all(processes)
+        audience = topology_all(processes)
     elif fields["topology"] == "line":
-        topology = topology_line(processes)
+        audience = topology_line(processes)
     else:
         try:
-            topology = topology_explicit(processes, hears or ())
+            audience = topology_explicit(processes, hears or ())
         except SpecValidationError as bad:  # listed after the fields' own errors
             try:
-                NetworkSpec(processes, fields["packets"], horizon, fields["source"], Topology(()))
+                NetworkSpec(processes, fields["packets"], horizon, fields["source"], ())
             except SpecValidationError as wrong:
                 raise SpecValidationError([*wrong.errors, *bad.errors]) from None
             raise
@@ -384,7 +381,7 @@ def _assemble(
         packets=fields["packets"],
         horizon=fields["horizon"],
         source=fields["source"],
-        topology=topology,
+        audience=audience,
         liveness=_LIVENESS[fields["liveness"]],
         goal=_GOALS[fields["goal"]],
     )
@@ -431,14 +428,6 @@ def parse_spec(text: str) -> NetworkSpec:
     return _assemble(fields, hears or None)
 
 
-def topology_name(topology: Topology, processes: int) -> str:
-    """Canonical file-format name for a spec's hears relation: a relation
-    equal to a named one goes by that name."""
-    if topology == topology_all(processes):
-        return "all"
-    return "line" if topology == topology_line(processes) else "explicit"
-
-
 def render_spec(spec: NetworkSpec) -> str:
     """Writes the file format above. parse_spec(render_spec(s)) == s for valid s."""
     lines = []
@@ -451,8 +440,11 @@ def render_spec(spec: NetworkSpec) -> str:
 
 
 def spec_as_dict(spec: NetworkSpec) -> dict:
-    """JSON-friendly form used inside trace files; field order is fixed."""
-    name = topology_name(spec.topology, spec.processes)
+    """JSON-friendly form used inside trace files; field order is fixed. A
+    relation equal to a named one goes by that name."""
+    P, audience = spec.processes, spec.audience
+    name = ("all" if audience == topology_all(P) else
+            "line" if audience == topology_line(P) else "explicit")
     obj: dict = {
         "processes": spec.processes,
         "packets": spec.packets,
@@ -461,7 +453,7 @@ def spec_as_dict(spec: NetworkSpec) -> dict:
         "topology": name,
     }
     if name == "explicit":
-        obj["hears"] = [list(pair) for pair in spec.topology.hears]
+        obj["hears"] = [list(pair) for pair in hears(audience)]
     obj["liveness"] = spec.liveness.value
     obj["goal"] = spec.goal.value
     return obj

@@ -46,7 +46,6 @@ from .trace import (
     ProtocolTrace,
     Violation,
     all_known,
-    audiences,
     deliver,
     initial_knowledge,
     knowledge_table,
@@ -157,7 +156,7 @@ def run_baseline(
         raise ValueError("max_slots must be >= 0")
     P, M = spec.processes, spec.packets
     everyone = (1 << P) - 1
-    audience = audiences(spec)
+    audience = spec.audience
     know = initial_knowledge(spec)  # the knowledge row at slot t
     joins: list[int | None] = [None] * P
     t = concurrent = 0

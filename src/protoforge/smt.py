@@ -12,10 +12,11 @@ functions:
 
 A listener p learns packet k in slot t when it listens, senders is 1 and
 heard is k: with one sender, heard is k exactly when that sender is audible
-to p and sends k. senders is defined once per slot and heard once per
-slot and listener, each by an equality over transmit, so the document
-grows as T·P·(M + speakers) and no learning equality spells out the other
-processes' silence. Both are fixed by transmit, and knowledge is pinned with equalities, so any model's
+to p and sends k. p's speakers are the q whose listener mask
+spec.audience[q] holds bit p. senders is defined once per slot and heard
+once per slot and listener, each by an equality over transmit, so the
+document grows as T·P·(M + speakers) and no learning equality spells out
+the other processes' silence. Both are fixed by transmit, and knowledge is pinned with equalities, so any model's
 knows atoms must agree with the local derivation; parse_value_response
 checks that agreement and refuses models that drift. Every assertion is
 named so unsat cores map back onto requirement families. The footer always
@@ -33,7 +34,8 @@ per-slot family (R1, R2, R5, R6, R7 and the get-value lines) the
 processes' text is encoded to ASCII once, as the slot template, and each
 slot's block is one bytes.replace of the slot placeholder by t's digits,
 then, for R6 and R7, which alone hold t + 1, one more of its placeholder
-by t + 1's. With no slots nothing is joined, and R5 to R7 build no lines.
+by t + 1's. With no slots nothing is joined, R5 to R7 build no lines, and
+no speaker list, senders or heard definition is built.
 R3 (after its comment line), R4 and GOAL, which are not per-slot, are one
 block each. The senders and heard definitions are stamped per slot only,
 each speaker's term in heard built once for all its listeners. The
@@ -52,7 +54,6 @@ from typing import Callable, Iterable, TextIO
 
 from .actions import Action, LISTEN, SLEEP, transmit as tx_action
 from .model import (
-    MAX_TERMS,
     NetworkSpec,
     Record,
     RequirementLabel,
@@ -60,7 +61,7 @@ from .model import (
     read_int,
     requirement_families,
 )
-from .trace import ProtocolTrace, audiences
+from .trace import ProtocolTrace
 
 
 class SmtResponseError(ValueError):
@@ -74,6 +75,20 @@ class ExternalSolverError(RuntimeError):
 class SolverTimeout(ExternalSolverError):
     pass
 
+
+# At most this many terms in an SMT-LIB document, which emit_smtlib counts
+# in closed form before it builds any block: one per cell for R1 and for R2,
+# one per slot, process and packet for each of R5, R6 and R7, where some
+# listener reads them one per slot and process in senders and one per slot
+# and audible pair in heard, and one per process and packet for each of R4,
+# GOAL (when the problem has it) and the knows get-value line at t = T.
+# model.MAX_FACTS bounds none of these: heard alone holds T * P * (P - 1)
+# terms on `all`, 51 MB of text a slot at 1024 processes, and at T = 0 the
+# last three hold 3 * P * M terms. A term takes 50 (heard) to about 160
+# bytes (R5-R7, with their get-value lines), so the text stays under about
+# 700 MB; 1024 processes on `all` with one packet get horizons up to 3
+# (154 MB).
+MAX_TERMS = 2 ** 22
 
 # Longest solver timeout accepted, in seconds: it stays well under the
 # 2**31 ms that subprocess's poll-based wait can represent.
@@ -225,15 +240,17 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
-    audience = audiences(spec)
-    # the per-slot terms model.MAX_TERMS bounds, counted before any is built
+    # With no slots neither is defined, and no speaker list is built.
+    audience = spec.audience
+    # the terms MAX_TERMS bounds, counted before any is built
     pairs = sum(map(int.bit_count, audience)) if M else 0
     terms = T * (P * (2 + 3 * M) + (P + pairs if pairs else 0))
+    terms += P * M * (2 + (L.GOAL_DEADLINE in families))
     if terms > MAX_TERMS:
         raise SpecValidationError(
-            [f"the SMT-LIB document would hold {terms} per-slot terms, must be <= {MAX_TERMS}"])
-    speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs]
-    listeners = [p for p in procs if speakers[p]] if M else []
+            [f"the SMT-LIB document would hold {terms} terms, must be <= {MAX_TERMS}"])
+    speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs] if slots else []
+    listeners = [p for p, heard_from in enumerate(speakers) if heard_from] if M else []
 
     # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
     # cores map back onto requirement families. The repeated families are

@@ -78,6 +78,7 @@ from .model import (
     RequirementLabel,
     STRUCTURAL_LABELS,
     TAXONOMY,
+    check_size,
     requirement_families,
 )
 from .trace import (
@@ -368,15 +369,16 @@ def min_horizon(
     """The first trace at the least horizon in 0..t_max whose encoding is
     satisfiable, which is its spec's; None when every horizon in range is
     unsatisfiable. Horizons that solve's root bounds cut, which
-    spend no budget, are skipped unsolved."""
+    spend no budget, are skipped unsolved; each horizon solved is first held
+    to model.check_size, so no trace it returns is one read_trace refuses."""
     families = requirement_families(spec)
     if RequirementLabel.GOAL_DEADLINE not in families:
         raise ValueError("min_horizon needs goal = all-know-all")
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    start = max(_root_needs(spec, families, cover_function(
-        spec.processes, audiences(spec, families), True)))
+    start = max(_root_needs(spec, families, cover_function(spec.processes, spec.audience, True)))
     for horizon in range(min(start, t_max + 1), t_max + 1):
+        check_size(spec.processes, spec.packets, horizon)
         result = solve(encode(spec.replace(horizon=horizon)), config)
         if result.status is SolveStatus.BUDGET_EXHAUSTED:
             raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)

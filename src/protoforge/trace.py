@@ -9,14 +9,15 @@ the whole network has a single transmitter, that transmitter is audible to
 the listener, and it is sending packet k. A garbage transmission occupies
 the channel (it counts toward the single-transmitter test) but delivers
 nothing, and nothing once learned is ever lost. deliver is the one place
-this rule is written, over a listening mask, the sends, and the listener
-bitmasks that audiences gives per speaker. Its callers build that mask
-and those sends themselves: derive_knowledge and the validator decode each
-row of actions, and the search keeps them per cell. derive_knowledge
-folds the rule of the full system; audiences decides what dropping TOPO
-does to it, and the search what dropping R7 does. Carrier sense, the
-always-on baseline's radio model, belongs to sim, which hands deliver
-only the listeners no two audible senders block.
+this rule is written, over a listening mask, the sends, and one listener
+bitmask per speaker. Its callers build that mask and those sends
+themselves: derive_knowledge and the validator decode each row of actions,
+and the search keeps them per cell. derive_knowledge folds the rule of the
+full system over spec.audience; for the validator and the search, which may
+drop TOPO, audiences decides what dropping it does, and the search what
+dropping R7 does. Carrier sense, the always-on baseline's radio model,
+belongs to sim, which hands deliver only the listeners no two audible
+senders block.
 
 A trace stores its knowledge as its T+1 rows, time 0 first. The learning
 rule changes at most one packet's mask in a slot, and derive_knowledge and
@@ -119,16 +120,13 @@ def initial_knowledge(spec: NetworkSpec) -> KnowledgeRow:
     return (1 << spec.source,) * spec.packets
 
 
-def audiences(
-    spec: NetworkSpec, enabled: Iterable[RequirementLabel] | None = None
-) -> tuple[int, ...]:
-    """One listener bitmask per speaker under the learning rule: the spec's
-    hears relation, or everyone else when TOPO is dropped."""
+def audiences(spec: NetworkSpec, enabled: Iterable[RequirementLabel]) -> tuple[int, ...]:
+    """One listener bitmask per speaker under the learning rule: spec.audience,
+    or everyone else when TOPO is dropped."""
     P = spec.processes
-    if enabled is not None and RequirementLabel.TOPO_HEARS_RELATION not in enabled:
+    if RequirementLabel.TOPO_HEARS_RELATION not in enabled:
         return tuple(((1 << P) - 1) ^ (1 << s) for s in range(P))
-    audience = spec.topology.audience
-    return audience + (0,) * (P - len(audience))
+    return spec.audience
 
 
 def _decode(acts: Sequence[Action], kinds: Iterable[ActionKind | None]) -> tuple[int, list]:
@@ -189,7 +187,7 @@ def derive_knowledge(
     spec: NetworkSpec, actions: Sequence[Sequence[Action]]
 ) -> tuple[KnowledgeRow, ...]:
     """Folds the learning rule over the whole schedule: the T+1 rows."""
-    audience = audiences(spec)
+    audience = spec.audience
     rows = [initial_knowledge(spec)]
     for listening, sends in per_distinct(lambda acts: _decode(acts, map(_kind, acts)), actions):
         rows.append(applied(rows[-1], deliver(rows[-1], listening, sends, audience)))

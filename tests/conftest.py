@@ -8,7 +8,6 @@ from protoforge.model import (
     GoalKind,
     LivenessMode,
     NetworkSpec,
-    Topology,
     topology_all,
     topology_explicit,
     topology_line,
@@ -20,22 +19,24 @@ def make_spec(
     packets: int = 1,
     horizon: int = 2,
     source: int = 0,
-    topology: Topology | str | Iterable[tuple[int, int]] = "line",
+    topology: str | Iterable[tuple[int, int]] = "line",
     liveness: LivenessMode = LivenessMode.OFF,
     goal: GoalKind = GoalKind.ALL_KNOW_ALL,
 ) -> NetworkSpec:
+    """A spec whose relation is named as in a spec file, or given as
+    (listener, speaker) pairs."""
     if topology == "line":
-        topology = topology_line(processes)
+        audience = topology_line(processes)
     elif topology == "all":
-        topology = topology_all(processes)
-    elif not isinstance(topology, Topology):  # (listener, speaker) pairs
-        topology = topology_explicit(processes, topology)
+        audience = topology_all(processes)
+    else:
+        audience = topology_explicit(processes, topology)
     return NetworkSpec(
         processes=processes,
         packets=packets,
         horizon=horizon,
         source=source,
-        topology=topology,
+        audience=audience,
         liveness=liveness,
         goal=goal,
     )

@@ -102,7 +102,7 @@ def test_criterion_3_solver_soundness_on_1000_random_specs():
             packets=rng.randint(0, 2),
             horizon=rng.randint(0, 3),
             source=rng.randrange(P),
-            topology=rng.choice([topology_all(P), topology_line(P)]),
+            audience=rng.choice([topology_all(P), topology_line(P)]),
             liveness=rng.choice(list(LivenessMode)),
             goal=rng.choice(list(GoalKind)),
         )

@@ -772,7 +772,7 @@ def test_emit_smt_past_the_size_cap_exits_4_at_once(capsys, tmp_path):
     code, out, err = run_cli(capsys, "emit-smt", str(path), "--out", str(out_path))
     assert time.perf_counter() - started < 1.0
     assert (code, out) == (4, "")
-    assert err == ("error: the SMT-LIB document would hold 105369600 per-slot terms, "
+    assert err == ("error: the SMT-LIB document would hold 105372672 terms, "
                    "must be <= 4194304\n")
     assert not out_path.exists()
 
@@ -991,3 +991,20 @@ def test_min_horizon_refutes_every_horizon_without_a_solve(capsys, tmp_path, mon
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "no feasible horizon up to 1000000000" in out
+
+
+def test_min_horizon_refuses_a_horizon_past_the_fact_limit(capsys, tmp_path, monkeypatch):
+    # a legal 7-line spec whose first horizon to solve, 16 * 1023 = 16,368,
+    # holds 268,189,696 facts: a trace written there could not be read back
+    path = tmp_path / "long.net"
+    path.write_text(render_spec(make_spec(processes=1024, packets=16, horizon=0, topology="line")))
+    monkeypatch.setattr("protoforge.solver.solve", None)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "min-horizon", str(path), "--max", "20000")
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (4, "")
+    assert err == ("error: (horizon + 1) * processes * max(packets, 1) must be <= 16777216, "
+                   "got 268189696\n")
+    # a horizon that is not solved is not checked
+    code, out, _ = run_cli(capsys, "min-horizon", str(path), "--max", "16367")
+    assert (code, out) == (1, "no feasible horizon up to 16367\n")

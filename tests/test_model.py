@@ -18,7 +18,7 @@ from protoforge.model import (
     SpecParseError,
     SpecValidationError,
     TAXONOMY,
-    Topology,
+    hears,
     parse_spec,
     read_int,
     requirement_families,
@@ -46,7 +46,7 @@ def test_parse_line3():
         packets=1,
         horizon=2,
         source=0,
-        topology=topology_line(3),
+        audience=topology_line(3),
         liveness=LivenessMode.OFF,
         goal=GoalKind.ALL_KNOW_ALL,
     )
@@ -57,7 +57,7 @@ def test_parse_empty_problem():
     spec = parse_spec(text)
     assert (spec.processes, spec.packets, spec.horizon) == (1, 0, 0)
     assert spec.goal is GoalKind.NONE
-    assert spec.topology.hears == []
+    assert hears(spec.audience) == []
 
 
 def test_parse_source_out_of_range():
@@ -103,7 +103,7 @@ def test_parse_explicit_hears():
         "topology=explicit\nhears 1 0\nhears 2 0\nliveness=off\ngoal=none"
     )
     spec = parse_spec(text)
-    assert spec.topology.hears == [(1, 0), (2, 0)]
+    assert hears(spec.audience) == [(1, 0), (2, 0)]
 
 
 def test_parse_hears_requires_explicit_topology():
@@ -182,7 +182,7 @@ def test_a_hears_line_reads_as_its_tokens_do(lines, outcome):
     assert _by_tokens(lines) == outcome
     text = EXPLICIT3_TEXT + lines + "\n"
     if isinstance(outcome, list):
-        assert parse_spec(text).topology.hears == outcome
+        assert hears(parse_spec(text).audience) == outcome
     else:
         line_no, message = outcome
         with pytest.raises(SpecParseError, match=f"^line {line_no}: {re.escape(message)}$") as err:
@@ -271,23 +271,40 @@ def test_a_size_product_past_4300_digits_is_named_without_printing_it():
 
 
 def test_topology_all_pairs():
-    assert len(topology_all(3).hears) == 6
-    assert topology_all(1).hears == []
-    assert topology_all(2).hears == [(0, 1), (1, 0)]
-    assert topology_all(3).audience == (0b110, 0b101, 0b011)
+    assert len(hears(topology_all(3))) == 6
+    assert hears(topology_all(1)) == []
+    assert hears(topology_all(2)) == [(0, 1), (1, 0)]
+    assert topology_all(3) == (0b110, 0b101, 0b011)
 
 
 def test_topology_line_pairs():
-    assert topology_line(3).hears == [(1, 0), (2, 1)]
-    assert topology_line(1).hears == []
-    assert topology_line(4).hears == [(1, 0), (2, 1), (3, 2)]
-    assert topology_line(4).audience == (0b0010, 0b0100, 0b1000)
+    assert hears(topology_line(3)) == [(1, 0), (2, 1)]
+    assert hears(topology_line(1)) == []
+    assert hears(topology_line(4)) == [(1, 0), (2, 1), (3, 2)]
+    assert topology_line(4) == (0b0010, 0b0100, 0b1000, 0)
+
+
+@pytest.mark.parametrize("processes", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["all", "line", "explicit", "explicit, last speak to nobody"])
+def test_a_spec_holds_one_mask_per_process(processes, kind):
+    pairs = {
+        "all": [(l, s) for l in range(processes) for s in range(processes) if l != s],
+        "line": [(s + 1, s) for s in range(processes - 1)],
+        "explicit": [(0, s) for s in range(1, processes)],
+        "explicit, last speak to nobody": [(s, 0) for s in range(1, processes)],
+    }[kind]
+    spec = make_spec(processes=processes, topology=kind if kind in ("all", "line") else pairs)
+    assert len(spec.audience) == processes
+    assert hears(spec.audience) == sorted(pairs)
 
 
 def test_equal_relations_compare_equal():
-    # trailing speakers nobody hears are dropped, however the masks came
-    assert Topology((0b10, 0, 0)) == topology_explicit(5, {(1, 0)}) == Topology((0b10,))
-    assert Topology((0, 0)) == topology_explicit(3, ()) == topology_all(1) == topology_line(1)
+    # a spec pads the masks it is given to P, however they came
+    short, padded = (NetworkSpec(3, 1, 2, 0, masks) for masks in ((0b10,), (0b10, 0, 0)))
+    assert short == padded and hash(short) == hash(padded)
+    assert spec_as_dict(short) == spec_as_dict(padded)
+    assert short.audience == padded.audience == topology_explicit(3, {(1, 0)})
+    assert topology_explicit(3, ()) == (0, 0, 0)
     assert topology_explicit(3, {(1, 0), (2, 1)}) == topology_line(3)
 
 
@@ -321,7 +338,7 @@ def test_stray_mask_bits_are_reported_as_pairs():
     # masks built by hand: listener 0 of speaker 0, listener 3 of speaker 1
     # and a speaker 3 past P = 3, after the fields' own errors
     with pytest.raises(SpecValidationError) as err:
-        make_spec(processes=3, source=7, topology=Topology((0b011, 0b1001, 0, 0b10)))
+        NetworkSpec(3, 1, 2, 7, (0b011, 0b1001, 0, 0b10))
     assert err.value.errors == (
         "source out of range: 7",
         "reflexive hears pair (0, 0)",
@@ -331,7 +348,7 @@ def test_stray_mask_bits_are_reported_as_pairs():
     # a negative mask sets every bit past some point, so no spec takes one
     for mask in (-1, -2, -2**40):
         with pytest.raises(SpecValidationError):
-            make_spec(processes=3, topology=Topology((0, mask)))
+            NetworkSpec(3, 1, 2, 0, (0, mask))
 
 
 ALL_1024 = (
@@ -346,8 +363,8 @@ def test_a_1024_process_all_relation_costs_masks_not_pairs(capsys, tmp_path):
     tracemalloc.start()
     try:
         spec = parse_spec(ALL_1024)
-        assert spec.replace(horizon=3).topology is spec.topology
-        assert len(audiences(spec)) == 1024
+        assert spec.replace(horizon=3).audience is spec.audience
+        assert len(spec.audience) == 1024
         assert spec_as_dict(spec)["topology"] == "all"
         counts = describe(encode(spec)).counts
         peak = tracemalloc.get_traced_memory()[1]
@@ -490,7 +507,7 @@ def specs(draw):
         packets=packets,
         horizon=horizon,
         source=source,
-        topology=topo,
+        audience=topo,
         liveness=draw(st.sampled_from(LivenessMode)),
         goal=draw(st.sampled_from(GoalKind)),
     )
@@ -508,10 +525,10 @@ def test_dict_round_trip(spec):
 
 @given(specs())
 def test_topology_name_matches_the_named_relations(spec):
-    hears, P = spec.topology.hears, spec.processes
+    pairs, P = hears(spec.audience), spec.processes
     expected = (
-        "all" if hears == topology_all(P).hears
-        else "line" if hears == topology_line(P).hears
+        "all" if pairs == hears(topology_all(P))
+        else "line" if pairs == hears(topology_line(P))
         else "explicit"
     )
     assert spec_as_dict(spec)["topology"] == expected
@@ -519,7 +536,7 @@ def test_topology_name_matches_the_named_relations(spec):
 
 @given(st.integers(1, 8))
 def test_line_subset_of_all(p):
-    assert set(topology_line(p).hears) <= set(topology_all(p).hears)
+    assert set(hears(topology_line(p))) <= set(hears(topology_all(p)))
 
 
 @given(specs())
@@ -538,7 +555,7 @@ def test_parse_is_linear_in_hears_lines():
     start = time.perf_counter()
     spec = parse_spec(text)
     assert time.perf_counter() - start < 5.0
-    assert spec.topology.hears == pairs
+    assert hears(spec.audience) == pairs
 
 
 # The malformed corpus: explicit specs over every (processes, horizon,
@@ -609,20 +626,20 @@ PAIR_ERRORS = {  # (processes, index into MALFORMED_HEARS)
 }
 
 
-@pytest.mark.parametrize("hears", range(len(MALFORMED_HEARS)), ids=lambda h: f"hears{h}")
+@pytest.mark.parametrize("relation", range(len(MALFORMED_HEARS)), ids=lambda h: f"hears{h}")
 @pytest.mark.parametrize("fields", sorted(FIELD_ERRORS), ids=lambda f: "P={},T={},source={}".format(*f))
-def test_malformed_spec_errors_list_the_fields_then_the_pairs(fields, hears):
+def test_malformed_spec_errors_list_the_fields_then_the_pairs(fields, relation):
     processes, horizon, source = fields
     obj = {"processes": processes, "packets": 1, "horizon": horizon, "source": source,
            "topology": "explicit", "liveness": "off", "goal": "all-know-all"}
-    pairs = MALFORMED_HEARS[hears]
+    pairs = MALFORMED_HEARS[relation]
     text = "".join(f"{key} = {value}\n" for key, value in obj.items())
     text += "".join(f"hears {l} {s}\n" for l, s in pairs)
-    expected = FIELD_ERRORS[fields] + PAIR_ERRORS[processes, hears]
+    expected = FIELD_ERRORS[fields] + PAIR_ERRORS[processes, relation]
     for read, source_form in ((parse_spec, text),
                               (spec_from_dict, {**obj, "hears": [list(pair) for pair in pairs]})):
         if not expected:
-            assert read(source_form).topology.hears == sorted(pairs)
+            assert hears(read(source_form).audience) == sorted(pairs)
             continue
         with pytest.raises(SpecValidationError) as err:
             read(source_form)
@@ -685,5 +702,5 @@ def test_the_masks_agree_with_a_pair_reference(relation, horizon, dropped):
     heard = pairs if dropped is not RequirementLabel.TOPO_HEARS_RELATION else everyone
     assert audiences(spec, enabled) == _reference_audiences(heard, processes)
     assert spec_as_dict(spec)["topology"] == _reference_name(pairs, processes)
-    assert spec.topology.hears == sorted(pairs)
+    assert hears(spec.audience) == sorted(pairs)
     assert describe(encode(spec)).counts[RequirementLabel.TOPO_HEARS_RELATION] == horizon * len(pairs)

@@ -78,11 +78,14 @@ def _tree(path: Path) -> ast.Module:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_only_the_relation_owners_read_hears(path):
     # the pair view exists for the file and JSON forms; everything else
-    # reads who hears whom as listener masks
-    reads = any(
-        isinstance(node, ast.Attribute) and node.attr == "hears" for node in ast.walk(_tree(path))
+    # reads who hears whom as the spec's listener masks, spec.audience
+    nodes = list(ast.walk(_tree(path)))
+    calls = any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "hears"
+        for node in nodes
     )
-    assert not reads or path.name == "model.py"
+    assert not calls or path.name == "model.py"
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "topology" for node in nodes)
 
 
 # Definitions that nothing in the package or the bench harness reads by name,

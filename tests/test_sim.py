@@ -22,7 +22,6 @@ from protoforge.sim import (
 from protoforge.solver import solve
 from protoforge.trace import (
     ProtocolTrace,
-    audiences,
     initial_knowledge,
 )
 from conftest import make_spec
@@ -238,7 +237,7 @@ def _stepped_baseline(spec, power, max_slots=None):
     if max_slots is None:
         max_slots = default_max_slots(spec)
     P, M = spec.processes, spec.packets
-    audience = audiences(spec)
+    audience = spec.audience
     know = list(initial_knowledge(spec))
     held = [sum(holders >> p & 1 for holders in know) for p in range(P)]
     joins = [None] * P
@@ -432,7 +431,7 @@ def _joins_and_jams(spec, joins):
     """The slots at which processes join the full set, and whether a listener
     outside it ever hears two of its members, in a baseline run."""
     P = spec.processes
-    audience = audiences(spec)
+    audience = spec.audience
     jams = False
     for t in set(joins) - {None}:
         full = [p for p, joined in enumerate(joins) if joined is not None and joined <= t]

@@ -18,13 +18,13 @@ from protoforge.cli import _write
 from protoforge.encoder import encode
 from protoforge import smt
 from protoforge.model import (
-    MAX_TERMS,
     STRUCTURAL_LABELS,
     GoalKind,
     LivenessMode,
     NetworkSpec,
     RequirementLabel,
     SpecValidationError,
+    hears,
     requirement_families,
     topology_all,
     topology_explicit,
@@ -33,6 +33,7 @@ from protoforge.model import (
 from protoforge.smt import (
     DECLARATIONS,
     HEADER,
+    MAX_TERMS,
     ExternalSolverError,
     SmtDocument,
     SmtResponseError,
@@ -128,20 +129,22 @@ def test_a_horizon_of_zero_joins_no_per_slot_family():
         "1ca88cd5b5a627d1c037f1962a645d97ea1c0eac2738293d647fc5fc0a2a9c88")
 
 
-def _per_slot_terms(doc):
-    """The per-slot terms model.MAX_TERMS counts, read off the document:
-    R1's (without R1.any), R2's and R5-R7's assertions, and the speaker
-    terms of senders and heard."""
+def _terms(doc, spec):
+    """The terms smt.MAX_TERMS counts, read off the document: R1's (without
+    R1.any), R2's, R4's, R5-R7's and GOAL's assertions, the speaker terms of
+    senders and heard, and the knows atoms of the get-value line at t = T."""
     text = doc.text
     named = sum(text.count(f"|{label.value}@") for label in (
-        L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R5_TRANSMIT_ONLY_KNOWN,
-        L.R6_NEVER_FORGETS, L.R7_COLLISION_FREE_LEARNING))
-    return named + text.count("(ite (>= (transmit ") + text.count("(ite (> (transmit ")
+        L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R4_INITIAL_KNOWLEDGE,
+        L.R5_TRANSMIT_ONLY_KNOWN, L.R6_NEVER_FORGETS, L.R7_COLLISION_FREE_LEARNING,
+        L.GOAL_DEADLINE))
+    last = "\n".join(doc.footer).count(f"(knows {spec.horizon} ")
+    return named + text.count("(ite (>= (transmit ") + text.count("(ite (> (transmit ") + last
 
 
-def test_the_size_cap_counts_the_per_slot_terms(monkeypatch):
+def test_the_size_cap_counts_the_terms(monkeypatch):
     # the closed form emit_smtlib checks is the count of the document's
-    # per-slot terms, and a document of exactly MAX_TERMS of them is emitted
+    # terms, and a document of exactly MAX_TERMS of them is emitted
     specs = [spec for spec, _ in GOLDEN.values()] + [
         make_spec(processes=5, packets=2, horizon=3, source=2,
                   topology={(0, 2), (1, 2), (3, 2), (4, 3), (2, 4)}),
@@ -149,13 +152,29 @@ def test_the_size_cap_counts_the_per_slot_terms(monkeypatch):
     ]
     for spec in specs:
         monkeypatch.setattr(smt, "MAX_TERMS", MAX_TERMS)
-        terms = _per_slot_terms(emit_smtlib(spec))
+        terms = _terms(emit_smtlib(spec), spec)
         monkeypatch.setattr(smt, "MAX_TERMS", terms)
         emit_smtlib(spec)
         if terms:
             monkeypatch.setattr(smt, "MAX_TERMS", terms - 1)
-            with pytest.raises(SpecValidationError, match=f"would hold {terms} per-slot terms"):
+            with pytest.raises(SpecValidationError, match=f"would hold {terms} terms"):
                 emit_smtlib(spec)
+
+
+def test_a_horizon_of_zero_builds_no_speaker_lists():
+    # at T = 0 senders and heard are read by no slot, so the O(P^2) heard
+    # text and the speaker lists are not built: `all` writes what `line` does
+    docs, peaks = [], []
+    for topology in ("all", "line"):
+        spec = make_spec(processes=1024, packets=1, horizon=0, topology=topology)
+        tracemalloc.start()
+        try:
+            docs.append(b"".join(emit_smtlib(spec).pieces()))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert docs[0] == docs[1]
+    assert max(peaks) < 10_000_000
 
 
 def _r7_bytes(doc):
@@ -270,7 +289,7 @@ def _reference_emit(spec):
     for t, p, k in facts:
         add(f"(=> {knows(t, p, k)} {knows(t + 1, p, k)})", L.R6_NEVER_FORGETS, t=t, p=p, k=k)
     speakers = [[] for _ in range(P)]
-    for listener, speaker in sorted(spec.topology.hears):
+    for listener, speaker in hears(spec.audience):
         speakers[listener].append(speaker)
     listeners = [p for p in range(P) if speakers[p]] if M else []
     for t in range(T if listeners else 0):

@@ -150,7 +150,7 @@ def test_min_horizon_agrees_with_a_loop_from_horizon_zero():
         seen.add((spec.liveness, found and str(found[0])))
         if spec.liveness is LivenessMode.OFF and found and found[0] != "budget exhausted":
             # with liveness off the goal bound is exact: the first horizon tried is sat
-            assert found[0] == (M and M * cover_function(P, audiences(spec), True)(1 << spec.source))
+            assert found[0] == (M and M * cover_function(P, spec.audience, True)(1 << spec.source))
     # sat and none with liveness on and off, and some budget stop
     assert {(live, outcome) for live in LivenessMode for outcome in ("3", None)} <= seen
     assert any(outcome == "budget exhausted" for _, outcome in seen)
@@ -511,7 +511,7 @@ def test_cover_equals_the_oracle_on_seeded_relations():
     rng = random.Random(41)
     compared = set()
     for P, relation in _seeded_relations(41):
-        audience = audiences(make_spec(processes=P, topology=relation))
+        audience = make_spec(processes=P, topology=relation).audience
         masks = range(1 << P) if P <= 6 else rng.sample(range(1 << P), 60)
         for check_r5 in (True, False):
             cover = cover_function(P, audience, check_r5)
@@ -531,7 +531,7 @@ def test_with_liveness_off_the_least_horizon_is_m_covers_of_the_source():
     for P, relation in _seeded_relations(42):
         M, source = rng.randint(0, 2), rng.randrange(P)
         spec = make_spec(processes=P, packets=M, horizon=0, source=source, topology=relation)
-        c = fewest_sends(P, audiences(spec), True, 1 << source)
+        c = fewest_sends(P, spec.audience, True, 1 << source)
         if M and c == math.inf:
             assert min_horizon(spec, P * M, config) is None, spec
             horizons.add(None)
@@ -552,7 +552,7 @@ def test_past_the_exact_limit_cover_is_relaxed():
     # once takes P - 3 rounds, as 1 and 2 send together
     P = solver.EXACT_COVER_PROCESSES + 1
     fork = {(1, 0), (2, 0), (3, 1), (4, 2)} | {(p, p - 1) for p in range(5, P)}
-    assert cover_function(P, audiences(make_spec(processes=P, topology=fork)), True)(1) == P - 3
+    assert cover_function(P, make_spec(processes=P, topology=fork).audience, True)(1) == P - 3
     # and the search still decides a star whose leaf 1 is the source
     star = {pair for leaf in range(1, P) for pair in ((0, leaf), (leaf, 0))}
     result = solve(encode(make_spec(processes=P, packets=2, horizon=4, source=1, topology=star)))

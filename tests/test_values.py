@@ -29,7 +29,7 @@ FIELDS = {
     "Action": ("kind", "content"),
     "ConstraintSystem": ("spec", "enabled"),
     "ExternalResult": ("status", "output"),
-    "NetworkSpec": ("processes", "packets", "horizon", "source", "topology", "liveness", "goal"),
+    "NetworkSpec": ("processes", "packets", "horizon", "source", "audience", "liveness", "goal"),
     "PowerModel": ("active_cost",),
     "ProtocolTrace": ("spec", "actions", "knowledge"),
     "SearchConfig": ("node_limit",),
@@ -39,7 +39,6 @@ FIELDS = {
     "SolveResult": ("status", "trace", "stats"),
     "SolveStats": ("nodes", "r5", "liveness", "goal", "intra_slot"),
     "SystemDescription": ("counts",),
-    "Topology": ("audience",),
     "Violation": ("label", "time", "process", "detail"),
 }
 DEFAULTS = {
@@ -73,7 +72,6 @@ def _values() -> dict[str, object]:
         "SolveResult": result,
         "SolveStats": result.stats,
         "SystemDescription": describe(cs),
-        "Topology": spec.topology,
         "Violation": Violation(RequirementLabel.R7_COLLISION_FREE_LEARNING, 1, 2, "heard nothing"),
     }
 
