@@ -9,9 +9,9 @@ structural (model.STRUCTURAL_LABELS), and dropping one changes no
 search. A constraint system is
 the problem plus the set of enabled families, at first the ones
 model.requirement_families says the problem states, and the search reads
-only that set. describe() counts each family's ground atoms in closed
-form; the one grounding that spells them out is the SMT-LIB document
-(smt.emit_smtlib), with one named assertion per family instance.
+only that set. The one grounding that spells the families out is the
+SMT-LIB document (smt.emit_smtlib), with one named assertion per family
+instance; smt.family_terms counts its terms per family.
 
 Knowledge is a derived quantity (the learning rule is a function of the
 actions), never a decision variable.
@@ -20,6 +20,7 @@ actions), never a decision variable.
 from __future__ import annotations
 
 from .model import NetworkSpec, Record, RequirementLabel, requirement_families
+from .smt import family_terms
 
 
 class ConstraintSystem(Record):
@@ -43,24 +44,6 @@ class SystemDescription(Record):
 
 
 def describe(cs: ConstraintSystem) -> SystemDescription:
-    """Per-label ground atom counts, in closed form: one R1 and one R2 atom
-    per cell, R3 one per (process, action kind) in liveness mode, R4 one
-    per (process, packet), R5-R7 one per (slot, process, packet), GOAL one
-    per (process, packet) when delivery is asked, and TOPO one per (slot,
-    audible pair)."""
-    spec = cs.spec
-    P, M, T = spec.processes, spec.packets, spec.horizon
-    L = RequirementLabel
-    families = requirement_families(spec)
-    counts = {
-        L.R1_EXACTLY_ONE_ACTION: T * P,
-        L.R2_CONTENT_DOMAIN: T * P,
-        L.R3_LIVENESS: 3 * P if L.R3_LIVENESS in families else 0,
-        L.R4_INITIAL_KNOWLEDGE: P * M,
-        L.R5_TRANSMIT_ONLY_KNOWN: T * P * M,
-        L.R6_NEVER_FORGETS: T * P * M,
-        L.R7_COLLISION_FREE_LEARNING: T * P * M,
-        L.GOAL_DEADLINE: P * M if L.GOAL_DEADLINE in families else 0,
-        L.TOPO_HEARS_RELATION: T * sum(mask.bit_count() for mask in spec.audience),
-    }
-    return SystemDescription(counts)
+    """smt.family_terms of cs's problem. Kept only for bench/tracing.py's
+    encoder.atoms metric."""
+    return SystemDescription(family_terms(cs.spec))

@@ -40,15 +40,17 @@ R3 (after its comment line), R4 and GOAL, which are not per-slot, are one
 block each. The senders and heard definitions are stamped per slot only,
 each speaker's term in heard built once for all its listeners. The
 document keeps these bytes blocks as they are (see SmtDocument): emit-smt
-gathers them into its file without joining them, run_external joins them
-once into a solver's stdin, and the text is decoded only when something
-reads it.
+gathers them into its file without joining them, and run_external joins
+them once into a solver's stdin.
+
+family_terms counts, in closed form, the terms each family's assertions
+hold, and emit_smtlib checks that count against MAX_TERMS before it builds
+any block.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterable, TextIO
 
@@ -76,18 +78,13 @@ class SolverTimeout(ExternalSolverError):
     pass
 
 
-# At most this many terms in an SMT-LIB document, which emit_smtlib counts
-# in closed form before it builds any block: one per cell for R1 and for R2,
-# one per slot, process and packet for each of R5, R6 and R7, where some
-# listener reads them one per slot and process in senders and one per slot
-# and audible pair in heard, and one per process and packet for each of R4,
-# GOAL (when the problem has it) and the knows get-value line at t = T.
-# model.MAX_FACTS bounds none of these: heard alone holds T * P * (P - 1)
-# terms on `all`, 51 MB of text a slot at 1024 processes, and at T = 0 the
-# last three hold 3 * P * M terms. A term takes 50 (heard) to about 160
-# bytes (R5-R7, with their get-value lines), so the text stays under about
-# 700 MB; 1024 processes on `all` with one packet get horizons up to 3
-# (154 MB).
+# At most this many terms in an SMT-LIB document: the families' terms
+# (family_terms) and the knows values of the get-value line at t = T.
+# model.MAX_FACTS does not bound them: heard alone holds T * P * (P - 1)
+# terms on `all`, 51 MB of text a slot at 1024 processes. A term takes 12
+# (an R3 atom) to about 160 bytes (R5-R7, with their get-value lines), so
+# the text stays under about 700 MB; 1024 processes on `all` with one
+# packet get horizons up to 3 (154 MB).
 MAX_TERMS = 2 ** 22
 
 # Longest solver timeout accepted, in seconds: it stays well under the
@@ -126,11 +123,12 @@ class SmtDocument(Record):
     constant sections, these blocks and the newlines between them, which
     emit-smt writes to its file unjoined and run_external joins once for a
     solver's stdin; write decodes them one at a time onto a text stream.
-    text, the whole document as one string, is decoded only when read, and
-    so are assertions and footer, the one-line-per-entry views of the fields.
+    text, the whole document as one string, and assertions, one string per
+    assertion line, join and decode the blocks at each read; the package
+    reads neither, bench/tracing.py times and counts them.
     """
 
-    # No __slots__: the cached properties live in the instance's __dict__.
+    __slots__ = ("assertion_blocks", "footer_blocks")
     # Documents compare by identity, as comparing their blocks could read MBs.
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -155,21 +153,14 @@ class SmtDocument(Record):
         """Writes text to the text stream fh piece by piece, without building it."""
         fh.writelines(piece.decode("ascii") for piece in self.pieces())
 
-    @cached_property
+    @property
     def text(self) -> str:
         return b"".join(self.pieces()).decode("ascii")
 
-    @cached_property
+    @property
     def assertions(self) -> tuple[str, ...]:
-        return _lines(self.assertion_blocks)
-
-    @cached_property
-    def footer(self) -> tuple[str, ...]:
-        return _lines(self.footer_blocks)
-
-
-def _lines(blocks: tuple[bytes, ...]) -> tuple[str, ...]:
-    return tuple(chain.from_iterable(block.decode("ascii").split("\n") for block in blocks))
+        return tuple(chain.from_iterable(
+            block.decode("ascii").split("\n") for block in self.assertion_blocks))
 
 
 def _any(terms: list[str]) -> str:
@@ -224,6 +215,32 @@ def _each(
     return _stamp(list(filter(None, map(str.join, map(str, range(P)), pieces))), slots)
 
 
+def family_terms(spec: NetworkSpec) -> dict[RequirementLabel, int]:
+    """The terms each family's assertions hold in emit_smtlib's document, in
+    closed form and TAXONOMY order. R1 and R2 hold one per cell, R3 (with
+    liveness) one per cell and action kind, R4 and GOAL (when asked) one per
+    process and packet, and R5-R7 one per cell and packet. Where the problem
+    has packets and some listener, R7 also holds the senders definitions'
+    terms, one per cell, and TOPO the heard definitions' speaker terms, one
+    per slot and audible pair."""
+    P, M, T = spec.processes, spec.packets, spec.horizon
+    L = RequirementLabel
+    families = requirement_families(spec)
+    pairs = sum(map(int.bit_count, spec.audience)) if M else 0
+    cells = T * P
+    return {
+        L.R1_EXACTLY_ONE_ACTION: cells,
+        L.R2_CONTENT_DOMAIN: cells,
+        L.R3_LIVENESS: 3 * cells if L.R3_LIVENESS in families else 0,
+        L.R4_INITIAL_KNOWLEDGE: P * M,
+        L.R5_TRANSMIT_ONLY_KNOWN: cells * M,
+        L.R6_NEVER_FORGETS: cells * M,
+        L.R7_COLLISION_FREE_LEARNING: cells * M + (cells if pairs else 0),
+        L.GOAL_DEADLINE: P * M if L.GOAL_DEADLINE in families else 0,
+        L.TOPO_HEARS_RELATION: T * pairs,
+    }
+
+
 def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
@@ -243,9 +260,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # With no slots neither is defined, and no speaker list is built.
     audience = spec.audience
     # the terms MAX_TERMS bounds, counted before any is built
-    pairs = sum(map(int.bit_count, audience)) if M else 0
-    terms = T * (P * (2 + 3 * M) + (P + pairs if pairs else 0))
-    terms += P * M * (2 + (L.GOAL_DEADLINE in families))
+    terms = sum(family_terms(spec).values()) + P * M
     if terms > MAX_TERMS:
         raise SpecValidationError(
             [f"the SMT-LIB document would hold {terms} terms, must be <= {MAX_TERMS}"])

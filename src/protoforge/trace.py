@@ -96,6 +96,7 @@ from .model import (
     set_bits,
     spec_as_dict,
     spec_from_dict,
+    topology_all,
 )
 
 KnowledgeRow = tuple[int, ...]  # one holder bitmask per packet
@@ -123,9 +124,8 @@ def initial_knowledge(spec: NetworkSpec) -> KnowledgeRow:
 def audiences(spec: NetworkSpec, enabled: Iterable[RequirementLabel]) -> tuple[int, ...]:
     """One listener bitmask per speaker under the learning rule: spec.audience,
     or everyone else when TOPO is dropped."""
-    P = spec.processes
     if RequirementLabel.TOPO_HEARS_RELATION not in enabled:
-        return tuple(((1 << P) - 1) ^ (1 << s) for s in range(P))
+        return topology_all(spec.processes)
     return spec.audience
 
 

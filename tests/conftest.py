@@ -12,6 +12,7 @@ from protoforge.model import (
     topology_explicit,
     topology_line,
 )
+from protoforge.smt import SmtDocument
 
 
 def make_spec(
@@ -40,6 +41,22 @@ def make_spec(
         liveness=liveness,
         goal=goal,
     )
+
+
+def record_view_reads(monkeypatch) -> list[str]:
+    """Makes every read of an SmtDocument's text or assertions view append
+    the view's name to the list returned, so a test can assert that a path
+    that writes the blocks never joins or decodes them."""
+    reads: list[str] = []
+    for name in ("text", "assertions"):
+        view = getattr(SmtDocument, name)
+
+        def recorded(doc, name=name, view=view):
+            reads.append(name)
+            return view.fget(doc)
+
+        monkeypatch.setattr(SmtDocument, name, property(recorded))
+    return reads
 
 
 # Two specs a goal bound that counts rounds of simultaneous senders handles

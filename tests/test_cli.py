@@ -20,7 +20,7 @@ from protoforge.sim import PowerModel
 from protoforge.smt import emit_smtlib
 from protoforge.solver import min_horizon, solve
 from protoforge.trace import read_trace, validate, write_trace
-from conftest import R5_DROPPED, make_spec
+from conftest import R5_DROPPED, make_spec, record_view_reads
 from test_sim import _baseline_against_the_fold
 
 LINE3 = """\
@@ -492,11 +492,12 @@ def test_emit_smt_writes_the_blocks_without_joining_the_text(capsys, line3, tmp_
         return real_writev(fd, buffers)
 
     monkeypatch.setattr(os, "writev", recording)
+    reads = record_view_reads(monkeypatch)
     path = tmp_path / "doc.smt2"
     code, out, _ = run_cli(capsys, "emit-smt", line3, *(["--out", str(path)] if to_file else []))
     [doc] = emitted
     assert code == 0
-    assert "text" not in doc.__dict__ and "assertions" not in doc.__dict__
+    assert reads == []
     assert (path.read_text(encoding="utf-8") if to_file else out) == doc.text
     # --out gathers the pieces unjoined, at most SC_IOV_MAX per call
     pieces = len(doc.pieces()) if to_file else 0

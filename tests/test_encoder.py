@@ -69,18 +69,18 @@ def test_counts_partition_constraints():
         )
     )
     assert list(describe(cs).counts) == list(TAXONOMY)
-    assert _counts(cs.spec) == [6, 6, 9, 6, 12, 12, 12, 6, 4]
+    assert _counts(cs.spec) == [6, 6, 18, 6, 12, 12, 18, 6, 4]
 
 
 def test_closed_form_counts_are_pinned():
-    # literals counted atom by atom, not from the closed forms
+    # literals counted term by term in the emitted text, not from the closed form
     explicit = {(1, 0), (2, 0), (0, 2)}
     assert _counts(
         make_spec(processes=4, packets=1, horizon=3, topology="all", goal=GoalKind.NONE)
-    ) == [12, 12, 0, 4, 12, 12, 12, 0, 36]
+    ) == [12, 12, 0, 4, 12, 12, 24, 0, 36]
     assert _counts(
         make_spec(processes=3, packets=2, horizon=3, topology=explicit)
-    ) == [9, 9, 0, 6, 18, 18, 18, 6, 9]
+    ) == [9, 9, 0, 6, 18, 18, 27, 6, 9]
     assert _counts(
         make_spec(processes=3, packets=0, horizon=2, topology=set())
     ) == [6, 6, 0, 0, 0, 0, 0, 0, 0]

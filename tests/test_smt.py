@@ -11,7 +11,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from protoforge.actions import LISTEN, SLEEP, ActionKind, action_domain, transmit
 from protoforge.cli import _write
@@ -39,6 +39,7 @@ from protoforge.smt import (
     SmtResponseError,
     SolverTimeout,
     emit_smtlib,
+    family_terms,
     label_of_assertion_name,
     parse_sexprs,
     parse_value_response,
@@ -47,10 +48,15 @@ from protoforge.smt import (
 )
 from protoforge.solver import SearchConfig, SolveStatus, solve, unsat_core_minimize
 from protoforge.trace import ProtocolTrace, knowledge_table, validate
-from conftest import make_spec
+from conftest import make_spec, record_view_reads
 from oracle import enumerate_all
 
 L = RequirementLabel
+
+
+def _footer(doc):
+    """The footer's lines, decoded from its blocks."""
+    return tuple(b"\n".join(doc.footer_blocks).decode("ascii").split("\n"))
 
 
 def test_one_exclusion_and_one_any_assertion_per_cell():
@@ -69,9 +75,10 @@ def test_document_structure_and_options():
     assert header[2] == "(set-logic QF_UFLIA)"
     assert "(declare-fun transmit (Int Int) Int)" in declarations
     assert "(declare-fun knows (Int Int Int) Bool)" in declarations
-    assert doc.footer[0] == "(check-sat)"
-    assert doc.footer[-2] == "(get-unsat-core)"
-    assert doc.footer[-1] == "(exit)"
+    footer = _footer(doc)
+    assert footer[0] == "(check-sat)"
+    assert footer[-2] == "(get-unsat-core)"
+    assert footer[-1] == "(exit)"
 
 
 def test_content_bounds_follow_packet_count():
@@ -107,39 +114,42 @@ def test_emit_is_deterministic():
     assert emit_smtlib(spec).text == emit_smtlib(spec).text
 
 
-def test_text_is_rendered_once():
-    spec = make_spec(processes=3, packets=2, horizon=2, topology="line")
-    doc, twin = emit_smtlib(spec), emit_smtlib(spec)
-    assert doc.text is doc.text
-    assert doc.text == twin.text
-
-
 def test_a_horizon_of_zero_joins_no_per_slot_family():
     # with no slots R5, R6 and R7 render nothing, so their lines are never
-    # built or joined: stamping them for no slot peaked at 468 MB
-    spec = make_spec(processes=1, packets=200_000, horizon=0, topology="all")
+    # built or joined: stamping them for no slot peaks at about twice what
+    # emitting the rest does (33 MB against 16 MB here)
+    spec = make_spec(processes=1, packets=20_000, horizon=0, topology="all")
     tracemalloc.start()
     try:
         doc = emit_smtlib(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 250_000_000
+    assert peak < 25_000_000
     assert hashlib.sha256(b"".join(doc.pieces())).hexdigest() == (
-        "1ca88cd5b5a627d1c037f1962a645d97ea1c0eac2738293d647fc5fc0a2a9c88")
+        "34d70a473c6439b3fdd1935257929fbda761da111b742378c1169b07fb5cfa3f")
+
+
+def _text_terms(doc):
+    """Each family's terms, read off the document's text: the named
+    assertions of R1 (without R1.any), R2, R4-R7 and GOAL, the atoms inside
+    R3's assertions, and the speaker terms of the senders definitions for
+    R7 and of the heard definitions for TOPO."""
+    text = doc.text
+    counts = {label: text.count(f"|{label.value}@") for label in L}
+    counts[L.R3_LIVENESS] = sum(
+        line.count("(sleep ") + line.count("(listen ") + line.count("(transmit ")
+        for line in doc.assertions if f"|{L.R3_LIVENESS.value}." in line)
+    counts[L.R7_COLLISION_FREE_LEARNING] += text.count("(ite (>= (transmit ")
+    counts[L.TOPO_HEARS_RELATION] = text.count("(ite (> (transmit ")
+    return counts
 
 
 def _terms(doc, spec):
-    """The terms smt.MAX_TERMS counts, read off the document: R1's (without
-    R1.any), R2's, R4's, R5-R7's and GOAL's assertions, the speaker terms of
-    senders and heard, and the knows atoms of the get-value line at t = T."""
-    text = doc.text
-    named = sum(text.count(f"|{label.value}@") for label in (
-        L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R4_INITIAL_KNOWLEDGE,
-        L.R5_TRANSMIT_ONLY_KNOWN, L.R6_NEVER_FORGETS, L.R7_COLLISION_FREE_LEARNING,
-        L.GOAL_DEADLINE))
-    last = "\n".join(doc.footer).count(f"(knows {spec.horizon} ")
-    return named + text.count("(ite (>= (transmit ") + text.count("(ite (> (transmit ") + last
+    """The terms smt.MAX_TERMS counts, read off the document: every
+    family's, and the knows atoms of the get-value line at t = T."""
+    last = "\n".join(_footer(doc)).count(f"(knows {spec.horizon} ")
+    return sum(_text_terms(doc).values()) + last
 
 
 def test_the_size_cap_counts_the_terms(monkeypatch):
@@ -159,6 +169,16 @@ def test_the_size_cap_counts_the_terms(monkeypatch):
             monkeypatch.setattr(smt, "MAX_TERMS", terms - 1)
             with pytest.raises(SpecValidationError, match=f"would hold {terms} terms"):
                 emit_smtlib(spec)
+
+
+def test_the_size_cap_counts_the_liveness_terms(monkeypatch):
+    # R3 holds one atom per cell and action kind: 6 R1 + 6 R2 + 18 R3 terms
+    spec = make_spec(processes=2, packets=0, horizon=3, topology="all", liveness=EACH)
+    monkeypatch.setattr(smt, "MAX_TERMS", 29)
+    with pytest.raises(SpecValidationError, match="would hold 30 terms"):
+        emit_smtlib(spec)
+    monkeypatch.setattr(smt, "MAX_TERMS", 30)
+    assert _terms(emit_smtlib(spec), spec) == 30
 
 
 def test_a_horizon_of_zero_builds_no_speaker_lists():
@@ -327,7 +347,7 @@ def _assert_one_line_per_entry_and_no_placeholders(doc):
     # Slot placeholders are control characters; none may survive stamping,
     # and an entry holding a newline would throw off the assertion count.
     assert not {ch for ch in doc.text if ch < " "} - {"\n"}
-    assert not any("\n" in entry for entry in doc.assertions + doc.footer)
+    assert not any("\n" in entry for entry in doc.assertions + _footer(doc))
 
 
 @st.composite
@@ -361,6 +381,16 @@ def test_no_placeholder_leaks_and_every_entry_is_one_line(spec):
     _assert_one_line_per_entry_and_no_placeholders(emit_smtlib(spec))
 
 
+@settings(deadline=None)
+@given(smt_specs())
+@example(make_spec(processes=3, packets=2, horizon=0, topology="all", liveness=EACH))
+@example(make_spec(processes=3, packets=0, horizon=2, topology="all", liveness=EACH))
+@example(make_spec(processes=3, packets=2, horizon=2, topology=set(), goal=GoalKind.NONE))
+@example(make_spec(processes=4, packets=1, horizon=2, topology={(1, 0)}, liveness=EACH))
+def test_family_terms_equal_the_terms_in_the_text(spec):
+    assert family_terms(spec) == _text_terms(emit_smtlib(spec))
+
+
 # (P, M, T) of the five smt-export benchmark rungs, then horizons around a
 # digit boundary, a packet-free spec, a lone process, and three-digit process
 # ids with the last process as the source
@@ -382,7 +412,7 @@ def _four_speakers(P, seed):
 
 @pytest.mark.parametrize("topology", ["all", "line", "explicit"])
 @pytest.mark.parametrize("shape", RUNG_SHAPES + EDGE_SHAPES, ids=lambda shape: "P=%d M=%d T=%d" % shape)
-def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tmp_path):
+def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tmp_path, monkeypatch):
     P, M, T = shape
     if topology == "explicit":
         topology = _four_speakers(P, seed=P * 1000 + M * 100 + T)
@@ -394,13 +424,14 @@ def test_emitter_equals_the_reference_on_the_benchmark_rungs(shape, topology, tm
     # at T = 99 and 100 that takes more than one os.writev. Compared line by
     # line, as _lines does, but as bytes
     path = tmp_path / "doc.smt2"
+    reads = record_view_reads(monkeypatch)
     _write(str(path), doc.pieces())
-    assert "text" not in doc.__dict__
+    assert reads == []
     assert (len(doc.pieces()) > os.sysconf("SC_IOV_MAX")) is (T >= 99)
     assert path.read_bytes().split(b"\n") == reference.text.encode().split(b"\n")
     assert _lines(doc) == _lines(reference)
     # blocks and the reference's single lines split the same lines
-    assert (doc.assertions, doc.footer) == (reference.assertions, reference.footer)
+    assert (doc.assertions, _footer(doc)) == (reference.assertions, _footer(reference))
     _assert_one_line_per_entry_and_no_placeholders(doc)
 
 
@@ -456,7 +487,7 @@ def test_tokenizer_preserves_document_tokens():
     exprs = parse_sexprs(doc.text)
     header, declarations = HEADER.decode().splitlines(), DECLARATIONS.decode().splitlines()
     declared = sum(line.startswith("(declare-fun") for line in declarations)
-    assert len(exprs) == len(header) + declared + len(doc.assertions) + len(doc.footer)
+    assert len(exprs) == len(header) + declared + len(doc.assertions) + len(_footer(doc))
 
 
 def test_tokenizer_handles_quoted_forms():
@@ -588,10 +619,11 @@ def test_run_external_classifies_status(tmp_path):
     assert unknown.status == "unknown"
 
 
-def test_run_external_feeds_the_file_bytes_and_reads_the_reply_as_text(tmp_path):
+def test_run_external_feeds_the_file_bytes_and_reads_the_reply_as_text(tmp_path, monkeypatch):
     # the solver reads exactly what emit-smt --out writes, and its reply is
     # decoded as text mode decodes it, CR LF and a lone CR made LF
     doc = emit_smtlib(make_spec())
+    reads = record_view_reads(monkeypatch)
     script = tmp_path / "digest.py"
     script.write_text(
         "import hashlib, sys\n"
@@ -602,7 +634,7 @@ def test_run_external_feeds_the_file_bytes_and_reads_the_reply_as_text(tmp_path)
     digest = hashlib.sha256(b"".join(doc.pieces())).hexdigest()
     assert result.status == "sat"
     assert result.output == f"sat\n{digest}\n(done)\n"
-    assert "text" not in doc.__dict__
+    assert reads == []
 
 
 def test_run_external_rejects_chatter_without_verdict(tmp_path):
