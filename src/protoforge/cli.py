@@ -165,7 +165,7 @@ def _unsat(spec: NetworkSpec) -> tuple[int, dict]:
 
 def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
     """Writes the trace file when a path is given, else prints the schedule."""
-    if path:
+    if path is not None:
         _write(path, [write_trace(trace).encode()])
         print(f"wrote {path}")
     else:
@@ -218,12 +218,12 @@ def _cmd_unsat_core(args: SimpleNamespace) -> tuple[int, object]:
 def _cmd_emit_smt(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
     document = emit_smtlib(spec)
-    if args.out:
+    if args.out is not None:
         _write(args.out, document.pieces())
         print(f"wrote {args.out}")
     solver = args.solver or os.environ.get(SOLVER_ENV) or None
     if solver is None:
-        if not args.out:
+        if args.out is None:
             document.write(sys.stdout)
         return 0, {"out": args.out, "status": None}
     result = run_external(solver, document, timeout=args.timeout)

@@ -37,21 +37,22 @@ M booleans, from knowledge_table). A knowledge field is optional on read;
 when present it is compared against the grid re-derived from the actions.
 
 The layer works per distinct value rather than per cell or row. read_trace
-reads the action rows in one pass and hashes each row once: a row equal to
-an earlier one reuses its tuple, a row of labels all seen before is one
+decodes each distinct action-row line of a written file once; in any other
+file it reads the rows in one pass that hashes each row once: a row equal
+to an earlier one reuses its tuple, a row of labels all seen before is one
 C-level map over the parsed labels, and only a row that brings a new label
-is walked cell by cell, to parse that label or name the first bad cell. So
-equal cells share one Action object and equal rows one tuple, as in the
-traces solve returns, and a file whose rows repeat is read per distinct
-row. derive_knowledge and write_trace (through per_distinct) and the
-validator decode or render each distinct row object once, though deliver
-runs per slot, and the validator checks each distinct cell object of those
-rows once; write_trace renders knowledge rows straight from their masks,
-each distinct mask once and a run of equal rows once. Action shape checks
-run as whole-grid passes, and walk row by row only to name the first bad
-row; knowledge is checked once per distinct row object, and all_known,
-which finds a replay's completion slot, is one C-level count per row.
-Violation messages list at most MAX_LISTED packet numbers.
+is walked cell by cell, to parse that label or name the first bad cell.
+Either way equal cells share one Action object and equal rows one tuple,
+as in the traces solve returns, and a file whose rows repeat is read per
+distinct row. derive_knowledge and write_trace (through per_distinct) and
+the validator decode or render each distinct row object once, though
+deliver runs per slot, and the validator checks each distinct cell object
+of those rows once; write_trace renders knowledge rows straight from their
+masks, each distinct mask once and a run of equal rows once. Action shape
+checks run as whole-grid passes, and walk row by row only to name the
+first bad row; knowledge is checked once per distinct row object, and
+all_known, which finds a replay's completion slot, is one C-level count
+per row. Violation messages list at most MAX_LISTED packet numbers.
 
 read_trace checks a file in one order: JSON, fields, the embedded spec,
 the action labels, each action row's width, the number of rows, then the
@@ -63,17 +64,21 @@ compared, one at a time, with one knowledge_table that is flipped in place
 where a row's masks differ from the row before it; the first row that
 differs names the first cell.
 
-The one early exit is a text check. write_trace writes the knowledge field
-last, behind a comma, a newline and ``  "knowledge": ``, a separator no
-JSON string holds, as it holds a raw newline. The file before the last
-separator, closed with a brace, is checked in the order above as far as
-the action rows. When the rest has the four characters per entry of the
-claimed grid that each boolean takes, the head's trace is derived, and
-when the rest is exactly the field write_trace renders for it, compared
-row by row, the whole file is that object plus this last knowledge member,
-which reading it whole would accept with an equal trace. Any other file is
-read whole, so no verdict or message depends on the text check; the head's
-trace serves it when the whole file's spec and actions equal the head's.
+The one early exit reads a file in write_trace's own line layout: the
+opening brace on a line of its own, the spec object on the line that
+``"spec": `` opens, then ``"actions": [`` and one row per line, indented
+four spaces, each but the last ended by a comma, up to the first line that
+``"knowledge": `` opens. The spec is decoded in place and each distinct
+row text, keyed without that comma, once, so the file up to that line is
+exactly the JSON of that spec and those rows. When the rest has the four
+characters per entry of the claimed grid that each boolean takes, the
+trace is derived, and when the rest is exactly the field write_trace
+renders for it, compared piece by piece in place, the whole file is that
+trace's object, which reading it whole would accept with an equal trace.
+Any other file (respaced, reordered or on one line, with an extra field,
+the wrong row count or a bad cell) is read whole, so no verdict or message
+depends on the layout; the head's trace serves it when the whole file's
+spec and actions equal the head's.
 """
 
 from __future__ import annotations
@@ -429,13 +434,16 @@ def _listed(values: Sequence, counts: Counter, hits: set) -> str:
     return str(packets) if count <= MAX_LISTED else f"{str(packets)[:-1]}, ...] ({count} packets)"
 
 
-# What write_trace writes before the knowledge field, its last field.
-_KNOWLEDGE = ',\n  "knowledge": '
+# What write_trace writes before each field, the knowledge field last, and
+# around and between the rows of a list.
+_SPEC, _ACTIONS, _KNOWLEDGE = '{\n  "spec": ', ',\n  "actions": ', ',\n  "knowledge": '
+_OPEN, _ROW, _CLOSE = "[\n    ", ",\n    ", "\n  ]"
+_json_value = json.JSONDecoder().raw_decode  # the JSON value at an offset, and where it ends
 
 
 def _rows(lines: list[str]) -> str:
     """A JSON list of rendered values, one value per line."""
-    return "[\n    " + ",\n    ".join(lines) + "\n  ]" if lines else "[]"
+    return _OPEN + _ROW.join(lines) + _CLOSE if lines else "[]"
 
 
 def _knowledge_pieces(trace: ProtocolTrace) -> Iterator[str]:
@@ -462,33 +470,35 @@ def write_trace(trace: ProtocolTrace) -> str:
     label = attrgetter("label")
     actions = per_distinct(lambda row: json.dumps(list(map(label, row))), trace.actions)
     return (
-        f'{{\n  "spec": {json.dumps(spec_as_dict(trace.spec))},\n'
-        f'  "actions": {_rows(actions)}{"".join(_knowledge_pieces(trace))}'
+        f'{_SPEC}{json.dumps(spec_as_dict(trace.spec))}{_ACTIONS}{_rows(actions)}'
+        f'{"".join(_knowledge_pieces(trace))}'
     )
 
 
 def read_trace(text: str) -> ProtocolTrace:
     """Inverse of write_trace. Knowledge, when present, must match the grid
-    re-derived from the actions; anything else is a TraceFormatError."""
+    re-derived from the actions; anything else is a TraceFormatError.
+
+    A file in write_trace's layout is read by its lines: the spec line and
+    each distinct action-row line are decoded once, and when the knowledge
+    field that follows is the one write_trace renders for them, that trace
+    is the file's. Any other file is read whole, which names every defect;
+    the written head's trace serves it when its spec and actions are the
+    head's."""
     head = None
-    cut = text.rfind(_KNOWLEDGE)
-    if cut != -1:
-        try:
-            spec, actions = _document(text[:cut] + "\n}")[:2]  # drops the decoded labels now
-        except TraceFormatError:
-            pass
-        else:
-            # a field this short is not the written one; rendering it could cost
-            # far more than the file, when a small file claims a huge grid
-            if len(text) - cut >= 4 * (spec.horizon + 1) * spec.processes * spec.packets:
-                head = ProtocolTrace.from_actions(spec, actions)
-                for piece in _knowledge_pieces(head):  # up to the first that differs
-                    if not text.startswith(piece, cut):
-                        break
-                    cut += len(piece)
-                else:
-                    if cut == len(text):
-                        return head
+    if written := _written_head(text):
+        spec, actions, cut = written
+        # a field this short is not the written one; rendering it could cost
+        # far more than the file, when a small file claims a huge grid
+        if len(text) - cut >= 4 * (spec.horizon + 1) * spec.processes * spec.packets:
+            head = ProtocolTrace.from_actions(spec, actions)
+            for piece in _knowledge_pieces(head):  # up to the first that differs
+                if not text.startswith(piece, cut):
+                    break
+                cut += len(piece)
+            else:
+                if cut == len(text):
+                    return head
 
     spec, actions, obj = _document(text)
     if "knowledge" in obj:  # its shape is checked before anything that size is derived
@@ -500,6 +510,37 @@ def read_trace(text: str) -> ProtocolTrace:
     if "knowledge" in obj:
         _compare_knowledge(obj["knowledge"], trace)
     return trace
+
+
+def _written_head(text: str) -> tuple[NetworkSpec, tuple[tuple[Action, ...], ...], int] | None:
+    """The spec and action rows of a file in write_trace's layout up to its
+    knowledge separator, and that separator's offset; None for a file laid
+    out otherwise or holding any defect there. The spec is decoded in place
+    up to where its value ends, the rows' text must be what _rows joins
+    from its lines, and each distinct line is decoded once, as one JSON
+    value with nothing around it; _parse_actions then shares equal rows and
+    equal labels, also where a row or a label is spelt another way."""
+    if not text.startswith(_SPEC):
+        return None
+    try:
+        obj, dump = _json_value(text, len(_SPEC))
+        spec = spec_from_dict(obj)
+        if not text.startswith(_ACTIONS, dump) or (cut := text.find(_KNOWLEDGE, dump)) == -1:
+            return None
+        body = text[dump + len(_ACTIONS):cut]
+        lines = body[len(_OPEN):-len(_CLOSE)].split(_ROW) if body != "[]" else []
+        if _rows(lines) != body:
+            return None
+        distinct = list(dict.fromkeys(lines))
+        values, ends = zip(*map(_json_value, distinct)) if lines else ((), ())
+        if ends != tuple(map(len, distinct)) or not all(map(isinstance, values, repeat(list))):
+            return None
+        row_of = dict(zip(distinct, _parse_actions(values, spec.packets)))
+        actions = tuple(map(row_of.__getitem__, lines))
+        _check_actions(spec, actions)
+    except (ValueError, RecursionError):  # each named when the file is read whole
+        return None
+    return spec, actions, cut
 
 
 def _document(text: str) -> tuple[NetworkSpec, tuple[tuple[Action, ...], ...], dict]:

@@ -120,7 +120,7 @@ def test_criterion_4_completeness_against_enumeration_oracle():
         count += 1
         cs = encode(spec)
         result = solve(cs)
-        oracle = enumerate_all(cs)
+        oracle = enumerate_all(cs, limit=1)  # the first model in cell order, if any
         assert (result.status is SolveStatus.SAT) == bool(oracle), spec
         if oracle:
             assert result.trace == oracle[0], spec

@@ -325,6 +325,19 @@ def test_a_directory_input_names_its_path(capsys, tmp_path):
         4, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
 
 
+@pytest.mark.parametrize("command, flags, out", [
+    ("synth", ["--out="], "sat\n"),
+    ("min-horizon", ["--max", "4", "--out", ""], "t_min: 2\n"),
+    ("emit-smt", ["--out", ""], ""),
+    ("emit-smt", ["--trace-out="], "sat\n"),
+], ids=["synth --out", "min-horizon --out", "emit-smt --out", "emit-smt --trace-out"])
+def test_an_empty_output_path_fails_as_an_unopenable_one(capsys, line3, tmp_path, command, flags, out):
+    # an empty path names no file; it does not mean "print to stdout"
+    solver = ["--solver", _full_sat_reply(tmp_path)] if "--trace-out=" in flags else []
+    assert run_cli(capsys, command, line3, *flags, *solver) == (
+        4, out, "error: [Errno 2] No such file or directory: ''\n")
+
+
 def test_a_bad_utf8_byte_is_reported_at_its_offset(capsys, tmp_path):
     path = tmp_path / "bad.net"
     path.write_bytes(b"#" * 20000 + b"\xff\n")

@@ -18,7 +18,7 @@ import re
 from typing import Iterator, Sequence
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from protoforge.actions import (
     LISTEN,
@@ -715,3 +715,102 @@ def test_repeated_row_files_read_as_the_reference_reads_them(text):
     if ours[0] == "ok":
         rows = ours[1].actions
         assert len({id(row) for row in rows}) == len(set(rows))
+
+
+# ---- the written layout, read by its lines ---------------------------------------
+
+
+def _shares_as_it_should(trace: ProtocolTrace) -> bool:
+    """Equal rows are one tuple and equal cells one Action, as in a file read whole."""
+    rows = trace.actions
+    cells = [act for row in rows for act in row]
+    return (len({id(row) for row in rows}) == len(set(rows))
+            and len({id(act) for act in cells}) == len(set(cells)))
+
+
+@st.composite
+def written_files(draw):
+    """A written file of a small spec, with up to three line-level edits."""
+    P, M = draw(st.integers(1, 5), label="P"), draw(st.integers(0, 3), label="M")
+    T = draw(st.integers(0, 6), label="T")
+    topology = draw(st.sampled_from(["all", "line", "explicit"]), label="topology")
+    if topology == "explicit":
+        pairs = [(a, b) for a in range(P) for b in range(P) if a != b]
+        topology = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    spec = make_spec(processes=P, packets=M, horizon=T, source=draw(st.integers(0, P - 1)),
+                     topology=topology, liveness=draw(st.sampled_from(list(LivenessMode))))
+    row = st.lists(st.sampled_from(list(action_domain(M))), min_size=P, max_size=P)
+    pool = draw(st.lists(row, min_size=1, max_size=3), label="distinct rows")
+    trace = ProtocolTrace.from_actions(spec, [draw(st.sampled_from(pool)) for _ in range(T)])
+    lines = write_trace(trace).split("\n")
+    for _ in range(draw(st.integers(0, 3), label="edits")):
+        rows = list(range(3, lines.index("  ],"))) if "  ]," in lines else []  # none when T = 0
+        at = draw(st.sampled_from(rows)) if rows else None
+        edit = draw(st.sampled_from([
+            "indent", "respace", "comma", "duplicate", "delete", "swap", "split", "escape",
+            "second actions", "trailer"]))
+        if edit == "indent":  # a row line or the spec line
+            i = draw(st.sampled_from(rows + [1]))
+            lines[i] = draw(st.sampled_from(["", " ", "  ", "      ", "\t"])) + lines[i].lstrip()
+        elif edit == "respace":  # a row line or the spec line
+            i = draw(st.sampled_from(rows + [1]))
+            old, new = draw(st.sampled_from([('", "', '","'), ('["', '[ "'), ('"]', '" ]'), ('": ', '":')]))
+            lines[i] = lines[i].replace(old, new)
+        elif edit == "second actions":
+            extra = json.dumps(draw(st.sampled_from([[], [[]], [["sleep"] * P] * T])))
+            lines[-3] += f', "actions": {extra}'  # the line before the closing brace
+        elif edit == "trailer":
+            lines[-1] += draw(st.sampled_from([" ", "\n", "x", "{}", "\t\n"]))
+        elif at is None:
+            continue
+        elif edit == "comma":
+            lines[at] = lines[at][:-1] if lines[at].endswith(",") else lines[at] + ","
+        elif edit == "duplicate":
+            lines.insert(draw(st.sampled_from(rows)), lines[at])
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "swap":
+            other = draw(st.sampled_from(rows))
+            lines[at], lines[other] = lines[other], lines[at]
+        elif edit == "split":
+            lines[at] = lines[at].replace('", "', '",\n      "', 1)
+        else:
+            lines[at] = (lines[at].replace('"sleep"', '"sl\\u0065ep"')
+                         .replace('"listen"', '"li\\u0073ten"').replace('"tx:', '"t\\u0078:'))
+    return "\n".join(lines)
+
+
+WRITTEN = write_trace(REPEATING)
+ONE_ROW = write_trace(ProtocolTrace.from_actions(make_spec(processes=2, horizon=1), [[LISTEN, SLEEP]]))
+
+
+@settings(deadline=None)
+@given(written_files())
+@example(WRITTEN + "x")  # bytes after the closing brace
+@example(WRITTEN.replace('"actions": [', '"actions": {', 1).replace("\n  ],", "\n  },", 1))
+@example(WRITTEN.replace('"actions"', '"Actions"', 1))  # another field
+@example(ONE_ROW.replace('["listen", "sleep"]', '{"listen": 0, "sleep": 1}'))  # a row's keys are no row
+def test_written_files_and_line_edits_read_as_the_reference_reads_them(text):
+    ours = _outcome(read_trace, text)
+    assert ours == _outcome(_reference_read, text)
+    assert ours[0] != "ok" or _shares_as_it_should(ours[1])
+
+
+def test_a_written_file_decodes_each_distinct_row_line_once(monkeypatch):
+    import protoforge.trace as module
+
+    def counted(name, calls):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args) or function(*args))
+
+    whole, values = [], []
+    counted("_document", whole)
+    counted("_json_value", values)
+    text = WRITTEN
+    assert read_trace(text) == REPEATING and whole == []
+    assert values[0] == (text, len('{\n  "spec": '))  # the spec, decoded in place
+    lines = text.split("\n")
+    assert values[1:] == [(lines[3][4:-1],), (lines[4][4:-1],), (lines[5][4:-1],)]
+    for respaced in (text.replace("], [", "],["), json.dumps(json.loads(text), indent=2)):
+        whole.clear()
+        assert read_trace(respaced) == REPEATING and whole == [(respaced,)]
