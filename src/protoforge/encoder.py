@@ -27,8 +27,7 @@ class ConstraintSystem(Record):
     __slots__ = ("spec", "enabled")
 
     def __init__(self, spec: NetworkSpec, enabled: frozenset[RequirementLabel]) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "enabled", enabled)
+        self._store(spec, enabled)
 
 
 def encode(spec: NetworkSpec) -> ConstraintSystem:
@@ -40,7 +39,7 @@ class SystemDescription(Record):
     __slots__ = ("counts",)
 
     def __init__(self, counts: dict[RequirementLabel, int]) -> None:
-        object.__setattr__(self, "counts", counts)
+        self._store(counts)
 
 
 def describe(cs: ConstraintSystem) -> SystemDescription:

@@ -29,14 +29,16 @@ topology_all, topology_line and topology_explicit build them. hears gives
 the sorted (listener, speaker) pairs that spec and trace files list.
 
 Record is the base of the package's immutable value types. A record's
-fields are its __init__'s parameters, in order, and each __init__ sets
-them with object.__setattr__ after its checks. The base compares and
-hashes the fields through one operator.attrgetter per class, prints them
-as a dataclass does, and copies, pickles and replace()s by calling
-__init__ again, so a rebuilt value is checked as a new one is. A frozen
-dataclass instead compiles and runs six methods per class at import,
-about 0.6 ms each, and importing dataclasses costs 13 ms, so the base
-imports it only to raise FrozenInstanceError on assignment.
+fields are its __init__'s parameters, in order, and each __init__ ends,
+after its checks, with one call to Record._store, which sets them in
+that order with object.__setattr__, the package's one call of it. The
+base compares and hashes the fields through one operator.attrgetter per
+class, prints them as a dataclass does, and copies, pickles and
+replace()s by calling __init__ again, so a rebuilt value is checked as a
+new one is. A frozen dataclass instead compiles and runs six methods per
+class at import, about 0.6 ms each, and importing dataclasses costs 13
+ms, so the base imports it only to raise FrozenInstanceError on
+assignment.
 """
 
 from __future__ import annotations
@@ -136,6 +138,11 @@ class Record:
         if "__eq__" not in vars(cls):  # a class with its own equality keeps its own hash
             cls.__eq__, cls.__hash__ = __eq__, __hash__
 
+    def _store(self, *values: object) -> None:
+        """Sets the fields, in _fields order, to values."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
@@ -230,15 +237,7 @@ class NetworkSpec(Record):
         liveness: LivenessMode = LivenessMode.OFF, goal: GoalKind = GoalKind.ALL_KNOW_ALL,
     ) -> None:
         P = processes
-        errors: list[str] = []
-        if P < 1:
-            errors.append("processes must be >= 1")
-        if packets < 0:
-            errors.append("packets must be >= 0")
-        if horizon < 0:
-            errors.append("horizon must be >= 0")
-        if P >= 1 and not 0 <= source < P:
-            errors.append(f"source out of range: {source}")
+        errors = _field_errors(P, packets, horizon, source)
         # stray bits: a speaker's own, those past P, and all of a speaker past P
         strays = [mask if s >= P else (mask >> P << P) | (mask & 1 << s)
                   for s, mask in enumerate(audience)]
@@ -252,13 +251,21 @@ class NetworkSpec(Record):
             raise SpecValidationError(errors)
         if audience.__class__ is not tuple or len(audience) != P:  # past P every mask is empty
             audience = tuple(audience[:P]) + (0,) * (P - len(audience))
-        object.__setattr__(self, "processes", processes)
-        object.__setattr__(self, "packets", packets)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "audience", audience)
-        object.__setattr__(self, "liveness", liveness)
-        object.__setattr__(self, "goal", goal)
+        self._store(processes, packets, horizon, source, audience, liveness, goal)
+
+
+def _field_errors(processes: int, packets: int, horizon: int, source: int) -> list[str]:
+    """The count and source errors of a spec, in field order."""
+    errors = []
+    if processes < 1:
+        errors.append("processes must be >= 1")
+    if packets < 0:
+        errors.append("packets must be >= 0")
+    if horizon < 0:
+        errors.append("horizon must be >= 0")
+    if processes >= 1 and not 0 <= source < processes:
+        errors.append(f"source out of range: {source}")
+    return errors
 
 
 # Looked up once: reading an Enum member off its class is slow per request.
@@ -285,8 +292,10 @@ def requirement_families(spec: NetworkSpec) -> frozenset[RequirementLabel]:
 _INT_KEYS = ("processes", "packets", "horizon", "source")
 _LIVENESS = {mode.value: mode for mode in LivenessMode}
 _GOALS = {goal.value: goal for goal in GoalKind}
+# The relations a spec may name, by the name it gives them.
+_NAMED = {"all": topology_all, "line": topology_line}
 _ENUM_KEYS = {
-    "topology": ("all", "line", "explicit"),
+    "topology": (*_NAMED, "explicit"),
     "liveness": tuple(_LIVENESS),
     "goal": tuple(_GOALS),
 }
@@ -359,27 +368,23 @@ def _assemble(
     """Builds the spec, which checks itself, from checked fields; `hears`
     is None when the source gives no hears entries. The size limits and
     stray hears entries are checked before any relation is built."""
-    processes, horizon = fields["processes"], fields["horizon"]
-    check_size(processes, fields["packets"], horizon)
-    if hears is not None and fields["topology"] != "explicit":
+    processes, packets, horizon = fields["processes"], fields["packets"], fields["horizon"]
+    check_size(processes, packets, horizon)
+    name = fields["topology"]
+    if hears is not None and name != "explicit":
         raise SpecValidationError(["hears lines require topology = explicit"])
-    if fields["topology"] == "all":
-        audience = topology_all(processes)
-    elif fields["topology"] == "line":
-        audience = topology_line(processes)
+    if name in _NAMED:
+        audience = _NAMED[name](processes)
     else:
         try:
             audience = topology_explicit(processes, hears or ())
         except SpecValidationError as bad:  # listed after the fields' own errors
-            try:
-                NetworkSpec(processes, fields["packets"], horizon, fields["source"], ())
-            except SpecValidationError as wrong:
-                raise SpecValidationError([*wrong.errors, *bad.errors]) from None
-            raise
+            wrong = _field_errors(processes, packets, horizon, fields["source"])
+            raise SpecValidationError([*wrong, *bad.errors]) from None
     return NetworkSpec(
         processes=processes,
-        packets=fields["packets"],
-        horizon=fields["horizon"],
+        packets=packets,
+        horizon=horizon,
         source=fields["source"],
         audience=audience,
         liveness=_LIVENESS[fields["liveness"]],
@@ -443,8 +448,7 @@ def spec_as_dict(spec: NetworkSpec) -> dict:
     """JSON-friendly form used inside trace files; field order is fixed. A
     relation equal to a named one goes by that name."""
     P, audience = spec.processes, spec.audience
-    name = ("all" if audience == topology_all(P) else
-            "line" if audience == topology_line(P) else "explicit")
+    name = next((name for name, build in _NAMED.items() if audience == build(P)), "explicit")
     obj: dict = {
         "processes": spec.processes,
         "packets": spec.packets,

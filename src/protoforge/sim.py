@@ -40,7 +40,7 @@ from functools import reduce
 from operator import and_, attrgetter
 
 from .actions import ActionKind
-from .model import NetworkSpec, Record, RequirementLabel, set_bits, spec_as_dict
+from .model import NetworkSpec, Record, RequirementLabel, TAXONOMY, set_bits, spec_as_dict
 from .trace import (
     KnowledgeRow,
     ProtocolTrace,
@@ -55,17 +55,7 @@ from .trace import (
 
 # Physical realizability only: delivery deadlines and liveness are outcomes
 # a simulation reports, not preconditions for running one.
-GUARD_LABELS = frozenset(
-    {
-        RequirementLabel.R1_EXACTLY_ONE_ACTION,
-        RequirementLabel.R2_CONTENT_DOMAIN,
-        RequirementLabel.R4_INITIAL_KNOWLEDGE,
-        RequirementLabel.R5_TRANSMIT_ONLY_KNOWN,
-        RequirementLabel.R6_NEVER_FORGETS,
-        RequirementLabel.R7_COLLISION_FREE_LEARNING,
-        RequirementLabel.TOPO_HEARS_RELATION,
-    }
-)
+GUARD_LABELS = frozenset(TAXONOMY) - {RequirementLabel.GOAL_DEADLINE, RequirementLabel.R3_LIVENESS}
 
 
 class SimulationGuardError(ValueError):
@@ -85,7 +75,7 @@ class PowerModel(Record):
     def __init__(self, active_cost: int = 1) -> None:
         if active_cost < 0:
             raise ValueError("power costs must be >= 0")
-        object.__setattr__(self, "active_cost", active_cost)
+        self._store(active_cost)
 
 
 class SimReport(Record):
@@ -98,13 +88,8 @@ class SimReport(Record):
         self, spec: NetworkSpec, power: PowerModel, slots_run: int, delivered: KnowledgeRow,
         per_process_power: tuple[int, ...], concurrent_tx_slots: int, completion_slot: int | None,
     ) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "slots_run", slots_run)
-        object.__setattr__(self, "delivered", delivered)
-        object.__setattr__(self, "per_process_power", per_process_power)
-        object.__setattr__(self, "concurrent_tx_slots", concurrent_tx_slots)
-        object.__setattr__(self, "completion_slot", completion_slot)
+        self._store(spec, power, slots_run, delivered, per_process_power, concurrent_tx_slots,
+                    completion_slot)
 
     @property
     def total_power(self) -> int:

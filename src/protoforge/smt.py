@@ -60,6 +60,7 @@ from .model import (
     Record,
     RequirementLabel,
     SpecValidationError,
+    TAXONOMY,
     read_int,
     requirement_families,
 )
@@ -135,8 +136,7 @@ class SmtDocument(Record):
     def __init__(
         self, assertion_blocks: tuple[bytes, ...], footer_blocks: tuple[bytes, ...]
     ) -> None:
-        object.__setattr__(self, "assertion_blocks", assertion_blocks)
-        object.__setattr__(self, "footer_blocks", footer_blocks)
+        self._store(assertion_blocks, footer_blocks)
 
     def pieces(self) -> list[bytes]:
         """The document's bytes in order: the constant sections, then each
@@ -245,14 +245,7 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     P, M, T = spec.processes, spec.packets, spec.horizon
     L = RequirementLabel
     families = requirement_families(spec)
-    r1, r2, r3, r4, r5, r6, r7, goal = (
-        label.value
-        for label in (
-            L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R3_LIVENESS,
-            L.R4_INITIAL_KNOWLEDGE, L.R5_TRANSMIT_ONLY_KNOWN, L.R6_NEVER_FORGETS,
-            L.R7_COLLISION_FREE_LEARNING, L.GOAL_DEADLINE,
-        )
-    )
+    r1, r2, r3, r4, r5, r6, r7, goal, _ = (label.value for label in TAXONOMY)
     slots, procs, packets = range(T), range(P), range(1, M + 1)
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
@@ -467,8 +460,7 @@ class ExternalResult(Record):
     __slots__ = ("status", "output")
 
     def __init__(self, status: str, output: str) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "output", output)
+        self._store(status, output)
 
 
 def run_external(

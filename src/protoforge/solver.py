@@ -97,7 +97,7 @@ class SearchConfig(Record):
     def __init__(self, node_limit: int | None = None) -> None:
         if node_limit is not None and node_limit < 1:
             raise ValueError("node_limit must be >= 1")
-        object.__setattr__(self, "node_limit", node_limit)
+        self._store(node_limit)
 
 
 class SolveStatus(Enum):
@@ -117,11 +117,7 @@ class SolveStats(Record):
     def __init__(
         self, nodes: int = 0, r5: int = 0, liveness: int = 0, goal: int = 0, intra_slot: int = 0,
     ) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "r5", r5)
-        object.__setattr__(self, "liveness", liveness)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "intra_slot", intra_slot)
+        self._store(nodes, r5, liveness, goal, intra_slot)
 
 
 class SolveResult(Record):
@@ -133,9 +129,7 @@ class SolveResult(Record):
         self, status: SolveStatus, trace: ProtocolTrace | None = None,
         stats: SolveStats = SolveStats(),
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "stats", stats)
+        self._store(status, trace, stats)
 
 
 class SearchBudgetExceeded(RuntimeError):

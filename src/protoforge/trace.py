@@ -243,9 +243,7 @@ class ProtocolTrace(Record):
             lambda row: len(row) != M or any(holders >> P for holders in set(row)), knowledge)
         if True in bad:
             raise TraceFormatError(f"dimension mismatch in knowledge row t={bad.index(True)}")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "knowledge", knowledge)
+        self._store(spec, actions, knowledge)
 
     @classmethod
     def from_actions(cls, spec: NetworkSpec, actions: Sequence[Sequence[Action]]) -> "ProtocolTrace":
@@ -271,10 +269,7 @@ class Violation(Record):
     def __init__(
         self, label: RequirementLabel, time: int | None, process: int | None, detail: str
     ) -> None:
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "process", process)
-        object.__setattr__(self, "detail", detail)
+        self._store(label, time, process, detail)
 
 
 def validate(

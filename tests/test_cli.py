@@ -320,6 +320,24 @@ def test_a_malformed_crlf_trace_counts_each_line_end_as_one_char(capsys, tmp_pat
         "line 3 column 2 (char 15)\n"))
 
 
+@pytest.mark.parametrize("command", ["validate", "synth"])
+def test_a_pipe_reads_as_the_file_it_carries(capsys, line3, tmp_path, command):
+    # fstat gives a pipe size 0, so its bytes come from reading on
+    path = line3
+    if command == "validate":
+        path = str(tmp_path / "t.json")
+        run_cli(capsys, "synth", line3, "--out", path)
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "wb") as pipe:
+        pipe.write(Path(path).read_bytes())
+    try:
+        piped = run_cli(capsys, command, f"/dev/fd/{read_end}", "--json")
+    finally:
+        os.close(read_end)
+    assert piped == run_cli(capsys, command, path, "--json")
+    assert piped[0] == 0
+
+
 def test_a_directory_input_names_its_path(capsys, tmp_path):
     assert run_cli(capsys, "synth", str(tmp_path)) == (
         4, "", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
@@ -692,6 +710,11 @@ def test_emit_smt_solver_spawn_failure(capsys, line3):
     assert "cannot run" in err
 
 
+def test_emit_smt_with_a_blank_solver_command(capsys, line3):
+    assert run_cli(capsys, "emit-smt", line3, "--solver", "  ", "--json") == (
+        4, "", "error: empty solver command\n")
+
+
 def test_simulate_report(capsys, line3, tmp_path):
     out_path = str(tmp_path / "t.json")
     run_cli(capsys, "synth", line3, "--out", out_path)
@@ -892,6 +915,18 @@ def test_budget_exhaustion_ends_in_a_json_block(capsys, line3, all3, argv, block
     assert code == 5
     assert err.startswith("budget exhausted")
     assert machine_block(out) == block
+
+
+@pytest.mark.parametrize(
+    "flags, out", [([], ""), (["--json"], '{\n  "status": "budget-exhausted"\n}\n')]
+)
+def test_unsat_core_names_the_removal_trial_that_ran_out_of_budget(capsys, tmp_path, flags, out):
+    # the goal bound decides the base system at the root; the trial without
+    # R7 needs a search, which one node does not finish
+    spec = tmp_path / "line4.net"
+    spec.write_text(render_spec(make_spec(processes=4)), encoding="utf-8")
+    assert run_cli(capsys, "unsat-core", str(spec), "--node-limit", "1", *flags) == (
+        5, out, "budget exhausted while testing R7_CollisionFreeLearning for removal\n")
 
 
 def test_unexpected_exception_is_internal_error(capsys, line3, monkeypatch):

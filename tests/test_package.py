@@ -10,7 +10,8 @@ from typing import Iterator
 import pytest
 
 import protoforge
-from protoforge import solver
+from protoforge import sim, solver
+from protoforge.model import RequirementLabel
 
 SOURCES = sorted(Path(protoforge.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +74,29 @@ def test_only_the_model_reads_liveness_and_goal(path):
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "model.py"], ids=lambda path: path.name
+)
+def test_only_the_model_sets_record_fields(path):
+    # Record._store sets every record's fields; no other module goes past
+    # Record.__setattr__ on its own
+    uses = [
+        node.lineno for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert uses == []
+
+
+def test_the_simulation_guard_is_the_physical_families():
+    L = RequirementLabel
+    assert sim.GUARD_LABELS == {
+        L.R1_EXACTLY_ONE_ACTION, L.R2_CONTENT_DOMAIN, L.R4_INITIAL_KNOWLEDGE,
+        L.R5_TRANSMIT_ONLY_KNOWN, L.R6_NEVER_FORGETS, L.R7_COLLISION_FREE_LEARNING,
+        L.TOPO_HEARS_RELATION,
+    }
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

@@ -292,6 +292,25 @@ def test_read_rejects_malformed_hears(hears, message):
         read_trace(json.dumps(doc))
 
 
+def _edited_line3(old, new):
+    text = write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS))
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "trace document must be a JSON object"),
+    ('{"spec": {}}', "missing trace field: actions"),
+    (_edited_line3(', "goal": "all-know-all"', ""), "embedded spec: missing spec fields: goal"),
+    (_edited_line3('"topology": "line"', '"topology": "line", "hears": 5'),
+     "embedded spec: hears must be a list of [listener, speaker] pairs"),
+], ids=["not an object", "no actions", "no goal", "hears not a list"])
+def test_read_names_what_is_wrong_with_the_document(text, message):
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(text)
+    assert str(info.value) == message
+
+
 def test_read_rejects_an_oversized_embedded_spec_before_deriving(monkeypatch):
     doc = json.loads(write_trace(ProtocolTrace.from_actions(make_spec(), LINE3_ACTIONS)))
     doc["spec"]["packets"] = 10**30
