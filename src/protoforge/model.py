@@ -109,8 +109,15 @@ STRUCTURAL_LABELS = frozenset({
 
 
 def set_bits(mask: int) -> list[int]:
-    """The positions of a mask's set bits, lowest first."""
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+    """The positions of a mask's set bits, lowest first; a negative mask's are those below its
+    bit_length. One lowest-bit step per set bit, so a sparse mask costs little whatever its
+    length, while a dense one costs about twice a scan of every position."""
+    mask &= (1 << mask.bit_length()) - 1  # a negative int has no end to its set bits
+    bits = []
+    while mask:
+        bits.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return bits
 
 
 class Record:

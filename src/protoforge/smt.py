@@ -250,15 +250,16 @@ def emit_smtlib(spec: NetworkSpec) -> SmtDocument:
     # Audibility is folded into heard, so the hears relation needs no
     # assertions of its own. senders and heard are defined only where a
     # learning equality reads them: with packets, for listeners with speakers.
-    # With no slots neither is defined, and no speaker list is built.
+    # With no slots or no packets neither is defined, and every speaker list
+    # is left empty, which spares the O(P²) scan.
     audience = spec.audience
     # the terms MAX_TERMS bounds, counted before any is built
     terms = sum(family_terms(spec).values()) + P * M
     if terms > MAX_TERMS:
         raise SpecValidationError(
             [f"the SMT-LIB document would hold {terms} terms, must be <= {MAX_TERMS}"])
-    speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs] if slots else []
-    listeners = [p for p, heard_from in enumerate(speakers) if heard_from] if M else []
+    speakers = [[q for q in procs if audience[q] >> p & 1] for p in procs] if slots and M else [()] * P
+    listeners = [p for p, heard_from in enumerate(speakers) if heard_from]
 
     # Each assertion is named |family[.variant]@t=..,p=..,k=..| so unsat
     # cores map back onto requirement families. The repeated families are

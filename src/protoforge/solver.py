@@ -46,15 +46,19 @@ reproducible. SolveStats counts the branches each one cuts.
   EXACT_COVER_PROCESSES processes a lower bound of cover stands in for it
   (see cover_function). Either way cover only falls as holders grow.
 
-The goal bound applies at the root, where need is summed, at every slot
-end (counted under `goal`), which updates need by its change's cover, and
-while a slot is being filled (`intra_slot`): when need equals the slots
-left, this slot must lower some packet's cover, so a partial row is cut
-unless some completion of it does. Since cover is monotone, the only
-completion tried is the one in which every later cell listens, with the
-lone sender already placed or, if there is none yet, each later process
-sending each packet it may send. These bound what the slot can teach under
-the learning rule; learning itself still happens only at slot end. That
+The goal bound applies at the root, at every slot end (counted under
+`goal`), which updates need by its change's cover, and while a slot is
+being filled (`intra_slot`). At the root every packet has the source as its
+only holder, so need is M · cover({source}) (1 with R7 dropped, 0 when
+nobody lacks a packet), and _root_needs reads no knowledge row. While a
+slot is filled and need equals the slots left, this slot must lower some
+packet's cover, so a partial row is cut unless some completion of it does.
+Since cover is monotone, the only completion tried is the one in which
+every later cell listens, with the sends already placed, whose change
+trace.deliver gives (a collision, garbage or a send that teaches nobody
+gives none), or, if there is none yet, each later process sending each
+packet it may send. These bound what the slot can teach under the learning
+rule; learning itself still happens only at slot end. That
 completion's listening mask only shrinks as the slot fills, so a
 (sender, packet) pair that cannot lower a cover at one cell cannot at the
 next either, and each cell resumes the scan where the one before it stopped.
@@ -207,11 +211,12 @@ def cover_function(P: int, audience: Sequence[int], check_r5: bool) -> Callable[
 
 def _root_needs(spec: NetworkSpec, enabled, cover: Callable[[int], float]) -> tuple[float, int]:
     """The fewest slots the goal and liveness each need from the initial knowledge (see the
-    module doc): solve cuts a horizon below either at its root; min_horizon starts at the larger."""
-    L, everyone = RequirementLabel, (1 << spec.processes) - 1
-    lacked = [held for held in initial_knowledge(spec) if held != everyone]
-    goal = (0 if L.GOAL_DEADLINE not in enabled else sum(map(cover, lacked))
-            if L.R7_COLLISION_FREE_LEARNING in enabled else int(bool(lacked)))
+    module doc): solve cuts a horizon below either at its root; min_horizon starts at the larger.
+    Every packet starts with the source as its only holder, so no knowledge row is read."""
+    L = RequirementLabel
+    lacked = spec.packets if spec.processes > 1 else 0  # packets someone lacks at time 0
+    goal = (0 if L.GOAL_DEADLINE not in enabled or not lacked else lacked * cover(1 << spec.source)
+            if L.R7_COLLISION_FREE_LEARNING in enabled else 1)
     return goal, len(ActionKind) if L.R3_LIVENESS in enabled else 0
 
 
@@ -226,7 +231,7 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     enabled = cs.enabled & requirement_families(spec)
     check_r5 = L.R5_TRANSMIT_ONLY_KNOWN in enabled
     free_learning = L.R7_COLLISION_FREE_LEARNING not in enabled
-    cuts = dict.fromkeys(("r5", "liveness", "goal", "intra_slot"), 0)
+    cuts = dict.fromkeys(SolveStats._fields[1:], 0)  # each bound's cuts, by its field
     nodes = 0
 
     def result(status: SolveStatus, trace: ProtocolTrace | None = None) -> SolveResult:
@@ -242,15 +247,11 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
         one tried is the one the module doc names. Before any cell sends, the
         candidates are the slot's eligible (sender, packet) pairs, listed at
         its first cell."""
-        if len(sends) > 1:
-            return False  # a collision delivers nothing
         t, p = divmod(i, P)
         listening |= everyone >> (p + 1) << (p + 1)
-        if sends:
-            [(s, k)] = sends
-            if not k:
-                return False  # garbage delivers nothing
-            return cover(held[k - 1] | audience[s] & listening) < cover(held[k - 1])
+        if sends:  # a collision, garbage or a send that teaches nobody changes nothing
+            change = deliver(held, listening, sends, audience)
+            return bool(change) and cover(change[1]) < cover(held[change[0] - 1])
         if not p:  # each later process, with each packet it may send and an audience lacks
             pairs[t] = [
                 (s, reach, was, cover(was)) for s in range(1, P) for was in held
@@ -264,13 +265,13 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
                 return True
         return False
 
-    initial = initial_knowledge(spec)
-    # with R7 dropped, slot 0 teaches everyone every packet they lack
-    learned = initial if all_known(initial, P) else (everyone,) * M
     goal_need, live_need = _root_needs(spec, enabled, cover)
     if goal_need > T or live_need > T:
         cuts["goal" if goal_need > T else "liveness"] += 1
         return result(SolveStatus.UNSAT)
+    initial = initial_knowledge(spec)
+    if free_learning and T:  # slot 0 teaches everyone every packet they lack
+        learned = initial if all_known(initial, P) else (everyone,) * M
 
     # per slot start t: know[t], the trace's knowledge once a model is found, need[t] and
     # done[t][p] (None when untracked)
@@ -286,17 +287,13 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     kinds = len(_KIND_BIT)
     limit = config.node_limit
     grid = [0] * cells  # each cell's value
-    # slot_can_lower's state: per slot its candidate pairs, per cell where its scan stopped
-    pairs: list = [None] * T
-    resume = [0] * cells
+    if need:  # slot_can_lower's state: per slot its candidate pairs, per cell where its scan stopped
+        pairs, resume = [None] * T, [0] * cells
 
     def end_slot(t: int, listening: int, sends: tuple) -> bool:
         """Learns slot t's change; False when the goal cuts."""
-        if free_learning:
-            know[t + 1] = know[t] if t else learned
-        else:
-            change = deliver(know[t], listening, sends, audience)
-            know[t + 1] = applied(know[t], change)
+        change = None if free_learning else deliver(know[t], listening, sends, audience)
+        know[t + 1] = learned if free_learning and not t else applied(know[t], change)
         if need:
             need[t + 1] = need[t] - (
                 cover(know[t][change[0] - 1]) - cover(change[1]) if change else 0)

@@ -715,6 +715,23 @@ def test_emit_smt_with_a_blank_solver_command(capsys, line3):
         4, "", "error: empty solver command\n")
 
 
+def test_synth_of_a_negative_packet_count_exits_4(capsys, tmp_path):
+    path = tmp_path / "negative.net"
+    path.write_text(LINE3.replace("packets = 1", "packets = -1"))
+    assert run_cli(capsys, "synth", str(path)) == (4, "", "error: packets must be >= 0\n")
+
+
+def test_validate_of_a_trace_whose_spec_is_not_a_mapping_exits_4(capsys, line3, tmp_path):
+    written = tmp_path / "t.json"
+    run_cli(capsys, "synth", line3, "--out", str(written))
+    text = written.read_text()
+    spec = text[text.index('"spec": ') + len('"spec": '):text.index("},") + 1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(spec, "[1]", 1))
+    assert run_cli(capsys, "validate", str(bad)) == (
+        4, "", "error: embedded spec: spec object must be a mapping, got list\n")
+
+
 def test_simulate_report(capsys, line3, tmp_path):
     out_path = str(tmp_path / "t.json")
     run_cli(capsys, "synth", line3, "--out", out_path)

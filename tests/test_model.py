@@ -23,6 +23,7 @@ from protoforge.model import (
     read_int,
     requirement_families,
     render_spec,
+    set_bits,
     spec_as_dict,
     spec_from_dict,
     topology_all,
@@ -349,6 +350,22 @@ def test_stray_mask_bits_are_reported_as_pairs():
     for mask in (-1, -2, -2**40):
         with pytest.raises(SpecValidationError):
             NetworkSpec(3, 1, 2, 0, (0, mask))
+
+
+_MASKS = st.one_of(
+    st.integers(-2**1100, 2**1100),
+    st.builds(lambda bits, sign: sign * sum(1 << b for b in bits),
+              st.sets(st.integers(0, 1099), max_size=40), st.sampled_from([1, -1])),
+)
+
+
+@given(_MASKS)
+@example(0)
+@example(-1)
+@example(-2**40)
+def test_set_bits_lists_the_bits_a_scan_of_every_position_finds(mask):
+    # a negative mask's bits are those below its bit_length, as the scan reads them
+    assert set_bits(mask) == [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 ALL_1024 = (

@@ -146,6 +146,12 @@ def test_baseline_gives_up_at_max_slots():
     assert trace.spec.horizon == 4 and joins == [0, None]
 
 
+def test_baseline_refuses_a_negative_slot_budget():
+    spec = make_spec(topology="all")
+    with pytest.raises(ValueError, match="^max_slots must be >= 0$"):
+        run_baseline(spec, max_slots=-1)
+
+
 def test_baseline_trace_spec_carries_slots_run():
     trace, _, report = _baseline_against_the_fold(make_spec(), PowerModel())
     assert trace.spec.horizon == report.slots_run

@@ -602,6 +602,17 @@ def test_value_response_skips_error_forms_and_status_atoms():
     assert trace.actions == ()
 
 
+def test_value_response_skips_a_pair_whose_application_holds_a_list():
+    spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
+    skipped = "((sleep 0 (0)) true)"
+    trace = parse_value_response(
+        f"({skipped} ((sleep 0 0) true) ((listen 0 0) false) ((transmit 0 0) (- 1)))", spec)
+    assert trace.actions == ((SLEEP,),)
+    with pytest.raises(SmtResponseError) as info:
+        parse_value_response(f"({skipped})", spec)
+    assert str(info.value) == "missing value for cell t=0, p=0: ('sleep', 0, 0)"
+
+
 def _script(tmp_path, body):
     path = tmp_path / "solver.sh"
     path.write_text("#!/bin/sh\ncat > /dev/null\n" + body)

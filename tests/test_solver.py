@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from protoforge.solver import (
     solve,
     unsat_core_minimize,
 )
-from protoforge.trace import audiences, validate
+from protoforge.trace import audiences, deliver, validate
 from conftest import DEAD_SLOTS, make_spec, oracle_sized_specs
 from oracle import enumerate_all, fewest_sends
 
@@ -375,6 +376,60 @@ def test_a_root_cut_allocates_nothing_that_grows_with_the_horizon():
         tracemalloc.stop()
     assert result.stats == SolveStats(goal=1)
     assert peak < 1_000_000
+
+
+def _solved_with_peak(cs):
+    tracemalloc.start()
+    try:
+        result = solve(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_a_root_cut_allocates_nothing_that_grows_with_the_packets():
+    # the root need is M · cover({source}), read off the spec: no knowledge
+    # row of 2,000,000 masks is built to cut the horizon (summing the covers
+    # of the initial row's masks took four such sequences, 65 MB)
+    spec = make_spec(processes=2, packets=2_000_000, horizon=0, topology="all")
+    result, peak = _solved_with_peak(encode(spec))
+    assert result.stats == SolveStats(goal=1)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("dropped", [frozenset(), frozenset({L.R7_COLLISION_FREE_LEARNING})],
+                         ids=["R7", "R7 dropped"])
+def test_a_solve_without_a_goal_builds_one_knowledge_row(dropped):
+    # 16 MB of pointers to the source's mask, 65 MB when two more rows and a
+    # list of lacked masks were built beside it. With R7 dropped no slot ends
+    # at horizon 0, so the row slot 0 would teach is not built either
+    cs = encode(make_spec(processes=2, packets=2_000_000, horizon=0, topology="all",
+                          goal=GoalKind.NONE))
+    result, peak = _solved_with_peak(cs.replace(enabled=cs.enabled - dropped))
+    assert result.status is SolveStatus.SAT
+    assert result.trace.knowledge == (result.trace.knowledge[0],)
+    assert peak < 24_000_000
+
+
+def test_the_intra_slot_bound_asks_the_learning_rule(monkeypatch):
+    # slot_can_lower's lone-send test is trace.deliver's, not a restatement
+    callers = []
+
+    def recorded(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return deliver(*args)
+
+    cs = encode(make_spec(processes=4, packets=2, horizon=4, topology="all"))
+    expected = solve(cs)
+    monkeypatch.setattr(solver, "deliver", recorded)
+    assert solve(cs) == expected and expected.stats.intra_slot
+    assert set(callers) == {"slot_can_lower", "end_slot"}
+
+
+def test_min_horizon_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match="^t_max must be >= 0, got -1$"):
+        min_horizon(make_spec(topology="all"), -1)
 
 
 def test_a_search_past_the_recursion_limit_stops_at_the_frame_that_hits_it():
