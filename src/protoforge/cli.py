@@ -47,10 +47,9 @@ from .smt import MAX_TIMEOUT_S, ExternalSolverError, emit_smtlib, parse_value_re
 from .solver import (
     SearchBudgetExceeded,
     SearchConfig,
-    SolveResult,
     SolveStatus,
+    decide,
     min_horizon,
-    solve,
     unsat_core_minimize,
 )
 from .trace import ProtocolTrace, Violation, read_trace, validate, write_trace
@@ -143,15 +142,6 @@ def _write(path: str, pieces: list[bytes]) -> None:
         os.close(fd)
 
 
-def _solve(args: SimpleNamespace, spec: NetworkSpec) -> SolveResult:
-    """Decides the spec within --node-limit; a Sat or Unsat result, or
-    SearchBudgetExceeded when the budget runs out first."""
-    result = solve(encode(spec), SearchConfig(node_limit=args.node_limit))
-    if result.status is SolveStatus.BUDGET_EXHAUSTED:
-        raise SearchBudgetExceeded()
-    return result
-
-
 def _ordered(core: frozenset[RequirementLabel]) -> list[str]:
     return [label.value for label in TAXONOMY if label in core]
 
@@ -175,7 +165,7 @@ def _emit_trace(trace: ProtocolTrace, path: str | None) -> None:
 
 def _cmd_synth(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
-    result = _solve(args, spec)
+    result = decide(encode(spec), SearchConfig(node_limit=args.node_limit))
     if result.status is SolveStatus.UNSAT:
         return _unsat(spec)
     print("sat")
@@ -221,7 +211,7 @@ def _cmd_emit_smt(args: SimpleNamespace) -> tuple[int, object]:
     if args.out is not None:
         _write(args.out, document.pieces())
         print(f"wrote {args.out}")
-    solver = args.solver or os.environ.get(SOLVER_ENV) or None
+    solver = args.solver if args.solver is not None else os.environ.get(SOLVER_ENV) or None
     if solver is None:
         if args.out is None:
             document.write(sys.stdout)
@@ -254,7 +244,7 @@ def _cmd_baseline(args: SimpleNamespace) -> tuple[int, object]:
 
 def _cmd_compare(args: SimpleNamespace) -> tuple[int, object]:
     spec = parse_spec(_read(args.spec))
-    result = _solve(args, spec)
+    result = decide(encode(spec), SearchConfig(node_limit=args.node_limit))
     if result.status is SolveStatus.UNSAT:
         return _unsat(spec)
     power = PowerModel(active_cost=args.pw)

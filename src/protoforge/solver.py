@@ -63,6 +63,12 @@ completion's listening mask only shrinks as the slot fills, so a
 (sender, packet) pair that cannot lower a cover at one cell cannot at the
 next either, and each cell resumes the scan where the one before it stopped.
 
+solve reports a spent budget as a status. Every search the package runs
+(min_horizon's per horizon, unsat_core_minimize's base system and each of
+its trials, the CLI's synth and compare) stops on its budget through
+decide, the one place that turns that status into SearchBudgetExceeded,
+with the line its caller names.
+
 The brute-force oracle the tests compare the search against lives with the
 tests, and shares no search machinery with solve.
 """
@@ -143,7 +149,7 @@ class SearchBudgetExceeded(RuntimeError):
     horizon min_horizon could not decide, None for any other search.
     """
 
-    def __init__(self, message: str = "budget exhausted", horizon: int | None = None) -> None:
+    def __init__(self, message: str, horizon: int | None) -> None:
         super().__init__(message)
         self.horizon = horizon
 
@@ -354,6 +360,18 @@ def solve(cs: ConstraintSystem, config: SearchConfig | None = None) -> SolveResu
     return result(SolveStatus.SAT, ProtocolTrace(spec, actions, tuple(know)))
 
 
+def decide(
+    cs: ConstraintSystem, config: SearchConfig | None, stop: str = "budget exhausted",
+    horizon: int | None = None,
+) -> SolveResult:
+    """solve's result when it decides the system, Sat or Unsat; otherwise
+    SearchBudgetExceeded(stop, horizon), stop being the line it reports."""
+    result = solve(cs, config)
+    if result.status is SolveStatus.BUDGET_EXHAUSTED:
+        raise SearchBudgetExceeded(stop, horizon)
+    return result
+
+
 def min_horizon(
     spec: NetworkSpec, t_max: int, config: SearchConfig | None = None
 ) -> ProtocolTrace | None:
@@ -370,9 +388,8 @@ def min_horizon(
     start = max(_root_needs(spec, families, cover_function(spec.processes, spec.audience, True)))
     for horizon in range(min(start, t_max + 1), t_max + 1):
         check_size(spec.processes, spec.packets, horizon)
-        result = solve(encode(spec.replace(horizon=horizon)), config)
-        if result.status is SolveStatus.BUDGET_EXHAUSTED:
-            raise SearchBudgetExceeded(f"budget exhausted at horizon {horizon}", horizon)
+        result = decide(encode(spec.replace(horizon=horizon)), config,
+                        f"budget exhausted at horizon {horizon}", horizon)
         if result.status is SolveStatus.SAT:
             return result.trace
     return None
@@ -389,20 +406,14 @@ def unsat_core_minimize(
     unsatisfiable. The search holds the structural families whatever is
     enabled (see model.STRUCTURAL_LABELS), so they never appear in the result.
     """
-    base = solve(cs, config)
-    if base.status is SolveStatus.SAT:
+    if decide(cs, config).status is SolveStatus.SAT:
         return None
-    if base.status is SolveStatus.BUDGET_EXHAUSTED:
-        raise SearchBudgetExceeded()
     core = cs.enabled - STRUCTURAL_LABELS
     for label in TAXONOMY:
         if label not in core:
             continue
-        trial = solve(ConstraintSystem(cs.spec, core - {label}), config)
-        if trial.status is SolveStatus.BUDGET_EXHAUSTED:
-            raise SearchBudgetExceeded(
-                f"budget exhausted while testing {label.value} for removal"
-            )
+        trial = decide(ConstraintSystem(cs.spec, core - {label}), config,
+                       f"budget exhausted while testing {label.value} for removal")
         if trial.status is SolveStatus.UNSAT:
             core -= {label}
     return core

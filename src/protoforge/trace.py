@@ -234,8 +234,6 @@ class ProtocolTrace(Record):
         knowledge: tuple[KnowledgeRow, ...],
     ) -> None:
         P, M, T = spec.processes, spec.packets, spec.horizon
-        if (count := len(actions)) != T:  # counted before the widths, unlike a file
-            raise TraceFormatError(f"dimension mismatch: {count} action rows for horizon {T}")
         _check_actions(spec, actions)
         if (count := len(knowledge)) != T + 1:
             raise TraceFormatError(f"dimension mismatch: {count} knowledge rows for horizon {T}")

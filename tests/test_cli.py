@@ -188,7 +188,7 @@ def test_unsat_core_on_sat_instance(capsys, line3):
 
 
 def test_unsat_core_decides_the_base_system_once(capsys, tight, monkeypatch):
-    from protoforge import cli, solver
+    from protoforge import solver
     from protoforge.encoder import encode
     from protoforge.model import STRUCTURAL_LABELS, parse_spec
 
@@ -200,7 +200,6 @@ def test_unsat_core_decides_the_base_system_once(capsys, tight, monkeypatch):
         return real_solve(cs, config)
 
     monkeypatch.setattr(solver, "solve", counting_solve)
-    monkeypatch.setattr(cli, "solve", counting_solve)
     assert run_cli(capsys, "unsat-core", tight)[0] == 1
     trials = encode(parse_spec(TIGHT)).enabled - STRUCTURAL_LABELS
     assert len(calls) == 1 + len(trials)
@@ -710,8 +709,14 @@ def test_emit_smt_solver_spawn_failure(capsys, line3):
     assert "cannot run" in err
 
 
-def test_emit_smt_with_a_blank_solver_command(capsys, line3):
-    assert run_cli(capsys, "emit-smt", line3, "--solver", "  ", "--json") == (
+@pytest.mark.parametrize("command, env", [("  ", None), ("", None), ("", "false")])
+def test_emit_smt_with_a_blank_solver_command(capsys, line3, monkeypatch, command, env):
+    # an empty --solver is given, so the environment's command does not stand in for it
+    if env is None:
+        monkeypatch.delenv("PROTOFORGE_SOLVER", raising=False)
+    else:
+        monkeypatch.setenv("PROTOFORGE_SOLVER", env)
+    assert run_cli(capsys, "emit-smt", line3, "--solver", command, "--json") == (
         4, "", "error: empty solver command\n")
 
 
@@ -950,7 +955,7 @@ def test_unexpected_exception_is_internal_error(capsys, line3, monkeypatch):
     def broken(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("protoforge.cli.solve", broken)
+    monkeypatch.setattr("protoforge.solver.solve", broken)
     code, _, err = run_cli(capsys, "synth", line3)
     assert code == 6
     assert err == "internal error: RuntimeError: boom\n"

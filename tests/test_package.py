@@ -308,6 +308,23 @@ def test_no_module_tests_enum_membership_with_in(path):
     assert tested == []
 
 
+def test_only_decide_raises_the_budget_stop():
+    # a spent budget becomes SearchBudgetExceeded in one place, so every
+    # search's stop, and what it reports, passes through solver.decide
+    sites = []
+    for path in SOURCES:
+        tree = _tree(path)
+        # each node's innermost function: ast.walk meets an outer function first
+        scope = {id(node): function.name for function in ast.walk(tree)
+                 if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        sites += [
+            f"{path.name}:{scope.get(id(node), '<module>')}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "SearchBudgetExceeded"
+        ]
+    assert sites == ["solver.py:decide"]
+
+
 def test_the_search_frame_keeps_its_size():
     """solve's nested search recurses once per cell, and past the recursion
     limit the size of its frame, not the work done, sets what a solve costs.

@@ -602,9 +602,12 @@ def test_value_response_skips_error_forms_and_status_atoms():
     assert trace.actions == ()
 
 
-def test_value_response_skips_a_pair_whose_application_holds_a_list():
+@pytest.mark.parametrize(
+    "skipped", ["((sleep 0 (0)) true)", "((sleep 0 0) 1)"], ids=["list-argument", "int-for-bool"])
+def test_value_response_skips_a_pair_whose_application_holds_a_list(skipped):
+    # a pair is skipped when its application holds a list, or its value is
+    # not of its function's sort (_as_bool reads no 1)
     spec = make_spec(processes=1, packets=0, horizon=1, topology="all", goal=GoalKind.NONE)
-    skipped = "((sleep 0 (0)) true)"
     trace = parse_value_response(
         f"({skipped} ((sleep 0 0) true) ((listen 0 0) false) ((transmit 0 0) (- 1)))", spec)
     assert trace.actions == ((SLEEP,),)

@@ -65,12 +65,13 @@ L = RequirementLabel
 
 
 def _reference_shape_error(spec, actions, knowledge) -> str | None:
-    """ProtocolTrace's checks, row by row: the first message, or None."""
-    if len(actions) != spec.horizon:
-        return f"dimension mismatch: {len(actions)} action rows for horizon {spec.horizon}"
+    """ProtocolTrace's checks, row by row and in a file's order: the first
+    message, or None."""
     for t, row in enumerate(actions):
         if len(row) != spec.processes:
             return f"dimension mismatch: {len(row)} actions at t={t} for {spec.processes} processes"
+    if len(actions) != spec.horizon:
+        return f"dimension mismatch: {len(actions)} action rows for horizon {spec.horizon}"
     if len(knowledge) != spec.horizon + 1:
         return f"dimension mismatch: {len(knowledge)} knowledge rows for horizon {spec.horizon}"
     for t, krow in enumerate(knowledge):
@@ -569,7 +570,7 @@ def test_other_layouts_read_as_the_reference_reads_them(layout, trace):
 TRAPS = [
     "negative holder mask", "mask with bit P", "short knowledge row", "long knowledge row",
     "short action row", "wide action row", "missing action row", "missing knowledge row",
-    "list rows", "unhashable bad row", "no knowledge rows",
+    "list rows", "unhashable bad row", "no knowledge rows", "short and missing action rows",
 ]
 
 
@@ -596,6 +597,9 @@ def _trapped(trap, trace):
         grid = list(map(list, grid))
     elif trap == "no knowledge rows":
         grid = []
+    elif trap == "short and missing action rows":
+        actions[1] = actions[1][1:]
+        actions.pop()
     else:
         grid = list(map(list, grid[:-1])) + [[-1] * len(grid[-1])]
     return tuple(actions), tuple(grid)
@@ -610,6 +614,8 @@ def test_constructor_traps_raise_the_reference_message(trap):
     made = _outcome(ProtocolTrace, trace.spec, actions, grid)
     assert made == (("ok", ProtocolTrace(trace.spec, actions, grid)) if error is None
                     else ("TraceFormatError", error))
+    if trap == "short and missing action rows":  # the width comes first, as in a file
+        assert error == "dimension mismatch: 3 actions at t=1 for 4 processes"
 
 
 @pytest.mark.parametrize("label", [7, None, True, ["listen"], "tx:9", "shout"])
